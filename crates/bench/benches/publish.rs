@@ -7,7 +7,7 @@
 //! publish: O(Δ). The steady-state case measured here is the replica
 //! loop's — one write dirties one shard, then the view is captured —
 //! so the clone/cow gap at 16384 registers is the direct cost the
-//! pipelined loop's per-burst publish avoids.
+//! replica loop's per-burst publish avoids.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use prcc_core::runtime::ReplicaView;

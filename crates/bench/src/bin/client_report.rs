@@ -323,7 +323,7 @@ every row is trace-verified for causal consistency and session guarantees\","
             );
             std::process::exit(1);
         }
-        // The pipelined-replica / O(delta)-publish headline: client
+        // The O(delta)-publish headline: client
         // write acks must be sub-millisecond at the median in full mode
         // (2 ms in the smaller, noisier quick sweep).
         let p50_budget_ns: u64 = if quick { 2_000_000 } else { 1_000_000 };

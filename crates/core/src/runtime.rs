@@ -9,8 +9,14 @@
 //!
 //! # The hot path
 //!
-//! Three design points keep client operations off the contended paths:
+//! Four design points keep client operations off the contended paths:
 //!
+//! * **One event-driven loop per replica.** A replica thread has exactly
+//!   one blocking point: it parks until its earliest batch window or
+//!   session timer and is woken early only by an arrival — a command, or
+//!   a frame the transport delivered (see `replica_main`). No pass
+//!   without work, no fixed-period poll, and the same loop in every
+//!   configuration (batched, durable, TCP, crash-bearing).
 //! * **Per-thread trace shards.** Each replica thread appends protocol
 //!   events to its own shard (a private `Mutex<Vec<_>>`, uncontended in
 //!   steady state) stamped with nanoseconds since a shared epoch. The
@@ -42,16 +48,16 @@ use crate::store_cow::{SharedShards, StoreMode};
 use crate::system::BatchPolicy;
 use crate::tracker::{CausalityTracker, EdgeTracker};
 use crate::value::Value;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
 use parking_lot::{Mutex, RwLock};
 use prcc_checker::{check, CheckReport, Trace, UpdateId};
 use prcc_net::{
-    BoundListener, DelayModel, FaultPlan, FaultSchedule, SessionConfig, SessionEndpoint,
+    BoundListener, DelayModel, Doorbell, FaultPlan, FaultSchedule, SessionConfig, SessionEndpoint,
     SessionFrame, TcpEndpoint, TcpNetConfig, TcpStatsSnapshot, ThreadNet, Transport,
 };
 use prcc_sharegraph::{LoopConfig, RegisterId, ReplicaId, ShareGraph, TimestampGraphs};
 use prcc_timestamp::TsRegistry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io;
 use std::net::SocketAddr;
@@ -100,14 +106,6 @@ pub struct ClusterConfig {
     /// (O(Δ) per publish, the default) or the original clone-the-world
     /// oracle ([`StoreMode::Clone`], O(store) per publish).
     pub store: StoreMode,
-    /// Pipelines each replica loop into an apply thread plus an I/O
-    /// thread (encode / ship / session / decode off the critical path).
-    /// On by default; a replica falls back to the single-threaded inline
-    /// loop whenever durability is armed (the WAL must observe sends in
-    /// issue order), so every crash-bearing configuration runs inline
-    /// and piped crash commands are the same no-op the inline loop
-    /// performs without a WAL.
-    pub pipeline: bool,
 }
 
 impl Default for ClusterConfig {
@@ -122,7 +120,6 @@ impl Default for ClusterConfig {
             ingress_depth: 4096,
             durability: None,
             store: StoreMode::default(),
-            pipeline: true,
         }
     }
 }
@@ -434,7 +431,7 @@ impl SnapshotCell {
 /// ```
 pub struct ThreadedCluster {
     graph: Arc<ShareGraph>,
-    cmd_txs: Vec<Sender<Cmd>>,
+    cmd_txs: Vec<CmdTx>,
     threads: Vec<JoinHandle<()>>,
     /// Per-replica trace shards, merged on demand.
     shards: Vec<Arc<TraceShard>>,
@@ -461,6 +458,8 @@ pub struct ThreadedCluster {
     /// Per-replica crash flags, observable without a command round trip
     /// (the serving tier's failover signal).
     crashed: Vec<Arc<AtomicBool>>,
+    /// Per-replica loop-pass counters (see [`loop_passes`](Self::loop_passes)).
+    passes: Vec<Arc<AtomicU64>>,
     /// Whether recovery logs are armed (required by [`crash`](Self::crash)).
     durable: bool,
     /// Keep the net alive for the cluster's lifetime.
@@ -654,15 +653,21 @@ impl ThreadedCluster {
         let mut shards = Vec::new();
         let mut snapshots = Vec::new();
         let mut crashed = Vec::new();
+        let mut passes = Vec::new();
         for (i, handle) in graph.replicas().zip(handles) {
             let (tx, rx) = bounded::<Cmd>(config.channel_depth.max(1));
-            cmd_txs.push(tx);
+            cmd_txs.push(CmdTx {
+                tx,
+                bell: handle.doorbell().clone(),
+            });
             let shard: Arc<TraceShard> = Arc::new(Mutex::new(Vec::new()));
             shards.push(shard.clone());
             let snapshot = Arc::new(SnapshotCell::new(graph.num_replicas()));
             snapshots.push(snapshot.clone());
             let crashed_flag = Arc::new(AtomicBool::new(false));
             crashed.push(crashed_flag.clone());
+            let pass_ctr = Arc::new(AtomicU64::new(0));
+            passes.push(pass_ctr.clone());
             let graph = graph.clone();
             let registry = registry.clone();
             let config = config.clone();
@@ -687,6 +692,7 @@ impl ThreadedCluster {
                     shard,
                     snapshot,
                     crashed_flag,
+                    passes: pass_ctr,
                     applied_ctr: applied,
                     pending_ctr: pending,
                     sent_ctr: sent,
@@ -697,7 +703,7 @@ impl ThreadedCluster {
                     restarts_ctr: restarts,
                 })
             });
-            threads.push(handle_t.expect("spawn replica apply thread"));
+            threads.push(handle_t.expect("spawn replica thread"));
         }
         // The fault driver: walks the scripted crash/restart timeline on
         // the shared wall-clock tick and injects the events as commands.
@@ -753,6 +759,7 @@ impl ThreadedCluster {
             lost,
             restarts,
             crashed,
+            passes,
             durable: config.durability.is_some(),
             net,
         }
@@ -935,7 +942,7 @@ impl ThreadedCluster {
     ) -> Result<(), Vec<(u64, RegisterId, Value)>> {
         self.cmd_txs[r.index()]
             .send(Cmd::WriteMany { ops, reply })
-            .map_err(|e| match e.0 {
+            .map_err(|cmd| match cmd {
                 Cmd::WriteMany { ops, .. } => ops,
                 _ => unreachable!("send_write_many only sends WriteMany"),
             })
@@ -982,6 +989,14 @@ impl ThreadedCluster {
             .send(Cmd::Restart { done: Some(done) })
             .unwrap_or_else(|_| panic!("restart({r}): cluster has shut down"));
         let _ = rx.recv();
+    }
+
+    /// How many passes replica `r`'s loop has made so far — a diagnostic
+    /// for the loop's wait discipline: a pass happens only on an arrival
+    /// (command or frame), a closed batch window, a due session timer, or
+    /// the idle park running out, so an idle cluster's count barely moves.
+    pub fn loop_passes(&self, r: ReplicaId) -> u64 {
+        self.passes[r.index()].load(Ordering::Relaxed)
     }
 
     /// The snapshot publication counter of `r` (monotonically
@@ -1111,7 +1126,7 @@ pub enum NodeEvent {
 pub struct NodeRuntime {
     id: ReplicaId,
     graph: Arc<ShareGraph>,
-    cmd_tx: Sender<Cmd>,
+    cmd_tx: CmdTx,
     thread: Option<JoinHandle<()>>,
     shard: Arc<TraceShard>,
     snapshot: Arc<SnapshotCell>,
@@ -1156,7 +1171,12 @@ impl NodeRuntime {
         let mut cfg = tcp;
         cfg.ingress_depth = config.ingress_depth;
         let endpoint = TcpEndpoint::start(bound, peers, cfg, cluster_codec(id, registry.clone()))?;
-        let (cmd_tx, cmd_rx) = bounded::<Cmd>(config.channel_depth.max(1));
+        let net = endpoint.handle();
+        let (tx, cmd_rx) = bounded::<Cmd>(config.channel_depth.max(1));
+        let cmd_tx = CmdTx {
+            tx,
+            bell: net.doorbell().clone(),
+        };
         let shard: Arc<TraceShard> = Arc::new(Mutex::new(Vec::new()));
         let snapshot = Arc::new(SnapshotCell::new(graph.num_replicas()));
         let applied = Arc::new(AtomicUsize::new(0));
@@ -1171,7 +1191,6 @@ impl NodeRuntime {
             let pending = pending.clone();
             let sent = sent.clone();
             let wire_bytes = wire_bytes.clone();
-            let net = endpoint.handle();
             move || {
                 replica_main(ReplicaCtx {
                     id,
@@ -1184,6 +1203,7 @@ impl NodeRuntime {
                     shard,
                     snapshot,
                     crashed_flag: Arc::new(AtomicBool::new(false)),
+                    passes: Arc::new(AtomicU64::new(0)),
                     applied_ctr: applied,
                     pending_ctr: pending,
                     sent_ctr: sent,
@@ -1327,6 +1347,31 @@ impl Drop for NodeRuntime {
     }
 }
 
+/// A replica's command inlet: the bounded channel plus the loop's
+/// [`Doorbell`]. Every producer enqueues first and rings second, so the
+/// parked loop wakes on the arrival instead of polling for it.
+#[derive(Clone)]
+struct CmdTx {
+    tx: Sender<Cmd>,
+    bell: Doorbell,
+}
+
+impl CmdTx {
+    /// Blocking send (bounded backpressure); `Err` hands the command
+    /// back when the replica thread is gone.
+    fn send(&self, cmd: Cmd) -> Result<(), Cmd> {
+        self.tx.send(cmd).map_err(|e| e.0)?;
+        self.bell.ring();
+        Ok(())
+    }
+
+    fn try_send(&self, cmd: Cmd) -> Result<(), TrySendError<Cmd>> {
+        self.tx.try_send(cmd)?;
+        self.bell.ring();
+        Ok(())
+    }
+}
+
 /// Everything one replica thread owns. Generic over the [`Transport`]
 /// carrying session frames: [`prcc_net::NodeHandle`] in-process,
 /// [`prcc_net::TcpHandle`] over real sockets — the loop is identical.
@@ -1341,6 +1386,7 @@ struct ReplicaCtx<T: Transport<Msg = SessionFrame<BatchMsg>>> {
     shard: Arc<TraceShard>,
     snapshot: Arc<SnapshotCell>,
     crashed_flag: Arc<AtomicBool>,
+    passes: Arc<AtomicU64>,
     applied_ctr: Arc<AtomicUsize>,
     pending_ctr: Arc<AtomicUsize>,
     sent_ctr: Arc<AtomicUsize>,
@@ -1383,13 +1429,22 @@ fn ship<T: Transport<Msg = SessionFrame<BatchMsg>>>(
 
 /// The encode-and-ship half of a replica's transmit path: wire codec,
 /// pending per-destination batches, session endpoint, and the network
-/// handle. Owned by the replica thread in the inline loop (inside
-/// [`TxPath`]) and by the dedicated I/O thread in the pipelined loop —
-/// per-pair codec delta state never crosses threads either way.
+/// handle. Owned by the replica thread — per-pair codec delta state
+/// never crosses threads.
+///
+/// The cluster-wide `wire_bytes` / `demotions` / `retransmits` counters
+/// are statistics that publish no other data, so they take one `Relaxed`
+/// add per fan-out or pass; readers see them through the channel and
+/// `applied` counter hand-offs every delivery already makes.
 struct FanoutPath<T: Transport<Msg = SessionFrame<BatchMsg>>> {
     id: ReplicaId,
     codec: WireCodec,
     outq: HashMap<ReplicaId, Outq>,
+    /// The earliest `due` among `outq`'s batches. Windows are one fixed
+    /// length, so this is the oldest open batch; a batch that ships early
+    /// on count or bytes may leave it stale-early, which costs one rescan
+    /// in [`flush_due`](Self::flush_due), never a late batch.
+    next_due: Option<Instant>,
     endpoint: Option<SessionEndpoint<BatchMsg>>,
     net: T,
     epoch: Instant,
@@ -1432,16 +1487,16 @@ impl<T: Transport<Msg = SessionFrame<BatchMsg>>> FanoutPath<T> {
             // Delta, not a store: other replica threads are adding
             // their own demotions to the same counter.
             self.demotions_ctr
-                .fetch_add(demoted - self.last_demotions, Ordering::SeqCst);
+                .fetch_add(demoted - self.last_demotions, Ordering::Relaxed);
             self.last_demotions = demoted;
         }
+        let mut wire_bytes = 0;
         for (dst, meta) in recipients.into_iter().zip(metas) {
+            wire_bytes += meta.size_bytes();
             let m = UpdateMsg {
                 meta,
                 ..msg.clone()
             };
-            self.wire_bytes_ctr
-                .fetch_add(m.meta.size_bytes(), Ordering::SeqCst);
             if self.eager {
                 self.ship(vec![m], dst, log);
             } else {
@@ -1450,6 +1505,7 @@ impl<T: Transport<Msg = SessionFrame<BatchMsg>>> FanoutPath<T> {
                     bytes: 0,
                     due: Instant::now() + self.flush_window,
                 });
+                self.next_due.get_or_insert(q.due);
                 q.bytes += m.size_bytes();
                 q.msgs.push(m);
                 if q.msgs.len() >= self.batch.batch_count || q.bytes >= self.batch.batch_bytes {
@@ -1458,65 +1514,70 @@ impl<T: Transport<Msg = SessionFrame<BatchMsg>>> FanoutPath<T> {
                 }
             }
         }
+        self.wire_bytes_ctr.fetch_add(wire_bytes, Ordering::Relaxed);
     }
 
-    /// Ships batches whose coalescing window has closed. Returns true
-    /// when nothing remains queued (the thread may doze).
-    fn flush_due(&mut self, log: &mut Option<RecoveryLog>) -> bool {
-        if self.outq.is_empty() {
-            return true;
-        }
+    /// Ships batches whose coalescing window has closed. Returns when
+    /// the next one closes, if any batch is still open.
+    fn flush_due(&mut self, log: &mut Option<RecoveryLog>) -> Option<Instant> {
+        let due = self.next_due?;
         let now = Instant::now();
-        let due: Vec<ReplicaId> = self
-            .outq
-            .iter()
-            .filter(|(_, q)| q.due <= now)
-            .map(|(&d, _)| d)
-            .collect();
-        for dst in due {
-            let q = self.outq.remove(&dst).expect("due batch present");
-            self.ship(q.msgs, dst, log);
+        if due <= now {
+            let now_ms = self.now_ms();
+            let (endpoint, net) = (&mut self.endpoint, &self.net);
+            let mut next: Option<Instant> = None;
+            self.outq.retain(|&dst, q| {
+                let open = q.due > now;
+                if open {
+                    next = Some(next.map_or(q.due, |n| n.min(q.due)));
+                } else {
+                    ship(std::mem::take(&mut q.msgs), dst, endpoint, net, now_ms, log);
+                }
+                open
+            });
+            self.next_due = next;
         }
-        // Stay hot while a batch is waiting for its window.
-        self.outq.is_empty()
+        self.next_due
     }
 
     /// Flushes every unshipped batch so nothing queued is lost.
     fn flush_all(&mut self, log: &mut Option<RecoveryLog>) {
-        let outq = std::mem::take(&mut self.outq);
-        for (dst, q) in outq {
+        self.next_due = None;
+        for (dst, q) in std::mem::take(&mut self.outq) {
             self.ship(q.msgs, dst, log);
         }
     }
 
-    /// Fires due retransmission timers and rolls the endpoint's
-    /// retransmit counter delta into the cluster total.
-    fn poll_session(&mut self) {
+    /// Fires due retransmission / delayed-ack timers and rolls the
+    /// endpoint's retransmit counter delta into the cluster total.
+    /// Returns when the next timer is due, if any is armed.
+    fn poll_session(&mut self) -> Option<Instant> {
         let now = self.now_ms();
-        let Some(ep) = self.endpoint.as_mut() else {
-            return;
-        };
-        if ep.next_deadline().is_some_and(|d| d <= now) {
+        let ep = self.endpoint.as_mut()?;
+        let mut next = ep.next_deadline();
+        if next.is_some_and(|d| d <= now) {
             let mut due = Vec::new();
             ep.poll(now, &mut due);
             for (dst, f) in due {
                 self.net.send(dst, f);
             }
+            next = ep.next_deadline();
         }
         let retx = ep.stats().retransmits;
         if retx != self.last_retx {
             self.retransmits_ctr
-                .fetch_add(retx - self.last_retx, Ordering::SeqCst);
+                .fetch_add(retx - self.last_retx, Ordering::Relaxed);
             self.last_retx = retx;
         }
+        next.map(|ms| self.epoch + Duration::from_millis(ms))
     }
 }
 
-/// The full single-threaded transmit path of the inline loop: issue
-/// (WAL + write + stamp) fused with [`FanoutPath`] encode/ship, plus
-/// the durable log the command loop also records deliveries through.
-/// Factored out of the command loop so [`Cmd::Write`] and
-/// [`Cmd::WriteMany`] share one issue path.
+/// The transmit path of the replica loop: issue (WAL + write + stamp)
+/// fused with [`FanoutPath`] encode/ship, plus the durable log the
+/// command loop also records deliveries through. Factored out of the
+/// command loop so [`Cmd::Write`] and [`Cmd::WriteMany`] share one issue
+/// path.
 struct TxPath<'a, T: Transport<Msg = SessionFrame<BatchMsg>>> {
     fan: FanoutPath<T>,
     graph: &'a ShareGraph,
@@ -1543,62 +1604,67 @@ impl<T: Transport<Msg = SessionFrame<BatchMsg>>> TxPath<'_, T> {
         if let Some(lg) = self.log.as_mut() {
             lg.record_own_write(register, value.clone());
         }
-        let (msg, recipients, uid) = issue_local(
-            replica,
-            self.graph,
-            self.fan.id,
-            self.shard,
-            &mut self.shard_seq,
-            self.fan.epoch,
-            self.sent_ctr,
-            register,
-            value,
-        );
+        let id = self.fan.id;
+        let recipients: Vec<ReplicaId> = self
+            .graph
+            .placement()
+            .holders(register)
+            .iter()
+            .copied()
+            .filter(|&h| h != id)
+            .collect();
+        let (msg, recipients) = replica
+            .write(register, value, recipients)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let uid = UpdateId {
+            issuer: id,
+            seq: msg.seq,
+        };
+        // Stamp the issue *before* any send: the shard merge relies on
+        // issue stamps preceding all apply stamps.
+        self.shard.lock().push(Stamped {
+            nanos: self.fan.epoch.elapsed().as_nanos() as u64,
+            seq: self.shard_seq,
+            ev: ShardEvent::Issue { id: uid, register },
+        });
+        self.shard_seq += 1;
+        self.sent_ctr.fetch_add(recipients.len(), Ordering::SeqCst);
         self.fan.fanout(&msg, recipients, &mut self.log);
         uid
     }
-}
 
-/// The issue half shared by both loops: WAL-free local write + issue
-/// stamp + sent accounting. Returns the update to fan out (the caller
-/// encodes and ships — inline directly, pipelined via the egress
-/// channel).
-#[allow(clippy::too_many_arguments)]
-fn issue_local(
-    replica: &mut Replica,
-    graph: &ShareGraph,
-    id: ReplicaId,
-    shard: &TraceShard,
-    shard_seq: &mut u64,
-    epoch: Instant,
-    sent_ctr: &AtomicUsize,
-    register: RegisterId,
-    value: Value,
-) -> (UpdateMsg, Vec<ReplicaId>, UpdateId) {
-    let recipients: Vec<ReplicaId> = graph
-        .placement()
-        .holders(register)
-        .iter()
-        .copied()
-        .filter(|&h| h != id)
-        .collect();
-    let (msg, recipients) = replica
-        .write(register, value, recipients)
-        .unwrap_or_else(|e| panic!("{e}"));
-    let uid = UpdateId {
-        issuer: id,
-        seq: msg.seq,
-    };
-    // Stamp the issue *before* any send: the shard merge relies on
-    // issue stamps preceding all apply stamps.
-    shard.lock().push(Stamped {
-        nanos: epoch.elapsed().as_nanos() as u64,
-        seq: *shard_seq,
-        ev: ShardEvent::Issue { id: uid, register },
-    });
-    *shard_seq += 1;
-    sent_ctr.fetch_add(recipients.len(), Ordering::SeqCst);
-    (msg, recipients, uid)
+    /// Applies one decoded batch: store writes, tracker merge, frontier
+    /// advance, apply stamps. Returns how many updates were applied (the
+    /// caller owes a publish when any were).
+    fn apply_batch(
+        &mut self,
+        replica: &mut Replica,
+        batch: BatchMsg,
+        frontier: &mut [u64],
+    ) -> usize {
+        let applied = replica.receive_batch(batch.updates);
+        if !applied.is_empty() {
+            let mut s = self.shard.lock();
+            let nanos = self.fan.epoch.elapsed().as_nanos() as u64;
+            for a in &applied {
+                let issuer = a.msg.issuer;
+                let f = &mut frontier[issuer.index()];
+                *f = (*f).max(a.msg.seq + 1);
+                s.push(Stamped {
+                    nanos,
+                    seq: self.shard_seq,
+                    ev: ShardEvent::Apply {
+                        id: UpdateId {
+                            issuer,
+                            seq: a.msg.seq,
+                        },
+                    },
+                });
+                self.shard_seq += 1;
+            }
+        }
+        applied.len()
+    }
 }
 
 /// Publishes `replica`'s current state as one immutable [`ReplicaView`]:
@@ -1650,72 +1716,27 @@ impl DeferredReplies {
     }
 }
 
-/// Loop state shared by the inline and pipelined replica loops.
-struct LoopShared<'a> {
-    id: ReplicaId,
-    graph: &'a ShareGraph,
-    mode: StoreMode,
-    epoch: Instant,
-    cmds: &'a Receiver<Cmd>,
-    shard: &'a TraceShard,
-    snapshot: &'a SnapshotCell,
-    applied_ctr: &'a AtomicUsize,
-    pending_ctr: &'a AtomicUsize,
-    sent_ctr: &'a AtomicUsize,
-}
+/// How long a replica loop parks when no batch window or session timer
+/// is open. Nothing depends on the loop passing at this period — every
+/// input rings the doorbell — it only bounds what a wake-up lost to a
+/// bug could cost. Public so the lost-wake-up regression test can name
+/// the cliff it looks for.
+pub const IDLE_PARK: Duration = Duration::from_millis(50);
 
-/// Applies one decoded batch: store writes, tracker merge, frontier
-/// advance, apply stamps, and the cluster apply counter. Returns true
-/// when anything was applied (the caller owes a publish).
-fn apply_batch(
-    replica: &mut Replica,
-    batch: BatchMsg,
-    sh: &LoopShared<'_>,
-    shard_seq: &mut u64,
-    frontier: &mut [u64],
-) -> bool {
-    let applied = replica.receive_batch(batch.updates);
-    let any = !applied.is_empty();
-    if any {
-        let mut s = sh.shard.lock();
-        let nanos = sh.epoch.elapsed().as_nanos() as u64;
-        for a in &applied {
-            let issuer = a.msg.issuer;
-            let f = &mut frontier[issuer.index()];
-            *f = (*f).max(a.msg.seq + 1);
-            s.push(Stamped {
-                nanos,
-                seq: *shard_seq,
-                ev: ShardEvent::Apply {
-                    id: UpdateId {
-                        issuer,
-                        seq: a.msg.seq,
-                    },
-                },
-            });
-            *shard_seq += 1;
-        }
-    }
-    sh.applied_ctr.fetch_add(applied.len(), Ordering::SeqCst);
-    any
-}
-
-/// Rolls the replica's pending count delta into the cluster counter.
-fn sync_pending(replica: &Replica, sh: &LoopShared<'_>, local_pending: &mut usize) {
-    let np = replica.pending_count();
-    if np != *local_pending {
-        if np > *local_pending {
-            sh.pending_ctr
-                .fetch_add(np - *local_pending, Ordering::SeqCst);
-        } else {
-            sh.pending_ctr
-                .fetch_sub(*local_pending - np, Ordering::SeqCst);
-        }
-        *local_pending = np;
-    }
-}
-
-fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>> + Send>(ctx: ReplicaCtx<T>) {
+/// The replica loop — the one loop every configuration runs (batched or
+/// eager, durable or not, `ThreadNet` or TCP, crash-bearing or not):
+/// commands, network input, publishes, session timers, WAL and
+/// crash/restart on one thread with exactly one blocking point.
+///
+/// Each pass drains a burst of commands, publishes once and releases
+/// their completion tokens, drains a burst of frames, publishes once,
+/// ships the batches whose window closed and fires the session timers
+/// that are due. It then parks on the transport's [`Doorbell`] until the
+/// earliest open batch window or armed session timer, and is woken early
+/// only by an arrival: a command ([`CmdTx`] rings) or a delivered frame
+/// (the substrate rings). The bell's token is sticky, so an arrival
+/// between the last queue check and the park is never slept through.
+fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) {
     let ReplicaCtx {
         id,
         graph,
@@ -1727,6 +1748,7 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>> + Send>(ctx: ReplicaC
         shard,
         snapshot,
         crashed_flag,
+        passes,
         applied_ctr,
         pending_ctr,
         sent_ctr,
@@ -1736,15 +1758,15 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>> + Send>(ctx: ReplicaC
         lost_ctr,
         restarts_ctr,
     } = ctx;
-    // Each sender thread owns the codec for its outgoing pair streams —
-    // per-pair delta state never crosses threads.
+    let bell = net.doorbell().clone();
+    bell.bind();
     let wire_mode = config.wire;
-    let replica = Replica::new(
+    let mode = config.store;
+    let mut replica = Replica::new(
         id,
         graph.placement().registers_of(id).clone(),
         Box::new(EdgeTracker::new(registry.clone(), id)) as Box<dyn CausalityTracker>,
     );
-    let endpoint = config.session.map(|cfg| SessionEndpoint::new(id, cfg));
     let log = config
         .durability
         .map(|every| RecoveryLog::new(replica.clone(), every));
@@ -1753,122 +1775,68 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>> + Send>(ctx: ReplicaC
     // command — a batch coalescing across commands would ack writes
     // whose updates exist nowhere durable.
     let eager = config.batch.batch_count <= 1 || log.is_some();
-    let flush_window = TICK * config.batch.flush_after.min(u32::MAX as u64) as u32;
-    let fan = FanoutPath {
-        id,
-        codec: WireCodec::new(wire_mode, Some(registry.clone())),
-        outq: HashMap::new(),
-        endpoint,
-        net,
-        epoch,
-        batch: config.batch,
-        eager,
-        flush_window,
-        wire_bytes_ctr,
-        demotions_ctr,
-        retransmits_ctr,
-        last_demotions: 0,
-        last_retx: 0,
-    };
-    let sh = LoopShared {
-        id,
-        graph: &graph,
-        mode: config.store,
-        epoch,
-        cmds: &cmds,
-        shard: &shard,
-        snapshot: &snapshot,
-        applied_ctr: &applied_ctr,
-        pending_ctr: &pending_ctr,
-        sent_ctr: &sent_ctr,
-    };
-    // The pipelined loop covers exactly the configurations where a
-    // crash command is a no-op (no durable log, so the inline loop
-    // ignores crashes too — a crash without a WAL would be permanent
-    // data loss). Every fault-bearing configuration runs inline.
-    if config.pipeline && log.is_none() {
-        piped_main(
-            &sh,
-            replica,
-            fan,
-            config.channel_depth,
-            config.ingress_depth,
-        );
-    } else {
-        inline_main(
-            &sh,
-            replica,
-            fan,
-            log,
-            &crashed_flag,
-            &lost_ctr,
-            &restarts_ctr,
-            &registry,
-            wire_mode,
-        );
-    }
-}
-
-/// The original single-threaded replica loop: commands, network input,
-/// publishes, session timers, WAL, and crash/restart all on one thread.
-/// This is the only loop that runs with durability armed (the WAL must
-/// observe sends in issue order) and the oracle the pipelined loop is
-/// differentially tested against.
-#[allow(clippy::too_many_arguments)]
-fn inline_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(
-    sh: &LoopShared<'_>,
-    mut replica: Replica,
-    fan: FanoutPath<T>,
-    log: Option<RecoveryLog>,
-    crashed_flag: &AtomicBool,
-    lost_ctr: &AtomicUsize,
-    restarts_ctr: &AtomicUsize,
-    registry: &Arc<TsRegistry>,
-    wire_mode: WireMode,
-) {
-    let id = sh.id;
     let mut tx = TxPath {
-        fan,
-        graph: sh.graph,
+        fan: FanoutPath {
+            id,
+            // The sender thread owns the codec for its outgoing pair
+            // streams — per-pair delta state never crosses threads.
+            codec: WireCodec::new(wire_mode, Some(registry.clone())),
+            outq: HashMap::new(),
+            next_due: None,
+            endpoint: config.session.map(|cfg| SessionEndpoint::new(id, cfg)),
+            net,
+            epoch,
+            batch: config.batch,
+            eager,
+            flush_window: TICK * config.batch.flush_after.min(u32::MAX as u64) as u32,
+            wire_bytes_ctr,
+            demotions_ctr,
+            retransmits_ctr,
+            last_demotions: 0,
+            last_retx: 0,
+        },
+        graph: &graph,
         log,
-        shard: sh.shard,
+        shard: &shard,
         shard_seq: 0,
-        sent_ctr: sh.sent_ctr,
+        sent_ctr: &sent_ctr,
     };
     let mut local_pending = 0usize;
     // Per-issuer applied frontier published with every snapshot — the
     // serving tier's lock-free session-guarantee gate (see
     // [`ReplicaView::covers`]).
-    let mut frontier = vec![0u64; sh.graph.num_replicas()];
+    let mut frontier = vec![0u64; graph.num_replicas()];
     // Inside a crash window: commands and frames are discarded (clients
     // get typed rejections), volatile state is dead weight awaiting the
     // restart's WAL replay.
     let mut crashed = false;
-    // A command caught by the idle `recv_timeout` below, consumed ahead
-    // of the channel on the next drain pass.
-    let mut carry: Option<Cmd> = None;
     // Completion tokens held for the burst's single publish.
     let mut deferred = DeferredReplies::default();
     loop {
-        let mut idle = true;
+        passes.fetch_add(1, Ordering::Relaxed);
+        // Set when a burst budget ran out with its queue possibly
+        // non-empty: that input rang the bell before this pass took it,
+        // so only an explicit next pass (not a park) is sure to see it.
+        let mut more = false;
         // Drain a burst of client commands (writes from concurrent
         // drivers coalesce into the same pending batches and share one
         // snapshot publish).
-        for _ in 0..64 {
-            let cmd = match carry.take() {
-                Some(c) => c,
-                None => match sh.cmds.try_recv() {
-                    Ok(c) => c,
-                    Err(_) => break,
-                },
+        let mut budget = 64;
+        while budget > 0 {
+            let cmd = match cmds.try_recv() {
+                Ok(c) => c,
+                Err(TryRecvError::Empty) => break,
+                // Every command sender is gone without a `Shutdown`:
+                // nothing can ask this replica for anything again.
+                Err(TryRecvError::Disconnected) => Cmd::Shutdown,
             };
+            budget -= 1;
             match cmd {
                 Cmd::Write {
                     register,
                     value,
                     reply,
                 } => {
-                    idle = false;
                     if crashed {
                         // Dropping the reply sender surfaces as a typed
                         // ClusterError::Crashed at the caller.
@@ -1884,7 +1852,6 @@ fn inline_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(
                     deferred.writes.push((reply, uid));
                 }
                 Cmd::WriteMany { ops, reply } => {
-                    idle = false;
                     if crashed {
                         // Typed per-op rejection: the serving tier
                         // re-routes each op to a live holder.
@@ -1903,7 +1870,6 @@ fn inline_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(
                     deferred.many.push((reply, done));
                 }
                 Cmd::ReadAt { register, reply } => {
-                    idle = false;
                     if crashed {
                         drop(reply);
                         continue;
@@ -1911,11 +1877,10 @@ fn inline_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(
                     let _ = reply.send(replica.read(register).cloned());
                 }
                 Cmd::Crash { done } => {
-                    idle = false;
                     // The crash must observe every completion already
                     // promised: publish and release before the window
                     // opens.
-                    deferred.release(sh.snapshot, &replica, &frontier, sh.mode);
+                    deferred.release(&snapshot, &replica, &frontier, mode);
                     // Without a durable log a crash would be permanent
                     // data loss; this runtime only models recoverable
                     // fail-stop, so the command is ignored.
@@ -1926,17 +1891,17 @@ fn inline_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(
                         // image. Durability keeps shipping eager, so the
                         // outq is empty and no acked write is in it.
                         tx.fan.outq.clear();
+                        tx.fan.next_due = None;
                     }
                     if let Some(d) = done {
                         let _ = d.send(());
                     }
                 }
                 Cmd::Restart { done } => {
-                    idle = false;
-                    deferred.release(sh.snapshot, &replica, &frontier, sh.mode);
+                    deferred.release(&snapshot, &replica, &frontier, mode);
                     if crashed {
                         let lg = tx.log.as_ref().expect("crashed implies a log");
-                        let (rec, fr) = lg.recover_with_frontier(sh.graph.num_replicas());
+                        let (rec, fr) = lg.recover_with_frontier(graph.num_replicas());
                         replica = rec;
                         frontier = fr;
                         // Fresh codec: per-pair delta streams restart
@@ -1945,9 +1910,8 @@ fn inline_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(
                         // stream state); only byte accounting changes.
                         tx.fan.codec = WireCodec::new(wire_mode, Some(registry.clone()));
                         if let Some(ep) = tx.fan.endpoint.as_mut() {
-                            let lg = tx.log.as_ref().expect("crashed implies a log");
                             let mut out = Vec::new();
-                            let now_ms = sh.epoch.elapsed().as_millis() as u64;
+                            let now_ms = epoch.elapsed().as_millis() as u64;
                             ep.restart(lg.outbox(), &lg.recv_cums(), now_ms, &mut out);
                             for (dst, f) in out {
                                 tx.fan.net.send(dst, f);
@@ -1958,14 +1922,14 @@ fn inline_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(
                         restarts_ctr.fetch_add(1, Ordering::SeqCst);
                         // Republish from recovered state: durable writes
                         // become snapshot-visible again immediately.
-                        publish_view(sh.snapshot, &replica, &frontier, sh.mode);
+                        publish_view(&snapshot, &replica, &frontier, mode);
                     }
                     if let Some(d) = done {
                         let _ = d.send(());
                     }
                 }
                 Cmd::Shutdown => {
-                    deferred.release(sh.snapshot, &replica, &frontier, sh.mode);
+                    deferred.release(&snapshot, &replica, &frontier, mode);
                     if !crashed {
                         tx.fan.flush_all(&mut tx.log);
                     }
@@ -1973,17 +1937,18 @@ fn inline_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(
                 }
             }
         }
+        more |= budget == 0;
         // One publish for the whole burst, then every held completion
         // token — never a token before its write is snapshot-visible.
-        deferred.release(sh.snapshot, &replica, &frontier, sh.mode);
+        deferred.release(&snapshot, &replica, &frontier, mode);
         // Then a burst of network input.
-        let mut applied_any = false;
-        let mut shard_seq = tx.shard_seq;
-        for _ in 0..256 {
+        let mut applied = 0;
+        let mut budget = 256;
+        while budget > 0 {
             let Some(env) = tx.fan.net.try_recv() else {
                 break;
             };
-            idle = false;
+            budget -= 1;
             if crashed {
                 // A crashed node's NIC is dark: frames vanish. Bare
                 // frames (no session) are permanent losses and must be
@@ -1998,7 +1963,7 @@ fn inline_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(
             }
             let payloads = match tx.fan.endpoint.as_mut() {
                 Some(ep) => {
-                    let now = sh.epoch.elapsed().as_millis() as u64;
+                    let now = epoch.elapsed().as_millis() as u64;
                     let mut resp = Vec::new();
                     let msgs = ep.on_frame(env.src, env.msg, now, &mut resp);
                     // Ack-after-durable: every in-order payload reaches
@@ -2028,276 +1993,37 @@ fn inline_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(
                 },
             };
             for batch in payloads {
-                applied_any |= apply_batch(&mut replica, batch, sh, &mut shard_seq, &mut frontier);
+                applied += tx.apply_batch(&mut replica, batch, &mut frontier);
             }
         }
-        tx.shard_seq = shard_seq;
-        if applied_any {
-            publish_view(sh.snapshot, &replica, &frontier, sh.mode);
+        more |= budget == 0;
+        if applied > 0 {
+            applied_ctr.fetch_add(applied, Ordering::SeqCst);
+            publish_view(&snapshot, &replica, &frontier, mode);
         }
+        let mut wake = None;
         if !crashed {
             // Compact the WAL once per loop pass: the live state now
             // reflects every logged event of this pass.
             if let Some(lg) = tx.log.as_mut() {
                 lg.maybe_snapshot_with_frontier(&replica, &frontier);
             }
-            sync_pending(&replica, sh, &mut local_pending);
-            // Flush batches whose coalescing window has closed.
-            idle = idle && tx.fan.flush_due(&mut tx.log);
-            // Retransmission timers: fire whatever is due.
-            tx.fan.poll_session();
+            // Roll the pending-buffer delta into the cluster counter.
+            let np = replica.pending_count();
+            if np > local_pending {
+                pending_ctr.fetch_add(np - local_pending, Ordering::SeqCst);
+            } else if np < local_pending {
+                pending_ctr.fetch_sub(local_pending - np, Ordering::SeqCst);
+            }
+            local_pending = np;
+            // Ship the batches whose window closed, fire the session
+            // timers that are due, and learn when the next of either is.
+            let batch_due = tx.fan.flush_due(&mut tx.log);
+            let timer_due = tx.fan.poll_session();
+            wake = [batch_due, timer_due].into_iter().flatten().min();
         }
-        if idle {
-            // Doze for at most one tick, but wake instantly on a client
-            // command — the serving tier's write latency must not eat a
-            // full sleep quantum.
-            if let Ok(c) = sh.cmds.recv_timeout(TICK) {
-                carry = Some(c);
-            }
-        }
-    }
-}
-
-/// What the apply thread hands its I/O thread.
-enum Egress {
-    /// Encode `msg` per recipient and ship (or coalesce) it.
-    Update {
-        msg: UpdateMsg,
-        recipients: Vec<ReplicaId>,
-    },
-    /// Flush everything queued and exit.
-    Shutdown,
-}
-
-/// The pipelined replica loop: an **apply thread** (this function —
-/// issues, `J`-predicate evaluation, frontier, publishes, client
-/// replies) and an **I/O thread** ([`io_main`] — wire encode, session
-/// acks/retransmits, wire decode) connected by two bounded channels.
-/// Wire work leaves the critical path, so a write's publish-and-reply
-/// no longer waits behind codec passes or frame decode.
-///
-/// Only runs without a durable log (see [`replica_main`]): crash and
-/// restart commands are the same no-ops the inline loop performs when
-/// no WAL is armed, and acks may precede applies because a decoded
-/// batch parked in the ingress channel can no longer be lost.
-fn piped_main<T: Transport<Msg = SessionFrame<BatchMsg>> + Send>(
-    sh: &LoopShared<'_>,
-    mut replica: Replica,
-    fan: FanoutPath<T>,
-    egress_depth: usize,
-    ingress_depth: usize,
-) {
-    let (eg_tx, eg_rx) = bounded::<Egress>(egress_depth.max(1));
-    let (in_tx, in_rx) = bounded::<BatchMsg>(ingress_depth.max(1));
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .name(format!("io-{}", sh.id.raw()))
-            .spawn_scoped(scope, move || io_main(fan, eg_rx, in_tx))
-            .expect("spawn replica io thread");
-        let mut shard_seq = 0u64;
-        let mut local_pending = 0usize;
-        let mut frontier = vec![0u64; sh.graph.num_replicas()];
-        let mut carry: Option<Cmd> = None;
-        let mut deferred = DeferredReplies::default();
-        let issue = |replica: &mut Replica,
-                     shard_seq: &mut u64,
-                     register: RegisterId,
-                     value: Value|
-         -> UpdateId {
-            let (msg, recipients, uid) = issue_local(
-                replica,
-                sh.graph,
-                sh.id,
-                sh.shard,
-                shard_seq,
-                sh.epoch,
-                sh.sent_ctr,
-                register,
-                value,
-            );
-            if !recipients.is_empty() {
-                // A full egress channel blocks here: bounded
-                // backpressure against the I/O thread, which never
-                // blocks back (it parks ingress overflow in its spill),
-                // so this cannot deadlock.
-                let _ = eg_tx.send(Egress::Update { msg, recipients });
-            }
-            uid
-        };
-        loop {
-            let mut idle = true;
-            for _ in 0..64 {
-                let cmd = match carry.take() {
-                    Some(c) => c,
-                    None => match sh.cmds.try_recv() {
-                        Ok(c) => c,
-                        Err(_) => break,
-                    },
-                };
-                match cmd {
-                    Cmd::Write {
-                        register,
-                        value,
-                        reply,
-                    } => {
-                        idle = false;
-                        let uid = issue(&mut replica, &mut shard_seq, register, value);
-                        frontier[sh.id.index()] = uid.seq + 1;
-                        deferred.wrote = true;
-                        deferred.writes.push((reply, uid));
-                    }
-                    Cmd::WriteMany { ops, reply } => {
-                        idle = false;
-                        let mut done = Vec::with_capacity(ops.len());
-                        for (token, register, value) in ops {
-                            let uid = issue(&mut replica, &mut shard_seq, register, value);
-                            frontier[sh.id.index()] = uid.seq + 1;
-                            done.push((token, WriteStatus::Done(uid)));
-                        }
-                        deferred.wrote |= !done.is_empty();
-                        deferred.many.push((reply, done));
-                    }
-                    Cmd::ReadAt { register, reply } => {
-                        idle = false;
-                        let _ = reply.send(replica.read(register).cloned());
-                    }
-                    Cmd::Crash { done } | Cmd::Restart { done } => {
-                        idle = false;
-                        // No durable log in this configuration, so a
-                        // crash would be permanent data loss — ignored,
-                        // exactly like the inline loop without a WAL.
-                        if let Some(d) = done {
-                            let _ = d.send(());
-                        }
-                    }
-                    Cmd::Shutdown => {
-                        deferred.release(sh.snapshot, &replica, &frontier, sh.mode);
-                        let _ = eg_tx.send(Egress::Shutdown);
-                        return;
-                    }
-                }
-            }
-            // One publish per burst, then the held completion tokens.
-            deferred.release(sh.snapshot, &replica, &frontier, sh.mode);
-            // Decoded ingress from the I/O thread.
-            let mut applied_any = false;
-            for _ in 0..256 {
-                let Ok(batch) = in_rx.try_recv() else { break };
-                idle = false;
-                applied_any |= apply_batch(&mut replica, batch, sh, &mut shard_seq, &mut frontier);
-            }
-            if applied_any {
-                publish_view(sh.snapshot, &replica, &frontier, sh.mode);
-            }
-            sync_pending(&replica, sh, &mut local_pending);
-            if idle {
-                // Doze for at most one tick, waking instantly on a
-                // client command (ingress batches wait at most the tick).
-                if let Ok(c) = sh.cmds.recv_timeout(TICK) {
-                    carry = Some(c);
-                }
-            }
-        }
-    });
-}
-
-/// The per-replica I/O thread: drains the egress channel (encode +
-/// ship + coalesce), pumps the network (session frames decoded, acks
-/// answered, payload batches handed to the apply thread), and fires
-/// session retransmit timers. Never blocks on the apply thread: when
-/// the ingress channel is full, decoded payloads park in a spill queue
-/// and no further frames are pulled from the net — backpressure without
-/// ever dropping a decoded bare payload (which, sessionless, would be
-/// permanent loss).
-fn io_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(
-    mut fan: FanoutPath<T>,
-    eg_rx: Receiver<Egress>,
-    in_tx: Sender<BatchMsg>,
-) {
-    // The pipelined configuration never arms a WAL.
-    let mut no_log: Option<RecoveryLog> = None;
-    let mut spill: VecDeque<BatchMsg> = VecDeque::new();
-    loop {
-        let mut idle = true;
-        for _ in 0..256 {
-            match eg_rx.try_recv() {
-                Ok(Egress::Update { msg, recipients }) => {
-                    idle = false;
-                    fan.fanout(&msg, recipients, &mut no_log);
-                }
-                Ok(Egress::Shutdown) => {
-                    fan.flush_all(&mut no_log);
-                    return;
-                }
-                Err(_) => break,
-            }
-        }
-        // Retry the spill before pulling new frames: ingress order is
-        // decode order.
-        while let Some(b) = spill.pop_front() {
-            match in_tx.try_send(b) {
-                Ok(()) => {}
-                Err(TrySendError::Full(b)) => {
-                    spill.push_front(b);
-                    break;
-                }
-                Err(TrySendError::Disconnected(_)) => return,
-            }
-        }
-        if spill.is_empty() {
-            for _ in 0..256 {
-                let Some(env) = fan.net.try_recv() else { break };
-                idle = false;
-                let payloads = match fan.endpoint.as_mut() {
-                    Some(ep) => {
-                        let now = fan.epoch.elapsed().as_millis() as u64;
-                        let mut resp = Vec::new();
-                        let msgs = ep.on_frame(env.src, env.msg, now, &mut resp);
-                        for (dst, f) in resp {
-                            fan.net.send(dst, f);
-                        }
-                        msgs
-                    }
-                    None => match env.msg {
-                        SessionFrame::Bare(b) => vec![b],
-                        _ => Vec::new(),
-                    },
-                };
-                for b in payloads {
-                    if spill.is_empty() {
-                        match in_tx.try_send(b) {
-                            Ok(()) => continue,
-                            Err(TrySendError::Full(b)) => spill.push_back(b),
-                            Err(TrySendError::Disconnected(_)) => return,
-                        }
-                    } else {
-                        // One frame can decode to several in-order
-                        // batches; once the channel filled, the rest of
-                        // the frame follows through the spill.
-                        spill.push_back(b);
-                    }
-                }
-                if !spill.is_empty() {
-                    break;
-                }
-            }
-        }
-        idle = idle && fan.flush_due(&mut no_log);
-        fan.poll_session();
-        if idle {
-            match eg_rx.recv_timeout(TICK) {
-                Ok(Egress::Update { msg, recipients }) => {
-                    fan.fanout(&msg, recipients, &mut no_log);
-                }
-                Ok(Egress::Shutdown) => {
-                    fan.flush_all(&mut no_log);
-                    return;
-                }
-                // The apply thread is gone; nothing more can be shipped
-                // or delivered.
-                Err(RecvTimeoutError::Disconnected) => return,
-                Err(RecvTimeoutError::Timeout) => {}
-            }
+        if !more {
+            bell.wait_until(wake.unwrap_or_else(|| Instant::now() + IDLE_PARK));
         }
     }
 }

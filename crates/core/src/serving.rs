@@ -756,7 +756,7 @@ impl ServingWorker<'_, '_> {
         if wait.is_zero() || self.tokens.is_empty() {
             return;
         }
-        // One bounded park for the first ack: the apply thread serves
+        // One bounded park for the first ack: the replica thread serves
         // the whole flushed batch in one drain burst, so once anything
         // arrives the rest is already in the channel — drain it without
         // blocking again and move on to serving reads.

@@ -10,15 +10,20 @@
 //! [`CowStore`] fixes the asymptotics with plain `Arc` sharing: the
 //! store is a fixed power-of-two array of `Arc<Shard>` hash maps
 //! (value + provenance together, so a snapshot can never pair a value
-//! with the wrong source). Publishing is [`CowStore::share`] — clone
-//! the `Vec` of `Arc`s, O(shards) refcount bumps, no data copied.
-//! Mutation goes through [`Arc::make_mut`]: a shard still shared with
-//! an outstanding snapshot is cloned once (that clone *is* the
-//! dirty-shard rebuild — sharing makes the dirty set implicit in the
-//! refcounts), while a shard no snapshot holds is written in place for
-//! free. Per publish epoch each shard is cloned at most once, so the
-//! amortised publish cost is O(registers changed since the last
-//! publish), not O(store).
+//! with the wrong source), held as `Arc`-shared chunks of [`CHUNK`]
+//! shards. Publishing is [`CowStore::share`] — clone the `Vec` of chunk
+//! `Arc`s, O(shards / CHUNK) refcount bumps, no data copied.
+//! Mutation goes through [`Arc::make_mut`], chunk first and shard
+//! second: a chunk still shared with an outstanding snapshot has its
+//! `CHUNK` shard pointers copied once, and a shard still shared is
+//! cloned once (that clone *is* the dirty-shard rebuild — sharing makes
+//! the dirty set implicit in the refcounts), while what no snapshot
+//! holds is written in place for free. Per publish epoch each chunk and
+//! shard is cloned at most once, so the amortised publish cost is
+//! O(registers changed since the last publish), not O(store) — and not
+//! O(shards) either: the event-driven replica loop publishes once per
+//! arrival burst, and at 1024 shards a flat pointer array made every
+//! one of those publishes 1024 refcount bumps and as many drops.
 //!
 //! The old clone-the-world behaviour stays available as the
 //! differential oracle via [`StoreMode::Clone`] (flat deep-cloned
@@ -60,6 +65,24 @@ pub struct Entry {
 
 type Shard = HashMap<RegisterId, Entry>;
 
+/// Shards per chunk of the two-level shard array: √1024, so a publish
+/// of the largest store and the first write into one of its chunks cost
+/// the same 32 refcount bumps. Stores of up to 32 shards are one chunk.
+const CHUNK: usize = 32;
+
+/// A run of up to [`CHUNK`] consecutive shards, itself shared between
+/// the live store and its snapshots.
+type Chunk = Vec<Arc<Shard>>;
+
+fn shards(chunks: &[Arc<Chunk>]) -> impl Iterator<Item = &Arc<Shard>> {
+    chunks.iter().flat_map(|c| c.iter())
+}
+
+fn shard_of(chunks: &[Arc<Chunk>], x: RegisterId, mask: u64) -> &Shard {
+    let i = shard_index(x, mask);
+    &chunks[i / CHUNK][i % CHUNK]
+}
+
 /// Spreads register ids across shards: Fibonacci multiply-shift so
 /// dense id ranges (the common case — topology generators number
 /// registers 0..k) don't alias into one shard, then mask into the
@@ -84,7 +107,7 @@ fn shard_count(registers: usize) -> usize {
 /// [`Replica`]: crate::Replica
 #[derive(Debug, Clone)]
 pub struct CowStore {
-    shards: Vec<Arc<Shard>>,
+    chunks: Vec<Arc<Chunk>>,
     mask: u64,
     /// Shards cloned by [`Arc::make_mut`] because a snapshot still held
     /// them — the observable trace of lazy copy-on-write, counted for
@@ -96,15 +119,16 @@ impl CowStore {
     /// An empty store sized for `registers` registers.
     pub fn new(registers: usize) -> Self {
         let n = shard_count(registers);
+        let shards: Vec<Arc<Shard>> = (0..n).map(|_| Arc::new(Shard::new())).collect();
         CowStore {
-            shards: (0..n).map(|_| Arc::new(Shard::new())).collect(),
+            chunks: shards.chunks(CHUNK).map(|c| Arc::new(c.to_vec())).collect(),
             mask: (n - 1) as u64,
             cow_clones: 0,
         }
     }
 
     fn shard(&self, x: RegisterId) -> &Shard {
-        &self.shards[shard_index(x, self.mask)]
+        shard_of(&self.chunks, x, self.mask)
     }
 
     /// The register's current value.
@@ -120,7 +144,10 @@ impl CowStore {
     /// Writes `x`, cloning the shard first iff a snapshot still shares
     /// it (lazy copy-on-write).
     pub fn insert(&mut self, x: RegisterId, value: Value, src: Option<UpdateId>) {
-        let shard = &mut self.shards[shard_index(x, self.mask)];
+        let i = shard_index(x, self.mask);
+        // A chunk a snapshot still holds is copied first (pointers
+        // only), which leaves each of its shards shared in turn.
+        let shard = &mut Arc::make_mut(&mut self.chunks[i / CHUNK])[i % CHUNK];
         if Arc::strong_count(shard) > 1 {
             self.cow_clones += 1;
         }
@@ -129,17 +156,17 @@ impl CowStore {
 
     /// Number of registers stored.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
+        shards(&self.chunks).map(|s| s.len()).sum()
     }
 
     /// True when no register is stored.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
+        shards(&self.chunks).all(|s| s.is_empty())
     }
 
     /// Iterates all stored registers, in no particular order.
     pub fn iter(&self) -> impl Iterator<Item = (&RegisterId, &Entry)> {
-        self.shards.iter().flat_map(|s| s.iter())
+        shards(&self.chunks).flat_map(|s| s.iter())
     }
 
     /// Deep-clones the store into a flat value map — the
@@ -158,11 +185,12 @@ impl CowStore {
     }
 
     /// The O(Δ) publish: an immutable view sharing every shard with the
-    /// live store. Costs O(shards) refcount bumps; the next write to a
-    /// shared shard pays that shard's clone (and only that shard's).
+    /// live store. Costs one refcount bump per chunk; the next write to a
+    /// shared shard pays its chunk's pointer copy and that shard's clone
+    /// (and only that shard's).
     pub fn share(&self) -> SharedShards {
         SharedShards {
-            shards: self.shards.clone(),
+            chunks: self.chunks.clone(),
             mask: self.mask,
         }
     }
@@ -180,28 +208,28 @@ impl CowStore {
 /// no write separated (see [`SharedShards::shards_shared_with`]).
 #[derive(Debug, Clone)]
 pub struct SharedShards {
-    shards: Vec<Arc<Shard>>,
+    chunks: Vec<Arc<Chunk>>,
     mask: u64,
 }
 
 impl SharedShards {
     /// The register's value at publish time.
     pub fn get(&self, x: RegisterId) -> Option<&Value> {
-        self.shards[shard_index(x, self.mask)]
+        shard_of(&self.chunks, x, self.mask)
             .get(&x)
             .map(|e| &e.value)
     }
 
     /// The update that produced the register's value at publish time.
     pub fn src_of(&self, x: RegisterId) -> Option<UpdateId> {
-        self.shards[shard_index(x, self.mask)]
+        shard_of(&self.chunks, x, self.mask)
             .get(&x)
             .and_then(|e| e.src)
     }
 
     /// Iterates the snapshot's registers, in no particular order.
     pub fn iter(&self) -> impl Iterator<Item = (&RegisterId, &Entry)> {
-        self.shards.iter().flat_map(|s| s.iter())
+        shards(&self.chunks).flat_map(|s| s.iter())
     }
 
     /// `(aliased, total)`: how many shards this snapshot physically
@@ -210,13 +238,11 @@ impl SharedShards {
     /// publishes — i.e. the COW store really does skip untouched
     /// shards.
     pub fn shards_shared_with(&self, other: &SharedShards) -> (usize, usize) {
-        let aliased = self
-            .shards
-            .iter()
-            .zip(&other.shards)
+        let aliased = shards(&self.chunks)
+            .zip(shards(&other.chunks))
             .filter(|(a, b)| Arc::ptr_eq(a, b))
             .count();
-        (aliased, self.shards.len())
+        (aliased, shards(&self.chunks).count())
     }
 }
 
@@ -314,6 +340,25 @@ mod tests {
         // Identical publishes alias everything.
         let c = s.share();
         assert_eq!(b.shards_shared_with(&c), (total, total));
+    }
+
+    #[test]
+    fn publish_shares_chunks_and_a_write_copies_only_its_own() {
+        let mut s = CowStore::new(16_384);
+        assert_eq!(s.chunks.len(), 1024 / CHUNK);
+        let a = s.share();
+        s.insert(x(0), Value::from(1u64), None);
+        let b = s.share();
+        let diverged = a
+            .chunks
+            .iter()
+            .zip(&b.chunks)
+            .filter(|(p, q)| !Arc::ptr_eq(p, q))
+            .count();
+        assert_eq!(diverged, 1, "one write may copy one chunk's pointers");
+        // Small stores are a single chunk, large ones stay rectangular.
+        assert_eq!(CowStore::new(64).chunks.len(), 1);
+        assert!(s.chunks.iter().all(|c| c.len() == CHUNK));
     }
 
     #[test]

@@ -1,0 +1,203 @@
+//! The replica loop's wait discipline, pinned from outside.
+//!
+//! The loop has one blocking point: it parks until its earliest batch
+//! window or session timer and is woken early only by an arrival. Three
+//! things can go wrong with that and none of them fails a functional
+//! test, so each gets a regression test here:
+//!
+//! * **spinning** — a pass without work (the loop once stayed hot for a
+//!   whole coalescing window and polled every 200 µs when idle). Pinned
+//!   by the per-replica pass counter;
+//! * **a lost wake-up** — an arrival that does not ring the doorbell is
+//!   only noticed when the idle park runs out, so it shows as a round
+//!   trip that took [`IDLE_PARK`] instead of well under a millisecond;
+//! * **a hung shutdown** — the parked loop must notice `Drop` without
+//!   being told through `shutdown()`.
+
+use prcc_core::runtime::{NodeRuntime, ThreadedCluster, IDLE_PARK};
+use prcc_core::{BatchPolicy, ClusterConfig, Value};
+use prcc_net::{BoundListener, DelayModel, SessionConfig, TcpNetConfig};
+use prcc_sharegraph::{topology, RegisterId, ReplicaId};
+use std::collections::HashMap;
+use std::net::SocketAddr;
+use std::time::{Duration, Instant};
+
+fn r(i: u32) -> ReplicaId {
+    ReplicaId::new(i)
+}
+
+#[test]
+fn one_write_costs_a_handful_of_passes_not_a_spin() {
+    // A 10 ms coalescing window (50 ticks): the parent commit's loop
+    // stayed hot for all of it and made thousands of passes.
+    let cluster = ThreadedCluster::with_config(
+        topology::path(2),
+        DelayModel::Fixed(1),
+        1,
+        ClusterConfig {
+            batch: BatchPolicy {
+                flush_after: 50,
+                ..BatchPolicy::default()
+            },
+            ..ClusterConfig::default()
+        },
+    );
+    let before = cluster.loop_passes(r(0));
+    cluster.write(r(0), RegisterId::new(0), Value::from(1u64));
+    cluster.settle();
+    assert_eq!(
+        cluster.read(r(1), RegisterId::new(0)),
+        Some(Value::from(1u64))
+    );
+    // The command, the window closing, and a few idle parks while
+    // `settle` waits out its 50 ms grace period.
+    let passes = cluster.loop_passes(r(0)) - before;
+    assert!(
+        passes <= 20,
+        "writer made {passes} passes for one write — it is spinning"
+    );
+}
+
+#[test]
+fn an_idle_cluster_barely_passes() {
+    let g = topology::ring(4);
+    let cluster = ThreadedCluster::new(g.clone(), DelayModel::Fixed(1), 2);
+    // Let every thread reach its first park.
+    std::thread::sleep(Duration::from_millis(50));
+    let before: Vec<u64> = g.replicas().map(|i| cluster.loop_passes(i)).collect();
+    let t = Instant::now();
+    std::thread::sleep(Duration::from_secs(1));
+    let secs = t.elapsed().as_secs_f64();
+    for (i, b) in g.replicas().zip(before) {
+        let per_sec = (cluster.loop_passes(i) - b) as f64 / secs;
+        assert!(
+            per_sec <= 200.0,
+            "idle replica {i} makes {per_sec:.0} passes/s — it is polling"
+        );
+    }
+}
+
+/// `rounds` sequential write → visible-at-every-holder round trips, each
+/// timed. A lost wake-up costs exactly one full idle park; a scheduling
+/// hiccup is shorter and does not repeat — so at most two round trips may
+/// take longer than half the park.
+fn assert_no_round_trip_waits_out_the_idle_park(cluster: &ThreadedCluster, rounds: u64) {
+    let g = cluster.graph().clone();
+    let n = g.num_replicas() as u64;
+    let mut slow = Vec::new();
+    for k in 0..rounds {
+        let writer = r((k % n) as u32);
+        let x = g
+            .placement()
+            .registers_of(writer)
+            .iter()
+            .next()
+            .expect("every ring replica stores a register");
+        let t = Instant::now();
+        let uid = cluster.write(writer, x, Value::from(k));
+        for &h in g.placement().holders(x) {
+            while !cluster.store_snapshot(h).covers(uid) {
+                assert!(
+                    t.elapsed() < Duration::from_secs(30),
+                    "round trip {k}: {uid} never became visible at {h}"
+                );
+                std::thread::sleep(Duration::from_micros(50));
+            }
+        }
+        let took = t.elapsed();
+        if took > IDLE_PARK / 2 {
+            slow.push((k, took));
+        }
+    }
+    assert!(
+        slow.len() <= 2,
+        "{} of {rounds} round trips waited out the idle park ({IDLE_PARK:?}) — \
+         an arrival is not ringing the doorbell; the first few: {:?}",
+        slow.len(),
+        &slow[..slow.len().min(8)]
+    );
+}
+
+#[test]
+fn no_lost_wake_up_over_thread_net() {
+    let cluster = ThreadedCluster::new(topology::ring(4), DelayModel::Fixed(1), 3);
+    assert_no_round_trip_waits_out_the_idle_park(&cluster, 2_000);
+}
+
+#[test]
+fn no_lost_wake_up_over_loopback_tcp() {
+    let g = topology::ring(4);
+    let cluster = ThreadedCluster::with_tcp(
+        g.clone(),
+        ClusterConfig {
+            // Repairs a frame shed while a connection is still coming
+            // up; its 600 ms RTO is far above the threshold, so it cannot
+            // hide a lost wake-up.
+            session: Some(SessionConfig::default()),
+            ..ClusterConfig::default()
+        },
+        TcpNetConfig::default(),
+    )
+    .expect("loopback TCP cluster must start");
+    // Connections are lazy: bring every link up outside the timed part.
+    for i in g.replicas() {
+        let x = g.placement().registers_of(i).iter().next().unwrap();
+        cluster.write(i, x, Value::from(0u64));
+    }
+    cluster.settle();
+    assert_no_round_trip_waits_out_the_idle_park(&cluster, 500);
+}
+
+#[test]
+fn dropping_a_cluster_joins_its_parked_threads() {
+    let cluster = ThreadedCluster::new(topology::ring(4), DelayModel::Fixed(1), 4);
+    cluster.write(r(0), RegisterId::new(0), Value::from(1u64));
+    cluster.settle();
+    // Every loop is parked by now. `Drop` joins them.
+    let t = Instant::now();
+    drop(cluster);
+    assert!(
+        t.elapsed() < Duration::from_secs(1),
+        "drop took {:?}: a parked replica loop missed the shutdown",
+        t.elapsed()
+    );
+}
+
+#[test]
+fn dropping_a_node_runtime_joins_its_parked_thread() {
+    let g = topology::path(2);
+    let loopback: SocketAddr = ([127, 0, 0, 1], 0).into();
+    let bounds: Vec<BoundListener> = g
+        .replicas()
+        .map(|i| BoundListener::bind(i, loopback).expect("bind loopback"))
+        .collect();
+    let addrs: Vec<SocketAddr> = bounds.iter().map(BoundListener::local_addr).collect();
+    let nodes: Vec<NodeRuntime> = bounds
+        .into_iter()
+        .map(|bound| {
+            let me = bound.id();
+            let peers: HashMap<ReplicaId, SocketAddr> = g
+                .replicas()
+                .filter(|&p| p != me)
+                .map(|p| (p, addrs[p.index()]))
+                .collect();
+            NodeRuntime::start(
+                g.clone(),
+                ClusterConfig::default(),
+                TcpNetConfig::default(),
+                bound,
+                peers,
+            )
+            .expect("start node")
+        })
+        .collect();
+    nodes[0].write(RegisterId::new(0), Value::from(7u64));
+    assert!(nodes[1].wait_quiescent(1, Duration::from_secs(10)));
+    let t = Instant::now();
+    drop(nodes);
+    assert!(
+        t.elapsed() < Duration::from_secs(1),
+        "drop took {:?}: a parked node loop missed the shutdown",
+        t.elapsed()
+    );
+}

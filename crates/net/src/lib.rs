@@ -45,4 +45,4 @@ pub use tcp_net::{
     LinkCodec, TcpEndpoint, TcpHandle, TcpNetConfig, TcpStatsSnapshot,
 };
 pub use thread_net::{NodeHandle, ThreadNet, TICK};
-pub use transport::Transport;
+pub use transport::{Doorbell, Transport};

@@ -35,7 +35,7 @@
 //!   wire-codec bytes are reconstructed before decode.
 
 use crate::sim_net::Envelope;
-use crate::transport::Transport;
+use crate::transport::{Doorbell, Transport};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use prcc_sharegraph::ReplicaId;
 use std::collections::HashMap;
@@ -316,6 +316,8 @@ pub struct TcpHandle<M> {
     id: ReplicaId,
     outboxes: Arc<HashMap<ReplicaId, Sender<M>>>,
     inbox: Receiver<Envelope<M>>,
+    /// Rung by the reader threads after every delivery into `inbox`.
+    bell: Doorbell,
     counters: Arc<TcpCounters>,
 }
 
@@ -325,6 +327,7 @@ impl<M> Clone for TcpHandle<M> {
             id: self.id,
             outboxes: Arc::clone(&self.outboxes),
             inbox: self.inbox.clone(),
+            bell: self.bell.clone(),
             counters: Arc::clone(&self.counters),
         }
     }
@@ -368,6 +371,10 @@ impl<M: Send + 'static> Transport for TcpHandle<M> {
             Ok(env) => Some(env),
             Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
         }
+    }
+
+    fn doorbell(&self) -> &Doorbell {
+        &self.bell
     }
 }
 
@@ -434,6 +441,7 @@ impl<M: Send + 'static> TcpEndpoint<M> {
         let counters = Arc::new(TcpCounters::default());
         let shutdown = Arc::new(AtomicBool::new(false));
         let (inbox_tx, inbox_rx) = bounded::<Envelope<M>>(cfg.ingress_depth.max(1));
+        let bell = Doorbell::new();
 
         let mut outboxes = HashMap::new();
         for (&peer, &peer_addr) in &peers {
@@ -452,13 +460,15 @@ impl<M: Send + 'static> TcpEndpoint<M> {
             let cfg = cfg.clone();
             let counters = Arc::clone(&counters);
             let shutdown = Arc::clone(&shutdown);
-            move || acceptor_loop(id, listener, inbox_tx, cfg, codec, counters, shutdown)
+            let bell = bell.clone();
+            move || acceptor_loop(id, listener, inbox_tx, bell, cfg, codec, counters, shutdown)
         });
 
         let handle = TcpHandle {
             id,
             outboxes: Arc::new(outboxes),
             inbox: inbox_rx,
+            bell,
             counters: Arc::clone(&counters),
         };
         Ok(TcpEndpoint {
@@ -563,6 +573,7 @@ fn acceptor_loop<M: Send + 'static>(
     me: ReplicaId,
     listener: TcpListener,
     inbox: Sender<Envelope<M>>,
+    bell: Doorbell,
     cfg: TcpNetConfig,
     codec: CodecFactory<M>,
     counters: Arc<TcpCounters>,
@@ -572,12 +583,13 @@ fn acceptor_loop<M: Send + 'static>(
         match listener.accept() {
             Ok((stream, _)) => {
                 let inbox = inbox.clone();
+                let bell = bell.clone();
                 let cfg = cfg.clone();
                 let codec = Arc::clone(&codec);
                 let counters = Arc::clone(&counters);
                 let shutdown = Arc::clone(&shutdown);
                 spawn_net_thread(format!("prcc-tcp-r{}", me.index()), move || {
-                    reader_loop(me, stream, inbox, cfg, codec, counters, shutdown)
+                    reader_loop(me, stream, inbox, bell, cfg, codec, counters, shutdown)
                 });
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -588,10 +600,12 @@ fn acceptor_loop<M: Send + 'static>(
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn reader_loop<M: Send + 'static>(
     me: ReplicaId,
     mut stream: TcpStream,
     inbox: Sender<Envelope<M>>,
+    bell: Doorbell,
     cfg: TcpNetConfig,
     codec: CodecFactory<M>,
     counters: Arc<TcpCounters>,
@@ -635,7 +649,10 @@ fn reader_loop<M: Send + 'static>(
                         // slow the sender, not silently drop.
                         loop {
                             match inbox.try_send(env) {
-                                Ok(()) => break,
+                                Ok(()) => {
+                                    bell.ring();
+                                    break;
+                                }
                                 Err(TrySendError::Full(e)) => {
                                     if shutdown.load(Ordering::SeqCst) {
                                         return;

@@ -11,6 +11,7 @@
 use crate::delay::DelayModel;
 use crate::faults::{FaultAction, FaultPlan, FaultSchedule};
 use crate::sim_net::Envelope;
+use crate::transport::Doorbell;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use prcc_sharegraph::ReplicaId;
 use rand::rngs::StdRng;
@@ -55,6 +56,8 @@ pub struct NodeHandle<M> {
     id: ReplicaId,
     to_router: Sender<Envelope<M>>,
     inbox: Receiver<Envelope<M>>,
+    /// Rung by the router after every delivery into `inbox`.
+    bell: Doorbell,
 }
 
 impl<M> Clone for NodeHandle<M> {
@@ -63,6 +66,7 @@ impl<M> Clone for NodeHandle<M> {
             id: self.id,
             to_router: self.to_router.clone(),
             inbox: self.inbox.clone(),
+            bell: self.bell.clone(),
         }
     }
 }
@@ -102,6 +106,12 @@ impl<M> NodeHandle<M> {
             Ok(env) => Some(env),
             Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
         }
+    }
+
+    /// The bell the router rings after every delivery to this node — an
+    /// event loop parks on it in place of polling [`try_recv`](Self::try_recv).
+    pub fn doorbell(&self) -> &Doorbell {
+        &self.bell
     }
 }
 
@@ -185,11 +195,13 @@ impl<M: Send + Clone + 'static> ThreadNet<M> {
         let mut handles = Vec::with_capacity(n);
         for i in 0..n {
             let (tx, rx) = bounded::<Envelope<M>>(capacity.max(1));
-            inbox_txs.push(tx);
+            let bell = Doorbell::new();
+            inbox_txs.push((tx, bell.clone()));
             handles.push(NodeHandle {
                 id: ReplicaId::new(i as u32),
                 to_router: to_router.clone(),
                 inbox: rx,
+                bell,
             });
         }
         let has_outages = !schedule.outages.is_empty();
@@ -205,12 +217,13 @@ impl<M: Send + Clone + 'static> ThreadNet<M> {
                 let now = Instant::now();
                 while heap.peek().is_some_and(|Reverse(p)| p.due <= now) {
                     let Reverse(p) = heap.pop().unwrap();
-                    let dst = p.env.dst.index();
-                    if dst < inbox_txs.len() {
+                    if let Some((inbox, bell)) = inbox_txs.get(p.env.dst.index()) {
                         // A full or closed inbox drops the message
                         // (`try_send`, never a blocking `send`: one slow
                         // node must not stall the whole router).
-                        let _ = inbox_txs[dst].try_send(p.env);
+                        if inbox.try_send(p.env).is_ok() {
+                            bell.ring();
+                        }
                     }
                 }
                 if disconnected && heap.is_empty() {

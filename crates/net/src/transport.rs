@@ -1,9 +1,11 @@
 //! The transport seam between a replica runtime and a message substrate.
 //!
 //! `prcc-core`'s threaded runtime drives its per-replica event loop
-//! through exactly four operations — identity, fire-and-forget send,
-//! non-blocking receive, and bounded blocking receive. [`Transport`]
-//! names that seam so the same loop runs unchanged over
+//! through four operations — identity, fire-and-forget send,
+//! non-blocking receive, and the [`Doorbell`] the substrate rings on
+//! every delivery (a bounded blocking receive serves callers that have
+//! no loop of their own: tests and probes). [`Transport`] names that
+//! seam so the same loop runs unchanged over
 //! [`ThreadNet`](crate::ThreadNet) handles (in-process, seeded delays and
 //! faults) and [`TcpEndpoint`](crate::TcpEndpoint) handles (real kernel
 //! sockets, one process per replica).
@@ -11,7 +13,60 @@
 use crate::sim_net::Envelope;
 use crate::thread_net::NodeHandle;
 use prcc_sharegraph::ReplicaId;
-use std::time::Duration;
+use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
+use std::time::{Duration, Instant};
+
+/// Wake-on-arrival for the one thread that consumes a node's input.
+///
+/// The consumer [`bind`](Doorbell::bind)s the bell to itself, drains its
+/// queues, and [`wait_until`](Doorbell::wait_until)s its next deadline;
+/// every producer enqueues first and [`ring`](Doorbell::ring)s second.
+/// Built on `std::thread::park_timeout` / `Thread::unpark`, whose token is
+/// sticky: a ring that lands between the consumer's last queue check and
+/// its park makes that park return at once, so no arrival is ever slept
+/// through, and ringing a thread that is not parked costs one atomic swap
+/// and no syscall.
+#[derive(Clone, Debug, Default)]
+pub struct Doorbell(Arc<OnceLock<Thread>>);
+
+impl Doorbell {
+    /// An unbound bell: rings are no-ops until a consumer binds.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Binds the bell to the calling thread (the first bind wins).
+    /// Deliveries rung before this are not lost: they are already queued,
+    /// and a consumer drains its queues before its first wait.
+    pub fn bind(&self) {
+        let _ = self.0.set(std::thread::current());
+    }
+
+    /// Wakes the bound thread if it is parked, or makes its next park
+    /// return immediately if it is not.
+    pub fn ring(&self) {
+        if let Some(t) = self.0.get() {
+            t.unpark();
+        }
+    }
+
+    /// Parks the calling thread — which must be the bound one — until the
+    /// bell rings or `deadline` passes. May also return spuriously;
+    /// callers re-check their queues after every return.
+    pub fn wait_until(&self, deadline: Instant) {
+        debug_assert!(
+            self.0
+                .get()
+                .is_some_and(|t| t.id() == std::thread::current().id()),
+            "Doorbell::wait_until from a thread the bell is not bound to"
+        );
+        let wait = deadline.saturating_duration_since(Instant::now());
+        if !wait.is_zero() {
+            std::thread::park_timeout(wait);
+        }
+    }
+}
 
 /// A per-node message endpoint: everything the replica event loop needs
 /// from a network.
@@ -23,7 +78,10 @@ use std::time::Duration;
 /// * delivery may reorder, duplicate, or drop messages — the protocol
 ///   stack above assumes nothing stronger;
 /// * `try_recv`/`recv_timeout` return messages addressed to this node,
-///   each tagged with its true source.
+///   each tagged with its true source;
+/// * every delivery into the inbox is followed by a ring of
+///   [`doorbell`](Transport::doorbell) — a substrate that forgets one
+///   leaves a parked loop asleep until its next deadline.
 pub trait Transport: Send + 'static {
     /// The message type carried.
     type Msg;
@@ -41,6 +99,11 @@ pub trait Transport: Send + 'static {
 
     /// Blocking receive with timeout.
     fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<Self::Msg>>;
+
+    /// The bell the substrate rings after every delivery into this node's
+    /// inbox. An event loop binds it, rings it from its other input
+    /// sources too, and parks on it in place of polling `try_recv`.
+    fn doorbell(&self) -> &Doorbell;
 }
 
 impl<M: Send + 'static> Transport for NodeHandle<M> {
@@ -60,5 +123,62 @@ impl<M: Send + 'static> Transport for NodeHandle<M> {
 
     fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
         NodeHandle::recv_timeout(self, timeout)
+    }
+
+    fn doorbell(&self) -> &Doorbell {
+        NodeHandle::doorbell(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    #[test]
+    fn ring_before_wait_is_not_slept_through() {
+        let bell = Doorbell::new();
+        bell.bind();
+        bell.ring();
+        let t = Instant::now();
+        bell.wait_until(t + Duration::from_secs(5));
+        assert!(t.elapsed() < Duration::from_secs(1), "sticky ring was lost");
+    }
+
+    #[test]
+    fn ring_wakes_a_parked_consumer_and_unbound_ring_is_a_no_op() {
+        let bell = Doorbell::new();
+        bell.ring(); // nobody bound yet
+        let rung = Arc::new(AtomicBool::new(false));
+        let consumer = std::thread::spawn({
+            let (bell, rung) = (bell.clone(), rung.clone());
+            move || {
+                bell.bind();
+                let t = Instant::now();
+                while !rung.load(Ordering::SeqCst) {
+                    bell.wait_until(t + Duration::from_secs(5));
+                }
+                t.elapsed()
+            }
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        rung.store(true, Ordering::SeqCst);
+        bell.ring();
+        let waited = consumer.join().unwrap();
+        assert!(
+            waited < Duration::from_secs(1),
+            "ring did not wake the park"
+        );
+    }
+
+    #[test]
+    fn wait_until_returns_at_the_deadline() {
+        let bell = Doorbell::new();
+        bell.bind();
+        let t = Instant::now();
+        while t.elapsed() < Duration::from_millis(5) {
+            bell.wait_until(t + Duration::from_millis(5));
+        }
+        assert!(t.elapsed() < Duration::from_secs(1));
     }
 }

@@ -4,9 +4,8 @@
 //! The COW store is a pure representation change — publishes rebuild
 //! only the shards touched since the last publish instead of cloning
 //! the whole register map. Nothing observable may move: the same
-//! single-writer workload driven through both modes (and through both
-//! replica-loop shapes, pipelined and inline) must end in byte-identical
-//! canonical stores on every replica, identical applied frontiers,
+//! single-writer workload driven through both modes must end in
+//! byte-identical canonical stores on every replica, identical applied frontiers,
 //! identical `covers()` verdicts over a grid of update ids, and the same
 //! clean causal-consistency verdict. The serving tier re-runs its own
 //! session-guarantee checker under both modes.
@@ -53,13 +52,12 @@ fn quick_session() -> SessionConfig {
 
 /// One deterministic single-writer run; the workload (and therefore the
 /// final store on every replica) is a pure function of `g` and
-/// `rounds`, independent of mode, loop shape, timing, and healed faults.
+/// `rounds`, independent of mode, timing, and healed faults.
 fn run_one(
     g: &ShareGraph,
     rounds: u64,
     seed: u64,
     store: StoreMode,
-    pipeline: bool,
     schedule: FaultSchedule,
     session: Option<SessionConfig>,
 ) -> Observed {
@@ -69,7 +67,6 @@ fn run_one(
         seed,
         ClusterConfig {
             store,
-            pipeline,
             schedule,
             session,
             ..Default::default()
@@ -111,9 +108,8 @@ fn run_one(
     }
 }
 
-/// Runs the same workload through Clone and COW, each with the pipelined
-/// and the inline loop, and asserts all four observations are identical
-/// and consistent.
+/// Runs the same workload through Clone and COW and asserts both
+/// observations are identical and consistent.
 fn assert_modes_agree(
     g: &ShareGraph,
     rounds: u64,
@@ -121,27 +117,10 @@ fn assert_modes_agree(
     schedule: &FaultSchedule,
     session: Option<SessionConfig>,
 ) {
-    let oracle = run_one(
-        g,
-        rounds,
-        seed,
-        StoreMode::Clone,
-        false,
-        schedule.clone(),
-        session,
-    );
+    let oracle = run_one(g, rounds, seed, StoreMode::Clone, schedule.clone(), session);
     assert!(oracle.consistent, "clone-mode oracle trace inconsistent");
-    for (store, pipeline) in [
-        (StoreMode::Clone, true),
-        (StoreMode::Cow, false),
-        (StoreMode::Cow, true),
-    ] {
-        let subject = run_one(g, rounds, seed, store, pipeline, schedule.clone(), session);
-        assert_eq!(
-            subject, oracle,
-            "{store:?} pipeline={pipeline} diverged from the clone/inline oracle"
-        );
-    }
+    let subject = run_one(g, rounds, seed, StoreMode::Cow, schedule.clone(), session);
+    assert_eq!(subject, oracle, "Cow diverged from the clone oracle");
 }
 
 #[test]
@@ -173,17 +152,14 @@ fn clique_with_outage_and_session_modes_agree() {
 }
 
 proptest! {
-    /// Benign runs across graph shapes, sizes, rounds and seeds: every
-    /// mode × loop combination observes the same world as the clone /
-    /// inline oracle. One subject per case (the combo index) keeps each
-    /// case at two cluster runs.
+    /// Benign runs across graph shapes, sizes, rounds and seeds: the
+    /// COW store observes the same world as the clone oracle.
     #[test]
     fn modes_agree_across_workloads(
         ring in 0usize..2,
         n in 3usize..6,
         registers in 4usize..32,
         rounds in 1u64..3,
-        combo in 0usize..3,
         seed in 0u64..1_000,
     ) {
         let g = if ring == 1 {
@@ -191,20 +167,10 @@ proptest! {
         } else {
             topology::clique_full(n, registers)
         };
-        let (store, pipeline) = [
-            (StoreMode::Clone, true),
-            (StoreMode::Cow, false),
-            (StoreMode::Cow, true),
-        ][combo];
-        let oracle = run_one(
-            &g, rounds, seed, StoreMode::Clone, false, FaultSchedule::none(), None,
-        );
+        let oracle = run_one(&g, rounds, seed, StoreMode::Clone, FaultSchedule::none(), None);
         prop_assert!(oracle.consistent, "clone-mode oracle trace inconsistent");
-        let subject = run_one(&g, rounds, seed, store, pipeline, FaultSchedule::none(), None);
-        prop_assert_eq!(
-            subject, oracle,
-            "{:?} pipeline={} diverged from the clone/inline oracle", store, pipeline
-        );
+        let subject = run_one(&g, rounds, seed, StoreMode::Cow, FaultSchedule::none(), None);
+        prop_assert_eq!(subject, oracle, "Cow diverged from the clone oracle");
     }
 }
 
@@ -293,16 +259,11 @@ fn clone_mode_views_do_not_alias() {
 /// Read-your-writes across the burst-publish path: a completion token
 /// must never escape before the publish that makes the write visible.
 /// Every `write` and every id of a `write_burst` must be covered by the
-/// very next snapshot taken — under both store modes and both loop
-/// shapes, with concurrent writers hammering the same replicas.
+/// very next snapshot taken — under both store modes, with concurrent
+/// writers hammering the same replicas.
 #[test]
 fn completed_writes_are_immediately_visible() {
-    for (store, pipeline) in [
-        (StoreMode::Cow, true),
-        (StoreMode::Cow, false),
-        (StoreMode::Clone, true),
-        (StoreMode::Clone, false),
-    ] {
+    for store in [StoreMode::Cow, StoreMode::Clone] {
         let g = topology::clique_full(3, 16);
         let cluster = ThreadedCluster::with_config(
             g.clone(),
@@ -310,7 +271,6 @@ fn completed_writes_are_immediately_visible() {
             5,
             ClusterConfig {
                 store,
-                pipeline,
                 ..Default::default()
             },
         );
@@ -323,8 +283,7 @@ fn completed_writes_are_immediately_visible() {
                         let uid = cluster.write(r, x, Value::from(i));
                         assert!(
                             cluster.store_snapshot(r).covers(uid),
-                            "{store:?} pipeline={pipeline}: write token escaped \
-                             before its publish"
+                            "{store:?}: write token escaped before its publish"
                         );
                     }
                     let burst: Vec<_> = (0..16u32)
@@ -335,8 +294,7 @@ fn completed_writes_are_immediately_visible() {
                     for uid in ids {
                         assert!(
                             view.covers(uid),
-                            "{store:?} pipeline={pipeline}: burst token escaped \
-                             before its publish"
+                            "{store:?}: burst token escaped before its publish"
                         );
                     }
                 });
