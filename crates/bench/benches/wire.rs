@@ -38,12 +38,8 @@ fn bench_clique_fanout(c: &mut Criterion) {
         let sender = ReplicaId::new(0);
         let recipients: Vec<ReplicaId> = (1..n as u32).map(ReplicaId::new).collect();
         let metas = advancing_metas(&reg, sender, 64);
-        for (mode, name) in [
-            (WireMode::Raw, "raw"),
-            (WireMode::Compressed, "compressed"),
-            (WireMode::Adaptive, "adaptive"),
-        ] {
-            group.bench_with_input(BenchmarkId::new(name, n), &metas, |b, metas| {
+        for mode in [WireMode::Raw, WireMode::Compressed] {
+            group.bench_with_input(BenchmarkId::new(mode.name(), n), &metas, |b, metas| {
                 let mut codec = WireCodec::new(mode, Some(reg.clone()));
                 let mut k = 0usize;
                 b.iter(|| {
@@ -66,8 +62,8 @@ fn bench_ring_pair(c: &mut Criterion) {
     let reg = registry(&g);
     let (s, r) = (ReplicaId::new(0), ReplicaId::new(1));
     let metas = advancing_metas(&reg, s, 64);
-    for (mode, name) in [(WireMode::Raw, "raw"), (WireMode::Compressed, "compressed")] {
-        group.bench_with_input(BenchmarkId::new(name, 12), &metas, |b, metas| {
+    for mode in [WireMode::Raw, WireMode::Compressed] {
+        group.bench_with_input(BenchmarkId::new(mode.name(), 12), &metas, |b, metas| {
             let mut codec = WireCodec::new(mode, Some(reg.clone()));
             let mut k = 0usize;
             b.iter(|| {

@@ -2,8 +2,7 @@
 //! update throughput, delivery latency, bytes per message **as written
 //! to the kernel** (framing, session headers, handshakes, acks and
 //! retransmits all included), and write syscalls per update — for
-//! ring / clique share graphs under raw and compressed wire modes,
-//! with write coalescing on and off.
+//! ring / clique share graphs under raw and compressed wire modes.
 //!
 //! Every run is a real loopback TCP cluster ([`ThreadedCluster::with_tcp`]):
 //! one OS thread per replica, one kernel socket per ordered replica
@@ -17,10 +16,10 @@
 //!
 //! Flags:
 //!   --quick   fewer rounds (CI smoke)
-//!   --check   exit non-zero unless, on clique(24) compressed:
-//!             bytes_per_message stays <= 530 on the real wire, and
-//!             coalesced writes deliver >= 1.5x the updates/s of the
-//!             frame-per-syscall baseline
+//!   --check   exit non-zero unless bytes_per_message stays <= 530 on
+//!             the real wire for clique(24) compressed, and the pump's
+//!             coalesced writes carry >= 10 frames per write(2)
+//!             (syscalls_per_frame <= 0.1)
 
 use prcc_core::runtime::ThreadedCluster;
 use prcc_core::{cluster_codec, BatchMsg, ClusterConfig, Metadata, UpdateMsg, Value, WireMode};
@@ -36,7 +35,6 @@ struct Row {
     topology: &'static str,
     n: usize,
     mode: &'static str,
-    coalesce: bool,
     writes: usize,
     deliveries: usize,
     elapsed_ms: f64,
@@ -58,10 +56,9 @@ fn build(topology: &str, n: usize) -> ShareGraph {
 /// Transport-isolated pump: one-update session frames through a single
 /// kernel socket with the real cluster codec, protocol stack (timestamp
 /// advance, session bookkeeping, applies) out of the path. This is the
-/// apples-to-apples syscall-batching measurement: both runs push
-/// byte-identical frames, only how many frames each `write(2)` carries
-/// differs.
-fn pump_once(coalesce: bool, frames: u64) -> (f64, f64, f64) {
+/// syscall-batching measurement: how many one-update frames each
+/// `write(2)` carries when the writer is the bottleneck.
+fn pump_once(frames: u64) -> (f64, f64, f64) {
     let g = topology::path(2);
     let registry = Arc::new(TsRegistry::new(
         &g,
@@ -69,7 +66,6 @@ fn pump_once(coalesce: bool, frames: u64) -> (f64, f64, f64) {
     ));
     let (src, dst) = (ReplicaId::new(0), ReplicaId::new(1));
     let cfg = TcpNetConfig {
-        coalesce,
         // Queues deep enough to hold the whole pump: neither side ever
         // blocks on backpressure, so the timed window is pure transport
         // work, not scheduler ping-pong.
@@ -163,26 +159,21 @@ fn session() -> SessionConfig {
     }
 }
 
-fn run_once(g: &ShareGraph, mode: WireMode, coalesce: bool, rounds: u64) -> Row {
+fn run_once(g: &ShareGraph, mode: WireMode, rounds: u64) -> Row {
     let config = ClusterConfig {
         wire: mode,
         session: Some(session()),
         // One session frame per update: small-update workloads are where
         // the syscall path matters, and with message batching disabled
-        // the coalesce on/off columns differ *only* in how many frames
-        // each `write(2)` carries.
+        // every syscall saved per update is the socket writer's doing.
         batch: prcc_core::BatchPolicy {
             batch_count: 1,
             ..prcc_core::BatchPolicy::default()
         },
         ..ClusterConfig::default()
     };
-    let tcp = TcpNetConfig {
-        coalesce,
-        ..TcpNetConfig::default()
-    };
-    let cluster =
-        ThreadedCluster::with_tcp(g.clone(), config, tcp).expect("loopback cluster must start");
+    let cluster = ThreadedCluster::with_tcp(g.clone(), config, TcpNetConfig::default())
+        .expect("loopback cluster must start");
     let wl = NetWorkload::new(g, rounds);
 
     let t0 = Instant::now();
@@ -230,13 +221,7 @@ fn run_once(g: &ShareGraph, mode: WireMode, coalesce: bool, rounds: u64) -> Row 
     Row {
         topology: "",
         n: g.num_replicas(),
-        mode: match mode {
-            WireMode::Raw => "raw",
-            WireMode::Projected => "projected",
-            WireMode::Compressed => "compressed",
-            WireMode::Adaptive => "adaptive",
-        },
-        coalesce,
+        mode: mode.name(),
         writes,
         deliveries,
         elapsed_ms: elapsed.as_secs_f64() * 1_000.0,
@@ -251,18 +236,9 @@ fn run_once(g: &ShareGraph, mode: WireMode, coalesce: bool, rounds: u64) -> Row 
 /// Median-of-`reps` on throughput; the byte and syscall columns are
 /// deterministic up to retransmission noise, so the median run's values
 /// are reported as-is.
-fn measure(
-    topology: &'static str,
-    n: usize,
-    mode: WireMode,
-    coalesce: bool,
-    rounds: u64,
-    reps: usize,
-) -> Row {
+fn measure(topology: &'static str, n: usize, mode: WireMode, rounds: u64, reps: usize) -> Row {
     let g = build(topology, n);
-    let mut runs: Vec<Row> = (0..reps)
-        .map(|_| run_once(&g, mode, coalesce, rounds))
-        .collect();
+    let mut runs: Vec<Row> = (0..reps).map(|_| run_once(&g, mode, rounds)).collect();
     runs.sort_by(|a, b| {
         a.updates_per_sec
             .partial_cmp(&b.updates_per_sec)
@@ -290,36 +266,27 @@ fn main() {
         ("clique", 24usize, if quick { 150 } else { 400 }),
     ] {
         for mode in modes {
-            for coalesce in [true, false] {
-                rows.push(measure(topology, n, mode, coalesce, rounds, reps));
-            }
+            rows.push(measure(topology, n, mode, rounds, reps));
         }
     }
 
-    // Transport-isolated coalescing A/B: median of `reps` pumps.
+    // Transport-isolated write path: median of `reps` pumps.
     let pump_frames = if quick { 20_000 } else { 60_000 };
-    let pump = |coalesce: bool| -> (f64, f64, f64) {
-        let mut runs: Vec<(f64, f64, f64)> = (0..reps)
-            .map(|_| pump_once(coalesce, pump_frames))
-            .collect();
-        runs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("throughput is finite"));
-        runs[runs.len() / 2]
-    };
-    let pump_on = pump(true);
-    let pump_off = pump(false);
+    let mut pumps: Vec<(f64, f64, f64)> = (0..reps).map(|_| pump_once(pump_frames)).collect();
+    pumps.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("throughput is finite"));
+    let (fps, spf, bpf) = pumps[pumps.len() / 2];
 
     let json_rows: Vec<String> = rows
         .iter()
         .map(|r| {
             format!(
-                "    {{\"bench\":\"net/{}\",\"n\":{},\"mode\":\"{}\",\"coalesce\":{},\
+                "    {{\"bench\":\"net/{}\",\"n\":{},\"mode\":\"{}\",\
 \"writes\":{},\"deliveries\":{},\"elapsed_ms\":{:.1},\"updates_per_sec\":{:.0},\
 \"p50_delivery_us\":{:.1},\"p99_delivery_us\":{:.1},\"bytes_per_message\":{:.2},\
 \"syscalls_per_update\":{:.2}}}",
                 r.topology,
                 r.n,
                 r.mode,
-                r.coalesce,
                 r.writes,
                 r.deliveries,
                 r.elapsed_ms,
@@ -332,39 +299,33 @@ fn main() {
         })
         .collect();
 
-    let pump_rows = [("true", pump_on), ("false", pump_off)]
-        .iter()
-        .map(|(c, (fps, spf, bpf))| {
-            format!(
-                "    {{\"bench\":\"net/pump\",\"n\":2,\"mode\":\"vector\",\"coalesce\":{c},\
-\"frames\":{pump_frames},\"frames_per_sec\":{fps:.0},\"syscalls_per_frame\":{spf:.3},\
-\"bytes_per_frame\":{bpf:.2}}}"
-            )
-        })
-        .collect::<Vec<_>>();
+    let pump_row = format!(
+        "    {{\"bench\":\"net/pump\",\"n\":2,\"mode\":\"vector\",\"frames\":{pump_frames},\
+\"frames_per_sec\":{fps:.0},\"syscalls_per_frame\":{spf:.3},\"bytes_per_frame\":{bpf:.2}}}"
+    );
 
     println!("{{");
     println!(
         "  \"description\": \"socket transport cost over real loopback TCP clusters; \
 bytes_per_message divides total bytes written to the kernel (framing, session headers, \
 handshakes, acks, retransmits) by per-recipient update deliveries; delivery latency is \
-issue-to-apply across replica threads; coalesce=false writes one frame per syscall; \
-net/pump rows push byte-identical one-update frames through a single socket with the \
-protocol stack out of the path, isolating the syscall-batching effect\","
+issue-to-apply across replica threads; each peer's writer coalesces every queued frame \
+into one write(2); the net/pump row pushes one-update frames through a single socket with \
+the protocol stack out of the path, isolating the syscall-batching effect\","
     );
     println!("  \"command\": \"cargo run --release -p prcc-bench --bin net_report\",");
     println!("  \"results\": [");
     println!("{},", json_rows.join(",\n"));
-    println!("{}", pump_rows.join(",\n"));
+    println!("{pump_row}");
     println!("  ]");
     println!("}}");
 
     if check {
-        let find = |topology: &str, mode: &str, coalesce: bool| {
+        let find = |topology: &str, mode: &str| {
             rows.iter()
-                .find(|r| r.topology == topology && r.mode == mode && r.coalesce == coalesce)
+                .find(|r| r.topology == topology && r.mode == mode)
                 .unwrap_or_else(|| {
-                    eprintln!("check: {topology} {mode} coalesce={coalesce} row missing");
+                    eprintln!("check: {topology} {mode} row missing");
                     std::process::exit(1);
                 })
         };
@@ -376,7 +337,7 @@ protocol stack out of the path, isolating the syscall-batching effect\","
         // zero-run packing must keep the *entire* kernel-visible cost —
         // values, session headers, frame prefixes, acks — under that
         // same number.
-        let comp = find("clique", "compressed", true);
+        let comp = find("clique", "compressed");
         if comp.bytes_per_message > 530.0 {
             eprintln!(
                 "check FAILED: clique(24) compressed {:.2} B/message on the wire > 530",
@@ -390,23 +351,14 @@ protocol stack out of the path, isolating the syscall-batching effect\","
             );
         }
 
-        // Gate 2: write coalescing pays on the syscall path itself.
-        // Byte-identical frames through one socket, only the frames-per-
-        // `write(2)` batching flipped — the pump isolates exactly the
-        // effect this transport claims.
-        let speedup = pump_on.0 / pump_off.0.max(1.0);
-        if speedup < 1.5 {
-            eprintln!(
-                "check FAILED: pump coalescing speedup {:.2}x < 1.5x ({:.0} vs {:.0} frames/s)",
-                speedup, pump_on.0, pump_off.0
-            );
+        // Gate 2: the writer coalesces. One write per frame would read
+        // 1.0 syscalls/frame; a backed-up outbox must drain at >= 10
+        // frames per `write(2)`.
+        if spf > 0.1 {
+            eprintln!("check FAILED: pump {spf:.3} syscalls/frame > 0.1 ({fps:.0} frames/s)");
             failed = true;
         } else {
-            eprintln!(
-                "check ok: pump coalescing speedup {:.2}x ({:.0} vs {:.0} frames/s, \
-{:.3} vs {:.3} syscalls/frame)",
-                speedup, pump_on.0, pump_off.0, pump_on.1, pump_off.1
-            );
+            eprintln!("check ok: pump {spf:.3} syscalls/frame <= 0.1 ({fps:.0} frames/s)");
         }
 
         if failed {

@@ -1,6 +1,6 @@
 //! Generates `BENCH_wire.json`: metadata wire cost and send / receive
-//! wall-clock for the four wire modes (raw, projected, compressed,
-//! adaptive) across ring / binary-tree / clique share graphs.
+//! wall-clock for the two wire modes (raw, compressed) across ring /
+//! binary-tree / clique share graphs.
 //!
 //! Two byte metrics, two denominators:
 //! * `bytes_per_update` — total metadata bytes / client **writes**: what
@@ -122,16 +122,10 @@ fn measure(topology: &'static str, n: usize, mode: WireMode, rounds: usize, reps
     }
     send_times.sort_unstable();
     recv_times.sort_unstable();
-    let mode_name = match mode {
-        WireMode::Raw => "raw",
-        WireMode::Projected => "projected",
-        WireMode::Compressed => "compressed",
-        WireMode::Adaptive => "adaptive",
-    };
     Row {
         topology,
         n,
-        mode: mode_name,
+        mode: mode.name(),
         writes,
         messages,
         metadata_bytes: bytes,
@@ -142,12 +136,7 @@ fn measure(topology: &'static str, n: usize, mode: WireMode, rounds: usize, reps
     }
 }
 
-const MODES: [WireMode; 4] = [
-    WireMode::Raw,
-    WireMode::Projected,
-    WireMode::Compressed,
-    WireMode::Adaptive,
-];
+const MODES: [WireMode; 2] = [WireMode::Raw, WireMode::Compressed];
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -191,7 +180,7 @@ fn main() {
 
     println!("{{");
     println!(
-        "  \"description\": \"metadata wire cost under raw / projected / compressed / adaptive \
+        "  \"description\": \"metadata wire cost under raw / compressed \
 framing; bytes_per_update divides by client writes (whole fan-out), bytes_per_message by \
 per-recipient messages; ns/send covers advance+encode+enqueue per write, ns/receive covers \
 delivery+J+merge+apply per message\","

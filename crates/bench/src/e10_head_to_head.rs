@@ -11,7 +11,9 @@
 use crate::table::Experiment;
 use prcc_core::{TrackerKind, WireMode};
 use prcc_sharegraph::topology::{self, RandomPlacementConfig};
+use prcc_sharegraph::{LoopConfig, ShareGraph, TimestampGraphs};
 use prcc_sim::{run_head_to_head, run_scenario, ScenarioConfig, WorkloadConfig};
+use prcc_timestamp::TsRegistry;
 
 /// Runs E10.
 pub fn run() -> Experiment {
@@ -86,12 +88,11 @@ pub fn run() -> Experiment {
     all_consistent &= edge_t.consistent && vc_t.consistent;
 
     // Wire-codec ablation on the tree: the same edge-indexed run under
-    // raw, projected, and compressed metadata framing. `meta bytes` is
-    // what each mode actually put on the wire.
+    // raw and compressed metadata framing. `meta bytes` is what each mode
+    // actually put on the wire.
     let mut wire_bytes = std::collections::HashMap::new();
     for (label, mode) in [
         ("tree [wire=raw]", WireMode::Raw),
-        ("tree [wire=projected]", WireMode::Projected),
         ("tree [wire=compressed]", WireMode::Compressed),
     ] {
         let r = run_scenario(
@@ -124,10 +125,32 @@ pub fn run() -> Experiment {
         wire_bytes.insert(mode, r.metadata_bytes);
     }
     e.check(
-        wire_bytes[&WireMode::Projected] <= wire_bytes[&WireMode::Raw]
-            && wire_bytes[&WireMode::Compressed] < wire_bytes[&WireMode::Projected],
-        "wire codec: compressed < projected ≤ raw metadata bytes on the tree",
+        wire_bytes[&WireMode::Compressed] < wire_bytes[&WireMode::Raw],
+        "wire codec: compressed < raw metadata bytes on the tree",
     );
+    // Where the compressed bytes come from, as counters summed over
+    // every directed share-graph pair: projection to `E_i ∩ E_k` keeps
+    // the common slice, and Section 5's derived-row elimination keeps
+    // only the explicit counters of that slice. Delta/varint framing
+    // accounts for the rest of the byte drop. On the tree projection
+    // removes every dropped counter; under full replication Section 5
+    // removes them all.
+    for (name, g) in [
+        ("binary tree", tree.clone()),
+        ("full clique", topology::clique_full(replicas, 2)),
+    ] {
+        let [full, common, explicit] = layout_sums(&g);
+        e.note(format!(
+            "{name}: counters per message summed over its {} directed pairs — \
+             full timestamp {full}, after projection to E_i ∩ E_k {common}, after \
+             Section 5's derived-row elimination {explicit}.",
+            g.edges().len()
+        ));
+        e.check(
+            explicit <= common && common <= full,
+            format!("{name}: explicit ≤ common ≤ full counters per pair layout"),
+        );
+    }
 
     // Third comparator: Full-Track-style explicit dependency lists at two
     // workload lengths — metadata grows with history, unlike both
@@ -195,6 +218,20 @@ pub fn run() -> Experiment {
          metadata trade-off.",
     );
     e
+}
+
+/// `[Σ |E_i|, Σ common_len, Σ num_explicit]` over `g`'s directed
+/// share-graph pairs `i → k`, from the registry's wire layouts.
+fn layout_sums(g: &ShareGraph) -> [usize; 3] {
+    let registry = TsRegistry::new(g, TimestampGraphs::build(g, LoopConfig::EXHAUSTIVE));
+    let mut sums = [0; 3];
+    for edge in g.edges() {
+        let layout = registry.wire_layout(edge.to, edge.from);
+        sums[0] += registry.new_timestamp(edge.from).num_counters();
+        sums[1] += layout.common_len();
+        sums[2] += layout.num_explicit();
+    }
+    sums
 }
 
 #[cfg(test)]

@@ -9,17 +9,11 @@
 //! * [`WireMode::Raw`] — ship the full timestamp, fixed 8 bytes per
 //!   counter. The differential-testing oracle, mirroring
 //!   [`PendingMode::Scan`](crate::PendingMode).
-//! * [`WireMode::Projected`] — ship only the common-edge slice
-//!   `E_i ∩ E_k` the receiver's `merge`/`J` read, still 8 bytes per
-//!   counter.
-//! * [`WireMode::Compressed`] (default) — project, drop the linearly
-//!   derived counters of the sender's own outgoing edges (Section 5),
-//!   and frame the rest as zig-zag varint deltas against the previous
-//!   frame on the same pair stream.
-//! * [`WireMode::Adaptive`] — start every pair compressed, then fall
-//!   back Compressed → Projected → Raw per pair when the modelled CPU
-//!   cost of encoding exceeds the modelled value of the bytes saved
-//!   (see [`AdaptiveConfig`]).
+//! * [`WireMode::Compressed`] (default) — project to the common-edge
+//!   slice `E_i ∩ E_k` the receiver's `merge`/`J` read, drop the linearly
+//!   derived counters of the sender's own outgoing edges (Section 5), and
+//!   frame the rest as zig-zag varint deltas against the previous frame
+//!   on the same pair stream.
 //!
 //! Delta coding needs FIFO framing, which the protocol's delivery layer
 //! deliberately is not. The codec therefore models a per-pair FIFO byte
@@ -61,6 +55,7 @@ use prcc_timestamp::wire::PairLayout;
 use prcc_timestamp::TsRegistry;
 use std::collections::HashMap;
 use std::fmt;
+use std::str::FromStr;
 use std::sync::Arc;
 
 /// How update metadata is encoded for the wire (builder knob; see the
@@ -69,55 +64,35 @@ use std::sync::Arc;
 pub enum WireMode {
     /// Full timestamp, fixed layout — the differential-testing oracle.
     Raw,
-    /// Per-pair projection to `E_i ∩ E_k`, fixed 8 bytes per counter.
-    Projected,
     /// Projection + derived-row compression + delta/varint framing.
     #[default]
     Compressed,
-    /// Per-pair cost-based fallback Compressed → Projected → Raw.
-    Adaptive,
 }
 
-/// Tuning for [`WireMode::Adaptive`]. The model is deterministic — no
-/// wall-clock sampling — so adaptive runs are reproducible: per-frame CPU
-/// cost is estimated from the layout's explicit/common counts (amortized
-/// by the observed encode-once sharing factor) and traded against the
-/// bytes each mode ships, valued at `ns_per_wire_byte`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Frames to observe on a pair before deciding its mode.
-    pub probe_frames: u64,
-    /// How many nanoseconds of CPU one wire byte is worth (≈ 1/bandwidth;
-    /// the default 4 ns/B models a ~250 MB/s effective link).
-    pub ns_per_wire_byte: f64,
-    /// Modelled cost of writing one explicit counter's varint delta, in
-    /// ns. See [`Default`] for the calibration procedure.
-    pub ns_per_varint: f64,
-    /// Modelled cost of gathering one projected counter, in ns.
-    pub ns_per_gather: f64,
-}
+impl WireMode {
+    const ALL: [WireMode; 2] = [WireMode::Raw, WireMode::Compressed];
 
-impl Default for AdaptiveConfig {
-    /// Defaults calibrated from `benches/wire.rs`'s `wire_frame` group
-    /// (`cargo bench -p prcc-bench --bench wire -- wire_frame`):
-    ///
-    /// * `ns_per_varint` ≈ `encode_frame/clique24` time ÷ the layout's
-    ///   explicit-counter count (1227 ns ÷ 530 ≈ 2.3);
-    /// * `ns_per_gather` ≈ `project/clique24` time ÷ the layout's
-    ///   common-counter count (265 ns ÷ 552 ≈ 0.48, rounded to 0.5).
-    ///
-    /// To recalibrate on new hardware, rerun the group and divide each
-    /// reported time by the counts the bench prints its layout from
-    /// (clique_full(24, 2), pair 0→1). The constants only steer the
-    /// deterministic fallback choice — they never touch wall clocks at
-    /// run time, so adaptive runs stay reproducible.
-    fn default() -> Self {
-        AdaptiveConfig {
-            probe_frames: 32,
-            ns_per_wire_byte: 4.0,
-            ns_per_varint: 2.3,
-            ns_per_gather: 0.5,
+    /// The mode's name on command lines, in config files and in report
+    /// rows; [`FromStr`] parses it back.
+    pub fn name(self) -> &'static str {
+        match self {
+            WireMode::Raw => "raw",
+            WireMode::Compressed => "compressed",
         }
+    }
+}
+
+impl FromStr for WireMode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        Self::ALL
+            .into_iter()
+            .find(|m| m.name() == s)
+            .ok_or_else(|| {
+                let valid: Vec<&str> = Self::ALL.iter().map(|m| m.name()).collect();
+                format!("unknown wire mode `{s}` (expected {})", valid.join(" or "))
+            })
     }
 }
 
@@ -134,17 +109,6 @@ pub struct CodecStats {
     /// Pairs demoted to explicit rows after a derived-row verification
     /// failure (a malformed layout; never the registry's own).
     pub demotions: usize,
-    /// Pairs the adaptive policy walked down the fallback chain.
-    pub adaptive_fallbacks: usize,
-}
-
-/// The mode a pair is currently running (fixed for Raw/Projected/
-/// Compressed codecs; per-pair under Adaptive).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PairPath {
-    Compressed,
-    Projected,
-    Raw,
 }
 
 /// Per-pair stream state. `state` holds the previous frame's explicit
@@ -154,15 +118,6 @@ enum PairPath {
 struct PairStream {
     layout: Arc<PairLayout>,
     state: Arc<Vec<u64>>,
-    path: PairPath,
-    /// Frames shipped on this pair (adaptive accounting).
-    frames: u64,
-    /// Frames where this pair led its fan-out group and paid the encode.
-    own_encodes: u64,
-    /// Bytes shipped while compressed (adaptive accounting).
-    comp_bytes: u64,
-    /// Adaptive decision taken — the path is final.
-    decided: bool,
 }
 
 /// A fan-out group leader's output, reused by every follower whose
@@ -174,7 +129,6 @@ struct GroupFrame {
     old_state: Arc<Vec<u64>>,
     new_state: Arc<Vec<u64>>,
     meta: Arc<Metadata>,
-    len: usize,
 }
 
 /// Encodes outgoing update metadata per recipient. Owns the per-pair
@@ -190,7 +144,6 @@ pub struct WireCodec {
     zero_states: HashMap<usize, Arc<Vec<u64>>>,
     /// Fault-injection layouts (see [`WireCodec::inject_layout`]).
     overrides: HashMap<(ReplicaId, ReplicaId), Arc<PairLayout>>,
-    adaptive: AdaptiveConfig,
     /// Reusable frame scratch buffer.
     buf: Vec<u8>,
     stats: CodecStats,
@@ -207,27 +160,16 @@ impl fmt::Debug for WireCodec {
 }
 
 impl WireCodec {
-    /// Creates a codec. `registry` is required for the projected,
-    /// compressed and adaptive modes to do anything; without it
-    /// (vector-clock or dependency-list deployments) every mode degrades
-    /// to raw pass-through.
+    /// Creates a codec. `registry` is required for the compressed mode to
+    /// do anything; without it (vector-clock or dependency-list
+    /// deployments) every mode degrades to raw pass-through.
     pub fn new(mode: WireMode, registry: Option<Arc<TsRegistry>>) -> Self {
-        Self::with_adaptive(mode, registry, AdaptiveConfig::default())
-    }
-
-    /// [`WireCodec::new`] with an explicit adaptive cost model.
-    pub fn with_adaptive(
-        mode: WireMode,
-        registry: Option<Arc<TsRegistry>>,
-        adaptive: AdaptiveConfig,
-    ) -> Self {
         WireCodec {
             mode,
             registry,
             streams: HashMap::new(),
             zero_states: HashMap::new(),
             overrides: HashMap::new(),
-            adaptive,
             buf: Vec::new(),
             stats: CodecStats::default(),
         }
@@ -276,192 +218,97 @@ impl WireCodec {
         recipients: &[ReplicaId],
         meta: &Arc<Metadata>,
     ) -> Vec<Arc<Metadata>> {
-        let (Some(registry), Metadata::Edge(ts)) = (&self.registry, meta.as_ref()) else {
+        let (Some(registry), Metadata::Edge(ts), WireMode::Compressed) =
+            (&self.registry, meta.as_ref(), self.mode)
+        else {
             return recipients.iter().map(|_| Arc::clone(meta)).collect();
         };
-        if self.mode == WireMode::Raw {
-            return recipients.iter().map(|_| Arc::clone(meta)).collect();
-        }
         let registry = Arc::clone(registry);
         let full = ts.values();
         let mut out = Vec::with_capacity(recipients.len());
         // Fan-out-local memo of group leaders, one entry per distinct
         // (layout, state) seen. Tiny in practice: one entry on cliques,
         // a handful under mixed placements.
-        let mut comp_groups: Vec<GroupFrame> = Vec::new();
-        let mut proj_groups: Vec<(Arc<PairLayout>, Arc<Metadata>)> = Vec::new();
+        let mut groups: Vec<GroupFrame> = Vec::new();
 
         for &dst in recipients {
-            if !self.streams.contains_key(&(sender, dst)) {
+            let stream = self.streams.entry((sender, dst)).or_insert_with(|| {
                 let layout = self
                     .overrides
                     .get(&(sender, dst))
                     .cloned()
                     .unwrap_or_else(|| registry.wire_layout(dst, sender));
-                let state = Arc::clone(
-                    self.zero_states
-                        .entry(layout.num_explicit())
-                        .or_insert_with(|| Arc::new(vec![0; layout.num_explicit()])),
-                );
-                let path = match self.mode {
-                    WireMode::Projected => PairPath::Projected,
-                    _ => PairPath::Compressed,
-                };
-                self.streams.insert(
-                    (sender, dst),
-                    PairStream {
-                        layout,
-                        state,
-                        path,
-                        frames: 0,
-                        own_encodes: 0,
-                        comp_bytes: 0,
-                        decided: self.mode != WireMode::Adaptive,
-                    },
-                );
-            }
-            let stream = self.streams.get_mut(&(sender, dst)).expect("just inserted");
+                let state = zero_state(&mut self.zero_states, layout.num_explicit());
+                PairStream { layout, state }
+            });
             self.stats.frames += 1;
-            match stream.path {
-                PairPath::Raw => out.push(Arc::clone(meta)),
-                PairPath::Projected => {
-                    let m = match proj_groups
-                        .iter()
-                        .find(|(l, _)| Arc::ptr_eq(l, &stream.layout))
-                    {
-                        Some((_, m)) => {
-                            self.stats.shared_frames += 1;
-                            Arc::clone(m)
-                        }
-                        None => {
-                            let values = stream.layout.project(full);
-                            let m = Arc::new(Metadata::Projected {
-                                encoded_len: values.len() * 8,
-                                values,
-                            });
-                            proj_groups.push((Arc::clone(&stream.layout), Arc::clone(&m)));
-                            m
-                        }
-                    };
-                    out.push(m);
-                }
-                PairPath::Compressed => {
-                    let shared = comp_groups.iter().find(|g| {
-                        Arc::ptr_eq(&g.layout, &stream.layout)
-                            && Arc::ptr_eq(&g.old_state, &stream.state)
-                    });
-                    let len = match shared {
-                        Some(g) => {
-                            stream.state = Arc::clone(&g.new_state);
-                            self.stats.shared_frames += 1;
-                            out.push(Arc::clone(&g.meta));
-                            g.len
-                        }
-                        None => {
-                            let values = stream.layout.project(full);
-                            if stream.layout.verify_derived(&values).is_err() {
-                                // A derived row lies about the values it
-                                // claims to reconstruct: a receiver would
-                                // decode garbage. Demote the pair to
-                                // explicit rows (fresh stream) and count
-                                // it instead of taking the thread down.
-                                self.stats.demotions += 1;
-                                let demoted = Arc::new(stream.layout.to_explicit());
-                                stream.state = Arc::clone(
-                                    self.zero_states
-                                        .entry(demoted.num_explicit())
-                                        .or_insert_with(|| {
-                                            Arc::new(vec![0; demoted.num_explicit()])
-                                        }),
-                                );
-                                stream.layout = demoted;
-                            }
-                            self.buf.clear();
-                            let mut next = Vec::new();
-                            let len = stream.layout.encode_frame(
-                                &stream.state,
-                                full,
-                                &mut self.buf,
-                                &mut next,
-                            );
-                            #[cfg(debug_assertions)]
-                            {
-                                // The frame a real receiver would decode
-                                // must reproduce the projection exactly.
-                                let mut pos = 0;
-                                let mut scratch = Vec::new();
-                                let decoded = stream
-                                    .layout
-                                    .decode_frame(&stream.state, &self.buf, &mut pos, &mut scratch)
-                                    .expect("self-decode of a frame we just encoded");
-                                debug_assert_eq!(pos, self.buf.len());
-                                debug_assert_eq!(
-                                    decoded, values,
-                                    "decoded frame must reproduce the projection"
-                                );
-                            }
-                            let new_state = Arc::new(next);
-                            let m = Arc::new(Metadata::Projected {
-                                values,
-                                encoded_len: len,
-                            });
-                            let old_state =
-                                std::mem::replace(&mut stream.state, Arc::clone(&new_state));
-                            stream.own_encodes += 1;
-                            comp_groups.push(GroupFrame {
-                                layout: Arc::clone(&stream.layout),
-                                old_state,
-                                new_state,
-                                meta: Arc::clone(&m),
-                                len,
-                            });
-                            out.push(m);
-                            len
-                        }
-                    };
-                    stream.frames += 1;
-                    stream.comp_bytes += len as u64;
-                    if !stream.decided && stream.frames >= self.adaptive.probe_frames {
-                        stream.decided = true;
-                        if let Some(path) = adaptive_fallback(stream, full.len(), &self.adaptive) {
-                            stream.path = path;
-                            self.stats.adaptive_fallbacks += 1;
-                        }
-                    }
-                }
+            let shared = groups.iter().find(|g| {
+                Arc::ptr_eq(&g.layout, &stream.layout) && Arc::ptr_eq(&g.old_state, &stream.state)
+            });
+            if let Some(g) = shared {
+                stream.state = Arc::clone(&g.new_state);
+                self.stats.shared_frames += 1;
+                out.push(Arc::clone(&g.meta));
+                continue;
             }
+            let values = stream.layout.project(full);
+            if stream.layout.verify_derived(&values).is_err() {
+                // A derived row lies about the values it claims to
+                // reconstruct: a receiver would decode garbage. Demote the
+                // pair to explicit rows (fresh stream) and count it
+                // instead of taking the thread down.
+                self.stats.demotions += 1;
+                let demoted = Arc::new(stream.layout.to_explicit());
+                stream.state = zero_state(&mut self.zero_states, demoted.num_explicit());
+                stream.layout = demoted;
+            }
+            self.buf.clear();
+            let mut next = Vec::new();
+            let len = stream
+                .layout
+                .encode_frame(&stream.state, full, &mut self.buf, &mut next);
+            #[cfg(debug_assertions)]
+            {
+                // The frame a real receiver would decode must reproduce
+                // the projection exactly.
+                let mut pos = 0;
+                let mut scratch = Vec::new();
+                let decoded = stream
+                    .layout
+                    .decode_frame(&stream.state, &self.buf, &mut pos, &mut scratch)
+                    .expect("self-decode of a frame we just encoded");
+                debug_assert_eq!(pos, self.buf.len());
+                debug_assert_eq!(
+                    decoded, values,
+                    "decoded frame must reproduce the projection"
+                );
+            }
+            let new_state = Arc::new(next);
+            let m = Arc::new(Metadata::Projected {
+                values,
+                encoded_len: len,
+            });
+            let old_state = std::mem::replace(&mut stream.state, Arc::clone(&new_state));
+            groups.push(GroupFrame {
+                layout: Arc::clone(&stream.layout),
+                old_state,
+                new_state,
+                meta: Arc::clone(&m),
+            });
+            out.push(m);
         }
         out
     }
 }
 
-/// The adaptive decision for one pair after its probe window: returns the
-/// fallback path, or `None` to stay compressed. Deterministic — driven
-/// entirely by layout shape, observed frame bytes, and the observed
-/// encode-sharing factor.
-fn adaptive_fallback(
-    stream: &PairStream,
-    full_len: usize,
-    cfg: &AdaptiveConfig,
-) -> Option<PairPath> {
-    let frames = stream.frames as f64;
-    // Fraction of frames this pair actually paid an encode for; the rest
-    // rode a group leader's varint pass.
-    let paid = stream.own_encodes as f64 / frames;
-    let common = stream.layout.common_len() as f64;
-    let explicit = stream.layout.num_explicit() as f64;
-    let wire = cfg.ns_per_wire_byte;
-    let comp_cpu = paid * (cfg.ns_per_varint * explicit + cfg.ns_per_gather * common);
-    let comp = comp_cpu + wire * (stream.comp_bytes as f64 / frames);
-    let proj = paid * cfg.ns_per_gather * common + wire * 8.0 * common;
-    let raw = wire * 8.0 * full_len as f64;
-    if comp <= proj && comp <= raw {
-        None
-    } else if proj <= raw {
-        Some(PairPath::Projected)
-    } else {
-        Some(PairPath::Raw)
-    }
+/// The shared all-zero stream state for layouts with `len` explicit
+/// counters.
+fn zero_state(zero_states: &mut HashMap<usize, Arc<Vec<u64>>>, len: usize) -> Arc<Vec<u64>> {
+    Arc::clone(
+        zero_states
+            .entry(len)
+            .or_insert_with(|| Arc::new(vec![0; len])),
+    )
 }
 
 #[cfg(test)]
@@ -673,42 +520,21 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_starts_compressed_and_stays_on_dense_graphs() {
-        let g = topology::clique_full(5, 2);
-        let reg = registry(&g);
-        let s = ReplicaId::new(0);
-        let recipients: Vec<ReplicaId> = (1..5).map(ReplicaId::new).collect();
-        let mut codec = WireCodec::new(WireMode::Adaptive, Some(reg.clone()));
-        let mut ts = reg.new_timestamp(s);
-        for _ in 0..40 {
-            reg.advance(&mut ts, RegisterId::new(0));
-            codec.encode_fanout(s, &recipients, &Arc::new(Metadata::Edge(ts.clone())));
+    fn mode_names_round_trip() {
+        for mode in [WireMode::Raw, WireMode::Compressed] {
+            assert_eq!(mode.name().parse::<WireMode>(), Ok(mode));
         }
-        // Dense fan-out amortizes the encode: compression stays on.
-        assert_eq!(codec.stats().adaptive_fallbacks, 0);
+        assert_eq!(WireMode::default().name(), "compressed");
     }
 
     #[test]
-    fn adaptive_falls_back_when_bytes_are_cheap() {
-        // With wire bytes valued at ~0 the CPU tax can never pay off:
-        // every pair must walk down the fallback chain to raw.
-        let g = topology::ring(6);
-        let reg = registry(&g);
-        let (s, r) = (ReplicaId::new(0), ReplicaId::new(1));
-        let cfg = AdaptiveConfig {
-            probe_frames: 4,
-            ns_per_wire_byte: 0.0,
-            ..AdaptiveConfig::default()
-        };
-        let mut codec = WireCodec::with_adaptive(WireMode::Adaptive, Some(reg.clone()), cfg);
-        let mut ts = reg.new_timestamp(s);
-        let mut last = None;
-        for _ in 0..8 {
-            reg.advance(&mut ts, RegisterId::new(0));
-            last = Some(codec.encode(s, r, &Arc::new(Metadata::Edge(ts.clone()))));
+    fn deleted_mode_names_are_rejected_with_the_valid_ones() {
+        for name in ["projected", "adaptive", "Raw", ""] {
+            let err = name.parse::<WireMode>().unwrap_err();
+            assert!(
+                err.contains("raw") && err.contains("compressed"),
+                "error for {name:?} must name the valid modes: {err}"
+            );
         }
-        assert_eq!(codec.stats().adaptive_fallbacks, 1);
-        // Post-fallback frames ship the raw metadata Arc.
-        assert!(matches!(last.unwrap().as_ref(), Metadata::Edge(_)));
     }
 }

@@ -53,7 +53,7 @@ pub mod tracker;
 pub mod value;
 
 pub use client_server::{ClientServerSystem, RequestId, SessionEvent};
-pub use codec::{AdaptiveConfig, CodecStats, WireCodec, WireMode};
+pub use codec::{CodecStats, WireCodec, WireMode};
 pub use construct::{propagate, release_all, WritePlan};
 pub use explore::{ExplorationResult, Scenario, ScriptedWrite};
 pub use explore_cs::{CsOp, CsScenario};

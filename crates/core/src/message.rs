@@ -31,7 +31,7 @@ pub enum Metadata {
     /// deduplicated.
     Deps(Vec<DepEntry>),
     /// An edge timestamp projected to the receiver's common-edge slice
-    /// `E_i ∩ E_k` by the wire codec (`WireMode::{Projected, Compressed}`).
+    /// `E_i ∩ E_k` by the wire codec (`WireMode::Compressed`).
     /// `values` are the decoded counters in pair-slice order — exactly
     /// what the receiver's `merge`/`J` read; `encoded_len` is the number
     /// of bytes the frame occupied on the wire, so
@@ -100,8 +100,8 @@ pub struct UpdateMsg {
     pub value: Option<Value>,
     /// The issuer's timestamp after `advance`. Shared immutably: a
     /// broadcast clones the `Arc`, never the counters, and the wire codec
-    /// swaps in a per-pair [`Metadata::Projected`] payload when a mode
-    /// other than raw is active.
+    /// swaps in a per-pair [`Metadata::Projected`] payload in compressed
+    /// mode.
     pub meta: Arc<Metadata>,
     /// Routed-protocol piggyback, if any.
     pub transit: Option<TransitInfo>,

@@ -52,8 +52,8 @@ use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
 use parking_lot::{Mutex, RwLock};
 use prcc_checker::{check, CheckReport, Trace, UpdateId};
 use prcc_net::{
-    BoundListener, DelayModel, Doorbell, FaultPlan, FaultSchedule, SessionConfig, SessionEndpoint,
-    SessionFrame, TcpEndpoint, TcpNetConfig, TcpStatsSnapshot, ThreadNet, Transport,
+    BoundListener, DelayModel, Doorbell, FaultSchedule, SessionConfig, SessionEndpoint,
+    SessionFrame, TcpEndpoint, TcpNetConfig, TcpStatsSnapshot, ThreadNet, Transport, TICK,
 };
 use prcc_sharegraph::{LoopConfig, RegisterId, ReplicaId, ShareGraph, TimestampGraphs};
 use prcc_timestamp::TsRegistry;
@@ -66,22 +66,19 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// One delay-model tick in wall-clock time (matches the `ThreadNet`
-/// router's tick).
-const TICK: Duration = Duration::from_micros(200);
-
 /// Full configuration for a [`ThreadedCluster`].
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Per-recipient metadata wire mode.
     pub wire: WireMode,
-    /// Router fault plan (drops / duplicates).
-    pub faults: FaultPlan,
-    /// Scripted fault schedule: link outages are enforced by the router
-    /// (ticks of 200 µs from cluster construction) and crash/restart
-    /// events are injected as commands by a driver thread walking
-    /// [`FaultSchedule::crash_timeline`]. The schedule's embedded plan is
-    /// used only when [`faults`](ClusterConfig::faults) is benign.
+    /// Scripted fault schedule: the router rolls its embedded plan
+    /// (drops / duplicates) on every frame and enforces its link outages
+    /// (ticks of 200 µs from cluster construction); crash/restart events
+    /// are injected as commands by a timeline thread walking
+    /// [`FaultSchedule::crash_timeline`]. Without a
+    /// [`session`](ClusterConfig::session), losses are permanent; with
+    /// one, its retransmission timers run on wall-clock milliseconds, so
+    /// pick `rto_base` comfortably above the delay model's round trip.
     pub schedule: FaultSchedule,
     /// Reliable-delivery session layer, if any.
     pub session: Option<SessionConfig>,
@@ -112,7 +109,6 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             wire: WireMode::default(),
-            faults: FaultPlan::default(),
             schedule: FaultSchedule::default(),
             session: None,
             batch: BatchPolicy::default(),
@@ -492,48 +488,6 @@ impl ThreadedCluster {
         Self::with_config(graph, delay, seed, ClusterConfig::default())
     }
 
-    /// Like [`ThreadedCluster::new`], with an explicit wire mode for the
-    /// per-recipient metadata codec.
-    pub fn new_with_wire(graph: ShareGraph, delay: DelayModel, seed: u64, wire: WireMode) -> Self {
-        Self::with_config(
-            graph,
-            delay,
-            seed,
-            ClusterConfig {
-                wire,
-                ..ClusterConfig::default()
-            },
-        )
-    }
-
-    /// A cluster over a lossy transport. The router rolls `faults` on
-    /// every frame; `session` (if given) arms a per-replica
-    /// [`SessionEndpoint`] whose retransmission timers run on wall-clock
-    /// milliseconds — pick `rto_base` comfortably above the delay
-    /// model's round trip (delay ticks are 200 µs each). Without a
-    /// session config, losses are permanent, exactly as in the simulated
-    /// [`System`](crate::System) without one.
-    pub fn new_faulty(
-        graph: ShareGraph,
-        delay: DelayModel,
-        seed: u64,
-        wire: WireMode,
-        faults: FaultPlan,
-        session: Option<SessionConfig>,
-    ) -> Self {
-        Self::with_config(
-            graph,
-            delay,
-            seed,
-            ClusterConfig {
-                wire,
-                faults,
-                session,
-                ..ClusterConfig::default()
-            },
-        )
-    }
-
     /// Full-control constructor.
     pub fn with_config(
         graph: ShareGraph,
@@ -542,11 +496,6 @@ impl ThreadedCluster {
         config: ClusterConfig,
     ) -> Self {
         let mut config = config;
-        // The legacy plan field and the schedule's embedded plan are the
-        // same knob at two API generations; a non-benign `faults` wins.
-        if !config.faults.is_benign() {
-            config.schedule.plan = config.faults.clone();
-        }
         // Scripted crashes without a recovery log would be permanent
         // data loss, which the threaded runtime does not model — arm
         // durability automatically.
@@ -575,8 +524,8 @@ impl ThreadedCluster {
     /// surface, and trace machinery as [`with_config`](Self::with_config),
     /// with the [`ThreadNet`] router swapped for the kernel.
     ///
-    /// Link-level fault injection ([`ClusterConfig::faults`] /
-    /// [`FaultSchedule`] outages) is a router feature and does not apply
+    /// Link-level fault injection (the [`FaultSchedule`]'s plan and
+    /// outages) is a router feature and does not apply
     /// here — the kernel's loopback does not drop frames. Scripted
     /// crash/restart events still work (they are injected as commands).
     /// A [`SessionConfig`] is still worth arming: the transport sheds
@@ -2031,6 +1980,7 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prcc_net::FaultPlan;
     use prcc_sharegraph::topology;
 
     fn r(i: u32) -> ReplicaId {
@@ -2300,22 +2250,24 @@ mod tests {
         // 30% drop + 20% duplication on real threads: the wall-clock
         // retransmission timers must restore every delivery. Delay ticks
         // are 200 µs, so a 10 ms base RTO clears the healthy round trip.
-        let cluster = ThreadedCluster::new_faulty(
+        let cluster = ThreadedCluster::with_config(
             topology::ring(4),
             DelayModel::Uniform { min: 0, max: 5 },
             11,
-            WireMode::default(),
-            FaultPlan {
-                drop_prob: 0.3,
-                duplicate_prob: 0.2,
-                ..Default::default()
+            ClusterConfig {
+                schedule: FaultSchedule::from_plan(FaultPlan {
+                    drop_prob: 0.3,
+                    duplicate_prob: 0.2,
+                    ..Default::default()
+                }),
+                session: Some(SessionConfig {
+                    rto_base: 10,
+                    rto_max: 80,
+                    jitter: 3,
+                    ack_delay: 0,
+                }),
+                ..ClusterConfig::default()
             },
-            Some(SessionConfig {
-                rto_base: 10,
-                rto_max: 80,
-                jitter: 3,
-                ack_delay: 0,
-            }),
         );
         for round in 0..10u64 {
             for i in 0..4u32 {

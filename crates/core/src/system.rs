@@ -1024,8 +1024,7 @@ impl System {
         stats
     }
 
-    /// Wire-codec counters: frames, encode-once sharing, demotions, and
-    /// adaptive fallbacks.
+    /// Wire-codec counters: frames, encode-once sharing, and demotions.
     pub fn codec_stats(&self) -> crate::codec::CodecStats {
         self.codec.stats()
     }

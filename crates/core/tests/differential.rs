@@ -8,8 +8,8 @@
 //! count — while evaluating the predicate at most as often.
 //!
 //! Analogously, [`WireMode::Raw`] (full timestamps on the wire) is the
-//! oracle for [`WireMode::Projected`] and [`WireMode::Compressed`]: the
-//! per-pair projected/derived/delta-framed metadata must produce the same
+//! oracle for [`WireMode::Compressed`]: the per-pair projected,
+//! derived-row-compressed, delta-framed metadata must produce the same
 //! traces, stores, and checker verdicts while never putting more metadata
 //! bytes on the wire.
 //!
@@ -114,17 +114,10 @@ fn assert_equivalent(g: &ShareGraph, tracker: TrackerKind, seed: u64) {
     );
 }
 
-/// Asserts that every wire mode yields the same observable execution, and
-/// that the compressed mode's wire bytes never exceed raw's.
+/// Asserts that the compressed wire mode yields the same observable
+/// execution as the raw oracle, and that its wire bytes never exceed raw's.
 fn assert_wire_equivalent(g: &ShareGraph, tracker: TrackerKind, seed: u64) {
     let (raw, _) = run_wire(g, tracker, PendingMode::default(), WireMode::Raw, seed);
-    let (proj, _) = run_wire(
-        g,
-        tracker,
-        PendingMode::default(),
-        WireMode::Projected,
-        seed,
-    );
     let (comp, _) = run_wire(
         g,
         tracker,
@@ -132,47 +125,36 @@ fn assert_wire_equivalent(g: &ShareGraph, tracker: TrackerKind, seed: u64) {
         WireMode::Compressed,
         seed,
     );
-    let (adapt, _) = run_wire(g, tracker, PendingMode::default(), WireMode::Adaptive, seed);
 
-    for other in [&proj, &comp, &adapt] {
-        // Identical event (issue + apply) sequences.
-        prop_assert_eq!(raw.trace().events(), other.trace().events());
-        // Identical stores and pending buffers at every replica.
-        for i in g.replicas() {
-            for x in g.placement().registers_of(i).iter() {
-                prop_assert_eq!(
-                    raw.read(i, x),
-                    other.read(i, x),
-                    "store mismatch at {:?} register {:?}",
-                    i,
-                    x
-                );
-            }
+    // Identical event (issue + apply) sequences.
+    prop_assert_eq!(raw.trace().events(), comp.trace().events());
+    // Identical stores and pending buffers at every replica.
+    for i in g.replicas() {
+        for x in g.placement().registers_of(i).iter() {
             prop_assert_eq!(
-                raw.replica(i).pending_count(),
-                other.replica(i).pending_count()
+                raw.read(i, x),
+                comp.read(i, x),
+                "store mismatch at {:?} register {:?}",
+                i,
+                x
             );
         }
-        // Identical checker verdicts.
-        let (rr, or) = (raw.check(), other.check());
-        prop_assert_eq!(rr.violations, or.violations);
-        prop_assert_eq!(raw.stuck_pending(), other.stuck_pending());
+        prop_assert_eq!(
+            raw.replica(i).pending_count(),
+            comp.replica(i).pending_count()
+        );
     }
+    // Identical checker verdicts.
+    let (rr, cr) = (raw.check(), comp.check());
+    prop_assert_eq!(rr.violations, cr.violations);
+    prop_assert_eq!(raw.stuck_pending(), comp.stuck_pending());
 
-    // Projection can only shrink metadata; compression can only shrink it
-    // further (derived rows dropped, deltas varint-framed).
-    let (rb, pb, cb) = (
-        raw.metrics().metadata_bytes,
-        proj.metrics().metadata_bytes,
-        comp.metrics().metadata_bytes,
-    );
-    prop_assert!(pb <= rb, "projected {} > raw {}", pb, rb);
-    prop_assert!(cb <= pb, "compressed {} > projected {}", cb, pb);
-    // Adaptive only ever falls back toward raw, never past it.
-    let ab = adapt.metrics().metadata_bytes;
-    prop_assert!(ab <= rb, "adaptive {} > raw {}", ab, rb);
+    // Projection, derived-row elimination and delta framing can only
+    // shrink metadata.
+    let (rb, cb) = (raw.metrics().metadata_bytes, comp.metrics().metadata_bytes);
+    prop_assert!(cb <= rb, "compressed {} > raw {}", cb, rb);
     // Registry-built layouts verify at construction: no run may demote.
-    for sys in [&raw, &proj, &comp, &adapt] {
+    for sys in [&raw, &comp] {
         prop_assert_eq!(sys.net_stats().codec_demotions, 0);
     }
 }
@@ -211,8 +193,8 @@ proptest! {
         assert_equivalent(&g, TrackerKind::FullDeps, seed);
     }
 
-    /// Wire-codec differential, edge-indexed tracker: raw vs projected vs
-    /// compressed agree on every observable, across topologies.
+    /// Wire-codec differential, edge-indexed tracker: raw vs compressed
+    /// agree on every observable, across topologies.
     #[test]
     fn wire_modes_agree_edge_indexed(
         topo in 0usize..3,
@@ -224,7 +206,7 @@ proptest! {
     }
 
     /// Wire-codec differential under the baselines: the codec must be a
-    /// pure pass-through (their metadata is not edge-indexed), so all
+    /// pure pass-through (their metadata is not edge-indexed), so both
     /// modes trivially agree — byte counts included.
     #[test]
     fn wire_modes_agree_baselines(
@@ -239,7 +221,7 @@ proptest! {
     }
 
     /// Both axes at once: the wakeup pending index must stay equivalent to
-    /// the scan oracle when messages carry projected/compressed frames.
+    /// the scan oracle when messages carry compressed frames.
     #[test]
     fn scan_and_wakeup_agree_under_compression(
         topo in 0usize..3,

@@ -219,7 +219,7 @@ proptest! {
         n in 3usize..7,
         tracker_sel in 0usize..3,
         pm in 0usize..2,
-        wire in 0usize..4,
+        wire in 0usize..2,
         count_i in 0usize..5,
         bytes_i in 0usize..3,
         flush_i in 0usize..3,
@@ -232,14 +232,9 @@ proptest! {
             _ => TrackerKind::FullDeps,
         };
         // Baselines ship raw metadata regardless of wire mode; only the
-        // edge-indexed tracker exercises projection/compression.
+        // edge-indexed tracker exercises compression.
         let wire = match tracker {
-            TrackerKind::EdgeIndexed(_) => [
-                WireMode::Raw,
-                WireMode::Projected,
-                WireMode::Compressed,
-                WireMode::Adaptive,
-            ][wire],
+            TrackerKind::EdgeIndexed(_) => [WireMode::Raw, WireMode::Compressed][wire],
             _ => WireMode::Raw,
         };
         let mode = if pm == 0 { PendingMode::Scan } else { PendingMode::Wakeup };
@@ -255,7 +250,7 @@ proptest! {
     fn batched_matches_unbatched_under_faults(
         topo in 0usize..3,
         n in 3usize..7,
-        wire in 0usize..3,
+        wire in 0usize..2,
         count_i in 0usize..5,
         bytes_i in 0usize..3,
         flush_i in 0usize..3,
@@ -267,7 +262,7 @@ proptest! {
         let g = build_topology(topo, n);
         let drop_prob = [0.0, 0.2, 0.4][drop_i];
         let s = make_schedule(n, drop_prob, crashes, partition == 1, seed);
-        let wire = [WireMode::Raw, WireMode::Projected, WireMode::Compressed][wire];
+        let wire = [WireMode::Raw, WireMode::Compressed][wire];
         let tracker = TrackerKind::EdgeIndexed(prcc_sharegraph::LoopConfig::EXHAUSTIVE);
         let policy = draw_policy(count_i, bytes_i, flush_i);
         assert_equivalent(&g, tracker, PendingMode::default(), wire, policy, Some(&s), true, seed);

@@ -19,9 +19,8 @@
 //!   heuristically. The session layer's retransmission restores anything
 //!   a torn-down connection was carrying.
 //! * **Write coalescing** — each peer has a writer thread that drains its
-//!   outbox and writes many frames per `write(2)`. `coalesce: false`
-//!   issues one write per frame (the syscalls/update baseline the
-//!   `net_report` bench compares against).
+//!   outbox and writes every queued frame (up to 256 KiB) with one
+//!   `write(2)`.
 //! * **Reconnect with backoff** — outbound connections retry with
 //!   exponential backoff; messages queued or in flight across a
 //!   disconnect are simply lost here and repaired by the session layer,
@@ -245,9 +244,6 @@ pub struct TcpNetConfig {
     pub reconnect_base: Duration,
     /// Backoff ceiling.
     pub reconnect_max: Duration,
-    /// Batch many queued frames into each `write(2)`. Disable to get the
-    /// frame-per-syscall baseline.
-    pub coalesce: bool,
     /// Maximum frame body size accepted or produced.
     pub max_frame: usize,
     /// Per-peer outbound queue depth; a full queue sheds (session layer
@@ -265,7 +261,6 @@ impl Default for TcpNetConfig {
             connect_timeout: Duration::from_millis(1000),
             reconnect_base: Duration::from_millis(10),
             reconnect_max: Duration::from_millis(500),
-            coalesce: true,
             max_frame: 1 << 24,
             outbox_depth: 4096,
             ingress_depth: 4096,
@@ -775,21 +770,14 @@ fn writer_loop<M: Send + 'static>(
         }
         let (stream, link) = conn.as_mut().expect("connected");
         buf.clear();
-        let mut frames_in_buf = 0u64;
         encode_frame(link.as_mut(), &msg, &mut buf);
-        frames_in_buf += 1;
-        if cfg.coalesce {
-            // Drain whatever else is queued, bounded by buffer size, so
-            // one syscall carries many session frames.
-            while buf.len() < 256 * 1024 {
-                match outbox.try_recv() {
-                    Ok(next) => {
-                        encode_frame(link.as_mut(), &next, &mut buf);
-                        frames_in_buf += 1;
-                    }
-                    Err(_) => break,
-                }
-            }
+        let mut frames_in_buf = 1u64;
+        // Drain whatever else is queued, bounded by buffer size, so one
+        // syscall carries many session frames.
+        while buf.len() < 256 * 1024 {
+            let Ok(next) = outbox.try_recv() else { break };
+            encode_frame(link.as_mut(), &next, &mut buf);
+            frames_in_buf += 1;
         }
         match write_counted(stream, &buf, &counters, &shutdown) {
             Ok(()) => {
@@ -902,43 +890,31 @@ mod tests {
 
     #[test]
     fn coalescing_reduces_write_syscalls() {
-        let run = |coalesce: bool| {
-            let cfg = TcpNetConfig {
-                coalesce,
-                ..TcpNetConfig::default()
-            };
-            let (e0, e1) = pair(cfg);
-            let h0 = e0.handle();
-            let h1 = e1.handle();
-            // Prime the connection, then burst while the writer is busy.
-            h0.send(r(1), 0);
-            h1.recv_timeout(Duration::from_secs(5)).unwrap();
-            for i in 1..=2000u64 {
-                while !h0.send(r(1), i) {
-                    std::thread::sleep(Duration::from_micros(100));
-                }
+        let (e0, e1) = pair(TcpNetConfig::default());
+        let h0 = e0.handle();
+        let h1 = e1.handle();
+        // Prime the connection, then burst while the writer is busy.
+        h0.send(r(1), 0);
+        h1.recv_timeout(Duration::from_secs(5)).unwrap();
+        for i in 1..=2000u64 {
+            while !h0.send(r(1), i) {
+                std::thread::sleep(Duration::from_micros(100));
             }
-            let mut got = 0;
-            while got < 2000 {
-                if h1.recv_timeout(Duration::from_secs(5)).is_none() {
-                    panic!("lost frames at {got}");
-                }
-                got += 1;
+        }
+        for got in 0..2000 {
+            if h1.recv_timeout(Duration::from_secs(5)).is_none() {
+                panic!("lost frames at {got}");
             }
-            let stats = e0.stats();
-            e0.shutdown();
-            e1.shutdown();
-            stats
-        };
-        let with = run(true);
-        let without = run(false);
-        assert_eq!(with.frames_sent, 2001);
-        assert_eq!(without.frames_sent, 2001);
+        }
+        let stats = e0.stats();
+        e0.shutdown();
+        e1.shutdown();
+        assert_eq!(stats.frames_sent, 2001);
+        // One write per frame would take at least 2 001 syscalls.
         assert!(
-            with.write_syscalls * 2 < without.write_syscalls,
-            "coalescing did not reduce syscalls: {} vs {}",
-            with.write_syscalls,
-            without.write_syscalls
+            stats.write_syscalls < 1000,
+            "2 001 frames took {} write syscalls: the writer is not coalescing",
+            stats.write_syscalls
         );
     }
 

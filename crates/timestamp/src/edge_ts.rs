@@ -79,8 +79,8 @@ impl EdgeTimestamp {
 
     /// Wire size in bytes when the full timestamp is shipped in the fixed
     /// raw layout: one varint-free u64 per counter. This is what
-    /// `WireMode::Raw` actually puts on the wire; the projected and
-    /// compressed modes account their own (smaller) encoded sizes.
+    /// `WireMode::Raw` actually puts on the wire; the compressed mode
+    /// accounts its own (smaller) encoded size.
     pub fn wire_size_bytes(&self) -> usize {
         self.values.len() * 8
     }

@@ -30,7 +30,7 @@
 //! ```toml
 //! [cluster]
 //! topology = "ring:3"      # ring:n path:n star:leaves tree:n grid:wxh clique:nxr
-//! wire = "compressed"      # raw | projected | compressed | adaptive
+//! wire = "compressed"      # raw | compressed
 //! rounds = 6               # writes per register
 //! session = true           # arm per-link retransmission (recommended)
 //!
@@ -59,7 +59,7 @@ const USAGE: &str = "prcc-node — one replica of a PRCC cluster over real TCP\n
      \n\
      driver options:\n\
      \x20  --topology <spec>     ring:n path:n star:n tree:n grid:wxh clique:nxr (default ring:<n>)\n\
-     \x20  --wire <mode>         raw | projected | compressed | adaptive (default compressed)\n\
+     \x20  --wire <mode>         raw | compressed (default compressed)\n\
      \x20  --rounds <k>          writes per register (default 6)\n\
      \x20  --timeout-secs <s>    per-node quiescence timeout (default 60)\n";
 
@@ -107,25 +107,6 @@ fn parse_topology(spec: &str) -> Result<ShareGraph, String> {
     })
 }
 
-fn parse_wire(s: &str) -> Result<WireMode, String> {
-    Ok(match s {
-        "raw" => WireMode::Raw,
-        "projected" => WireMode::Projected,
-        "compressed" => WireMode::Compressed,
-        "adaptive" => WireMode::Adaptive,
-        other => return Err(format!("unknown wire mode '{other}'")),
-    })
-}
-
-fn wire_name(w: WireMode) -> &'static str {
-    match w {
-        WireMode::Raw => "raw",
-        WireMode::Projected => "projected",
-        WireMode::Compressed => "compressed",
-        WireMode::Adaptive => "adaptive",
-    }
-}
-
 /// A session tuned for loopback round trips, so any startup shed is
 /// repaired within a few tens of milliseconds.
 fn loopback_session() -> SessionConfig {
@@ -166,7 +147,7 @@ impl ClusterSpec {
         let mut s = format!(
             "[cluster]\ntopology = \"{}\"\nwire = \"{}\"\nrounds = {}\nsession = {}\n",
             self.topology,
-            wire_name(self.wire),
+            self.wire.name(),
             self.rounds,
             self.session
         );
@@ -223,7 +204,7 @@ fn parse_config(text: &str) -> Result<ClusterSpec, String> {
         match section {
             Section::Cluster => match key {
                 "topology" => topology_spec = Some(unquote(value)?),
-                "wire" => wire = parse_wire(&unquote(value)?).map_err(at)?,
+                "wire" => wire = unquote(value)?.parse().map_err(at)?,
                 "rounds" => {
                     rounds = value
                         .parse()
@@ -512,7 +493,10 @@ fn try_run_driver(args: &[String]) -> Result<bool, String> {
         return Err("--launch needs at least 2 nodes".into());
     }
     let topology_spec = flag(args, "--topology").unwrap_or_else(|| format!("ring:{n}"));
-    let wire = parse_wire(&flag(args, "--wire").unwrap_or_else(|| "compressed".into()))?;
+    let wire: WireMode = flag(args, "--wire")
+        .map(|s| s.parse())
+        .transpose()?
+        .unwrap_or_default();
     let rounds: u64 = flag(args, "--rounds")
         .map(|s| s.parse().map_err(|_| "bad --rounds"))
         .transpose()?
@@ -669,7 +653,7 @@ fn try_run_driver(args: &[String]) -> Result<bool, String> {
 
     println!("{{");
     println!("  \"topology\": \"{topology_spec}\",");
-    println!("  \"wire\": \"{}\",", wire_name(wire));
+    println!("  \"wire\": \"{}\",", wire.name());
     println!("  \"nodes\": {n},");
     println!("  \"rounds\": {rounds},");
     println!("  \"total_writes\": {},", wl.total_writes());
@@ -692,4 +676,37 @@ fn try_run_driver(args: &[String]) -> Result<bool, String> {
     println!("  \"ok\": {ok}");
     println!("}}");
     Ok(ok)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const CONFIG: &str = "[cluster]\ntopology = \"ring:2\"\nwire = \"raw\"\n\n\
+                          [[node]]\nid = 0\naddr = \"127.0.0.1:1\"\n\n\
+                          [[node]]\nid = 1\naddr = \"127.0.0.1:2\"\n";
+
+    #[test]
+    fn config_round_trips_every_wire_mode() {
+        for wire in [WireMode::Raw, WireMode::Compressed] {
+            let spec = ClusterSpec {
+                wire,
+                ..parse_config(CONFIG).unwrap()
+            };
+            assert_eq!(parse_config(&spec.to_toml()).unwrap().wire, wire);
+        }
+    }
+
+    #[test]
+    fn config_rejects_a_deleted_wire_mode_with_its_line() {
+        let text = CONFIG.replace("\"raw\"", "\"adaptive\"");
+        let err = parse_config(&text)
+            .err()
+            .expect("adaptive is not a wire mode");
+        assert!(err.starts_with("config line 3: "), "{err}");
+        assert!(
+            err.contains("adaptive") && err.contains("compressed"),
+            "{err}"
+        );
+    }
 }

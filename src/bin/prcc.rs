@@ -32,7 +32,7 @@ fn usage() -> ! {
          \n\
          run options:\n\
            --tracker edge|vc|trunc:<l>   causality tracker (default edge)\n\
-           --wire raw|projected|compressed  metadata wire codec (default compressed)\n\
+           --wire raw|compressed         metadata wire codec (default compressed)\n\
            --writes <n>                  writes per replica (default 20)\n\
            --zipf <theta>                register skew (default 0.9)\n\
            --seed <s>                    workload/network seed (default 0)\n\
@@ -159,12 +159,12 @@ fn cmd_run(g: &ShareGraph, args: &[String]) {
     let seed = flag(args, "--seed")
         .map(|s| s.parse().unwrap_or_else(|_| usage()))
         .unwrap_or(0);
-    let wire_mode = match flag(args, "--wire").as_deref() {
-        None | Some("compressed") => WireMode::Compressed,
-        Some("projected") => WireMode::Projected,
-        Some("raw") => WireMode::Raw,
-        Some(_) => usage(),
-    };
+    let wire_mode = flag(args, "--wire")
+        .map_or(Ok(WireMode::default()), |s| s.parse())
+        .unwrap_or_else(|e: String| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        });
     let (faults, have_faults) = parse_faults(args);
     let session = if have_faults && !args.iter().any(|a| a == "--no-session") {
         Some(SessionConfig::default())

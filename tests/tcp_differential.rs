@@ -83,6 +83,6 @@ fn tcp_matches_router_on_clique_compressed() {
 }
 
 #[test]
-fn tcp_matches_router_on_grid_adaptive() {
-    run_differential(topology::grid(3, 3), WireMode::Adaptive, 4);
+fn tcp_matches_router_on_grid_compressed() {
+    run_differential(topology::grid(3, 3), WireMode::Compressed, 4);
 }
