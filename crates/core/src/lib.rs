@@ -36,6 +36,7 @@
 pub mod client_server;
 pub mod codec;
 pub mod construct;
+mod engine;
 pub mod explore;
 pub mod explore_cs;
 pub mod message;

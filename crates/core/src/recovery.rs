@@ -19,9 +19,10 @@
 //!
 //! # Why replay is exact
 //!
-//! [`recover`](RecoveryLog::recover) clones the snapshot and re-executes
-//! the WAL: `OwnWrite` re-runs [`Replica::write`] (with no recipients),
-//! `Delivered` re-runs [`Replica::receive`]. Both operations are
+//! [`recover_with_frontier`](RecoveryLog::recover_with_frontier) clones
+//! the snapshot and re-executes the WAL: `OwnWrite` re-runs
+//! [`Replica::write`] (with no recipients), `Delivered` re-runs
+//! [`Replica::receive`]. Both operations are
 //! deterministic functions of replica state and input, and the WAL
 //! preserves their original interleaving, so the recovered replica is
 //! *identical* to the crashed one at its last durable event — same
@@ -33,7 +34,7 @@
 //!
 //! # The ack-after-durable discipline
 //!
-//! The harness records a [`WalEntry::Delivered`] *before* the session
+//! The engine records a [`WalEntry::Delivered`] *before* the session
 //! ack for that frame reaches the network. A peer's cumulative-acked
 //! point therefore never runs ahead of this log, which is what makes
 //! the session layer's post-restart `CatchUp{recv_cum}` sound: the
@@ -130,17 +131,10 @@ impl RecoveryLog {
         self.outbox.entry(dst).or_default().push(msg);
     }
 
-    /// Compacts the WAL into a snapshot of the live replica, if the WAL
-    /// has reached the configured length. `live` must be the replica
-    /// whose state reflects every logged event (the harness calls this
-    /// right after logging).
-    pub fn maybe_snapshot(&mut self, live: &Replica) {
-        let frontier = self.snapshot_frontier.clone();
-        self.maybe_snapshot_with_frontier(live, &frontier);
-    }
-
-    /// Like [`maybe_snapshot`](RecoveryLog::maybe_snapshot), but also
-    /// persists the live replica's applied frontier so
+    /// Compacts the WAL into a snapshot of the live replica and its
+    /// applied frontier, if the WAL has reached the configured length.
+    /// `live` and `frontier` must reflect every logged event (the engine
+    /// calls this right after logging), so
     /// [`recover_with_frontier`](RecoveryLog::recover_with_frontier) can
     /// rebuild the serving tier's coverage vector without replaying the
     /// compacted history.
@@ -176,16 +170,10 @@ impl RecoveryLog {
         &self.outbox
     }
 
-    /// Rebuilds the replica as of its last durable event: snapshot clone
-    /// plus WAL replay (see the module docs for why this is exact).
-    pub fn recover(&self) -> Replica {
-        let n = self.snapshot_frontier.len();
-        self.recover_with_frontier(n).0
-    }
-
-    /// Rebuilds the replica *and* its applied frontier (the per-issuer
-    /// next-expected-seq vector published as the serving tier's
-    /// `ReplicaView` coverage). The frontier starts from the snapshot's
+    /// Rebuilds the replica as of its last durable event — snapshot
+    /// clone plus WAL replay (see the module docs for why this is exact)
+    /// — *and* its applied frontier (the per-issuer next-expected-seq
+    /// vector published as the serving tier's `ReplicaView` coverage). The frontier starts from the snapshot's
     /// persisted copy (resized to `num_replicas`) and is advanced by the
     /// WAL replay: an own write moves the replica's own slot, and every
     /// update the replay *applies* (parked pending updates stay parked,
@@ -285,7 +273,7 @@ mod tests {
         b.receive(m3.clone());
         log.record_delivery(r(0), BatchMsg::singleton(m3));
 
-        let recovered = log.recover();
+        let (recovered, _) = log.recover_with_frontier(2);
         assert_eq!(recovered.read(x(0)), b.read(x(0)));
         assert_eq!(recovered.applied_count(), b.applied_count());
         assert_eq!(recovered.pending_count(), b.pending_count());
@@ -312,7 +300,7 @@ mod tests {
         b.receive(m2.clone());
         log.record_delivery(r(0), BatchMsg::singleton(m2));
         assert_eq!(b.pending_count(), 1);
-        let recovered = log.recover();
+        let (recovered, _) = log.recover_with_frontier(2);
         assert_eq!(recovered.pending_count(), 1, "parked update preserved");
         // Recovery then unblocks exactly like the live replica would.
         let mut rec = recovered;
@@ -326,14 +314,15 @@ mod tests {
         let mut log = RecoveryLog::new(b.clone(), 2);
         for i in 0..5u64 {
             let (m, _) = a.write(x(0), Value::from(i), vec![r(1)]).unwrap();
+            let seq = m.seq;
             b.receive(m.clone());
             log.record_delivery(r(0), BatchMsg::singleton(m));
-            log.maybe_snapshot(&b);
+            log.maybe_snapshot_with_frontier(&b, &[seq + 1, 0]);
         }
         assert!(log.snapshots_taken() >= 2);
         assert!(log.wal_len() < 2);
         assert_eq!(log.recv_cums().get(&r(0)), Some(&5));
-        let recovered = log.recover();
+        let (recovered, _) = log.recover_with_frontier(2);
         assert_eq!(recovered.read(x(0)), Some(&Value::from(4u64)));
         assert_eq!(recovered.applied_count(), 5);
     }

@@ -1,11 +1,13 @@
 //! A threaded deployment: one OS thread per replica over a
 //! [`ThreadNet`] transport.
 //!
-//! [`ThreadedCluster`] runs the same [`Replica`] state machines as the
-//! simulated [`System`](crate::System), but under genuine concurrency and
-//! wall-clock message delays — the reproduction's stand-in for the
-//! "async nodes" deployment (the offline crate set has no async runtime,
-//! so real threads + crossbeam channels play that role).
+//! [`ThreadedCluster`] drives the same replica engine as the simulated
+//! [`System`](crate::System) — replica, wire codec, batching, session and
+//! WAL, wired once in `crate::engine` (DESIGN §15) — but under genuine
+//! concurrency and wall-clock time (the engine clock is µs since the
+//! cluster epoch): the reproduction's stand-in for the "async nodes"
+//! deployment, with real threads + crossbeam channels in place of an
+//! async runtime.
 //!
 //! # The hot path
 //!
@@ -29,31 +31,29 @@
 //!   [`read`](ThreadedCluster::read) clones the `Arc` and never enqueues
 //!   into the replica thread, so readers cannot observe torn state and
 //!   cannot slow writers down.
-//! * **Batched update pipeline.** Outgoing updates coalesce per
-//!   destination under the cluster's [`BatchPolicy`] and ship as
-//!   [`BatchMsg`] frames, cutting per-envelope router work; receivers
-//!   ingest them through [`Replica::receive_batch`]'s once-per-batch
-//!   predicate fast path.
+//! * **Batched update pipeline.** The engine coalesces outgoing updates
+//!   per destination under the cluster's [`BatchPolicy`] into
+//!   [`BatchMsg`] frames; receivers ingest them through
+//!   [`Replica::receive_batch`]'s once-per-batch predicate fast path.
 //!
 //! Client command channels are *bounded*
 //! ([`ClusterConfig::channel_depth`]): a flooded replica thread exerts
 //! backpressure on writers instead of growing an unbounded queue.
 
-use crate::codec::{WireCodec, WireMode};
-use crate::message::{BatchMsg, UpdateMsg};
+use crate::codec::WireMode;
+use crate::engine::{BatchPolicy, Engine, EngineConfig, Outgoing};
+use crate::message::BatchMsg;
 use crate::netframe::cluster_codec;
-use crate::recovery::RecoveryLog;
-use crate::replica::Replica;
+use crate::replica::{Applied, Replica};
 use crate::store_cow::{SharedShards, StoreMode};
-use crate::system::BatchPolicy;
 use crate::tracker::{CausalityTracker, EdgeTracker};
 use crate::value::Value;
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
 use parking_lot::{Mutex, RwLock};
 use prcc_checker::{check, CheckReport, Trace, UpdateId};
 use prcc_net::{
-    BoundListener, DelayModel, Doorbell, FaultSchedule, SessionConfig, SessionEndpoint,
-    SessionFrame, TcpEndpoint, TcpNetConfig, TcpStatsSnapshot, ThreadNet, Transport, TICK,
+    BoundListener, DelayModel, Doorbell, FaultSchedule, SessionConfig, SessionFrame, TcpEndpoint,
+    TcpNetConfig, TcpStatsSnapshot, ThreadNet, Transport, TICK,
 };
 use prcc_sharegraph::{LoopConfig, RegisterId, ReplicaId, ShareGraph, TimestampGraphs};
 use prcc_timestamp::TsRegistry;
@@ -92,12 +92,12 @@ pub struct ClusterConfig {
     /// Per-node network ingress bound (frames beyond it are shed by the
     /// router and, with a session, repaired by retransmission).
     pub ingress_depth: usize,
-    /// Arms per-replica durable [`RecoveryLog`]s with this WAL length
-    /// between snapshot compactions. Required for crash/restart (a crash
-    /// without a log would be permanent data loss); auto-armed at 1024
-    /// when the schedule scripts crashes. Forces eager (unbatched)
-    /// shipping so every acknowledged write reaches the durable outbox
-    /// before its ack — the ack-after-durable discipline.
+    /// Arms per-replica durable [`RecoveryLog`](crate::RecoveryLog)s
+    /// with this WAL length between snapshot compactions. Required for
+    /// crash/restart (a crash without a log would be permanent data
+    /// loss); auto-armed at 1024 when the schedule scripts crashes. Forces
+    /// eager (unbatched) shipping: a batch waiting for its window would
+    /// die with a crash while its writes are already acked.
     pub durability: Option<usize>,
     /// How publishes materialise snapshots: sharded copy-on-write
     /// (O(Δ) per publish, the default) or the original clone-the-world
@@ -185,7 +185,7 @@ enum Cmd {
     },
     /// Crash the replica: it keeps draining its channels but discards
     /// everything until [`Cmd::Restart`], modelling a fail-stop node
-    /// whose durable [`RecoveryLog`] survives. Ignored when no log is
+    /// whose durable log survives. Ignored when no log is
     /// armed. `done` (if any) is signalled once the crash took effect.
     Crash {
         done: Option<Sender<()>>,
@@ -230,9 +230,9 @@ type TraceShard = Mutex<Vec<Stamped>>;
 /// issue-first tiebreak settles exact ties. Per-shard order survives
 /// because stamps within one thread are non-decreasing with `seq`
 /// strictly increasing.
-fn merge_shards(shards: &[Arc<TraceShard>]) -> Trace {
+fn merge_shards<'a>(shards: impl Iterator<Item = &'a TraceShard>) -> Trace {
     let mut all: Vec<(u64, u8, usize, u64, ShardEvent)> = Vec::new();
-    for (i, shard) in shards.iter().enumerate() {
+    for (i, shard) in shards.enumerate() {
         for s in shard.lock().iter() {
             let kind = match s.ev {
                 ShardEvent::Issue { .. } => 0u8,
@@ -427,35 +427,9 @@ impl SnapshotCell {
 /// ```
 pub struct ThreadedCluster {
     graph: Arc<ShareGraph>,
-    cmd_txs: Vec<CmdTx>,
-    threads: Vec<JoinHandle<()>>,
-    /// Per-replica trace shards, merged on demand.
-    shards: Vec<Arc<TraceShard>>,
-    /// Per-replica published read snapshots.
-    snapshots: Vec<Arc<SnapshotCell>>,
-    /// Total updates applied across all replicas (remote applies).
-    applied: Arc<AtomicUsize>,
-    /// Total updates currently parked in pending buffers.
-    pending: Arc<AtomicUsize>,
-    /// Total update messages sent.
-    sent: Arc<AtomicUsize>,
-    /// Total metadata bytes put on the wire (post-codec frame sizes).
-    wire_bytes: Arc<AtomicUsize>,
-    /// Total session-layer retransmissions across all replica threads.
-    retransmits: Arc<AtomicUsize>,
-    /// Total wire-codec demotions (derived-row verification failures)
-    /// across all replica threads.
-    demotions: Arc<AtomicUsize>,
-    /// Updates permanently lost to a crash window (counted only without
-    /// a session — with one, retransmission repairs the loss).
-    lost: Arc<AtomicUsize>,
-    /// Completed replica restarts (crash recoveries).
-    restarts: Arc<AtomicUsize>,
-    /// Per-replica crash flags, observable without a command round trip
-    /// (the serving tier's failover signal).
-    crashed: Vec<Arc<AtomicBool>>,
-    /// Per-replica loop-pass counters (see [`loop_passes`](Self::loop_passes)).
-    passes: Vec<Arc<AtomicU64>>,
+    /// One entry per replica thread, in replica order.
+    replicas: Vec<ReplicaThread>,
+    counters: Arc<Counters>,
     /// Whether recovery logs are armed (required by [`crash`](Self::crash)).
     durable: bool,
     /// Keep the net alive for the cluster's lifetime.
@@ -474,8 +448,8 @@ enum NetBacking {
 impl fmt::Debug for ThreadedCluster {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ThreadedCluster")
-            .field("replicas", &self.cmd_txs.len())
-            .field("applied", &self.applied.load(Ordering::Relaxed))
+            .field("replicas", &self.replicas.len())
+            .field("applied", &self.counters.applied.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -495,18 +469,8 @@ impl ThreadedCluster {
         seed: u64,
         config: ClusterConfig,
     ) -> Self {
-        let mut config = config;
-        // Scripted crashes without a recovery log would be permanent
-        // data loss, which the threaded runtime does not model — arm
-        // durability automatically.
-        if !config.schedule.crashes.is_empty() && config.durability.is_none() {
-            config.durability = Some(1024);
-        }
         let graph = Arc::new(graph);
-        let registry = Arc::new(TsRegistry::new(
-            &graph,
-            TimestampGraphs::build(&graph, LoopConfig::EXHAUSTIVE),
-        ));
+        let registry = exact_registry(&graph);
         let net: ThreadNet<SessionFrame<BatchMsg>> = ThreadNet::with_schedule(
             graph.num_replicas(),
             delay,
@@ -536,15 +500,8 @@ impl ThreadedCluster {
         config: ClusterConfig,
         tcp: TcpNetConfig,
     ) -> io::Result<Self> {
-        let mut config = config;
-        if !config.schedule.crashes.is_empty() && config.durability.is_none() {
-            config.durability = Some(1024);
-        }
         let graph = Arc::new(graph);
-        let registry = Arc::new(TsRegistry::new(
-            &graph,
-            TimestampGraphs::build(&graph, LoopConfig::EXHAUSTIVE),
-        ));
+        let registry = exact_registry(&graph);
         // Two-phase bind: every listener is live before any endpoint
         // starts, so first connects never race the accept loops.
         let loopback: SocketAddr = ([127, 0, 0, 1], 0).into();
@@ -583,84 +540,31 @@ impl ThreadedCluster {
     fn spawn<T: Transport<Msg = SessionFrame<BatchMsg>>>(
         graph: Arc<ShareGraph>,
         registry: Arc<TsRegistry>,
-        config: ClusterConfig,
+        mut config: ClusterConfig,
         handles: Vec<T>,
         net: NetBacking,
     ) -> Self {
-        let applied = Arc::new(AtomicUsize::new(0));
-        let pending = Arc::new(AtomicUsize::new(0));
-        let sent = Arc::new(AtomicUsize::new(0));
-        let wire_bytes = Arc::new(AtomicUsize::new(0));
-        let retransmits = Arc::new(AtomicUsize::new(0));
-        let demotions = Arc::new(AtomicUsize::new(0));
-        let lost = Arc::new(AtomicUsize::new(0));
-        let restarts = Arc::new(AtomicUsize::new(0));
-        let epoch = Instant::now();
-
-        let mut cmd_txs = Vec::new();
-        let mut threads = Vec::new();
-        let mut shards = Vec::new();
-        let mut snapshots = Vec::new();
-        let mut crashed = Vec::new();
-        let mut passes = Vec::new();
-        for (i, handle) in graph.replicas().zip(handles) {
-            let (tx, rx) = bounded::<Cmd>(config.channel_depth.max(1));
-            cmd_txs.push(CmdTx {
-                tx,
-                bell: handle.doorbell().clone(),
-            });
-            let shard: Arc<TraceShard> = Arc::new(Mutex::new(Vec::new()));
-            shards.push(shard.clone());
-            let snapshot = Arc::new(SnapshotCell::new(graph.num_replicas()));
-            snapshots.push(snapshot.clone());
-            let crashed_flag = Arc::new(AtomicBool::new(false));
-            crashed.push(crashed_flag.clone());
-            let pass_ctr = Arc::new(AtomicU64::new(0));
-            passes.push(pass_ctr.clone());
-            let graph = graph.clone();
-            let registry = registry.clone();
-            let config = config.clone();
-            let applied = applied.clone();
-            let pending = pending.clone();
-            let sent = sent.clone();
-            let wire_bytes = wire_bytes.clone();
-            let retransmits = retransmits.clone();
-            let demotions = demotions.clone();
-            let lost = lost.clone();
-            let restarts = restarts.clone();
-            let builder = std::thread::Builder::new().name(format!("apply-{}", i.raw()));
-            let handle_t = builder.spawn(move || {
-                replica_main(ReplicaCtx {
-                    id: i,
-                    graph,
-                    registry,
-                    config,
-                    epoch,
-                    net: handle,
-                    cmds: rx,
-                    shard,
-                    snapshot,
-                    crashed_flag,
-                    passes: pass_ctr,
-                    applied_ctr: applied,
-                    pending_ctr: pending,
-                    sent_ctr: sent,
-                    wire_bytes_ctr: wire_bytes,
-                    retransmits_ctr: retransmits,
-                    demotions_ctr: demotions,
-                    lost_ctr: lost,
-                    restarts_ctr: restarts,
-                })
-            });
-            threads.push(handle_t.expect("spawn replica thread"));
+        // Scripted crashes without a recovery log would be permanent
+        // data loss, which the threaded runtime does not model — arm
+        // durability automatically.
+        if !config.schedule.crashes.is_empty() && config.durability.is_none() {
+            config.durability = Some(1024);
         }
+        let engine = engine_config(&graph, registry, &config);
+        let counters = Arc::new(Counters::default());
+        let epoch = Instant::now();
+        let replicas: Vec<ReplicaThread> = graph
+            .replicas()
+            .zip(handles)
+            .map(|(i, handle)| spawn_replica(i, &engine, &config, epoch, handle, &counters))
+            .collect();
         // The fault driver: walks the scripted crash/restart timeline on
         // the shared wall-clock tick and injects the events as commands.
         // Detached — it exits on its own once the timeline is done or the
         // replica threads are gone.
         let timeline = config.schedule.crash_timeline();
         if !timeline.is_empty() {
-            let txs = cmd_txs.clone();
+            let txs: Vec<CmdTx> = replicas.iter().map(|r| r.cmd_tx.clone()).collect();
             std::thread::spawn(move || {
                 for (tick, r, is_restart) in timeline {
                     let due = epoch + TICK * tick.min(u32::MAX as u64) as u32;
@@ -695,20 +599,8 @@ impl ThreadedCluster {
         }
         ThreadedCluster {
             graph,
-            cmd_txs,
-            threads,
-            shards,
-            snapshots,
-            applied,
-            pending,
-            sent,
-            wire_bytes,
-            retransmits,
-            demotions,
-            lost,
-            restarts,
-            crashed,
-            passes,
+            replicas,
+            counters,
             durable: config.durability.is_some(),
             net,
         }
@@ -730,15 +622,15 @@ impl ThreadedCluster {
     pub fn delivery_latencies_nanos(&self) -> Vec<u64> {
         let mut issued: HashMap<UpdateId, u64> = HashMap::new();
         let mut out = Vec::new();
-        for shard in &self.shards {
-            for s in shard.lock().iter() {
+        for r in &self.replicas {
+            for s in r.shared.shard.lock().iter() {
                 if let ShardEvent::Issue { id, .. } = s.ev {
                     issued.insert(id, s.nanos);
                 }
             }
         }
-        for shard in &self.shards {
-            for s in shard.lock().iter() {
+        for r in &self.replicas {
+            for s in r.shared.shard.lock().iter() {
                 if let ShardEvent::Apply { id } = s.ev {
                     if let Some(&t0) = issued.get(&id) {
                         out.push(s.nanos.saturating_sub(t0));
@@ -771,7 +663,8 @@ impl ThreadedCluster {
         v: Value,
     ) -> Result<UpdateId, ClusterError> {
         let (reply, rx) = bounded(1);
-        if self.cmd_txs[r.index()]
+        if self
+            .cmd(r)
             .send(Cmd::Write {
                 register: x,
                 value: v,
@@ -782,6 +675,14 @@ impl ThreadedCluster {
             return Err(ClusterError::Disconnected { replica: r });
         }
         rx.recv().map_err(|_| self.unreachable_kind(r))
+    }
+
+    fn cmd(&self, r: ReplicaId) -> &CmdTx {
+        &self.replicas[r.index()].cmd_tx
+    }
+
+    fn shared(&self, r: ReplicaId) -> &Shared {
+        &self.replicas[r.index()].shared
     }
 
     /// Classifies why a reply channel from `r` died: the thread dropped
@@ -807,7 +708,8 @@ impl ThreadedCluster {
     pub fn write_burst(&self, r: ReplicaId, writes: &[(RegisterId, Value)]) -> Vec<UpdateId> {
         let (reply, rx) = bounded(writes.len().max(1));
         for (x, v) in writes {
-            if self.cmd_txs[r.index()]
+            if self
+                .cmd(r)
                 .send(Cmd::Write {
                     register: *x,
                     value: v.clone(),
@@ -837,7 +739,7 @@ impl ThreadedCluster {
     /// are immutable once published). Reflects the replica's own writes
     /// as soon as [`write`](Self::write) returns.
     pub fn read(&self, r: ReplicaId, x: RegisterId) -> Option<Value> {
-        self.snapshots[r.index()].load().get(&x).cloned()
+        self.store_snapshot(r).get(&x).cloned()
     }
 
     /// Reads register `x` authoritatively *at* the replica thread: a
@@ -854,7 +756,8 @@ impl ThreadedCluster {
     /// yields a typed [`ClusterError`] instead of a panic.
     pub fn try_read_at(&self, r: ReplicaId, x: RegisterId) -> Result<Option<Value>, ClusterError> {
         let (reply, rx) = bounded(1);
-        if self.cmd_txs[r.index()]
+        if self
+            .cmd(r)
             .send(Cmd::ReadAt { register: x, reply })
             .is_err()
         {
@@ -866,7 +769,7 @@ impl ThreadedCluster {
     /// The full immutable [`ReplicaView`] currently published by `r`
     /// (store, provenance, and applied frontier, captured atomically).
     pub fn store_snapshot(&self, r: ReplicaId) -> Arc<ReplicaView> {
-        self.snapshots[r.index()].load()
+        self.shared(r).snapshot.load()
     }
 
     /// The share graph the cluster runs over.
@@ -889,7 +792,7 @@ impl ThreadedCluster {
         ops: Vec<(u64, RegisterId, Value)>,
         reply: Sender<(u64, WriteStatus)>,
     ) -> Result<(), Vec<(u64, RegisterId, Value)>> {
-        self.cmd_txs[r.index()]
+        self.cmd(r)
             .send(Cmd::WriteMany { ops, reply })
             .map_err(|cmd| match cmd {
                 Cmd::WriteMany { ops, .. } => ops,
@@ -900,12 +803,13 @@ impl ThreadedCluster {
     /// True if `r` is currently inside a crash window (lock-free flag —
     /// the serving tier's failover signal).
     pub fn is_crashed(&self, r: ReplicaId) -> bool {
-        self.crashed[r.index()].load(Ordering::SeqCst)
+        self.shared(r).crashed.load(Ordering::SeqCst)
     }
 
     /// Crashes replica `r` now, blocking until the crash took effect.
-    /// The replica's volatile state is gone; its durable [`RecoveryLog`]
-    /// survives for [`restart`](Self::restart).
+    /// The replica's volatile state is gone; its durable
+    /// [`RecoveryLog`](crate::RecoveryLog) survives for
+    /// [`restart`](Self::restart).
     ///
     /// # Panics
     ///
@@ -919,7 +823,7 @@ impl ThreadedCluster {
             "crash({r}) requires ClusterConfig::durability (recovery logs are not armed)"
         );
         let (done, rx) = bounded(1);
-        self.cmd_txs[r.index()]
+        self.cmd(r)
             .send(Cmd::Crash { done: Some(done) })
             .unwrap_or_else(|_| panic!("crash({r}): cluster has shut down"));
         let _ = rx.recv();
@@ -934,7 +838,7 @@ impl ThreadedCluster {
     /// Panics if the cluster has shut down.
     pub fn restart(&self, r: ReplicaId) {
         let (done, rx) = bounded(1);
-        self.cmd_txs[r.index()]
+        self.cmd(r)
             .send(Cmd::Restart { done: Some(done) })
             .unwrap_or_else(|_| panic!("restart({r}): cluster has shut down"));
         let _ = rx.recv();
@@ -945,13 +849,13 @@ impl ThreadedCluster {
     /// (command or frame), a closed batch window, a due session timer, or
     /// the idle park running out, so an idle cluster's count barely moves.
     pub fn loop_passes(&self, r: ReplicaId) -> u64 {
-        self.passes[r.index()].load(Ordering::Relaxed)
+        self.shared(r).passes.load(Ordering::Relaxed)
     }
 
     /// The snapshot publication counter of `r` (monotonically
     /// increasing; one bump per published state change).
     pub fn snapshot_version(&self, r: ReplicaId) -> u64 {
-        self.snapshots[r.index()].version()
+        self.shared(r).snapshot.version()
     }
 
     /// Blocks until the cluster is quiescent: every sent message that has
@@ -959,15 +863,16 @@ impl ThreadedCluster {
     /// permanently lost to a crash window) and no pending buffers remain,
     /// stable for a grace period.
     pub fn settle(&self) {
+        let c = &self.counters;
         let mut last = (usize::MAX, usize::MAX);
         let mut stable_since = Instant::now();
         loop {
             let now = (
-                self.applied.load(Ordering::SeqCst),
-                self.pending.load(Ordering::SeqCst),
+                c.applied.load(Ordering::SeqCst),
+                c.pending.load(Ordering::SeqCst),
             );
-            let sent = self.sent.load(Ordering::SeqCst);
-            let lost = self.lost.load(Ordering::SeqCst);
+            let sent = c.sent.load(Ordering::SeqCst);
+            let lost = c.lost.load(Ordering::SeqCst);
             let drained = now.0 + lost >= sent && now.1 == 0;
             if now != last {
                 last = now;
@@ -981,68 +886,68 @@ impl ThreadedCluster {
 
     /// Checks the recorded trace for replica-centric causal consistency.
     pub fn check(&self) -> CheckReport {
-        check(&merge_shards(&self.shards), self.graph.placement())
+        check(&self.trace_snapshot(), self.graph.placement())
     }
 
     /// A snapshot of the trace so far (shards merged and causally
     /// re-sorted).
     pub fn trace_snapshot(&self) -> Trace {
-        merge_shards(&self.shards)
+        merge_shards(self.replicas.iter().map(|r| &r.shared.shard))
     }
 
     /// Total remote applies so far.
     pub fn total_applied(&self) -> usize {
-        self.applied.load(Ordering::SeqCst)
+        self.counters.applied.load(Ordering::SeqCst)
     }
 
     /// Total metadata bytes sent so far, as framed by the wire codec.
     pub fn total_wire_bytes(&self) -> usize {
-        self.wire_bytes.load(Ordering::SeqCst)
+        self.counters.wire_bytes.load(Ordering::SeqCst)
     }
 
     /// Total session-layer retransmissions so far (0 without a session
     /// or on a clean network).
     pub fn total_retransmits(&self) -> usize {
-        self.retransmits.load(Ordering::SeqCst)
+        self.counters.retransmits.load(Ordering::SeqCst)
     }
 
     /// Total wire-codec demotions so far (0 unless a malformed layout
     /// was injected — registry layouts verify at construction).
     pub fn total_codec_demotions(&self) -> usize {
-        self.demotions.load(Ordering::SeqCst)
+        self.counters.demotions.load(Ordering::SeqCst)
     }
 
     /// Completed replica restarts (crash recoveries) so far.
     pub fn total_restarts(&self) -> usize {
-        self.restarts.load(Ordering::SeqCst)
+        self.counters.restarts.load(Ordering::SeqCst)
     }
 
     /// Updates permanently lost to crash windows so far (always 0 with a
     /// session layer — retransmission repairs crash-window losses).
     pub fn total_lost_to_crash(&self) -> usize {
-        self.lost.load(Ordering::SeqCst)
+        self.counters.lost.load(Ordering::SeqCst)
     }
 
     /// Shuts the cluster down, joining all replica threads.
     pub fn shutdown(mut self) -> Trace {
-        for tx in &self.cmd_txs {
-            let _ = tx.send(Cmd::Shutdown);
+        self.stop();
+        self.trace_snapshot()
+    }
+
+    /// Asks every replica thread to stop, then joins them all.
+    fn stop(&mut self) {
+        for r in &self.replicas {
+            let _ = r.cmd_tx.send(Cmd::Shutdown);
         }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        for r in &mut self.replicas {
+            r.join();
         }
-        merge_shards(&self.shards)
     }
 }
 
 impl Drop for ThreadedCluster {
     fn drop(&mut self) {
-        for tx in &self.cmd_txs {
-            let _ = tx.send(Cmd::Shutdown);
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        self.stop();
     }
 }
 
@@ -1075,14 +980,8 @@ pub enum NodeEvent {
 pub struct NodeRuntime {
     id: ReplicaId,
     graph: Arc<ShareGraph>,
-    cmd_tx: CmdTx,
-    thread: Option<JoinHandle<()>>,
-    shard: Arc<TraceShard>,
-    snapshot: Arc<SnapshotCell>,
-    applied: Arc<AtomicUsize>,
-    pending: Arc<AtomicUsize>,
-    sent: Arc<AtomicUsize>,
-    wire_bytes: Arc<AtomicUsize>,
+    replica: ReplicaThread,
+    counters: Arc<Counters>,
     endpoint: TcpEndpoint<SessionFrame<BatchMsg>>,
 }
 
@@ -1090,7 +989,7 @@ impl fmt::Debug for NodeRuntime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NodeRuntime")
             .field("id", &self.id)
-            .field("applied", &self.applied.load(Ordering::Relaxed))
+            .field("applied", &self.counters.applied.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -1111,70 +1010,25 @@ impl NodeRuntime {
     ) -> io::Result<NodeRuntime> {
         let id = bound.id();
         let graph = Arc::new(graph);
-        // Every process derives the identical registry from the shared
-        // graph — layout negotiation needs no cross-process exchange.
-        let registry = Arc::new(TsRegistry::new(
-            &graph,
-            TimestampGraphs::build(&graph, LoopConfig::EXHAUSTIVE),
-        ));
+        let registry = exact_registry(&graph);
         let mut cfg = tcp;
         cfg.ingress_depth = config.ingress_depth;
         let endpoint = TcpEndpoint::start(bound, peers, cfg, cluster_codec(id, registry.clone()))?;
-        let net = endpoint.handle();
-        let (tx, cmd_rx) = bounded::<Cmd>(config.channel_depth.max(1));
-        let cmd_tx = CmdTx {
-            tx,
-            bell: net.doorbell().clone(),
-        };
-        let shard: Arc<TraceShard> = Arc::new(Mutex::new(Vec::new()));
-        let snapshot = Arc::new(SnapshotCell::new(graph.num_replicas()));
-        let applied = Arc::new(AtomicUsize::new(0));
-        let pending = Arc::new(AtomicUsize::new(0));
-        let sent = Arc::new(AtomicUsize::new(0));
-        let wire_bytes = Arc::new(AtomicUsize::new(0));
-        let thread = std::thread::spawn({
-            let graph = graph.clone();
-            let shard = shard.clone();
-            let snapshot = snapshot.clone();
-            let applied = applied.clone();
-            let pending = pending.clone();
-            let sent = sent.clone();
-            let wire_bytes = wire_bytes.clone();
-            move || {
-                replica_main(ReplicaCtx {
-                    id,
-                    graph,
-                    registry,
-                    config,
-                    epoch: Instant::now(),
-                    net,
-                    cmds: cmd_rx,
-                    shard,
-                    snapshot,
-                    crashed_flag: Arc::new(AtomicBool::new(false)),
-                    passes: Arc::new(AtomicU64::new(0)),
-                    applied_ctr: applied,
-                    pending_ctr: pending,
-                    sent_ctr: sent,
-                    wire_bytes_ctr: wire_bytes,
-                    retransmits_ctr: Arc::new(AtomicUsize::new(0)),
-                    demotions_ctr: Arc::new(AtomicUsize::new(0)),
-                    lost_ctr: Arc::new(AtomicUsize::new(0)),
-                    restarts_ctr: Arc::new(AtomicUsize::new(0)),
-                })
-            }
-        });
+        let engine = engine_config(&graph, registry, &config);
+        let counters = Arc::new(Counters::default());
+        let replica = spawn_replica(
+            id,
+            &engine,
+            &config,
+            Instant::now(),
+            endpoint.handle(),
+            &counters,
+        );
         Ok(NodeRuntime {
             id,
             graph,
-            cmd_tx,
-            thread: Some(thread),
-            shard,
-            snapshot,
-            applied,
-            pending,
-            sent,
-            wire_bytes,
+            replica,
+            counters,
             endpoint,
         })
     }
@@ -1197,7 +1051,8 @@ impl NodeRuntime {
     /// down.
     pub fn write(&self, x: RegisterId, v: Value) -> UpdateId {
         let (reply, rx) = bounded(1);
-        self.cmd_tx
+        self.replica
+            .cmd_tx
             .send(Cmd::Write {
                 register: x,
                 value: v,
@@ -1210,27 +1065,27 @@ impl NodeRuntime {
 
     /// Lock-free snapshot read of register `x`.
     pub fn read(&self, x: RegisterId) -> Option<Value> {
-        self.snapshot.load().get(&x).cloned()
+        self.store_snapshot().get(&x).cloned()
     }
 
     /// The full published [`ReplicaView`].
     pub fn store_snapshot(&self) -> Arc<ReplicaView> {
-        self.snapshot.load()
+        self.replica.shared.snapshot.load()
     }
 
     /// Remote updates applied here so far.
     pub fn total_applied(&self) -> usize {
-        self.applied.load(Ordering::SeqCst)
+        self.counters.applied.load(Ordering::SeqCst)
     }
 
     /// Update messages sent from here so far.
     pub fn total_sent(&self) -> usize {
-        self.sent.load(Ordering::SeqCst)
+        self.counters.sent.load(Ordering::SeqCst)
     }
 
     /// Metadata bytes put on the wire so far (wire-codec frame sizes).
     pub fn total_wire_bytes(&self) -> usize {
-        self.wire_bytes.load(Ordering::SeqCst)
+        self.counters.wire_bytes.load(Ordering::SeqCst)
     }
 
     /// Blocks until this node has applied at least `expected_applies`
@@ -1243,8 +1098,9 @@ impl NodeRuntime {
         let mut stable_since = Instant::now();
         let mut last = usize::MAX;
         loop {
-            let applied = self.applied.load(Ordering::SeqCst);
-            let drained = applied >= expected_applies && self.pending.load(Ordering::SeqCst) == 0;
+            let applied = self.total_applied();
+            let drained =
+                applied >= expected_applies && self.counters.pending.load(Ordering::SeqCst) == 0;
             if applied != last {
                 last = applied;
                 stable_since = Instant::now();
@@ -1260,7 +1116,9 @@ impl NodeRuntime {
 
     /// This node's protocol events so far, in thread order.
     pub fn events(&self) -> Vec<NodeEvent> {
-        self.shard
+        self.replica
+            .shared
+            .shard
             .lock()
             .iter()
             .map(|s| match s.ev {
@@ -1278,10 +1136,8 @@ impl NodeRuntime {
     /// Shuts the node down: flushes queued batches, joins the replica
     /// thread, and returns the final event log.
     pub fn shutdown(mut self) -> Vec<NodeEvent> {
-        let _ = self.cmd_tx.send(Cmd::Shutdown);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        let _ = self.replica.cmd_tx.send(Cmd::Shutdown);
+        self.replica.join();
         self.endpoint.shutdown();
         self.events()
     }
@@ -1289,10 +1145,8 @@ impl NodeRuntime {
 
 impl Drop for NodeRuntime {
     fn drop(&mut self) {
-        let _ = self.cmd_tx.send(Cmd::Shutdown);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        let _ = self.replica.cmd_tx.send(Cmd::Shutdown);
+        self.replica.join();
     }
 }
 
@@ -1321,306 +1175,234 @@ impl CmdTx {
     }
 }
 
+/// Counters every replica thread of one cluster (or one node) adds to;
+/// the public `total_*` accessors say what each counts. `wire_bytes` is
+/// a statistic that publishes no other data, so each write adds to it
+/// `Relaxed`; readers see it through the channel and `applied` hand-offs
+/// every delivery already makes.
+#[derive(Default)]
+struct Counters {
+    applied: AtomicUsize,
+    pending: AtomicUsize,
+    sent: AtomicUsize,
+    wire_bytes: AtomicUsize,
+    retransmits: AtomicUsize,
+    demotions: AtomicUsize,
+    lost: AtomicUsize,
+    restarts: AtomicUsize,
+}
+
+/// What a replica thread shares with its driver: the trace shard, the
+/// read snapshot, the crash flag (the serving tier's failover signal,
+/// read without a command round trip) and the loop-pass counter.
+struct Shared {
+    shard: TraceShard,
+    snapshot: SnapshotCell,
+    crashed: AtomicBool,
+    passes: AtomicU64,
+}
+
+/// What a driver keeps of one spawned replica thread.
+struct ReplicaThread {
+    cmd_tx: CmdTx,
+    thread: Option<JoinHandle<()>>,
+    shared: Arc<Shared>,
+}
+
+impl ReplicaThread {
+    fn join(&mut self) {
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
+    }
+}
+
+/// The exact edge-indexed registry. Every process derives the identical
+/// one from the shared graph, so layout negotiation needs no exchange.
+fn exact_registry(graph: &ShareGraph) -> Arc<TsRegistry> {
+    let graphs = TimestampGraphs::build(graph, LoopConfig::EXHAUSTIVE);
+    Arc::new(TsRegistry::new(graph, graphs))
+}
+
+/// The runtime's [`EngineConfig`]: the engine clock is µs since the
+/// cluster epoch, so the batch window (`flush_after` ticks of
+/// [`TICK`]) and the session timers (ms) are scaled to µs here, once.
+fn engine_config(
+    graph: &Arc<ShareGraph>,
+    registry: Arc<TsRegistry>,
+    config: &ClusterConfig,
+) -> Arc<EngineConfig> {
+    let us = |ms: u64| ms.saturating_mul(1000);
+    Arc::new(EngineConfig {
+        graph: Arc::clone(graph),
+        data: graph.placement().clone(),
+        broadcast: false,
+        registry: Some(registry),
+        wire: config.wire,
+        batch: config.batch,
+        window: (TICK.as_micros() as u64).saturating_mul(config.batch.flush_after),
+        crash_capable: config.durability.is_some(),
+        session: config.session.map(|s| SessionConfig {
+            rto_base: us(s.rto_base),
+            rto_max: us(s.rto_max),
+            jitter: us(s.jitter),
+            ack_delay: us(s.ack_delay),
+        }),
+        snapshot_every: config.durability,
+    })
+}
+
+/// Spawns replica `id`'s thread (`apply-N`) over transport `net` — the
+/// one place a [`ReplicaCtx`] is assembled, for both
+/// [`ThreadedCluster`] and [`NodeRuntime`].
+fn spawn_replica<T: Transport<Msg = SessionFrame<BatchMsg>>>(
+    id: ReplicaId,
+    engine: &Arc<EngineConfig>,
+    config: &ClusterConfig,
+    epoch: Instant,
+    net: T,
+    counters: &Arc<Counters>,
+) -> ReplicaThread {
+    let (tx, cmds) = bounded::<Cmd>(config.channel_depth.max(1));
+    let cmd_tx = CmdTx {
+        tx,
+        bell: net.doorbell().clone(),
+    };
+    let shared = Arc::new(Shared {
+        shard: Mutex::new(Vec::new()),
+        snapshot: SnapshotCell::new(engine.graph.num_replicas()),
+        crashed: AtomicBool::new(false),
+        passes: AtomicU64::new(0),
+    });
+    let ctx = ReplicaCtx {
+        id,
+        engine: Arc::clone(engine),
+        store: config.store,
+        epoch,
+        net,
+        cmds,
+        shared: Arc::clone(&shared),
+        counters: Arc::clone(counters),
+    };
+    let thread = std::thread::Builder::new()
+        .name(format!("apply-{}", id.raw()))
+        .spawn(move || replica_main(ctx))
+        .expect("spawn replica thread");
+    ReplicaThread {
+        cmd_tx,
+        thread: Some(thread),
+        shared,
+    }
+}
+
 /// Everything one replica thread owns. Generic over the [`Transport`]
 /// carrying session frames: [`prcc_net::NodeHandle`] in-process,
 /// [`prcc_net::TcpHandle`] over real sockets — the loop is identical.
 struct ReplicaCtx<T: Transport<Msg = SessionFrame<BatchMsg>>> {
     id: ReplicaId,
-    graph: Arc<ShareGraph>,
-    registry: Arc<TsRegistry>,
-    config: ClusterConfig,
+    engine: Arc<EngineConfig>,
+    store: StoreMode,
     epoch: Instant,
     net: T,
     cmds: Receiver<Cmd>,
-    shard: Arc<TraceShard>,
-    snapshot: Arc<SnapshotCell>,
-    crashed_flag: Arc<AtomicBool>,
-    passes: Arc<AtomicU64>,
-    applied_ctr: Arc<AtomicUsize>,
-    pending_ctr: Arc<AtomicUsize>,
-    sent_ctr: Arc<AtomicUsize>,
-    wire_bytes_ctr: Arc<AtomicUsize>,
-    retransmits_ctr: Arc<AtomicUsize>,
-    demotions_ctr: Arc<AtomicUsize>,
-    lost_ctr: Arc<AtomicUsize>,
-    restarts_ctr: Arc<AtomicUsize>,
+    shared: Arc<Shared>,
+    counters: Arc<Counters>,
 }
 
-/// A per-destination pending batch on the sender side.
-struct Outq {
-    msgs: Vec<UpdateMsg>,
-    bytes: usize,
-    due: Instant,
-}
-
-/// Wraps queued updates as a batch and hands it to the session layer
-/// (or ships it bare). With a recovery log armed, the batch enters the
-/// durable outbox *before* the network sees it — restart rebuilds the
-/// session sender streams from exactly this history.
-fn ship<T: Transport<Msg = SessionFrame<BatchMsg>>>(
-    msgs: Vec<UpdateMsg>,
-    dst: ReplicaId,
-    endpoint: &mut Option<SessionEndpoint<BatchMsg>>,
-    net: &T,
-    now_ms: u64,
-    log: &mut Option<RecoveryLog>,
-) {
-    let batch = BatchMsg { updates: msgs };
-    if let Some(lg) = log.as_mut() {
-        lg.record_send(dst, batch.clone());
-    }
-    let frame = match endpoint.as_mut() {
-        Some(ep) => ep.send(dst, batch, now_ms),
-        None => SessionFrame::Bare(batch),
-    };
-    net.send(dst, frame);
-}
-
-/// The encode-and-ship half of a replica's transmit path: wire codec,
-/// pending per-destination batches, session endpoint, and the network
-/// handle. Owned by the replica thread — per-pair codec delta state
-/// never crosses threads.
-///
-/// The cluster-wide `wire_bytes` / `demotions` / `retransmits` counters
-/// are statistics that publish no other data, so they take one `Relaxed`
-/// add per fan-out or pass; readers see them through the channel and
-/// `applied` counter hand-offs every delivery already makes.
-struct FanoutPath<T: Transport<Msg = SessionFrame<BatchMsg>>> {
-    id: ReplicaId,
-    codec: WireCodec,
-    outq: HashMap<ReplicaId, Outq>,
-    /// The earliest `due` among `outq`'s batches. Windows are one fixed
-    /// length, so this is the oldest open batch; a batch that ships early
-    /// on count or bytes may leave it stale-early, which costs one rescan
-    /// in [`flush_due`](Self::flush_due), never a late batch.
-    next_due: Option<Instant>,
-    endpoint: Option<SessionEndpoint<BatchMsg>>,
-    net: T,
-    epoch: Instant,
-    batch: BatchPolicy,
-    eager: bool,
-    flush_window: Duration,
-    wire_bytes_ctr: Arc<AtomicUsize>,
-    demotions_ctr: Arc<AtomicUsize>,
-    retransmits_ctr: Arc<AtomicUsize>,
-    last_demotions: usize,
-    last_retx: usize,
-}
-
-impl<T: Transport<Msg = SessionFrame<BatchMsg>>> FanoutPath<T> {
-    /// Session timers run on wall-clock milliseconds since the cluster
-    /// epoch — the real-timer counterpart of the sim clock.
-    fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
-    }
-
-    fn ship(&mut self, msgs: Vec<UpdateMsg>, dst: ReplicaId, log: &mut Option<RecoveryLog>) {
-        let now_ms = self.now_ms();
-        ship(msgs, dst, &mut self.endpoint, &self.net, now_ms, log);
-    }
-
-    /// Encodes `msg` for each recipient and ships it (eager) or
-    /// coalesces it into the per-destination batch. Encode-once
-    /// fan-out: the metadata `Arc` (or its per-pair projected frame) is
-    /// shared, not cloned, and identical pair streams share one varint
-    /// pass.
-    fn fanout(
-        &mut self,
-        msg: &UpdateMsg,
-        recipients: Vec<ReplicaId>,
-        log: &mut Option<RecoveryLog>,
-    ) {
-        let metas = self.codec.encode_fanout(self.id, &recipients, &msg.meta);
-        let demoted = self.codec.stats().demotions;
-        if demoted > self.last_demotions {
-            // Delta, not a store: other replica threads are adding
-            // their own demotions to the same counter.
-            self.demotions_ctr
-                .fetch_add(demoted - self.last_demotions, Ordering::Relaxed);
-            self.last_demotions = demoted;
-        }
-        let mut wire_bytes = 0;
-        for (dst, meta) in recipients.into_iter().zip(metas) {
-            wire_bytes += meta.size_bytes();
-            let m = UpdateMsg {
-                meta,
-                ..msg.clone()
-            };
-            if self.eager {
-                self.ship(vec![m], dst, log);
-            } else {
-                let q = self.outq.entry(dst).or_insert_with(|| Outq {
-                    msgs: Vec::new(),
-                    bytes: 0,
-                    due: Instant::now() + self.flush_window,
-                });
-                self.next_due.get_or_insert(q.due);
-                q.bytes += m.size_bytes();
-                q.msgs.push(m);
-                if q.msgs.len() >= self.batch.batch_count || q.bytes >= self.batch.batch_bytes {
-                    let q = self.outq.remove(&dst).expect("slot just filled");
-                    self.ship(q.msgs, dst, log);
-                }
-            }
-        }
-        self.wire_bytes_ctr.fetch_add(wire_bytes, Ordering::Relaxed);
-    }
-
-    /// Ships batches whose coalescing window has closed. Returns when
-    /// the next one closes, if any batch is still open.
-    fn flush_due(&mut self, log: &mut Option<RecoveryLog>) -> Option<Instant> {
-        let due = self.next_due?;
-        let now = Instant::now();
-        if due <= now {
-            let now_ms = self.now_ms();
-            let (endpoint, net) = (&mut self.endpoint, &self.net);
-            let mut next: Option<Instant> = None;
-            self.outq.retain(|&dst, q| {
-                let open = q.due > now;
-                if open {
-                    next = Some(next.map_or(q.due, |n| n.min(q.due)));
-                } else {
-                    ship(std::mem::take(&mut q.msgs), dst, endpoint, net, now_ms, log);
-                }
-                open
-            });
-            self.next_due = next;
-        }
-        self.next_due
-    }
-
-    /// Flushes every unshipped batch so nothing queued is lost.
-    fn flush_all(&mut self, log: &mut Option<RecoveryLog>) {
-        self.next_due = None;
-        for (dst, q) in std::mem::take(&mut self.outq) {
-            self.ship(q.msgs, dst, log);
-        }
-    }
-
-    /// Fires due retransmission / delayed-ack timers and rolls the
-    /// endpoint's retransmit counter delta into the cluster total.
-    /// Returns when the next timer is due, if any is armed.
-    fn poll_session(&mut self) -> Option<Instant> {
-        let now = self.now_ms();
-        let ep = self.endpoint.as_mut()?;
-        let mut next = ep.next_deadline();
-        if next.is_some_and(|d| d <= now) {
-            let mut due = Vec::new();
-            ep.poll(now, &mut due);
-            for (dst, f) in due {
-                self.net.send(dst, f);
-            }
-            next = ep.next_deadline();
-        }
-        let retx = ep.stats().retransmits;
-        if retx != self.last_retx {
-            self.retransmits_ctr
-                .fetch_add(retx - self.last_retx, Ordering::Relaxed);
-            self.last_retx = retx;
-        }
-        next.map(|ms| self.epoch + Duration::from_millis(ms))
-    }
-}
-
-/// The transmit path of the replica loop: issue (WAL + write + stamp)
-/// fused with [`FanoutPath`] encode/ship, plus the durable log the
-/// command loop also records deliveries through. Factored out of the
-/// command loop so [`Cmd::Write`] and [`Cmd::WriteMany`] share one issue
-/// path.
+/// The replica thread's side of every engine input: sends the frames
+/// the engine emitted, stamps issues and applies into the trace shard,
+/// and adds to the cluster counters.
 struct TxPath<'a, T: Transport<Msg = SessionFrame<BatchMsg>>> {
-    fan: FanoutPath<T>,
-    graph: &'a ShareGraph,
-    /// Durable recovery log, when armed. Owned here because the WAL's
-    /// outbox entries are written on the transmit path (`ship`), but the
-    /// command loop also records deliveries and drives snapshots/recovery
-    /// through it.
-    log: Option<RecoveryLog>,
+    net: &'a T,
+    /// The engine's effect buffer, drained by [`send`](Self::send).
+    out: Vec<Outgoing>,
     shard: &'a TraceShard,
-    shard_seq: u64,
-    sent_ctr: &'a AtomicUsize,
+    seq: u64,
+    epoch: Instant,
+    counters: &'a Counters,
 }
 
 impl<T: Transport<Msg = SessionFrame<BatchMsg>>> TxPath<'_, T> {
-    /// Issues one write at `replica`, stamps the issue, and fans the
-    /// update out to the register's other holders (batched or eager per
-    /// policy). Returns the new update's id. Does *not* publish a
-    /// snapshot — the caller publishes once per drain burst, which is
-    /// what makes bursts cheap.
-    fn issue(&mut self, replica: &mut Replica, register: RegisterId, value: Value) -> UpdateId {
-        // Write-ahead: the WAL entry lands before the write executes or
-        // any ack can escape (crashes are injected at command
-        // granularity, so the entry and the state change are atomic).
-        if let Some(lg) = self.log.as_mut() {
-            lg.record_own_write(register, value.clone());
+    /// Sends every frame the engine's last input emitted.
+    fn send(&mut self) {
+        for (dst, frame) in self.out.drain(..) {
+            self.net.send(dst, frame);
         }
-        let id = self.fan.id;
-        let recipients: Vec<ReplicaId> = self
-            .graph
-            .placement()
-            .holders(register)
-            .iter()
-            .copied()
-            .filter(|&h| h != id)
-            .collect();
-        let (msg, recipients) = replica
-            .write(register, value, recipients)
-            .unwrap_or_else(|e| panic!("{e}"));
-        let uid = UpdateId {
-            issuer: id,
-            seq: msg.seq,
-        };
-        // Stamp the issue *before* any send: the shard merge relies on
-        // issue stamps preceding all apply stamps.
-        self.shard.lock().push(Stamped {
-            nanos: self.fan.epoch.elapsed().as_nanos() as u64,
-            seq: self.shard_seq,
-            ev: ShardEvent::Issue { id: uid, register },
-        });
-        self.shard_seq += 1;
-        self.sent_ctr.fetch_add(recipients.len(), Ordering::SeqCst);
-        self.fan.fanout(&msg, recipients, &mut self.log);
-        uid
     }
 
-    /// Applies one decoded batch: store writes, tracker merge, frontier
-    /// advance, apply stamps. Returns how many updates were applied (the
-    /// caller owes a publish when any were).
-    fn apply_batch(
-        &mut self,
-        replica: &mut Replica,
-        batch: BatchMsg,
-        frontier: &mut [u64],
-    ) -> usize {
-        let applied = replica.receive_batch(batch.updates);
+    fn record(&mut self, nanos: u64, evs: impl IntoIterator<Item = ShardEvent>) {
+        let mut s = self.shard.lock();
+        for ev in evs {
+            s.push(Stamped {
+                nanos,
+                seq: self.seq,
+                ev,
+            });
+            self.seq += 1;
+        }
+    }
+
+    /// Issues one write through the engine, stamps it, and sends its
+    /// frames. Does *not* publish a snapshot — the caller publishes once
+    /// per drain burst, which is what makes bursts cheap.
+    fn issue(&mut self, engine: &mut Engine, register: RegisterId, value: Value) -> UpdateId {
+        // The stamp is taken before any frame leaves: the shard merge
+        // relies on issue stamps preceding all apply stamps.
+        let nanos = self.epoch.elapsed().as_nanos() as u64;
+        let issued = engine
+            .write(register, value, nanos / 1000, &mut self.out, |_, _| {})
+            .unwrap_or_else(|e| panic!("{e}"));
+        let id = UpdateId {
+            issuer: issued.msg.issuer,
+            seq: issued.msg.seq,
+        };
+        self.record(nanos, [ShardEvent::Issue { id, register }]);
+        let c = self.counters;
+        c.sent.fetch_add(issued.fanout, Ordering::SeqCst);
+        c.wire_bytes.fetch_add(issued.wire_bytes, Ordering::Relaxed);
+        self.send();
+        id
+    }
+
+    /// Stamps a delivery's applies; returns how many there were.
+    fn applied(&mut self, applied: &[Applied]) -> usize {
         if !applied.is_empty() {
-            let mut s = self.shard.lock();
-            let nanos = self.fan.epoch.elapsed().as_nanos() as u64;
-            for a in &applied {
-                let issuer = a.msg.issuer;
-                let f = &mut frontier[issuer.index()];
-                *f = (*f).max(a.msg.seq + 1);
-                s.push(Stamped {
-                    nanos,
-                    seq: self.shard_seq,
-                    ev: ShardEvent::Apply {
-                        id: UpdateId {
-                            issuer,
-                            seq: a.msg.seq,
-                        },
+            let nanos = self.epoch.elapsed().as_nanos() as u64;
+            self.record(
+                nanos,
+                applied.iter().map(|a| ShardEvent::Apply {
+                    id: UpdateId {
+                        issuer: a.msg.issuer,
+                        seq: a.msg.seq,
                     },
-                });
-                self.shard_seq += 1;
-            }
+                }),
+            );
         }
         applied.len()
     }
 }
 
-/// Publishes `replica`'s current state as one immutable [`ReplicaView`]:
-/// store, per-register provenance, and the applied frontier, captured
-/// together so readers never see a store newer than its frontier.
-fn publish_view(snapshot: &SnapshotCell, replica: &Replica, frontier: &[u64], mode: StoreMode) {
-    snapshot.publish(ReplicaView::capture(replica, mode, frontier.to_vec()));
+/// Moves a per-thread running total's change since `last` into the
+/// cluster counter `ctr`, which every replica thread adds to.
+fn roll(ctr: &AtomicUsize, last: &mut usize, now: usize) {
+    if now > *last {
+        ctr.fetch_add(now - *last, Ordering::SeqCst);
+    } else if now < *last {
+        ctr.fetch_sub(*last - now, Ordering::SeqCst);
+    }
+    *last = now;
+}
+
+/// Publishes the engine's current state as one immutable
+/// [`ReplicaView`]: store, per-register provenance, and the applied
+/// frontier, captured together so readers never see a store newer than
+/// its frontier.
+fn publish_view(snapshot: &SnapshotCell, engine: &Engine, mode: StoreMode) {
+    snapshot.publish(ReplicaView::capture(
+        engine.replica(),
+        mode,
+        engine.frontier().to_vec(),
+    ));
 }
 
 /// A [`Cmd::WriteMany`] reply channel plus the per-write statuses owed
@@ -1643,15 +1425,9 @@ impl DeferredReplies {
     /// Publishes once (iff any write is pending) and releases every
     /// held completion token — the one-publish-per-drain-burst path
     /// shared by [`Cmd::Write`] and [`Cmd::WriteMany`].
-    fn release(
-        &mut self,
-        snapshot: &SnapshotCell,
-        replica: &Replica,
-        frontier: &[u64],
-        mode: StoreMode,
-    ) {
+    fn release(&mut self, snapshot: &SnapshotCell, engine: &Engine, mode: StoreMode) {
         if self.wrote {
-            publish_view(snapshot, replica, frontier, mode);
+            publish_view(snapshot, engine, mode);
             self.wrote = false;
         }
         for (reply, uid) in self.writes.drain(..) {
@@ -1673,96 +1449,55 @@ impl DeferredReplies {
 pub const IDLE_PARK: Duration = Duration::from_millis(50);
 
 /// The replica loop — the one loop every configuration runs (batched or
-/// eager, durable or not, `ThreadNet` or TCP, crash-bearing or not):
-/// commands, network input, publishes, session timers, WAL and
-/// crash/restart on one thread with exactly one blocking point.
+/// eager, durable or not, `ThreadNet` or TCP, crash-bearing or not). It
+/// drives one [`Engine`] (codec, batches, session, WAL, crash/restart)
+/// and owns what the engine does not: commands, the doorbell park, the
+/// trace shard, snapshot publishing and the cluster counters. Every
+/// engine input is followed by sending the frames it emitted.
 ///
 /// Each pass drains a burst of commands, publishes once and releases
 /// their completion tokens, drains a burst of frames, publishes once,
-/// ships the batches whose window closed and fires the session timers
-/// that are due. It then parks on the transport's [`Doorbell`] until the
-/// earliest open batch window or armed session timer, and is woken early
-/// only by an arrival: a command ([`CmdTx`] rings) or a delivered frame
-/// (the substrate rings). The bell's token is sticky, so an arrival
-/// between the last queue check and the park is never slept through.
+/// and ticks the engine (closed batch windows, due session timers). It
+/// then parks on the transport's [`Doorbell`] until the engine's next
+/// deadline, and is woken early only by an arrival: a command ([`CmdTx`]
+/// rings) or a delivered frame (the substrate rings). The bell's token is
+/// sticky, so an arrival between the last queue check and the park is
+/// never slept through.
 fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) {
     let ReplicaCtx {
         id,
-        graph,
-        registry,
-        config,
+        engine: config,
+        store: mode,
         epoch,
         net,
         cmds,
-        shard,
-        snapshot,
-        crashed_flag,
-        passes,
-        applied_ctr,
-        pending_ctr,
-        sent_ctr,
-        wire_bytes_ctr,
-        retransmits_ctr,
-        demotions_ctr,
-        lost_ctr,
-        restarts_ctr,
+        shared,
+        counters,
     } = ctx;
     let bell = net.doorbell().clone();
     bell.bind();
-    let wire_mode = config.wire;
-    let mode = config.store;
-    let mut replica = Replica::new(
+    let registry = config.registry.clone().expect("runtime engines compress");
+    let replica = Replica::new(
         id,
-        graph.placement().registers_of(id).clone(),
-        Box::new(EdgeTracker::new(registry.clone(), id)) as Box<dyn CausalityTracker>,
+        config.graph.placement().registers_of(id).clone(),
+        Box::new(EdgeTracker::new(registry, id)) as Box<dyn CausalityTracker>,
     );
-    let log = config
-        .durability
-        .map(|every| RecoveryLog::new(replica.clone(), every));
-    // Durability forces eager shipping: an acked write must already sit
-    // in the outbox when a crash hits, and crash atomicity is per
-    // command — a batch coalescing across commands would ack writes
-    // whose updates exist nowhere durable.
-    let eager = config.batch.batch_count <= 1 || log.is_some();
+    let mut engine = Engine::new(replica, config);
+    // The engine clock: µs since the cluster epoch.
+    let now = || epoch.elapsed().as_micros() as u64;
     let mut tx = TxPath {
-        fan: FanoutPath {
-            id,
-            // The sender thread owns the codec for its outgoing pair
-            // streams — per-pair delta state never crosses threads.
-            codec: WireCodec::new(wire_mode, Some(registry.clone())),
-            outq: HashMap::new(),
-            next_due: None,
-            endpoint: config.session.map(|cfg| SessionEndpoint::new(id, cfg)),
-            net,
-            epoch,
-            batch: config.batch,
-            eager,
-            flush_window: TICK * config.batch.flush_after.min(u32::MAX as u64) as u32,
-            wire_bytes_ctr,
-            demotions_ctr,
-            retransmits_ctr,
-            last_demotions: 0,
-            last_retx: 0,
-        },
-        graph: &graph,
-        log,
-        shard: &shard,
-        shard_seq: 0,
-        sent_ctr: &sent_ctr,
+        net: &net,
+        out: Vec::new(),
+        shard: &shared.shard,
+        seq: 0,
+        epoch,
+        counters: &counters,
     };
-    let mut local_pending = 0usize;
-    // Per-issuer applied frontier published with every snapshot — the
-    // serving tier's lock-free session-guarantee gate (see
-    // [`ReplicaView::covers`]).
-    let mut frontier = vec![0u64; graph.num_replicas()];
-    // Inside a crash window: commands and frames are discarded (clients
-    // get typed rejections), volatile state is dead weight awaiting the
-    // restart's WAL replay.
-    let mut crashed = false;
+    let (mut local_pending, mut last_retx, mut last_demotions) = (0, 0, 0);
     // Completion tokens held for the burst's single publish.
     let mut deferred = DeferredReplies::default();
     loop {
-        passes.fetch_add(1, Ordering::Relaxed);
+        shared.passes.fetch_add(1, Ordering::Relaxed);
         // Set when a burst budget ran out with its queue possibly
         // non-empty: that input rang the bell before this pass took it,
         // so only an explicit next pass (not a park) is sure to see it.
@@ -1786,14 +1521,12 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) 
                     value,
                     reply,
                 } => {
-                    if crashed {
+                    if engine.is_crashed() {
                         // Dropping the reply sender surfaces as a typed
                         // ClusterError::Crashed at the caller.
-                        drop(reply);
                         continue;
                     }
-                    let uid = tx.issue(&mut replica, register, value);
-                    frontier[id.index()] = uid.seq + 1;
+                    let uid = tx.issue(&mut engine, register, value);
                     // Defer the completion: the burst publishes once,
                     // and no token escapes before that publish
                     // (read-own-writes).
@@ -1801,7 +1534,7 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) 
                     deferred.writes.push((reply, uid));
                 }
                 Cmd::WriteMany { ops, reply } => {
-                    if crashed {
+                    if engine.is_crashed() {
                         // Typed per-op rejection: the serving tier
                         // re-routes each op to a live holder.
                         for (token, _, _) in ops {
@@ -1809,79 +1542,53 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) 
                         }
                         continue;
                     }
-                    let mut done = Vec::with_capacity(ops.len());
-                    for (token, register, value) in ops {
-                        let uid = tx.issue(&mut replica, register, value);
-                        frontier[id.index()] = uid.seq + 1;
-                        done.push((token, WriteStatus::Done(uid)));
-                    }
+                    let done: Vec<_> = ops
+                        .into_iter()
+                        .map(|(token, register, value)| {
+                            (
+                                token,
+                                WriteStatus::Done(tx.issue(&mut engine, register, value)),
+                            )
+                        })
+                        .collect();
                     deferred.wrote |= !done.is_empty();
                     deferred.many.push((reply, done));
                 }
                 Cmd::ReadAt { register, reply } => {
-                    if crashed {
-                        drop(reply);
-                        continue;
+                    if !engine.is_crashed() {
+                        let _ = reply.send(engine.replica().read(register).cloned());
                     }
-                    let _ = reply.send(replica.read(register).cloned());
                 }
                 Cmd::Crash { done } => {
                     // The crash must observe every completion already
                     // promised: publish and release before the window
                     // opens.
-                    deferred.release(&snapshot, &replica, &frontier, mode);
-                    // Without a durable log a crash would be permanent
-                    // data loss; this runtime only models recoverable
-                    // fail-stop, so the command is ignored.
-                    if !crashed && tx.log.is_some() {
-                        crashed = true;
-                        crashed_flag.store(true, Ordering::SeqCst);
-                        // Volatile sender state dies with the process
-                        // image. Durability keeps shipping eager, so the
-                        // outq is empty and no acked write is in it.
-                        tx.fan.outq.clear();
-                        tx.fan.next_due = None;
+                    deferred.release(&shared.snapshot, &engine, mode);
+                    if engine.crash() {
+                        shared.crashed.store(true, Ordering::SeqCst);
                     }
                     if let Some(d) = done {
                         let _ = d.send(());
                     }
                 }
                 Cmd::Restart { done } => {
-                    deferred.release(&snapshot, &replica, &frontier, mode);
-                    if crashed {
-                        let lg = tx.log.as_ref().expect("crashed implies a log");
-                        let (rec, fr) = lg.recover_with_frontier(graph.num_replicas());
-                        replica = rec;
-                        frontier = fr;
-                        // Fresh codec: per-pair delta streams restart
-                        // from scratch. Sound because frames carry
-                        // decoded metadata values (receivers hold no
-                        // stream state); only byte accounting changes.
-                        tx.fan.codec = WireCodec::new(wire_mode, Some(registry.clone()));
-                        if let Some(ep) = tx.fan.endpoint.as_mut() {
-                            let mut out = Vec::new();
-                            let now_ms = epoch.elapsed().as_millis() as u64;
-                            ep.restart(lg.outbox(), &lg.recv_cums(), now_ms, &mut out);
-                            for (dst, f) in out {
-                                tx.fan.net.send(dst, f);
-                            }
-                        }
-                        crashed = false;
-                        crashed_flag.store(false, Ordering::SeqCst);
-                        restarts_ctr.fetch_add(1, Ordering::SeqCst);
+                    deferred.release(&shared.snapshot, &engine, mode);
+                    if engine.restart(now(), &mut tx.out) {
+                        tx.send();
+                        shared.crashed.store(false, Ordering::SeqCst);
+                        counters.restarts.fetch_add(1, Ordering::SeqCst);
                         // Republish from recovered state: durable writes
                         // become snapshot-visible again immediately.
-                        publish_view(&snapshot, &replica, &frontier, mode);
+                        publish_view(&shared.snapshot, &engine, mode);
                     }
                     if let Some(d) = done {
                         let _ = d.send(());
                     }
                 }
                 Cmd::Shutdown => {
-                    deferred.release(&snapshot, &replica, &frontier, mode);
-                    if !crashed {
-                        tx.fan.flush_all(&mut tx.log);
-                    }
+                    deferred.release(&shared.snapshot, &engine, mode);
+                    engine.flush_all(now(), &mut tx.out);
+                    tx.send();
                     return;
                 }
             }
@@ -1889,88 +1596,53 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) 
         more |= budget == 0;
         // One publish for the whole burst, then every held completion
         // token — never a token before its write is snapshot-visible.
-        deferred.release(&snapshot, &replica, &frontier, mode);
+        deferred.release(&shared.snapshot, &engine, mode);
         // Then a burst of network input.
         let mut applied = 0;
         let mut budget = 256;
         while budget > 0 {
-            let Some(env) = tx.fan.net.try_recv() else {
+            let Some(env) = net.try_recv() else {
                 break;
             };
             budget -= 1;
-            if crashed {
+            if engine.is_crashed() {
                 // A crashed node's NIC is dark: frames vanish. Bare
                 // frames (no session) are permanent losses and must be
                 // accounted so `settle` can still converge; session
                 // frames will be retransmitted until after the restart.
-                if tx.fan.endpoint.is_none() {
-                    if let SessionFrame::Bare(b) = env.msg {
-                        lost_ctr.fetch_add(b.updates.len(), Ordering::SeqCst);
-                    }
+                if let SessionFrame::Bare(b) = &env.msg {
+                    counters.lost.fetch_add(b.updates.len(), Ordering::SeqCst);
                 }
                 continue;
             }
-            let payloads = match tx.fan.endpoint.as_mut() {
-                Some(ep) => {
-                    let now = epoch.elapsed().as_millis() as u64;
-                    let mut resp = Vec::new();
-                    let msgs = ep.on_frame(env.src, env.msg, now, &mut resp);
-                    // Ack-after-durable: every in-order payload reaches
-                    // the WAL before the cumulative ack for it can reach
-                    // the network, so a peer's acked point never runs
-                    // ahead of this replica's durable log.
-                    if let Some(lg) = tx.log.as_mut() {
-                        for b in &msgs {
-                            lg.record_delivery(env.src, b.clone());
-                        }
-                    }
-                    for (dst, f) in resp {
-                        tx.fan.net.send(dst, f);
-                    }
-                    msgs
-                }
-                None => match env.msg {
-                    SessionFrame::Bare(b) => {
-                        if let Some(lg) = tx.log.as_mut() {
-                            lg.record_delivery(env.src, b.clone());
-                        }
-                        vec![b]
-                    }
-                    // Session frames without a session endpoint cannot
-                    // happen (both are chosen by the same constructor).
-                    _ => Vec::new(),
-                },
-            };
-            for batch in payloads {
-                applied += tx.apply_batch(&mut replica, batch, &mut frontier);
-            }
+            let got = engine.on_frame(env.src, env.msg, now(), &mut tx.out, |_| {});
+            tx.send();
+            applied += tx.applied(&got);
         }
         more |= budget == 0;
         if applied > 0 {
-            applied_ctr.fetch_add(applied, Ordering::SeqCst);
-            publish_view(&snapshot, &replica, &frontier, mode);
+            counters.applied.fetch_add(applied, Ordering::SeqCst);
+            publish_view(&shared.snapshot, &engine, mode);
         }
         let mut wake = None;
-        if !crashed {
-            // Compact the WAL once per loop pass: the live state now
-            // reflects every logged event of this pass.
-            if let Some(lg) = tx.log.as_mut() {
-                lg.maybe_snapshot_with_frontier(&replica, &frontier);
-            }
-            // Roll the pending-buffer delta into the cluster counter.
-            let np = replica.pending_count();
-            if np > local_pending {
-                pending_ctr.fetch_add(np - local_pending, Ordering::SeqCst);
-            } else if np < local_pending {
-                pending_ctr.fetch_sub(local_pending - np, Ordering::SeqCst);
-            }
-            local_pending = np;
+        if !engine.is_crashed() {
+            let pending = engine.replica().pending_count();
+            roll(&counters.pending, &mut local_pending, pending);
             // Ship the batches whose window closed, fire the session
             // timers that are due, and learn when the next of either is.
-            let batch_due = tx.fan.flush_due(&mut tx.log);
-            let timer_due = tx.fan.poll_session();
-            wake = [batch_due, timer_due].into_iter().flatten().min();
+            engine.tick(now(), &mut tx.out);
+            tx.send();
+            wake = engine
+                .next_deadline()
+                .map(|us| epoch + Duration::from_micros(us));
         }
+        let retx = engine.session_stats().map_or(0, |s| s.retransmits);
+        roll(&counters.retransmits, &mut last_retx, retx);
+        roll(
+            &counters.demotions,
+            &mut last_demotions,
+            engine.codec_stats().demotions,
+        );
         if !more {
             bell.wait_until(wake.unwrap_or_else(|| Instant::now() + IDLE_PARK));
         }

@@ -1,9 +1,14 @@
 //! A complete simulated deployment: replicas + network + trace + metrics.
 //!
-//! [`System`] is the reference harness for the peer-to-peer protocol. It
-//! owns one [`Replica`] per share-graph vertex, a deterministic
-//! [`SimNetwork`], and an execution [`Trace`] fed to the
-//! consistency checker. A [`SystemBuilder`] selects:
+//! [`System`] is the lockstep driver of the replica engine
+//! (`crate::engine`, DESIGN §15): one engine per share-graph vertex, a
+//! deterministic [`SimNetwork`] carrying the frames they emit, and an
+//! execution [`Trace`] fed to the consistency checker. The driver only
+//! schedules inputs — writes, deliveries, batch windows, session timers,
+//! scripted crashes and restarts, in that priority order at equal
+//! simulated instants — and performs the engines' sends; the codec,
+//! batching, session and WAL live in the engine, shared with the
+//! threaded runtime. A [`SystemBuilder`] selects:
 //!
 //! * the causality tracker — the paper's edge-indexed algorithm
 //!   (optionally loop-truncated, Appendix D) or the vector-clock baseline
@@ -14,24 +19,24 @@
 //! * dropped timestamp-graph edges — deliberate *oblivious* replicas for
 //!   reproducing Theorem 8's impossibility executions (experiment E2).
 
-use crate::codec::{WireCodec, WireMode};
+use crate::codec::{CodecStats, WireMode};
+pub use crate::engine::BatchPolicy;
+use crate::engine::{add_codec_stats, Engine, EngineConfig, Outgoing};
 use crate::message::{BatchMsg, UpdateMsg};
-use crate::recovery::RecoveryLog;
-use crate::replica::{PendingMode, Replica};
+use crate::replica::{Applied, PendingMode, Replica};
 use crate::stats::LatencyStats;
 use crate::tracker::{CausalityTracker, EdgeTracker, FullDepsTracker, VcTracker};
 use crate::value::Value;
 use prcc_checker::{check, CheckReport, Trace, UpdateId};
 use prcc_net::{
-    DelayModel, FaultPlan, FaultSchedule, SessionConfig, SessionEndpoint, SessionFrame,
-    SessionStats, SimNetwork,
+    DelayModel, FaultPlan, FaultSchedule, SessionConfig, SessionFrame, SessionStats, SimNetwork,
 };
 use prcc_sharegraph::{
     EdgeId, LoopConfig, Placement, RegisterId, ReplicaId, ShareGraph, TimestampGraph,
     TimestampGraphs,
 };
 use prcc_timestamp::TsRegistry;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -48,64 +53,6 @@ pub enum TrackerKind {
     /// Shen et al.): correct under partial replication with no metadata
     /// broadcast, but metadata grows with history.
     FullDeps,
-}
-
-/// How the sender-side pipeline coalesces queued updates into
-/// [`BatchMsg`] frames, per ordered `(sender, receiver)` pair.
-///
-/// A pending batch is flushed to the network when it reaches
-/// `batch_count` updates or `batch_bytes` payload bytes, or when
-/// `flush_after` ticks have elapsed since its first update was queued —
-/// whichever comes first. `batch_count <= 1` degenerates to eager
-/// per-update shipping (singleton batches, byte-identical to the
-/// unbatched wire: see [`BatchMsg::size_bytes`]), which is also forced
-/// whenever the fault schedule scripts crashes — a queued-but-unflushed
-/// batch lives in volatile sender memory, and eager flushing keeps the
-/// durable outbox complete at every crash instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Max updates per batch (flush trigger). `<= 1` disables coalescing.
-    pub batch_count: usize,
-    /// Max accumulated payload bytes per batch (flush trigger).
-    pub batch_bytes: usize,
-    /// Ticks a non-full batch waits for more updates before flushing.
-    pub flush_after: u64,
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy {
-            batch_count: 16,
-            batch_bytes: 4096,
-            flush_after: 1,
-        }
-    }
-}
-
-impl BatchPolicy {
-    /// The differential oracle: every update ships immediately as a
-    /// singleton batch — the exact unbatched wire behavior.
-    pub fn unbatched() -> Self {
-        BatchPolicy {
-            batch_count: 1,
-            batch_bytes: 0,
-            flush_after: 0,
-        }
-    }
-
-    /// True if this policy ever coalesces more than one update.
-    pub fn is_batching(&self) -> bool {
-        self.batch_count > 1
-    }
-}
-
-/// A sender-side pending batch: updates queued for one `(src, dst)`
-/// pair, waiting for a flush trigger.
-#[derive(Debug)]
-struct PendingBatch {
-    msgs: Vec<UpdateMsg>,
-    bytes: usize,
-    due: u64,
 }
 
 /// Aggregate counters collected while a [`System`] runs.
@@ -149,6 +96,18 @@ impl SystemMetrics {
             0.0
         } else {
             self.total_visibility as f64 / self.visibility_samples as f64
+        }
+    }
+
+    /// Charges one per-recipient update at enqueue time, so message and
+    /// byte counts do not depend on how updates are batched.
+    fn count_send(&mut self, m: &UpdateMsg) {
+        self.metadata_bytes += m.meta.size_bytes();
+        if let Some(v) = &m.value {
+            self.data_messages += 1;
+            self.payload_bytes += v.size_bytes();
+        } else {
+            self.meta_messages += 1;
         }
     }
 }
@@ -243,18 +202,20 @@ impl SystemBuilder {
     /// Installs a full fault schedule: probabilistic plan plus scripted
     /// link outages, partitions, and replica crashes. Crashes require a
     /// durable layer and are recovered from the per-replica
-    /// [`RecoveryLog`]; without [`session`](Self::session) the dropped
-    /// in-flight messages are *not* re-fed (the negative control).
+    /// [`RecoveryLog`](crate::RecoveryLog); without
+    /// [`session`](Self::session) the dropped in-flight messages are
+    /// *not* re-fed (the negative control).
     pub fn fault_schedule(mut self, schedule: FaultSchedule) -> Self {
         self.schedule = schedule;
         self
     }
 
     /// Enables the reliable-delivery session layer
-    /// ([`SessionEndpoint`]): per-pair sequenced streams, cumulative
-    /// ack + selective gaps, timeout retransmission, duplicate
-    /// suppression, and post-crash catch-up. Off by default — the
-    /// paper's reliable-channel model needs none of it.
+    /// ([`SessionEndpoint`](prcc_net::SessionEndpoint)): per-pair
+    /// sequenced streams, cumulative ack + selective gaps, timeout
+    /// retransmission, duplicate suppression, and post-crash catch-up.
+    /// Off by default — the paper's reliable-channel model needs none of
+    /// it.
     pub fn session(mut self, config: SessionConfig) -> Self {
         self.session = Some(config);
         self
@@ -308,9 +269,7 @@ impl SystemBuilder {
         };
         let n = effective_graph.num_replicas();
 
-        let mut replicas = Vec::with_capacity(n);
-        let mut codec_registry = None;
-        match self.tracker {
+        let codec_registry = match self.tracker {
             TrackerKind::EdgeIndexed(loops) => {
                 let mut graphs: Vec<TimestampGraph> = effective_graph
                     .replicas()
@@ -322,49 +281,28 @@ impl SystemBuilder {
                         tg.edges().iter().copied().filter(|x| x != e).collect();
                     graphs[i.index()] = TimestampGraph::from_edges(*i, edges);
                 }
-                let registry = Arc::new(TsRegistry::new(
-                    &effective_graph,
-                    TimestampGraphs::from_graphs(graphs),
-                ));
-                codec_registry = Some(registry.clone());
-                for i in effective_graph.replicas() {
-                    replicas.push(Replica::new_with_mode(
-                        i,
-                        data_placement.registers_of(i).clone(),
-                        Box::new(EdgeTracker::new(registry.clone(), i))
-                            as Box<dyn CausalityTracker>,
-                        self.pending_mode,
-                    ));
-                }
+                let graphs = TimestampGraphs::from_graphs(graphs);
+                Some(Arc::new(TsRegistry::new(&effective_graph, graphs)))
             }
-            TrackerKind::VectorClock => {
-                for i in effective_graph.replicas() {
-                    replicas.push(Replica::new_with_mode(
-                        i,
-                        data_placement.registers_of(i).clone(),
-                        Box::new(VcTracker::new(i, n)) as Box<dyn CausalityTracker>,
-                        self.pending_mode,
-                    ));
-                }
-            }
-            TrackerKind::FullDeps => {
-                for i in effective_graph.replicas() {
-                    replicas.push(Replica::new_with_mode(
-                        i,
-                        data_placement.registers_of(i).clone(),
-                        Box::new(FullDepsTracker::new(
-                            i,
-                            data_placement.registers_of(i).clone(),
-                        )) as Box<dyn CausalityTracker>,
-                        self.pending_mode,
-                    ));
-                }
-            }
-        }
+            TrackerKind::VectorClock | TrackerKind::FullDeps => None,
+        };
+        let replicas: Vec<Replica> = effective_graph
+            .replicas()
+            .map(|i| {
+                let stores = data_placement.registers_of(i).clone();
+                let tracker: Box<dyn CausalityTracker> = match (&codec_registry, self.tracker) {
+                    (Some(registry), _) => Box::new(EdgeTracker::new(registry.clone(), i)),
+                    (None, TrackerKind::FullDeps) => {
+                        Box::new(FullDepsTracker::new(i, stores.clone()))
+                    }
+                    (None, _) => Box::new(VcTracker::new(i, n)),
+                };
+                Replica::new_with_mode(i, stores, tracker, self.pending_mode)
+            })
+            .collect();
 
         let mut net = SimNetwork::new(self.delay, self.seed);
-        let durable = self.session.is_some() || !self.schedule.crashes.is_empty();
-        let track_catch_up = !self.schedule.crashes.is_empty();
+        let crash_capable = !self.schedule.crashes.is_empty();
         let mut crash_queue: VecDeque<(u64, ReplicaId)> = self
             .schedule
             .crashes
@@ -374,41 +312,33 @@ impl SystemBuilder {
         crash_queue.make_contiguous().sort_unstable();
         let restart_queue: VecDeque<(u64, ReplicaId)> = self.schedule.restarts().into();
         net.set_schedule(self.schedule);
-        let sessions = self.session.map(|cfg| {
-            replicas
-                .iter()
-                .map(|r| SessionEndpoint::new(r.id(), cfg))
-                .collect()
-        });
-        let logs = durable.then(|| {
-            replicas
-                .iter()
-                .map(|r| RecoveryLog::new(r.clone(), self.snapshot_every))
-                .collect()
-        });
-        // A queued-but-unflushed batch is volatile sender state: under a
-        // crash schedule it would die with the replica while the durable
-        // outbox claims it was never sent. Eager flushing (singleton
-        // batches) keeps outbox and wire in lockstep at every instant.
-        let eager_flush = self.batch.batch_count <= 1 || !crash_queue.is_empty();
-        System {
-            codec: WireCodec::new(self.wire_mode, codec_registry),
+        let durable = self.session.is_some() || crash_capable;
+        let config = Arc::new(EngineConfig {
+            graph: Arc::new(effective_graph),
+            data: data_placement,
+            broadcast: self.tracker == TrackerKind::VectorClock,
+            registry: codec_registry,
+            wire: self.wire_mode,
             batch: self.batch,
-            eager_flush,
-            outq: BTreeMap::new(),
-            data_placement,
-            effective_graph: Arc::new(effective_graph),
+            window: self.batch.flush_after,
+            crash_capable,
+            session: self.session,
+            snapshot_every: durable.then_some(self.snapshot_every),
+        });
+        System {
+            expected: vec![HashSet::new(); n],
+            catching_up: vec![None; n],
+            engines: replicas
+                .into_iter()
+                .map(|r| Engine::new(r, Arc::clone(&config)))
+                .collect(),
+            config,
             tracker_kind: self.tracker,
-            crashed: vec![false; replicas.len()],
-            expected: vec![HashSet::new(); replicas.len()],
-            catching_up: vec![None; replicas.len()],
-            replicas,
             net,
-            sessions,
-            logs,
+            out: Vec::new(),
             crash_queue,
             restart_queue,
-            track_catch_up,
+            track_catch_up: crash_capable,
             lost_to_crash: 0,
             catch_up_stats: LatencyStats::new(),
             trace: Trace::new(),
@@ -426,33 +356,19 @@ impl SystemBuilder {
 
 /// A running simulated deployment.
 pub struct System {
-    data_placement: Placement,
-    effective_graph: Arc<ShareGraph>,
+    /// Effective share graph, data placement and the stack's settings,
+    /// shared with every engine.
+    config: Arc<EngineConfig>,
     tracker_kind: TrackerKind,
-    replicas: Vec<Replica>,
+    /// One engine per replica: replica, codec, batches, session, WAL.
+    engines: Vec<Engine>,
     net: SimNetwork<SessionFrame<BatchMsg>>,
-    /// Sender-side batching policy.
-    batch: BatchPolicy,
-    /// True when every update ships immediately as a singleton batch
-    /// (policy `batch_count <= 1`, or a crash schedule is installed).
-    eager_flush: bool,
-    /// Pending batches, one slot per ordered `(src, dst)` pair with
-    /// queued updates. `BTreeMap` keeps flush order deterministic.
-    outq: BTreeMap<(ReplicaId, ReplicaId), PendingBatch>,
-    /// Session endpoints, one per replica, when the reliable-delivery
-    /// layer is on (`None` = the paper's reliable-channel model, frames
-    /// travel as [`SessionFrame::Bare`]). The session stream unit is a
-    /// whole batch.
-    sessions: Option<Vec<SessionEndpoint<BatchMsg>>>,
-    /// Durable recovery logs, present when the session layer is on or
-    /// crashes are scheduled.
-    logs: Option<Vec<RecoveryLog>>,
+    /// Frames the last engine input emitted, reused across inputs.
+    out: Vec<Outgoing>,
     /// Scripted crash instants, ascending.
     crash_queue: VecDeque<(u64, ReplicaId)>,
     /// Scripted restart instants, ascending.
     restart_queue: VecDeque<(u64, ReplicaId)>,
-    /// Which replicas are currently down.
-    crashed: Vec<bool>,
     /// Per destination: updates sent to it and not yet applied there
     /// (maintained only when crashes are scheduled).
     expected: Vec<HashSet<UpdateId>>,
@@ -483,14 +399,12 @@ pub struct System {
     /// e.g. the Lemma 22 monotonicity property of Appendix B). Shares the
     /// issuing message's `Arc` — logging an update never copies counters.
     meta_log: HashMap<UpdateId, Arc<crate::Metadata>>,
-    /// Per-recipient wire encoder (projection / compression / raw).
-    codec: WireCodec,
 }
 
 impl fmt::Debug for System {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("System")
-            .field("replicas", &self.replicas.len())
+            .field("replicas", &self.engines.len())
             .field("tracker", &self.tracker_kind)
             .field("now", &self.net.now())
             .field("metrics", &self.metrics)
@@ -506,12 +420,12 @@ impl System {
 
     /// The *data* placement (what replicas actually store).
     pub fn data_placement(&self) -> &Placement {
-        &self.data_placement
+        &self.config.data
     }
 
     /// The effective share graph (after dummy registers).
     pub fn effective_graph(&self) -> &ShareGraph {
-        &self.effective_graph
+        &self.config.graph
     }
 
     /// Performs a client write of `v` to register `x` at replica `r`,
@@ -526,13 +440,13 @@ impl System {
         x: RegisterId,
         v: Value,
     ) -> Result<UpdateId, crate::ReplicaError> {
-        if !self.data_placement.stores(r, x) {
+        if !self.config.data.stores(r, x) {
             return Err(crate::ReplicaError::NotStored {
                 register: x,
                 replica: r,
             });
         }
-        if self.crashed[r.index()] {
+        if self.is_crashed(r) {
             return Err(crate::ReplicaError::Crashed { replica: r });
         }
         Ok(self.write(r, x, v))
@@ -549,136 +463,51 @@ impl System {
     /// [`is_crashed`](Self::is_crashed) first under a crash schedule).
     pub fn write(&mut self, r: ReplicaId, x: RegisterId, v: Value) -> UpdateId {
         assert!(
-            !self.crashed[r.index()],
+            !self.is_crashed(r),
             "replica {r} is crashed and cannot serve writes"
         );
-        let recipients = self.recipients_of(r, x);
-        let data_holders: Vec<ReplicaId> = self
-            .data_placement
-            .holders(x)
-            .iter()
-            .copied()
-            .filter(|&h| h != r)
-            .collect();
-        let (msg, recipients) = self.replicas[r.index()]
-            .write(x, v, recipients)
+        let now = self.net.now();
+        let (metrics, expected) = (&mut self.metrics, &mut self.expected);
+        let track = self.track_catch_up;
+        let issued = self.engines[r.index()]
+            .write(x, v, now, &mut self.out, |dst, m| {
+                metrics.count_send(m);
+                if track {
+                    expected[dst.index()].insert(UpdateId {
+                        issuer: m.issuer,
+                        seq: m.seq,
+                    });
+                }
+            })
             .unwrap_or_else(|e| panic!("{e}"));
+        self.send_out(r);
         let id = UpdateId {
             issuer: r,
-            seq: msg.seq,
+            seq: issued.msg.seq,
         };
         self.trace.record_issue_with_id(id, x);
-        self.issue_time.insert(id, self.net.now());
+        self.issue_time.insert(id, now);
         let version = self.latest_version.entry(x).or_insert(0);
         *version += 1;
         let version = *version;
         self.update_version.insert(id, version);
         self.visible_version.insert((r, x), version);
-        self.meta_log.insert(id, Arc::clone(&msg.meta));
-        if let Some(logs) = &mut self.logs {
-            let v = msg.value.clone().expect("local writes carry a value");
-            logs[r.index()].record_own_write(x, v);
-            logs[r.index()].maybe_snapshot(&self.replicas[r.index()]);
-        }
-        let now = self.net.now();
-        // Encode-once fan-out: recipients share the issuer's metadata
-        // `Arc` (raw mode) or a per-pair projected frame, and recipients
-        // whose pair streams are identical share a single varint pass —
-        // the counters are never duplicated or re-encoded per destination.
-        let metas = self.codec.encode_fanout(r, &recipients, &msg.meta);
-        for (dst, meta) in recipients.into_iter().zip(metas) {
-            let m = UpdateMsg {
-                issuer: msg.issuer,
-                seq: msg.seq,
-                register: msg.register,
-                value: if data_holders.contains(&dst) {
-                    msg.value.clone()
-                } else {
-                    None // metadata-only recipient
-                },
-                meta,
-                transit: msg.transit.clone(),
-            };
-            self.account_send(&m);
-            if self.track_catch_up {
-                self.expected[dst.index()].insert(id);
-            }
-            self.enqueue_update(r, dst, m, now);
-        }
+        self.meta_log.insert(id, issued.msg.meta);
         id
     }
 
-    /// Queues one per-recipient update into the `(src, dst)` pending
-    /// batch, flushing on a count/byte trigger. Eager mode ships it
-    /// immediately as a singleton.
-    fn enqueue_update(&mut self, src: ReplicaId, dst: ReplicaId, m: UpdateMsg, now: u64) {
-        if self.eager_flush {
-            self.ship_batch(src, dst, BatchMsg::singleton(m));
-            return;
-        }
-        let flush_after = self.batch.flush_after;
-        let slot = self.outq.entry((src, dst)).or_insert_with(|| PendingBatch {
-            msgs: Vec::new(),
-            bytes: 0,
-            due: now + flush_after,
-        });
-        slot.bytes += m.size_bytes();
-        slot.msgs.push(m);
-        if slot.msgs.len() >= self.batch.batch_count || slot.bytes >= self.batch.batch_bytes {
-            let b = self.outq.remove(&(src, dst)).expect("slot just filled");
-            self.ship_batch(src, dst, BatchMsg { updates: b.msgs });
-        }
-    }
-
-    /// Hands one batch to the session layer (or bare network), charging
-    /// its true wire size. The durable outbox records the batch before
-    /// the frame can reach the network (send-after-durable).
-    fn ship_batch(&mut self, src: ReplicaId, dst: ReplicaId, batch: BatchMsg) {
-        let now = self.net.now();
-        let bytes = batch.size_bytes();
-        let frame = if let Some(sessions) = &mut self.sessions {
-            if let Some(logs) = &mut self.logs {
-                logs[src.index()].record_send(dst, batch.clone());
-            }
-            sessions[src.index()].send(dst, batch, now)
-        } else {
-            SessionFrame::Bare(batch)
-        };
-        let wire = bytes + frame.overhead_bytes();
-        self.net.send_sized(src, dst, frame, wire);
-    }
-
-    fn recipients_of(&self, r: ReplicaId, x: RegisterId) -> Vec<ReplicaId> {
-        match self.tracker_kind {
-            TrackerKind::EdgeIndexed(_) | TrackerKind::FullDeps => self
-                .effective_graph
-                .placement()
-                .holders(x)
-                .iter()
-                .copied()
-                .filter(|&h| h != r)
-                .collect(),
-            TrackerKind::VectorClock => self
-                .effective_graph
-                .replicas()
-                .filter(|&h| h != r)
-                .collect(),
-        }
-    }
-
-    fn account_send(&mut self, m: &UpdateMsg) {
-        self.metrics.metadata_bytes += m.meta.size_bytes();
-        if let Some(v) = &m.value {
-            self.metrics.data_messages += 1;
-            self.metrics.payload_bytes += v.size_bytes();
-        } else {
-            self.metrics.meta_messages += 1;
+    /// Puts every frame the last engine input emitted on the network,
+    /// charging its true wire size (payload + session framing).
+    fn send_out(&mut self, src: ReplicaId) {
+        for (dst, frame) in self.out.drain(..) {
+            let bytes = frame.payload().map_or(0, BatchMsg::size_bytes) + frame.overhead_bytes();
+            self.net.send_sized(src, dst, frame, bytes);
         }
     }
 
     /// Reads register `x` at replica `r`.
     pub fn read(&self, r: ReplicaId, x: RegisterId) -> Option<&Value> {
-        self.replicas[r.index()].read(x)
+        self.engines[r.index()].replica().read(x)
     }
 
     /// Time of the next simulation event of any kind, or `None` at full
@@ -686,19 +515,11 @@ impl System {
     /// crash, scripted restart, pending-batch flush, network delivery,
     /// retransmission timer.
     fn next_event_time(&self) -> Option<u64> {
-        let t_sess = self.sessions.as_ref().and_then(|s| {
-            s.iter()
-                .enumerate()
-                .filter(|(i, _)| !self.crashed[*i])
-                .filter_map(|(_, e)| e.next_deadline())
-                .min()
-        });
         [
             self.crash_queue.front().map(|&(t, _)| t),
             self.restart_queue.front().map(|&(t, _)| t),
-            self.outq.values().map(|b| b.due).min(),
+            self.engines.iter().filter_map(Engine::next_deadline).min(),
             self.net.peek_delivery_time(),
-            t_sess,
         ]
         .into_iter()
         .flatten()
@@ -720,11 +541,7 @@ impl System {
                 // Volatile state is conceptually lost here; it is
                 // actually discarded at restart, when the replica is
                 // rebuilt from its recovery log.
-                self.crashed[r.index()] = true;
-                // Unflushed batches are volatile sender state too
-                // (unreachable in practice: crash schedules force eager
-                // flushing, so the queue is already empty).
-                self.outq.retain(|&(src, _), _| src != r);
+                self.engines[r.index()].crash();
                 return true;
             }
         }
@@ -735,59 +552,32 @@ impl System {
                 return true;
             }
         }
-        let due: Vec<(ReplicaId, ReplicaId)> = self
-            .outq
+        let batch_due = self
+            .engines
             .iter()
-            .filter(|(_, b)| b.due <= t)
-            .map(|(&k, _)| k)
-            .collect();
-        if !due.is_empty() {
-            self.net.advance_to(t);
-            for (src, dst) in due {
-                let b = self.outq.remove(&(src, dst)).expect("due batch present");
-                self.ship_batch(src, dst, BatchMsg { updates: b.msgs });
-            }
-            return true;
-        }
-        if self.net.peek_delivery_time() == Some(t) {
+            .any(|e| e.next_batch_due().is_some_and(|d| d <= t));
+        if !batch_due && self.net.peek_delivery_time() == Some(t) {
             let (t, env) = self.net.next_delivery().expect("peeked delivery");
             self.deliver_frame(t, env.src, env.dst, env.msg);
             return true;
         }
-        // Retransmission timers: poll every live endpoint that is due.
+        // Batch windows first; retransmission timers only once no batch
+        // and no delivery is due at this instant.
         self.net.advance_to(t);
-        if let Some(sessions) = &mut self.sessions {
-            let mut sends: Vec<(ReplicaId, ReplicaId, SessionFrame<BatchMsg>)> = Vec::new();
-            for (i, e) in sessions.iter_mut().enumerate() {
-                if self.crashed[i] {
-                    continue;
-                }
-                if e.next_deadline().is_some_and(|d| d <= t) {
-                    let mut out = Vec::new();
-                    e.poll(t, &mut out);
-                    let src = ReplicaId::new(i as u32);
-                    sends.extend(out.into_iter().map(|(dst, f)| (src, dst, f)));
-                }
+        for i in 0..self.engines.len() {
+            if batch_due {
+                self.engines[i].flush_due(t, &mut self.out);
+            } else {
+                self.engines[i].tick(t, &mut self.out);
             }
-            for (src, dst, f) in sends {
-                self.send_frame(src, dst, f);
-            }
+            self.send_out(ReplicaId::new(i as u32));
         }
         true
     }
 
-    /// Ships one session frame, charging its true wire size (payload +
-    /// framing overhead). Used for acks, retransmissions, and catch-up —
-    /// first transmissions are accounted in [`write`](Self::write).
-    fn send_frame(&mut self, src: ReplicaId, dst: ReplicaId, frame: SessionFrame<BatchMsg>) {
-        let bytes = frame.payload().map_or(0, BatchMsg::size_bytes) + frame.overhead_bytes();
-        self.net.send_sized(src, dst, frame, bytes);
-    }
-
-    /// Handles one delivered frame: session decode (dedup / reorder /
-    /// ack) when the layer is on, then replica ingestion of every
-    /// released payload. Honors the ack-after-durable contract: payloads
-    /// hit the recovery log before the response frames hit the network.
+    /// Handles one delivered frame through the destination's engine —
+    /// session, WAL, `receive_batch` — and records trace and metrics for
+    /// every apply it triggers.
     fn deliver_frame(
         &mut self,
         t: u64,
@@ -795,118 +585,68 @@ impl System {
         dst: ReplicaId,
         frame: SessionFrame<BatchMsg>,
     ) {
-        if self.crashed[dst.index()] {
+        if self.is_crashed(dst) {
             self.lost_to_crash += 1;
             return;
         }
-        let (payloads, responses) = if let Some(sessions) = &mut self.sessions {
-            let mut out = Vec::new();
-            let payloads = sessions[dst.index()].on_frame(src, frame, t, &mut out);
-            (payloads, out)
-        } else {
-            let SessionFrame::Bare(m) = frame else {
-                unreachable!("sessionless systems only ship bare frames");
-            };
-            (vec![m], Vec::new())
-        };
-        if let Some(logs) = &mut self.logs {
-            for p in &payloads {
-                logs[dst.index()].record_delivery(src, p.clone());
+        let arrival = &mut self.arrival;
+        let applied = self.engines[dst.index()].on_frame(src, frame, t, &mut self.out, |b| {
+            for m in &b.updates {
+                arrival.insert((m.issuer, m.seq, dst), t);
             }
-        }
-        for p in payloads {
-            self.deliver_batch(dst, p, t);
-        }
-        if let Some(logs) = &mut self.logs {
-            logs[dst.index()].maybe_snapshot(&self.replicas[dst.index()]);
-        }
-        for (peer, f) in responses {
-            self.send_frame(dst, peer, f);
-        }
-    }
-
-    /// Ingests one batch at `dst` — through [`Replica::receive_batch`]'s
-    /// once-per-batch fast path when it applies — and records
-    /// trace/metrics for every apply it triggers.
-    fn deliver_batch(&mut self, dst: ReplicaId, batch: BatchMsg, t: u64) {
-        for m in &batch.updates {
-            self.arrival.insert((m.issuer, m.seq, dst), t);
-        }
-        let applied = self.replicas[dst.index()].receive_batch(batch.updates);
+        });
         for a in applied {
-            let id = UpdateId {
-                issuer: a.msg.issuer,
-                seq: a.msg.seq,
-            };
-            self.trace.record_apply(id, dst);
-            self.metrics.applies += 1;
-            if let Some(arrived) = self.arrival.remove(&(a.msg.issuer, a.msg.seq, dst)) {
-                let wait = t - arrived;
-                self.metrics.total_pending_wait += wait;
-                self.metrics.max_pending_wait = self.metrics.max_pending_wait.max(wait);
-            }
-            if let Some(&issued) = self.issue_time.get(&id) {
-                let vis = t.saturating_sub(issued);
-                self.metrics.total_visibility += vis;
-                self.metrics.visibility_samples += 1;
-                self.metrics.max_visibility = self.metrics.max_visibility.max(vis);
-                self.vis_stats.record(vis);
-            }
-            if let Some(&ver) = self.update_version.get(&id) {
-                let slot = self
-                    .visible_version
-                    .entry((dst, a.msg.register))
-                    .or_insert(0);
-                *slot = (*slot).max(ver);
-            }
-            if self.track_catch_up {
-                self.expected[dst.index()].remove(&id);
-                let mut done = false;
-                if let Some((since, owed)) = &mut self.catching_up[dst.index()] {
-                    owed.remove(&id);
-                    if owed.is_empty() {
-                        let lat = t.saturating_sub(*since);
-                        self.catch_up_stats.record(lat);
-                        done = true;
-                    }
-                }
-                if done {
-                    self.catching_up[dst.index()] = None;
+            self.record_apply(dst, a, t);
+        }
+        self.send_out(dst);
+    }
+
+    fn record_apply(&mut self, dst: ReplicaId, a: Applied, t: u64) {
+        let id = UpdateId {
+            issuer: a.msg.issuer,
+            seq: a.msg.seq,
+        };
+        self.trace.record_apply(id, dst);
+        self.metrics.applies += 1;
+        if let Some(arrived) = self.arrival.remove(&(a.msg.issuer, a.msg.seq, dst)) {
+            let wait = t - arrived;
+            self.metrics.total_pending_wait += wait;
+            self.metrics.max_pending_wait = self.metrics.max_pending_wait.max(wait);
+        }
+        if let Some(&issued) = self.issue_time.get(&id) {
+            let vis = t.saturating_sub(issued);
+            self.metrics.total_visibility += vis;
+            self.metrics.visibility_samples += 1;
+            self.metrics.max_visibility = self.metrics.max_visibility.max(vis);
+            self.vis_stats.record(vis);
+        }
+        if let Some(&ver) = self.update_version.get(&id) {
+            let slot = self
+                .visible_version
+                .entry((dst, a.msg.register))
+                .or_insert(0);
+            *slot = (*slot).max(ver);
+        }
+        if self.track_catch_up {
+            self.expected[dst.index()].remove(&id);
+            let slot = &mut self.catching_up[dst.index()];
+            if let Some((since, owed)) = slot {
+                owed.remove(&id);
+                if owed.is_empty() {
+                    self.catch_up_stats.record(t.saturating_sub(*since));
+                    *slot = None;
                 }
             }
         }
     }
 
-    /// Brings a crashed replica back: rebuild from the recovery log
-    /// (snapshot + WAL replay), rebuild the session endpoint from the
-    /// durable outbox and delivery points, and start the catch-up
-    /// clock.
+    /// Brings a crashed replica back through its engine (WAL replay,
+    /// session rebuild, `CatchUp` to every neighbour) and starts the
+    /// catch-up clock.
     fn do_restart(&mut self, t: u64, r: ReplicaId) {
         self.net.advance_to(t);
-        self.crashed[r.index()] = false;
-        let logs = self
-            .logs
-            .as_ref()
-            .expect("crash schedules always build recovery logs");
-        self.replicas[r.index()] = logs[r.index()].recover();
-        if self.sessions.is_some() {
-            let (outbox, mut cums) = {
-                let log = &self.logs.as_ref().expect("logs present")[r.index()];
-                (log.outbox().clone(), log.recv_cums())
-            };
-            // Announce the durable cum to *every* neighbor, zero
-            // included: a peer whose frames all died with the crash
-            // learns immediately that it must re-feed from the start.
-            for &peer in self.effective_graph.neighbors(r) {
-                cums.entry(peer).or_insert(0);
-            }
-            let mut out = Vec::new();
-            self.sessions.as_mut().expect("sessions present")[r.index()]
-                .restart(&outbox, &cums, t, &mut out);
-            for (dst, f) in out {
-                self.send_frame(r, dst, f);
-            }
-        }
+        self.engines[r.index()].restart(t, &mut self.out);
+        self.send_out(r);
         if self.track_catch_up {
             let owed = self.expected[r.index()].clone();
             if owed.is_empty() {
@@ -950,20 +690,19 @@ impl System {
     /// scripted event is still due.
     pub fn is_settled(&self) -> bool {
         self.net.is_quiescent()
-            && self.outq.is_empty()
-            && self.replicas.iter().all(|r| r.pending_count() == 0)
+            && self.stuck_pending() == 0
             && self.crash_queue.is_empty()
             && self.restart_queue.is_empty()
-            && self
-                .sessions
-                .as_ref()
-                .is_none_or(|s| s.iter().all(SessionEndpoint::is_idle))
+            && self.engines.iter().all(Engine::is_quiet)
     }
 
     /// Total updates stuck in pending buffers (non-zero after
     /// `run_to_quiescence` means the protocol lost liveness).
     pub fn stuck_pending(&self) -> usize {
-        self.replicas.iter().map(|r| r.pending_count()).sum()
+        self.engines
+            .iter()
+            .map(|e| e.replica().pending_count())
+            .sum()
     }
 
     /// The execution trace so far.
@@ -974,7 +713,7 @@ impl System {
     /// Checks the trace against replica-centric causal consistency over
     /// the *data* placement.
     pub fn check(&self) -> CheckReport {
-        check(&self.trace, &self.data_placement)
+        check(&self.trace, &self.config.data)
     }
 
     /// Metrics collected so far.
@@ -984,15 +723,15 @@ impl System {
 
     /// Per-replica timestamp sizes in counters.
     pub fn timestamp_counters(&self) -> Vec<usize> {
-        self.replicas
+        self.engines
             .iter()
-            .map(|r| r.tracker().num_counters())
+            .map(|e| e.replica().tracker().num_counters())
             .collect()
     }
 
     /// Direct access to a replica (diagnostics, tests).
     pub fn replica(&self, r: ReplicaId) -> &Replica {
-        &self.replicas[r.index()]
+        self.engines[r.index()].replica()
     }
 
     /// Network control: hold a directed link (messages park until
@@ -1020,25 +759,26 @@ impl System {
     /// counts and wire-codec demotions).
     pub fn net_stats(&self) -> prcc_net::NetStats {
         let mut stats = self.net.stats();
-        stats.codec_demotions = self.codec.stats().demotions;
+        stats.codec_demotions = self.codec_stats().demotions;
         stats
     }
 
     /// Wire-codec counters: frames, encode-once sharing, and demotions.
-    pub fn codec_stats(&self) -> crate::codec::CodecStats {
-        self.codec.stats()
+    pub fn codec_stats(&self) -> CodecStats {
+        self.engines
+            .iter()
+            .map(Engine::codec_stats)
+            .fold(CodecStats::default(), add_codec_stats)
     }
 
     /// Aggregated session-layer statistics across all endpoints, or
     /// `None` when the session layer is off.
     pub fn session_stats(&self) -> Option<SessionStats> {
-        self.sessions.as_ref().map(|s| {
-            let mut total = SessionStats::default();
-            for e in s {
-                total.merge(&e.stats());
-            }
-            total
-        })
+        let mut total: Option<SessionStats> = None;
+        for s in self.engines.iter().filter_map(Engine::session_stats) {
+            total.get_or_insert_with(SessionStats::default).merge(&s);
+        }
+        total
     }
 
     /// Restart → fully-caught-up latency distribution (one sample per
@@ -1050,7 +790,7 @@ impl System {
     /// True if `r` is currently down (between a scripted crash and its
     /// restart).
     pub fn is_crashed(&self, r: ReplicaId) -> bool {
-        self.crashed[r.index()]
+        self.engines[r.index()].is_crashed()
     }
 
     /// Deliveries discarded because the destination replica was down.
