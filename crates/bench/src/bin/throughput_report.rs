@@ -14,7 +14,9 @@
 //!   cargo run --release -p prcc-bench --bin throughput_report > BENCH_throughput.json
 //!
 //! Flags:
-//!   --quick   small sweep (CI smoke: 1 and 8 writers, fewer writes)
+//!   --quick   small sweep (CI smoke: 1 and 8 writers, fewer writes;
+//!             still the median of three runs per cell — one 300-write
+//!             run swings the clique ratio 1.7–3.8× on a two-core host)
 //!   --check   exit non-zero unless batched updates/sec beats unbatched
 //!             by >= 2x on clique(8) at the maximum writer count
 
@@ -25,6 +27,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 const N: usize = 8;
+/// Runs per cell; a cell reports the median.
+const REPS: usize = 3;
 
 struct Row {
     topology: &'static str,
@@ -157,15 +161,9 @@ fn run_once(g: &ShareGraph, batch: bool, writers: usize, writes_per_writer: usiz
     row
 }
 
-fn measure(
-    topology: &'static str,
-    batch: bool,
-    writers: usize,
-    writes_per_writer: usize,
-    reps: usize,
-) -> Row {
+fn measure(topology: &'static str, batch: bool, writers: usize, writes_per_writer: usize) -> Row {
     let g = build(topology);
-    let mut rows: Vec<Row> = (0..reps)
+    let mut rows: Vec<Row> = (0..REPS)
         .map(|_| run_once(&g, batch, writers, writes_per_writer))
         .collect();
     rows.sort_by(|a, b| a.updates_per_sec.total_cmp(&b.updates_per_sec));
@@ -181,13 +179,13 @@ fn main() {
     let check = args.iter().any(|a| a == "--check");
 
     let writer_counts: &[usize] = if quick { &[1, 8] } else { &[1, 2, 4, 8] };
-    let (writes_per_writer, reps) = if quick { (300, 1) } else { (800, 3) };
+    let writes_per_writer = if quick { 300 } else { 800 };
 
     let mut rows = Vec::new();
     for &topology in &["ring", "tree", "clique"] {
         for batch in [true, false] {
             for &w in writer_counts {
-                rows.push(measure(topology, batch, w, writes_per_writer, reps));
+                rows.push(measure(topology, batch, w, writes_per_writer));
             }
         }
     }

@@ -7,13 +7,18 @@
 //! [`SessionEndpoint`], an optional [`RecoveryLog`], the applied frontier
 //! and the crashed flag. It holds no threads, channels, doorbells or
 //! clocks. Each input is one method — [`write`](Engine::write),
-//! [`on_frame`](Engine::on_frame), [`flush_due`](Engine::flush_due) /
-//! [`tick`](Engine::tick), [`flush_all`](Engine::flush_all),
-//! [`crash`](Engine::crash), [`restart`](Engine::restart) — taking the
-//! time as a `now: u64` in the driver's unit (simulated ticks, or µs
-//! since the cluster epoch with [`SessionConfig`] and the batch window
-//! scaled once in the [`EngineConfig`]). Every frame to transmit is
-//! pushed onto a driver-owned `out` buffer, performed after the call.
+//! [`on_frame`](Engine::on_frame), [`flush`](Engine::flush),
+//! [`tick`](Engine::tick), [`crash`](Engine::crash),
+//! [`restart`](Engine::restart) — taking the time as a `now: u64` in the
+//! driver's unit (simulated ticks, or µs since the cluster epoch with
+//! [`SessionConfig`] scaled once in the [`EngineConfig`]). Every frame to
+//! transmit is pushed onto a driver-owned `out` buffer, performed after
+//! the call.
+//!
+//! Batches are self-clocking: no timer closes one. A batch ships when it
+//! reaches a [`BatchPolicy`] cap, or when the driver ends the pass that
+//! filled it with [`flush`](Engine::flush) — so at low load a write
+//! ships at once, and under load passes lengthen and batches grow.
 //!
 //! The engine, and only the engine, enforces the two orderings the
 //! stack promises: a batch enters the durable outbox before its frame is
@@ -34,9 +39,9 @@ use std::sync::Arc;
 /// [`BatchMsg`] frames, per ordered `(sender, receiver)` pair.
 ///
 /// A pending batch is flushed to the network when it reaches
-/// `batch_count` updates or `batch_bytes` payload bytes, or when
-/// `flush_after` ticks have elapsed since its first update was queued —
-/// whichever comes first. `batch_count <= 1` degenerates to eager
+/// `batch_count` updates or `batch_bytes` payload bytes, or at the end of
+/// the driver pass that opened it ([`Engine::flush`]) — whichever comes
+/// first. `batch_count <= 1` degenerates to eager
 /// per-update shipping (singleton batches, byte-identical to the
 /// unbatched wire: see [`BatchMsg::size_bytes`]), which is also forced
 /// whenever the deployment can crash — a queued-but-unflushed batch
@@ -48,8 +53,6 @@ pub struct BatchPolicy {
     pub batch_count: usize,
     /// Max accumulated payload bytes per batch (flush trigger).
     pub batch_bytes: usize,
-    /// Ticks a non-full batch waits for more updates before flushing.
-    pub flush_after: u64,
 }
 
 impl Default for BatchPolicy {
@@ -57,7 +60,6 @@ impl Default for BatchPolicy {
         BatchPolicy {
             batch_count: 16,
             batch_bytes: 4096,
-            flush_after: 1,
         }
     }
 }
@@ -69,7 +71,6 @@ impl BatchPolicy {
         BatchPolicy {
             batch_count: 1,
             batch_bytes: 0,
-            flush_after: 0,
         }
     }
 
@@ -96,8 +97,6 @@ pub(crate) struct EngineConfig {
     pub registry: Option<Arc<TsRegistry>>,
     pub wire: WireMode,
     pub batch: BatchPolicy,
-    /// How long a batch stays open, in clock units.
-    pub window: u64,
     /// The driver can crash this engine: ship eagerly, since a queued
     /// batch would die with it while the outbox claims it was never sent.
     pub crash_capable: bool,
@@ -106,11 +105,11 @@ pub(crate) struct EngineConfig {
     pub snapshot_every: Option<usize>,
 }
 
-/// A per-destination batch waiting for a flush trigger.
+/// A per-destination batch waiting for a cap or the pass's flush.
+#[derive(Default)]
 struct Pending {
     msgs: Vec<UpdateMsg>,
     bytes: usize,
-    due: u64,
 }
 
 /// The result of one [`Engine::write`].
@@ -252,12 +251,7 @@ impl Engine {
             ship(&mut self.session, &mut self.log, dst, batch, now, out);
             return;
         }
-        let window = self.config.window;
-        let q = self.outq.entry(dst).or_insert_with(|| Pending {
-            msgs: Vec::new(),
-            bytes: 0,
-            due: now + window,
-        });
+        let q = self.outq.entry(dst).or_default();
         q.bytes += m.size_bytes();
         q.msgs.push(m);
         let policy = self.config.batch;
@@ -316,29 +310,8 @@ impl Engine {
         applied
     }
 
-    /// Ships every batch whose window closed by `now`, in destination
-    /// order.
-    pub fn flush_due(&mut self, now: u64, out: &mut Vec<Outgoing>) {
-        if self.next_batch_due().is_none_or(|d| d > now) {
-            return;
-        }
-        let (session, log) = (&mut self.session, &mut self.log);
-        self.outq.retain(|&dst, q| {
-            if q.due > now {
-                return true;
-            }
-            let batch = BatchMsg {
-                updates: std::mem::take(&mut q.msgs),
-            };
-            ship(session, log, dst, batch, now, out);
-            false
-        });
-    }
-
-    /// The timer input: closed batch windows, then due retransmissions
-    /// and delayed acks.
+    /// The timer input: due retransmissions and delayed acks.
     pub fn tick(&mut self, now: u64, out: &mut Vec<Outgoing>) {
-        self.flush_due(now, out);
         match &mut self.session {
             Some(ep) if !self.crashed && ep.next_deadline().is_some_and(|d| d <= now) => {
                 ep.poll(now, out);
@@ -347,8 +320,14 @@ impl Engine {
         }
     }
 
-    /// Ships every open batch (shutdown).
-    pub fn flush_all(&mut self, now: u64, out: &mut Vec<Outgoing>) {
+    /// True while a batch is open: the driver owes a [`flush`](Self::flush).
+    pub fn has_open_batch(&self) -> bool {
+        !self.outq.is_empty()
+    }
+
+    /// Ships every open batch, in destination order: the end of a driver
+    /// pass (and shutdown).
+    pub fn flush(&mut self, now: u64, out: &mut Vec<Outgoing>) {
         for (dst, q) in std::mem::take(&mut self.outq) {
             let batch = BatchMsg { updates: q.msgs };
             ship(&mut self.session, &mut self.log, dst, batch, now, out);
@@ -394,22 +373,13 @@ impl Engine {
         true
     }
 
-    /// When the earliest open batch window closes.
-    pub fn next_batch_due(&self) -> Option<u64> {
-        self.outq.values().map(|q| q.due).min()
-    }
-
-    /// The next instant [`tick`](Self::tick) has work: a batch window or
-    /// a session timer. `None` when crashed or idle.
+    /// The next instant [`tick`](Self::tick) has work: a session timer.
+    /// `None` when crashed or no timer is armed.
     pub fn next_deadline(&self) -> Option<u64> {
-        if self.crashed {
-            return None;
+        match &self.session {
+            Some(ep) if !self.crashed => ep.next_deadline(),
+            _ => None,
         }
-        let timer = self
-            .session
-            .as_ref()
-            .and_then(SessionEndpoint::next_deadline);
-        [self.next_batch_due(), timer].into_iter().flatten().min()
     }
 }
 
@@ -476,7 +446,6 @@ mod tests {
             registry: Some(Arc::clone(&registry)),
             wire: WireMode::Raw,
             batch,
-            window: 10,
             crash_capable,
             session,
             snapshot_every,
@@ -496,7 +465,6 @@ mod tests {
         BatchPolicy {
             batch_count: count,
             batch_bytes: bytes,
-            flush_after: 10,
         }
     }
 
@@ -550,22 +518,19 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_closes_on_its_window() {
+    fn an_open_batch_ships_at_the_pass_flush() {
         let mut e = ring(batching(16, usize::MAX), false, None, None).remove(0);
         let mut out = Vec::new();
         write(&mut e, 1, 5, &mut out);
         write(&mut e, 2, 7, &mut out);
-        assert_eq!(
-            e.next_deadline(),
-            Some(15),
-            "window opens with the first update"
-        );
-        e.tick(14, &mut out);
-        assert!(out.is_empty());
-        e.tick(15, &mut out);
+        assert!(e.has_open_batch());
+        assert_eq!(e.next_deadline(), None, "no timer closes a batch");
+        e.tick(1_000_000, &mut out);
+        assert!(out.is_empty(), "time alone ships nothing");
+        e.flush(8, &mut out);
         assert_eq!(out.len(), 1);
-        assert_eq!(batch_len(&out[0].1), 2);
-        assert_eq!(e.next_deadline(), None);
+        assert_eq!((out[0].0, batch_len(&out[0].1)), (r(1), 2));
+        assert!(!e.has_open_batch());
     }
 
     #[test]
@@ -583,7 +548,7 @@ mod tests {
                 assert_eq!(out.len(), v as usize + 1);
             }
             assert!(out.iter().all(|(dst, f)| *dst == r(1) && batch_len(f) == 1));
-            assert_eq!(e.next_batch_due(), None);
+            assert!(!e.has_open_batch());
         }
     }
 
@@ -659,7 +624,7 @@ mod tests {
         assert_eq!(es[0].next_deadline(), None);
         assert!(es[1].on_frame(r(0), frame, 1, &mut out, |_| {}).is_empty());
         es[0].tick(10_000, &mut out);
-        es[0].flush_all(10_000, &mut out);
+        es[0].flush(10_000, &mut out);
         assert!(matches!(
             es[0].write(x(0), Value::from(2u64), 10_000, &mut out, |_, _| {}),
             Err(ReplicaError::Crashed { .. })

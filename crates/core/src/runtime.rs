@@ -14,11 +14,11 @@
 //! Four design points keep client operations off the contended paths:
 //!
 //! * **One event-driven loop per replica.** A replica thread has exactly
-//!   one blocking point: it parks until its earliest batch window or
-//!   session timer and is woken early only by an arrival — a command, or
-//!   a frame the transport delivered (see `replica_main`). No pass
-//!   without work, no fixed-period poll, and the same loop in every
-//!   configuration (batched, durable, TCP, crash-bearing).
+//!   one blocking point: it parks until its next session timer and is
+//!   woken early only by an arrival — a command, or a frame the transport
+//!   delivered (see `replica_main`). No pass without work, no
+//!   fixed-period poll, and the same loop in every configuration
+//!   (batched, durable, TCP, crash-bearing).
 //! * **Per-thread trace shards.** Each replica thread appends protocol
 //!   events to its own shard (a private `Mutex<Vec<_>>`, uncontended in
 //!   steady state) stamped with nanoseconds since a shared epoch. The
@@ -31,10 +31,12 @@
 //!   [`read`](ThreadedCluster::read) clones the `Arc` and never enqueues
 //!   into the replica thread, so readers cannot observe torn state and
 //!   cannot slow writers down.
-//! * **Batched update pipeline.** The engine coalesces outgoing updates
-//!   per destination under the cluster's [`BatchPolicy`] into
-//!   [`BatchMsg`] frames; receivers ingest them through
-//!   [`Replica::receive_batch`]'s once-per-batch predicate fast path.
+//! * **Self-clocking batches.** The engine coalesces the updates one
+//!   pass's command burst issues per destination into [`BatchMsg`]
+//!   frames, capped by the cluster's [`BatchPolicy`], and the loop ships
+//!   them at the end of that burst — no timer holds a batch open;
+//!   receivers ingest them through [`Replica::receive_batch`]'s
+//!   once-per-batch predicate fast path.
 //!
 //! Client command channels are *bounded*
 //! ([`ClusterConfig::channel_depth`]): a flooded replica thread exerts
@@ -82,8 +84,9 @@ pub struct ClusterConfig {
     pub schedule: FaultSchedule,
     /// Reliable-delivery session layer, if any.
     pub session: Option<SessionConfig>,
-    /// Sender-side update batching (`flush_after` is in delay-model
-    /// ticks of 200 µs, mirroring the simulated system).
+    /// Sender-side update batching: the caps on one batch. The writes
+    /// one loop pass drains are coalesced per destination and shipped at
+    /// the end of that pass's command burst, or earlier at a cap.
     pub batch: BatchPolicy,
     /// Client command channel bound per replica thread. A full channel
     /// blocks the calling writer — bounded backpressure, never an
@@ -96,8 +99,8 @@ pub struct ClusterConfig {
     /// with this WAL length between snapshot compactions. Required for
     /// crash/restart (a crash without a log would be permanent data
     /// loss); auto-armed at 1024 when the schedule scripts crashes. Forces
-    /// eager (unbatched) shipping: a batch waiting for its window would
-    /// die with a crash while its writes are already acked.
+    /// eager (unbatched) shipping: an open batch would die with a crash
+    /// while its writes are already acked.
     pub durability: Option<usize>,
     /// How publishes materialise snapshots: sharded copy-on-write
     /// (O(Δ) per publish, the default) or the original clone-the-world
@@ -846,8 +849,8 @@ impl ThreadedCluster {
 
     /// How many passes replica `r`'s loop has made so far — a diagnostic
     /// for the loop's wait discipline: a pass happens only on an arrival
-    /// (command or frame), a closed batch window, a due session timer, or
-    /// the idle park running out, so an idle cluster's count barely moves.
+    /// (command or frame), a due session timer, or the idle park running
+    /// out, so an idle cluster's count barely moves.
     pub fn loop_passes(&self, r: ReplicaId) -> u64 {
         self.shared(r).passes.load(Ordering::Relaxed)
     }
@@ -1225,8 +1228,7 @@ fn exact_registry(graph: &ShareGraph) -> Arc<TsRegistry> {
 }
 
 /// The runtime's [`EngineConfig`]: the engine clock is µs since the
-/// cluster epoch, so the batch window (`flush_after` ticks of
-/// [`TICK`]) and the session timers (ms) are scaled to µs here, once.
+/// cluster epoch, so the session timers (ms) are scaled to µs here, once.
 fn engine_config(
     graph: &Arc<ShareGraph>,
     registry: Arc<TsRegistry>,
@@ -1240,7 +1242,6 @@ fn engine_config(
         registry: Some(registry),
         wire: config.wire,
         batch: config.batch,
-        window: (TICK.as_micros() as u64).saturating_mul(config.batch.flush_after),
         crash_capable: config.durability.is_some(),
         session: config.session.map(|s| SessionConfig {
             rto_base: us(s.rto_base),
@@ -1441,8 +1442,8 @@ impl DeferredReplies {
     }
 }
 
-/// How long a replica loop parks when no batch window or session timer
-/// is open. Nothing depends on the loop passing at this period — every
+/// How long a replica loop parks when no session timer is armed.
+/// Nothing depends on the loop passing at this period — every
 /// input rings the doorbell — it only bounds what a wake-up lost to a
 /// bug could cost. Public so the lost-wake-up regression test can name
 /// the cliff it looks for.
@@ -1456,13 +1457,13 @@ pub const IDLE_PARK: Duration = Duration::from_millis(50);
 /// engine input is followed by sending the frames it emitted.
 ///
 /// Each pass drains a burst of commands, publishes once and releases
-/// their completion tokens, drains a burst of frames, publishes once,
-/// and ticks the engine (closed batch windows, due session timers). It
-/// then parks on the transport's [`Doorbell`] until the engine's next
-/// deadline, and is woken early only by an arrival: a command ([`CmdTx`]
-/// rings) or a delivered frame (the substrate rings). The bell's token is
-/// sticky, so an arrival between the last queue check and the park is
-/// never slept through.
+/// their completion tokens, ships the batches that burst opened, drains
+/// a burst of frames, publishes once, and ticks the engine (due session
+/// timers). It then parks on the transport's [`Doorbell`] until the
+/// engine's next session timer, and is woken early only by an arrival: a
+/// command ([`CmdTx`] rings) or a delivered frame (the substrate rings).
+/// The bell's token is sticky, so an arrival between the last queue check
+/// and the park is never slept through.
 fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) {
     let ReplicaCtx {
         id,
@@ -1587,7 +1588,7 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) 
                 }
                 Cmd::Shutdown => {
                     deferred.release(&shared.snapshot, &engine, mode);
-                    engine.flush_all(now(), &mut tx.out);
+                    engine.flush(now(), &mut tx.out);
                     tx.send();
                     return;
                 }
@@ -1597,6 +1598,11 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) 
         // One publish for the whole burst, then every held completion
         // token — never a token before its write is snapshot-visible.
         deferred.release(&shared.snapshot, &engine, mode);
+        // The burst was the batch: ship what it left open.
+        if engine.has_open_batch() {
+            engine.flush(now(), &mut tx.out);
+            tx.send();
+        }
         // Then a burst of network input.
         let mut applied = 0;
         let mut budget = 256;
@@ -1628,8 +1634,8 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) 
         if !engine.is_crashed() {
             let pending = engine.replica().pending_count();
             roll(&counters.pending, &mut local_pending, pending);
-            // Ship the batches whose window closed, fire the session
-            // timers that are due, and learn when the next of either is.
+            // Fire the session timers that are due and learn when the
+            // next one is.
             engine.tick(now(), &mut tx.out);
             tx.send();
             wake = engine

@@ -110,14 +110,15 @@ pub struct ServingConfig {
     /// First step of the deterministic exponential backoff used while
     /// an op blocks (doubles per attempt, capped at one millisecond).
     pub backoff_base: Duration,
-    /// How long a worker parks on its completion channel after flushing
-    /// writes, waiting for the flushed batch to be acked. Parking —
-    /// rather than submitting and racing on — bounds the in-flight
-    /// window to roughly one batch and, on hosts with few cores, hands
-    /// the CPU straight to the replica threads: an open-loop driver
-    /// that never blocks can otherwise burn a full scheduler quantum
-    /// (milliseconds) on snapshot reads while acked-but-unobserved
-    /// completions age in the channel. Zero disables the wait.
+    /// The most a worker parks on its completion channel after flushing
+    /// writes, waiting until every write it has shipped is answered.
+    /// Parking — rather than submitting and racing on — bounds the
+    /// in-flight window to one flushed batch and, on hosts with few
+    /// cores, hands the CPU straight to the replica threads: an
+    /// open-loop driver that never blocks can otherwise burn a full
+    /// scheduler quantum (milliseconds) on snapshot reads while
+    /// acked-but-unobserved completions age in the channel. Zero
+    /// disables the wait.
     pub completion_wait: Duration,
 }
 
@@ -745,28 +746,34 @@ impl ServingWorker<'_, '_> {
         }
     }
 
-    /// Parks on the completion channel until at most a handful of
-    /// flushed writes remain outstanding or
-    /// [`ServingConfig::completion_wait`] elapses — see that knob for
-    /// why submitting-and-racing-on is worse than waiting. The small
-    /// residual window keeps the worker's submission pipelined with the
-    /// replicas' apply work instead of serialising on the slowest ack.
+    /// Parks on the completion channel until every write this worker
+    /// has shipped is answered, or [`ServingConfig::completion_wait`]
+    /// elapses in total —
+    /// see that knob for why submitting-and-racing-on is worse than
+    /// waiting. A flush fans out to several replicas, each answering in
+    /// its own drain burst; waiting for all of them hands the CPU to the
+    /// replica threads for the whole batch instead of re-parking per ack.
     fn await_completions(&mut self) {
         let wait = self.tier.cfg.completion_wait;
-        if wait.is_zero() || self.tokens.is_empty() {
+        if wait.is_zero() {
             return;
         }
-        // One bounded park for the first ack: the replica thread serves
-        // the whole flushed batch in one drain burst, so once anything
-        // arrives the rest is already in the channel — drain it without
-        // blocking again and move on to serving reads.
-        match self.reply_rx.recv_timeout(wait) {
-            Ok((t, st)) => self.handle_completion(t, st),
-            Err(_) => return,
+        let deadline = Instant::now() + wait;
+        while self.shipped() > 0 {
+            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                return;
+            };
+            match self.reply_rx.recv_timeout(left) {
+                Ok((t, st)) => self.handle_completion(t, st),
+                Err(_) => return,
+            }
         }
-        while let Ok((t, st)) = self.reply_rx.try_recv() {
-            self.handle_completion(t, st);
-        }
+    }
+
+    /// Writes shipped to a replica and not yet answered: every live token
+    /// not still sitting in a buffer.
+    fn shipped(&self) -> usize {
+        self.tokens.len() - self.bufs.iter().map(Vec::len).sum::<usize>()
     }
 
     /// Blocks until session `sid` has no write in flight. Flushes first:
@@ -1086,6 +1093,35 @@ mod tests {
         cluster.settle();
         let trace = cluster.trace_snapshot();
         assert!(prcc_checker::check_sessions(&trace, &collected.events).is_empty());
+    }
+
+    #[test]
+    fn flush_returns_with_the_whole_batch_answered() {
+        // ring(4): a session attached to {0, 1} writes register 1 at
+        // replica 1, one attached to {3, 0} writes register 0 at replica
+        // 0. Replica 1 gets a long burst, replica 0 a single write, so
+        // the first answer comes long before the last.
+        let cluster = ThreadedCluster::new(topology::ring(4), DelayModel::Fixed(1), 8);
+        let cfg = ServingConfig {
+            completion_wait: Duration::from_secs(1),
+            write_batch: 4096,
+            ..ServingConfig::default()
+        };
+        let tier = ServingTier::new(&cluster, cfg);
+        let mut w = tier.worker();
+        w.write(3, x(0), Value::from(0u64)).unwrap();
+        for k in 0..2000u64 {
+            w.write(4 * k, x(1), Value::from(k)).unwrap();
+        }
+        let lens: Vec<usize> = w.bufs.iter().map(Vec::len).collect();
+        assert_eq!(lens, [1, 2000, 0, 0]);
+        w.flush();
+        assert!(
+            w.tokens.is_empty(),
+            "flush returned with {} of 2001 writes unanswered",
+            w.tokens.len()
+        );
+        assert_eq!(w.finish().ops, 2001);
     }
 
     #[test]

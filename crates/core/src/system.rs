@@ -4,9 +4,10 @@
 //! (`crate::engine`, DESIGN §15): one engine per share-graph vertex, a
 //! deterministic [`SimNetwork`] carrying the frames they emit, and an
 //! execution [`Trace`] fed to the consistency checker. The driver only
-//! schedules inputs — writes, deliveries, batch windows, session timers,
-//! scripted crashes and restarts, in that priority order at equal
-//! simulated instants — and performs the engines' sends; the codec,
+//! schedules inputs — scripted crashes and restarts, the flush of the
+//! batches the writes since the last step opened, deliveries and session
+//! timers, in that priority order at equal simulated instants — and
+//! performs the engines' sends; the codec,
 //! batching, session and WAL live in the engine, shared with the
 //! threaded runtime. A [`SystemBuilder`] selects:
 //!
@@ -230,7 +231,9 @@ impl SystemBuilder {
     }
 
     /// Selects the sender-side batching policy (default:
-    /// [`BatchPolicy::default`], coalescing on). Use
+    /// [`BatchPolicy::default`], coalescing on). The writes issued
+    /// between two [`step`](System::step)s form one pass: their batches
+    /// ship, up to the policy's caps, at the next step. Use
     /// [`BatchPolicy::unbatched`] for the per-update differential
     /// oracle. Forced to eager flushing under a crash schedule — see
     /// [`BatchPolicy`].
@@ -320,7 +323,6 @@ impl SystemBuilder {
             registry: codec_registry,
             wire: self.wire_mode,
             batch: self.batch,
-            window: self.batch.flush_after,
             crash_capable,
             session: self.session,
             snapshot_every: durable.then_some(self.snapshot_every),
@@ -512,12 +514,15 @@ impl System {
 
     /// Time of the next simulation event of any kind, or `None` at full
     /// quiescence. Events, in priority order at equal instants: scripted
-    /// crash, scripted restart, pending-batch flush, network delivery,
-    /// retransmission timer.
+    /// crash, scripted restart, open-batch flush, network delivery,
+    /// retransmission timer. An open batch is due at the instant it
+    /// opened, which is always now.
     fn next_event_time(&self) -> Option<u64> {
+        let open = self.engines.iter().any(Engine::has_open_batch);
         [
             self.crash_queue.front().map(|&(t, _)| t),
             self.restart_queue.front().map(|&(t, _)| t),
+            open.then(|| self.net.now()),
             self.engines.iter().filter_map(Engine::next_deadline).min(),
             self.net.peek_delivery_time(),
         ]
@@ -527,9 +532,9 @@ impl System {
     }
 
     /// Processes the next simulation event: a scripted crash or restart,
-    /// a due pending-batch flush, a network delivery (discarded if the
-    /// destination is down), or a batch of due retransmissions. Returns
-    /// `false` at quiescence.
+    /// the flush of every open batch, a network delivery (discarded if
+    /// the destination is down), or a batch of due retransmissions.
+    /// Returns `false` at quiescence.
     pub fn step(&mut self) -> bool {
         let Some(t) = self.next_event_time() else {
             return false;
@@ -552,24 +557,20 @@ impl System {
                 return true;
             }
         }
-        let batch_due = self
-            .engines
-            .iter()
-            .any(|e| e.next_batch_due().is_some_and(|d| d <= t));
-        if !batch_due && self.net.peek_delivery_time() == Some(t) {
+        // The writes since the last step were one pass: ship what they
+        // left open before anything else happens at this instant;
+        // retransmission timers only once nothing else is due.
+        let open = self.engines.iter().any(Engine::has_open_batch);
+        if !open && self.net.peek_delivery_time() == Some(t) {
             let (t, env) = self.net.next_delivery().expect("peeked delivery");
             self.deliver_frame(t, env.src, env.dst, env.msg);
             return true;
         }
-        // Batch windows first; retransmission timers only once no batch
-        // and no delivery is due at this instant.
         self.net.advance_to(t);
+        let input: fn(&mut Engine, u64, &mut Vec<Outgoing>) =
+            if open { Engine::flush } else { Engine::tick };
         for i in 0..self.engines.len() {
-            if batch_due {
-                self.engines[i].flush_due(t, &mut self.out);
-            } else {
-                self.engines[i].tick(t, &mut self.out);
-            }
+            input(&mut self.engines[i], t, &mut self.out);
             self.send_out(ReplicaId::new(i as u32));
         }
         true

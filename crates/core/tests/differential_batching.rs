@@ -5,10 +5,12 @@
 //! The oracle runs [`BatchPolicy::unbatched`] — every update ships
 //! immediately as a singleton batch, byte-identical to the pre-batching
 //! wire. The subject runs the *same seeded workload* under a randomly
-//! drawn policy (counts down to 1, byte caps, flush windows), across
-//! ring/tree/clique topologies, all three trackers, all three wire
-//! modes, both pending schedulers, and generated fault schedules with
-//! the session layer healing them. Equivalence means:
+//! drawn policy (counts down to 1, byte caps) and pass shape (writes
+//! issued in bursts of 1, 3 or 8 between steps — the writes of one burst
+//! share the batches the next step ships), across ring/tree/clique
+//! topologies, all three trackers, both wire modes, both pending
+//! schedulers, and generated fault schedules with the session layer
+//! healing them. Equivalence means:
 //!
 //! * the same multiset of issue/apply events;
 //! * the same final store at every replica and register;
@@ -70,10 +72,11 @@ fn make_schedule(
     s
 }
 
-/// One deterministic run of the shared workload under `policy`.
-/// Single writer per register (its first holder), writes at a crashed
-/// writer deferred FIFO — the same discipline as the fault-stack
-/// differential, so the final state is schedule-independent.
+/// One deterministic run of the shared workload under `policy`, its
+/// writes issued in bursts of `burst` between steps. Single writer per
+/// register (its first holder), writes at a crashed writer deferred
+/// FIFO — the same discipline as the fault-stack differential, so the
+/// final state is schedule-independent.
 #[allow(clippy::too_many_arguments)]
 fn run_one(
     g: &ShareGraph,
@@ -81,6 +84,7 @@ fn run_one(
     mode: PendingMode,
     wire: WireMode,
     policy: BatchPolicy,
+    burst: u64,
     schedule: Option<&FaultSchedule>,
     session: bool,
     seed: u64,
@@ -116,8 +120,12 @@ fn run_one(
             }
             sys.write(writer, x, Value::from(w));
         }
-        for _ in 0..rng.gen_range(0usize..4) {
-            sys.step();
+        // Drawn on every write, so each burst size issues the same writes.
+        let steps = rng.gen_range(0usize..4);
+        if (w + 1) % burst == 0 {
+            for _ in 0..steps {
+                sys.step();
+            }
         }
     }
     sys.run_to_quiescence();
@@ -144,7 +152,8 @@ fn sorted_events(sys: &System) -> Vec<(u8, u32, u64, u32)> {
     keys
 }
 
-/// The headline property: drawn policy ≡ singleton oracle.
+/// The headline property: drawn policy ≡ singleton oracle, both
+/// driven in the same pass shape.
 #[allow(clippy::too_many_arguments)]
 fn assert_equivalent(
     g: &ShareGraph,
@@ -152,6 +161,7 @@ fn assert_equivalent(
     mode: PendingMode,
     wire: WireMode,
     policy: BatchPolicy,
+    burst: u64,
     schedule: Option<&FaultSchedule>,
     session: bool,
     seed: u64,
@@ -162,18 +172,22 @@ fn assert_equivalent(
         mode,
         wire,
         BatchPolicy::unbatched(),
+        burst,
         schedule,
         session,
         seed,
     );
-    let subject = run_one(g, tracker, mode, wire, policy, schedule, session, seed);
+    let subject = run_one(
+        g, tracker, mode, wire, policy, burst, schedule, session, seed,
+    );
 
     prop_assert!(subject.is_settled(), "batched run failed to quiesce");
     prop_assert_eq!(
         sorted_events(&oracle),
         sorted_events(&subject),
-        "event multisets diverge under {:?}",
-        policy
+        "event multisets diverge under {:?} in bursts of {}",
+        policy,
+        burst
     );
     for i in g.replicas() {
         for x in g.placement().registers_of(i).iter() {
@@ -202,13 +216,15 @@ fn assert_equivalent(
     prop_assert_eq!(subject.stuck_pending(), 0);
 }
 
-fn draw_policy(count_i: usize, bytes_i: usize, flush_i: usize) -> BatchPolicy {
+fn draw_policy(count_i: usize, bytes_i: usize) -> BatchPolicy {
     BatchPolicy {
         batch_count: [1, 2, 4, 8, 16][count_i],
         batch_bytes: [64, 512, 1 << 20][bytes_i],
-        flush_after: [0, 1, 5][flush_i],
     }
 }
+
+/// Writes issued between steps: one pass's worth.
+const BURSTS: [u64; 3] = [1, 3, 8];
 
 proptest! {
     /// Fault-free, sessionless: batching alone must not change any
@@ -222,7 +238,7 @@ proptest! {
         wire in 0usize..2,
         count_i in 0usize..5,
         bytes_i in 0usize..3,
-        flush_i in 0usize..3,
+        burst_i in 0usize..3,
         seed in 0u64..1_000_000,
     ) {
         let g = build_topology(topo, n);
@@ -238,8 +254,8 @@ proptest! {
             _ => WireMode::Raw,
         };
         let mode = if pm == 0 { PendingMode::Scan } else { PendingMode::Wakeup };
-        let policy = draw_policy(count_i, bytes_i, flush_i);
-        assert_equivalent(&g, tracker, mode, wire, policy, None, false, seed);
+        let policy = draw_policy(count_i, bytes_i);
+        assert_equivalent(&g, tracker, mode, wire, policy, BURSTS[burst_i], None, false, seed);
     }
 
     /// Under fault schedules healed by the session layer: batching and
@@ -253,7 +269,7 @@ proptest! {
         wire in 0usize..2,
         count_i in 0usize..5,
         bytes_i in 0usize..3,
-        flush_i in 0usize..3,
+        burst_i in 0usize..3,
         drop_i in 0usize..3,
         crashes in 0usize..3,
         partition in 0usize..2,
@@ -264,8 +280,11 @@ proptest! {
         let s = make_schedule(n, drop_prob, crashes, partition == 1, seed);
         let wire = [WireMode::Raw, WireMode::Compressed][wire];
         let tracker = TrackerKind::EdgeIndexed(prcc_sharegraph::LoopConfig::EXHAUSTIVE);
-        let policy = draw_policy(count_i, bytes_i, flush_i);
-        assert_equivalent(&g, tracker, PendingMode::default(), wire, policy, Some(&s), true, seed);
+        let policy = draw_policy(count_i, bytes_i);
+        let burst = BURSTS[burst_i];
+        assert_equivalent(
+            &g, tracker, PendingMode::default(), wire, policy, burst, Some(&s), true, seed,
+        );
     }
 }
 
@@ -280,7 +299,6 @@ fn batch_fast_path_engages() {
         .batch_policy(BatchPolicy {
             batch_count: 8,
             batch_bytes: 1 << 20,
-            flush_after: 5,
         })
         .delay(DelayModel::Fixed(1))
         .seed(3)
@@ -316,7 +334,6 @@ fn crash_forces_eager_flush_and_stays_equivalent() {
         let policy = BatchPolicy {
             batch_count: 16,
             batch_bytes: 1 << 20,
-            flush_after: 3,
         };
         let oracle = run_one(
             &g,
@@ -324,6 +341,7 @@ fn crash_forces_eager_flush_and_stays_equivalent() {
             PendingMode::default(),
             WireMode::default(),
             BatchPolicy::unbatched(),
+            3,
             Some(&s),
             true,
             seed,
@@ -334,6 +352,7 @@ fn crash_forces_eager_flush_and_stays_equivalent() {
             PendingMode::default(),
             WireMode::default(),
             policy,
+            3,
             Some(&s),
             true,
             seed,

@@ -1,9 +1,10 @@
 //! The replica loop's wait discipline, pinned from outside.
 //!
-//! The loop has one blocking point: it parks until its earliest batch
-//! window or session timer and is woken early only by an arrival. Three
-//! things can go wrong with that and none of them fails a functional
-//! test, so each gets a regression test here:
+//! The loop has one blocking point: it parks until its next session
+//! timer and is woken early only by an arrival; no timer holds a batch
+//! open, since each pass ships the batches its command burst filled.
+//! Three things can go wrong with that and none of them fails a
+//! functional test, so each gets a regression test here:
 //!
 //! * **spinning** — a pass without work (the loop once stayed hot for a
 //!   whole coalescing window and polled every 200 µs when idle). Pinned
@@ -15,7 +16,7 @@
 //!   being told through `shutdown()`.
 
 use prcc_core::runtime::{NodeRuntime, ThreadedCluster, IDLE_PARK};
-use prcc_core::{BatchPolicy, ClusterConfig, Value};
+use prcc_core::{ClusterConfig, Value};
 use prcc_net::{BoundListener, DelayModel, SessionConfig, TcpNetConfig};
 use prcc_sharegraph::{topology, RegisterId, ReplicaId};
 use std::collections::HashMap;
@@ -28,20 +29,7 @@ fn r(i: u32) -> ReplicaId {
 
 #[test]
 fn one_write_costs_a_handful_of_passes_not_a_spin() {
-    // A 10 ms coalescing window (50 ticks): the parent commit's loop
-    // stayed hot for all of it and made thousands of passes.
-    let cluster = ThreadedCluster::with_config(
-        topology::path(2),
-        DelayModel::Fixed(1),
-        1,
-        ClusterConfig {
-            batch: BatchPolicy {
-                flush_after: 50,
-                ..BatchPolicy::default()
-            },
-            ..ClusterConfig::default()
-        },
-    );
+    let cluster = ThreadedCluster::new(topology::path(2), DelayModel::Fixed(1), 1);
     let before = cluster.loop_passes(r(0));
     cluster.write(r(0), RegisterId::new(0), Value::from(1u64));
     cluster.settle();
@@ -49,8 +37,8 @@ fn one_write_costs_a_handful_of_passes_not_a_spin() {
         cluster.read(r(1), RegisterId::new(0)),
         Some(Value::from(1u64))
     );
-    // The command, the window closing, and a few idle parks while
-    // `settle` waits out its 50 ms grace period.
+    // The command (whose pass ships the batch) and a few idle parks
+    // while `settle` waits out its 50 ms grace period.
     let passes = cluster.loop_passes(r(0)) - before;
     assert!(
         passes <= 20,

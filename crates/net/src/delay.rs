@@ -90,6 +90,21 @@ impl DelayModel {
         }
     }
 
+    /// The smallest delay this model can produce (the threaded router
+    /// skips waking for a message that cannot fall due before its park
+    /// ends).
+    pub fn min_delay(&self) -> u64 {
+        match *self {
+            DelayModel::Fixed(d) => d,
+            DelayModel::Uniform { min, .. } => min,
+            DelayModel::LongTail { base, .. } => base,
+            DelayModel::PerLink {
+                default,
+                ref overrides,
+            } => overrides.values().copied().fold(default, u64::min),
+        }
+    }
+
     /// The largest delay this model can produce (used by quiescence
     /// detection in the simulator).
     pub fn max_delay(&self) -> u64 {
@@ -198,6 +213,58 @@ mod tests {
             overrides: HashMap::new(),
         };
         assert_eq!(zero.sample(&mut rng, r(0), r(1)), 0);
+    }
+
+    #[test]
+    fn min_delay_bounds_every_sample_from_below() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut slow_link = HashMap::new();
+        slow_link.insert((r(0), r(1)), 100u64);
+        let mut zero_link = HashMap::new();
+        zero_link.insert((r(1), r(0)), 0u64);
+        let cases = [
+            (DelayModel::Fixed(5), 5),
+            (DelayModel::Uniform { min: 3, max: 9 }, 3),
+            (
+                DelayModel::LongTail {
+                    base: 10,
+                    p_slow: 0.5,
+                    slow_factor: 20,
+                },
+                10,
+            ),
+            (
+                DelayModel::PerLink {
+                    default: 2,
+                    overrides: slow_link,
+                },
+                2,
+            ),
+            // A zero-delay override is the floor even under a slow default.
+            (
+                DelayModel::PerLink {
+                    default: 7,
+                    overrides: zero_link,
+                },
+                0,
+            ),
+            (
+                DelayModel::PerLink {
+                    default: 0,
+                    overrides: HashMap::new(),
+                },
+                0,
+            ),
+        ];
+        for (m, floor) in cases {
+            assert_eq!(m.min_delay(), floor, "{m:?}");
+            for _ in 0..200 {
+                for (a, b) in [(0, 1), (1, 0)] {
+                    let d = m.sample(&mut rng, r(a), r(b));
+                    assert!(d >= floor && d <= m.max_delay(), "{m:?} drew {d}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,18 +7,26 @@
 //! threaded runtime in `prcc-core` uses it to exercise the protocol under
 //! real interleavings (the "tokio async nodes" role of the reproduction,
 //! built on crossbeam since the offline crate set has no async runtime).
+//!
+//! A message is stamped when it is sent and is due `delay` after that
+//! stamp, so the time the router takes to pick it up does not lengthen
+//! the hop. The router parks on its own [`Doorbell`] until its earliest
+//! due delivery and publishes that instant; a sender rings the bell only
+//! when its message could fall due before it.
 
 use crate::delay::DelayModel;
 use crate::faults::{FaultAction, FaultPlan, FaultSchedule};
 use crate::sim_net::Envelope;
 use crate::transport::Doorbell;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use prcc_sharegraph::ReplicaId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -26,6 +34,10 @@ use std::time::{Duration, Instant};
 /// convert a [`FaultSchedule`](crate::faults::FaultSchedule) horizon
 /// (in ticks) into the wall-clock span they must wait out.
 pub const TICK: Duration = Duration::from_micros(200);
+
+/// How long the router parks with nothing in flight. Every send that
+/// could fall due sooner rings it, so nothing waits on this period.
+const ROUTER_IDLE_PARK: Duration = Duration::from_millis(50);
 
 struct Pending<M> {
     due: Instant,
@@ -50,11 +62,42 @@ impl<M> Ord for Pending<M> {
     }
 }
 
+/// A message on its way to the router, stamped with its send instant.
+type Sent<M> = (Instant, Envelope<M>);
+
+/// What senders share with the router: its bell and when its park ends.
+struct RouterWake {
+    bell: Doorbell,
+    /// Nanoseconds after `epoch` at which the parked router wakes on its
+    /// own; 0 while it runs (it drains the channel before parking again).
+    parked_until: AtomicU64,
+    epoch: Instant,
+    /// The shortest delay the model can draw: a message sent at `t` is
+    /// never due before `t + min_delay`.
+    min_delay: Duration,
+}
+
+impl RouterWake {
+    fn nanos(&self, t: Instant) -> u64 {
+        t.saturating_duration_since(self.epoch).as_nanos() as u64
+    }
+
+    /// Called after a message sent at `sent` is enqueued: wakes the
+    /// router if it is parked past the message's earliest due instant.
+    fn sent(&self, sent: Instant) {
+        let parked = self.parked_until.load(Ordering::SeqCst);
+        if parked != 0 && self.nanos(sent + self.min_delay) < parked {
+            self.bell.ring();
+        }
+    }
+}
+
 /// A per-node endpoint. Cloneable; sends go through the router thread,
 /// receives read the node's inbox.
 pub struct NodeHandle<M> {
     id: ReplicaId,
-    to_router: Sender<Envelope<M>>,
+    to_router: Sender<Sent<M>>,
+    router: Arc<RouterWake>,
     inbox: Receiver<Envelope<M>>,
     /// Rung by the router after every delivery into `inbox`.
     bell: Doorbell,
@@ -65,6 +108,7 @@ impl<M> Clone for NodeHandle<M> {
         NodeHandle {
             id: self.id,
             to_router: self.to_router.clone(),
+            router: Arc::clone(&self.router),
             inbox: self.inbox.clone(),
             bell: self.bell.clone(),
         }
@@ -83,16 +127,20 @@ impl<M> NodeHandle<M> {
         self.id
     }
 
-    /// Sends `msg` to `dst` (delivered after a randomized delay).
-    /// Returns `false` if the network has shut down.
+    /// Sends `msg` to `dst` (delivered after a randomized delay counted
+    /// from now). Returns `false` if the network has shut down.
     pub fn send(&self, dst: ReplicaId, msg: M) -> bool {
-        self.to_router
-            .send(Envelope {
-                src: self.id,
-                dst,
-                msg,
-            })
-            .is_ok()
+        let sent = Instant::now();
+        let env = Envelope {
+            src: self.id,
+            dst,
+            msg,
+        };
+        if self.to_router.send((sent, env)).is_err() {
+            return false;
+        }
+        self.router.sent(sent);
+        true
     }
 
     /// Non-blocking receive.
@@ -135,6 +183,7 @@ pub struct ThreadNet<M> {
     /// Node handles (each holds a sender to the router; the router exits
     /// once all of them are gone).
     handles: Vec<NodeHandle<M>>,
+    wake: Arc<RouterWake>,
     router: Option<JoinHandle<()>>,
 }
 
@@ -177,7 +226,7 @@ impl<M: Send + Clone + 'static> ThreadNet<M> {
     /// Like [`ThreadNet::with_config`], but the router also enforces the
     /// schedule's scripted link outages. Outage windows are expressed in
     /// simulated ticks and mapped onto wall-clock time from the moment of
-    /// construction (one tick = 200 µs); the check happens at *send* time,
+    /// construction (one tick = 200 µs); the check uses the *send* stamp,
     /// matching [`FaultSchedule::link_down`]'s documented semantics — a
     /// message already in flight when the outage starts still arrives.
     /// Crash windows are *not* enforced here: a crashed replica's inbox
@@ -190,83 +239,43 @@ impl<M: Send + Clone + 'static> ThreadNet<M> {
         schedule: FaultSchedule,
         capacity: usize,
     ) -> Self {
-        let (to_router, from_nodes) = unbounded::<Envelope<M>>();
-        let mut inbox_txs = Vec::with_capacity(n);
+        let (to_router, from_nodes) = unbounded::<Sent<M>>();
+        let wake = Arc::new(RouterWake {
+            bell: Doorbell::new(),
+            parked_until: AtomicU64::new(0),
+            epoch: Instant::now(),
+            min_delay: TICK * delay.min_delay().min(u32::MAX as u64) as u32,
+        });
+        let mut inboxes = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
         for i in 0..n {
             let (tx, rx) = bounded::<Envelope<M>>(capacity.max(1));
             let bell = Doorbell::new();
-            inbox_txs.push((tx, bell.clone()));
+            inboxes.push((tx, bell.clone()));
             handles.push(NodeHandle {
                 id: ReplicaId::new(i as u32),
                 to_router: to_router.clone(),
+                router: Arc::clone(&wake),
                 inbox: rx,
                 bell,
             });
         }
-        let has_outages = !schedule.outages.is_empty();
-        let epoch = Instant::now();
-        let router_builder = std::thread::Builder::new().name("net-router".into());
-        let router = router_builder.spawn(move || {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut heap: BinaryHeap<Reverse<Pending<M>>> = BinaryHeap::new();
-            let mut seq = 0u64;
-            let mut disconnected = false;
-            loop {
-                // Deliver everything due.
-                let now = Instant::now();
-                while heap.peek().is_some_and(|Reverse(p)| p.due <= now) {
-                    let Reverse(p) = heap.pop().unwrap();
-                    if let Some((inbox, bell)) = inbox_txs.get(p.env.dst.index()) {
-                        // A full or closed inbox drops the message
-                        // (`try_send`, never a blocking `send`: one slow
-                        // node must not stall the whole router).
-                        if inbox.try_send(p.env).is_ok() {
-                            bell.ring();
-                        }
-                    }
-                }
-                if disconnected && heap.is_empty() {
-                    return;
-                }
-                // Wait for the next command or the next deadline.
-                let wait = heap
-                    .peek()
-                    .map(|Reverse(p)| p.due.saturating_duration_since(Instant::now()))
-                    .unwrap_or(Duration::from_millis(50));
-                match from_nodes.recv_timeout(wait) {
-                    Ok(env) => {
-                        let scripted_down = has_outages && {
-                            let now_ticks = (epoch.elapsed().as_micros() / TICK.as_micros()) as u64;
-                            schedule.link_down(env.src, env.dst, now_ticks)
-                        };
-                        let copies = if scripted_down {
-                            0
-                        } else {
-                            match schedule.plan.decide(&mut rng, env.src, env.dst) {
-                                FaultAction::Drop => 0,
-                                FaultAction::Deliver => 1,
-                                FaultAction::Duplicate => 2,
-                            }
-                        };
-                        for _ in 0..copies {
-                            let ticks = delay.sample(&mut rng, env.src, env.dst);
-                            heap.push(Reverse(Pending {
-                                due: Instant::now() + TICK * ticks as u32,
-                                seq,
-                                env: env.clone(),
-                            }));
-                            seq += 1;
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => disconnected = true,
-                }
-            }
-        });
+        let router = Router {
+            rng: StdRng::seed_from_u64(seed),
+            delay,
+            schedule,
+            heap: BinaryHeap::new(),
+            seq: 0,
+            inboxes,
+            wake: Arc::clone(&wake),
+        };
+        let router = std::thread::Builder::new()
+            .name("net-router".into())
+            .spawn(move || router.run(from_nodes));
         drop(to_router);
         ThreadNet {
             handles,
+            wake,
             router: Some(router.expect("spawn net-router thread")),
         }
     }
@@ -298,7 +307,98 @@ impl<M> Drop for ThreadNet<M> {
         // we detach rather than join so dropping the net never blocks
         // (C-DTOR-BLOCK).
         self.handles.clear();
+        self.wake.bell.ring();
         self.router.take();
+    }
+}
+
+/// The router thread's state: frames in flight ordered by due instant,
+/// the seeded fault and delay draws, and the per-node inboxes.
+struct Router<M> {
+    rng: StdRng,
+    delay: DelayModel,
+    schedule: FaultSchedule,
+    heap: BinaryHeap<Reverse<Pending<M>>>,
+    seq: u64,
+    inboxes: Vec<(Sender<Envelope<M>>, Doorbell)>,
+    wake: Arc<RouterWake>,
+}
+
+impl<M: Clone> Router<M> {
+    fn run(mut self, from_nodes: Receiver<Sent<M>>) {
+        self.wake.bell.bind();
+        let mut disconnected = false;
+        loop {
+            // Take in everything sent so far.
+            while !disconnected {
+                match from_nodes.try_recv() {
+                    Ok((sent, env)) => self.admit(sent, env),
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => disconnected = true,
+                }
+            }
+            let now = Instant::now();
+            self.deliver_due(now);
+            if disconnected && self.heap.is_empty() {
+                return;
+            }
+            let until = self
+                .heap
+                .peek()
+                .map_or(now + ROUTER_IDLE_PARK, |Reverse(p)| p.due);
+            let nanos = self.wake.nanos(until).max(1);
+            self.wake.parked_until.store(nanos, Ordering::SeqCst);
+            // A send enqueued before the store above saw the router
+            // running and did not ring: look once more before parking.
+            match from_nodes.try_recv() {
+                Ok((sent, env)) => self.admit(sent, env),
+                Err(_) => self.wake.bell.wait_until(until),
+            }
+            self.wake.parked_until.store(0, Ordering::SeqCst);
+        }
+    }
+
+    /// Rolls the fault plan and the delay for one sent message and
+    /// schedules each surviving copy at `sent + delay`.
+    fn admit(&mut self, sent: Instant, env: Envelope<M>) {
+        let scripted_down = !self.schedule.outages.is_empty() && {
+            let since = sent.saturating_duration_since(self.wake.epoch);
+            let ticks = (since.as_micros() / TICK.as_micros()) as u64;
+            self.schedule.link_down(env.src, env.dst, ticks)
+        };
+        let copies = if scripted_down {
+            0
+        } else {
+            match self.schedule.plan.decide(&mut self.rng, env.src, env.dst) {
+                FaultAction::Drop => 0,
+                FaultAction::Deliver => 1,
+                FaultAction::Duplicate => 2,
+            }
+        };
+        for _ in 0..copies {
+            let ticks = self.delay.sample(&mut self.rng, env.src, env.dst);
+            self.heap.push(Reverse(Pending {
+                due: sent + TICK * ticks.min(u32::MAX as u64) as u32,
+                seq: self.seq,
+                env: env.clone(),
+            }));
+            self.seq += 1;
+        }
+    }
+
+    /// Hands every message due by `now` to its node's inbox.
+    fn deliver_due(&mut self, now: Instant) {
+        while self.heap.peek().is_some_and(|Reverse(p)| p.due <= now) {
+            let Reverse(p) = self.heap.pop().expect("peeked");
+            if let Some((inbox, bell)) = self.inboxes.get(p.env.dst.index()) {
+                // A full or closed inbox drops the message (`try_send`,
+                // never a blocking `send`: one slow node must not stall
+                // the whole router).
+                if inbox.try_send(p.env).is_ok() {
+                    bell.ring();
+                }
+            }
+        }
     }
 }
 
@@ -419,6 +519,62 @@ mod tests {
         a.send(r(1), 2);
         let env = b.recv_timeout(Duration::from_secs(2)).expect("healed link");
         assert_eq!(env.msg, 2);
+    }
+
+    #[test]
+    fn a_send_into_an_idle_router_wakes_it() {
+        // With nothing in flight the router parks for its full idle
+        // period; only the sender's ring gets a ping through sooner.
+        let net: ThreadNet<u32> = ThreadNet::new(2, DelayModel::Fixed(1), 0);
+        let a = net.handle(r(0));
+        let b = net.handle(r(1));
+        let mut slow = Vec::new();
+        for i in 0..40 {
+            // Let the router deliver the last ping and park idle.
+            std::thread::sleep(Duration::from_millis(2));
+            let t = Instant::now();
+            a.send(r(1), i);
+            let env = b.recv_timeout(Duration::from_secs(2)).expect("delivery");
+            assert_eq!(env.msg, i);
+            if t.elapsed() > ROUTER_IDLE_PARK / 4 {
+                slow.push((i, t.elapsed()));
+            }
+        }
+        assert!(
+            slow.len() <= 2,
+            "pings waited out the router's idle park: {slow:?}"
+        );
+    }
+
+    #[test]
+    fn fixed_delay_links_stay_fifo_under_concurrent_senders() {
+        const PER_SENDER: u32 = 5_000;
+        let net: ThreadNet<u32> =
+            ThreadNet::with_config(5, DelayModel::Fixed(1), 0, FaultPlan::default(), 1 << 15);
+        let sink = net.handle(r(4));
+        let senders: Vec<_> = (0..4)
+            .map(|i| {
+                let h = net.handle(r(i));
+                std::thread::spawn(move || {
+                    for k in 0..PER_SENDER {
+                        assert!(h.send(r(4), k));
+                    }
+                })
+            })
+            .collect();
+        let mut next = [0u32; 4];
+        for _ in 0..4 * PER_SENDER {
+            let env = sink
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|| panic!("lost messages: got {next:?}"));
+            let expect = &mut next[env.src.index()];
+            assert_eq!(env.msg, *expect, "link {} -> 4 reordered", env.src);
+            *expect += 1;
+        }
+        for s in senders {
+            s.join().unwrap();
+        }
+        assert_eq!(next, [PER_SENDER; 4]);
     }
 
     #[test]

@@ -42,7 +42,7 @@ fn usage() -> ! {
                                          (sides are comma-separated replica lists)\n\
            --no-session                  disable the reliable-delivery session layer\n\
                                          (faults then cause permanent loss)\n\
-           --batch <count>[:<bytes>:<window>]  sender-side update coalescing policy\n\
+           --batch <count>[:<bytes>]     sender-side update coalescing caps\n\
            --no-batch                    ship every update as a singleton frame\n\
            --clients <n>                 drive n client sessions through the serving\n\
                                          tier on a threaded cluster and report routing\n\
@@ -174,7 +174,10 @@ fn cmd_run(g: &ShareGraph, args: &[String]) {
     let batch = if args.iter().any(|a| a == "--no-batch") {
         BatchPolicy::unbatched()
     } else if let Some(spec) = flag(args, "--batch") {
-        parse_batch(&spec)
+        parse_batch(&spec).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
     } else {
         BatchPolicy::default()
     };
@@ -247,27 +250,20 @@ fn cmd_run(g: &ShareGraph, args: &[String]) {
     }
 }
 
-/// Parses `--batch <count>[:<bytes>:<window>]` into a [`BatchPolicy`]
-/// (omitted bytes/window keep the defaults).
-fn parse_batch(spec: &str) -> BatchPolicy {
-    let mut policy = BatchPolicy::default();
-    let mut parts = spec.split(':');
-    let num = |s: &str| -> usize {
-        s.parse().unwrap_or_else(|_| {
-            eprintln!("bad numeric argument '{s}' in --batch '{spec}'");
-            std::process::exit(2);
-        })
+/// Parses `--batch <count>[:<bytes>]` into a [`BatchPolicy`] (omitted
+/// bytes keep the default cap).
+fn parse_batch(spec: &str) -> Result<BatchPolicy, String> {
+    let num = |s: &str| -> Result<usize, String> {
+        s.parse()
+            .map_err(|_| format!("bad numeric argument '{s}' in --batch '{spec}'"))
     };
-    if let Some(c) = parts.next() {
-        policy.batch_count = num(c);
+    let mut policy = BatchPolicy::default();
+    match spec.split(':').collect::<Vec<_>>()[..] {
+        [c] => policy.batch_count = num(c)?,
+        [c, b] => (policy.batch_count, policy.batch_bytes) = (num(c)?, num(b)?),
+        _ => return Err(format!("--batch '{spec}': expected <count>[:<bytes>]")),
     }
-    if let Some(b) = parts.next() {
-        policy.batch_bytes = num(b);
-    }
-    if let Some(w) = parts.next() {
-        policy.flush_after = num(w) as u64;
-    }
-    policy
+    Ok(policy)
 }
 
 /// Parses `--drop`, `--crash`, and `--partition` into a fault schedule.
@@ -398,4 +394,31 @@ fn main() {
     }
     // Quiet the unused-import lints for ids used only in some branches.
     let _ = (ReplicaId::new(0), RegisterId::new(0));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn batch_spec_is_count_then_optional_bytes() {
+        let d = BatchPolicy::default();
+        assert_eq!(
+            parse_batch("4"),
+            Ok(BatchPolicy {
+                batch_count: 4,
+                ..d
+            })
+        );
+        assert_eq!(
+            parse_batch("4:512"),
+            Ok(BatchPolicy {
+                batch_count: 4,
+                batch_bytes: 512
+            })
+        );
+        let err = parse_batch("4:512:1").unwrap_err();
+        assert!(err.contains("<count>[:<bytes>]"), "{err}");
+        assert!(parse_batch("four").unwrap_err().contains("bad numeric"));
+    }
 }
