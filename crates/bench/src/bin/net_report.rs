@@ -71,7 +71,6 @@ fn pump_once(frames: u64) -> (f64, f64, f64) {
         // work, not scheduler ping-pong.
         outbox_depth: frames as usize + 16,
         ingress_depth: frames as usize + 16,
-        ..TcpNetConfig::default()
     };
     let b0 = BoundListener::bind(src, ([127, 0, 0, 1], 0).into()).expect("bind");
     let b1 = BoundListener::bind(dst, ([127, 0, 0, 1], 0).into()).expect("bind");

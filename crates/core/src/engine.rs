@@ -17,8 +17,9 @@
 //!
 //! Batches are self-clocking: no timer closes one. A batch ships when it
 //! reaches a [`BatchPolicy`] cap, or when the driver ends the pass that
-//! filled it with [`flush`](Engine::flush) — so at low load a write
-//! ships at once, and under load passes lengthen and batches grow.
+//! filled it with [`flush`](Engine::flush) or [`crash`](Engine::crash) —
+//! so at low load a write ships at once, and under load passes lengthen
+//! and batches grow. Durable engines batch like every other.
 //!
 //! The engine, and only the engine, enforces the two orderings the
 //! stack promises: a batch enters the durable outbox before its frame is
@@ -40,16 +41,15 @@ use std::sync::Arc;
 ///
 /// A pending batch is flushed to the network when it reaches
 /// `batch_count` updates or `batch_bytes` payload bytes, or at the end of
-/// the driver pass that opened it ([`Engine::flush`]) — whichever comes
-/// first. `batch_count <= 1` degenerates to eager
-/// per-update shipping (singleton batches, byte-identical to the
-/// unbatched wire: see [`BatchMsg::size_bytes`]), which is also forced
-/// whenever the deployment can crash — a queued-but-unflushed batch
-/// lives in volatile sender memory, and eager flushing keeps the
-/// durable outbox complete at every crash instant.
+/// the driver pass that opened it — whichever comes first. A crash ends
+/// the pass too: it ships every open batch before the replica goes
+/// down, so the durable outbox is complete at every crash instant
+/// whatever the policy. `batch_count <= 1` closes every batch on its
+/// first update (singleton batches, byte-identical to the unbatched
+/// wire: see [`BatchMsg::size_bytes`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
-    /// Max updates per batch (flush trigger). `<= 1` disables coalescing.
+    /// Max updates per batch (flush trigger). `<= 1` ships singletons.
     pub batch_count: usize,
     /// Max accumulated payload bytes per batch (flush trigger).
     pub batch_bytes: usize,
@@ -73,11 +73,6 @@ impl BatchPolicy {
             batch_bytes: 0,
         }
     }
-
-    /// True if this policy ever coalesces more than one update.
-    pub fn is_batching(&self) -> bool {
-        self.batch_count > 1
-    }
 }
 
 /// One frame the engine asks its driver to transmit.
@@ -97,9 +92,6 @@ pub(crate) struct EngineConfig {
     pub registry: Option<Arc<TsRegistry>>,
     pub wire: WireMode,
     pub batch: BatchPolicy,
-    /// The driver can crash this engine: ship eagerly, since a queued
-    /// batch would die with it while the outbox claims it was never sent.
-    pub crash_capable: bool,
     pub session: Option<SessionConfig>,
     /// Arms a [`RecoveryLog`] with this WAL length between snapshots.
     pub snapshot_every: Option<usize>,
@@ -129,7 +121,6 @@ pub(crate) struct Engine {
     codec: WireCodec,
     /// Codec counters of the codecs that restarts discarded.
     codec_retired: CodecStats,
-    eager: bool,
     outq: BTreeMap<ReplicaId, Pending>,
     session: Option<SessionEndpoint<BatchMsg>>,
     log: Option<RecoveryLog>,
@@ -146,7 +137,6 @@ impl Engine {
         Engine {
             codec: WireCodec::new(config.wire, config.registry.clone()),
             codec_retired: CodecStats::default(),
-            eager: !config.batch.is_batching() || config.crash_capable,
             outq: BTreeMap::new(),
             session: config.session.map(|cfg| SessionEndpoint::new(id, cfg)),
             log: config
@@ -188,8 +178,8 @@ impl Engine {
 
     /// Issues a client write: WAL entry, `advance`, encode-once fan-out
     /// to the register's other holders (everyone under `broadcast`), then
-    /// eager shipping or coalescing. `on_send` sees each per-recipient
-    /// update as it is queued.
+    /// coalescing. `on_send` sees each per-recipient update as it is
+    /// queued.
     pub fn write(
         &mut self,
         register: RegisterId,
@@ -246,11 +236,6 @@ impl Engine {
     }
 
     fn enqueue(&mut self, dst: ReplicaId, m: UpdateMsg, now: u64, out: &mut Vec<Outgoing>) {
-        if self.eager {
-            let batch = BatchMsg::singleton(m);
-            ship(&mut self.session, &mut self.log, dst, batch, now, out);
-            return;
-        }
         let q = self.outq.entry(dst).or_default();
         q.bytes += m.size_bytes();
         q.msgs.push(m);
@@ -334,15 +319,17 @@ impl Engine {
         }
     }
 
-    /// Crashes the engine: open batches die with it. Returns `false`
-    /// (and does nothing) when already down or when no log is armed — a
-    /// crash without one would be permanent loss, which no driver models.
-    pub fn crash(&mut self) -> bool {
+    /// Crashes the engine at the end of a pass: every open batch ships
+    /// first (outbox entry, then frame), as [`flush`](Self::flush) would,
+    /// so nothing the outbox omits was ever acked. Returns `false` (and
+    /// does nothing) when already down or when no log is armed — a crash
+    /// without one would be permanent loss, which no driver models.
+    pub fn crash(&mut self, now: u64, out: &mut Vec<Outgoing>) -> bool {
         if self.crashed || self.log.is_none() {
             return false;
         }
+        self.flush(now, out);
         self.crashed = true;
-        self.outq.clear();
         true
     }
 
@@ -432,7 +419,6 @@ mod tests {
     /// message sizes), with the given stack settings.
     fn ring(
         batch: BatchPolicy,
-        crash_capable: bool,
         session: Option<SessionConfig>,
         snapshot_every: Option<usize>,
     ) -> Vec<Engine> {
@@ -446,7 +432,6 @@ mod tests {
             registry: Some(Arc::clone(&registry)),
             wire: WireMode::Raw,
             batch,
-            crash_capable,
             session,
             snapshot_every,
         });
@@ -489,7 +474,7 @@ mod tests {
 
     #[test]
     fn a_batch_closes_on_its_count() {
-        let mut e = ring(batching(3, usize::MAX), false, None, None).remove(0);
+        let mut e = ring(batching(3, usize::MAX), None, None).remove(0);
         let mut out = Vec::new();
         write(&mut e, 1, 0, &mut out);
         write(&mut e, 2, 1, &mut out);
@@ -502,13 +487,13 @@ mod tests {
 
     #[test]
     fn a_batch_closes_on_its_bytes() {
-        // One update's size, read off an eager engine's singleton.
-        let mut probe = ring(BatchPolicy::unbatched(), false, None, None).remove(0);
+        // One update's size, read off an unbatched engine's singleton.
+        let mut probe = ring(BatchPolicy::unbatched(), None, None).remove(0);
         let mut out = Vec::new();
         write(&mut probe, 1, 0, &mut out);
         let size = out[0].1.payload().unwrap().size_bytes();
 
-        let mut e = ring(batching(16, 2 * size - 1), false, None, None).remove(0);
+        let mut e = ring(batching(16, 2 * size - 1), None, None).remove(0);
         out.clear();
         write(&mut e, 1, 0, &mut out);
         assert!(out.is_empty(), "one update is under the byte cap");
@@ -519,7 +504,7 @@ mod tests {
 
     #[test]
     fn an_open_batch_ships_at_the_pass_flush() {
-        let mut e = ring(batching(16, usize::MAX), false, None, None).remove(0);
+        let mut e = ring(batching(16, usize::MAX), None, None).remove(0);
         let mut out = Vec::new();
         write(&mut e, 1, 5, &mut out);
         write(&mut e, 2, 7, &mut out);
@@ -534,27 +519,46 @@ mod tests {
     }
 
     #[test]
-    fn eager_engines_ship_singletons() {
-        // Unbatched policy, and a batching policy on a crash-capable
-        // engine: both ship every update at once, alone.
-        for (policy, crash_capable) in [
-            (BatchPolicy::unbatched(), false),
-            (BatchPolicy::default(), true),
-        ] {
-            let mut e = ring(policy, crash_capable, None, Some(64)).remove(0);
-            let mut out = Vec::new();
-            for v in 0..3 {
-                write(&mut e, v, 0, &mut out);
-                assert_eq!(out.len(), v as usize + 1);
-            }
-            assert!(out.iter().all(|(dst, f)| *dst == r(1) && batch_len(f) == 1));
-            assert!(!e.has_open_batch());
+    fn unbatched_engines_ship_singletons() {
+        // A one-update batch hits its count cap: every update ships at
+        // once, alone.
+        let mut e = ring(BatchPolicy::unbatched(), None, Some(64)).remove(0);
+        let mut out = Vec::new();
+        for v in 0..3 {
+            write(&mut e, v, 0, &mut out);
+            assert_eq!(out.len(), v as usize + 1);
         }
+        assert!(out.iter().all(|(dst, f)| *dst == r(1) && batch_len(f) == 1));
+        assert!(!e.has_open_batch());
+    }
+
+    #[test]
+    fn a_durable_engine_batches_and_its_crash_ships_the_open_batch() {
+        let mut e = ring(BatchPolicy::default(), session(), Some(64)).remove(0);
+        let mut out = Vec::new();
+        write(&mut e, 1, 0, &mut out);
+        write(&mut e, 2, 0, &mut out);
+        assert!(out.is_empty(), "a durable engine coalesces");
+        assert!(e.has_open_batch());
+        assert!(e.crash(3, &mut out));
+        assert!(!e.has_open_batch());
+        let [(dst, frame @ SessionFrame::Data { seq: 1, .. })] = out.as_slice() else {
+            panic!("expected one data frame, got {out:?}");
+        };
+        let batch = frame.payload().unwrap().clone();
+        assert_eq!((*dst, batch.len()), (r(1), 2));
+        // The crash landed after the batch's outbox entry: restart
+        // re-sends it.
+        assert_eq!(e.log.as_ref().unwrap().outbox()[&r(1)], vec![batch.clone()]);
+        out.clear();
+        assert!(e.restart(50, &mut out));
+        assert!(out.iter().any(|(dst, f)| *dst == r(1)
+            && matches!(f, SessionFrame::Data { seq: 1, payload, .. } if *payload == batch)));
     }
 
     #[test]
     fn an_outbox_entry_precedes_its_frame() {
-        let mut e = ring(BatchPolicy::unbatched(), true, session(), Some(64)).remove(0);
+        let mut e = ring(BatchPolicy::unbatched(), session(), Some(64)).remove(0);
         let mut out = Vec::new();
         write(&mut e, 7, 0, &mut out);
         let [(dst, SessionFrame::Data { seq, payload, .. })] = out.as_slice() else {
@@ -565,14 +569,14 @@ mod tests {
         assert_eq!(outbox[dst][*seq as usize - 1], *payload);
 
         // Without a session nothing ever reads the outbox: none is kept.
-        let mut bare = ring(BatchPolicy::unbatched(), true, None, Some(64)).remove(0);
+        let mut bare = ring(BatchPolicy::unbatched(), None, Some(64)).remove(0);
         write(&mut bare, 7, 0, &mut out);
         assert!(bare.log.as_ref().unwrap().outbox().is_empty());
     }
 
     #[test]
     fn a_wal_delivery_record_precedes_its_ack() {
-        let mut es = ring(BatchPolicy::unbatched(), true, session(), Some(64));
+        let mut es = ring(BatchPolicy::unbatched(), session(), Some(64));
         let mut out = Vec::new();
         write(&mut es[0], 7, 0, &mut out);
         let (_, frame) = out.pop().unwrap();
@@ -588,13 +592,13 @@ mod tests {
 
     #[test]
     fn restart_sends_one_catch_up_per_neighbour() {
-        let mut e = ring(BatchPolicy::unbatched(), true, session(), Some(64)).remove(1);
+        let mut e = ring(BatchPolicy::unbatched(), session(), Some(64)).remove(1);
         let mut out = Vec::new();
         // Replica 1 stores registers 0 and 1; a write to 1 reaches 2.
         e.write(x(1), Value::from(9u64), 0, &mut out, |_, _| {})
             .unwrap();
         out.clear();
-        assert!(e.crash());
+        assert!(e.crash(0, &mut out));
         assert!(e.restart(50, &mut out));
         let mut catch_ups: Vec<(ReplicaId, u64)> = out
             .iter()
@@ -613,14 +617,16 @@ mod tests {
 
     #[test]
     fn a_crashed_engine_emits_nothing_and_has_no_deadline() {
-        let mut es = ring(batching(16, usize::MAX), true, session(), Some(64));
+        let mut es = ring(batching(16, usize::MAX), session(), Some(64));
         let mut out = Vec::new();
         write(&mut es[0], 1, 0, &mut out);
+        es[0].flush(0, &mut out);
         let (_, frame) = out.pop().unwrap();
         assert!(es[0].next_deadline().is_some(), "retransmit timer armed");
-        assert!(es[1].crash());
-        assert!(!es[1].crash(), "already down");
-        assert!(es[0].crash());
+        assert!(es[1].crash(0, &mut out));
+        assert!(!es[1].crash(0, &mut out), "already down");
+        assert!(es[0].crash(0, &mut out));
+        assert!(out.is_empty(), "no batch was open");
         assert_eq!(es[0].next_deadline(), None);
         assert!(es[1].on_frame(r(0), frame, 1, &mut out, |_| {}).is_empty());
         es[0].tick(10_000, &mut out);
@@ -631,7 +637,7 @@ mod tests {
         ));
         assert!(out.is_empty());
         // No log, no crash: that would be permanent loss.
-        let mut volatile = ring(BatchPolicy::unbatched(), false, None, None).remove(0);
-        assert!(!volatile.crash());
+        let mut volatile = ring(BatchPolicy::unbatched(), None, None).remove(0);
+        assert!(!volatile.crash(0, &mut out));
     }
 }

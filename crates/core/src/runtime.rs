@@ -38,9 +38,9 @@
 //!   receivers ingest them through [`Replica::receive_batch`]'s
 //!   once-per-batch predicate fast path.
 //!
-//! Client command channels are *bounded*
-//! ([`ClusterConfig::channel_depth`]): a flooded replica thread exerts
-//! backpressure on writers instead of growing an unbounded queue.
+//! Client command channels are *bounded* (1024 commands): a flooded
+//! replica thread exerts backpressure on writers instead of growing an
+//! unbounded queue.
 
 use crate::codec::WireMode;
 use crate::engine::{BatchPolicy, Engine, EngineConfig, Outgoing};
@@ -88,19 +88,16 @@ pub struct ClusterConfig {
     /// one loop pass drains are coalesced per destination and shipped at
     /// the end of that pass's command burst, or earlier at a cap.
     pub batch: BatchPolicy,
-    /// Client command channel bound per replica thread. A full channel
-    /// blocks the calling writer — bounded backpressure, never an
-    /// unbounded queue.
-    pub channel_depth: usize,
     /// Per-node network ingress bound (frames beyond it are shed by the
     /// router and, with a session, repaired by retransmission).
     pub ingress_depth: usize,
     /// Arms per-replica durable [`RecoveryLog`](crate::RecoveryLog)s
     /// with this WAL length between snapshot compactions. Required for
     /// crash/restart (a crash without a log would be permanent data
-    /// loss); auto-armed at 1024 when the schedule scripts crashes. Forces
-    /// eager (unbatched) shipping: an open batch would die with a crash
-    /// while its writes are already acked.
+    /// loss); auto-armed at 1024 when the schedule scripts crashes.
+    /// Durable replicas batch like any other: a crash lands between
+    /// passes and ships the open batches first, so every acked write is
+    /// in the WAL and every batch it rode in is in the outbox.
     pub durability: Option<usize>,
     /// How publishes materialise snapshots: sharded copy-on-write
     /// (O(Δ) per publish, the default) or the original clone-the-world
@@ -115,13 +112,17 @@ impl Default for ClusterConfig {
             schedule: FaultSchedule::default(),
             session: None,
             batch: BatchPolicy::default(),
-            channel_depth: 1024,
             ingress_depth: 4096,
             durability: None,
             store: StoreMode::default(),
         }
     }
 }
+
+/// Client command channel bound per replica thread. A full channel
+/// blocks the calling writer — bounded backpressure, never an unbounded
+/// queue.
+const CHANNEL_DEPTH: usize = 1024;
 
 /// Why a cluster operation could not complete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -701,8 +702,8 @@ impl ThreadedCluster {
     /// Pipelined writes: enqueues every command before collecting any
     /// reply, so the replica thread coalesces the burst into batches
     /// instead of ping-ponging one command per reply. The command
-    /// channel's bound still applies — a burst deeper than
-    /// `channel_depth` blocks until the replica drains.
+    /// channel's bound still applies — a burst deeper than 1024
+    /// commands blocks until the replica drains.
     ///
     /// # Panics
     ///
@@ -1242,7 +1243,6 @@ fn engine_config(
         registry: Some(registry),
         wire: config.wire,
         batch: config.batch,
-        crash_capable: config.durability.is_some(),
         session: config.session.map(|s| SessionConfig {
             rto_base: us(s.rto_base),
             rto_max: us(s.rto_max),
@@ -1264,7 +1264,7 @@ fn spawn_replica<T: Transport<Msg = SessionFrame<BatchMsg>>>(
     net: T,
     counters: &Arc<Counters>,
 ) -> ReplicaThread {
-    let (tx, cmds) = bounded::<Cmd>(config.channel_depth.max(1));
+    let (tx, cmds) = bounded::<Cmd>(CHANNEL_DEPTH);
     let cmd_tx = CmdTx {
         tx,
         bell: net.doorbell().clone(),
@@ -1450,7 +1450,7 @@ impl DeferredReplies {
 pub const IDLE_PARK: Duration = Duration::from_millis(50);
 
 /// The replica loop — the one loop every configuration runs (batched or
-/// eager, durable or not, `ThreadNet` or TCP, crash-bearing or not). It
+/// not, durable or not, `ThreadNet` or TCP, crash-bearing or not). It
 /// drives one [`Engine`] (codec, batches, session, WAL, crash/restart)
 /// and owns what the engine does not: commands, the doorbell park, the
 /// trace shard, snapshot publishing and the cluster counters. Every
@@ -1563,9 +1563,11 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) 
                 Cmd::Crash { done } => {
                     // The crash must observe every completion already
                     // promised: publish and release before the window
-                    // opens.
+                    // opens. It ends the pass, so the engine ships the
+                    // burst's open batches before it goes down.
                     deferred.release(&shared.snapshot, &engine, mode);
-                    if engine.crash() {
+                    if engine.crash(now(), &mut tx.out) {
+                        tx.send();
                         shared.crashed.store(true, Ordering::SeqCst);
                     }
                     if let Some(d) = done {
@@ -1736,7 +1738,6 @@ mod tests {
             5,
             ClusterConfig {
                 batch: BatchPolicy::unbatched(),
-                channel_depth: 2,
                 ..ClusterConfig::default()
             },
         );

@@ -13,10 +13,10 @@
 //! # Architecture
 //!
 //! * **Sharded session tables.** Per-session guarantee state lives in
-//!   [`ServingConfig::table_shards`] lock-striped shards keyed by
-//!   session id. A session's state is a handful of per-register
-//!   dependencies ([`ServingConfig::dep_cap`]-bounded), *not* a per-op
-//!   log — state stays O(1) in the number of ops issued.
+//!   64 lock-striped shards keyed by session id. A session's state is
+//!   a handful of per-register dependencies
+//!   ([`ServingConfig::dep_cap`]-bounded), *not* a per-op log — state
+//!   stays O(1) in the number of ops issued.
 //! * **Partial-replication-aware routing.** Each session attaches to a
 //!   deterministic window of [`ServingConfig::attach_span`] replicas
 //!   (its `R_c`). An op routes to the first attach replica storing the
@@ -73,13 +73,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Lock stripes in the session table. More stripes, less contention
+/// between workers that share sessions (workers with disjoint session
+/// sets never contend regardless).
+const TABLE_SHARDS: usize = 64;
+
+/// Re-route attempts for a write rejected by a crashed replica before
+/// the (never-acked) write is abandoned.
+const MAX_RETRIES: u32 = 3;
+
+/// First step of the deterministic exponential backoff used while an op
+/// blocks (doubles per attempt, capped at one millisecond).
+const BACKOFF_BASE: Duration = Duration::from_micros(5);
+
 /// Tuning knobs for a [`ServingTier`].
 #[derive(Debug, Clone)]
 pub struct ServingConfig {
-    /// Lock stripes in the session table. More stripes, less contention
-    /// between workers that share sessions (workers with disjoint
-    /// session sets never contend regardless).
-    pub table_shards: usize,
     /// Replicas per session attach set `R_c` (clamped to the cluster
     /// size).
     pub attach_span: usize,
@@ -104,12 +113,6 @@ pub struct ServingConfig {
     /// completion channel's capacity so completions can never block a
     /// replica thread.
     pub max_in_flight: usize,
-    /// Re-route attempts for a write rejected by a crashed replica
-    /// before the (never-acked) write is abandoned.
-    pub max_retries: u32,
-    /// First step of the deterministic exponential backoff used while
-    /// an op blocks (doubles per attempt, capped at one millisecond).
-    pub backoff_base: Duration,
     /// The most a worker parks on its completion channel after flushing
     /// writes, waiting until every write it has shipped is answered.
     /// Parking — rather than submitting and racing on — bounds the
@@ -125,14 +128,11 @@ pub struct ServingConfig {
 impl Default for ServingConfig {
     fn default() -> Self {
         ServingConfig {
-            table_shards: 64,
             attach_span: 2,
             write_batch: 32,
             dep_cap: 64,
             op_timeout: Duration::from_secs(30),
             max_in_flight: 1 << 15,
-            max_retries: 3,
-            backoff_base: Duration::from_micros(5),
             completion_wait: Duration::from_micros(150),
         }
     }
@@ -247,9 +247,9 @@ pub struct ServingStats {
     /// Ops that degraded to [`ServingError::Timeout`] (or were still
     /// outstanding when the worker finished).
     pub op_timeouts: u64,
-    /// Writes abandoned after [`ServingConfig::max_retries`] crash
-    /// rejections with no live holder left — never acked, so no
-    /// guarantee covers them.
+    /// Writes abandoned after three re-routes of crash rejections, or
+    /// with no live holder left — never acked, so no guarantee covers
+    /// them.
     pub writes_abandoned: u64,
 }
 
@@ -371,7 +371,7 @@ pub struct ServingTier<'c> {
 impl<'c> ServingTier<'c> {
     /// Builds a tier over `cluster`.
     pub fn new(cluster: &'c ThreadedCluster, cfg: ServingConfig) -> Self {
-        let shards = (0..cfg.table_shards.max(1))
+        let shards = (0..TABLE_SHARDS)
             .map(|_| Mutex::new(HashMap::new()))
             .collect();
         ServingTier {
@@ -638,7 +638,7 @@ impl ServingWorker<'_, '_> {
                     },
                 );
             }
-            std::thread::sleep(backoff(tier.cfg.backoff_base, attempt));
+            std::thread::sleep(backoff(attempt));
             attempt += 1;
         };
         let ctr = if local {
@@ -829,7 +829,7 @@ impl ServingWorker<'_, '_> {
     /// window (or whose target thread is gone): deterministic
     /// exponential backoff, then an immediate re-ship to a live holder —
     /// the op is already late, so it skips the coalescing quantum. Past
-    /// [`ServingConfig::max_retries`], or with no live holder left, the
+    /// `MAX_RETRIES`, or with no live holder left, the
     /// never-acked write is abandoned and counted.
     fn retry_write(&mut self, token: u64) {
         let tier = self.tier;
@@ -839,7 +839,7 @@ impl ServingWorker<'_, '_> {
         pw.attempts += 1;
         pw.failed_over = true;
         let (sid, x, v, attempts) = (pw.sid, pw.register, pw.value.clone(), pw.attempts);
-        let rerouted = (attempts <= tier.cfg.max_retries)
+        let rerouted = (attempts <= MAX_RETRIES)
             .then(|| {
                 route_live(tier.cluster.graph(), sid, tier.cfg.attach_span, x, |r| {
                     tier.cluster.is_crashed(r)
@@ -849,7 +849,7 @@ impl ServingWorker<'_, '_> {
         match rerouted {
             Some((target, _)) => {
                 tier.counters.failovers.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(backoff(tier.cfg.backoff_base, attempts));
+                std::thread::sleep(backoff(attempts));
                 self.bufs[target.index()].push((token, x, v));
                 self.flush_replica(target);
             }
@@ -900,11 +900,11 @@ impl ServingWorker<'_, '_> {
     }
 }
 
-/// Deterministic exponential backoff: `base << attempt`, capped at one
-/// millisecond so a long stall keeps probing often enough to notice a
-/// restart promptly.
-fn backoff(base: Duration, attempt: u32) -> Duration {
-    (base * (1u32 << attempt.min(8))).min(Duration::from_millis(1))
+/// Deterministic exponential backoff: `BACKOFF_BASE << attempt`, capped
+/// at one millisecond so a long stall keeps probing often enough to
+/// notice a restart promptly.
+fn backoff(attempt: u32) -> Duration {
+    (BACKOFF_BASE * (1u32 << attempt.min(8))).min(Duration::from_millis(1))
 }
 
 #[cfg(test)]

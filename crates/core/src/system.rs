@@ -29,9 +29,7 @@ use crate::stats::LatencyStats;
 use crate::tracker::{CausalityTracker, EdgeTracker, FullDepsTracker, VcTracker};
 use crate::value::Value;
 use prcc_checker::{check, CheckReport, Trace, UpdateId};
-use prcc_net::{
-    DelayModel, FaultPlan, FaultSchedule, SessionConfig, SessionFrame, SessionStats, SimNetwork,
-};
+use prcc_net::{DelayModel, FaultSchedule, SessionConfig, SessionFrame, SessionStats, SimNetwork};
 use prcc_sharegraph::{
     EdgeId, LoopConfig, Placement, RegisterId, ReplicaId, ShareGraph, TimestampGraph,
     TimestampGraphs,
@@ -113,6 +111,10 @@ impl SystemMetrics {
     }
 }
 
+/// WAL entries between recovery-log snapshot compactions, whenever the
+/// durable layer is active (session enabled or crashes scheduled).
+const SNAPSHOT_EVERY: usize = 64;
+
 /// Builder for [`System`] (see C-BUILDER).
 #[derive(Debug)]
 pub struct SystemBuilder {
@@ -125,7 +127,6 @@ pub struct SystemBuilder {
     dropped_edges: Vec<(ReplicaId, EdgeId)>,
     schedule: FaultSchedule,
     session: Option<SessionConfig>,
-    snapshot_every: usize,
     wire_mode: WireMode,
     batch: BatchPolicy,
 }
@@ -143,7 +144,6 @@ impl SystemBuilder {
             dropped_edges: Vec::new(),
             schedule: FaultSchedule::none(),
             session: None,
-            snapshot_every: 64,
             wire_mode: WireMode::default(),
             batch: BatchPolicy::default(),
         }
@@ -192,16 +192,11 @@ impl SystemBuilder {
         self
     }
 
-    /// Installs a network fault plan (duplication / drops / dead links),
-    /// keeping any scripted schedule already set. The default is the
-    /// paper's reliable-channel model.
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.schedule.plan = faults;
-        self
-    }
-
-    /// Installs a full fault schedule: probabilistic plan plus scripted
-    /// link outages, partitions, and replica crashes. Crashes require a
+    /// Installs a fault schedule: probabilistic plan (duplication /
+    /// drops / dead links — [`FaultSchedule::from_plan`] for a plan
+    /// alone) plus scripted link outages, partitions, and replica
+    /// crashes. The default is the paper's reliable-channel model.
+    /// Crashes require a
     /// durable layer and are recovered from the per-replica
     /// [`RecoveryLog`](crate::RecoveryLog); without
     /// [`session`](Self::session) the dropped in-flight messages are
@@ -222,21 +217,13 @@ impl SystemBuilder {
         self
     }
 
-    /// WAL entries between recovery-log snapshot compactions (default
-    /// 64; 0 disables snapshotting). Only meaningful when the durable
-    /// layer is active (session enabled or crashes scheduled).
-    pub fn snapshot_every(mut self, every: usize) -> Self {
-        self.snapshot_every = every;
-        self
-    }
-
     /// Selects the sender-side batching policy (default:
     /// [`BatchPolicy::default`], coalescing on). The writes issued
     /// between two [`step`](System::step)s form one pass: their batches
     /// ship, up to the policy's caps, at the next step. Use
     /// [`BatchPolicy::unbatched`] for the per-update differential
-    /// oracle. Forced to eager flushing under a crash schedule — see
-    /// [`BatchPolicy`].
+    /// oracle. Crash schedules batch too: a scripted crash ships the
+    /// replica's open batches before it goes down (see [`BatchPolicy`]).
     pub fn batch_policy(mut self, policy: BatchPolicy) -> Self {
         self.batch = policy;
         self
@@ -305,7 +292,7 @@ impl SystemBuilder {
             .collect();
 
         let mut net = SimNetwork::new(self.delay, self.seed);
-        let crash_capable = !self.schedule.crashes.is_empty();
+        let crashes = !self.schedule.crashes.is_empty();
         let mut crash_queue: VecDeque<(u64, ReplicaId)> = self
             .schedule
             .crashes
@@ -315,7 +302,7 @@ impl SystemBuilder {
         crash_queue.make_contiguous().sort_unstable();
         let restart_queue: VecDeque<(u64, ReplicaId)> = self.schedule.restarts().into();
         net.set_schedule(self.schedule);
-        let durable = self.session.is_some() || crash_capable;
+        let durable = self.session.is_some() || crashes;
         let config = Arc::new(EngineConfig {
             graph: Arc::new(effective_graph),
             data: data_placement,
@@ -323,9 +310,8 @@ impl SystemBuilder {
             registry: codec_registry,
             wire: self.wire_mode,
             batch: self.batch,
-            crash_capable,
             session: self.session,
-            snapshot_every: durable.then_some(self.snapshot_every),
+            snapshot_every: durable.then_some(SNAPSHOT_EVERY),
         });
         System {
             expected: vec![HashSet::new(); n],
@@ -340,7 +326,7 @@ impl SystemBuilder {
             out: Vec::new(),
             crash_queue,
             restart_queue,
-            track_catch_up: crash_capable,
+            track_catch_up: crashes,
             lost_to_crash: 0,
             catch_up_stats: LatencyStats::new(),
             trace: Trace::new(),
@@ -543,10 +529,12 @@ impl System {
             if tc <= t {
                 self.crash_queue.pop_front();
                 self.net.advance_to(tc);
-                // Volatile state is conceptually lost here; it is
-                // actually discarded at restart, when the replica is
-                // rebuilt from its recovery log.
-                self.engines[r.index()].crash();
+                // The crash ends the replica's pass: its open batches
+                // ship first. Volatile state is conceptually lost here;
+                // it is actually discarded at restart, when the replica
+                // is rebuilt from its recovery log.
+                self.engines[r.index()].crash(tc, &mut self.out);
+                self.send_out(r);
                 return true;
             }
         }

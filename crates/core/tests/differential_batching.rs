@@ -260,8 +260,8 @@ proptest! {
 
     /// Under fault schedules healed by the session layer: batching and
     /// the reliability machinery (retransmission of whole batches,
-    /// crash-forced eager flushing, catch-up) must still converge to the
-    /// singleton oracle's observables.
+    /// crashes that ship the open batches, catch-up) must still converge
+    /// to the singleton oracle's observables.
     #[test]
     fn batched_matches_unbatched_under_faults(
         topo in 0usize..3,
@@ -322,48 +322,59 @@ fn batch_fast_path_engages() {
     );
 }
 
-/// Crash schedules force eager (singleton) flushing, so nothing queued
-/// in a volatile pending batch can be lost to a crash: the batched
-/// subject equals the oracle even when the crash lands mid-workload.
+/// A crash ends its replica's pass: the engine ships every open batch
+/// (outbox entry, then frame) before it goes down, so nothing acked is
+/// lost with volatile sender state, and the batched subject equals the
+/// oracle. The writes of the first burst precede the first step, so the
+/// crash at instant 0 lands on whatever batches replica 2 opened in it;
+/// the one at 120 lands mid-workload.
 #[test]
-fn crash_forces_eager_flush_and_stays_equivalent() {
+fn a_crash_ships_its_open_batches_and_stays_equivalent() {
     let g = topology::ring(5);
     for seed in 0..8u64 {
-        let s = FaultSchedule::default().crash(ReplicaId::new(2), 120, 600);
-        let tracker = TrackerKind::EdgeIndexed(prcc_sharegraph::LoopConfig::EXHAUSTIVE);
-        let policy = BatchPolicy {
-            batch_count: 16,
-            batch_bytes: 1 << 20,
-        };
-        let oracle = run_one(
-            &g,
-            tracker,
-            PendingMode::default(),
-            WireMode::default(),
-            BatchPolicy::unbatched(),
-            3,
-            Some(&s),
-            true,
-            seed,
-        );
-        let subject = run_one(
-            &g,
-            tracker,
-            PendingMode::default(),
-            WireMode::default(),
-            policy,
-            3,
-            Some(&s),
-            true,
-            seed,
-        );
-        assert!(subject.is_settled(), "seed {seed}");
-        assert_eq!(
-            sorted_events(&oracle),
-            sorted_events(&subject),
-            "seed {seed}"
-        );
-        assert_eq!(subject.stuck_pending(), 0, "seed {seed}");
-        assert!(subject.check().is_consistent(), "seed {seed}");
+        for at in [0, 120] {
+            let s = FaultSchedule::default().crash(ReplicaId::new(2), at, at + 480);
+            let tracker = TrackerKind::EdgeIndexed(prcc_sharegraph::LoopConfig::EXHAUSTIVE);
+            let run = |policy| {
+                run_one(
+                    &g,
+                    tracker,
+                    PendingMode::default(),
+                    WireMode::default(),
+                    policy,
+                    3,
+                    Some(&s),
+                    true,
+                    seed,
+                )
+            };
+            let oracle = run(BatchPolicy::unbatched());
+            let subject = run(BatchPolicy {
+                batch_count: 16,
+                batch_bytes: 1 << 20,
+            });
+            assert!(subject.is_settled(), "seed {seed}, crash at {at}");
+            assert_eq!(
+                sorted_events(&oracle),
+                sorted_events(&subject),
+                "seed {seed}, crash at {at}"
+            );
+            assert_eq!(subject.stuck_pending(), 0, "seed {seed}, crash at {at}");
+            assert!(
+                subject.check().is_consistent(),
+                "seed {seed}, crash at {at}"
+            );
+            // Fewer first transmissions than per-update sends: some frame
+            // carried two or more updates.
+            let m = subject.metrics();
+            let frames = subject
+                .session_stats()
+                .expect("session layer is on")
+                .data_sent;
+            assert!(
+                frames < m.data_messages + m.meta_messages,
+                "seed {seed}, crash at {at}: nothing coalesced"
+            );
+        }
     }
 }

@@ -10,7 +10,7 @@
 //!   lost one can never apply) — and the checker reports it.
 
 use prcc_core::{System, Value};
-use prcc_net::{DelayModel, FaultPlan};
+use prcc_net::{DelayModel, FaultPlan, FaultSchedule};
 use prcc_sharegraph::{topology, RegisterId, ReplicaId};
 
 fn r(i: u32) -> ReplicaId {
@@ -24,7 +24,7 @@ fn x(i: u32) -> RegisterId {
 fn duplicates_are_suppressed_by_the_predicate() {
     for seed in 0..10 {
         let mut sys = System::builder(topology::ring(4))
-            .faults(FaultPlan::duplicating(0.5))
+            .fault_schedule(FaultSchedule::from_plan(FaultPlan::duplicating(0.5)))
             .delay(DelayModel::Uniform { min: 1, max: 20 })
             .seed(seed)
             .build();
@@ -54,7 +54,9 @@ fn duplicates_are_suppressed_by_the_predicate() {
 #[test]
 fn dead_link_breaks_liveness_and_checker_reports_it() {
     let mut sys = System::builder(topology::path(3))
-        .faults(FaultPlan::none().kill_link(r(0), r(1)))
+        .fault_schedule(FaultSchedule::from_plan(
+            FaultPlan::none().kill_link(r(0), r(1)),
+        ))
         .delay(DelayModel::Fixed(1))
         .seed(0)
         .build();
@@ -81,7 +83,9 @@ fn loss_cascades_through_fifo_dependencies() {
         .build();
     // Inject the drop by killing the link for the first write only.
     let mut sys2 = System::builder(topology::path(2))
-        .faults(FaultPlan::none().kill_link(r(0), r(1)))
+        .fault_schedule(FaultSchedule::from_plan(
+            FaultPlan::none().kill_link(r(0), r(1)),
+        ))
         .delay(DelayModel::Fixed(1))
         .seed(0)
         .build();
@@ -104,7 +108,7 @@ fn random_drops_detected_across_seeds() {
     let mut violations_seen = false;
     for seed in 0..10 {
         let mut sys = System::builder(topology::ring(5))
-            .faults(FaultPlan::dropping(0.3))
+            .fault_schedule(FaultSchedule::from_plan(FaultPlan::dropping(0.3)))
             .delay(DelayModel::Fixed(2))
             .seed(seed)
             .build();

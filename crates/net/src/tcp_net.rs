@@ -235,36 +235,32 @@ impl FrameBuffer {
     }
 }
 
-/// Knobs for a [`TcpEndpoint`].
+/// Per-attempt outbound connect timeout.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(1000);
+/// First reconnect backoff delay; doubles per consecutive failure.
+const RECONNECT_BASE: Duration = Duration::from_millis(10);
+/// Reconnect backoff ceiling.
+const RECONNECT_MAX: Duration = Duration::from_millis(500);
+/// Maximum frame body size accepted.
+const MAX_FRAME: usize = 1 << 24;
+/// Socket read/write timeout — also the shutdown poll interval.
+const IO_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// Queue depths for a [`TcpEndpoint`].
 #[derive(Debug, Clone)]
 pub struct TcpNetConfig {
-    /// Per-attempt outbound connect timeout.
-    pub connect_timeout: Duration,
-    /// First reconnect backoff delay; doubles per consecutive failure.
-    pub reconnect_base: Duration,
-    /// Backoff ceiling.
-    pub reconnect_max: Duration,
-    /// Maximum frame body size accepted or produced.
-    pub max_frame: usize,
     /// Per-peer outbound queue depth; a full queue sheds (session layer
     /// repairs).
     pub outbox_depth: usize,
     /// Inbound delivery queue depth; readers backpressure TCP when full.
     pub ingress_depth: usize,
-    /// Socket read/write timeout — also the shutdown poll interval.
-    pub io_timeout: Duration,
 }
 
 impl Default for TcpNetConfig {
     fn default() -> Self {
         TcpNetConfig {
-            connect_timeout: Duration::from_millis(1000),
-            reconnect_base: Duration::from_millis(10),
-            reconnect_max: Duration::from_millis(500),
-            max_frame: 1 << 24,
             outbox_depth: 4096,
             ingress_depth: 4096,
-            io_timeout: Duration::from_millis(50),
         }
     }
 }
@@ -443,20 +439,18 @@ impl<M: Send + 'static> TcpEndpoint<M> {
             let (tx, rx) = bounded::<M>(cfg.outbox_depth.max(1));
             outboxes.insert(peer, tx);
             spawn_net_thread(format!("prcc-tcp-w{}-{}", id.index(), peer.index()), {
-                let cfg = cfg.clone();
                 let codec = Arc::clone(&codec);
                 let counters = Arc::clone(&counters);
                 let shutdown = Arc::clone(&shutdown);
-                move || writer_loop(id, peer, peer_addr, rx, cfg, codec, counters, shutdown)
+                move || writer_loop(id, peer, peer_addr, rx, codec, counters, shutdown)
             });
         }
 
         spawn_net_thread(format!("prcc-tcp-acc{}", id.index()), {
-            let cfg = cfg.clone();
             let counters = Arc::clone(&counters);
             let shutdown = Arc::clone(&shutdown);
             let bell = bell.clone();
-            move || acceptor_loop(id, listener, inbox_tx, bell, cfg, codec, counters, shutdown)
+            move || acceptor_loop(id, listener, inbox_tx, bell, codec, counters, shutdown)
         });
 
         let handle = TcpHandle {
@@ -513,7 +507,7 @@ impl<M: Send + 'static> TcpEndpoint<M> {
     }
 
     /// Signals every I/O thread to exit. Threads notice within one
-    /// `io_timeout`; this call does not block on them.
+    /// `IO_TIMEOUT` (50 ms); this call does not block on them.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
     }
@@ -563,13 +557,11 @@ fn read_handshake(stream: &mut TcpStream, me: ReplicaId) -> io::Result<ReplicaId
     Ok(ReplicaId::new(src))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn acceptor_loop<M: Send + 'static>(
     me: ReplicaId,
     listener: TcpListener,
     inbox: Sender<Envelope<M>>,
     bell: Doorbell,
-    cfg: TcpNetConfig,
     codec: CodecFactory<M>,
     counters: Arc<TcpCounters>,
     shutdown: Arc<AtomicBool>,
@@ -579,41 +571,38 @@ fn acceptor_loop<M: Send + 'static>(
             Ok((stream, _)) => {
                 let inbox = inbox.clone();
                 let bell = bell.clone();
-                let cfg = cfg.clone();
                 let codec = Arc::clone(&codec);
                 let counters = Arc::clone(&counters);
                 let shutdown = Arc::clone(&shutdown);
                 spawn_net_thread(format!("prcc-tcp-r{}", me.index()), move || {
-                    reader_loop(me, stream, inbox, bell, cfg, codec, counters, shutdown)
+                    reader_loop(me, stream, inbox, bell, codec, counters, shutdown)
                 });
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(cfg.io_timeout / 10);
+                std::thread::sleep(IO_TIMEOUT / 10);
             }
-            Err(_) => std::thread::sleep(cfg.io_timeout),
+            Err(_) => std::thread::sleep(IO_TIMEOUT),
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn reader_loop<M: Send + 'static>(
     me: ReplicaId,
     mut stream: TcpStream,
     inbox: Sender<Envelope<M>>,
     bell: Doorbell,
-    cfg: TcpNetConfig,
     codec: CodecFactory<M>,
     counters: Arc<TcpCounters>,
     shutdown: Arc<AtomicBool>,
 ) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(cfg.io_timeout));
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
     let src = match read_handshake(&mut stream, me) {
         Ok(src) => src,
         Err(_) => return,
     };
     let mut link = (codec)(src);
-    let mut frames = FrameBuffer::new(cfg.max_frame);
+    let mut frames = FrameBuffer::new(MAX_FRAME);
     let mut scratch = vec![0u8; 64 * 1024];
     while !shutdown.load(Ordering::SeqCst) {
         let n = match stream.read(&mut scratch) {
@@ -710,13 +699,11 @@ fn write_counted(
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn writer_loop<M: Send + 'static>(
     me: ReplicaId,
     peer: ReplicaId,
     peer_addr: SocketAddr,
     outbox: Receiver<M>,
-    cfg: TcpNetConfig,
     codec: CodecFactory<M>,
     counters: Arc<TcpCounters>,
     shutdown: Arc<AtomicBool>,
@@ -726,7 +713,7 @@ fn writer_loop<M: Send + 'static>(
     let mut connected_once = false;
     let mut buf: Vec<u8> = Vec::with_capacity(64 * 1024);
     while !shutdown.load(Ordering::SeqCst) {
-        let msg = match outbox.recv_timeout(cfg.io_timeout) {
+        let msg = match outbox.recv_timeout(IO_TIMEOUT) {
             Ok(msg) => msg,
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => return,
@@ -736,10 +723,10 @@ fn writer_loop<M: Send + 'static>(
         // the session layer deduplicates what it already delivered and
         // retransmits what the torn connection dropped.
         if conn.is_none() {
-            match TcpStream::connect_timeout(&peer_addr, cfg.connect_timeout) {
+            match TcpStream::connect_timeout(&peer_addr, CONNECT_TIMEOUT) {
                 Ok(mut stream) => {
                     let _ = stream.set_nodelay(true);
-                    let _ = stream.set_write_timeout(Some(cfg.io_timeout));
+                    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
                     if write_handshake(&mut stream, me, peer).is_ok() {
                         if connected_once {
                             counters.reconnects.fetch_add(1, Ordering::Relaxed);
@@ -754,10 +741,9 @@ fn writer_loop<M: Send + 'static>(
                 Err(_) => failures += 1,
             }
             if conn.is_none() {
-                let backoff = cfg
-                    .reconnect_base
+                let backoff = RECONNECT_BASE
                     .saturating_mul(1u32 << failures.min(16))
-                    .min(cfg.reconnect_max);
+                    .min(RECONNECT_MAX);
                 std::thread::sleep(backoff);
                 // The held message is dropped with the connection attempt
                 // only if the queue is overflowing; otherwise it simply

@@ -45,7 +45,7 @@ fn main() {
 
     // --- Act 1: the storm, unprotected ---
     let mut bare = System::builder(topology::ring(5))
-        .faults(storm.clone())
+        .fault_schedule(FaultSchedule::from_plan(storm.clone()))
         .delay(DelayModel::Uniform { min: 1, max: 20 })
         .seed(7)
         .build();
