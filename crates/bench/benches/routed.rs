@@ -2,7 +2,7 @@
 //! the RoutedSystem surgery cost on general graphs.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use prcc_core::{RoutedRing, RoutedSystem, System, Value};
+use prcc_core::{RoutedSystem, System, Value};
 use prcc_net::DelayModel;
 use prcc_sharegraph::{topology, RegisterId, ReplicaId};
 
@@ -21,7 +21,9 @@ fn drive_ring(n: usize) {
 }
 
 fn drive_broken(n: usize) {
-    let mut sys = RoutedRing::new(n, DelayModel::Fixed(2), 1);
+    let severed = (ReplicaId::new(n as u32 - 1), ReplicaId::new(0));
+    let mut sys = RoutedSystem::new(&topology::ring(n), &[severed], DelayModel::Fixed(2), 1)
+        .expect("a ring edge is breakable");
     for round in 0..5u64 {
         for i in 0..n as u32 {
             sys.write(ReplicaId::new(i), RegisterId::new(i), Value::from(round));

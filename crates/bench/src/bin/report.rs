@@ -23,7 +23,11 @@ fn main() {
             match run_one(id) {
                 Some(e) => out.push(e),
                 None => {
-                    eprintln!("unknown experiment '{id}' (expected e1..e10 or all)");
+                    let known: Vec<&str> = prcc_bench::experiment_ids().collect();
+                    eprintln!(
+                        "unknown experiment '{id}' (expected one of {} or all)",
+                        known.join(", ")
+                    );
                     std::process::exit(2);
                 }
             }

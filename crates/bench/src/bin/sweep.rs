@@ -8,7 +8,7 @@
 //! sweep cap       # loop cap vs counters & adversarial violations (ring 8)
 //! ```
 
-use prcc_core::{RoutedRing, System, TrackerKind, Value};
+use prcc_core::{RoutedSystem, System, TrackerKind, Value};
 use prcc_net::DelayModel;
 use prcc_sharegraph::topology::{self, RandomPlacementConfig};
 use prcc_sharegraph::{LoopConfig, RegisterId, ReplicaId, TimestampGraphs};
@@ -21,7 +21,9 @@ fn sweep_ring() {
             .delay(DelayModel::Fixed(5))
             .seed(1)
             .build();
-        let mut routed = RoutedRing::new(n, DelayModel::Fixed(5), 1);
+        let severed = (ReplicaId::new(n as u32 - 1), ReplicaId::new(0));
+        let mut routed = RoutedSystem::new(&topology::ring(n), &[severed], DelayModel::Fixed(5), 1)
+            .expect("a ring edge is breakable");
         for round in 0..3u64 {
             for i in 0..n as u32 {
                 plain.write(ReplicaId::new(i), RegisterId::new(i), Value::from(round));

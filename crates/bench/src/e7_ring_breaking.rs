@@ -3,7 +3,7 @@
 //! register pay multi-hop propagation latency.
 
 use crate::table::Experiment;
-use prcc_core::{RoutedRing, System, TrackerKind, Value};
+use prcc_core::{RoutedSystem, System, TrackerKind, Value};
 use prcc_net::DelayModel;
 use prcc_sharegraph::{topology, LoopConfig, RegisterId, ReplicaId};
 
@@ -36,8 +36,10 @@ fn measure(n: usize, seed: u64) -> (DeploymentSample, DeploymentSample) {
         plain.check().is_consistent(),
     );
 
-    // Broken ring.
-    let mut routed = RoutedRing::new(n, DelayModel::Fixed(5), seed);
+    // Broken ring: the edge between replicas n−1 and 0 severed (Fig 13).
+    let severed = (ReplicaId::new(n as u32 - 1), ReplicaId::new(0));
+    let mut routed = RoutedSystem::new(&topology::ring(n), &[severed], DelayModel::Fixed(5), seed)
+        .expect("a ring edge is breakable");
     for round in 0..writes_per_reg {
         for i in 0..n as u32 {
             routed.write(ReplicaId::new(i), RegisterId::new(i), Value::from(round));

@@ -7,15 +7,20 @@
 //! own timestamp dominates the client's incoming-edge view); server-to-
 //! server updates use the peer predicate `J₃` over the **augmented**
 //! timestamp graphs.
+//!
+//! One server's transitions are written once, in `AppEServer`; the
+//! lockstep [`ClientServerSystem`] and the client-server explorer
+//! ([`CsScenario`](crate::CsScenario)) both run them.
 
 use crate::message::{Metadata, UpdateMsg};
 use crate::value::Value;
 use prcc_checker::{check, CheckReport, Trace, UpdateId};
 use prcc_net::{DelayModel, SimNetwork};
-use prcc_sharegraph::{AugmentedShareGraph, ClientId, RegisterId, ReplicaId};
+use prcc_sharegraph::{AugmentedShareGraph, ClientId, RegisterId, ReplicaId, ShareGraph};
 use prcc_timestamp::{ClientTimestamp, ClientTsRegistry, EdgeTimestamp};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a client request, in submission order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -54,13 +59,96 @@ impl Request {
     }
 }
 
-struct Server {
+/// One App E server's protocol state: its timestamp `τ_i`, the
+/// server-to-server updates buffered until `J₃` admits them, and its
+/// next update sequence number.
+#[derive(Clone)]
+pub(crate) struct AppEServer {
     tau: EdgeTimestamp,
-    store: HashMap<RegisterId, Value>,
-    /// Which update produced the current value of each register.
-    store_src: HashMap<RegisterId, UpdateId>,
-    pending_updates: Vec<UpdateMsg>,
+    pending: Vec<UpdateMsg>,
     next_seq: u64,
+}
+
+impl AppEServer {
+    pub(crate) fn new(reg: &ClientTsRegistry, id: ReplicaId) -> Self {
+        AppEServer {
+            tau: reg.peer().new_timestamp(id),
+            pending: Vec::new(),
+            next_seq: 0,
+        }
+    }
+
+    /// Predicates `J₁`/`J₂`: may a request carrying the client view `mu`
+    /// be served now?
+    pub(crate) fn admits(&self, reg: &ClientTsRegistry, mu: &ClientTimestamp) -> bool {
+        reg.request_ready(&self.tau, mu)
+    }
+
+    /// Serves an admitted write of `value` to `register`:
+    /// `advance(i, τ, c, μ, x, v)` under the request's view `mu`, then the
+    /// reply into the client's current `mu_c`. Returns the update and the
+    /// other holders it fans out to.
+    pub(crate) fn issue(
+        &mut self,
+        reg: &ClientTsRegistry,
+        g: &ShareGraph,
+        mu: &ClientTimestamp,
+        mu_c: &mut ClientTimestamp,
+        register: RegisterId,
+        value: Value,
+    ) -> (UpdateMsg, Vec<ReplicaId>) {
+        reg.advance_for_client(&mut self.tau, mu, register, g);
+        let issuer = self.tau.replica();
+        let msg = UpdateMsg {
+            issuer,
+            seq: self.next_seq,
+            register,
+            value: Some(value),
+            meta: Arc::new(Metadata::Edge(self.tau.clone())),
+            transit: None,
+        };
+        self.next_seq += 1;
+        self.reply(reg, mu_c);
+        let fanout = g
+            .placement()
+            .holders(register)
+            .iter()
+            .copied()
+            .filter(|&h| h != issuer)
+            .collect();
+        (msg, fanout)
+    }
+
+    /// The reply to a served request: `merge₁`/`merge₂` of `τ_i` into the
+    /// client's `μ_c`.
+    pub(crate) fn reply(&self, reg: &ClientTsRegistry, mu_c: &mut ClientTimestamp) {
+        reg.merge_into_client(mu_c, &self.tau);
+    }
+
+    /// Buffers a server-to-server update, then applies every buffered
+    /// update `J₃` admits (`merge₃` into `τ_i`) until none is ready.
+    /// Returns the applied updates in apply order.
+    pub(crate) fn deliver(&mut self, reg: &ClientTsRegistry, msg: UpdateMsg) -> Vec<UpdateMsg> {
+        self.pending.push(msg);
+        let mut applied = Vec::new();
+        while let Some(pos) = self.pending.iter().position(|m| match &*m.meta {
+            Metadata::Edge(t) => reg.peer().ready(&self.tau, m.issuer, t),
+            _ => false,
+        }) {
+            let m = self.pending.remove(pos);
+            if let Metadata::Edge(t) = &*m.meta {
+                reg.peer().merge(&mut self.tau, m.issuer, t);
+            }
+            applied.push(m);
+        }
+        applied
+    }
+
+    /// Updates issued and updates still buffered — the server state a
+    /// fingerprint needs besides its apply order.
+    pub(crate) fn counts(&self) -> (u64, usize) {
+        (self.next_seq, self.pending.len())
+    }
 }
 
 pub use prcc_checker::SessionEvent;
@@ -88,7 +176,9 @@ pub use prcc_checker::SessionEvent;
 pub struct ClientServerSystem {
     aug: AugmentedShareGraph,
     reg: ClientTsRegistry,
-    servers: Vec<Server>,
+    servers: Vec<AppEServer>,
+    /// Per server: each register's value and the update that wrote it.
+    stores: Vec<HashMap<RegisterId, (Value, UpdateId)>>,
     clients: HashMap<ClientId, ClientTimestamp>,
     requests: Vec<Request>,
     net: SimNetwork<UpdateMsg>,
@@ -116,13 +206,7 @@ impl ClientServerSystem {
         let servers = aug
             .base()
             .replicas()
-            .map(|i| Server {
-                tau: reg.peer().new_timestamp(i),
-                store: HashMap::new(),
-                store_src: HashMap::new(),
-                pending_updates: Vec::new(),
-                next_seq: 0,
-            })
+            .map(|i| AppEServer::new(&reg, i))
             .collect();
         let clients = aug
             .clients()
@@ -131,6 +215,7 @@ impl ClientServerSystem {
             .map(|(c, _)| (*c, reg.new_client_timestamp(*c)))
             .collect();
         ClientServerSystem {
+            stores: vec![HashMap::new(); aug.base().num_replicas()],
             aug,
             reg,
             servers,
@@ -209,15 +294,12 @@ impl ClientServerSystem {
 
     /// Serves every currently admissible request (predicates `J₁`/`J₂`).
     fn pump(&mut self) {
-        loop {
-            let Some(pos) = self.requests.iter().position(|rq| {
-                let srv = &self.servers[rq.replica().index()];
-                self.reg.request_ready(&srv.tau, rq.mu())
-            }) else {
-                return;
-            };
-            let rq = self.requests.remove(pos);
-            match rq {
+        while let Some(pos) = self
+            .requests
+            .iter()
+            .position(|rq| self.servers[rq.replica().index()].admits(&self.reg, rq.mu()))
+        {
+            match self.requests.remove(pos) {
                 Request::Read {
                     id,
                     client,
@@ -225,20 +307,15 @@ impl ClientServerSystem {
                     register,
                     ..
                 } => {
-                    let tau = self.servers[replica.index()].tau.clone();
-                    let value = self.servers[replica.index()].store.get(&register).cloned();
-                    let observed = self.servers[replica.index()]
-                        .store_src
-                        .get(&register)
-                        .copied();
-                    self.read_results.insert(id, value);
+                    let entry = self.stores[replica.index()].get(&register);
+                    self.read_results.insert(id, entry.map(|(v, _)| v.clone()));
                     self.sessions.push(SessionEvent::Read {
                         client,
                         register,
-                        observed,
+                        observed: entry.map(|&(_, u)| u),
                     });
-                    let mu = self.clients.get_mut(&client).expect("known client");
-                    self.reg.merge_into_client(mu, &tau);
+                    let mu_c = self.clients.get_mut(&client).expect("known client");
+                    self.servers[replica.index()].reply(&self.reg, mu_c);
                 }
                 Request::Write {
                     id,
@@ -248,48 +325,29 @@ impl ClientServerSystem {
                     value,
                     mu,
                 } => {
-                    // advance(i, τ, c, μ, x, v) then distribute.
-                    let g = self.aug.base().clone();
-                    {
-                        let srv = &mut self.servers[replica.index()];
-                        self.reg.advance_for_client(&mut srv.tau, &mu, register, &g);
-                        srv.store.insert(register, value.clone());
-                    }
-                    let (seq, tau) = {
-                        let srv = &mut self.servers[replica.index()];
-                        let s = srv.next_seq;
-                        srv.next_seq += 1;
-                        (s, srv.tau.clone())
-                    };
+                    let mu_c = self.clients.get_mut(&client).expect("known client");
+                    let (msg, fanout) = self.servers[replica.index()].issue(
+                        &self.reg,
+                        self.aug.base(),
+                        &mu,
+                        mu_c,
+                        register,
+                        value.clone(),
+                    );
                     let uid = UpdateId {
                         issuer: replica,
-                        seq,
+                        seq: msg.seq,
                     };
-                    self.servers[replica.index()]
-                        .store_src
-                        .insert(register, uid);
+                    self.stores[replica.index()].insert(register, (value, uid));
                     self.sessions.push(SessionEvent::Write {
                         client,
                         update: uid,
                         register,
                     });
                     self.trace.record_issue_with_id(uid, register);
-                    let msg = UpdateMsg {
-                        issuer: replica,
-                        seq,
-                        register,
-                        value: Some(value),
-                        meta: std::sync::Arc::new(Metadata::Edge(tau.clone())),
-                        transit: None,
-                    };
-                    for &h in g.placement().holders(register) {
-                        if h != replica {
-                            self.net.send(replica, h, msg.clone());
-                        }
+                    for h in fanout {
+                        self.net.send(replica, h, msg.clone());
                     }
-                    // Reply to client: merge τ_i into μ_c.
-                    let mu_c = self.clients.get_mut(&client).expect("known client");
-                    self.reg.merge_into_client(mu_c, &tau);
                     self.done_writes.insert(id, uid);
                 }
             }
@@ -303,38 +361,15 @@ impl ClientServerSystem {
             return false;
         };
         let dst = env.dst;
-        self.servers[dst.index()].pending_updates.push(env.msg);
-        // Drain pending per J₃.
-        loop {
-            let srv = &self.servers[dst.index()];
-            let Some(pos) = srv.pending_updates.iter().position(|m| match &*m.meta {
-                Metadata::Edge(t) => self.reg.peer().ready(&srv.tau, m.issuer, t),
-                _ => false,
-            }) else {
-                break;
+        for m in self.servers[dst.index()].deliver(&self.reg, env.msg) {
+            let uid = UpdateId {
+                issuer: m.issuer,
+                seq: m.seq,
             };
-            let m = self.servers[dst.index()].pending_updates.remove(pos);
-            if let Metadata::Edge(t) = &*m.meta {
-                let srv = &mut self.servers[dst.index()];
-                self.reg.peer().merge(&mut srv.tau, m.issuer, t);
-                if let Some(v) = &m.value {
-                    srv.store.insert(m.register, v.clone());
-                    srv.store_src.insert(
-                        m.register,
-                        UpdateId {
-                            issuer: m.issuer,
-                            seq: m.seq,
-                        },
-                    );
-                }
+            if let Some(v) = m.value {
+                self.stores[dst.index()].insert(m.register, (v, uid));
             }
-            self.trace.record_apply(
-                UpdateId {
-                    issuer: m.issuer,
-                    seq: m.seq,
-                },
-                dst,
-            );
+            self.trace.record_apply(uid, dst);
         }
         self.pump();
         true
@@ -464,8 +499,8 @@ mod tests {
         // write after the x0 write (safety) — checker verifies.
         let rep = sys.check();
         assert!(rep.is_consistent(), "{:?}", rep.violations);
-        assert_eq!(sys.servers[1].store.get(&x(0)), Some(&Value::from(1u64)));
-        assert_eq!(sys.servers[1].store.get(&x(1)), Some(&Value::from(2u64)));
+        assert_eq!(sys.stores[1][&x(0)].0, Value::from(1u64));
+        assert_eq!(sys.stores[1][&x(1)].0, Value::from(2u64));
     }
 
     #[test]

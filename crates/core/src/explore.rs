@@ -15,16 +15,13 @@
 //! structural fingerprint.
 
 use crate::message::UpdateMsg;
-use crate::replica::Replica;
+use crate::replica::{PendingMode, Replica};
 use crate::system::TrackerKind;
-use crate::tracker::{CausalityTracker, EdgeTracker, VcTracker};
 use crate::value::Value;
 use prcc_checker::{check, Trace, UpdateId};
-use prcc_sharegraph::{RegisterId, ReplicaId, ShareGraph, TimestampGraph, TimestampGraphs};
-use prcc_timestamp::TsRegistry;
+use prcc_sharegraph::{RegisterId, ReplicaId, ShareGraph};
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::Arc;
 
 /// One scripted client write.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -236,54 +233,12 @@ impl<'a> Explorer<'a> {
     fn initial_state(&self) -> State {
         let g = &self.scenario.graph;
         let n = g.num_replicas();
-        let mut replicas = Vec::with_capacity(n);
-        match self.scenario.tracker {
-            TrackerKind::EdgeIndexed(loops) => {
-                let mut graphs: Vec<TimestampGraph> = g
-                    .replicas()
-                    .map(|i| TimestampGraph::build(g, i, loops))
-                    .collect();
-                for (i, e) in &self.scenario.dropped_edges {
-                    let edges: Vec<_> = graphs[i.index()]
-                        .edges()
-                        .iter()
-                        .copied()
-                        .filter(|x| x != e)
-                        .collect();
-                    graphs[i.index()] = TimestampGraph::from_edges(*i, edges);
-                }
-                let registry = Arc::new(TsRegistry::new(g, TimestampGraphs::from_graphs(graphs)));
-                for i in g.replicas() {
-                    replicas.push(Replica::new(
-                        i,
-                        g.placement().registers_of(i).clone(),
-                        Box::new(EdgeTracker::new(registry.clone(), i))
-                            as Box<dyn CausalityTracker>,
-                    ));
-                }
-            }
-            TrackerKind::VectorClock => {
-                for i in g.replicas() {
-                    replicas.push(Replica::new(
-                        i,
-                        g.placement().registers_of(i).clone(),
-                        Box::new(VcTracker::new(i, n)) as Box<dyn CausalityTracker>,
-                    ));
-                }
-            }
-            TrackerKind::FullDeps => {
-                for i in g.replicas() {
-                    replicas.push(Replica::new(
-                        i,
-                        g.placement().registers_of(i).clone(),
-                        Box::new(crate::tracker::FullDepsTracker::new(
-                            i,
-                            g.placement().registers_of(i).clone(),
-                        )) as Box<dyn CausalityTracker>,
-                    ));
-                }
-            }
-        }
+        let (_, replicas) = self.scenario.tracker.build_replicas(
+            g,
+            g.placement(),
+            &self.scenario.dropped_edges,
+            PendingMode::default(),
+        );
         State {
             replicas,
             in_flight: Vec::new(),

@@ -7,16 +7,18 @@
 //! order blocked client requests are served relative to those deliveries.
 //! The explorer branches over both. Each client is sequential (its ops
 //! fire in script order); cross-client causality can be scripted with
-//! explicit preconditions.
+//! explicit preconditions. Servers run the same admit / issue / deliver
+//! transitions as the lockstep
+//! [`ClientServerSystem`](crate::ClientServerSystem).
 
-use crate::message::{Metadata, UpdateMsg};
+use crate::client_server::AppEServer;
+use crate::message::UpdateMsg;
 use crate::value::Value;
 use prcc_checker::{check, Trace, UpdateId};
 use prcc_sharegraph::{AugmentedShareGraph, ClientId, RegisterId, ReplicaId};
-use prcc_timestamp::{ClientTimestamp, ClientTsRegistry, EdgeTimestamp};
+use prcc_timestamp::{ClientTimestamp, ClientTsRegistry};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
 
 /// One scripted client operation (a write; reads don't alter server state
 /// beyond `μ` merges, and writes subsume their gating behaviour).
@@ -36,7 +38,7 @@ pub struct CsOp {
 /// A client-server exploration scenario.
 pub struct CsScenario {
     aug: AugmentedShareGraph,
-    reg: Arc<ClientTsRegistry>,
+    reg: ClientTsRegistry,
     ops: Vec<CsOp>,
     max_states: usize,
 }
@@ -52,7 +54,7 @@ impl fmt::Debug for CsScenario {
 impl CsScenario {
     /// Starts a scenario over an augmented share graph.
     pub fn new(aug: AugmentedShareGraph) -> Self {
-        let reg = Arc::new(ClientTsRegistry::new(&aug));
+        let reg = ClientTsRegistry::new(&aug);
         CsScenario {
             aug,
             reg,
@@ -132,16 +134,10 @@ impl CsScenario {
 }
 
 #[derive(Clone)]
-struct SrvState {
-    tau: EdgeTimestamp,
-    pending: Vec<UpdateMsg>,
-    next_seq: u64,
-    apply_order: Vec<UpdateId>,
-}
-
-#[derive(Clone)]
 struct CsState {
-    servers: Vec<SrvState>,
+    servers: Vec<AppEServer>,
+    /// Per server: the updates it applied, in order.
+    apply_order: Vec<Vec<UpdateId>>,
     clients: HashMap<ClientId, ClientTimestamp>,
     in_flight: Vec<(ReplicaId, UpdateMsg)>,
     served: Vec<bool>,
@@ -154,10 +150,9 @@ impl CsState {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
         let mut h = DefaultHasher::new();
-        for s in &self.servers {
-            s.next_seq.hash(&mut h);
-            s.pending.len().hash(&mut h);
-            for u in &s.apply_order {
+        for (s, order) in self.servers.iter().zip(&self.apply_order) {
+            s.counts().hash(&mut h);
+            for u in order {
                 (u.issuer.raw(), u.seq).hash(&mut h);
             }
             u64::MAX.hash(&mut h);
@@ -186,27 +181,20 @@ struct CsExplorer<'a> {
 
 impl CsExplorer<'_> {
     fn initial_state(&self) -> CsState {
-        let aug = &self.scenario.aug;
-        let reg = &self.scenario.reg;
+        let sc = self.scenario;
+        let g = sc.aug.base();
         CsState {
-            servers: aug
-                .base()
-                .replicas()
-                .map(|i| SrvState {
-                    tau: reg.peer().new_timestamp(i),
-                    pending: Vec::new(),
-                    next_seq: 0,
-                    apply_order: Vec::new(),
-                })
-                .collect(),
-            clients: aug
+            servers: g.replicas().map(|i| AppEServer::new(&sc.reg, i)).collect(),
+            apply_order: vec![Vec::new(); g.num_replicas()],
+            clients: sc
+                .aug
                 .clients()
                 .clients()
                 .iter()
-                .map(|(c, _)| (*c, reg.new_client_timestamp(*c)))
+                .map(|(c, _)| (*c, sc.reg.new_client_timestamp(*c)))
                 .collect(),
             in_flight: Vec::new(),
-            served: vec![false; self.scenario.ops.len()],
+            served: vec![false; sc.ops.len()],
             serve_order: Vec::new(),
             trace: Trace::new(),
         }
@@ -231,74 +219,9 @@ impl CsExplorer<'_> {
                 if !op.after_served.iter().all(|&p| st.served[p]) {
                     return false;
                 }
-                let srv = &st.servers[op.replica.index()];
-                self.scenario
-                    .reg
-                    .request_ready(&srv.tau, &st.clients[&op.client])
+                st.servers[op.replica.index()].admits(&self.scenario.reg, &st.clients[&op.client])
             })
             .collect()
-    }
-
-    fn serve(&self, st: &mut CsState, k: usize) {
-        let op = &self.scenario.ops[k];
-        let reg = &self.scenario.reg;
-        let g = self.scenario.aug.base();
-        let mu = st.clients[&op.client].clone();
-        let srv = &mut st.servers[op.replica.index()];
-        reg.advance_for_client(&mut srv.tau, &mu, op.register, g);
-        let seq = srv.next_seq;
-        srv.next_seq += 1;
-        let uid = UpdateId {
-            issuer: op.replica,
-            seq,
-        };
-        st.trace.record_issue_with_id(uid, op.register);
-        let msg = UpdateMsg {
-            issuer: op.replica,
-            seq,
-            register: op.register,
-            value: Some(Value::from(k as u64)),
-            meta: std::sync::Arc::new(Metadata::Edge(srv.tau.clone())),
-            transit: None,
-        };
-        let tau = srv.tau.clone();
-        for &h in g.placement().holders(op.register) {
-            if h != op.replica {
-                st.in_flight.push((h, msg.clone()));
-            }
-        }
-        let mu_c = st.clients.get_mut(&op.client).expect("known client");
-        reg.merge_into_client(mu_c, &tau);
-        st.served[k] = true;
-        st.serve_order.push(k);
-    }
-
-    /// Delivers in-flight message `idx` at its destination, draining the
-    /// pending buffer per `J₃`.
-    fn deliver(&self, st: &mut CsState, idx: usize) {
-        let (dst, msg) = st.in_flight.swap_remove(idx);
-        let reg = &self.scenario.reg;
-        st.servers[dst.index()].pending.push(msg);
-        loop {
-            let srv = &st.servers[dst.index()];
-            let Some(pos) = srv.pending.iter().position(|m| match &*m.meta {
-                Metadata::Edge(t) => reg.peer().ready(&srv.tau, m.issuer, t),
-                _ => false,
-            }) else {
-                break;
-            };
-            let m = st.servers[dst.index()].pending.remove(pos);
-            if let Metadata::Edge(t) = &*m.meta {
-                let srv = &mut st.servers[dst.index()];
-                reg.peer().merge(&mut srv.tau, m.issuer, t);
-            }
-            let uid = UpdateId {
-                issuer: m.issuer,
-                seq: m.seq,
-            };
-            st.trace.record_apply(uid, dst);
-            st.servers[dst.index()].apply_order.push(uid);
-        }
     }
 
     fn dfs(&mut self, st: CsState) {
@@ -329,14 +252,44 @@ impl CsExplorer<'_> {
             }
             return;
         }
+        let sc = self.scenario;
+        // Serve an admitted request…
         for k in enabled {
+            let op = &sc.ops[k];
             let mut next = st.clone();
-            self.serve(&mut next, k);
+            let mu = next.clients[&op.client].clone();
+            let mu_c = next.clients.get_mut(&op.client).expect("known client");
+            let (msg, fanout) = next.servers[op.replica.index()].issue(
+                &sc.reg,
+                sc.aug.base(),
+                &mu,
+                mu_c,
+                op.register,
+                Value::from(k as u64),
+            );
+            let uid = UpdateId {
+                issuer: op.replica,
+                seq: msg.seq,
+            };
+            next.trace.record_issue_with_id(uid, op.register);
+            next.in_flight
+                .extend(fanout.into_iter().map(|h| (h, msg.clone())));
+            next.served[k] = true;
+            next.serve_order.push(k);
             self.dfs(next);
         }
+        // …or deliver an in-flight update.
         for idx in 0..st.in_flight.len() {
             let mut next = st.clone();
-            self.deliver(&mut next, idx);
+            let (dst, msg) = next.in_flight.swap_remove(idx);
+            for m in next.servers[dst.index()].deliver(&sc.reg, msg) {
+                let uid = UpdateId {
+                    issuer: m.issuer,
+                    seq: m.seq,
+                };
+                next.trace.record_apply(uid, dst);
+                next.apply_order[dst.index()].push(uid);
+            }
             self.dfs(next);
         }
     }

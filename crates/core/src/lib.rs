@@ -43,7 +43,6 @@ pub mod message;
 pub mod netframe;
 pub mod recovery;
 pub mod replica;
-pub mod routed;
 pub mod routed_general;
 pub mod runtime;
 pub mod serving;
@@ -62,7 +61,6 @@ pub use message::{BatchMsg, DepEntry, Metadata, TransitInfo, UpdateMsg};
 pub use netframe::{cluster_codec, ClusterCodec};
 pub use recovery::{RecoveryLog, WalEntry};
 pub use replica::{Applied, PendingMode, Replica, ReplicaError, WriteOutput};
-pub use routed::RoutedRing;
 pub use routed_general::{RoutedError, RoutedSystem};
 pub use runtime::{
     ClusterConfig, ClusterError, NodeEvent, NodeRuntime, ReplicaView, ThreadedCluster,

@@ -1,30 +1,34 @@
-//! Generalized restricted communication: break *any* set of share-graph
-//! edges and route their registers' updates over virtual registers along
-//! residual paths (Appendix D — "more general topologies may also be
+//! Restricted inter-replica communication — breaking share-graph edges
+//! (Appendix D, Figure 13, and its "more general topologies may also be
 //! created").
 //!
-//! [`RoutedSystem`] generalizes [`RoutedRing`](crate::RoutedRing): for
-//! each broken edge `(a, b)`, each register shared by exactly `{a, b}` is
+//! In a ring of `n` replicas every timestamp needs `2n` counters. If one
+//! ring edge is *broken* — its shared register split into two local
+//! copies kept in sync by piggybacking the value on **virtual registers**
+//! along the remaining path — the share graph becomes a tree and each
+//! timestamp shrinks to `2·N_i` counters, at the cost of multi-hop
+//! propagation latency for writes to the broken register.
+//!
+//! [`RoutedSystem`] performs that surgery on any set of edges: for each
+//! broken edge `(a, b)`, each register shared by exactly `{a, b}` is
 //! split into the original copy at `a` plus a twin at `b`; a BFS path
 //! through the residual share graph carries writes between them as
-//! metadata+payload updates on fresh virtual registers. The timestamp
-//! graphs are built on the *effective* (post-surgery) share graph, which
-//! is where the metadata savings come from.
+//! metadata+payload updates on fresh virtual registers, re-issued hop by
+//! hop until the far endpoint applies the value to its twin. The
+//! timestamp graphs are built on the *effective* (post-surgery) share
+//! graph, which is where the metadata savings come from. Breaking
+//! `(n−1, 0)` on `topology::ring(n)` gives Figure 13's broken ring
+//! (experiment E7).
 
 use crate::message::{TransitInfo, UpdateMsg};
-use crate::replica::Replica;
-use crate::system::SystemMetrics;
-use crate::tracker::{CausalityTracker, EdgeTracker};
+use crate::replica::{PendingMode, Replica};
+use crate::system::{SystemMetrics, TrackerKind};
 use crate::value::Value;
 use prcc_checker::{check, CheckReport, Trace, UpdateId};
 use prcc_net::{DelayModel, SimNetwork};
-use prcc_sharegraph::{
-    LoopConfig, Placement, RegSet, RegisterId, ReplicaId, ShareGraph, TimestampGraphs,
-};
-use prcc_timestamp::TsRegistry;
+use prcc_sharegraph::{LoopConfig, Placement, RegSet, RegisterId, ReplicaId, ShareGraph};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Why a routing surgery could not be performed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,33 +152,24 @@ impl RoutedSystem {
             let route = bfs_path(&residual, a, b).ok_or(RoutedError::NoResidualPath(a, b))?;
             for w in route.windows(2) {
                 let key = (w[0].min(w[1]), w[0].max(w[1]));
-                let vreg = *virtuals.entry(key).or_insert_with(|| {
+                virtuals.entry(key).or_insert_with(|| {
                     let v = RegisterId::new(next_reg);
                     next_reg += 1;
                     sets[key.0.index()].insert(v);
                     sets[key.1.index()].insert(v);
                     v
                 });
-                let _ = vreg;
             }
             broken.get_mut(&x).expect("inserted above").route = route;
         }
 
         let effective = ShareGraph::new(Placement::from_sets(sets));
-        let registry = Arc::new(TsRegistry::new(
+        let (_, replicas) = TrackerKind::EdgeIndexed(LoopConfig::EXHAUSTIVE).build_replicas(
             &effective,
-            TimestampGraphs::build(&effective, LoopConfig::EXHAUSTIVE),
-        ));
-        let replicas = effective
-            .replicas()
-            .map(|i| {
-                Replica::new(
-                    i,
-                    effective.placement().registers_of(i).clone(),
-                    Box::new(EdgeTracker::new(registry.clone(), i)) as Box<dyn CausalityTracker>,
-                )
-            })
-            .collect();
+            effective.placement(),
+            &[],
+            PendingMode::default(),
+        );
 
         Ok(RoutedSystem {
             logical,
@@ -239,7 +234,7 @@ impl RoutedSystem {
         self.trace.record_issue_with_id(id, x);
         self.issue_time.insert(id, self.net.now());
         for dst in &recipients {
-            self.account_send(&msg);
+            self.metrics.count_send(&msg);
             self.net.send(r, *dst, msg.clone());
         }
         if let Some(info) = self.broken.get(&x).cloned() {
@@ -282,18 +277,8 @@ impl RoutedSystem {
         };
         self.trace.record_issue_with_id(id, vreg);
         self.issue_time.insert(id, self.net.now());
-        self.account_send(&msg);
+        self.metrics.count_send(&msg);
         self.net.send(at, next, msg);
-    }
-
-    fn account_send(&mut self, m: &UpdateMsg) {
-        self.metrics.metadata_bytes += m.meta.size_bytes();
-        if let Some(v) = &m.value {
-            self.metrics.data_messages += 1;
-            self.metrics.payload_bytes += v.size_bytes();
-        } else {
-            self.metrics.meta_messages += 1;
-        }
     }
 
     /// Reads the *logical* register `x` at replica `r`.
@@ -313,6 +298,9 @@ impl RoutedSystem {
                 issuer: a.msg.issuer,
                 seq: a.msg.seq,
             };
+            // A terminating transit applies the logical write atomically
+            // with the hop update — record the origin first so the trace
+            // reflects that the dependency lands with (not after) the hop.
             if let Some(transit) = &a.msg.transit {
                 if transit.final_dst == dst {
                     self.trace.record_apply(
@@ -327,20 +315,14 @@ impl RoutedSystem {
             self.trace.record_apply(id, dst);
             self.metrics.applies += 1;
             if let Some(&issued) = self.issue_time.get(&id) {
-                let vis = t.saturating_sub(issued);
-                self.metrics.total_visibility += vis;
-                self.metrics.visibility_samples += 1;
-                self.metrics.max_visibility = self.metrics.max_visibility.max(vis);
+                self.metrics.count_visibility(t.saturating_sub(issued));
             }
             if let Some(transit) = a.msg.transit.clone() {
                 if transit.final_dst == dst {
                     let local = self.local_register(dst, transit.register);
                     self.replicas[dst.index()].store_local(local, transit.value.clone());
                     if let Some(issued) = self.transit_issue.remove(&transit.origin) {
-                        let vis = t.saturating_sub(issued);
-                        self.metrics.total_visibility += vis;
-                        self.metrics.visibility_samples += 1;
-                        self.metrics.max_visibility = self.metrics.max_visibility.max(vis);
+                        self.metrics.count_visibility(t.saturating_sub(issued));
                     }
                 } else {
                     self.send_transit_hop(dst, transit);
@@ -405,6 +387,7 @@ fn bfs_path(g: &ShareGraph, from: ReplicaId, to: ReplicaId) -> Option<Vec<Replic
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::System;
     use prcc_sharegraph::topology;
 
     fn r(i: u32) -> ReplicaId {
@@ -414,6 +397,194 @@ mod tests {
         RegisterId::new(i)
     }
 
+    /// Figure 13: `ring(n)` with the edge (n−1, 0) broken. Register n−1
+    /// keeps its copy at n−1 and reaches its twin at 0 along
+    /// n−1 → n−2 → … → 0.
+    fn broken_ring(n: usize, delay: DelayModel, seed: u64) -> RoutedSystem {
+        let edge = (r(n as u32 - 1), r(0));
+        RoutedSystem::new(&topology::ring(n), &[edge], delay, seed).expect("ring edge is breakable")
+    }
+
+    #[test]
+    fn broken_ring_has_tree_sized_timestamps() {
+        let n = 6;
+        let counters = broken_ring(n, DelayModel::Fixed(1), 0).timestamp_counters();
+        // Unbroken ring: every replica tracks 2n = 12 counters.
+        let plain = System::builder(topology::ring(n))
+            .tracker(TrackerKind::EdgeIndexed(LoopConfig::EXHAUSTIVE))
+            .build()
+            .timestamp_counters();
+        assert!(plain.iter().all(|&c| c == 2 * n));
+        // Broken ring (a path): counters are per *edge*, and the virtual
+        // registers double edge multiplicity, not edge count — interior
+        // replicas track 4, endpoints 2.
+        for (i, &c) in counters.iter().enumerate() {
+            let expected = if i == 0 || i == n - 1 { 2 } else { 4 };
+            assert_eq!(c, expected, "replica {i}");
+            assert!(c < plain[i]);
+        }
+    }
+
+    #[test]
+    fn unbroken_registers_flow_directly() {
+        let mut ring = broken_ring(5, DelayModel::Fixed(1), 1);
+        // Register 1 is shared by replicas 1 and 2 — untouched by the
+        // break.
+        ring.write(r(1), x(1), Value::from(7u64));
+        ring.run_to_quiescence();
+        assert!(ring.is_settled());
+        assert_eq!(ring.read(r(2), x(1)), Some(&Value::from(7u64)));
+        assert!(ring.check().is_consistent());
+    }
+
+    #[test]
+    fn broken_register_routes_in_both_directions() {
+        let n = 5;
+        let far = r(n as u32 - 1);
+        let broken = x(n as u32 - 1);
+        let mut ring = broken_ring(n, DelayModel::Fixed(1), 2);
+        // Write at replica n−1 (holder of the original copy): replica 0
+        // sees the value through the transit chain.
+        ring.write(far, broken, Value::from(42u64));
+        ring.run_to_quiescence();
+        assert!(ring.is_settled());
+        assert_eq!(ring.read(r(0), broken), Some(&Value::from(42u64)));
+        let rep = ring.check();
+        assert!(rep.is_consistent(), "{:?}", rep.violations);
+        // And the reverse direction, from the twin.
+        ring.write(r(0), broken, Value::from(43u64));
+        ring.run_to_quiescence();
+        assert_eq!(ring.read(far, broken), Some(&Value::from(43u64)));
+    }
+
+    #[test]
+    fn transit_latency_exceeds_direct_latency() {
+        let n = 6;
+        let mut ring = broken_ring(n, DelayModel::Fixed(10), 3);
+        // Direct write on an unbroken edge.
+        ring.write(r(1), x(1), Value::from(1u64));
+        ring.run_to_quiescence();
+        let direct_max = ring.metrics().max_visibility;
+        // Routed write crosses n−1 hops.
+        ring.write(r(n as u32 - 1), x(n as u32 - 1), Value::from(2u64));
+        ring.run_to_quiescence();
+        let routed_max = ring.metrics().max_visibility;
+        assert!(routed_max >= direct_max * ((n - 1) as u64) / 2);
+    }
+
+    #[test]
+    fn causal_chain_through_transit_respected() {
+        // Writes around the ring with causal chains crossing the broken
+        // edge; run with adversarial delays across seeds.
+        let n = 5;
+        for seed in 0..10 {
+            let mut ring = broken_ring(n, DelayModel::Uniform { min: 1, max: 60 }, seed);
+            for round in 0..3u64 {
+                for i in 0..n as u32 {
+                    // Each replica writes one register it logically holds.
+                    ring.write(r(i), x(i), Value::from(round));
+                }
+            }
+            ring.run_to_quiescence();
+            assert!(ring.is_settled(), "seed {seed}");
+            let rep = ring.check();
+            assert!(rep.is_consistent(), "seed {seed}: {:?}", rep.violations);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not logically stored")]
+    fn write_requires_logical_holder() {
+        let mut ring = broken_ring(4, DelayModel::Fixed(1), 0);
+        ring.write(r(2), x(0), Value::from(0u64));
+    }
+
+    #[test]
+    fn broken_ring_golden_cells() {
+        // E7's four cells: Fixed(5) delays, seed 7, five rounds of one
+        // write per register, each round run to quiescence. The values
+        // were read from the ring-only router this type generalised, so
+        // a change that moves one changed the routed protocol.
+        let golden: [(usize, SystemMetrics, &[usize]); 4] = [
+            (
+                4,
+                SystemMetrics {
+                    data_messages: 15,
+                    meta_messages: 15,
+                    metadata_bytes: 800,
+                    payload_bytes: 120,
+                    applies: 30,
+                    total_pending_wait: 0,
+                    max_pending_wait: 0,
+                    total_visibility: 225,
+                    visibility_samples: 35,
+                    max_visibility: 15,
+                },
+                &[2, 4, 4, 2],
+            ),
+            (
+                6,
+                SystemMetrics {
+                    data_messages: 25,
+                    meta_messages: 25,
+                    metadata_bytes: 1440,
+                    payload_bytes: 200,
+                    applies: 50,
+                    total_pending_wait: 0,
+                    max_pending_wait: 0,
+                    total_visibility: 375,
+                    visibility_samples: 55,
+                    max_visibility: 25,
+                },
+                &[2, 4, 4, 4, 4, 2],
+            ),
+            (
+                8,
+                SystemMetrics {
+                    data_messages: 35,
+                    meta_messages: 35,
+                    metadata_bytes: 2080,
+                    payload_bytes: 280,
+                    applies: 70,
+                    total_pending_wait: 0,
+                    max_pending_wait: 0,
+                    total_visibility: 525,
+                    visibility_samples: 75,
+                    max_visibility: 35,
+                },
+                &[2, 4, 4, 4, 4, 4, 4, 2],
+            ),
+            (
+                10,
+                SystemMetrics {
+                    data_messages: 45,
+                    meta_messages: 45,
+                    metadata_bytes: 2720,
+                    payload_bytes: 360,
+                    applies: 90,
+                    total_pending_wait: 0,
+                    max_pending_wait: 0,
+                    total_visibility: 675,
+                    visibility_samples: 95,
+                    max_visibility: 45,
+                },
+                &[2, 4, 4, 4, 4, 4, 4, 4, 4, 2],
+            ),
+        ];
+        for (n, metrics, counters) in golden {
+            let mut ring = broken_ring(n, DelayModel::Fixed(5), 7);
+            for round in 0..5u64 {
+                for i in 0..n as u32 {
+                    ring.write(r(i), x(i), Value::from(round));
+                }
+                ring.run_to_quiescence();
+            }
+            assert_eq!(*ring.metrics(), metrics, "n = {n}");
+            assert_eq!(ring.timestamp_counters(), counters, "n = {n}");
+            assert!(ring.check().is_consistent(), "n = {n}");
+        }
+    }
+
     #[test]
     fn grid_with_broken_edge() {
         // Grid 3x3: break the edge between replicas 0 and 1 (register 0).
@@ -421,7 +592,7 @@ mod tests {
         let mut sys =
             RoutedSystem::new(&g, &[(r(0), r(1))], DelayModel::Fixed(1), 0).expect("routable");
         // Counters shrink at the endpoints relative to the plain grid.
-        let plain = crate::System::builder(g.clone()).build();
+        let plain = System::builder(g.clone()).build();
         let plain_counters = plain.timestamp_counters();
         let routed_counters = sys.timestamp_counters();
         assert!(
@@ -466,17 +637,6 @@ mod tests {
                 Some(&Value::from(u64::from(reg.raw())))
             );
         }
-    }
-
-    #[test]
-    fn ring_equivalence_with_routed_ring() {
-        // Breaking ring edge (n−1, 0) reproduces RoutedRing's counters.
-        let n = 6;
-        let g = topology::ring(n);
-        let sys = RoutedSystem::new(&g, &[(r((n - 1) as u32), r(0))], DelayModel::Fixed(1), 0)
-            .expect("routable");
-        let ring = crate::RoutedRing::new(n, DelayModel::Fixed(1), 0);
-        assert_eq!(sys.timestamp_counters(), ring.timestamp_counters());
     }
 
     #[test]

@@ -991,24 +991,35 @@ mod tests {
 
     #[test]
     fn session_state_stays_bounded() {
+        // Deterministic by construction: session 0 fills its dependency
+        // table exactly to the cap (no sweep runs at or below it), the
+        // cluster settles so every holder covers those entries, and one
+        // over-cap read must then sweep them.
         let cluster = ThreadedCluster::new(topology::clique_full(4, 8), DelayModel::Fixed(0), 5);
         let cfg = ServingConfig {
             dep_cap: 4,
             ..ServingConfig::default()
         };
+        let cap = cfg.dep_cap;
         let tier = ServingTier::new(&cluster, cfg);
         let mut w = tier.worker();
-        for k in 0..2000u64 {
-            w.write(0, x((k % 8) as u32), Value::from(k)).unwrap();
-            w.read(0, x(((k + 3) % 8) as u32), k).unwrap();
+        // Session 1 writes the register session 0 reads past its cap.
+        let past_cap = x(cap as u32);
+        w.write(1, past_cap, Value::from(0u64)).unwrap();
+        for k in 0..cap as u32 {
+            w.write(0, x(k), Value::from(u64::from(k))).unwrap();
         }
-        let collected = w.finish();
-        // Dependency entries never exceed cap + registers touched since
-        // the last eviction sweep — far below the 4000 ops issued.
-        let entries = tier.with_session(0, |s| s.deps.len());
-        assert!(entries <= 8, "deps grew to {entries}");
-        assert!(tier.stats().dep_evictions > 0);
+        w.drain_session(0).unwrap();
+        w.drain_session(1).unwrap();
+        assert_eq!(tier.with_session(0, |s| s.deps.len()), cap);
+        assert_eq!(tier.stats().dep_evictions, 0);
         cluster.settle();
+        let (v, _) = w.read(0, past_cap, 0).unwrap();
+        assert_eq!(v, Some(Value::from(0u64)));
+        let entries = tier.with_session(0, |s| s.deps.len());
+        assert!(entries <= cap, "deps grew to {entries}");
+        assert!(tier.stats().dep_evictions > 0);
+        let collected = w.finish();
         let trace = cluster.trace_snapshot();
         assert!(prcc_checker::check_sessions(&trace, &collected.events).is_empty());
     }

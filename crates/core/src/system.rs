@@ -54,6 +54,57 @@ pub enum TrackerKind {
     FullDeps,
 }
 
+impl TrackerKind {
+    /// Builds one replica per vertex of `graph`, storing its `data`
+    /// registers and running this tracker — the one place a lockstep
+    /// driver ([`System`], [`Scenario`](crate::Scenario),
+    /// [`RoutedSystem`](crate::RoutedSystem)) turns a tracker kind into
+    /// trackers. Edge-indexed trackers share one [`TsRegistry`] over
+    /// `graph`'s timestamp graphs minus the `dropped` edges (oblivious
+    /// replicas); it is returned too, for the wire codec.
+    pub(crate) fn build_replicas(
+        self,
+        graph: &ShareGraph,
+        data: &Placement,
+        dropped: &[(ReplicaId, EdgeId)],
+        mode: PendingMode,
+    ) -> (Option<Arc<TsRegistry>>, Vec<Replica>) {
+        let registry = match self {
+            TrackerKind::EdgeIndexed(loops) => {
+                let mut graphs: Vec<TimestampGraph> = graph
+                    .replicas()
+                    .map(|i| TimestampGraph::build(graph, i, loops))
+                    .collect();
+                for (i, e) in dropped {
+                    let tg = &graphs[i.index()];
+                    let edges: Vec<EdgeId> =
+                        tg.edges().iter().copied().filter(|x| x != e).collect();
+                    graphs[i.index()] = TimestampGraph::from_edges(*i, edges);
+                }
+                let graphs = TimestampGraphs::from_graphs(graphs);
+                Some(Arc::new(TsRegistry::new(graph, graphs)))
+            }
+            TrackerKind::VectorClock | TrackerKind::FullDeps => None,
+        };
+        let n = graph.num_replicas();
+        let replicas = graph
+            .replicas()
+            .map(|i| {
+                let stores = data.registers_of(i).clone();
+                let tracker: Box<dyn CausalityTracker> = match (&registry, self) {
+                    (Some(registry), _) => Box::new(EdgeTracker::new(registry.clone(), i)),
+                    (None, TrackerKind::FullDeps) => {
+                        Box::new(FullDepsTracker::new(i, stores.clone()))
+                    }
+                    (None, _) => Box::new(VcTracker::new(i, n)),
+                };
+                Replica::new_with_mode(i, stores, tracker, mode)
+            })
+            .collect();
+        (registry, replicas)
+    }
+}
+
 /// Aggregate counters collected while a [`System`] runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SystemMetrics {
@@ -100,7 +151,7 @@ impl SystemMetrics {
 
     /// Charges one per-recipient update at enqueue time, so message and
     /// byte counts do not depend on how updates are batched.
-    fn count_send(&mut self, m: &UpdateMsg) {
+    pub(crate) fn count_send(&mut self, m: &UpdateMsg) {
         self.metadata_bytes += m.meta.size_bytes();
         if let Some(v) = &m.value {
             self.data_messages += 1;
@@ -108,6 +159,13 @@ impl SystemMetrics {
         } else {
             self.meta_messages += 1;
         }
+    }
+
+    /// Records one issue → apply visibility sample of `vis` ticks.
+    pub(crate) fn count_visibility(&mut self, vis: u64) {
+        self.total_visibility += vis;
+        self.visibility_samples += 1;
+        self.max_visibility = self.max_visibility.max(vis);
     }
 }
 
@@ -258,38 +316,12 @@ impl SystemBuilder {
             ShareGraph::new(Placement::from_sets(sets))
         };
         let n = effective_graph.num_replicas();
-
-        let codec_registry = match self.tracker {
-            TrackerKind::EdgeIndexed(loops) => {
-                let mut graphs: Vec<TimestampGraph> = effective_graph
-                    .replicas()
-                    .map(|i| TimestampGraph::build(&effective_graph, i, loops))
-                    .collect();
-                for (i, e) in &self.dropped_edges {
-                    let tg = &graphs[i.index()];
-                    let edges: Vec<EdgeId> =
-                        tg.edges().iter().copied().filter(|x| x != e).collect();
-                    graphs[i.index()] = TimestampGraph::from_edges(*i, edges);
-                }
-                let graphs = TimestampGraphs::from_graphs(graphs);
-                Some(Arc::new(TsRegistry::new(&effective_graph, graphs)))
-            }
-            TrackerKind::VectorClock | TrackerKind::FullDeps => None,
-        };
-        let replicas: Vec<Replica> = effective_graph
-            .replicas()
-            .map(|i| {
-                let stores = data_placement.registers_of(i).clone();
-                let tracker: Box<dyn CausalityTracker> = match (&codec_registry, self.tracker) {
-                    (Some(registry), _) => Box::new(EdgeTracker::new(registry.clone(), i)),
-                    (None, TrackerKind::FullDeps) => {
-                        Box::new(FullDepsTracker::new(i, stores.clone()))
-                    }
-                    (None, _) => Box::new(VcTracker::new(i, n)),
-                };
-                Replica::new_with_mode(i, stores, tracker, self.pending_mode)
-            })
-            .collect();
+        let (codec_registry, replicas) = self.tracker.build_replicas(
+            &effective_graph,
+            &data_placement,
+            &self.dropped_edges,
+            self.pending_mode,
+        );
 
         let mut net = SimNetwork::new(self.delay, self.seed);
         let crashes = !self.schedule.crashes.is_empty();
@@ -604,9 +636,7 @@ impl System {
         }
         if let Some(&issued) = self.issue_time.get(&id) {
             let vis = t.saturating_sub(issued);
-            self.metrics.total_visibility += vis;
-            self.metrics.visibility_samples += 1;
-            self.metrics.max_visibility = self.metrics.max_visibility.max(vis);
+            self.metrics.count_visibility(vis);
             self.vis_stats.record(vis);
         }
         if let Some(&ver) = self.update_version.get(&id) {

@@ -6,7 +6,7 @@
 //! cargo run --example ring_breaking
 //! ```
 
-use prcc::core::{RoutedRing, System, TrackerKind, Value};
+use prcc::core::{RoutedSystem, System, TrackerKind, Value};
 use prcc::net::DelayModel;
 use prcc::sharegraph::{topology, LoopConfig, RegisterId, ReplicaId};
 
@@ -28,7 +28,10 @@ fn main() {
 
     // Broken ring: the edge between r7 and r0 is severed; writes to their
     // shared register ride virtual registers the long way around.
-    let mut routed = RoutedRing::new(n, DelayModel::Fixed(5), 1);
+    let last = r(n as u32 - 1);
+    let mut routed =
+        RoutedSystem::new(&topology::ring(n), &[(last, r(0))], DelayModel::Fixed(5), 1)
+            .expect("a ring edge is breakable");
     println!(
         "broken ring(n={n}):  counters per replica = {:?}",
         routed.timestamp_counters()
@@ -71,13 +74,15 @@ fn main() {
         routed.check().is_consistent()
     );
 
-    // The broken register still converges across the severed edge.
-    routed.write(r(0), routed.broken_register(), Value::from(12345u64));
+    // The broken register (shared by r7 and r0) still converges across
+    // the severed edge.
+    let broken = x(n as u32 - 1);
+    routed.write(r(0), broken, Value::from(12345u64));
     routed.run_to_quiescence();
     println!(
         "\nwrite at r0 to the broken register, read at r{}: {:?}",
         n - 1,
-        routed.read(r((n - 1) as u32), routed.broken_register())
+        routed.read(last, broken)
     );
     assert!(plain.check().is_consistent());
     assert!(routed.check().is_consistent());
