@@ -1,6 +1,7 @@
 //! Microbenchmarks of the wire codec's send path: single-pair encode,
 //! full clique fan-out (the encode-once case), and the frame primitives
-//! underneath — the numbers behind BENCH_wire.json's ns/send column.
+//! underneath — the per-send cost that `tests/gates.rs` bounds at 5× raw
+//! on clique(24).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use prcc_core::{Metadata, WireCodec, WireMode};

@@ -15,7 +15,7 @@ use prcc_sim::{run_scenario, RunReport, ScenarioConfig, WorkloadConfig};
 
 /// One swept cell: ring(`n`), `drop_prob` loss + light duplication, and
 /// `crashes` crash/restart events at staggered times.
-pub fn run_cell(n: usize, drop_prob: f64, crashes: usize, writes_per_replica: usize) -> RunReport {
+fn run_cell(n: usize, drop_prob: f64, crashes: usize, writes_per_replica: usize) -> RunReport {
     let mut faults = FaultSchedule::from_plan(FaultPlan {
         drop_prob,
         duplicate_prob: if drop_prob > 0.0 { 0.1 } else { 0.0 },

@@ -69,7 +69,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Full configuration for a [`ThreadedCluster`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ClusterConfig {
     /// Per-recipient metadata wire mode.
     pub wire: WireMode,
@@ -88,9 +88,6 @@ pub struct ClusterConfig {
     /// one loop pass drains are coalesced per destination and shipped at
     /// the end of that pass's command burst, or earlier at a cap.
     pub batch: BatchPolicy,
-    /// Per-node network ingress bound (frames beyond it are shed by the
-    /// router and, with a session, repaired by retransmission).
-    pub ingress_depth: usize,
     /// Arms per-replica durable [`RecoveryLog`](crate::RecoveryLog)s
     /// with this WAL length between snapshot compactions. Required for
     /// crash/restart (a crash without a log would be permanent data
@@ -105,24 +102,14 @@ pub struct ClusterConfig {
     pub store: StoreMode,
 }
 
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            wire: WireMode::default(),
-            schedule: FaultSchedule::default(),
-            session: None,
-            batch: BatchPolicy::default(),
-            ingress_depth: 4096,
-            durability: None,
-            store: StoreMode::default(),
-        }
-    }
-}
-
 /// Client command channel bound per replica thread. A full channel
 /// blocks the calling writer — bounded backpressure, never an unbounded
 /// queue.
 const CHANNEL_DEPTH: usize = 1024;
+
+/// Per-node network ingress bound of the in-process router: frames
+/// beyond it are shed and, with a session, repaired by retransmission.
+const INGRESS_DEPTH: usize = 4096;
 
 /// Why a cluster operation could not complete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,13 +166,6 @@ enum Cmd {
     WriteMany {
         ops: Vec<(u64, RegisterId, Value)>,
         reply: Sender<(u64, WriteStatus)>,
-    },
-    /// An authoritative read served from the replica's own store (a full
-    /// command round trip — the slow path [`ThreadedCluster::read`]'s
-    /// lock-free snapshots exist to avoid).
-    ReadAt {
-        register: RegisterId,
-        reply: Sender<Option<Value>>,
     },
     /// Crash the replica: it keeps draining its channels but discards
     /// everything until [`Cmd::Restart`], modelling a fail-stop node
@@ -480,7 +460,7 @@ impl ThreadedCluster {
             delay,
             seed,
             config.schedule.clone(),
-            config.ingress_depth,
+            INGRESS_DEPTH,
         );
         let handles: Vec<_> = graph.replicas().map(|i| net.handle(i)).collect();
         Self::spawn(graph, registry, config, handles, NetBacking::Thread(net))
@@ -524,9 +504,12 @@ impl ThreadedCluster {
                 .filter(|&&r| r != me)
                 .map(|&r| (r, addrs[r.index()]))
                 .collect();
-            let mut cfg = tcp.clone();
-            cfg.ingress_depth = config.ingress_depth;
-            let ep = TcpEndpoint::start(bound, peers, cfg, cluster_codec(me, registry.clone()))?;
+            let ep = TcpEndpoint::start(
+                bound,
+                peers,
+                tcp.clone(),
+                cluster_codec(me, registry.clone()),
+            )?;
             handles.push(ep.handle());
             endpoints.push(ep);
         }
@@ -744,30 +727,6 @@ impl ThreadedCluster {
     /// as soon as [`write`](Self::write) returns.
     pub fn read(&self, r: ReplicaId, x: RegisterId) -> Option<Value> {
         self.store_snapshot(r).get(&x).cloned()
-    }
-
-    /// Reads register `x` authoritatively *at* the replica thread: a
-    /// blocking command round trip serving from the replica's own store.
-    /// Semantically equivalent to [`read`](Self::read) once the write
-    /// publishing the value returned; exists as the naive-serving
-    /// baseline the lock-free snapshot path is measured against.
-    pub fn read_at(&self, r: ReplicaId, x: RegisterId) -> Option<Value> {
-        self.try_read_at(r, x)
-            .unwrap_or_else(|e| panic!("read_at({r}, {x}): {e}"))
-    }
-
-    /// Fallible authoritative read: a crashed replica or dead thread
-    /// yields a typed [`ClusterError`] instead of a panic.
-    pub fn try_read_at(&self, r: ReplicaId, x: RegisterId) -> Result<Option<Value>, ClusterError> {
-        let (reply, rx) = bounded(1);
-        if self
-            .cmd(r)
-            .send(Cmd::ReadAt { register: x, reply })
-            .is_err()
-        {
-            return Err(ClusterError::Disconnected { replica: r });
-        }
-        rx.recv().map_err(|_| self.unreachable_kind(r))
     }
 
     /// The full immutable [`ReplicaView`] currently published by `r`
@@ -1015,9 +974,7 @@ impl NodeRuntime {
         let id = bound.id();
         let graph = Arc::new(graph);
         let registry = exact_registry(&graph);
-        let mut cfg = tcp;
-        cfg.ingress_depth = config.ingress_depth;
-        let endpoint = TcpEndpoint::start(bound, peers, cfg, cluster_codec(id, registry.clone()))?;
+        let endpoint = TcpEndpoint::start(bound, peers, tcp, cluster_codec(id, registry.clone()))?;
         let engine = engine_config(&graph, registry, &config);
         let counters = Arc::new(Counters::default());
         let replica = spawn_replica(
@@ -1555,11 +1512,6 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) 
                     deferred.wrote |= !done.is_empty();
                     deferred.many.push((reply, done));
                 }
-                Cmd::ReadAt { register, reply } => {
-                    if !engine.is_crashed() {
-                        let _ = reply.send(engine.replica().read(register).cloned());
-                    }
-                }
                 Cmd::Crash { done } => {
                     // The crash must observe every completion already
                     // promised: publish and release before the window
@@ -1690,7 +1642,8 @@ mod tests {
         let rep = cluster.check();
         assert!(rep.is_consistent(), "{:?}", rep.violations);
         assert_eq!(cluster.total_applied(), 4 * 10); // each write has 1 recipient
-                                                     // Final values visible on both holders.
+        assert_eq!(cluster.total_codec_demotions(), 0);
+        // Final values visible on both holders.
         assert_eq!(cluster.read(r(1), x(0)), Some(Value::from(9u64)));
         let trace = cluster.shutdown();
         assert_eq!(trace.num_updates(), 40);
@@ -1714,20 +1667,6 @@ mod tests {
         let cluster = ThreadedCluster::new(topology::path(2), DelayModel::Fixed(1), 0);
         cluster.write(r(0), x(0), Value::from(77u64));
         assert_eq!(cluster.read(r(0), x(0)), Some(Value::from(77u64)));
-    }
-
-    #[test]
-    fn authoritative_read_at_round_trips_into_the_replica_thread() {
-        let cluster = ThreadedCluster::new(topology::path(2), DelayModel::Fixed(1), 0);
-        assert_eq!(cluster.read_at(r(0), x(0)), None);
-        cluster.write(r(0), x(0), Value::from(5u64));
-        // Agrees with the lock-free snapshot path once the write returned.
-        assert_eq!(cluster.read_at(r(0), x(0)), Some(Value::from(5u64)));
-        assert_eq!(cluster.read_at(r(0), x(0)), cluster.read(r(0), x(0)));
-        // A remote write becomes visible to read_at after settle.
-        cluster.write(r(1), x(0), Value::from(6u64));
-        cluster.settle();
-        assert_eq!(cluster.read_at(r(0), x(0)), Some(Value::from(6u64)));
     }
 
     #[test]
@@ -1838,10 +1777,6 @@ mod tests {
         assert!(cluster.is_crashed(r(0)));
         assert_eq!(
             cluster.try_write(r(0), x(0), Value::from(99u64)),
-            Err(ClusterError::Crashed { replica: r(0) })
-        );
-        assert_eq!(
-            cluster.try_read_at(r(0), x(0)),
             Err(ClusterError::Crashed { replica: r(0) })
         );
         // The surviving holder keeps writing while its peer is down.

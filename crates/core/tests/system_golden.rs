@@ -1,6 +1,6 @@
 //! Golden values for the lockstep [`System`]: two seeded fault cells in
-//! the shape of `fault_report`'s sweep (ring(8), session layer on,
-//! 30 % drops + 10 % duplicates, 0 or 2 crash/restart windows).
+//! the shape of E13's sweep (ring(8), session layer on, 30 % drops +
+//! 10 % duplicates, 0 or 2 crash/restart windows).
 //!
 //! The simulation is deterministic, so every session counter and the
 //! visibility percentiles are exact functions of the seed. They pin the
@@ -48,7 +48,7 @@ fn run_cell(crashes: u32) -> Cell {
         .fault_schedule(schedule)
         .build();
     // Writes aimed at a crashed replica wait for its restart, as in the
-    // scenario runner behind `fault_report`.
+    // scenario runner behind E13.
     let mut deferred = Vec::new();
     for round in 0..ROUNDS {
         for k in 0..N {

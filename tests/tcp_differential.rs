@@ -40,6 +40,12 @@ fn run_differential(g: prcc::sharegraph::ShareGraph, wire: WireMode, rounds: u64
     wl.drive(&tcp);
     tcp.settle();
 
+    assert_eq!(
+        oracle.total_codec_demotions(),
+        0,
+        "oracle demoted ({wire:?})"
+    );
+    assert_eq!(tcp.total_codec_demotions(), 0, "tcp demoted ({wire:?})");
     for i in g.replicas() {
         assert_eq!(
             store_lines(&oracle.store_snapshot(i)),
