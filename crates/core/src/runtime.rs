@@ -73,9 +73,9 @@ use std::time::{Duration, Instant};
 pub struct ClusterConfig {
     /// Per-recipient metadata wire mode.
     pub wire: WireMode,
-    /// Scripted fault schedule: the router rolls its embedded plan
-    /// (drops / duplicates) on every frame and enforces its link outages
-    /// (ticks of 200 µs from cluster construction); crash/restart events
+    /// Scripted fault schedule: every `ThreadNet` send rolls its embedded
+    /// plan (drops / duplicates) and honours its link outages (ticks of
+    /// 200 µs from cluster construction); crash/restart events
     /// are injected as commands by a timeline thread walking
     /// [`FaultSchedule::crash_timeline`]. Without a
     /// [`session`](ClusterConfig::session), losses are permanent; with
@@ -107,8 +107,9 @@ pub struct ClusterConfig {
 /// queue.
 const CHANNEL_DEPTH: usize = 1024;
 
-/// Per-node network ingress bound of the in-process router: frames
-/// beyond it are shed and, with a session, repaired by retransmission.
+/// Per-node network ingress bound of the in-process `ThreadNet`: frames
+/// in flight to a node beyond it are shed and, with a session, repaired
+/// by retransmission.
 const INGRESS_DEPTH: usize = 4096;
 
 /// Why a cluster operation could not complete.
@@ -423,7 +424,7 @@ pub struct ThreadedCluster {
 /// The message substrate a [`ThreadedCluster`] runs over — kept alive
 /// (and shut down) with the cluster.
 enum NetBacking {
-    /// In-process crossbeam channels behind a delay-scheduling router.
+    /// In-process inboxes that hold each frame until its delay is up.
     Thread(#[allow(dead_code)] ThreadNet<SessionFrame<BatchMsg>>),
     /// Real kernel sockets: one loopback [`TcpEndpoint`] per replica.
     Tcp(Vec<TcpEndpoint<SessionFrame<BatchMsg>>>),
@@ -470,10 +471,10 @@ impl ThreadedCluster {
     /// loopback [`TcpEndpoint`], per-peer TCP connections, and the
     /// [`cluster_codec`] link framing — the same replica threads, command
     /// surface, and trace machinery as [`with_config`](Self::with_config),
-    /// with the [`ThreadNet`] router swapped for the kernel.
+    /// with the [`ThreadNet`] swapped for the kernel.
     ///
     /// Link-level fault injection (the [`FaultSchedule`]'s plan and
-    /// outages) is a router feature and does not apply
+    /// outages) is a `ThreadNet` feature and does not apply
     /// here — the kernel's loopback does not drop frames. Scripted
     /// crash/restart events still work (they are injected as commands).
     /// A [`SessionConfig`] is still worth arming: the transport sheds
@@ -594,7 +595,7 @@ impl ThreadedCluster {
     }
 
     /// Per-replica transport counters when this cluster runs over TCP
-    /// ([`with_tcp`](Self::with_tcp)); `None` over the in-process router.
+    /// ([`with_tcp`](Self::with_tcp)); `None` over the in-process `ThreadNet`.
     pub fn tcp_stats(&self) -> Option<Vec<TcpStatsSnapshot>> {
         match &self.net {
             NetBacking::Tcp(eps) => Some(eps.iter().map(TcpEndpoint::stats).collect()),
@@ -1401,7 +1402,7 @@ impl DeferredReplies {
 
 /// How long a replica loop parks when no session timer is armed.
 /// Nothing depends on the loop passing at this period — every
-/// input rings the doorbell — it only bounds what a wake-up lost to a
+/// input wakes the park — it only bounds what a wake-up lost to a
 /// bug could cost. Public so the lost-wake-up regression test can name
 /// the cliff it looks for.
 pub const IDLE_PARK: Duration = Duration::from_millis(50);
@@ -1416,11 +1417,12 @@ pub const IDLE_PARK: Duration = Duration::from_millis(50);
 /// Each pass drains a burst of commands, publishes once and releases
 /// their completion tokens, ships the batches that burst opened, drains
 /// a burst of frames, publishes once, and ticks the engine (due session
-/// timers). It then parks on the transport's [`Doorbell`] until the
-/// engine's next session timer, and is woken early only by an arrival: a
-/// command ([`CmdTx`] rings) or a delivered frame (the substrate rings).
-/// The bell's token is sticky, so an arrival between the last queue check
-/// and the park is never slept through.
+/// timers). It then parks through the transport
+/// ([`Transport::wait_until`]) until the engine's next session timer,
+/// and is woken early only by an arrival: a command ([`CmdTx`] rings the
+/// transport's [`Doorbell`]) or a frame falling due (the substrate wakes
+/// the park by its due instant). The park token is sticky, so an arrival
+/// between the last queue check and the park is never slept through.
 fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) {
     let ReplicaCtx {
         id,
@@ -1432,8 +1434,7 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) 
         shared,
         counters,
     } = ctx;
-    let bell = net.doorbell().clone();
-    bell.bind();
+    net.doorbell().bind();
     let registry = config.registry.clone().expect("runtime engines compress");
     let replica = Replica::new(
         id,
@@ -1604,7 +1605,7 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) 
             engine.codec_stats().demotions,
         );
         if !more {
-            bell.wait_until(wake.unwrap_or_else(|| Instant::now() + IDLE_PARK));
+            net.wait_until(wake.unwrap_or_else(|| Instant::now() + IDLE_PARK));
         }
     }
 }

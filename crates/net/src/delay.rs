@@ -90,9 +90,7 @@ impl DelayModel {
         }
     }
 
-    /// The smallest delay this model can produce (the threaded router
-    /// skips waking for a message that cannot fall due before its park
-    /// ends).
+    /// The smallest delay this model can produce.
     pub fn min_delay(&self) -> u64 {
         match *self {
             DelayModel::Fixed(d) => d,

@@ -7,9 +7,9 @@
 //! * [`SimNetwork`] — a deterministic discrete-event network, seeded and
 //!   fully reproducible, with link-hold controls for constructing the
 //!   adversarial executions used in the paper's impossibility proofs;
-//! * [`ThreadNet`] — a real-threads transport (crossbeam channels + a
-//!   delay-scheduling router) for exercising the protocol under genuine
-//!   concurrency.
+//! * [`ThreadNet`] — a real-threads transport (per-node inboxes that
+//!   hold each message until its seeded delay is up) for exercising the
+//!   protocol under genuine concurrency.
 //!
 //! Delays come from a shared [`DelayModel`].
 //!

@@ -1,43 +1,54 @@
 //! A real-threads transport with randomized delivery delays.
 //!
-//! [`ThreadNet`] gives each node a handle backed by crossbeam channels and
-//! routes every message through a scheduler thread that imposes a seeded
-//! random delay — the same non-FIFO semantics as
-//! [`SimNetwork`](crate::SimNetwork), but with actual concurrency. The
-//! threaded runtime in `prcc-core` uses it to exercise the protocol under
-//! real interleavings (the "tokio async nodes" role of the reproduction,
-//! built on crossbeam since the offline crate set has no async runtime).
+//! [`ThreadNet`] gives each node a handle onto a shared set of inboxes:
+//! the same seeded, non-FIFO semantics as [`SimNetwork`](crate::SimNetwork),
+//! but with actual concurrency. The threaded runtime in `prcc-core` uses
+//! it to exercise the protocol under real interleavings (the "tokio async
+//! nodes" role of the reproduction, built on std threads since the
+//! offline crate set has no async runtime).
 //!
-//! A message is stamped when it is sent and is due `delay` after that
-//! stamp, so the time the router takes to pick it up does not lengthen
-//! the hop. The router parks on its own [`Doorbell`] until its earliest
-//! due delivery and publishes that instant; a sender rings the bell only
-//! when its message could fall due before it.
+//! There is no delivery thread. A sender stamps each message when it
+//! sends it, rolls the fault plan and the delay from its own seeded
+//! stream, and pushes the message straight into the receiver's inbox,
+//! due `delay` after that stamp. An inbox is a due-ordered heap: a
+//! receive returns only messages that are due. A receiver parks through
+//! [`Transport::wait_until`](crate::Transport::wait_until), which folds
+//! the heap's next due instant into the park and publishes when the park
+//! ends.
+//!
+//! A receiver parked past a new message's due instant must be woken by
+//! then. A node's own event loop (the thread bound to its
+//! [`doorbell`](NodeHandle::doorbell)) does not wake it at send time: it
+//! promises the ring, folds the due instant into its own next park, and
+//! rings at the due instant unless the receiver has woken since (a loop
+//! busy at that instant rings at its next receive or park, so a promise
+//! is late by at most the rest of one pass). Every other sending thread
+//! rings at once. A send-time ring would wake the
+//! receiver early only to park it again until the message is due, and on
+//! a busy host those wakes land while the senders' clients still wait
+//! for their write acknowledgements.
 
 use crate::delay::DelayModel;
 use crate::faults::{FaultAction, FaultPlan, FaultSchedule};
 use crate::sim_net::Envelope;
 use crate::transport::Doorbell;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use prcc_sharegraph::ReplicaId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// One simulated-delay tick in wall-clock time. Public so harnesses can
-/// convert a [`FaultSchedule`](crate::faults::FaultSchedule) horizon
+/// convert a [`FaultSchedule`] horizon
 /// (in ticks) into the wall-clock span they must wait out.
 pub const TICK: Duration = Duration::from_micros(200);
 
-/// How long the router parks with nothing in flight. Every send that
-/// could fall due sooner rings it, so nothing waits on this period.
-const ROUTER_IDLE_PARK: Duration = Duration::from_millis(50);
+/// Per-node ingress bound of [`ThreadNet::new`].
+const DEFAULT_CAPACITY: usize = 4096;
 
 struct Pending<M> {
     due: Instant,
@@ -62,44 +73,156 @@ impl<M> Ord for Pending<M> {
     }
 }
 
-/// A message on its way to the router, stamped with its send instant.
-type Sent<M> = (Instant, Envelope<M>);
-
-/// What senders share with the router: its bell and when its park ends.
-struct RouterWake {
-    bell: Doorbell,
-    /// Nanoseconds after `epoch` at which the parked router wakes on its
-    /// own; 0 while it runs (it drains the channel before parking again).
-    parked_until: AtomicU64,
-    epoch: Instant,
-    /// The shortest delay the model can draw: a message sent at `t` is
-    /// never due before `t + min_delay`.
-    min_delay: Duration,
+/// A node's inbox: the messages in flight to it, and who waits for them.
+struct Inbox<M> {
+    /// Ordered by due instant, then by arrival. A sender's stamps never
+    /// go backwards, so a fixed-delay link stays FIFO.
+    heap: BinaryHeap<Reverse<Pending<M>>>,
+    seq: u64,
+    /// The thread parked on this inbox and the instant it will be awake
+    /// by (its park deadline, or an earlier promised ring); `None` while
+    /// nobody is parked, or once the park has been rung.
+    parked: Option<(Thread, Instant)>,
 }
 
-impl RouterWake {
-    fn nanos(&self, t: Instant) -> u64 {
-        t.saturating_duration_since(self.epoch).as_nanos() as u64
+/// One node's share of the net.
+struct Node<M> {
+    inbox: Mutex<Inbox<M>>,
+    /// Rings this node's loop has promised: (due instant, receiver).
+    owed: Mutex<Vec<(Instant, usize)>>,
+}
+
+/// What a push did with the message.
+enum Admit {
+    /// The inbox was full.
+    Shed,
+    Queued,
+    /// Queued, and the receiver is owed a ring at the message's due
+    /// instant.
+    Owed,
+}
+
+/// What every handle shares: the nodes and the rules of the links.
+struct Links<M> {
+    nodes: Vec<Node<M>>,
+    capacity: usize,
+    delay: DelayModel,
+    schedule: FaultSchedule,
+    /// Scripted outages count ticks from here.
+    epoch: Instant,
+}
+
+/// Locks `m`. Every critical section here leaves its data valid at each
+/// step, so a lock poisoned by a panicking holder is still sound to use.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+impl<M> Links<M> {
+    /// Admits `env` into node `dst`'s inbox, due at `due`, unless
+    /// `capacity` messages are already in flight to it. A receiver parked
+    /// past `due` is rung now or — with `promise` — owed a ring at `due`.
+    fn push(&self, dst: usize, due: Instant, env: Envelope<M>, promise: bool) -> Admit {
+        let wake = {
+            let mut inbox = lock(&self.nodes[dst].inbox);
+            if inbox.heap.len() >= self.capacity {
+                return Admit::Shed;
+            }
+            let seq = inbox.seq;
+            inbox.seq += 1;
+            inbox.heap.push(Reverse(Pending { due, seq, env }));
+            match &mut inbox.parked {
+                Some((_, awake_by)) if due < *awake_by => {
+                    if promise {
+                        *awake_by = due;
+                        return Admit::Owed;
+                    }
+                    inbox.parked.take()
+                }
+                _ => None,
+            }
+        };
+        if let Some((thread, _)) = wake {
+            thread.unpark();
+        }
+        Admit::Queued
     }
 
-    /// Called after a message sent at `sent` is enqueued: wakes the
-    /// router if it is parked past the message's earliest due instant.
-    fn sent(&self, sent: Instant) {
-        let parked = self.parked_until.load(Ordering::SeqCst);
-        if parked != 0 && self.nanos(sent + self.min_delay) < parked {
-            self.bell.ring();
+    /// Rings node `me`'s promises that are due (all of them with
+    /// `every`); returns when the next one is.
+    fn ring_owed(&self, me: usize, every: bool) -> Option<Instant> {
+        let mut owed = lock(&self.nodes[me].owed);
+        if owed.is_empty() {
+            return None;
+        }
+        let now = Instant::now();
+        owed.retain(|&(due, dst)| {
+            let keep = due > now && !every;
+            if !keep {
+                self.ring_if_parked_past(dst, due);
+            }
+            keep
+        });
+        owed.iter().map(|&(due, _)| due).min()
+    }
+
+    /// Wakes node `dst` if it is still parked for the message due at `due`.
+    fn ring_if_parked_past(&self, dst: usize, due: Instant) {
+        let wake = {
+            let mut inbox = lock(&self.nodes[dst].inbox);
+            match inbox.parked {
+                Some((_, awake_by)) if awake_by >= due => inbox.parked.take(),
+                _ => None,
+            }
+        };
+        if let Some((thread, _)) = wake {
+            thread.unpark();
         }
     }
+
+    /// Pops node `me`'s earliest message if it is due.
+    fn pop_due(&self, me: usize) -> Option<Envelope<M>> {
+        let mut inbox = lock(&self.nodes[me].inbox);
+        let due = inbox
+            .heap
+            .peek()
+            .is_some_and(|Reverse(p)| p.due <= Instant::now());
+        due.then(|| inbox.heap.pop().expect("peeked").0.env)
+    }
+
+    /// Parks the calling thread on node `me` until `deadline`, the next
+    /// message's due instant, or a ring — whichever comes first. May
+    /// return early; callers re-check their inputs after every return.
+    fn park(&self, me: usize, deadline: Instant) {
+        let wait = {
+            let mut inbox = lock(&self.nodes[me].inbox);
+            let until = inbox
+                .heap
+                .peek()
+                .map_or(deadline, |Reverse(p)| p.due.min(deadline));
+            let wait = until.saturating_duration_since(Instant::now());
+            if wait.is_zero() {
+                return;
+            }
+            inbox.parked = Some((std::thread::current(), until));
+            wait
+        };
+        std::thread::park_timeout(wait);
+        // Woken by the deadline or by another input: later pushes need
+        // not ring a thread that is no longer parked here.
+        lock(&self.nodes[me].inbox).parked = None;
+    }
 }
 
-/// A per-node endpoint. Cloneable; sends go through the router thread,
-/// receives read the node's inbox.
+/// A per-node endpoint. Cloneable; clones share the node's inbox and its
+/// send-side random stream.
 pub struct NodeHandle<M> {
     id: ReplicaId,
-    to_router: Sender<Sent<M>>,
-    router: Arc<RouterWake>,
-    inbox: Receiver<Envelope<M>>,
-    /// Rung by the router after every delivery into `inbox`.
+    links: Arc<Links<M>>,
+    /// This node's fault and delay draws: one seeded stream per sender,
+    /// so what one node's sends draw does not depend on other threads.
+    draws: Arc<Mutex<StdRng>>,
+    /// Rung by the node's other input sources; see [`Self::doorbell`].
     bell: Doorbell,
 }
 
@@ -107,11 +230,17 @@ impl<M> Clone for NodeHandle<M> {
     fn clone(&self) -> Self {
         NodeHandle {
             id: self.id,
-            to_router: self.to_router.clone(),
-            router: Arc::clone(&self.router),
-            inbox: self.inbox.clone(),
+            links: Arc::clone(&self.links),
+            draws: Arc::clone(&self.draws),
             bell: self.bell.clone(),
         }
+    }
+}
+
+impl<M> Drop for NodeHandle<M> {
+    fn drop(&mut self) {
+        // A loop that exits keeps its promises early rather than never.
+        self.links.ring_owed(self.id.index(), true);
     }
 }
 
@@ -127,39 +256,111 @@ impl<M> NodeHandle<M> {
         self.id
     }
 
-    /// Sends `msg` to `dst` (delivered after a randomized delay counted
-    /// from now). Returns `false` if the network has shut down.
-    pub fn send(&self, dst: ReplicaId, msg: M) -> bool {
-        let sent = Instant::now();
-        let env = Envelope {
-            src: self.id,
-            dst,
-            msg,
-        };
-        if self.to_router.send((sent, env)).is_err() {
-            return false;
-        }
-        self.router.sent(sent);
-        true
-    }
-
-    /// Non-blocking receive.
+    /// Non-blocking receive: the earliest message that is due, if any.
+    /// Also keeps this node's promised rings that have fallen due.
     pub fn try_recv(&self) -> Option<Envelope<M>> {
-        self.inbox.try_recv().ok()
+        self.links.ring_owed(self.id.index(), false);
+        self.links.pop_due(self.id.index())
     }
 
-    /// Blocking receive with timeout.
+    /// Blocking receive with timeout. Any thread may call it, but only
+    /// one thread at a time should wait on a node.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
-        match self.inbox.recv_timeout(timeout) {
-            Ok(env) => Some(env),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
+        let deadline = Instant::now() + timeout;
+        loop {
+            if let Some(env) = self.try_recv() {
+                return Some(env);
+            }
+            if Instant::now() >= deadline {
+                return None;
+            }
+            self.wait_until(deadline);
         }
     }
 
-    /// The bell the router rings after every delivery to this node — an
-    /// event loop parks on it in place of polling [`try_recv`](Self::try_recv).
+    /// Parks the calling thread until `deadline`, until the next message
+    /// to this node falls due, or until a ring, and keeps this node's
+    /// promised rings on the way — the
+    /// [`Transport::wait_until`](crate::Transport::wait_until) of this
+    /// substrate.
+    pub fn wait_until(&self, deadline: Instant) {
+        let me = self.id.index();
+        let owed = self.links.ring_owed(me, false);
+        self.links
+            .park(me, owed.map_or(deadline, |due| due.min(deadline)));
+        self.links.ring_owed(me, false);
+    }
+
+    /// The bell a node's event loop binds and its other input sources
+    /// ring. Deliveries do not ring it: a message wakes the thread parked
+    /// in [`wait_until`](Self::wait_until) directly, and only when that
+    /// park would otherwise outlast the message's due instant.
     pub fn doorbell(&self) -> &Doorbell {
         &self.bell
+    }
+}
+
+impl<M: Clone> NodeHandle<M> {
+    /// Sends `msg` to `dst`, delivered after a randomized delay counted
+    /// from now. Returns `false` if `dst`'s inbox is full (the message
+    /// is shed) or `dst` is not a node of this net; a message the fault
+    /// plan drops still counts as sent.
+    ///
+    /// Called from the thread bound to this node's
+    /// [`doorbell`](Self::doorbell), it may promise a receiver a ring
+    /// instead of ringing it; that thread must then keep parking through
+    /// [`wait_until`](Self::wait_until) or receiving through
+    /// [`try_recv`](Self::try_recv), which keep the promises.
+    pub fn send(&self, dst: ReplicaId, msg: M) -> bool {
+        let sent = Instant::now();
+        let links = &*self.links;
+        if dst.index() >= links.nodes.len() {
+            return false;
+        }
+        let scripted_down = !links.schedule.outages.is_empty() && {
+            let since = sent.saturating_duration_since(links.epoch);
+            let ticks = (since.as_micros() / TICK.as_micros()) as u64;
+            links.schedule.link_down(self.id, dst, ticks)
+        };
+        if scripted_down {
+            return true;
+        }
+        let (first, second) = {
+            let mut rng = lock(&self.draws);
+            let copies = match links.schedule.plan.decide(&mut rng, self.id, dst) {
+                FaultAction::Drop => return true,
+                FaultAction::Deliver => 1,
+                FaultAction::Duplicate => 2,
+            };
+            let mut due = || {
+                let ticks = links.delay.sample(&mut rng, self.id, dst);
+                sent + TICK * ticks.min(u32::MAX as u64) as u32
+            };
+            let first = due();
+            (first, (copies == 2).then(due))
+        };
+        let promise = self.bell.is_bound_here();
+        let admit = |due, msg| {
+            let env = Envelope {
+                src: self.id,
+                dst,
+                msg,
+            };
+            match links.push(dst.index(), due, env, promise) {
+                Admit::Shed => false,
+                Admit::Queued => true,
+                Admit::Owed => {
+                    lock(&links.nodes[self.id.index()].owed).push((due, dst.index()));
+                    true
+                }
+            }
+        };
+        if let Some(due) = second {
+            if !admit(due, msg.clone()) {
+                return false;
+            }
+        }
+        admit(first, msg)
     }
 }
 
@@ -180,11 +381,7 @@ impl<M> NodeHandle<M> {
 /// assert_eq!(env.msg, 42);
 /// ```
 pub struct ThreadNet<M> {
-    /// Node handles (each holds a sender to the router; the router exits
-    /// once all of them are gone).
     handles: Vec<NodeHandle<M>>,
-    wake: Arc<RouterWake>,
-    router: Option<JoinHandle<()>>,
 }
 
 impl<M> fmt::Debug for ThreadNet<M> {
@@ -195,24 +392,20 @@ impl<M> fmt::Debug for ThreadNet<M> {
     }
 }
 
-impl<M: Send + Clone + 'static> ThreadNet<M> {
-    /// Spawns the router thread for `n` nodes.
+impl<M> ThreadNet<M> {
+    /// `n` nodes with `delay` links, no faults and a per-node ingress
+    /// bound of 4096 messages.
     pub fn new(n: usize, delay: DelayModel, seed: u64) -> Self {
-        Self::with_faults(n, delay, seed, FaultPlan::default())
+        Self::with_config(n, delay, seed, FaultPlan::default(), DEFAULT_CAPACITY)
     }
 
-    /// Like [`ThreadNet::new`], but the router rolls `faults` on every
-    /// message: dropped messages vanish, duplicated ones are enqueued
-    /// twice with independently sampled delays. Reordering comes for
-    /// free from the randomized delays.
-    pub fn with_faults(n: usize, delay: DelayModel, seed: u64, faults: FaultPlan) -> Self {
-        Self::with_config(n, delay, seed, faults, 4096)
-    }
-
-    /// Full-control constructor: like [`ThreadNet::with_faults`] with an
-    /// explicit per-node ingress capacity. A node whose inbox is full
-    /// sheds further deliveries (backpressure surfaces as loss, which the
-    /// session layer repairs) — the router never blocks on a slow node.
+    /// Like [`ThreadNet::new`], but every send rolls `faults` (dropped
+    /// messages vanish, duplicated ones are delivered twice with
+    /// independently sampled delays; reordering comes from the randomized
+    /// delays), and each node admits at most `capacity` messages in
+    /// flight to it. A send into a full inbox is shed and returns
+    /// `false` — backpressure surfaces as loss, which the session layer
+    /// repairs; no sender ever blocks on a slow node.
     pub fn with_config(
         n: usize,
         delay: DelayModel,
@@ -223,7 +416,7 @@ impl<M: Send + Clone + 'static> ThreadNet<M> {
         Self::with_schedule(n, delay, seed, FaultSchedule::from_plan(faults), capacity)
     }
 
-    /// Like [`ThreadNet::with_config`], but the router also enforces the
+    /// Like [`ThreadNet::with_config`], but sends also honour the
     /// schedule's scripted link outages. Outage windows are expressed in
     /// simulated ticks and mapped onto wall-clock time from the moment of
     /// construction (one tick = 200 µs); the check uses the *send* stamp,
@@ -239,45 +432,34 @@ impl<M: Send + Clone + 'static> ThreadNet<M> {
         schedule: FaultSchedule,
         capacity: usize,
     ) -> Self {
-        let (to_router, from_nodes) = unbounded::<Sent<M>>();
-        let wake = Arc::new(RouterWake {
-            bell: Doorbell::new(),
-            parked_until: AtomicU64::new(0),
-            epoch: Instant::now(),
-            min_delay: TICK * delay.min_delay().min(u32::MAX as u64) as u32,
-        });
-        let mut inboxes = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for i in 0..n {
-            let (tx, rx) = bounded::<Envelope<M>>(capacity.max(1));
-            let bell = Doorbell::new();
-            inboxes.push((tx, bell.clone()));
-            handles.push(NodeHandle {
-                id: ReplicaId::new(i as u32),
-                to_router: to_router.clone(),
-                router: Arc::clone(&wake),
-                inbox: rx,
-                bell,
-            });
-        }
-        let router = Router {
-            rng: StdRng::seed_from_u64(seed),
+        let links = Arc::new(Links {
+            nodes: (0..n)
+                .map(|_| Node {
+                    inbox: Mutex::new(Inbox {
+                        heap: BinaryHeap::new(),
+                        seq: 0,
+                        parked: None,
+                    }),
+                    owed: Mutex::new(Vec::new()),
+                })
+                .collect(),
+            capacity: capacity.max(1),
             delay,
             schedule,
-            heap: BinaryHeap::new(),
-            seq: 0,
-            inboxes,
-            wake: Arc::clone(&wake),
-        };
-        let router = std::thread::Builder::new()
-            .name("net-router".into())
-            .spawn(move || router.run(from_nodes));
-        drop(to_router);
-        ThreadNet {
-            handles,
-            wake,
-            router: Some(router.expect("spawn net-router thread")),
-        }
+            epoch: Instant::now(),
+        });
+        let handles = (0..n)
+            .map(|i| NodeHandle {
+                id: ReplicaId::new(i as u32),
+                links: Arc::clone(&links),
+                // A distinct stream per sender, fixed by `seed` and the id.
+                draws: Arc::new(Mutex::new(StdRng::seed_from_u64(
+                    seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                ))),
+                bell: Doorbell::new(),
+            })
+            .collect();
+        ThreadNet { handles }
     }
 
     /// The handle of node `i`.
@@ -300,111 +482,10 @@ impl<M: Send + Clone + 'static> ThreadNet<M> {
     }
 }
 
-impl<M> Drop for ThreadNet<M> {
-    fn drop(&mut self) {
-        // Drop the node handles' router senders; the router thread then
-        // observes disconnection, drains in-flight messages, and exits —
-        // we detach rather than join so dropping the net never blocks
-        // (C-DTOR-BLOCK).
-        self.handles.clear();
-        self.wake.bell.ring();
-        self.router.take();
-    }
-}
-
-/// The router thread's state: frames in flight ordered by due instant,
-/// the seeded fault and delay draws, and the per-node inboxes.
-struct Router<M> {
-    rng: StdRng,
-    delay: DelayModel,
-    schedule: FaultSchedule,
-    heap: BinaryHeap<Reverse<Pending<M>>>,
-    seq: u64,
-    inboxes: Vec<(Sender<Envelope<M>>, Doorbell)>,
-    wake: Arc<RouterWake>,
-}
-
-impl<M: Clone> Router<M> {
-    fn run(mut self, from_nodes: Receiver<Sent<M>>) {
-        self.wake.bell.bind();
-        let mut disconnected = false;
-        loop {
-            // Take in everything sent so far.
-            while !disconnected {
-                match from_nodes.try_recv() {
-                    Ok((sent, env)) => self.admit(sent, env),
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => disconnected = true,
-                }
-            }
-            let now = Instant::now();
-            self.deliver_due(now);
-            if disconnected && self.heap.is_empty() {
-                return;
-            }
-            let until = self
-                .heap
-                .peek()
-                .map_or(now + ROUTER_IDLE_PARK, |Reverse(p)| p.due);
-            let nanos = self.wake.nanos(until).max(1);
-            self.wake.parked_until.store(nanos, Ordering::SeqCst);
-            // A send enqueued before the store above saw the router
-            // running and did not ring: look once more before parking.
-            match from_nodes.try_recv() {
-                Ok((sent, env)) => self.admit(sent, env),
-                Err(_) => self.wake.bell.wait_until(until),
-            }
-            self.wake.parked_until.store(0, Ordering::SeqCst);
-        }
-    }
-
-    /// Rolls the fault plan and the delay for one sent message and
-    /// schedules each surviving copy at `sent + delay`.
-    fn admit(&mut self, sent: Instant, env: Envelope<M>) {
-        let scripted_down = !self.schedule.outages.is_empty() && {
-            let since = sent.saturating_duration_since(self.wake.epoch);
-            let ticks = (since.as_micros() / TICK.as_micros()) as u64;
-            self.schedule.link_down(env.src, env.dst, ticks)
-        };
-        let copies = if scripted_down {
-            0
-        } else {
-            match self.schedule.plan.decide(&mut self.rng, env.src, env.dst) {
-                FaultAction::Drop => 0,
-                FaultAction::Deliver => 1,
-                FaultAction::Duplicate => 2,
-            }
-        };
-        for _ in 0..copies {
-            let ticks = self.delay.sample(&mut self.rng, env.src, env.dst);
-            self.heap.push(Reverse(Pending {
-                due: sent + TICK * ticks.min(u32::MAX as u64) as u32,
-                seq: self.seq,
-                env: env.clone(),
-            }));
-            self.seq += 1;
-        }
-    }
-
-    /// Hands every message due by `now` to its node's inbox.
-    fn deliver_due(&mut self, now: Instant) {
-        while self.heap.peek().is_some_and(|Reverse(p)| p.due <= now) {
-            let Reverse(p) = self.heap.pop().expect("peeked");
-            if let Some((inbox, bell)) = self.inboxes.get(p.env.dst.index()) {
-                // A full or closed inbox drops the message (`try_send`,
-                // never a blocking `send`: one slow node must not stall
-                // the whole router).
-                if inbox.try_send(p.env).is_ok() {
-                    bell.ring();
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Transport;
 
     fn r(i: u32) -> ReplicaId {
         ReplicaId::new(i)
@@ -473,30 +554,27 @@ mod tests {
     }
 
     #[test]
-    fn tiny_inbox_sheds_overflow_without_blocking_router() {
+    fn tiny_inbox_sheds_overflow_without_blocking_senders() {
         let net: ThreadNet<u32> =
             ThreadNet::with_config(2, DelayModel::Fixed(0), 0, FaultPlan::default(), 2);
         let a = net.handle(r(0));
         let b = net.handle(r(1));
-        for i in 0..50 {
-            a.send(r(1), i);
-        }
-        // Give the router time to process everything while the receiver
-        // stays idle: only `capacity` messages can be admitted.
-        std::thread::sleep(Duration::from_millis(100));
+        // The receiver stays idle: only `capacity` messages are admitted,
+        // and every send after that reports the shed.
+        let admitted: Vec<bool> = (0..50).map(|i| a.send(r(1), i)).collect();
+        assert_eq!(admitted[..2], [true, true]);
+        assert!(
+            admitted[2..].iter().all(|&ok| !ok),
+            "a send into a full inbox reported success: {admitted:?}"
+        );
         let mut got = 0;
         while b.try_recv().is_some() {
             got += 1;
         }
-        assert!(
-            got <= 2,
-            "bounded inbox admitted more than its capacity: {got}"
-        );
-        // The router shed the rest instead of blocking: it still routes.
-        a.send(r(1), 999);
-        let env = b
-            .recv_timeout(Duration::from_secs(2))
-            .expect("router alive");
+        assert_eq!(got, 2, "bounded inbox admitted other than its capacity");
+        // Shedding blocked nobody: the drained inbox admits again.
+        assert!(a.send(r(1), 999));
+        let env = b.recv_timeout(Duration::from_secs(2)).expect("delivery");
         assert_eq!(env.msg, 999);
     }
 
@@ -521,29 +599,130 @@ mod tests {
         assert_eq!(env.msg, 2);
     }
 
-    #[test]
-    fn a_send_into_an_idle_router_wakes_it() {
-        // With nothing in flight the router parks for its full idle
-        // period; only the sender's ring gets a ping through sooner.
+    /// How long a receiver with nothing in flight parks, as a replica
+    /// loop does.
+    const IDLE_PARK: Duration = Duration::from_millis(50);
+
+    /// Times 40 pings from node 0 to node 1 while node 1 parks through
+    /// `Transport::wait_until` for a full idle period whenever its inbox
+    /// is empty: only a ring gets a ping through sooner. With `from_loop`
+    /// node 0's own event loop sends them, promises its rings and parks
+    /// through `wait_until` too; otherwise a plain thread sends them and
+    /// rings at once.
+    fn ping_times(from_loop: bool) -> Vec<(u32, Duration)> {
         let net: ThreadNet<u32> = ThreadNet::new(2, DelayModel::Fixed(1), 0);
-        let a = net.handle(r(0));
-        let b = net.handle(r(1));
-        let mut slow = Vec::new();
-        for i in 0..40 {
-            // Let the router deliver the last ping and park idle.
-            std::thread::sleep(Duration::from_millis(2));
-            let t = Instant::now();
-            a.send(r(1), i);
-            let env = b.recv_timeout(Duration::from_secs(2)).expect("delivery");
-            assert_eq!(env.msg, i);
-            if t.elapsed() > ROUTER_IDLE_PARK / 4 {
-                slow.push((i, t.elapsed()));
+        let (a, b) = (net.handle(r(0)), net.handle(r(1)));
+        let a_bell = a.doorbell().clone();
+        let (got_tx, got) = std::sync::mpsc::channel();
+        let receiver = std::thread::spawn(move || {
+            b.doorbell().bind();
+            for _ in 0..40 {
+                let env = loop {
+                    match b.try_recv() {
+                        Some(env) => break env,
+                        None => Transport::wait_until(&b, Instant::now() + IDLE_PARK),
+                    }
+                };
+                got_tx.send(env.msg).unwrap();
+                a_bell.ring();
             }
-        }
+        });
+        let sender = std::thread::spawn(move || {
+            if from_loop {
+                a.doorbell().bind();
+            }
+            let mut times = Vec::new();
+            for i in 0..40 {
+                // Let the receiver take the last ping and park idle.
+                std::thread::sleep(Duration::from_millis(2));
+                let t = Instant::now();
+                assert!(a.send(r(1), i));
+                let echo = if from_loop {
+                    loop {
+                        match got.try_recv() {
+                            Ok(m) => break m,
+                            Err(_) => Transport::wait_until(&a, Instant::now() + IDLE_PARK),
+                        }
+                    }
+                } else {
+                    got.recv_timeout(Duration::from_secs(2)).expect("delivery")
+                };
+                assert_eq!(echo, i);
+                times.push((i, t.elapsed()));
+            }
+            times
+        });
+        receiver.join().unwrap();
+        sender.join().unwrap()
+    }
+
+    fn assert_no_ping_waits_out_the_idle_park(times: Vec<(u32, Duration)>) {
+        let slow: Vec<_> = times
+            .into_iter()
+            .filter(|&(_, t)| t > IDLE_PARK / 4)
+            .collect();
         assert!(
             slow.len() <= 2,
-            "pings waited out the router's idle park: {slow:?}"
+            "pings waited out the receiver's idle park: {slow:?}"
         );
+    }
+
+    #[test]
+    fn a_ping_to_a_parked_receiver_arrives_well_under_its_idle_park() {
+        assert_no_ping_waits_out_the_idle_park(ping_times(false));
+    }
+
+    #[test]
+    fn a_ping_from_a_loop_to_a_parked_receiver_arrives_well_under_its_idle_park() {
+        assert_no_ping_waits_out_the_idle_park(ping_times(true));
+    }
+
+    #[test]
+    fn per_sender_draws_do_not_depend_on_thread_interleaving() {
+        // Four nodes send to each other at once over lossy links with
+        // random delays. Each sender rolls its own seeded stream, so
+        // which messages survive is the same whatever the interleaving.
+        fn delivered(seed: u64) -> Vec<(ReplicaId, ReplicaId, u32)> {
+            let net: ThreadNet<u32> = ThreadNet::with_config(
+                4,
+                DelayModel::Uniform { min: 0, max: 5 },
+                seed,
+                FaultPlan::dropping(0.3),
+                1 << 12,
+            );
+            std::thread::scope(|s| {
+                for i in 0..4 {
+                    let h = net.handle(r(i));
+                    s.spawn(move || {
+                        for k in 0..300 {
+                            for j in (0..4).filter(|&j| j != i) {
+                                h.send(r(j), k);
+                            }
+                        }
+                    });
+                }
+            });
+            // Every message is due within 5 ticks of its send.
+            std::thread::sleep(TICK * 5 + Duration::from_millis(20));
+            let mut got = Vec::new();
+            for j in 0..4 {
+                let h = net.handle(r(j));
+                while let Some(env) = h.try_recv() {
+                    got.push((env.src, env.dst, env.msg));
+                }
+            }
+            got.sort_unstable();
+            got
+        }
+        let first = delivered(11);
+        let sent = 4 * 3 * 300;
+        assert!(
+            (sent / 2..sent * 9 / 10).contains(&first.len()),
+            "a 30% drop plan delivered {} of {sent}",
+            first.len()
+        );
+        assert_eq!(first, delivered(11), "same seed, different survivors");
+        assert_ne!(first, delivered(12), "the seed does not reach the draws");
     }
 
     #[test]

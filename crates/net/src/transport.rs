@@ -1,14 +1,14 @@
 //! The transport seam between a replica runtime and a message substrate.
 //!
 //! `prcc-core`'s threaded runtime drives its per-replica event loop
-//! through four operations — identity, fire-and-forget send,
-//! non-blocking receive, and the [`Doorbell`] the substrate rings on
-//! every delivery (a bounded blocking receive serves callers that have
-//! no loop of their own: tests and probes). [`Transport`] names that
-//! seam so the same loop runs unchanged over
-//! [`ThreadNet`](crate::ThreadNet) handles (in-process, seeded delays and
-//! faults) and [`TcpEndpoint`](crate::TcpEndpoint) handles (real kernel
-//! sockets, one process per replica).
+//! through five operations — identity, fire-and-forget send,
+//! non-blocking receive, the [`Doorbell`] its other input sources ring,
+//! and the park that waits for the next input (a bounded blocking
+//! receive serves callers that have no loop of their own: tests and
+//! probes). [`Transport`] names that seam so the same loop runs unchanged
+//! over [`ThreadNet`](crate::ThreadNet) handles (in-process, seeded
+//! delays and faults) and [`TcpEndpoint`](crate::TcpEndpoint) handles
+//! (real kernel sockets, one process per replica).
 
 use crate::sim_net::Envelope;
 use crate::thread_net::NodeHandle;
@@ -51,14 +51,19 @@ impl Doorbell {
         }
     }
 
+    /// True if the calling thread is the one bound to this bell.
+    pub(crate) fn is_bound_here(&self) -> bool {
+        self.0
+            .get()
+            .is_some_and(|t| t.id() == std::thread::current().id())
+    }
+
     /// Parks the calling thread — which must be the bound one — until the
     /// bell rings or `deadline` passes. May also return spuriously;
     /// callers re-check their queues after every return.
     pub fn wait_until(&self, deadline: Instant) {
         debug_assert!(
-            self.0
-                .get()
-                .is_some_and(|t| t.id() == std::thread::current().id()),
+            self.is_bound_here(),
             "Doorbell::wait_until from a thread the bell is not bound to"
         );
         let wait = deadline.saturating_duration_since(Instant::now());
@@ -79,9 +84,10 @@ impl Doorbell {
 ///   stack above assumes nothing stronger;
 /// * `try_recv`/`recv_timeout` return messages addressed to this node,
 ///   each tagged with its true source;
-/// * every delivery into the inbox is followed by a ring of
-///   [`doorbell`](Transport::doorbell) — a substrate that forgets one
-///   leaves a parked loop asleep until its next deadline.
+/// * a message is delivered by its due instant: a consumer parked in
+///   [`wait_until`](Transport::wait_until) wakes by the time it can be
+///   received — a substrate that misses one leaves a parked loop asleep
+///   until its next deadline.
 pub trait Transport: Send + 'static {
     /// The message type carried.
     type Msg;
@@ -100,13 +106,21 @@ pub trait Transport: Send + 'static {
     /// Blocking receive with timeout.
     fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<Self::Msg>>;
 
-    /// The bell the substrate rings after every delivery into this node's
-    /// inbox. An event loop binds it, rings it from its other input
-    /// sources too, and parks on it in place of polling `try_recv`.
+    /// The bell of this node's consumer. An event loop binds it, and its
+    /// other input sources ring it after every enqueue.
     fn doorbell(&self) -> &Doorbell;
+
+    /// Parks the consumer — the thread bound to
+    /// [`doorbell`](Transport::doorbell) — until `deadline`, a ring, or
+    /// a delivery, whichever comes first. May return early; callers
+    /// re-check their inputs after every return. The default parks on
+    /// the doorbell, for substrates that ring it on every delivery.
+    fn wait_until(&self, deadline: Instant) {
+        self.doorbell().wait_until(deadline);
+    }
 }
 
-impl<M: Send + 'static> Transport for NodeHandle<M> {
+impl<M: Clone + Send + 'static> Transport for NodeHandle<M> {
     type Msg = M;
 
     fn id(&self) -> ReplicaId {
@@ -127,6 +141,10 @@ impl<M: Send + 'static> Transport for NodeHandle<M> {
 
     fn doorbell(&self) -> &Doorbell {
         NodeHandle::doorbell(self)
+    }
+
+    fn wait_until(&self, deadline: Instant) {
+        NodeHandle::wait_until(self, deadline);
     }
 }
 

@@ -29,7 +29,7 @@ fn run_differential(g: prcc::sharegraph::ShareGraph, wire: WireMode, rounds: u64
         ..ClusterConfig::default()
     };
 
-    // Oracle: the in-process router with zero-tick delays.
+    // Oracle: the in-process `ThreadNet` with zero-tick delays.
     let oracle = ThreadedCluster::with_config(g.clone(), DelayModel::Fixed(0), 1, config.clone());
     wl.drive(&oracle);
     oracle.settle();
@@ -50,7 +50,7 @@ fn run_differential(g: prcc::sharegraph::ShareGraph, wire: WireMode, rounds: u64
         assert_eq!(
             store_lines(&oracle.store_snapshot(i)),
             store_lines(&tcp.store_snapshot(i)),
-            "replica {i} stores diverge between router and TCP runs ({wire:?})"
+            "replica {i} stores diverge between ThreadNet and TCP runs ({wire:?})"
         );
     }
     let oracle_report = oracle.check();
