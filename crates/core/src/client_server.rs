@@ -151,6 +151,22 @@ impl AppEServer {
     }
 }
 
+/// Panics unless client `c` may send an op on register `x` to replica
+/// `i`: `i ∈ R_c` and `x ∈ X_i`. The one check behind
+/// [`ClientServerSystem`]'s requests and
+/// [`CsScenario`](crate::CsScenario)'s scripted ops.
+pub(crate) fn validate_op(aug: &AugmentedShareGraph, c: ClientId, i: ReplicaId, x: RegisterId) {
+    let rs = aug
+        .clients()
+        .replicas_of(c)
+        .unwrap_or_else(|| panic!("unknown client {c}"));
+    assert!(rs.contains(&i), "replica {i} not in R_{c}");
+    assert!(
+        aug.base().placement().stores(i, x),
+        "register {x} not stored at {i}"
+    );
+}
+
 pub use prcc_checker::SessionEvent;
 
 /// A complete simulated client-server deployment.
@@ -243,7 +259,7 @@ impl ClientServerSystem {
     ///
     /// Panics if `i ∉ R_c` or `x ∉ X_i`.
     pub fn write(&mut self, c: ClientId, i: ReplicaId, x: RegisterId, v: Value) -> RequestId {
-        self.validate(c, i, x);
+        validate_op(&self.aug, c, i, x);
         let id = self.fresh_request();
         let mu = self.clients[&c].clone();
         self.requests.push(Request::Write {
@@ -265,7 +281,7 @@ impl ClientServerSystem {
     ///
     /// Panics if `i ∉ R_c` or `x ∉ X_i`.
     pub fn read(&mut self, c: ClientId, i: ReplicaId, x: RegisterId) -> RequestId {
-        self.validate(c, i, x);
+        validate_op(&self.aug, c, i, x);
         let id = self.fresh_request();
         let mu = self.clients[&c].clone();
         self.requests.push(Request::Read {
@@ -277,19 +293,6 @@ impl ClientServerSystem {
         });
         self.pump();
         id
-    }
-
-    fn validate(&self, c: ClientId, i: ReplicaId, x: RegisterId) {
-        let rs = self
-            .aug
-            .clients()
-            .replicas_of(c)
-            .unwrap_or_else(|| panic!("unknown client {c}"));
-        assert!(rs.contains(&i), "replica {i} not in R_{c}");
-        assert!(
-            self.aug.base().placement().stores(i, x),
-            "register {x} not stored at {i}"
-        );
     }
 
     /// Serves every currently admissible request (predicates `J₁`/`J₂`).

@@ -11,7 +11,7 @@
 //! transitions as the lockstep
 //! [`ClientServerSystem`](crate::ClientServerSystem).
 
-use crate::client_server::AppEServer;
+use crate::client_server::{validate_op, AppEServer};
 use crate::message::UpdateMsg;
 use crate::value::Value;
 use prcc_checker::{check, Trace, UpdateId};
@@ -76,16 +76,7 @@ impl CsScenario {
         register: RegisterId,
         after: I,
     ) -> usize {
-        let rs = self
-            .aug
-            .clients()
-            .replicas_of(client)
-            .unwrap_or_else(|| panic!("unknown client {client}"));
-        assert!(rs.contains(&replica), "replica {replica} not in R_{client}");
-        assert!(
-            self.aug.base().placement().stores(replica, register),
-            "register {register} not stored at {replica}"
-        );
+        validate_op(&self.aug, client, replica, register);
         let after_served: Vec<usize> = after.into_iter().collect();
         for &a in &after_served {
             assert!(a < self.ops.len(), "precondition {a} out of range");

@@ -63,7 +63,8 @@ pub use recovery::{RecoveryLog, WalEntry};
 pub use replica::{Applied, PendingMode, Replica, ReplicaError, WriteOutput};
 pub use routed_general::{RoutedError, RoutedSystem};
 pub use runtime::{
-    ClusterConfig, ClusterError, NodeEvent, NodeRuntime, ReplicaView, ThreadedCluster,
+    merge_node_events, ClusterConfig, ClusterError, NodeEvent, NodeRuntime, ReplicaView,
+    ThreadedCluster,
 };
 pub use serving::{
     Collected, ServingConfig, ServingError, ServingStats, ServingTier, ServingWorker,

@@ -231,7 +231,7 @@ impl Replica {
 
     /// Per-register provenance: the update whose value each stored
     /// register currently holds. Registers written through the routed
-    /// protocol's payload path ([`Replica::store_local`]) have no entry —
+    /// protocol's payload path (`Replica::store_local`) have no entry —
     /// their producing update is not known to this replica.
     pub fn store_src(&self) -> HashMap<RegisterId, UpdateId> {
         self.store.flat_src()

@@ -21,9 +21,9 @@
 //!   (batched, durable, TCP, crash-bearing).
 //! * **Per-thread trace shards.** Each replica thread appends protocol
 //!   events to its own shard (a private `Mutex<Vec<_>>`, uncontended in
-//!   steady state) stamped with nanoseconds since a shared epoch. The
-//!   shards are merged and re-sorted into a causally valid global
-//!   [`Trace`] only when [`check`](ThreadedCluster::check) or
+//!   steady state) in its own order. The shards are merged into one
+//!   global [`Trace`] by [`merge_node_events`] only when
+//!   [`check`](ThreadedCluster::check) or
 //!   [`trace_snapshot`](ThreadedCluster::trace_snapshot) asks — no
 //!   global trace lock on the apply path.
 //! * **Lock-free read snapshots.** After every state change, a replica
@@ -46,20 +46,20 @@ use crate::codec::WireMode;
 use crate::engine::{BatchPolicy, Engine, EngineConfig, Outgoing};
 use crate::message::BatchMsg;
 use crate::netframe::cluster_codec;
-use crate::replica::{Applied, Replica};
+use crate::replica::{Applied, PendingMode, Replica};
 use crate::store_cow::{SharedShards, StoreMode};
-use crate::tracker::{CausalityTracker, EdgeTracker};
+use crate::system::TrackerKind;
 use crate::value::Value;
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use parking_lot::{Mutex, RwLock};
 use prcc_checker::{check, CheckReport, Trace, UpdateId};
 use prcc_net::{
     BoundListener, DelayModel, Doorbell, FaultSchedule, SessionConfig, SessionFrame, TcpEndpoint,
     TcpNetConfig, TcpStatsSnapshot, ThreadNet, Transport, TICK,
 };
-use prcc_sharegraph::{LoopConfig, RegisterId, ReplicaId, ShareGraph, TimestampGraphs};
+use prcc_sharegraph::{LoopConfig, RegisterId, ReplicaId, ShareGraph};
 use prcc_timestamp::TsRegistry;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::io;
 use std::net::SocketAddr;
@@ -75,9 +75,10 @@ pub struct ClusterConfig {
     pub wire: WireMode,
     /// Scripted fault schedule: every `ThreadNet` send rolls its embedded
     /// plan (drops / duplicates) and honours its link outages (ticks of
-    /// 200 µs from cluster construction); crash/restart events
-    /// are injected as commands by a timeline thread walking
-    /// [`FaultSchedule::crash_timeline`]. Without a
+    /// 200 µs from cluster construction); each replica loop fires its own
+    /// crash/restart entries of [`FaultSchedule::crash_timeline`] when
+    /// their tick falls due, like a [`ThreadedCluster::crash`] or
+    /// [`restart`](ThreadedCluster::restart) call. Without a
     /// [`session`](ClusterConfig::session), losses are permanent; with
     /// one, its retransmission timers run on wall-clock milliseconds, so
     /// pick `rto_base` comfortably above the delay model's round trip.
@@ -144,8 +145,8 @@ impl fmt::Display for ClusterError {
 impl std::error::Error for ClusterError {}
 
 /// Per-op outcome of a [`Cmd::WriteMany`] run: the issue succeeded, or
-/// the replica was inside a crash window and the op must be re-routed by
-/// the serving tier.
+/// the replica was inside a crash window — the serving tier re-routes
+/// the op, a blocking write reports [`ClusterError::Crashed`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum WriteStatus {
     /// Issued (and snapshot-visible) as this update.
@@ -155,15 +156,11 @@ pub(crate) enum WriteStatus {
 }
 
 enum Cmd {
-    Write {
-        register: RegisterId,
-        value: Value,
-        reply: Sender<UpdateId>,
-    },
-    /// A coalesced run of client writes from the serving tier: every op
-    /// is issued before the snapshot is republished once and any
-    /// completion token is released — one command, one publish, one
-    /// channel round trip for the whole run.
+    /// A coalesced run of client writes (the serving tier's, or one
+    /// [`ThreadedCluster::write_burst`]): every op is issued before the
+    /// snapshot is republished once and any completion token is
+    /// released — one command, one publish, one channel round trip for
+    /// the whole run.
     WriteMany {
         ops: Vec<(u64, RegisterId, Value)>,
         reply: Sender<(u64, WriteStatus)>,
@@ -171,80 +168,24 @@ enum Cmd {
     /// Crash the replica: it keeps draining its channels but discards
     /// everything until [`Cmd::Restart`], modelling a fail-stop node
     /// whose durable log survives. Ignored when no log is
-    /// armed. `done` (if any) is signalled once the crash took effect.
+    /// armed. `done` is signalled once the crash took effect.
     Crash {
-        done: Option<Sender<()>>,
+        done: Sender<()>,
     },
     /// Recover from the durable log: replica state and applied frontier
     /// are rebuilt by WAL replay, the session endpoint re-arms its sender
     /// streams from the outbox and probes peers with `CatchUp`.
     Restart {
-        done: Option<Sender<()>>,
+        done: Sender<()>,
     },
     Shutdown,
 }
 
-/// One protocol event in a per-replica trace shard. The shard owner is
-/// implicit: issues belong to the issuing replica's shard, applies to
-/// the applying replica's.
-#[derive(Clone)]
-enum ShardEvent {
-    Issue { id: UpdateId, register: RegisterId },
-    Apply { id: UpdateId },
-}
-
-/// A shard event stamped for the global merge: nanoseconds since the
-/// cluster epoch plus a per-shard sequence number (tiebreak that
-/// preserves thread-local order).
-#[derive(Clone)]
-struct Stamped {
-    nanos: u64,
-    seq: u64,
-    ev: ShardEvent,
-}
-
-type TraceShard = Mutex<Vec<Stamped>>;
-
-/// Merges per-replica shards into one causally valid [`Trace`].
-///
-/// Sort key: `(nanos, kind, shard, seq)` with issues before applies at
-/// equal instants. This is a faithful real-time linearization: an issue
-/// is stamped *before* its update is handed to the network and an apply
-/// *after* delivery, so — `Instant` being monotonic across threads — an
-/// apply never carries an earlier stamp than its issue, and the
-/// issue-first tiebreak settles exact ties. Per-shard order survives
-/// because stamps within one thread are non-decreasing with `seq`
-/// strictly increasing.
-fn merge_shards<'a>(shards: impl Iterator<Item = &'a TraceShard>) -> Trace {
-    let mut all: Vec<(u64, u8, usize, u64, ShardEvent)> = Vec::new();
-    for (i, shard) in shards.enumerate() {
-        for s in shard.lock().iter() {
-            let kind = match s.ev {
-                ShardEvent::Issue { .. } => 0u8,
-                ShardEvent::Apply { .. } => 1u8,
-            };
-            all.push((s.nanos, kind, i, s.seq, s.ev.clone()));
-        }
-    }
-    all.sort_by_key(|&(nanos, kind, shard, seq, _)| (nanos, kind, shard, seq));
-    let mut trace = Trace::new();
-    let mut issued: HashSet<UpdateId> = HashSet::new();
-    for (_, _, shard, _, ev) in all {
-        match ev {
-            ShardEvent::Issue { id, register } => {
-                trace.record_issue_with_id(id, register);
-                issued.insert(id);
-            }
-            ShardEvent::Apply { id } => {
-                debug_assert!(issued.contains(&id), "apply of {id} stamped before issue");
-                if issued.contains(&id) {
-                    trace.record_apply(id, ReplicaId::new(shard as u32));
-                }
-            }
-        }
-    }
-    trace
-}
+/// One replica's trace shard: its protocol events in its own order,
+/// each stamped with nanoseconds since the cluster epoch (the stamps
+/// serve [`ThreadedCluster::delivery_latencies_nanos`]; the merge needs
+/// only the order).
+type TraceShard = Mutex<Vec<(u64, NodeEvent)>>;
 
 /// One immutable published replica state: the store, per-register update
 /// provenance, and the per-issuer *applied frontier*. All three are
@@ -417,17 +358,9 @@ pub struct ThreadedCluster {
     counters: Arc<Counters>,
     /// Whether recovery logs are armed (required by [`crash`](Self::crash)).
     durable: bool,
-    /// Keep the net alive for the cluster's lifetime.
-    net: NetBacking,
-}
-
-/// The message substrate a [`ThreadedCluster`] runs over — kept alive
-/// (and shut down) with the cluster.
-enum NetBacking {
-    /// In-process inboxes that hold each frame until its delay is up.
-    Thread(#[allow(dead_code)] ThreadNet<SessionFrame<BatchMsg>>),
-    /// Real kernel sockets: one loopback [`TcpEndpoint`] per replica.
-    Tcp(Vec<TcpEndpoint<SessionFrame<BatchMsg>>>),
+    /// One loopback endpoint per replica over TCP; empty over `ThreadNet`,
+    /// whose handles the replica threads own.
+    tcp: Vec<TcpEndpoint<SessionFrame<BatchMsg>>>,
 }
 
 impl fmt::Debug for ThreadedCluster {
@@ -454,8 +387,7 @@ impl ThreadedCluster {
         seed: u64,
         config: ClusterConfig,
     ) -> Self {
-        let graph = Arc::new(graph);
-        let registry = exact_registry(&graph);
+        let (registry, replicas) = build_replicas(&graph);
         let net: ThreadNet<SessionFrame<BatchMsg>> = ThreadNet::with_schedule(
             graph.num_replicas(),
             delay,
@@ -464,7 +396,7 @@ impl ThreadedCluster {
             INGRESS_DEPTH,
         );
         let handles: Vec<_> = graph.replicas().map(|i| net.handle(i)).collect();
-        Self::spawn(graph, registry, config, handles, NetBacking::Thread(net))
+        Self::spawn(graph, registry, replicas, config, handles, Vec::new())
     }
 
     /// A cluster over **real kernel sockets**: every replica gets its own
@@ -476,7 +408,7 @@ impl ThreadedCluster {
     /// Link-level fault injection (the [`FaultSchedule`]'s plan and
     /// outages) is a `ThreadNet` feature and does not apply
     /// here — the kernel's loopback does not drop frames. Scripted
-    /// crash/restart events still work (they are injected as commands).
+    /// crash/restart events still work (each replica loop fires its own).
     /// A [`SessionConfig`] is still worth arming: the transport sheds
     /// frames on a backed-up or not-yet-connected peer, and only session
     /// retransmission repairs those.
@@ -485,8 +417,7 @@ impl ThreadedCluster {
         config: ClusterConfig,
         tcp: TcpNetConfig,
     ) -> io::Result<Self> {
-        let graph = Arc::new(graph);
-        let registry = exact_registry(&graph);
+        let (registry, replicas) = build_replicas(&graph);
         // Two-phase bind: every listener is live before any endpoint
         // starts, so first connects never race the accept loops.
         let loopback: SocketAddr = ([127, 0, 0, 1], 0).into();
@@ -495,112 +426,61 @@ impl ThreadedCluster {
             bounds.push(BoundListener::bind(i, loopback)?);
         }
         let addrs: Vec<SocketAddr> = bounds.iter().map(BoundListener::local_addr).collect();
-        let replicas: Vec<ReplicaId> = graph.replicas().collect();
         let mut endpoints = Vec::with_capacity(bounds.len());
-        let mut handles = Vec::with_capacity(bounds.len());
         for bound in bounds {
             let me = bound.id();
-            let peers: HashMap<ReplicaId, SocketAddr> = replicas
-                .iter()
-                .filter(|&&r| r != me)
-                .map(|&r| (r, addrs[r.index()]))
+            let peers: HashMap<ReplicaId, SocketAddr> = graph
+                .replicas()
+                .filter(|&r| r != me)
+                .map(|r| (r, addrs[r.index()]))
                 .collect();
-            let ep = TcpEndpoint::start(
+            endpoints.push(TcpEndpoint::start(
                 bound,
                 peers,
                 tcp.clone(),
                 cluster_codec(me, registry.clone()),
-            )?;
-            handles.push(ep.handle());
-            endpoints.push(ep);
+            )?);
         }
+        let handles = endpoints.iter().map(TcpEndpoint::handle).collect();
         Ok(Self::spawn(
-            graph,
-            registry,
-            config,
-            handles,
-            NetBacking::Tcp(endpoints),
+            graph, registry, replicas, config, handles, endpoints,
         ))
     }
 
     /// Spawns the replica threads over already-built transport handles —
     /// the substrate-independent half of every constructor.
     fn spawn<T: Transport<Msg = SessionFrame<BatchMsg>>>(
-        graph: Arc<ShareGraph>,
+        graph: ShareGraph,
         registry: Arc<TsRegistry>,
-        mut config: ClusterConfig,
+        replicas: Vec<Replica>,
+        config: ClusterConfig,
         handles: Vec<T>,
-        net: NetBacking,
+        tcp: Vec<TcpEndpoint<SessionFrame<BatchMsg>>>,
     ) -> Self {
-        // Scripted crashes without a recovery log would be permanent
-        // data loss, which the threaded runtime does not model — arm
-        // durability automatically.
-        if !config.schedule.crashes.is_empty() && config.durability.is_none() {
-            config.durability = Some(1024);
-        }
+        let graph = Arc::new(graph);
         let engine = engine_config(&graph, registry, &config);
         let counters = Arc::new(Counters::default());
         let epoch = Instant::now();
-        let replicas: Vec<ReplicaThread> = graph
-            .replicas()
+        let replicas: Vec<ReplicaThread> = replicas
+            .into_iter()
             .zip(handles)
-            .map(|(i, handle)| spawn_replica(i, &engine, &config, epoch, handle, &counters))
+            .map(|(replica, handle)| {
+                spawn_replica(replica, &engine, &config, epoch, handle, &counters)
+            })
             .collect();
-        // The fault driver: walks the scripted crash/restart timeline on
-        // the shared wall-clock tick and injects the events as commands.
-        // Detached — it exits on its own once the timeline is done or the
-        // replica threads are gone.
-        let timeline = config.schedule.crash_timeline();
-        if !timeline.is_empty() {
-            let txs: Vec<CmdTx> = replicas.iter().map(|r| r.cmd_tx.clone()).collect();
-            std::thread::spawn(move || {
-                for (tick, r, is_restart) in timeline {
-                    let due = epoch + TICK * tick.min(u32::MAX as u64) as u32;
-                    let now = Instant::now();
-                    if due > now {
-                        std::thread::sleep(due - now);
-                    }
-                    let mut cmd = Some(if is_restart {
-                        Cmd::Restart { done: None }
-                    } else {
-                        Cmd::Crash { done: None }
-                    });
-                    // Bounded retry on a full channel: the event lands a
-                    // little late rather than blocking forever against a
-                    // cluster that is shutting down.
-                    let deadline = Instant::now() + Duration::from_secs(2);
-                    while let Some(c) = cmd.take() {
-                        match txs[r.index()].try_send(c) {
-                            Ok(()) => {}
-                            Err(TrySendError::Full(c)) => {
-                                if Instant::now() >= deadline {
-                                    break;
-                                }
-                                cmd = Some(c);
-                                std::thread::sleep(TICK);
-                            }
-                            Err(TrySendError::Disconnected(_)) => return,
-                        }
-                    }
-                }
-            });
-        }
         ThreadedCluster {
             graph,
             replicas,
             counters,
-            durable: config.durability.is_some(),
-            net,
+            durable: engine.snapshot_every.is_some(),
+            tcp,
         }
     }
 
     /// Per-replica transport counters when this cluster runs over TCP
     /// ([`with_tcp`](Self::with_tcp)); `None` over the in-process `ThreadNet`.
     pub fn tcp_stats(&self) -> Option<Vec<TcpStatsSnapshot>> {
-        match &self.net {
-            NetBacking::Tcp(eps) => Some(eps.iter().map(TcpEndpoint::stats).collect()),
-            NetBacking::Thread(_) => None,
-        }
+        (!self.tcp.is_empty()).then(|| self.tcp.iter().map(TcpEndpoint::stats).collect())
     }
 
     /// Per-delivery latencies in nanoseconds — one entry per recorded
@@ -611,17 +491,17 @@ impl ThreadedCluster {
         let mut issued: HashMap<UpdateId, u64> = HashMap::new();
         let mut out = Vec::new();
         for r in &self.replicas {
-            for s in r.shared.shard.lock().iter() {
-                if let ShardEvent::Issue { id, .. } = s.ev {
-                    issued.insert(id, s.nanos);
+            for &(nanos, ev) in r.shared.shard.lock().iter() {
+                if let NodeEvent::Issue { id, .. } = ev {
+                    issued.insert(id, nanos);
                 }
             }
         }
         for r in &self.replicas {
-            for s in r.shared.shard.lock().iter() {
-                if let ShardEvent::Apply { id } = s.ev {
+            for &(nanos, ev) in r.shared.shard.lock().iter() {
+                if let NodeEvent::Apply { id } = ev {
                     if let Some(&t0) = issued.get(&id) {
-                        out.push(s.nanos.saturating_sub(t0));
+                        out.push(nanos.saturating_sub(t0));
                     }
                 }
             }
@@ -644,25 +524,17 @@ impl ThreadedCluster {
 
     /// Fallible blocking write at replica `r`: a crashed replica or dead
     /// thread yields a typed [`ClusterError`] instead of a panic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` does not store `x`.
     pub fn try_write(
         &self,
         r: ReplicaId,
         x: RegisterId,
         v: Value,
     ) -> Result<UpdateId, ClusterError> {
-        let (reply, rx) = bounded(1);
-        if self
-            .cmd(r)
-            .send(Cmd::Write {
-                register: x,
-                value: v,
-                reply,
-            })
-            .is_err()
-        {
-            return Err(ClusterError::Disconnected { replica: r });
-        }
-        rx.recv().map_err(|_| self.unreachable_kind(r))
+        Ok(self.replicas[r.index()].write(&self.graph, r, vec![(x, v)])?[0])
     }
 
     fn cmd(&self, r: ReplicaId) -> &CmdTx {
@@ -673,53 +545,18 @@ impl ThreadedCluster {
         &self.replicas[r.index()].shared
     }
 
-    /// Classifies why a reply channel from `r` died: the thread dropped
-    /// the reply because the replica is crashed, or the thread is gone.
-    fn unreachable_kind(&self, r: ReplicaId) -> ClusterError {
-        if self.is_crashed(r) {
-            ClusterError::Crashed { replica: r }
-        } else {
-            ClusterError::Disconnected { replica: r }
-        }
-    }
-
-    /// Pipelined writes: enqueues every command before collecting any
-    /// reply, so the replica thread coalesces the burst into batches
-    /// instead of ping-ponging one command per reply. The command
-    /// channel's bound still applies — a burst deeper than 1024
-    /// commands blocks until the replica drains.
+    /// Pipelined writes: the whole burst is one command, so the replica
+    /// thread issues it in one pass, coalesces it into batches and
+    /// publishes once, instead of ping-ponging one command per reply.
     ///
     /// # Panics
     ///
-    /// Panics if `r` does not store one of the registers or the cluster
-    /// has shut down.
+    /// Panics if `r` does not store one of the registers, is crashed, or
+    /// the cluster has shut down.
     pub fn write_burst(&self, r: ReplicaId, writes: &[(RegisterId, Value)]) -> Vec<UpdateId> {
-        let (reply, rx) = bounded(writes.len().max(1));
-        for (x, v) in writes {
-            if self
-                .cmd(r)
-                .send(Cmd::Write {
-                    register: *x,
-                    value: v.clone(),
-                    reply: reply.clone(),
-                })
-                .is_err()
-            {
-                panic!(
-                    "write_burst({r}): {}",
-                    ClusterError::Disconnected { replica: r }
-                );
-            }
-        }
-        drop(reply);
-        let mut ids = Vec::with_capacity(writes.len());
-        for _ in writes {
-            match rx.recv() {
-                Ok(id) => ids.push(id),
-                Err(_) => panic!("write_burst({r}): {}", self.unreachable_kind(r)),
-            }
-        }
-        ids
+        self.replicas[r.index()]
+            .write(&self.graph, r, writes.to_vec())
+            .unwrap_or_else(|e| panic!("write_burst({r}): {e}"))
     }
 
     /// Reads register `x` at replica `r` from its published snapshot —
@@ -788,7 +625,7 @@ impl ThreadedCluster {
         );
         let (done, rx) = bounded(1);
         self.cmd(r)
-            .send(Cmd::Crash { done: Some(done) })
+            .send(Cmd::Crash { done })
             .unwrap_or_else(|_| panic!("crash({r}): cluster has shut down"));
         let _ = rx.recv();
     }
@@ -803,7 +640,7 @@ impl ThreadedCluster {
     pub fn restart(&self, r: ReplicaId) {
         let (done, rx) = bounded(1);
         self.cmd(r)
-            .send(Cmd::Restart { done: Some(done) })
+            .send(Cmd::Restart { done })
             .unwrap_or_else(|_| panic!("restart({r}): cluster has shut down"));
         let _ = rx.recv();
     }
@@ -828,24 +665,9 @@ impl ThreadedCluster {
     /// stable for a grace period.
     pub fn settle(&self) {
         let c = &self.counters;
-        let mut last = (usize::MAX, usize::MAX);
-        let mut stable_since = Instant::now();
-        loop {
-            let now = (
-                c.applied.load(Ordering::SeqCst),
-                c.pending.load(Ordering::SeqCst),
-            );
-            let sent = c.sent.load(Ordering::SeqCst);
-            let lost = c.lost.load(Ordering::SeqCst);
-            let drained = now.0 + lost >= sent && now.1 == 0;
-            if now != last {
-                last = now;
-                stable_since = Instant::now();
-            } else if drained && stable_since.elapsed() > Duration::from_millis(50) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        c.wait_stable(None, |applied| {
+            applied + c.lost.load(Ordering::SeqCst) >= c.sent.load(Ordering::SeqCst)
+        });
     }
 
     /// Checks the recorded trace for replica-centric causal consistency.
@@ -853,10 +675,22 @@ impl ThreadedCluster {
         check(&self.trace_snapshot(), self.graph.placement())
     }
 
-    /// A snapshot of the trace so far (shards merged and causally
-    /// re-sorted).
+    /// A snapshot of the trace so far: every shard is locked at once, so
+    /// the snapshot is a consistent cut (an issue is recorded before its
+    /// update leaves, so every apply in the cut has its issue in it), and
+    /// the shards are merged by [`merge_node_events`].
     pub fn trace_snapshot(&self) -> Trace {
-        merge_shards(self.replicas.iter().map(|r| &r.shared.shard))
+        let guards: Vec<_> = self
+            .replicas
+            .iter()
+            .map(|r| r.shared.shard.lock())
+            .collect();
+        let logs: Vec<Vec<NodeEvent>> = guards
+            .iter()
+            .map(|g| g.iter().map(|&(_, ev)| ev).collect())
+            .collect();
+        drop(guards);
+        merge_node_events(&logs)
     }
 
     /// Total remote applies so far.
@@ -915,11 +749,11 @@ impl Drop for ThreadedCluster {
     }
 }
 
-/// One protocol event exported from a node's trace shard, in the node's
-/// own thread order. The multi-process driver assembles per-node event
-/// logs into one global [`Trace`] *topologically* (an apply is placed
-/// after its issue) — wall clocks are not comparable across processes,
-/// so no stamps are exported.
+/// One protocol event of a replica's trace shard, in the replica's own
+/// thread order. [`merge_node_events`] assembles per-replica event logs
+/// into one global [`Trace`] *topologically* (an apply is placed after
+/// its issue) — wall clocks are not comparable across processes, so no
+/// stamps are exported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeEvent {
     /// `id` was issued at this node, writing `register`.
@@ -934,6 +768,55 @@ pub enum NodeEvent {
         /// The applied update's id.
         id: UpdateId,
     },
+}
+
+/// Reassembles per-replica event logs (`logs[i]` is replica `i`'s) into
+/// one global [`Trace`]: round-robin over the replicas, always
+/// preserving each replica's own order, emitting an apply only once its
+/// issue is placed. Happens-before (Definition 1) is built from each
+/// replica's own sequence of issues and applies, so *any* interleaving
+/// consistent with those two constraints reproduces exactly the
+/// per-replica histories the causal-consistency checker inspects — no
+/// clock is consulted, and clocks of different processes need not agree.
+///
+/// # Panics
+///
+/// Panics if some apply's issue never appears in any log (a corrupt
+/// report, or a cut that is not consistent — every applied update was
+/// issued somewhere).
+pub fn merge_node_events(logs: &[Vec<NodeEvent>]) -> Trace {
+    let mut pos = vec![0usize; logs.len()];
+    let mut placed: HashSet<UpdateId> = HashSet::new();
+    let mut trace = Trace::new();
+    let total: usize = logs.iter().map(Vec::len).sum();
+    let mut done = 0usize;
+    while done < total {
+        let mut progressed = false;
+        for (i, log) in logs.iter().enumerate() {
+            while pos[i] < log.len() {
+                match log[pos[i]] {
+                    NodeEvent::Issue { id, register } => {
+                        trace.record_issue_with_id(id, register);
+                        placed.insert(id);
+                    }
+                    NodeEvent::Apply { id } => {
+                        if !placed.contains(&id) {
+                            break; // this replica waits for the issuer's log
+                        }
+                        trace.record_apply(id, ReplicaId::new(i as u32));
+                    }
+                }
+                pos[i] += 1;
+                done += 1;
+                progressed = true;
+            }
+        }
+        assert!(
+            progressed,
+            "node event logs contain an apply whose issue never appears"
+        );
+    }
+    trace
 }
 
 /// One replica of a cluster running **in this process**, its peers
@@ -973,13 +856,13 @@ impl NodeRuntime {
         peers: HashMap<ReplicaId, SocketAddr>,
     ) -> io::Result<NodeRuntime> {
         let id = bound.id();
-        let graph = Arc::new(graph);
-        let registry = exact_registry(&graph);
+        let (registry, mut replicas) = build_replicas(&graph);
         let endpoint = TcpEndpoint::start(bound, peers, tcp, cluster_codec(id, registry.clone()))?;
+        let graph = Arc::new(graph);
         let engine = engine_config(&graph, registry, &config);
         let counters = Arc::new(Counters::default());
         let replica = spawn_replica(
-            id,
+            replicas.swap_remove(id.index()),
             &engine,
             &config,
             Instant::now(),
@@ -1012,17 +895,10 @@ impl NodeRuntime {
     /// Panics if this replica does not store `x` or the runtime has shut
     /// down.
     pub fn write(&self, x: RegisterId, v: Value) -> UpdateId {
-        let (reply, rx) = bounded(1);
-        self.replica
-            .cmd_tx
-            .send(Cmd::Write {
-                register: x,
-                value: v,
-                reply,
-            })
-            .unwrap_or_else(|_| panic!("write({x}): node {} has shut down", self.id));
-        rx.recv()
-            .unwrap_or_else(|_| panic!("write({x}): node {} replica thread died", self.id))
+        match self.replica.write(&self.graph, self.id, vec![(x, v)]) {
+            Ok(ids) => ids[0],
+            Err(e) => panic!("write({x}): {e}"),
+        }
     }
 
     /// Lock-free snapshot read of register `x`.
@@ -1056,24 +932,10 @@ impl NodeRuntime {
     /// quiescence primitive (each node knows its own expected apply count
     /// from the shared seeded workload; no cross-process counter exists).
     pub fn wait_quiescent(&self, expected_applies: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut stable_since = Instant::now();
-        let mut last = usize::MAX;
-        loop {
-            let applied = self.total_applied();
-            let drained =
-                applied >= expected_applies && self.counters.pending.load(Ordering::SeqCst) == 0;
-            if applied != last {
-                last = applied;
-                stable_since = Instant::now();
-            } else if drained && stable_since.elapsed() > Duration::from_millis(50) {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        self.counters
+            .wait_stable(Some(Instant::now() + timeout), |applied| {
+                applied >= expected_applies
+            })
     }
 
     /// This node's protocol events so far, in thread order.
@@ -1083,10 +945,7 @@ impl NodeRuntime {
             .shard
             .lock()
             .iter()
-            .map(|s| match s.ev {
-                ShardEvent::Issue { id, register } => NodeEvent::Issue { id, register },
-                ShardEvent::Apply { id } => NodeEvent::Apply { id },
-            })
+            .map(|&(_, ev)| ev)
             .collect()
     }
 
@@ -1129,12 +988,6 @@ impl CmdTx {
         self.bell.ring();
         Ok(())
     }
-
-    fn try_send(&self, cmd: Cmd) -> Result<(), TrySendError<Cmd>> {
-        self.tx.try_send(cmd)?;
-        self.bell.ring();
-        Ok(())
-    }
 }
 
 /// Counters every replica thread of one cluster (or one node) adds to;
@@ -1152,6 +1005,36 @@ struct Counters {
     demotions: AtomicUsize,
     lost: AtomicUsize,
     restarts: AtomicUsize,
+}
+
+impl Counters {
+    /// Polls every 5 ms until `drained(applied)` holds with nothing
+    /// pending and neither count has moved for 50 ms; `false` if
+    /// `deadline` passes first. The one quiescence wait of
+    /// [`ThreadedCluster::settle`] and [`NodeRuntime::wait_quiescent`].
+    fn wait_stable(&self, deadline: Option<Instant>, drained: impl Fn(usize) -> bool) -> bool {
+        let mut last = (usize::MAX, usize::MAX);
+        let mut stable_since = Instant::now();
+        loop {
+            let now = (
+                self.applied.load(Ordering::SeqCst),
+                self.pending.load(Ordering::SeqCst),
+            );
+            if now != last {
+                last = now;
+                stable_since = Instant::now();
+            } else if now.1 == 0
+                && drained(now.0)
+                && stable_since.elapsed() > Duration::from_millis(50)
+            {
+                return true;
+            }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
 }
 
 /// What a replica thread shares with its driver: the trace shard, the
@@ -1177,17 +1060,67 @@ impl ReplicaThread {
             let _ = t.join();
         }
     }
+
+    /// Issues `writes` at this replica (`r`) as one [`Cmd::WriteMany`]
+    /// and waits for every completion, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` does not store one of the registers — checked here,
+    /// in the calling thread, so a bad write never reaches the replica
+    /// thread.
+    fn write(
+        &self,
+        graph: &ShareGraph,
+        r: ReplicaId,
+        writes: Vec<(RegisterId, Value)>,
+    ) -> Result<Vec<UpdateId>, ClusterError> {
+        let ops: Vec<(u64, RegisterId, Value)> = (0..)
+            .zip(writes)
+            .map(|(token, (x, v))| {
+                assert!(
+                    graph.placement().stores(r, x),
+                    "write({r}, {x}): {r} does not store {x}"
+                );
+                (token, x, v)
+            })
+            .collect();
+        let n = ops.len();
+        let (reply, rx) = bounded(n.max(1));
+        if n > 0 && self.cmd_tx.send(Cmd::WriteMany { ops, reply }).is_err() {
+            return Err(ClusterError::Disconnected { replica: r });
+        }
+        (0..n)
+            .map(|_| match rx.recv() {
+                Ok((_, WriteStatus::Done(id))) => Ok(id),
+                Ok((_, WriteStatus::Crashed)) => Err(ClusterError::Crashed { replica: r }),
+                Err(_) => Err(ClusterError::Disconnected { replica: r }),
+            })
+            .collect()
+    }
 }
 
-/// The exact edge-indexed registry. Every process derives the identical
-/// one from the shared graph, so layout negotiation needs no exchange.
-fn exact_registry(graph: &ShareGraph) -> Arc<TsRegistry> {
-    let graphs = TimestampGraphs::build(graph, LoopConfig::EXHAUSTIVE);
-    Arc::new(TsRegistry::new(graph, graphs))
+/// Every replica of `graph` over the exact edge-indexed tracker, plus
+/// the registry they share. Every process derives the identical registry
+/// from the shared graph, so layout negotiation needs no exchange.
+fn build_replicas(graph: &ShareGraph) -> (Arc<TsRegistry>, Vec<Replica>) {
+    let (registry, replicas) = TrackerKind::EdgeIndexed(LoopConfig::EXHAUSTIVE).build_replicas(
+        graph,
+        graph.placement(),
+        &[],
+        PendingMode::default(),
+    );
+    (
+        registry.expect("edge-indexed trackers share a registry"),
+        replicas,
+    )
 }
 
 /// The runtime's [`EngineConfig`]: the engine clock is µs since the
 /// cluster epoch, so the session timers (ms) are scaled to µs here, once.
+/// Scripted crashes without a recovery log would be permanent data
+/// loss, which the runtime does not model, so a schedule that scripts
+/// crashes arms durability (1024 WAL entries between compactions).
 fn engine_config(
     graph: &Arc<ShareGraph>,
     registry: Arc<TsRegistry>,
@@ -1207,21 +1140,24 @@ fn engine_config(
             jitter: us(s.jitter),
             ack_delay: us(s.ack_delay),
         }),
-        snapshot_every: config.durability,
+        snapshot_every: config
+            .durability
+            .or((!config.schedule.crashes.is_empty()).then_some(1024)),
     })
 }
 
-/// Spawns replica `id`'s thread (`apply-N`) over transport `net` — the
+/// Spawns `replica`'s thread (`apply-N`) over transport `net` — the
 /// one place a [`ReplicaCtx`] is assembled, for both
 /// [`ThreadedCluster`] and [`NodeRuntime`].
 fn spawn_replica<T: Transport<Msg = SessionFrame<BatchMsg>>>(
-    id: ReplicaId,
+    replica: Replica,
     engine: &Arc<EngineConfig>,
     config: &ClusterConfig,
     epoch: Instant,
     net: T,
     counters: &Arc<Counters>,
 ) -> ReplicaThread {
+    let id = replica.id();
     let (tx, cmds) = bounded::<Cmd>(CHANNEL_DEPTH);
     let cmd_tx = CmdTx {
         tx,
@@ -1233,11 +1169,19 @@ fn spawn_replica<T: Transport<Msg = SessionFrame<BatchMsg>>>(
         crashed: AtomicBool::new(false),
         passes: AtomicU64::new(0),
     });
+    let script = config
+        .schedule
+        .crash_timeline()
+        .into_iter()
+        .filter(|&(_, r, _)| r == id)
+        .map(|(tick, _, restart)| (epoch + TICK * tick.min(u32::MAX as u64) as u32, restart))
+        .collect();
     let ctx = ReplicaCtx {
-        id,
+        replica,
         engine: Arc::clone(engine),
         store: config.store,
         epoch,
+        script,
         net,
         cmds,
         shared: Arc::clone(&shared),
@@ -1258,10 +1202,13 @@ fn spawn_replica<T: Transport<Msg = SessionFrame<BatchMsg>>>(
 /// carrying session frames: [`prcc_net::NodeHandle`] in-process,
 /// [`prcc_net::TcpHandle`] over real sockets — the loop is identical.
 struct ReplicaCtx<T: Transport<Msg = SessionFrame<BatchMsg>>> {
-    id: ReplicaId,
+    replica: Replica,
     engine: Arc<EngineConfig>,
     store: StoreMode,
     epoch: Instant,
+    /// This replica's scripted crash (`false`) and restart (`true`)
+    /// instants, in time order.
+    script: VecDeque<(Instant, bool)>,
     net: T,
     cmds: Receiver<Cmd>,
     shared: Arc<Shared>,
@@ -1276,7 +1223,6 @@ struct TxPath<'a, T: Transport<Msg = SessionFrame<BatchMsg>>> {
     /// The engine's effect buffer, drained by [`send`](Self::send).
     out: Vec<Outgoing>,
     shard: &'a TraceShard,
-    seq: u64,
     epoch: Instant,
     counters: &'a Counters,
 }
@@ -1289,24 +1235,15 @@ impl<T: Transport<Msg = SessionFrame<BatchMsg>>> TxPath<'_, T> {
         }
     }
 
-    fn record(&mut self, nanos: u64, evs: impl IntoIterator<Item = ShardEvent>) {
-        let mut s = self.shard.lock();
-        for ev in evs {
-            s.push(Stamped {
-                nanos,
-                seq: self.seq,
-                ev,
-            });
-            self.seq += 1;
-        }
+    /// The engine clock: µs since the cluster epoch.
+    fn now(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
     }
 
-    /// Issues one write through the engine, stamps it, and sends its
+    /// Issues one write through the engine, records it, and sends its
     /// frames. Does *not* publish a snapshot — the caller publishes once
     /// per drain burst, which is what makes bursts cheap.
     fn issue(&mut self, engine: &mut Engine, register: RegisterId, value: Value) -> UpdateId {
-        // The stamp is taken before any frame leaves: the shard merge
-        // relies on issue stamps preceding all apply stamps.
         let nanos = self.epoch.elapsed().as_nanos() as u64;
         let issued = engine
             .write(register, value, nanos / 1000, &mut self.out, |_, _| {})
@@ -1315,7 +1252,12 @@ impl<T: Transport<Msg = SessionFrame<BatchMsg>>> TxPath<'_, T> {
             issuer: issued.msg.issuer,
             seq: issued.msg.seq,
         };
-        self.record(nanos, [ShardEvent::Issue { id, register }]);
+        // Recorded before any frame leaves: every apply of `id` anywhere
+        // is then recorded after this issue, which is what makes a
+        // snapshot taken under all shard locks a consistent cut.
+        self.shard
+            .lock()
+            .push((nanos, NodeEvent::Issue { id, register }));
         let c = self.counters;
         c.sent.fetch_add(issued.fanout, Ordering::SeqCst);
         c.wire_bytes.fetch_add(issued.wire_bytes, Ordering::Relaxed);
@@ -1323,19 +1265,17 @@ impl<T: Transport<Msg = SessionFrame<BatchMsg>>> TxPath<'_, T> {
         id
     }
 
-    /// Stamps a delivery's applies; returns how many there were.
+    /// Records a delivery's applies; returns how many there were.
     fn applied(&mut self, applied: &[Applied]) -> usize {
         if !applied.is_empty() {
             let nanos = self.epoch.elapsed().as_nanos() as u64;
-            self.record(
-                nanos,
-                applied.iter().map(|a| ShardEvent::Apply {
-                    id: UpdateId {
-                        issuer: a.msg.issuer,
-                        seq: a.msg.seq,
-                    },
-                }),
-            );
+            self.shard.lock().extend(applied.iter().map(|a| {
+                let id = UpdateId {
+                    issuer: a.msg.issuer,
+                    seq: a.msg.seq,
+                };
+                (nanos, NodeEvent::Apply { id })
+            }));
         }
         applied.len()
     }
@@ -1376,27 +1316,52 @@ type ManyReply = (Sender<(u64, WriteStatus)>, Vec<(u64, WriteStatus)>);
 #[derive(Default)]
 struct DeferredReplies {
     wrote: bool,
-    writes: Vec<(Sender<UpdateId>, UpdateId)>,
     many: Vec<ManyReply>,
 }
 
 impl DeferredReplies {
     /// Publishes once (iff any write is pending) and releases every
-    /// held completion token — the one-publish-per-drain-burst path
-    /// shared by [`Cmd::Write`] and [`Cmd::WriteMany`].
+    /// held completion token — the one-publish-per-drain-burst path.
     fn release(&mut self, snapshot: &SnapshotCell, engine: &Engine, mode: StoreMode) {
         if self.wrote {
             publish_view(snapshot, engine, mode);
             self.wrote = false;
-        }
-        for (reply, uid) in self.writes.drain(..) {
-            let _ = reply.send(uid);
         }
         for (reply, statuses) in self.many.drain(..) {
             for s in statuses {
                 let _ = reply.send(s);
             }
         }
+    }
+}
+
+/// Crashes the engine (`restart == false`) or restarts it from its
+/// durable log — the one path for [`Cmd::Crash`], [`Cmd::Restart`] and
+/// the scripted timeline. The crash must observe every completion
+/// already promised, so the burst publishes and releases first; the
+/// engine ships the burst's open batches before it goes down. A restart
+/// republishes from recovered state, so durable writes become
+/// snapshot-visible again at once.
+fn crash_or_restart<T: Transport<Msg = SessionFrame<BatchMsg>>>(
+    restart: bool,
+    engine: &mut Engine,
+    tx: &mut TxPath<'_, T>,
+    shared: &Shared,
+    deferred: &mut DeferredReplies,
+    mode: StoreMode,
+) {
+    deferred.release(&shared.snapshot, engine, mode);
+    let now = tx.now();
+    if restart {
+        if engine.restart(now, &mut tx.out) {
+            tx.send();
+            shared.crashed.store(false, Ordering::SeqCst);
+            tx.counters.restarts.fetch_add(1, Ordering::SeqCst);
+            publish_view(&shared.snapshot, engine, mode);
+        }
+    } else if engine.crash(now, &mut tx.out) {
+        tx.send();
+        shared.crashed.store(true, Ordering::SeqCst);
     }
 }
 
@@ -1410,45 +1375,40 @@ pub const IDLE_PARK: Duration = Duration::from_millis(50);
 /// The replica loop — the one loop every configuration runs (batched or
 /// not, durable or not, `ThreadNet` or TCP, crash-bearing or not). It
 /// drives one [`Engine`] (codec, batches, session, WAL, crash/restart)
-/// and owns what the engine does not: commands, the doorbell park, the
-/// trace shard, snapshot publishing and the cluster counters. Every
-/// engine input is followed by sending the frames it emitted.
+/// and owns what the engine does not: commands, scripted crashes, the
+/// doorbell park, the trace shard, snapshot publishing and the cluster
+/// counters. Every engine input is followed by sending the frames it
+/// emitted.
 ///
-/// Each pass drains a burst of commands, publishes once and releases
-/// their completion tokens, ships the batches that burst opened, drains
-/// a burst of frames, publishes once, and ticks the engine (due session
+/// Each pass fires the scripted crashes and restarts that are due,
+/// drains a burst of commands, publishes once and releases their
+/// completion tokens, ships the batches that burst opened, drains a
+/// burst of frames, publishes once, and ticks the engine (due session
 /// timers). It then parks through the transport
-/// ([`Transport::wait_until`]) until the engine's next session timer,
-/// and is woken early only by an arrival: a command ([`CmdTx`] rings the
-/// transport's [`Doorbell`]) or a frame falling due (the substrate wakes
-/// the park by its due instant). The park token is sticky, so an arrival
-/// between the last queue check and the park is never slept through.
+/// ([`Transport::wait_until`]) until the engine's next session timer or
+/// scripted event, whichever is first, and is woken early only by an
+/// arrival: a command ([`CmdTx`] rings the transport's [`Doorbell`]) or
+/// a frame falling due (the substrate wakes the park by its due
+/// instant). The park token is sticky, so an arrival between the last
+/// queue check and the park is never slept through.
 fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) {
     let ReplicaCtx {
-        id,
+        replica,
         engine: config,
         store: mode,
         epoch,
+        mut script,
         net,
         cmds,
         shared,
         counters,
     } = ctx;
     net.doorbell().bind();
-    let registry = config.registry.clone().expect("runtime engines compress");
-    let replica = Replica::new(
-        id,
-        config.graph.placement().registers_of(id).clone(),
-        Box::new(EdgeTracker::new(registry, id)) as Box<dyn CausalityTracker>,
-    );
     let mut engine = Engine::new(replica, config);
-    // The engine clock: µs since the cluster epoch.
-    let now = || epoch.elapsed().as_micros() as u64;
     let mut tx = TxPath {
         net: &net,
         out: Vec::new(),
         shard: &shared.shard,
-        seq: 0,
         epoch,
         counters: &counters,
     };
@@ -1457,6 +1417,10 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) 
     let mut deferred = DeferredReplies::default();
     loop {
         shared.passes.fetch_add(1, Ordering::Relaxed);
+        while let Some(&(_, restart)) = script.front().filter(|&&(at, _)| at <= Instant::now()) {
+            script.pop_front();
+            crash_or_restart(restart, &mut engine, &mut tx, &shared, &mut deferred, mode);
+        }
         // Set when a burst budget ran out with its queue possibly
         // non-empty: that input rang the bell before this pass took it,
         // so only an explicit next pass (not a park) is sure to see it.
@@ -1475,32 +1439,18 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) 
             };
             budget -= 1;
             match cmd {
-                Cmd::Write {
-                    register,
-                    value,
-                    reply,
-                } => {
-                    if engine.is_crashed() {
-                        // Dropping the reply sender surfaces as a typed
-                        // ClusterError::Crashed at the caller.
-                        continue;
-                    }
-                    let uid = tx.issue(&mut engine, register, value);
-                    // Defer the completion: the burst publishes once,
-                    // and no token escapes before that publish
-                    // (read-own-writes).
-                    deferred.wrote = true;
-                    deferred.writes.push((reply, uid));
-                }
                 Cmd::WriteMany { ops, reply } => {
                     if engine.is_crashed() {
-                        // Typed per-op rejection: the serving tier
-                        // re-routes each op to a live holder.
+                        // Typed per-op rejection: the caller re-routes
+                        // or reports ClusterError::Crashed.
                         for (token, _, _) in ops {
                             let _ = reply.send((token, WriteStatus::Crashed));
                         }
                         continue;
                     }
+                    // Defer the completions: the burst publishes once,
+                    // and no token escapes before that publish
+                    // (read-own-writes).
                     let done: Vec<_> = ops
                         .into_iter()
                         .map(|(token, register, value)| {
@@ -1514,36 +1464,16 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) 
                     deferred.many.push((reply, done));
                 }
                 Cmd::Crash { done } => {
-                    // The crash must observe every completion already
-                    // promised: publish and release before the window
-                    // opens. It ends the pass, so the engine ships the
-                    // burst's open batches before it goes down.
-                    deferred.release(&shared.snapshot, &engine, mode);
-                    if engine.crash(now(), &mut tx.out) {
-                        tx.send();
-                        shared.crashed.store(true, Ordering::SeqCst);
-                    }
-                    if let Some(d) = done {
-                        let _ = d.send(());
-                    }
+                    crash_or_restart(false, &mut engine, &mut tx, &shared, &mut deferred, mode);
+                    let _ = done.send(());
                 }
                 Cmd::Restart { done } => {
-                    deferred.release(&shared.snapshot, &engine, mode);
-                    if engine.restart(now(), &mut tx.out) {
-                        tx.send();
-                        shared.crashed.store(false, Ordering::SeqCst);
-                        counters.restarts.fetch_add(1, Ordering::SeqCst);
-                        // Republish from recovered state: durable writes
-                        // become snapshot-visible again immediately.
-                        publish_view(&shared.snapshot, &engine, mode);
-                    }
-                    if let Some(d) = done {
-                        let _ = d.send(());
-                    }
+                    crash_or_restart(true, &mut engine, &mut tx, &shared, &mut deferred, mode);
+                    let _ = done.send(());
                 }
                 Cmd::Shutdown => {
                     deferred.release(&shared.snapshot, &engine, mode);
-                    engine.flush(now(), &mut tx.out);
+                    engine.flush(tx.now(), &mut tx.out);
                     tx.send();
                     return;
                 }
@@ -1555,7 +1485,7 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) 
         deferred.release(&shared.snapshot, &engine, mode);
         // The burst was the batch: ship what it left open.
         if engine.has_open_batch() {
-            engine.flush(now(), &mut tx.out);
+            engine.flush(tx.now(), &mut tx.out);
             tx.send();
         }
         // Then a burst of network input.
@@ -1576,7 +1506,7 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) 
                 }
                 continue;
             }
-            let got = engine.on_frame(env.src, env.msg, now(), &mut tx.out, |_| {});
+            let got = engine.on_frame(env.src, env.msg, tx.now(), &mut tx.out, |_| {});
             tx.send();
             applied += tx.applied(&got);
         }
@@ -1585,17 +1515,18 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) 
             counters.applied.fetch_add(applied, Ordering::SeqCst);
             publish_view(&shared.snapshot, &engine, mode);
         }
-        let mut wake = None;
+        let mut wake = script.front().map(|&(at, _)| at);
         if !engine.is_crashed() {
             let pending = engine.replica().pending_count();
             roll(&counters.pending, &mut local_pending, pending);
             // Fire the session timers that are due and learn when the
             // next one is.
-            engine.tick(now(), &mut tx.out);
+            engine.tick(tx.now(), &mut tx.out);
             tx.send();
-            wake = engine
-                .next_deadline()
-                .map(|us| epoch + Duration::from_micros(us));
+            if let Some(us) = engine.next_deadline() {
+                let timer = epoch + Duration::from_micros(us);
+                wake = Some(wake.map_or(timer, |at| at.min(timer)));
+            }
         }
         let retx = engine.session_stats().map_or(0, |s| s.retransmits);
         roll(&counters.retransmits, &mut last_retx, retx);
@@ -1648,6 +1579,51 @@ mod tests {
         assert_eq!(cluster.read(r(1), x(0)), Some(Value::from(9u64)));
         let trace = cluster.shutdown();
         assert_eq!(trace.num_updates(), 40);
+    }
+
+    #[test]
+    fn a_write_to_an_unstored_register_panics_in_the_caller() {
+        // path(2) stores only x0; the bad write must panic here, not kill
+        // replica 0's thread.
+        let cluster = ThreadedCluster::new(topology::path(2), DelayModel::Fixed(0), 1);
+        let bad = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cluster.write(r(0), x(5), Value::from(1u64))
+        }));
+        assert!(bad.is_err(), "a write to an unstored register must panic");
+        assert!(cluster.try_write(r(0), x(0), Value::from(2u64)).is_ok());
+    }
+
+    #[test]
+    fn merge_reorders_applies_after_issues() {
+        // Replica 0's log starts with an apply of replica 1's update —
+        // the round-robin merge must hold it back until replica 1's issue
+        // is placed (logs are indexed by replica id, and replica 0 is
+        // visited first).
+        let u = UpdateId {
+            issuer: r(1),
+            seq: 0,
+        };
+        let logs = [
+            vec![NodeEvent::Apply { id: u }],
+            vec![NodeEvent::Issue {
+                id: u,
+                register: x(0),
+            }],
+        ];
+        let trace = merge_node_events(&logs);
+        assert_eq!(trace.num_updates(), 1);
+        let g = topology::path(2);
+        assert!(check(&trace, g.placement()).is_consistent());
+    }
+
+    #[test]
+    #[should_panic(expected = "issue never appears")]
+    fn merge_rejects_orphan_apply() {
+        let u = UpdateId {
+            issuer: r(0),
+            seq: 7,
+        };
+        merge_node_events(&[vec![NodeEvent::Apply { id: u }]]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! [`CowStore`] fixes the asymptotics with plain `Arc` sharing: the
 //! store is a fixed power-of-two array of `Arc<Shard>` hash maps
 //! (value + provenance together, so a snapshot can never pair a value
-//! with the wrong source), held as `Arc`-shared chunks of [`CHUNK`]
+//! with the wrong source), held as `Arc`-shared chunks of `CHUNK`
 //! shards. Publishing is [`CowStore::share`] — clone the `Vec` of chunk
 //! `Arc`s, O(shards / CHUNK) refcount bumps, no data copied.
 //! Mutation goes through [`Arc::make_mut`], chunk first and shard

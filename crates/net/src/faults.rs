@@ -293,9 +293,9 @@ impl FaultSchedule {
     }
 
     /// Every crash and restart instant interleaved in time order:
-    /// `(tick, replica, is_restart)`. This is the driver sequence for a
-    /// runtime that injects crashes as commands (the threaded cluster's
-    /// fault driver walks it and sleeps between entries).
+    /// `(tick, replica, is_restart)`. The threaded runtime's replica
+    /// loops each keep their own entries of it and fire them when their
+    /// tick falls due.
     pub fn crash_timeline(&self) -> Vec<(u64, ReplicaId, bool)> {
         let mut t: Vec<(u64, ReplicaId, bool)> = self
             .crashes

@@ -53,7 +53,6 @@
 //! point never exceeds the receiver's durable point, and `restart`'s
 //! `CatchUp{recv_cum}` can only move the peer's sender *forward*.
 
-use crate::sim_net::Envelope;
 use prcc_sharegraph::ReplicaId;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -580,18 +579,6 @@ impl<M: Clone> SessionEndpoint<M> {
             self.stats.catch_up_sent += 1;
             out.push((src, SessionFrame::CatchUp { recv_cum: cum }));
         }
-    }
-
-    /// Convenience for tests and single-process drivers: feed a network
-    /// envelope addressed to this endpoint.
-    pub fn on_envelope(
-        &mut self,
-        env: Envelope<SessionFrame<M>>,
-        now: u64,
-        out: &mut Vec<(ReplicaId, SessionFrame<M>)>,
-    ) -> Vec<M> {
-        debug_assert_eq!(env.dst, self.local);
-        self.on_frame(env.src, env.msg, now, out)
     }
 }
 

@@ -468,18 +468,6 @@ impl<M: Send + 'static> TcpEndpoint<M> {
         })
     }
 
-    /// Convenience: bind and start in one call (requires `listen` to be a
-    /// concrete address when peers must know it beforehand).
-    pub fn bind_and_start(
-        id: ReplicaId,
-        listen: SocketAddr,
-        peers: HashMap<ReplicaId, SocketAddr>,
-        cfg: TcpNetConfig,
-        codec: CodecFactory<M>,
-    ) -> io::Result<TcpEndpoint<M>> {
-        Self::start(BoundListener::bind(id, listen)?, peers, cfg, codec)
-    }
-
     /// The address this endpoint accepts connections on.
     pub fn local_addr(&self) -> SocketAddr {
         self.addr

@@ -291,6 +291,48 @@ pub fn communities(communities: usize, size: usize) -> ShareGraph {
     ShareGraph::new(b.build())
 }
 
+/// Parses a command-line topology spec — `ring:<n>`, `path:<n>`,
+/// `star:<leaves>`, `tree:<n>`, `grid:<w>x<h>`, `clique:<n>x<registers>`,
+/// `geo:<dcs>`, or one of the paper's `fig3`, `fig5`, `fig8a`, `fig8b` —
+/// into its share graph. The one parser behind `prcc` and `prcc-node`.
+///
+/// # Errors
+///
+/// A one-line message naming the spec when the kind is unknown, a
+/// numeric field does not parse, or a two-field kind lacks its `x`.
+pub fn parse(spec: &str) -> Result<ShareGraph, String> {
+    use crate::paper_examples as paper;
+    let (kind, arg) = spec.split_once(':').unwrap_or((spec, ""));
+    let num = |s: &str| {
+        s.parse::<usize>()
+            .map_err(|_| format!("bad numeric argument '{s}' in topology '{spec}'"))
+    };
+    let pair = |shape: &str| {
+        arg.split_once('x')
+            .ok_or_else(|| format!("topology '{spec}' needs {kind}:{shape}"))
+    };
+    Ok(match kind {
+        "ring" => ring(num(arg)?),
+        "path" => path(num(arg)?),
+        "star" => star(num(arg)?),
+        "tree" => binary_tree(num(arg)?),
+        "grid" => {
+            let (w, h) = pair("<w>x<h>")?;
+            grid(num(w)?, num(h)?)
+        }
+        "clique" => {
+            let (n, r) = pair("<n>x<registers>")?;
+            clique_full(num(n)?, num(r)?)
+        }
+        "geo" => geo_placement(num(arg)?, 3, 1, 0),
+        "fig3" => paper::figure3(),
+        "fig5" => paper::figure5(),
+        "fig8a" => paper::figure8a(),
+        "fig8b" => paper::figure8b(),
+        _ => return Err(format!("unknown topology '{spec}'")),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -31,9 +31,7 @@ pub mod zipf;
 
 pub use aggregate::{run_many, AggregateReport, Spread};
 pub use client_scenario::{run_client_scenario, ClientRunReport, ClientScenarioConfig};
-pub use netrun::{
-    designated_writer, merge_node_events, store_fingerprint, store_lines, write_value, NetWorkload,
-};
+pub use netrun::{designated_writer, store_fingerprint, store_lines, write_value, NetWorkload};
 pub use scenario::{run_head_to_head, run_scenario, RunReport, ScenarioConfig};
 pub use serving::{
     generate_session_ops, run_serving_oracle, run_serving_scenario, OracleReport, ServingRunReport,

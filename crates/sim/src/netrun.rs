@@ -13,15 +13,12 @@
 //! then a transport bug, never scheduling noise.
 //!
 //! For multi-process runs (`prcc-node`), each node exports its event log
-//! ([`NodeEvent`]) and the driver reassembles a global [`Trace`] with
-//! [`merge_node_events`] — a topological merge that preserves each
-//! node's own event order and places every apply after its issue, since
-//! wall clocks are not comparable across processes.
+//! ([`NodeEvent`](prcc_core::NodeEvent)) and the driver reassembles a
+//! global trace with [`merge_node_events`](prcc_core::merge_node_events),
+//! the same merge the in-process cluster's `trace_snapshot` runs.
 
-use prcc_checker::Trace;
-use prcc_core::{NodeEvent, ReplicaView, ThreadedCluster, Value};
+use prcc_core::{ReplicaView, ThreadedCluster, Value};
 use prcc_sharegraph::{RegisterId, ReplicaId, ShareGraph};
-use std::collections::HashSet;
 
 /// The register's one designated writer: a deterministic pick among its
 /// holders (`holders(x)[x.index() mod |holders|]`), so every process
@@ -150,56 +147,9 @@ pub fn store_fingerprint(view: &ReplicaView) -> u64 {
     h
 }
 
-/// Reassembles per-node event logs into one global [`Trace`]:
-/// round-robin over the nodes, always preserving each node's own order,
-/// emitting an apply only once its issue is placed. Cross-process
-/// clocks are incomparable, so *any* interleaving consistent with those
-/// two constraints reproduces exactly the per-replica histories the
-/// causal-consistency checker inspects.
-///
-/// # Panics
-///
-/// Panics if some apply's issue never appears in any log (a corrupt
-/// report — every applied update was issued somewhere).
-pub fn merge_node_events(logs: &[Vec<NodeEvent>]) -> Trace {
-    let mut pos = vec![0usize; logs.len()];
-    let mut placed: HashSet<prcc_checker::UpdateId> = HashSet::new();
-    let mut trace = Trace::new();
-    let total: usize = logs.iter().map(Vec::len).sum();
-    let mut done = 0usize;
-    while done < total {
-        let mut progressed = false;
-        for (i, log) in logs.iter().enumerate() {
-            while pos[i] < log.len() {
-                match log[pos[i]] {
-                    NodeEvent::Issue { id, register } => {
-                        trace.record_issue_with_id(id, register);
-                        placed.insert(id);
-                    }
-                    NodeEvent::Apply { id } => {
-                        if !placed.contains(&id) {
-                            break; // this node waits for the issuer's log
-                        }
-                        trace.record_apply(id, ReplicaId::new(i as u32));
-                    }
-                }
-                pos[i] += 1;
-                done += 1;
-                progressed = true;
-            }
-        }
-        assert!(
-            progressed,
-            "node event logs contain an apply whose issue never appears"
-        );
-    }
-    trace
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prcc_checker::{check, UpdateId};
     use prcc_sharegraph::topology;
 
     fn r(i: u32) -> ReplicaId {
@@ -232,39 +182,6 @@ mod tests {
             .map(|i| g.placement().holders(x(i as u32)).len() - 1)
             .sum();
         assert_eq!(total_applies, pairs * 4);
-    }
-
-    #[test]
-    fn merge_reorders_applies_after_issues() {
-        // Node 0's log starts with an apply of node 1's update — the
-        // round-robin merge must hold it back until node 1's issue is
-        // placed (logs are indexed by replica id, and node 0 is visited
-        // first).
-        let u = UpdateId {
-            issuer: r(1),
-            seq: 0,
-        };
-        let logs = [
-            vec![NodeEvent::Apply { id: u }],
-            vec![NodeEvent::Issue {
-                id: u,
-                register: x(0),
-            }],
-        ];
-        let trace = merge_node_events(&logs);
-        assert_eq!(trace.num_updates(), 1);
-        let g = topology::path(2);
-        assert!(check(&trace, g.placement()).is_consistent());
-    }
-
-    #[test]
-    #[should_panic(expected = "issue never appears")]
-    fn merge_rejects_orphan_apply() {
-        let u = UpdateId {
-            issuer: r(0),
-            seq: 7,
-        };
-        merge_node_events(&[vec![NodeEvent::Apply { id: u }]]);
     }
 
     #[test]

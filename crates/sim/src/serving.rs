@@ -4,7 +4,7 @@
 //! causal-consistency and session-guarantee verdicts from the trace.
 //!
 //! The same generated op streams can be replayed against the lockstep
-//! [`ClientServerSystem`](prcc_core::ClientServerSystem) with identical
+//! [`ClientServerSystem`] with identical
 //! routing ([`run_serving_oracle`]) — the differential oracle for the
 //! threaded tier.
 

@@ -42,10 +42,10 @@
 
 use prcc::checker::{check, UpdateId};
 use prcc::core::runtime::{NodeRuntime, ThreadedCluster};
-use prcc::core::{ClusterConfig, NodeEvent, WireMode};
+use prcc::core::{merge_node_events, ClusterConfig, NodeEvent, WireMode};
 use prcc::net::{BoundListener, DelayModel, SessionConfig, TcpNetConfig, TcpStatsSnapshot};
-use prcc::sharegraph::{topology, RegisterId, ReplicaId, ShareGraph};
-use prcc::sim::netrun::{merge_node_events, store_fingerprint, store_lines, NetWorkload};
+use prcc::sharegraph::{topology, RegisterId, ReplicaId};
+use prcc::sim::netrun::{store_fingerprint, store_lines, NetWorkload};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -82,29 +82,6 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
         .cloned()
-}
-
-fn parse_topology(spec: &str) -> Result<ShareGraph, String> {
-    let (kind, arg) = spec.split_once(':').unwrap_or((spec, ""));
-    let num = |s: &str| {
-        s.parse::<usize>()
-            .map_err(|_| format!("bad numeric argument '{s}' in topology '{spec}'"))
-    };
-    Ok(match kind {
-        "ring" => topology::ring(num(arg)?),
-        "path" => topology::path(num(arg)?),
-        "star" => topology::star(num(arg)?),
-        "tree" => topology::binary_tree(num(arg)?),
-        "grid" => match arg.split_once('x') {
-            Some((w, h)) => topology::grid(num(w)?, num(h)?),
-            None => return Err(format!("grid topology needs wxh, got '{arg}'")),
-        },
-        "clique" => match arg.split_once('x') {
-            Some((n, r)) => topology::clique_full(num(n)?, num(r)?),
-            None => return Err(format!("clique topology needs nxr, got '{arg}'")),
-        },
-        other => return Err(format!("unknown topology '{other}'")),
-    })
 }
 
 /// A session tuned for loopback round trips, so any startup shed is
@@ -287,7 +264,7 @@ fn try_run_node(args: &[String]) -> Result<(), String> {
     );
     let text = std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"))?;
     let spec = parse_config(&text)?;
-    let g = parse_topology(&spec.topology)?;
+    let g = topology::parse(&spec.topology)?;
     if spec.nodes.len() != g.num_replicas() {
         return Err(format!(
             "config has {} node entries but topology '{}' has {} replicas",
@@ -506,7 +483,7 @@ fn try_run_driver(args: &[String]) -> Result<bool, String> {
         .transpose()?
         .unwrap_or(60);
 
-    let g = parse_topology(&topology_spec)?;
+    let g = topology::parse(&topology_spec)?;
     if g.num_replicas() != n {
         return Err(format!(
             "--launch {n} but topology '{topology_spec}' has {} replicas",

@@ -10,15 +10,11 @@
 
 use prcc::core::{BatchPolicy, Scenario, TrackerKind, WireMode};
 use prcc::net::{DelayModel, FaultPlan, FaultSchedule, SessionConfig};
-use prcc::sharegraph::{
-    paper_examples, topology, LoopConfig, RegisterId, ReplicaId, ShareGraph, TimestampGraphs,
-};
+use prcc::sharegraph::{topology, LoopConfig, RegisterId, ReplicaId, ShareGraph, TimestampGraphs};
 use prcc::sim::{run_scenario, ScenarioConfig, WorkloadConfig};
 use prcc::timestamp::compress_replica;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: prcc <command> [args]\n\
+const USAGE: &str = "usage: prcc <command> [args]\n\
          \n\
          commands:\n\
            inspect <topology>                    print share/timestamp graphs + compression\n\
@@ -50,42 +46,11 @@ fn usage() -> ! {
                                          --crash/--drop/--partition (the schedule runs\n\
                                          live under the serving workload: sessions\n\
                                          fail over, overload sheds, availability is\n\
-                                         reported)"
-    );
-    std::process::exit(2);
-}
+                                         reported)";
 
-fn parse_topology(spec: &str) -> ShareGraph {
-    let (kind, arg) = match spec.split_once(':') {
-        Some((k, a)) => (k, a),
-        None => (spec, ""),
-    };
-    let num = |s: &str| -> usize {
-        s.parse().unwrap_or_else(|_| {
-            eprintln!("bad numeric argument '{s}' in topology '{spec}'");
-            std::process::exit(2);
-        })
-    };
-    match kind {
-        "ring" => topology::ring(num(arg)),
-        "path" => topology::path(num(arg)),
-        "star" => topology::star(num(arg)),
-        "tree" => topology::binary_tree(num(arg)),
-        "grid" => match arg.split_once('x') {
-            Some((w, h)) => topology::grid(num(w), num(h)),
-            None => usage(),
-        },
-        "clique" => match arg.split_once('x') {
-            Some((n, r)) => topology::clique_full(num(n), num(r)),
-            None => usage(),
-        },
-        "geo" => topology::geo_placement(num(arg), 3, 1, 0),
-        "fig3" => paper_examples::figure3(),
-        "fig5" => paper_examples::figure5(),
-        "fig8a" => paper_examples::figure8a(),
-        "fig8b" => paper_examples::figure8b(),
-        _ => usage(),
-    }
+fn usage() -> ! {
+    eprintln!("{USAGE}");
+    std::process::exit(2);
 }
 
 fn flag(args: &[String], name: &str) -> Option<String> {
@@ -370,7 +335,10 @@ fn main() {
         usage();
     }
     let topo = rest.first().map(String::as_str).unwrap_or_else(|| usage());
-    let g = parse_topology(topo);
+    let g = topology::parse(topo).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     match cmd {
         "inspect" => cmd_inspect(&g),
         "run" => cmd_run(&g, rest),
@@ -420,5 +388,37 @@ mod tests {
         let err = parse_batch("4:512:1").unwrap_err();
         assert!(err.contains("<count>[:<bytes>]"), "{err}");
         assert!(parse_batch("four").unwrap_err().contains("bad numeric"));
+    }
+
+    #[test]
+    fn every_topology_in_the_usage_text_parses() {
+        let section = USAGE
+            .split_once("topologies:")
+            .and_then(|(_, rest)| rest.split_once("run options:"))
+            .expect("usage text lists topologies")
+            .0;
+        let specs: Vec<&str> = section.split_whitespace().collect();
+        assert_eq!(specs.len(), 11, "{specs:?}");
+        for spec in specs {
+            // Every `<field>` placeholder becomes 3.
+            let concrete: String = spec
+                .split('<')
+                .enumerate()
+                .map(|(i, part)| match (i, part.split_once('>')) {
+                    (0, _) | (_, None) => part.to_owned(),
+                    (_, Some((_, tail))) => format!("3{tail}"),
+                })
+                .collect();
+            if let Err(e) = topology::parse(&concrete) {
+                panic!("usage lists '{spec}' but '{concrete}' does not parse: {e}");
+            }
+        }
+        assert!(topology::parse("ring:one")
+            .unwrap_err()
+            .contains("bad numeric"));
+        assert!(topology::parse("grid:3").unwrap_err().contains("<w>x<h>"));
+        assert!(topology::parse("moebius:3")
+            .unwrap_err()
+            .contains("unknown topology"));
     }
 }
