@@ -64,7 +64,7 @@ impl Experiment {
 
     /// Serializes to a JSON object (hand-rolled — the offline build has
     /// no serde; field layout matches the former derive output).
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let mut out = String::from("{");
         json_field(&mut out, "id", &json_string(&self.id));
         json_field(&mut out, "title", &json_string(&self.title));
@@ -89,7 +89,7 @@ fn json_string_array(items: &[String]) -> String {
 }
 
 /// Escapes `s` as a JSON string literal.
-pub fn json_string(s: &str) -> String {
+fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

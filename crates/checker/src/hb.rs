@@ -179,34 +179,6 @@ impl HbGraph {
     pub fn updates(&self) -> &[UpdateId] {
         &self.updates
     }
-
-    /// Renders the happened-before relation as a Graphviz digraph with
-    /// *transitive reduction* (only covering edges drawn) — readable even
-    /// for dense relations.
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph hb {\n  rankdir=LR;\n");
-        let n = self.updates.len();
-        for u in &self.updates {
-            let _ = writeln!(out, "  \"{u}\";");
-        }
-        for b in 0..n {
-            for a in 0..n {
-                if !self.preds[b].contains(a) {
-                    continue;
-                }
-                // Covering edge: no c with a ↪ c ↪ b.
-                let covered = (0..n).any(|c| {
-                    c != a && c != b && self.preds[b].contains(c) && self.preds[c].contains(a)
-                });
-                if !covered {
-                    let _ = writeln!(out, "  \"{}\" -> \"{}\";", self.updates[a], self.updates[b]);
-                }
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -325,21 +297,6 @@ mod tests {
             r(1),
         );
         let _ = HbGraph::build(&t);
-    }
-
-    #[test]
-    fn dot_renders_transitive_reduction() {
-        let mut t = Trace::new();
-        let a = t.record_issue(r(0), x(0));
-        let b = t.record_issue(r(0), x(0));
-        let c = t.record_issue(r(0), x(0));
-        let hb = HbGraph::build(&t);
-        let dot = hb.to_dot();
-        // a -> b and b -> c drawn, a -> c reduced away.
-        assert!(dot.contains(&format!("\"{a}\" -> \"{b}\"")));
-        assert!(dot.contains(&format!("\"{b}\" -> \"{c}\"")));
-        assert!(!dot.contains(&format!("\"{a}\" -> \"{c}\"")));
-        assert!(dot.starts_with("digraph hb"));
     }
 
     #[test]

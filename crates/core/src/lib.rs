@@ -63,8 +63,7 @@ pub use recovery::{RecoveryLog, WalEntry};
 pub use replica::{Applied, PendingMode, Replica, ReplicaError, WriteOutput};
 pub use routed_general::{RoutedError, RoutedSystem};
 pub use runtime::{
-    merge_node_events, ClusterConfig, ClusterError, NodeEvent, NodeRuntime, ReplicaView,
-    ThreadedCluster,
+    merge_node_events, ClusterConfig, ClusterError, NodeEvent, ReplicaView, ThreadedCluster,
 };
 pub use serving::{
     Collected, ServingConfig, ServingError, ServingStats, ServingTier, ServingWorker,

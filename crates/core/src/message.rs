@@ -108,11 +108,6 @@ pub struct UpdateMsg {
 }
 
 impl UpdateMsg {
-    /// True if this message carries no data payload.
-    pub fn is_metadata_only(&self) -> bool {
-        self.value.is_none()
-    }
-
     /// Total wire size: metadata plus payload plus fixed header (issuer,
     /// seq, register: 16 bytes), plus any transit piggyback (12-byte
     /// routing header + value).
@@ -237,10 +232,8 @@ mod tests {
             transit: None,
         };
         assert_eq!(msg.size_bytes(), 16 + 16 + 8);
-        assert!(!msg.is_metadata_only());
 
         let meta_only = UpdateMsg { value: None, ..msg };
-        assert!(meta_only.is_metadata_only());
         assert_eq!(meta_only.size_bytes(), 16 + 16);
         assert!(meta_only.to_string().contains("<meta>"));
     }

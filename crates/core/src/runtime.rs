@@ -1,12 +1,13 @@
 //! A threaded deployment: one OS thread per replica over a
-//! [`ThreadNet`] transport.
+//! [`ThreadNet`] transport or kernel TCP sockets.
 //!
-//! [`ThreadedCluster`] drives the same replica engine as the simulated
+//! [`ThreadedCluster`] runs the replicas of one cluster that live in this
+//! process — all of them, or (under `prcc-node`) those whose listeners it
+//! was given. It drives the same replica engine as the simulated
 //! [`System`](crate::System) — replica, wire codec, batching, session and
 //! WAL, wired once in `crate::engine` (DESIGN §15) — but under genuine
 //! concurrency and wall-clock time (the engine clock is µs since the
-//! cluster epoch): the reproduction's stand-in for the "async nodes"
-//! deployment, with real threads + crossbeam channels in place of an
+//! cluster epoch), with real threads + crossbeam channels in place of an
 //! async runtime.
 //!
 //! # The hot path
@@ -37,10 +38,6 @@
 //!   them at the end of that burst — no timer holds a batch open;
 //!   receivers ingest them through [`Replica::receive_batch`]'s
 //!   once-per-batch predicate fast path.
-//!
-//! Client command channels are *bounded* (1024 commands): a flooded
-//! replica thread exerts backpressure on writers instead of growing an
-//! unbounded queue.
 
 use crate::codec::WireMode;
 use crate::engine::{BatchPolicy, Engine, EngineConfig, Outgoing};
@@ -104,8 +101,8 @@ pub struct ClusterConfig {
 }
 
 /// Client command channel bound per replica thread. A full channel
-/// blocks the calling writer — bounded backpressure, never an unbounded
-/// queue.
+/// blocks the calling writer: a flooded replica thread exerts
+/// backpressure on writers instead of growing an unbounded queue.
 const CHANNEL_DEPTH: usize = 1024;
 
 /// Per-node network ingress bound of the in-process `ThreadNet`: frames
@@ -165,17 +162,13 @@ enum Cmd {
         ops: Vec<(u64, RegisterId, Value)>,
         reply: Sender<(u64, WriteStatus)>,
     },
-    /// Crash the replica: it keeps draining its channels but discards
-    /// everything until [`Cmd::Restart`], modelling a fail-stop node
-    /// whose durable log survives. Ignored when no log is
-    /// armed. `done` is signalled once the crash took effect.
-    Crash {
-        done: Sender<()>,
-    },
-    /// Recover from the durable log: replica state and applied frontier
-    /// are rebuilt by WAL replay, the session endpoint re-arms its sender
-    /// streams from the outbox and probes peers with `CatchUp`.
-    Restart {
+    /// Crash the replica (a fail-stop node whose durable log survives: it
+    /// drains its channels but discards everything; ignored without a
+    /// log), or restart it from that log (WAL replay, sender streams
+    /// re-armed from the outbox, `CatchUp` probes). `done` is signalled
+    /// once the change took effect.
+    CrashOrRestart {
+        restart: bool,
         done: Sender<()>,
     },
     Shutdown,
@@ -332,7 +325,14 @@ impl SnapshotCell {
     }
 }
 
-/// A running threaded cluster.
+/// The replicas of one cluster that this process runs, one thread each:
+/// every replica ([`with_config`](Self::with_config),
+/// [`with_tcp`](Self::with_tcp)) or those whose listeners it was given
+/// ([`with_listeners`](Self::with_listeners)). A call for a replica this
+/// process does not run panics, naming the replica;
+/// [`settle`](Self::settle), [`check`](Self::check),
+/// [`trace_snapshot`](Self::trace_snapshot) and
+/// [`shutdown`](Self::shutdown) panic up front unless it runs them all.
 ///
 /// # Examples
 ///
@@ -353,20 +353,21 @@ impl SnapshotCell {
 /// ```
 pub struct ThreadedCluster {
     graph: Arc<ShareGraph>,
-    /// One entry per replica thread, in replica order.
-    replicas: Vec<ReplicaThread>,
+    /// The replica threads this process runs, indexed by replica id;
+    /// `None` for a replica another process runs.
+    replicas: Vec<Option<ReplicaThread>>,
     counters: Arc<Counters>,
     /// Whether recovery logs are armed (required by [`crash`](Self::crash)).
     durable: bool,
-    /// One loopback endpoint per replica over TCP; empty over `ThreadNet`,
-    /// whose handles the replica threads own.
+    /// One endpoint per local replica over TCP, in replica order; empty
+    /// over `ThreadNet`, whose handles the replica threads own.
     tcp: Vec<TcpEndpoint<SessionFrame<BatchMsg>>>,
 }
 
 impl fmt::Debug for ThreadedCluster {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ThreadedCluster")
-            .field("replicas", &self.replicas.len())
+            .field("replicas", &self.local().count())
             .field("applied", &self.counters.applied.load(Ordering::Relaxed))
             .finish()
     }
@@ -399,11 +400,9 @@ impl ThreadedCluster {
         Self::spawn(graph, registry, replicas, config, handles, Vec::new())
     }
 
-    /// A cluster over **real kernel sockets**: every replica gets its own
-    /// loopback [`TcpEndpoint`], per-peer TCP connections, and the
-    /// [`cluster_codec`] link framing — the same replica threads, command
-    /// surface, and trace machinery as [`with_config`](Self::with_config),
-    /// with the [`ThreadNet`] swapped for the kernel.
+    /// A cluster over **real kernel sockets**: binds every replica on
+    /// loopback, then starts them all with
+    /// [`with_listeners`](Self::with_listeners).
     ///
     /// Link-level fault injection (the [`FaultSchedule`]'s plan and
     /// outages) is a `ThreadNet` feature and does not apply
@@ -417,17 +416,51 @@ impl ThreadedCluster {
         config: ClusterConfig,
         tcp: TcpNetConfig,
     ) -> io::Result<Self> {
-        let (registry, replicas) = build_replicas(&graph);
         // Two-phase bind: every listener is live before any endpoint
         // starts, so first connects never race the accept loops.
         let loopback: SocketAddr = ([127, 0, 0, 1], 0).into();
-        let mut bounds = Vec::with_capacity(graph.num_replicas());
-        for i in graph.replicas() {
-            bounds.push(BoundListener::bind(i, loopback)?);
+        let listeners = graph
+            .replicas()
+            .map(|i| BoundListener::bind(i, loopback))
+            .collect::<io::Result<Vec<_>>>()?;
+        let addrs: Vec<SocketAddr> = listeners.iter().map(BoundListener::local_addr).collect();
+        Self::with_listeners(graph, config, tcp, listeners, &addrs)
+    }
+
+    /// The replicas this process runs over TCP: one [`TcpEndpoint`] (with
+    /// the [`cluster_codec`] link framing) and one replica thread per
+    /// listener, connecting out to `addrs[i]`, replica `i`'s listen
+    /// address. The replicas without a listener run in other processes;
+    /// this one waits with [`wait_quiescent`](Self::wait_quiescent) and
+    /// exports each local replica's [`events`](Self::events).
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] unless `addrs` has one address per
+    /// replica and the listeners' ids are distinct replicas of `graph`.
+    pub fn with_listeners(
+        graph: ShareGraph,
+        config: ClusterConfig,
+        tcp: TcpNetConfig,
+        mut listeners: Vec<BoundListener>,
+        addrs: &[SocketAddr],
+    ) -> io::Result<Self> {
+        let n = graph.num_replicas();
+        listeners.sort_by_key(BoundListener::id);
+        let ids: Vec<usize> = listeners.iter().map(|l| l.id().index()).collect();
+        let distinct = ids.windows(2).all(|w| w[0] < w[1]);
+        if addrs.len() != n || !distinct || ids.last().is_some_and(|&i| i >= n) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "listeners for replicas {ids:?} and {} addresses do not fit {n} replicas",
+                    addrs.len()
+                ),
+            ));
         }
-        let addrs: Vec<SocketAddr> = bounds.iter().map(BoundListener::local_addr).collect();
-        let mut endpoints = Vec::with_capacity(bounds.len());
-        for bound in bounds {
+        let (registry, replicas) = build_replicas(&graph);
+        let mut endpoints = Vec::with_capacity(listeners.len());
+        for bound in listeners {
             let me = bound.id();
             let peers: HashMap<ReplicaId, SocketAddr> = graph
                 .replicas()
@@ -447,8 +480,9 @@ impl ThreadedCluster {
         ))
     }
 
-    /// Spawns the replica threads over already-built transport handles —
-    /// the substrate-independent half of every constructor.
+    /// Spawns a replica thread per transport handle (`handles` in replica
+    /// order, each naming its replica by its id) — the
+    /// substrate-independent half of every constructor.
     fn spawn<T: Transport<Msg = SessionFrame<BatchMsg>>>(
         graph: ShareGraph,
         registry: Arc<TsRegistry>,
@@ -461,11 +495,14 @@ impl ThreadedCluster {
         let engine = engine_config(&graph, registry, &config);
         let counters = Arc::new(Counters::default());
         let epoch = Instant::now();
-        let replicas: Vec<ReplicaThread> = replicas
+        let mut handles = handles.into_iter().peekable();
+        let replicas = replicas
             .into_iter()
-            .zip(handles)
-            .map(|(replica, handle)| {
-                spawn_replica(replica, &engine, &config, epoch, handle, &counters)
+            .map(|replica| {
+                let handle = handles.next_if(|h| h.id() == replica.id())?;
+                Some(spawn_replica(
+                    replica, &engine, &config, epoch, handle, &counters,
+                ))
             })
             .collect();
         ThreadedCluster {
@@ -477,32 +514,57 @@ impl ThreadedCluster {
         }
     }
 
+    /// The replica threads this process runs, in replica order.
+    fn local(&self) -> impl Iterator<Item = &ReplicaThread> {
+        self.replicas.iter().flatten()
+    }
+
+    /// Replica `r`'s thread: an O(1) lookup by id.
+    #[track_caller]
+    fn replica(&self, r: ReplicaId) -> &ReplicaThread {
+        match self.replicas.get(r.index()) {
+            Some(Some(t)) => t,
+            _ => panic!("replica {r} is not run by this process"),
+        }
+    }
+
+    /// Panics unless this process runs every replica: `call` needs all.
+    #[track_caller]
+    fn assert_whole(&self, call: &str) {
+        assert!(
+            self.replicas.iter().all(Option::is_some),
+            "{call} needs every replica in this process; a cluster split over \
+             processes waits with `wait_quiescent` and exports each replica's `events`"
+        );
+    }
+
     /// Per-replica transport counters when this cluster runs over TCP
-    /// ([`with_tcp`](Self::with_tcp)); `None` over the in-process `ThreadNet`.
+    /// ([`with_tcp`](Self::with_tcp), [`with_listeners`](Self::with_listeners)),
+    /// one per local replica in replica order; `None` over the in-process
+    /// `ThreadNet`.
     pub fn tcp_stats(&self) -> Option<Vec<TcpStatsSnapshot>> {
         (!self.tcp.is_empty()).then(|| self.tcp.iter().map(TcpEndpoint::stats).collect())
     }
 
     /// Per-delivery latencies in nanoseconds — one entry per recorded
     /// apply, `apply stamp − issue stamp` on the shared cluster epoch.
-    /// Meaningful for any single-process cluster (both substrates share
-    /// one monotonic epoch).
+    /// Covers the updates this process's replicas issued and applied
+    /// (every replica's, in a single-process cluster; both substrates
+    /// share one monotonic epoch).
     pub fn delivery_latencies_nanos(&self) -> Vec<u64> {
         let mut issued: HashMap<UpdateId, u64> = HashMap::new();
         let mut out = Vec::new();
-        for r in &self.replicas {
+        for r in self.local() {
             for &(nanos, ev) in r.shared.shard.lock().iter() {
                 if let NodeEvent::Issue { id, .. } = ev {
                     issued.insert(id, nanos);
                 }
             }
         }
-        for r in &self.replicas {
+        for r in self.local() {
             for &(nanos, ev) in r.shared.shard.lock().iter() {
                 if let NodeEvent::Apply { id } = ev {
-                    if let Some(&t0) = issued.get(&id) {
-                        out.push(nanos.saturating_sub(t0));
-                    }
+                    out.extend(issued.get(&id).map(|&t0| nanos.saturating_sub(t0)));
                 }
             }
         }
@@ -534,15 +596,45 @@ impl ThreadedCluster {
         x: RegisterId,
         v: Value,
     ) -> Result<UpdateId, ClusterError> {
-        Ok(self.replicas[r.index()].write(&self.graph, r, vec![(x, v)])?[0])
+        Ok(self.write_many(r, vec![(x, v)])?[0])
     }
 
-    fn cmd(&self, r: ReplicaId) -> &CmdTx {
-        &self.replicas[r.index()].cmd_tx
-    }
-
-    fn shared(&self, r: ReplicaId) -> &Shared {
-        &self.replicas[r.index()].shared
+    /// Issues `writes` at replica `r` as one [`Cmd::WriteMany`] and waits
+    /// for every completion, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` does not store one of the registers — checked here,
+    /// in the calling thread, so a bad write never reaches the replica
+    /// thread.
+    fn write_many(
+        &self,
+        r: ReplicaId,
+        writes: Vec<(RegisterId, Value)>,
+    ) -> Result<Vec<UpdateId>, ClusterError> {
+        let ops: Vec<(u64, RegisterId, Value)> = (0..)
+            .zip(writes)
+            .map(|(token, (x, v))| {
+                assert!(
+                    self.graph.placement().stores(r, x),
+                    "write({r}, {x}): {r} does not store {x}"
+                );
+                (token, x, v)
+            })
+            .collect();
+        let n = ops.len();
+        let (reply, rx) = bounded(n.max(1));
+        let cmd = Cmd::WriteMany { ops, reply };
+        if n > 0 && self.replica(r).cmd_tx.send(cmd).is_err() {
+            return Err(ClusterError::Disconnected { replica: r });
+        }
+        (0..n)
+            .map(|_| match rx.recv() {
+                Ok((_, WriteStatus::Done(id))) => Ok(id),
+                Ok((_, WriteStatus::Crashed)) => Err(ClusterError::Crashed { replica: r }),
+                Err(_) => Err(ClusterError::Disconnected { replica: r }),
+            })
+            .collect()
     }
 
     /// Pipelined writes: the whole burst is one command, so the replica
@@ -554,8 +646,7 @@ impl ThreadedCluster {
     /// Panics if `r` does not store one of the registers, is crashed, or
     /// the cluster has shut down.
     pub fn write_burst(&self, r: ReplicaId, writes: &[(RegisterId, Value)]) -> Vec<UpdateId> {
-        self.replicas[r.index()]
-            .write(&self.graph, r, writes.to_vec())
+        self.write_many(r, writes.to_vec())
             .unwrap_or_else(|e| panic!("write_burst({r}): {e}"))
     }
 
@@ -570,7 +661,7 @@ impl ThreadedCluster {
     /// The full immutable [`ReplicaView`] currently published by `r`
     /// (store, provenance, and applied frontier, captured atomically).
     pub fn store_snapshot(&self, r: ReplicaId) -> Arc<ReplicaView> {
-        self.shared(r).snapshot.load()
+        self.replica(r).shared.snapshot.load()
     }
 
     /// The share graph the cluster runs over.
@@ -593,7 +684,8 @@ impl ThreadedCluster {
         ops: Vec<(u64, RegisterId, Value)>,
         reply: Sender<(u64, WriteStatus)>,
     ) -> Result<(), Vec<(u64, RegisterId, Value)>> {
-        self.cmd(r)
+        self.replica(r)
+            .cmd_tx
             .send(Cmd::WriteMany { ops, reply })
             .map_err(|cmd| match cmd {
                 Cmd::WriteMany { ops, .. } => ops,
@@ -604,7 +696,7 @@ impl ThreadedCluster {
     /// True if `r` is currently inside a crash window (lock-free flag —
     /// the serving tier's failover signal).
     pub fn is_crashed(&self, r: ReplicaId) -> bool {
-        self.shared(r).crashed.load(Ordering::SeqCst)
+        self.replica(r).shared.crashed.load(Ordering::SeqCst)
     }
 
     /// Crashes replica `r` now, blocking until the crash took effect.
@@ -623,11 +715,7 @@ impl ThreadedCluster {
             self.durable,
             "crash({r}) requires ClusterConfig::durability (recovery logs are not armed)"
         );
-        let (done, rx) = bounded(1);
-        self.cmd(r)
-            .send(Cmd::Crash { done })
-            .unwrap_or_else(|_| panic!("crash({r}): cluster has shut down"));
-        let _ = rx.recv();
+        self.crash_or_restart(r, false);
     }
 
     /// Restarts a crashed replica `r` from its durable log, blocking
@@ -638,10 +726,16 @@ impl ThreadedCluster {
     ///
     /// Panics if the cluster has shut down.
     pub fn restart(&self, r: ReplicaId) {
+        self.crash_or_restart(r, true);
+    }
+
+    /// Sends `r` a [`Cmd::CrashOrRestart`] and waits until it took effect.
+    fn crash_or_restart(&self, r: ReplicaId, restart: bool) {
         let (done, rx) = bounded(1);
-        self.cmd(r)
-            .send(Cmd::Restart { done })
-            .unwrap_or_else(|_| panic!("restart({r}): cluster has shut down"));
+        self.replica(r)
+            .cmd_tx
+            .send(Cmd::CrashOrRestart { restart, done })
+            .unwrap_or_else(|_| panic!("replica {r}: cluster has shut down"));
         let _ = rx.recv();
     }
 
@@ -650,13 +744,13 @@ impl ThreadedCluster {
     /// (command or frame), a due session timer, or the idle park running
     /// out, so an idle cluster's count barely moves.
     pub fn loop_passes(&self, r: ReplicaId) -> u64 {
-        self.shared(r).passes.load(Ordering::Relaxed)
+        self.replica(r).shared.passes.load(Ordering::Relaxed)
     }
 
     /// The snapshot publication counter of `r` (monotonically
     /// increasing; one bump per published state change).
     pub fn snapshot_version(&self, r: ReplicaId) -> u64 {
-        self.shared(r).snapshot.version()
+        self.replica(r).shared.snapshot.version()
     }
 
     /// Blocks until the cluster is quiescent: every sent message that has
@@ -664,33 +758,47 @@ impl ThreadedCluster {
     /// permanently lost to a crash window) and no pending buffers remain,
     /// stable for a grace period.
     pub fn settle(&self) {
+        self.assert_whole("settle");
         let c = &self.counters;
         c.wait_stable(None, |applied| {
             applied + c.lost.load(Ordering::SeqCst) >= c.sent.load(Ordering::SeqCst)
         });
     }
 
+    /// Blocks until this process's replicas have applied at least
+    /// `expected_applies` remote updates with nothing pending, stable for
+    /// a grace period; `false` on timeout. The quiescence wait of a
+    /// cluster split over processes, where no counter spans processes.
+    pub fn wait_quiescent(&self, expected_applies: usize, timeout: Duration) -> bool {
+        self.counters
+            .wait_stable(Some(Instant::now() + timeout), |applied| {
+                applied >= expected_applies
+            })
+    }
+
     /// Checks the recorded trace for replica-centric causal consistency.
     pub fn check(&self) -> CheckReport {
+        self.assert_whole("check");
         check(&self.trace_snapshot(), self.graph.placement())
     }
 
     /// A snapshot of the trace so far: every shard is locked at once, so
     /// the snapshot is a consistent cut (an issue is recorded before its
     /// update leaves, so every apply in the cut has its issue in it), and
-    /// the shards are merged by [`merge_node_events`].
+    /// the shards' [`events`](Self::events) are merged by
+    /// [`merge_node_events`].
     pub fn trace_snapshot(&self) -> Trace {
-        let guards: Vec<_> = self
-            .replicas
-            .iter()
-            .map(|r| r.shared.shard.lock())
-            .collect();
-        let logs: Vec<Vec<NodeEvent>> = guards
-            .iter()
-            .map(|g| g.iter().map(|&(_, ev)| ev).collect())
-            .collect();
+        self.assert_whole("trace_snapshot");
+        let guards: Vec<_> = self.local().map(|r| r.shared.shard.lock()).collect();
+        let logs: Vec<Vec<NodeEvent>> = guards.iter().map(|g| unstamped(g)).collect();
         drop(guards);
         merge_node_events(&logs)
+    }
+
+    /// Replica `r`'s protocol events so far, in its own thread order —
+    /// what a process exports for [`merge_node_events`].
+    pub fn events(&self, r: ReplicaId) -> Vec<NodeEvent> {
+        unstamped(&self.replica(r).shared.shard.lock())
     }
 
     /// Total remote applies so far.
@@ -728,17 +836,23 @@ impl ThreadedCluster {
 
     /// Shuts the cluster down, joining all replica threads.
     pub fn shutdown(mut self) -> Trace {
+        self.assert_whole("shutdown");
         self.stop();
         self.trace_snapshot()
     }
 
     /// Asks every replica thread to stop, then joins them all.
     fn stop(&mut self) {
-        for r in &self.replicas {
+        for r in self.local() {
             let _ = r.cmd_tx.send(Cmd::Shutdown);
         }
-        for r in &mut self.replicas {
-            r.join();
+        for t in self
+            .replicas
+            .iter_mut()
+            .flatten()
+            .filter_map(|r| r.thread.take())
+        {
+            let _ = t.join();
         }
     }
 }
@@ -768,6 +882,11 @@ pub enum NodeEvent {
         /// The applied update's id.
         id: UpdateId,
     },
+}
+
+/// A trace shard's events without their stamps.
+fn unstamped(shard: &[(u64, NodeEvent)]) -> Vec<NodeEvent> {
+    shard.iter().map(|&(_, ev)| ev).collect()
 }
 
 /// Reassembles per-replica event logs (`logs[i]` is replica `i`'s) into
@@ -819,158 +938,6 @@ pub fn merge_node_events(logs: &[Vec<NodeEvent>]) -> Trace {
     trace
 }
 
-/// One replica of a cluster running **in this process**, its peers
-/// reachable over TCP — the per-process unit behind `prcc-node`. Runs
-/// exactly the [`ThreadedCluster`] replica loop (same commands, same
-/// trace shard, same snapshot publishing) with a [`prcc_net::TcpHandle`]
-/// as its transport.
-pub struct NodeRuntime {
-    id: ReplicaId,
-    graph: Arc<ShareGraph>,
-    replica: ReplicaThread,
-    counters: Arc<Counters>,
-    endpoint: TcpEndpoint<SessionFrame<BatchMsg>>,
-}
-
-impl fmt::Debug for NodeRuntime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NodeRuntime")
-            .field("id", &self.id)
-            .field("applied", &self.counters.applied.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-impl NodeRuntime {
-    /// Starts replica `id` of `graph` on an already-bound listener,
-    /// connecting out to `peers` (every other replica's listen address).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound` was bound for a different replica id.
-    pub fn start(
-        graph: ShareGraph,
-        config: ClusterConfig,
-        tcp: TcpNetConfig,
-        bound: BoundListener,
-        peers: HashMap<ReplicaId, SocketAddr>,
-    ) -> io::Result<NodeRuntime> {
-        let id = bound.id();
-        let (registry, mut replicas) = build_replicas(&graph);
-        let endpoint = TcpEndpoint::start(bound, peers, tcp, cluster_codec(id, registry.clone()))?;
-        let graph = Arc::new(graph);
-        let engine = engine_config(&graph, registry, &config);
-        let counters = Arc::new(Counters::default());
-        let replica = spawn_replica(
-            replicas.swap_remove(id.index()),
-            &engine,
-            &config,
-            Instant::now(),
-            endpoint.handle(),
-            &counters,
-        );
-        Ok(NodeRuntime {
-            id,
-            graph,
-            replica,
-            counters,
-            endpoint,
-        })
-    }
-
-    /// This node's replica id.
-    pub fn id(&self) -> ReplicaId {
-        self.id
-    }
-
-    /// The share graph this node runs over.
-    pub fn graph(&self) -> &ShareGraph {
-        &self.graph
-    }
-
-    /// Blocking write of `v` to register `x` at this replica.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this replica does not store `x` or the runtime has shut
-    /// down.
-    pub fn write(&self, x: RegisterId, v: Value) -> UpdateId {
-        match self.replica.write(&self.graph, self.id, vec![(x, v)]) {
-            Ok(ids) => ids[0],
-            Err(e) => panic!("write({x}): {e}"),
-        }
-    }
-
-    /// Lock-free snapshot read of register `x`.
-    pub fn read(&self, x: RegisterId) -> Option<Value> {
-        self.store_snapshot().get(&x).cloned()
-    }
-
-    /// The full published [`ReplicaView`].
-    pub fn store_snapshot(&self) -> Arc<ReplicaView> {
-        self.replica.shared.snapshot.load()
-    }
-
-    /// Remote updates applied here so far.
-    pub fn total_applied(&self) -> usize {
-        self.counters.applied.load(Ordering::SeqCst)
-    }
-
-    /// Update messages sent from here so far.
-    pub fn total_sent(&self) -> usize {
-        self.counters.sent.load(Ordering::SeqCst)
-    }
-
-    /// Metadata bytes put on the wire so far (wire-codec frame sizes).
-    pub fn total_wire_bytes(&self) -> usize {
-        self.counters.wire_bytes.load(Ordering::SeqCst)
-    }
-
-    /// Blocks until this node has applied at least `expected_applies`
-    /// remote updates with nothing parked in pending buffers, stable for
-    /// a grace period. Returns `false` on timeout — the multi-process
-    /// quiescence primitive (each node knows its own expected apply count
-    /// from the shared seeded workload; no cross-process counter exists).
-    pub fn wait_quiescent(&self, expected_applies: usize, timeout: Duration) -> bool {
-        self.counters
-            .wait_stable(Some(Instant::now() + timeout), |applied| {
-                applied >= expected_applies
-            })
-    }
-
-    /// This node's protocol events so far, in thread order.
-    pub fn events(&self) -> Vec<NodeEvent> {
-        self.replica
-            .shared
-            .shard
-            .lock()
-            .iter()
-            .map(|&(_, ev)| ev)
-            .collect()
-    }
-
-    /// Transport counters for this node's endpoint.
-    pub fn tcp_stats(&self) -> TcpStatsSnapshot {
-        self.endpoint.stats()
-    }
-
-    /// Shuts the node down: flushes queued batches, joins the replica
-    /// thread, and returns the final event log.
-    pub fn shutdown(mut self) -> Vec<NodeEvent> {
-        let _ = self.replica.cmd_tx.send(Cmd::Shutdown);
-        self.replica.join();
-        self.endpoint.shutdown();
-        self.events()
-    }
-}
-
-impl Drop for NodeRuntime {
-    fn drop(&mut self) {
-        let _ = self.replica.cmd_tx.send(Cmd::Shutdown);
-        self.replica.join();
-    }
-}
-
 /// A replica's command inlet: the bounded channel plus the loop's
 /// [`Doorbell`]. Every producer enqueues first and rings second, so the
 /// parked loop wakes on the arrival instead of polling for it.
@@ -990,7 +957,7 @@ impl CmdTx {
     }
 }
 
-/// Counters every replica thread of one cluster (or one node) adds to;
+/// Counters every replica thread of one cluster adds to;
 /// the public `total_*` accessors say what each counts. `wire_bytes` is
 /// a statistic that publishes no other data, so each write adds to it
 /// `Relaxed`; readers see it through the channel and `applied` hand-offs
@@ -1011,7 +978,7 @@ impl Counters {
     /// Polls every 5 ms until `drained(applied)` holds with nothing
     /// pending and neither count has moved for 50 ms; `false` if
     /// `deadline` passes first. The one quiescence wait of
-    /// [`ThreadedCluster::settle`] and [`NodeRuntime::wait_quiescent`].
+    /// [`ThreadedCluster::settle`] and [`ThreadedCluster::wait_quiescent`].
     fn wait_stable(&self, deadline: Option<Instant>, drained: impl Fn(usize) -> bool) -> bool {
         let mut last = (usize::MAX, usize::MAX);
         let mut stable_since = Instant::now();
@@ -1052,52 +1019,6 @@ struct ReplicaThread {
     cmd_tx: CmdTx,
     thread: Option<JoinHandle<()>>,
     shared: Arc<Shared>,
-}
-
-impl ReplicaThread {
-    fn join(&mut self) {
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-
-    /// Issues `writes` at this replica (`r`) as one [`Cmd::WriteMany`]
-    /// and waits for every completion, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` does not store one of the registers — checked here,
-    /// in the calling thread, so a bad write never reaches the replica
-    /// thread.
-    fn write(
-        &self,
-        graph: &ShareGraph,
-        r: ReplicaId,
-        writes: Vec<(RegisterId, Value)>,
-    ) -> Result<Vec<UpdateId>, ClusterError> {
-        let ops: Vec<(u64, RegisterId, Value)> = (0..)
-            .zip(writes)
-            .map(|(token, (x, v))| {
-                assert!(
-                    graph.placement().stores(r, x),
-                    "write({r}, {x}): {r} does not store {x}"
-                );
-                (token, x, v)
-            })
-            .collect();
-        let n = ops.len();
-        let (reply, rx) = bounded(n.max(1));
-        if n > 0 && self.cmd_tx.send(Cmd::WriteMany { ops, reply }).is_err() {
-            return Err(ClusterError::Disconnected { replica: r });
-        }
-        (0..n)
-            .map(|_| match rx.recv() {
-                Ok((_, WriteStatus::Done(id))) => Ok(id),
-                Ok((_, WriteStatus::Crashed)) => Err(ClusterError::Crashed { replica: r }),
-                Err(_) => Err(ClusterError::Disconnected { replica: r }),
-            })
-            .collect()
-    }
 }
 
 /// Every replica of `graph` over the exact edge-indexed tracker, plus
@@ -1147,8 +1068,7 @@ fn engine_config(
 }
 
 /// Spawns `replica`'s thread (`apply-N`) over transport `net` — the
-/// one place a [`ReplicaCtx`] is assembled, for both
-/// [`ThreadedCluster`] and [`NodeRuntime`].
+/// one place a [`ReplicaCtx`] is assembled.
 fn spawn_replica<T: Transport<Msg = SessionFrame<BatchMsg>>>(
     replica: Replica,
     engine: &Arc<EngineConfig>,
@@ -1336,8 +1256,8 @@ impl DeferredReplies {
 }
 
 /// Crashes the engine (`restart == false`) or restarts it from its
-/// durable log — the one path for [`Cmd::Crash`], [`Cmd::Restart`] and
-/// the scripted timeline. The crash must observe every completion
+/// durable log — the one path for [`Cmd::CrashOrRestart`] and the
+/// scripted timeline. The crash must observe every completion
 /// already promised, so the burst publishes and releases first; the
 /// engine ships the burst's open batches before it goes down. A restart
 /// republishes from recovered state, so durable writes become
@@ -1463,12 +1383,8 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) 
                     deferred.wrote |= !done.is_empty();
                     deferred.many.push((reply, done));
                 }
-                Cmd::Crash { done } => {
-                    crash_or_restart(false, &mut engine, &mut tx, &shared, &mut deferred, mode);
-                    let _ = done.send(());
-                }
-                Cmd::Restart { done } => {
-                    crash_or_restart(true, &mut engine, &mut tx, &shared, &mut deferred, mode);
+                Cmd::CrashOrRestart { restart, done } => {
+                    crash_or_restart(restart, &mut engine, &mut tx, &shared, &mut deferred, mode);
                     let _ = done.send(());
                 }
                 Cmd::Shutdown => {
@@ -1591,6 +1507,23 @@ mod tests {
         }));
         assert!(bad.is_err(), "a write to an unstored register must panic");
         assert!(cluster.try_write(r(0), x(0), Value::from(2u64)).is_ok());
+    }
+
+    #[test]
+    fn listeners_must_be_distinct_replicas_of_the_graph() {
+        let loopback: SocketAddr = ([127, 0, 0, 1], 0).into();
+        let bind = |i| BoundListener::bind(r(i), loopback).expect("bind loopback");
+        for listeners in [vec![bind(2)], vec![bind(0), bind(0)]] {
+            let err = ThreadedCluster::with_listeners(
+                topology::path(2),
+                ClusterConfig::default(),
+                TcpNetConfig::default(),
+                listeners,
+                &[loopback; 2],
+            )
+            .expect_err("path(2) has replicas 0 and 1, one listener each");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        }
     }
 
     #[test]

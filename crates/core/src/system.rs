@@ -325,14 +325,7 @@ impl SystemBuilder {
 
         let mut net = SimNetwork::new(self.delay, self.seed);
         let crashes = !self.schedule.crashes.is_empty();
-        let mut crash_queue: VecDeque<(u64, ReplicaId)> = self
-            .schedule
-            .crashes
-            .iter()
-            .map(|c| (c.at, c.replica))
-            .collect();
-        crash_queue.make_contiguous().sort_unstable();
-        let restart_queue: VecDeque<(u64, ReplicaId)> = self.schedule.restarts().into();
+        let script = self.schedule.crash_timeline().into();
         net.set_schedule(self.schedule);
         let durable = self.session.is_some() || crashes;
         let config = Arc::new(EngineConfig {
@@ -356,8 +349,7 @@ impl SystemBuilder {
             tracker_kind: self.tracker,
             net,
             out: Vec::new(),
-            crash_queue,
-            restart_queue,
+            script,
             track_catch_up: crashes,
             lost_to_crash: 0,
             catch_up_stats: LatencyStats::new(),
@@ -385,10 +377,9 @@ pub struct System {
     net: SimNetwork<SessionFrame<BatchMsg>>,
     /// Frames the last engine input emitted, reused across inputs.
     out: Vec<Outgoing>,
-    /// Scripted crash instants, ascending.
-    crash_queue: VecDeque<(u64, ReplicaId)>,
-    /// Scripted restart instants, ascending.
-    restart_queue: VecDeque<(u64, ReplicaId)>,
+    /// Scripted crashes and restarts, `(tick, replica, is_restart)` in
+    /// [`FaultSchedule::crash_timeline`] order.
+    script: VecDeque<(u64, ReplicaId, bool)>,
     /// Per destination: updates sent to it and not yet applied there
     /// (maintained only when crashes are scheduled).
     expected: Vec<HashSet<UpdateId>>,
@@ -538,8 +529,7 @@ impl System {
     fn next_event_time(&self) -> Option<u64> {
         let open = self.engines.iter().any(Engine::has_open_batch);
         [
-            self.crash_queue.front().map(|&(t, _)| t),
-            self.restart_queue.front().map(|&(t, _)| t),
+            self.script.front().map(|&(t, _, _)| t),
             open.then(|| self.net.now()),
             self.engines.iter().filter_map(Engine::next_deadline).min(),
             self.net.peek_delivery_time(),
@@ -557,25 +547,20 @@ impl System {
         let Some(t) = self.next_event_time() else {
             return false;
         };
-        if let Some(&(tc, r)) = self.crash_queue.front() {
-            if tc <= t {
-                self.crash_queue.pop_front();
-                self.net.advance_to(tc);
+        if let Some(&(at, r, restart)) = self.script.front().filter(|&&(at, _, _)| at <= t) {
+            self.script.pop_front();
+            if restart {
+                self.do_restart(at, r);
+            } else {
+                self.net.advance_to(at);
                 // The crash ends the replica's pass: its open batches
                 // ship first. Volatile state is conceptually lost here;
                 // it is actually discarded at restart, when the replica
                 // is rebuilt from its recovery log.
-                self.engines[r.index()].crash(tc, &mut self.out);
+                self.engines[r.index()].crash(at, &mut self.out);
                 self.send_out(r);
-                return true;
             }
-        }
-        if let Some(&(tr, r)) = self.restart_queue.front() {
-            if tr <= t {
-                self.restart_queue.pop_front();
-                self.do_restart(tr, r);
-                return true;
-            }
+            return true;
         }
         // The writes since the last step were one pass: ship what they
         // left open before anything else happens at this instant;
@@ -710,8 +695,7 @@ impl System {
     pub fn is_settled(&self) -> bool {
         self.net.is_quiescent()
             && self.stuck_pending() == 0
-            && self.crash_queue.is_empty()
-            && self.restart_queue.is_empty()
+            && self.script.is_empty()
             && self.engines.iter().all(Engine::is_quiet)
     }
 

@@ -13,7 +13,7 @@ use std::fmt;
 /// ```
 /// use prcc_core::Value;
 /// let v = Value::from(42u64);
-/// assert_eq!(v.as_u64(), Some(42));
+/// assert_eq!(v, Value::U64(42));
 /// let s = Value::from("post: hello");
 /// assert_eq!(s.as_str(), Some("post: hello"));
 /// ```
@@ -28,14 +28,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// The integer value, if this is a `U64`.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// The string value, if this is a `Str`.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -100,11 +92,10 @@ mod tests {
 
     #[test]
     fn conversions() {
-        assert_eq!(Value::from(7u64).as_u64(), Some(7));
+        assert_eq!(Value::from(7u64), Value::U64(7));
         assert_eq!(Value::from("x").as_str(), Some("x"));
         assert_eq!(Value::from(String::from("y")).as_str(), Some("y"));
         assert_eq!(Value::from(vec![1u8, 2]).size_bytes(), 2);
-        assert_eq!(Value::from("abc").as_u64(), None);
         assert_eq!(Value::from(1u64).as_str(), None);
     }
 

@@ -15,11 +15,10 @@
 //! * **a hung shutdown** — the parked loop must notice `Drop` without
 //!   being told through `shutdown()`.
 
-use prcc_core::runtime::{NodeRuntime, ThreadedCluster, IDLE_PARK};
+use prcc_core::runtime::{ThreadedCluster, IDLE_PARK};
 use prcc_core::{ClusterConfig, Value};
 use prcc_net::{BoundListener, DelayModel, SessionConfig, TcpNetConfig};
 use prcc_sharegraph::{topology, RegisterId, ReplicaId};
-use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -152,7 +151,9 @@ fn dropping_a_cluster_joins_its_parked_threads() {
 }
 
 #[test]
-fn dropping_a_node_runtime_joins_its_parked_thread() {
+fn dropping_a_partial_cluster_joins_its_parked_thread() {
+    // Two single-replica clusters of path(2), each running the replica
+    // whose listener it was given — the `prcc-node` shape, in one process.
     let g = topology::path(2);
     let loopback: SocketAddr = ([127, 0, 0, 1], 0).into();
     let bounds: Vec<BoundListener> = g
@@ -160,26 +161,20 @@ fn dropping_a_node_runtime_joins_its_parked_thread() {
         .map(|i| BoundListener::bind(i, loopback).expect("bind loopback"))
         .collect();
     let addrs: Vec<SocketAddr> = bounds.iter().map(BoundListener::local_addr).collect();
-    let nodes: Vec<NodeRuntime> = bounds
+    let nodes: Vec<ThreadedCluster> = bounds
         .into_iter()
         .map(|bound| {
-            let me = bound.id();
-            let peers: HashMap<ReplicaId, SocketAddr> = g
-                .replicas()
-                .filter(|&p| p != me)
-                .map(|p| (p, addrs[p.index()]))
-                .collect();
-            NodeRuntime::start(
+            ThreadedCluster::with_listeners(
                 g.clone(),
                 ClusterConfig::default(),
                 TcpNetConfig::default(),
-                bound,
-                peers,
+                vec![bound],
+                &addrs,
             )
             .expect("start node")
         })
         .collect();
-    nodes[0].write(RegisterId::new(0), Value::from(7u64));
+    nodes[0].write(r(0), RegisterId::new(0), Value::from(7u64));
     assert!(nodes[1].wait_quiescent(1, Duration::from_secs(10)));
     let t = Instant::now();
     drop(nodes);

@@ -257,16 +257,6 @@ impl FaultSchedule {
         self.plan.is_benign() && self.outages.is_empty() && self.crashes.is_empty()
     }
 
-    /// True if every scripted event eventually heals and no link is
-    /// permanently dead — the precondition of the session layer's
-    /// convergence guarantee (probabilistic drops always heal via
-    /// retransmission; `dead_links` never do).
-    pub fn eventually_heals(&self) -> bool {
-        self.plan.dead_links.is_empty()
-            && self.outages.iter().all(|o| o.until < u64::MAX)
-            && self.crashes.iter().all(|c| c.restart < u64::MAX)
-    }
-
     /// True if the directed link is inside a scripted outage at `now`.
     pub fn link_down(&self, src: ReplicaId, dst: ReplicaId, now: u64) -> bool {
         self.outages
@@ -274,35 +264,18 @@ impl FaultSchedule {
             .any(|o| o.src == src && o.dst == dst && o.from <= now && now < o.until)
     }
 
-    /// True if `replica` is crashed (down) at `now`.
-    pub fn is_crashed(&self, replica: ReplicaId, now: u64) -> bool {
-        self.crashes
-            .iter()
-            .any(|c| c.replica == replica && c.at <= now && now < c.restart)
-    }
-
-    /// All restart instants, sorted: `(restart_tick, replica)`.
-    pub fn restarts(&self) -> Vec<(u64, ReplicaId)> {
-        let mut r: Vec<(u64, ReplicaId)> = self
-            .crashes
-            .iter()
-            .map(|c| (c.restart, c.replica))
-            .collect();
-        r.sort_unstable();
-        r
-    }
-
     /// Every crash and restart instant interleaved in time order:
-    /// `(tick, replica, is_restart)`. The threaded runtime's replica
-    /// loops each keep their own entries of it and fire them when their
-    /// tick falls due.
+    /// `(tick, replica, is_restart)`, at one tick crashes before restarts
+    /// and each kind by replica. The simulator fires it as one queue; the
+    /// threaded runtime's replica loops each keep their own entries of it
+    /// and fire them when their tick falls due.
     pub fn crash_timeline(&self) -> Vec<(u64, ReplicaId, bool)> {
         let mut t: Vec<(u64, ReplicaId, bool)> = self
             .crashes
             .iter()
             .flat_map(|c| [(c.at, c.replica, false), (c.restart, c.replica, true)])
             .collect();
-        t.sort_unstable();
+        t.sort_unstable_by_key(|&(tick, replica, restart)| (tick, restart, replica));
         t
     }
 
@@ -388,7 +361,6 @@ mod tests {
         assert!(s.link_down(r(0), r(1), 19));
         assert!(!s.link_down(r(0), r(1), 20)); // healed
         assert!(!s.link_down(r(1), r(0), 15)); // directed
-        assert!(s.eventually_heals());
         assert_eq!(s.horizon(), 20);
     }
 
@@ -409,13 +381,7 @@ mod tests {
         let s = FaultSchedule::none()
             .crash(r(1), 50, 120)
             .crash(r(3), 10, 30);
-        assert!(!s.is_crashed(r(1), 49));
-        assert!(s.is_crashed(r(1), 50));
-        assert!(s.is_crashed(r(1), 119));
-        assert!(!s.is_crashed(r(1), 120));
-        assert_eq!(s.restarts(), vec![(30, r(3)), (120, r(1))]);
         assert_eq!(s.horizon(), 120);
-        assert!(s.eventually_heals());
     }
 
     #[test]
@@ -430,6 +396,20 @@ mod tests {
                 (50, r(1), false),
                 (60, r(3), true),
                 (120, r(1), true),
+            ]
+        );
+        // At one tick, a crash comes before a restart whatever the
+        // replicas' ids.
+        let s = FaultSchedule::none()
+            .crash(r(1), 10, 40)
+            .crash(r(2), 40, 90);
+        assert_eq!(
+            s.crash_timeline(),
+            vec![
+                (10, r(1), false),
+                (40, r(2), false),
+                (40, r(1), true),
+                (90, r(2), true),
             ]
         );
     }

@@ -169,7 +169,7 @@ impl<M> SimNetwork<M> {
     }
 
     /// Number of messages parked on held links.
-    pub fn held_count(&self) -> usize {
+    fn held_count(&self) -> usize {
         self.held_msgs.values().map(Vec::len).sum()
     }
 
@@ -284,11 +284,6 @@ impl<M> SimNetwork<M> {
             }
         }
     }
-
-    /// True if the directed link is currently held.
-    pub fn is_held(&self, src: ReplicaId, dst: ReplicaId) -> bool {
-        self.held_links.contains(&(src, dst))
-    }
 }
 
 #[cfg(test)]
@@ -371,8 +366,6 @@ mod tests {
     fn hold_is_directional() {
         let mut net: SimNetwork<u32> = SimNetwork::new(DelayModel::Fixed(1), 0);
         net.hold(r(0), r(1));
-        assert!(net.is_held(r(0), r(1)));
-        assert!(!net.is_held(r(1), r(0)));
         net.send(r(1), r(0), 1);
         assert!(net.next_delivery().is_some());
     }

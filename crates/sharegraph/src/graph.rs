@@ -139,28 +139,6 @@ impl ShareGraph {
         }
         count == r
     }
-
-    /// Shortest hop distance between two replicas, if connected.
-    pub fn distance(&self, from: ReplicaId, to: ReplicaId) -> Option<usize> {
-        if from == to {
-            return Some(0);
-        }
-        let mut dist = vec![usize::MAX; self.num_replicas()];
-        dist[from.index()] = 0;
-        let mut queue = std::collections::VecDeque::from([from]);
-        while let Some(v) = queue.pop_front() {
-            for &w in self.neighbors(v) {
-                if dist[w.index()] == usize::MAX {
-                    dist[w.index()] = dist[v.index()] + 1;
-                    if w == to {
-                        return Some(dist[w.index()]);
-                    }
-                    queue.push_back(w);
-                }
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -217,24 +195,6 @@ mod tests {
         assert!(!disconnected.is_connected());
         let single = ShareGraph::new(Placement::builder(1).build());
         assert!(single.is_connected());
-    }
-
-    #[test]
-    fn distances() {
-        let g = ring(6);
-        assert_eq!(g.distance(ReplicaId::new(0), ReplicaId::new(0)), Some(0));
-        assert_eq!(g.distance(ReplicaId::new(0), ReplicaId::new(1)), Some(1));
-        assert_eq!(g.distance(ReplicaId::new(0), ReplicaId::new(3)), Some(3));
-        let disconnected = ShareGraph::new(
-            Placement::builder(4)
-                .share(0, [0, 1])
-                .share(1, [2, 3])
-                .build(),
-        );
-        assert_eq!(
-            disconnected.distance(ReplicaId::new(0), ReplicaId::new(2)),
-            None
-        );
     }
 
     #[test]

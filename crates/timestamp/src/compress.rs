@@ -144,116 +144,6 @@ pub fn compress_replica(g: &ShareGraph, tg: &TimestampGraph) -> CompressionRepor
     }
 }
 
-/// An operational per-atom counting basis for one issuer's outgoing edges
-/// — the finer compression of Appendix D ("count the number of updates on
-/// x, y and z separately, instead of x, xy and xyz").
-///
-/// Registers are grouped into *atoms* (maximal groups appearing in exactly
-/// the same edges); a counter is kept per atom, and any edge's counter is
-/// reconstructed as the sum of its atoms' counters.
-///
-/// # Examples
-///
-/// ```
-/// use prcc_sharegraph::RegSet;
-/// use prcc_timestamp::compress::AtomBasis;
-///
-/// // Edges with register sets {x}, {y}, {x,y}.
-/// let rows = vec![
-///     RegSet::from_indices([0]),
-///     RegSet::from_indices([1]),
-///     RegSet::from_indices([0, 1]),
-/// ];
-/// let basis = AtomBasis::from_edges(&rows);
-/// assert_eq!(basis.num_atoms(), 2); // {x} and {y}
-/// let mut counts = vec![0u64; basis.num_atoms()];
-/// // A write to x bumps x's atom:
-/// basis.record_write(prcc_sharegraph::RegisterId::new(0), &mut counts);
-/// assert_eq!(basis.edge_count(0, &counts), 1); // {x}
-/// assert_eq!(basis.edge_count(1, &counts), 0); // {y}
-/// assert_eq!(basis.edge_count(2, &counts), 1); // {x,y}
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AtomBasis {
-    /// Atom register sets (disjoint).
-    atoms: Vec<RegSet>,
-    /// For each original edge, the indices of its atoms.
-    edge_atoms: Vec<Vec<usize>>,
-}
-
-impl AtomBasis {
-    /// Builds the basis from the edges' register sets.
-    pub fn from_edges(rows: &[RegSet]) -> Self {
-        // Group registers by membership signature.
-        let mut sig_of: HashMap<Vec<bool>, usize> = HashMap::new();
-        let mut atoms: Vec<RegSet> = Vec::new();
-        let mut all = RegSet::new();
-        for r in rows {
-            all.union_with(r);
-        }
-        for x in all.iter() {
-            let sig: Vec<bool> = rows.iter().map(|r| r.contains(x)).collect();
-            let idx = *sig_of.entry(sig).or_insert_with(|| {
-                atoms.push(RegSet::new());
-                atoms.len() - 1
-            });
-            atoms[idx].insert(x);
-        }
-        let edge_atoms = rows
-            .iter()
-            .map(|r| {
-                atoms
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, a)| a.intersects(r))
-                    .map(|(i, _)| i)
-                    .collect()
-            })
-            .collect();
-        AtomBasis { atoms, edge_atoms }
-    }
-
-    /// Number of atom counters needed.
-    pub fn num_atoms(&self) -> usize {
-        self.atoms.len()
-    }
-
-    /// Number of original edges covered.
-    pub fn num_edges(&self) -> usize {
-        self.edge_atoms.len()
-    }
-
-    /// Records a write to register `x` in the per-atom counter vector.
-    /// Returns `true` if the register belongs to some atom.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts.len() != num_atoms()`.
-    #[inline]
-    pub fn record_write(&self, x: RegisterId, counts: &mut [u64]) -> bool {
-        assert_eq!(counts.len(), self.atoms.len(), "count vector shape");
-        for (i, a) in self.atoms.iter().enumerate() {
-            if a.contains(x) {
-                counts[i] += 1;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Reconstructs the counter of edge `edge` from the atom counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edge` is out of range or the count vector has the wrong
-    /// shape.
-    #[inline]
-    pub fn edge_count(&self, edge: usize, counts: &[u64]) -> u64 {
-        assert_eq!(counts.len(), self.atoms.len(), "count vector shape");
-        self.edge_atoms[edge].iter().map(|&a| counts[a]).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,54 +233,6 @@ mod tests {
             assert_eq!(rep.rank_compressed, rep.uncompressed);
             assert!((rep.ratio() - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn atom_basis_reconstructs_exactly() {
-        // Appendix D example: edges {x}, {y}, {z}, {x,y,z}.
-        let rows = vec![rs(&[0]), rs(&[1]), rs(&[2]), rs(&[0, 1, 2])];
-        let basis = AtomBasis::from_edges(&rows);
-        assert_eq!(basis.num_atoms(), 3);
-        assert_eq!(basis.num_edges(), 4);
-        let mut counts = vec![0u64; 3];
-        // Simulate writes and compare against direct per-edge counting.
-        let mut direct = [0u64; 4];
-        let writes = [0u32, 1, 0, 2, 2, 2, 1];
-        for &w in &writes {
-            assert!(basis.record_write(RegisterId::new(w), &mut counts));
-            for (e, r) in rows.iter().enumerate() {
-                if r.contains(RegisterId::new(w)) {
-                    direct[e] += 1;
-                }
-            }
-        }
-        for (e, &d) in direct.iter().enumerate() {
-            assert_eq!(basis.edge_count(e, &counts), d, "edge {e}");
-        }
-    }
-
-    #[test]
-    fn atom_basis_unknown_register() {
-        let basis = AtomBasis::from_edges(&[rs(&[0])]);
-        let mut counts = vec![0u64; 1];
-        assert!(!basis.record_write(RegisterId::new(9), &mut counts));
-        assert_eq!(counts, vec![0]);
-    }
-
-    #[test]
-    fn atom_basis_groups_coupled_registers() {
-        // x and y always appear together: one atom.
-        let rows = vec![rs(&[0, 1]), rs(&[0, 1, 2])];
-        let basis = AtomBasis::from_edges(&rows);
-        assert_eq!(basis.num_atoms(), 2); // {x,y} and {z}
-    }
-
-    #[test]
-    #[should_panic(expected = "shape")]
-    fn atom_basis_validates_shape() {
-        let basis = AtomBasis::from_edges(&[rs(&[0])]);
-        let counts = vec![0u64; 3];
-        let _ = basis.edge_count(0, &counts);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! these operations need, so each operation is a linear scan over short
 //! arrays.
 
-use crate::wire::{varint_len, PairLayout};
+use crate::wire::PairLayout;
 use prcc_sharegraph::{EdgeId, RegSet, RegisterId, ReplicaId, ShareGraph, TimestampGraphs};
 use std::collections::HashMap;
 use std::fmt;
@@ -83,14 +83,6 @@ impl EdgeTimestamp {
     /// accounts its own (smaller) encoded size.
     pub fn wire_size_bytes(&self) -> usize {
         self.values.len() * 8
-    }
-
-    /// Wire size in bytes if the full timestamp were shipped as plain
-    /// varints (no projection, no deltas) — the honest lower bound for a
-    /// stateless raw encoding, reported alongside the fixed layout in the
-    /// compression tables.
-    pub fn encoded_size_bytes(&self) -> usize {
-        self.values.iter().map(|&v| varint_len(v)).sum()
     }
 
     /// Largest counter value — determines the bits-per-counter needed.
@@ -1063,20 +1055,6 @@ mod tests {
         let layout = reg.wire_layout(ReplicaId::new(0), ReplicaId::new(1));
         assert_eq!(layout.num_derived(), 0);
         assert_eq!(layout.num_explicit(), layout.common_len());
-    }
-
-    #[test]
-    fn encoded_size_tracks_counter_magnitudes() {
-        let g = topology::ring(5);
-        let reg = registry(&g);
-        let mut t = reg.new_timestamp(ReplicaId::new(0));
-        // All-zero: one byte per counter.
-        assert_eq!(t.encoded_size_bytes(), t.num_counters());
-        for _ in 0..200 {
-            reg.advance(&mut t, RegisterId::new(0));
-        }
-        assert!(t.encoded_size_bytes() > t.num_counters());
-        assert!(t.encoded_size_bytes() < t.wire_size_bytes());
     }
 
     #[test]

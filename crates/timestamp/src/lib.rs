@@ -41,7 +41,7 @@ pub mod vector_clock;
 pub mod wire;
 
 pub use client_ts::{ClientTimestamp, ClientTsRegistry};
-pub use compress::{compress_replica, AtomBasis, CompressionReport};
+pub use compress::{compress_replica, CompressionReport};
 pub use edge_ts::{EdgeTimestamp, JVerdict, TsRegistry};
 pub use vector_clock::VectorClock;
 pub use wire::{DecodeError, DerivedRow, PairLayout, WireDecoder, WireEncoder};

@@ -7,8 +7,9 @@
 //! ```
 //!
 //! **Node mode** reads a static cluster config (a small TOML subset, see
-//! below), starts a [`NodeRuntime`] on the configured listen address,
-//! drives its share of the seeded single-writer workload
+//! below; its node ids must be `0..n`, once each), starts a
+//! [`ThreadedCluster`] that runs this one replica on the configured
+//! listen address, drives its share of the seeded single-writer workload
 //! ([`NetWorkload`] — a pure function of the share graph, so processes
 //! never exchange it), waits for quiescence, and emits a line-oriented
 //! report on stdout: store fingerprint, canonical store lines, the
@@ -41,12 +42,11 @@
 //! ```
 
 use prcc::checker::{check, UpdateId};
-use prcc::core::runtime::{NodeRuntime, ThreadedCluster};
+use prcc::core::runtime::ThreadedCluster;
 use prcc::core::{merge_node_events, ClusterConfig, NodeEvent, WireMode};
 use prcc::net::{BoundListener, DelayModel, SessionConfig, TcpNetConfig, TcpStatsSnapshot};
 use prcc::sharegraph::{topology, RegisterId, ReplicaId};
 use prcc::sim::netrun::{store_fingerprint, store_lines, NetWorkload};
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::process::{Command, Stdio};
@@ -227,6 +227,13 @@ fn parse_config(text: &str) -> Result<ClusterSpec, String> {
         ));
     }
     resolved.sort_by_key(|(id, _)| *id);
+    if resolved.iter().zip(0..).any(|(&(id, _), i)| id != i) {
+        let ids: Vec<u32> = resolved.iter().map(|&(id, _)| id).collect();
+        return Err(format!(
+            "node ids must be 0..{} once each, got {ids:?}",
+            ids.len()
+        ));
+    }
     Ok(ClusterSpec {
         topology,
         wire,
@@ -273,51 +280,43 @@ fn try_run_node(args: &[String]) -> Result<(), String> {
             g.num_replicas()
         ));
     }
-    let me = ReplicaId::new(id);
-    let my_addr = spec
-        .nodes
-        .iter()
-        .find(|(i, _)| *i == id)
-        .map(|(_, a)| *a)
+    // The config's ids are exactly 0..n, so `addrs[i]` is replica i's.
+    let addrs: Vec<SocketAddr> = spec.nodes.iter().map(|&(_, a)| a).collect();
+    let my_addr = *addrs
+        .get(id as usize)
         .ok_or(format!("config has no node entry for id {id}"))?;
-    let peers: HashMap<ReplicaId, SocketAddr> = spec
-        .nodes
-        .iter()
-        .filter(|(i, _)| *i != id)
-        .map(|(i, a)| (ReplicaId::new(*i), *a))
-        .collect();
+    let me = ReplicaId::new(id);
 
     let wl = NetWorkload::new(&g, spec.rounds);
     let expected = wl.expected_applies(&g, me);
     let bound = BoundListener::bind(me, my_addr).map_err(|e| format!("bind {my_addr}: {e}"))?;
-    let rt = NodeRuntime::start(
+    let rt = ThreadedCluster::with_listeners(
         g.clone(),
         spec.cluster_config(),
         TcpNetConfig::default(),
-        bound,
-        peers,
+        vec![bound],
+        &addrs,
     )
     .map_err(|e| format!("start node {id}: {e}"))?;
 
     for round in 0..spec.rounds {
         for &x in wl.registers_of(me) {
-            rt.write(x, prcc::sim::netrun::write_value(x, round));
+            rt.write(me, x, prcc::sim::netrun::write_value(x, round));
         }
     }
     let quiescent = rt.wait_quiescent(expected, timeout);
 
-    let view = rt.store_snapshot();
-    let stats = rt.tcp_stats();
+    let view = rt.store_snapshot(me);
+    let stats = rt.tcp_stats().expect("a TCP cluster reports its endpoint")[0];
     let mut out = String::new();
     out.push_str(&format!("node {id}\n"));
     out.push_str(&format!("fingerprint {:016x}\n", store_fingerprint(&view)));
     out.push_str(&format!("applied {}\n", rt.total_applied()));
-    out.push_str(&format!("sent {}\n", rt.total_sent()));
     out.push_str(&format!("quiescent {quiescent}\n"));
     for line in store_lines(&view) {
         out.push_str(&format!("store {line}\n"));
     }
-    for ev in rt.events() {
+    for ev in rt.events(me) {
         match ev {
             NodeEvent::Issue { id, register } => out.push_str(&format!(
                 "event I {} {} {}\n",
@@ -394,7 +393,7 @@ fn parse_report(lines: &[String]) -> Result<NodeReport, String> {
         match key {
             "node" => id = Some(int(&rest[0])? as u32),
             "fingerprint" => fingerprint = rest[0].to_string(),
-            "applied" | "sent" => {}
+            "applied" => {}
             "quiescent" => quiescent = rest[0] == "true",
             "store" => store.push(rest.join(" ")),
             "event" => {
@@ -672,6 +671,39 @@ mod tests {
             };
             assert_eq!(parse_config(&spec.to_toml()).unwrap().wire, wire);
         }
+    }
+
+    /// A `ring:3` config naming the given node ids.
+    fn ring3_with_ids(ids: &[u32]) -> String {
+        let mut text = "[cluster]\ntopology = \"ring:3\"\n".to_string();
+        for (port, id) in (1..).zip(ids) {
+            text.push_str(&format!(
+                "\n[[node]]\nid = {id}\naddr = \"127.0.0.1:{port}\"\n"
+            ));
+        }
+        text
+    }
+
+    #[test]
+    fn a_node_id_outside_0_to_n_exits_1_without_panicking() {
+        let text = ring3_with_ids(&[0, 1, 5]);
+        let err = parse_config(&text).err().expect("5 is not a ring:3 id");
+        assert_eq!(err, "node ids must be 0..3 once each, got [0, 1, 5]");
+        let path =
+            std::env::temp_dir().join(format!("prcc-node-bad-id-{}.toml", std::process::id()));
+        std::fs::write(&path, text).expect("write the config");
+        let args = ["--config", path.to_str().expect("utf-8 path"), "--id", "5"];
+        let code = run_node(&args.map(String::from));
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(code, 1);
+    }
+
+    #[test]
+    fn a_duplicated_node_id_is_rejected_before_start() {
+        let err = parse_config(&ring3_with_ids(&[0, 0, 1]))
+            .err()
+            .expect("replica 2 would have no address");
+        assert_eq!(err, "node ids must be 0..3 once each, got [0, 0, 1]");
     }
 
     #[test]
