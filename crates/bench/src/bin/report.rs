@@ -8,6 +8,8 @@
 //! report --json all   # machine-readable output
 //! ```
 
+#![forbid(unsafe_code)]
+
 use prcc_bench::{run_all, run_one, Experiment};
 
 fn main() {

@@ -8,6 +8,8 @@
 //! sweep cap       # loop cap vs counters & adversarial violations (ring 8)
 //! ```
 
+#![forbid(unsafe_code)]
+
 use prcc_core::{RoutedSystem, System, TrackerKind, Value};
 use prcc_net::DelayModel;
 use prcc_sharegraph::topology::{self, RandomPlacementConfig};

@@ -3,6 +3,7 @@
 //! table type, and the `report` binary that regenerates every table.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod e10_head_to_head;
 pub mod e11_exhaustive;

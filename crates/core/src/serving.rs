@@ -565,6 +565,9 @@ impl ServingWorker<'_, '_> {
         x: RegisterId,
         roam: u64,
     ) -> Result<(Option<Value>, ReplicaId), ServingError> {
+        // Client-visible: the clock runs from the call, through waiting
+        // out the session's in-flight write.
+        let started = Instant::now();
         self.poll();
         self.drain_session(sid)?;
         let tier = self.tier;
@@ -589,8 +592,7 @@ impl ServingWorker<'_, '_> {
             }
         }
         let dep = tier.with_session(sid, |s| s.deps.get(&x).copied().unwrap_or_default());
-        let started = Instant::now();
-        let deadline = started + tier.cfg.op_timeout;
+        let deadline = Instant::now() + tier.cfg.op_timeout;
         let mut blocked = false;
         let mut attempt = 0u32;
         let failed_over;
@@ -1133,6 +1135,47 @@ mod tests {
             w.tokens.len()
         );
         assert_eq!(w.finish().ops, 2001);
+    }
+
+    #[test]
+    fn a_read_that_waits_for_its_sessions_write_records_the_wait() {
+        // The session's write sits in the worker's buffer; a helper ships
+        // it only BLOCKED after the read has started, so the read waits
+        // at least that long for the dependency it must cover.
+        const BLOCKED: Duration = Duration::from_millis(20);
+        let cluster = ThreadedCluster::new(topology::clique_full(3, 2), DelayModel::Fixed(1), 2);
+        let cfg = ServingConfig {
+            write_batch: 1024,
+            ..ServingConfig::default()
+        };
+        let tier = ServingTier::new(&cluster, cfg);
+        let mut w = tier.worker();
+        w.write(0, x(0), Value::from(1u64)).unwrap();
+        let (target, _) = route(cluster.graph(), 0, tier.cfg.attach_span, x(0));
+        let ops = std::mem::take(&mut w.bufs[target.index()]);
+        assert_eq!(ops.len(), 1);
+        // A one-slot reply channel: the helper's second stray reply goes
+        // through only once the read's first `poll` has taken the first.
+        let (reply_tx, reply_rx) = bounded(1);
+        (w.reply_tx, w.reply_rx) = (reply_tx.clone(), reply_rx);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..2 {
+                    reply_tx.send((u64::MAX, WriteStatus::Crashed)).unwrap();
+                }
+                std::thread::sleep(BLOCKED);
+                cluster.send_write_many(target, ops, reply_tx).unwrap();
+            });
+            let (v, _) = w.read(0, x(0), 0).unwrap();
+            assert_eq!(v, Some(Value::from(1u64)));
+        });
+        let collected = w.finish();
+        assert_eq!(collected.ops, 2);
+        let read = Duration::from_nanos(collected.read_lat.max());
+        assert!(
+            read >= BLOCKED,
+            "a read blocked {BLOCKED:?} recorded {read:?}"
+        );
     }
 
     #[test]

@@ -27,9 +27,12 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(unsafe_code)]
 
 pub mod delay;
 pub mod faults;
+#[allow(unsafe_code)]
+mod os;
 pub mod session;
 pub mod sim_net;
 pub mod tcp_net;

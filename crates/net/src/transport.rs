@@ -9,13 +9,38 @@
 //! over [`ThreadNet`](crate::ThreadNet) handles (in-process, seeded
 //! delays and faults) and [`TcpEndpoint`](crate::TcpEndpoint) handles
 //! (real kernel sockets, one process per replica).
+//!
+//! A thread's first park through this crate sets its own timer slack to
+//! 10 µs. The kernel's default lets a timed park end up to 50 µs past
+//! its deadline, and every update's delivery waits out a park that ends
+//! on a due instant — two, when the sender promised the ring — so the
+//! default slack would add up to 100 µs to each hop.
 
 use crate::sim_net::Envelope;
 use crate::thread_net::NodeHandle;
 use prcc_sharegraph::ReplicaId;
+use std::cell::Cell;
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
+
+/// The timer slack, in nanoseconds, that a thread sets on its first park
+/// through this crate: how late past its deadline the kernel may end a
+/// timed park. Not 1 ns: a wake at the exact due instant of a frame finds
+/// fewer frames due than one that lands a little later, so loops pass
+/// more often for the same work (DESIGN §14 has the sweep).
+pub(crate) const PARK_SLACK_NS: u64 = 10_000;
+
+/// `std::thread::park_timeout`, after setting the calling thread's timer
+/// slack to [`PARK_SLACK_NS`] on its first park here. The slack is per
+/// thread, so no thread that never parks through this crate is touched.
+pub(crate) fn park_timeout(wait: Duration) {
+    thread_local!(static SLACK_SET: Cell<bool> = const { Cell::new(false) });
+    if !SLACK_SET.replace(true) {
+        crate::os::set_timer_slack(PARK_SLACK_NS);
+    }
+    std::thread::park_timeout(wait);
+}
 
 /// Wake-on-arrival for the one thread that consumes a node's input.
 ///
@@ -60,7 +85,8 @@ impl Doorbell {
 
     /// Parks the calling thread — which must be the bound one — until the
     /// bell rings or `deadline` passes. May also return spuriously;
-    /// callers re-check their queues after every return.
+    /// callers re-check their queues after every return. The thread's
+    /// first park sets its timer slack (see the [module docs](self)).
     pub fn wait_until(&self, deadline: Instant) {
         debug_assert!(
             self.is_bound_here(),
@@ -68,7 +94,7 @@ impl Doorbell {
         );
         let wait = deadline.saturating_duration_since(Instant::now());
         if !wait.is_zero() {
-            std::thread::park_timeout(wait);
+            park_timeout(wait);
         }
     }
 }
@@ -115,6 +141,11 @@ pub trait Transport: Send + 'static {
     /// a delivery, whichever comes first. May return early; callers
     /// re-check their inputs after every return. The default parks on
     /// the doorbell, for substrates that ring it on every delivery.
+    ///
+    /// A thread's first park sets its timer slack to 10 µs, from the
+    /// kernel's 50 µs default, so a park ends close to `deadline`: every
+    /// delivery waits out a park that ends on the frame's due instant,
+    /// and session retransmit timers end on one too.
     fn wait_until(&self, deadline: Instant) {
         self.doorbell().wait_until(deadline);
     }

@@ -41,6 +41,8 @@
 //! # ... one [[node]] per replica
 //! ```
 
+#![forbid(unsafe_code)]
+
 use prcc::checker::{check, UpdateId};
 use prcc::core::runtime::ThreadedCluster;
 use prcc::core::{merge_node_events, ClusterConfig, NodeEvent, WireMode};

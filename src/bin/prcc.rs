@@ -8,6 +8,8 @@
 //! prcc help
 //! ```
 
+#![forbid(unsafe_code)]
+
 use prcc::core::{BatchPolicy, Scenario, TrackerKind, WireMode};
 use prcc::net::{DelayModel, FaultPlan, FaultSchedule, SessionConfig};
 use prcc::sharegraph::{topology, LoopConfig, RegisterId, ReplicaId, ShareGraph, TimestampGraphs};

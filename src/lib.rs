@@ -37,6 +37,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use prcc_checker as checker;
 pub use prcc_core as core;
