@@ -231,7 +231,6 @@ fn serve(g: &ShareGraph, sessions: usize, ops_per_session: usize) -> ServingRunR
             zipf_theta: 1.0,
             workers,
             seed: 42,
-            flush_quantum: 64,
             ..Default::default()
         },
     );

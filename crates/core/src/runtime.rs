@@ -14,44 +14,50 @@
 //!
 //! Four design points keep client operations off the contended paths:
 //!
-//! * **One event-driven loop per replica.** A replica thread has exactly
-//!   one blocking point: it parks until its next session timer and is
-//!   woken early only by an arrival — a command, or a frame the transport
-//!   delivered (see `replica_main`). No pass without work, no
-//!   fixed-period poll, and the same loop in every configuration
-//!   (batched, durable, TCP, crash-bearing).
-//! * **Per-thread trace shards.** Each replica thread appends protocol
-//!   events to its own shard (a private `Mutex<Vec<_>>`, uncontended in
-//!   steady state) in its own order. The shards are merged into one
-//!   global [`Trace`] by [`merge_node_events`] only when
-//!   [`check`](ThreadedCluster::check) or
+//! * **A write is an engine call.** Each replica's engine sits behind
+//!   one lock. [`write`](ThreadedCluster::write) and
+//!   [`write_burst`](ThreadedCluster::write_burst) take it on the
+//!   caller's thread: issue every write, publish once, ship the batches
+//!   the call opened, and return — the paper's local write step, with no
+//!   thread hop and no queue in between.
+//! * **One event-driven loop per replica.** A replica thread handles
+//!   what arrives from the network and the session timers. It has
+//!   exactly one blocking point: it parks on its doorbell's timer until
+//!   the next frame falls due or the next session timer, and every
+//!   producer pulls that timer in — a delivery to its due instant, a
+//!   write to the session timer it armed (see `replica_main`). No pass
+//!   without work, no fixed-period poll, and the same loop in every
+//!   configuration (batched, durable, TCP, crash-bearing).
+//! * **Per-thread trace shards.** Each replica appends protocol events
+//!   to its own shard (a private `Mutex<Vec<_>>`) in its own order. The
+//!   shards are merged into one global [`Trace`] by [`merge_node_events`]
+//!   only when [`check`](ThreadedCluster::check) or
 //!   [`trace_snapshot`](ThreadedCluster::trace_snapshot) asks — no
 //!   global trace lock on the apply path.
 //! * **Lock-free read snapshots.** After every state change, a replica
-//!   thread publishes an immutable `Arc` snapshot of its store.
-//!   [`read`](ThreadedCluster::read) clones the `Arc` and never enqueues
-//!   into the replica thread, so readers cannot observe torn state and
-//!   cannot slow writers down.
-//! * **Self-clocking batches.** The engine coalesces the updates one
-//!   pass's command burst issues per destination into [`BatchMsg`]
-//!   frames, capped by the cluster's [`BatchPolicy`], and the loop ships
-//!   them at the end of that burst — no timer holds a batch open;
-//!   receivers ingest them through [`Replica::receive_batch`]'s
-//!   once-per-batch predicate fast path.
+//!   publishes an immutable `Arc` snapshot of its store.
+//!   [`read`](ThreadedCluster::read) clones the `Arc` and never takes
+//!   the engine lock, so readers cannot observe torn state and cannot
+//!   slow writers down.
+//!
+//! Batches are self-clocking: the engine coalesces one call's writes per
+//! destination into [`BatchMsg`] frames, capped by the cluster's
+//! [`BatchPolicy`], and ships them as the call returns — no timer holds
+//! a batch open; receivers ingest them through
+//! [`Replica::receive_batch`]'s once-per-batch predicate fast path.
 
 use crate::codec::WireMode;
 use crate::engine::{BatchPolicy, Engine, EngineConfig, Outgoing};
 use crate::message::BatchMsg;
 use crate::netframe::cluster_codec;
-use crate::replica::{Applied, PendingMode, Replica};
+use crate::replica::{PendingMode, Replica};
 use crate::store_cow::{SharedShards, StoreMode};
 use crate::system::TrackerKind;
 use crate::value::Value;
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use parking_lot::{Mutex, RwLock};
 use prcc_checker::{check, CheckReport, Trace, UpdateId};
 use prcc_net::{
-    BoundListener, DelayModel, Doorbell, FaultSchedule, SessionConfig, SessionFrame, TcpEndpoint,
+    BoundListener, DelayModel, FaultSchedule, SessionConfig, SessionFrame, TcpEndpoint,
     TcpNetConfig, TcpStatsSnapshot, ThreadNet, Transport, TICK,
 };
 use prcc_sharegraph::{LoopConfig, RegisterId, ReplicaId, ShareGraph};
@@ -82,28 +88,23 @@ pub struct ClusterConfig {
     pub schedule: FaultSchedule,
     /// Reliable-delivery session layer, if any.
     pub session: Option<SessionConfig>,
-    /// Sender-side update batching: the caps on one batch. The writes
-    /// one loop pass drains are coalesced per destination and shipped at
-    /// the end of that pass's command burst, or earlier at a cap.
+    /// Sender-side update batching: the caps on one batch. The writes of
+    /// one write call are coalesced per destination and shipped as the
+    /// call returns, or earlier at a cap.
     pub batch: BatchPolicy,
     /// Arms per-replica durable [`RecoveryLog`](crate::RecoveryLog)s
     /// with this WAL length between snapshot compactions. Required for
     /// crash/restart (a crash without a log would be permanent data
     /// loss); auto-armed at 1024 when the schedule scripts crashes.
     /// Durable replicas batch like any other: a crash lands between
-    /// passes and ships the open batches first, so every acked write is
-    /// in the WAL and every batch it rode in is in the outbox.
+    /// write calls and ships any open batch first, so every acked write
+    /// is in the WAL and every batch it rode in is in the outbox.
     pub durability: Option<usize>,
     /// How publishes materialise snapshots: sharded copy-on-write
     /// (O(Δ) per publish, the default) or the original clone-the-world
     /// oracle ([`StoreMode::Clone`], O(store) per publish).
     pub store: StoreMode,
 }
-
-/// Client command channel bound per replica thread. A full channel
-/// blocks the calling writer: a flooded replica thread exerts
-/// backpressure on writers instead of growing an unbounded queue.
-const CHANNEL_DEPTH: usize = 1024;
 
 /// Per-node network ingress bound of the in-process `ThreadNet`: frames
 /// in flight to a node beyond it are shed and, with a session, repaired
@@ -113,13 +114,13 @@ const INGRESS_DEPTH: usize = 4096;
 /// Why a cluster operation could not complete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterError {
-    /// The replica thread has exited (cluster shut down or thread died).
+    /// The cluster has shut down: the replica's loop has exited.
     Disconnected {
         /// The unreachable replica.
         replica: ReplicaId,
     },
-    /// The replica is inside a crash window: it is discarding commands
-    /// and network frames until its scripted (or explicit) restart.
+    /// The replica is inside a crash window: it rejects writes and
+    /// discards network frames until its scripted (or explicit) restart.
     Crashed {
         /// The crashed replica.
         replica: ReplicaId,
@@ -130,7 +131,7 @@ impl fmt::Display for ClusterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ClusterError::Disconnected { replica } => {
-                write!(f, "replica {replica} thread is gone (cluster shut down?)")
+                write!(f, "replica {replica} has shut down")
             }
             ClusterError::Crashed { replica } => {
                 write!(f, "replica {replica} is crashed (awaiting restart)")
@@ -140,39 +141,6 @@ impl fmt::Display for ClusterError {
 }
 
 impl std::error::Error for ClusterError {}
-
-/// Per-op outcome of a [`Cmd::WriteMany`] run: the issue succeeded, or
-/// the replica was inside a crash window — the serving tier re-routes
-/// the op, a blocking write reports [`ClusterError::Crashed`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WriteStatus {
-    /// Issued (and snapshot-visible) as this update.
-    Done(UpdateId),
-    /// Rejected: the replica is crashed. Nothing was issued.
-    Crashed,
-}
-
-enum Cmd {
-    /// A coalesced run of client writes (the serving tier's, or one
-    /// [`ThreadedCluster::write_burst`]): every op is issued before the
-    /// snapshot is republished once and any completion token is
-    /// released — one command, one publish, one channel round trip for
-    /// the whole run.
-    WriteMany {
-        ops: Vec<(u64, RegisterId, Value)>,
-        reply: Sender<(u64, WriteStatus)>,
-    },
-    /// Crash the replica (a fail-stop node whose durable log survives: it
-    /// drains its channels but discards everything; ignored without a
-    /// log), or restart it from that log (WAL replay, sender streams
-    /// re-armed from the outbox, `CatchUp` probes). `done` is signalled
-    /// once the change took effect.
-    CrashOrRestart {
-        restart: bool,
-        done: Sender<()>,
-    },
-    Shutdown,
-}
 
 /// One replica's trace shard: its protocol events in its own order,
 /// each stamped with nanoseconds since the cluster epoch (the stamps
@@ -361,7 +329,7 @@ pub struct ThreadedCluster {
     durable: bool,
     /// One endpoint per local replica over TCP, in replica order; empty
     /// over `ThreadNet`, whose handles the replica threads own.
-    tcp: Vec<TcpEndpoint<SessionFrame<BatchMsg>>>,
+    tcp: Vec<TcpEndpoint<Frame>>,
 }
 
 impl fmt::Debug for ThreadedCluster {
@@ -389,7 +357,7 @@ impl ThreadedCluster {
         config: ClusterConfig,
     ) -> Self {
         let (registry, replicas) = build_replicas(&graph);
-        let net: ThreadNet<SessionFrame<BatchMsg>> = ThreadNet::with_schedule(
+        let net: ThreadNet<Frame> = ThreadNet::with_schedule(
             graph.num_replicas(),
             delay,
             seed,
@@ -483,13 +451,13 @@ impl ThreadedCluster {
     /// Spawns a replica thread per transport handle (`handles` in replica
     /// order, each naming its replica by its id) — the
     /// substrate-independent half of every constructor.
-    fn spawn<T: Transport<Msg = SessionFrame<BatchMsg>>>(
+    fn spawn<T: Transport<Msg = Frame>>(
         graph: ShareGraph,
         registry: Arc<TsRegistry>,
         replicas: Vec<Replica>,
         config: ClusterConfig,
         handles: Vec<T>,
-        tcp: Vec<TcpEndpoint<SessionFrame<BatchMsg>>>,
+        tcp: Vec<TcpEndpoint<Frame>>,
     ) -> Self {
         let graph = Arc::new(graph);
         let engine = engine_config(&graph, registry, &config);
@@ -501,7 +469,12 @@ impl ThreadedCluster {
             .map(|replica| {
                 let handle = handles.next_if(|h| h.id() == replica.id())?;
                 Some(spawn_replica(
-                    replica, &engine, &config, epoch, handle, &counters,
+                    replica,
+                    &engine,
+                    &config,
+                    epoch,
+                    Box::new(handle),
+                    &counters,
                 ))
             })
             .collect();
@@ -571,8 +544,8 @@ impl ThreadedCluster {
         out
     }
 
-    /// Performs a blocking write at replica `r`. A full command channel
-    /// blocks until the replica thread drains (bounded backpressure).
+    /// Performs a write at replica `r` on the calling thread and returns
+    /// once it is issued, snapshot-visible at `r` and shipped.
     ///
     /// # Panics
     ///
@@ -584,8 +557,9 @@ impl ThreadedCluster {
             .unwrap_or_else(|e| panic!("write({r}, {x}): {e}"))
     }
 
-    /// Fallible blocking write at replica `r`: a crashed replica or dead
-    /// thread yields a typed [`ClusterError`] instead of a panic.
+    /// Fallible write at replica `r`: a crashed replica or a shut-down
+    /// cluster yields a typed [`ClusterError`] instead of a panic, and
+    /// issues nothing.
     ///
     /// # Panics
     ///
@@ -599,47 +573,30 @@ impl ThreadedCluster {
         Ok(self.write_many(r, vec![(x, v)])?[0])
     }
 
-    /// Issues `writes` at replica `r` as one [`Cmd::WriteMany`] and waits
-    /// for every completion, in order.
+    /// Issues `writes` at replica `r` in order, under one hold of its
+    /// engine lock: one publish and one shipment for the whole run.
     ///
     /// # Panics
     ///
-    /// Panics if `r` does not store one of the registers — checked here,
-    /// in the calling thread, so a bad write never reaches the replica
-    /// thread.
+    /// Panics if `r` does not store one of the registers — checked before
+    /// anything is issued.
     fn write_many(
         &self,
         r: ReplicaId,
         writes: Vec<(RegisterId, Value)>,
     ) -> Result<Vec<UpdateId>, ClusterError> {
-        let ops: Vec<(u64, RegisterId, Value)> = (0..)
-            .zip(writes)
-            .map(|(token, (x, v))| {
-                assert!(
-                    self.graph.placement().stores(r, x),
-                    "write({r}, {x}): {r} does not store {x}"
-                );
-                (token, x, v)
-            })
-            .collect();
-        let n = ops.len();
-        let (reply, rx) = bounded(n.max(1));
-        let cmd = Cmd::WriteMany { ops, reply };
-        if n > 0 && self.replica(r).cmd_tx.send(cmd).is_err() {
-            return Err(ClusterError::Disconnected { replica: r });
+        for &(x, _) in &writes {
+            assert!(
+                self.graph.placement().stores(r, x),
+                "write({r}, {x}): {r} does not store {x}"
+            );
         }
-        (0..n)
-            .map(|_| match rx.recv() {
-                Ok((_, WriteStatus::Done(id))) => Ok(id),
-                Ok((_, WriteStatus::Crashed)) => Err(ClusterError::Crashed { replica: r }),
-                Err(_) => Err(ClusterError::Disconnected { replica: r }),
-            })
-            .collect()
+        self.replica(r).shared.write(writes)
     }
 
-    /// Pipelined writes: the whole burst is one command, so the replica
-    /// thread issues it in one pass, coalesces it into batches and
-    /// publishes once, instead of ping-ponging one command per reply.
+    /// Pipelined writes: the whole burst is one call, so the replica
+    /// issues it under one hold of its engine lock, coalesces it into
+    /// batches and publishes once.
     ///
     /// # Panics
     ///
@@ -651,7 +608,7 @@ impl ThreadedCluster {
     }
 
     /// Reads register `x` at replica `r` from its published snapshot —
-    /// no round trip into the replica thread, no torn reads (snapshots
+    /// no engine lock, no torn reads (snapshots
     /// are immutable once published). Reflects the replica's own writes
     /// as soon as [`write`](Self::write) returns.
     pub fn read(&self, r: ReplicaId, x: RegisterId) -> Option<Value> {
@@ -669,38 +626,14 @@ impl ThreadedCluster {
         &self.graph
     }
 
-    /// Enqueues a coalesced run of tagged writes at replica `r` without
-    /// waiting for completion; each `(token, WriteStatus)` completion is
-    /// delivered on `reply` — [`WriteStatus::Done`] after the replica
-    /// republishes its snapshot (so a completion implies read-your-writes
-    /// visibility), [`WriteStatus::Crashed`] when the replica is inside a
-    /// crash window and the op must be re-routed. When the replica
-    /// thread is gone entirely (cluster shutting down) nothing is
-    /// enqueued and the ops are handed back for the caller to re-route.
-    /// The serving tier's write-ingress path.
-    pub(crate) fn send_write_many(
-        &self,
-        r: ReplicaId,
-        ops: Vec<(u64, RegisterId, Value)>,
-        reply: Sender<(u64, WriteStatus)>,
-    ) -> Result<(), Vec<(u64, RegisterId, Value)>> {
-        self.replica(r)
-            .cmd_tx
-            .send(Cmd::WriteMany { ops, reply })
-            .map_err(|cmd| match cmd {
-                Cmd::WriteMany { ops, .. } => ops,
-                _ => unreachable!("send_write_many only sends WriteMany"),
-            })
-    }
-
     /// True if `r` is currently inside a crash window (lock-free flag —
     /// the serving tier's failover signal).
     pub fn is_crashed(&self, r: ReplicaId) -> bool {
         self.replica(r).shared.crashed.load(Ordering::SeqCst)
     }
 
-    /// Crashes replica `r` now, blocking until the crash took effect.
-    /// The replica's volatile state is gone; its durable
+    /// Crashes replica `r` now, on the calling thread. The replica's
+    /// volatile state is gone; its durable
     /// [`RecoveryLog`](crate::RecoveryLog) survives for
     /// [`restart`](Self::restart).
     ///
@@ -708,41 +641,28 @@ impl ThreadedCluster {
     ///
     /// Panics if durability is not armed
     /// ([`ClusterConfig::durability`]) — a crash without a recovery log
-    /// would be permanent data loss, which this runtime does not model —
-    /// or if the cluster has shut down.
+    /// would be permanent data loss, which this runtime does not model.
     pub fn crash(&self, r: ReplicaId) {
         assert!(
             self.durable,
             "crash({r}) requires ClusterConfig::durability (recovery logs are not armed)"
         );
-        self.crash_or_restart(r, false);
+        self.replica(r).shared.crash_or_restart(false);
     }
 
-    /// Restarts a crashed replica `r` from its durable log, blocking
-    /// until recovery (WAL replay + session stream rebuild + catch-up
-    /// probes) completed. A no-op on a replica that is not crashed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cluster has shut down.
+    /// Restarts a crashed replica `r` from its durable log, on the
+    /// calling thread: WAL replay, session stream rebuild and catch-up
+    /// probes are done when it returns. A no-op on a replica that is not
+    /// crashed.
     pub fn restart(&self, r: ReplicaId) {
-        self.crash_or_restart(r, true);
-    }
-
-    /// Sends `r` a [`Cmd::CrashOrRestart`] and waits until it took effect.
-    fn crash_or_restart(&self, r: ReplicaId, restart: bool) {
-        let (done, rx) = bounded(1);
-        self.replica(r)
-            .cmd_tx
-            .send(Cmd::CrashOrRestart { restart, done })
-            .unwrap_or_else(|_| panic!("replica {r}: cluster has shut down"));
-        let _ = rx.recv();
+        self.replica(r).shared.crash_or_restart(true);
     }
 
     /// How many passes replica `r`'s loop has made so far — a diagnostic
-    /// for the loop's wait discipline: a pass happens only on an arrival
-    /// (command or frame), a due session timer, or the idle park running
-    /// out, so an idle cluster's count barely moves.
+    /// for the loop's wait discipline: a pass happens only on a frame
+    /// falling due, a due session timer, a ring, or the idle park running
+    /// out, so an idle cluster's count barely moves, and a write wakes no
+    /// thread at its own replica.
     pub fn loop_passes(&self, r: ReplicaId) -> u64 {
         self.replica(r).shared.passes.load(Ordering::Relaxed)
     }
@@ -841,10 +761,12 @@ impl ThreadedCluster {
         self.trace_snapshot()
     }
 
-    /// Asks every replica thread to stop, then joins them all.
+    /// Asks every replica thread to stop, then joins them all. A write
+    /// after this returns [`ClusterError::Disconnected`].
     fn stop(&mut self) {
         for r in self.local() {
-            let _ = r.cmd_tx.send(Cmd::Shutdown);
+            r.shared.stop.store(true, Ordering::SeqCst);
+            r.shared.net.doorbell().ring();
         }
         for t in self
             .replicas
@@ -938,30 +860,11 @@ pub fn merge_node_events(logs: &[Vec<NodeEvent>]) -> Trace {
     trace
 }
 
-/// A replica's command inlet: the bounded channel plus the loop's
-/// [`Doorbell`]. Every producer enqueues first and rings second, so the
-/// parked loop wakes on the arrival instead of polling for it.
-#[derive(Clone)]
-struct CmdTx {
-    tx: Sender<Cmd>,
-    bell: Doorbell,
-}
-
-impl CmdTx {
-    /// Blocking send (bounded backpressure); `Err` hands the command
-    /// back when the replica thread is gone.
-    fn send(&self, cmd: Cmd) -> Result<(), Cmd> {
-        self.tx.send(cmd).map_err(|e| e.0)?;
-        self.bell.ring();
-        Ok(())
-    }
-}
-
-/// Counters every replica thread of one cluster adds to;
-/// the public `total_*` accessors say what each counts. `wire_bytes` is
-/// a statistic that publishes no other data, so each write adds to it
-/// `Relaxed`; readers see it through the channel and `applied` hand-offs
-/// every delivery already makes.
+/// Counters every replica of one cluster adds to; the public `total_*`
+/// accessors say what each counts. `wire_bytes` is a statistic that
+/// publishes no other data, so each write adds to it `Relaxed`; readers
+/// see it through the engine lock and `applied` hand-offs every delivery
+/// already makes.
 #[derive(Default)]
 struct Counters {
     applied: AtomicUsize,
@@ -1004,19 +907,36 @@ impl Counters {
     }
 }
 
-/// What a replica thread shares with its driver: the trace shard, the
+/// The frame type every replica sends and receives.
+type Frame = SessionFrame<BatchMsg>;
+
+/// One replica's engine and the frames its last input emitted: what
+/// [`Shared::core`] guards.
+struct Core {
+    engine: Engine,
+    out: Vec<Outgoing>,
+}
+
+/// One replica as its loop and every calling thread share it: the engine
+/// behind one lock with the transport it sends on, the trace shard, the
 /// read snapshot, the crash flag (the serving tier's failover signal,
-/// read without a command round trip) and the loop-pass counter.
+/// read without the lock), the stop flag and the loop-pass counter.
 struct Shared {
+    core: Mutex<Core>,
+    net: Box<dyn Transport<Msg = Frame>>,
+    mode: StoreMode,
+    /// The engine clock counts µs from here.
+    epoch: Instant,
+    counters: Arc<Counters>,
     shard: TraceShard,
     snapshot: SnapshotCell,
     crashed: AtomicBool,
+    stop: AtomicBool,
     passes: AtomicU64,
 }
 
-/// What a driver keeps of one spawned replica thread.
+/// What a driver keeps of one spawned replica.
 struct ReplicaThread {
-    cmd_tx: CmdTx,
     thread: Option<JoinHandle<()>>,
     shared: Arc<Shared>,
 }
@@ -1067,26 +987,29 @@ fn engine_config(
     })
 }
 
-/// Spawns `replica`'s thread (`apply-N`) over transport `net` — the
-/// one place a [`ReplicaCtx`] is assembled.
-fn spawn_replica<T: Transport<Msg = SessionFrame<BatchMsg>>>(
+/// Spawns `replica`'s loop thread (`apply-N`) over transport `net`.
+fn spawn_replica(
     replica: Replica,
     engine: &Arc<EngineConfig>,
     config: &ClusterConfig,
     epoch: Instant,
-    net: T,
+    net: Box<dyn Transport<Msg = Frame>>,
     counters: &Arc<Counters>,
 ) -> ReplicaThread {
     let id = replica.id();
-    let (tx, cmds) = bounded::<Cmd>(CHANNEL_DEPTH);
-    let cmd_tx = CmdTx {
-        tx,
-        bell: net.doorbell().clone(),
-    };
     let shared = Arc::new(Shared {
+        core: Mutex::new(Core {
+            engine: Engine::new(replica, Arc::clone(engine)),
+            out: Vec::new(),
+        }),
+        net,
+        mode: config.store,
+        epoch,
+        counters: Arc::clone(counters),
         shard: Mutex::new(Vec::new()),
         snapshot: SnapshotCell::new(engine.graph.num_replicas()),
         crashed: AtomicBool::new(false),
+        stop: AtomicBool::new(false),
         passes: AtomicU64::new(0),
     });
     let script = config
@@ -1096,77 +1019,88 @@ fn spawn_replica<T: Transport<Msg = SessionFrame<BatchMsg>>>(
         .filter(|&(_, r, _)| r == id)
         .map(|(tick, _, restart)| (epoch + TICK * tick.min(u32::MAX as u64) as u32, restart))
         .collect();
-    let ctx = ReplicaCtx {
-        replica,
-        engine: Arc::clone(engine),
-        store: config.store,
-        epoch,
-        script,
-        net,
-        cmds,
-        shared: Arc::clone(&shared),
-        counters: Arc::clone(counters),
-    };
     let thread = std::thread::Builder::new()
         .name(format!("apply-{}", id.raw()))
-        .spawn(move || replica_main(ctx))
+        .spawn({
+            let shared = Arc::clone(&shared);
+            move || replica_main(&shared, script)
+        })
         .expect("spawn replica thread");
     ReplicaThread {
-        cmd_tx,
         thread: Some(thread),
         shared,
     }
 }
 
-/// Everything one replica thread owns. Generic over the [`Transport`]
-/// carrying session frames: [`prcc_net::NodeHandle`] in-process,
-/// [`prcc_net::TcpHandle`] over real sockets — the loop is identical.
-struct ReplicaCtx<T: Transport<Msg = SessionFrame<BatchMsg>>> {
-    replica: Replica,
-    engine: Arc<EngineConfig>,
-    store: StoreMode,
-    epoch: Instant,
-    /// This replica's scripted crash (`false`) and restart (`true`)
-    /// instants, in time order.
-    script: VecDeque<(Instant, bool)>,
-    net: T,
-    cmds: Receiver<Cmd>,
-    shared: Arc<Shared>,
-    counters: Arc<Counters>,
-}
-
-/// The replica thread's side of every engine input: sends the frames
-/// the engine emitted, stamps issues and applies into the trace shard,
-/// and adds to the cluster counters.
-struct TxPath<'a, T: Transport<Msg = SessionFrame<BatchMsg>>> {
-    net: &'a T,
-    /// The engine's effect buffer, drained by [`send`](Self::send).
-    out: Vec<Outgoing>,
-    shard: &'a TraceShard,
-    epoch: Instant,
-    counters: &'a Counters,
-}
-
-impl<T: Transport<Msg = SessionFrame<BatchMsg>>> TxPath<'_, T> {
-    /// Sends every frame the engine's last input emitted.
-    fn send(&mut self) {
-        for (dst, frame) in self.out.drain(..) {
-            self.net.send(dst, frame);
-        }
-    }
-
+impl Shared {
     /// The engine clock: µs since the cluster epoch.
     fn now(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// Issues one write through the engine, records it, and sends its
-    /// frames. Does *not* publish a snapshot — the caller publishes once
-    /// per drain burst, which is what makes bursts cheap.
-    fn issue(&mut self, engine: &mut Engine, register: RegisterId, value: Value) -> UpdateId {
+    /// Sends every frame the engine's last input emitted.
+    fn send(&self, out: &mut Vec<Outgoing>) {
+        for (dst, frame) in out.drain(..) {
+            self.net.send(dst, frame);
+        }
+    }
+
+    /// Publishes the engine's current state as one immutable
+    /// [`ReplicaView`]: store, per-register provenance, and the applied
+    /// frontier, captured together so readers never see a store newer
+    /// than its frontier.
+    fn publish(&self, engine: &Engine) {
+        self.snapshot.publish(ReplicaView::capture(
+            engine.replica(),
+            self.mode,
+            engine.frontier().to_vec(),
+        ));
+    }
+
+    /// Ends an input from outside the loop: sends what it emitted, and
+    /// has the loop awake by the session timer it may have armed.
+    fn ring_loop(&self, core: &mut Core) {
+        self.send(&mut core.out);
+        if let Some(us) = core.engine.next_deadline() {
+            self.net
+                .doorbell()
+                .ring_at(self.epoch + Duration::from_micros(us));
+        }
+    }
+
+    /// A write call, on the caller's thread: issues every write (each
+    /// recorded before any of its frames leaves), publishes once — so a
+    /// write is snapshot-visible here when the call returns — and ships
+    /// the batches the call opened. Issues nothing on a crashed or
+    /// stopped replica.
+    fn write(&self, writes: Vec<(RegisterId, Value)>) -> Result<Vec<UpdateId>, ClusterError> {
+        let mut core = self.core.lock();
+        let replica = core.engine.replica().id();
+        if self.stop.load(Ordering::SeqCst) {
+            return Err(ClusterError::Disconnected { replica });
+        }
+        if core.engine.is_crashed() {
+            return Err(ClusterError::Crashed { replica });
+        }
+        let ids = writes
+            .into_iter()
+            .map(|(x, v)| self.issue(&mut core, x, v))
+            .collect();
+        let Core { engine, out } = &mut *core;
+        self.publish(engine);
+        engine.flush(self.now(), out);
+        self.ring_loop(&mut core);
+        Ok(ids)
+    }
+
+    /// Issues one write through the engine, records it, and sends the
+    /// frames a full batch emitted. Does *not* publish a snapshot — the
+    /// caller publishes once per call, which is what makes bursts cheap.
+    fn issue(&self, core: &mut Core, register: RegisterId, value: Value) -> UpdateId {
         let nanos = self.epoch.elapsed().as_nanos() as u64;
-        let issued = engine
-            .write(register, value, nanos / 1000, &mut self.out, |_, _| {})
+        let issued = core
+            .engine
+            .write(register, value, nanos / 1000, &mut core.out, |_, _| {})
             .unwrap_or_else(|e| panic!("{e}"));
         let id = UpdateId {
             issuer: issued.msg.issuer,
@@ -1178,15 +1112,54 @@ impl<T: Transport<Msg = SessionFrame<BatchMsg>>> TxPath<'_, T> {
         self.shard
             .lock()
             .push((nanos, NodeEvent::Issue { id, register }));
-        let c = self.counters;
+        let c = &self.counters;
         c.sent.fetch_add(issued.fanout, Ordering::SeqCst);
         c.wire_bytes.fetch_add(issued.wire_bytes, Ordering::Relaxed);
-        self.send();
+        self.send(&mut core.out);
         id
     }
 
-    /// Records a delivery's applies; returns how many there were.
-    fn applied(&mut self, applied: &[Applied]) -> usize {
+    /// Crashes the engine (`restart == false`) or restarts it from its
+    /// durable log — the one path for [`ThreadedCluster::crash`],
+    /// [`ThreadedCluster::restart`] and the scripted timeline. Every
+    /// write call has shipped its batches when it returned, so the crash
+    /// loses no acknowledged write. A restart republishes from recovered
+    /// state, so durable writes become snapshot-visible again at once.
+    fn crash_or_restart(&self, restart: bool) {
+        let mut core = self.core.lock();
+        let now = self.now();
+        let Core { engine, out } = &mut *core;
+        if restart {
+            if engine.restart(now, out) {
+                self.crashed.store(false, Ordering::SeqCst);
+                self.counters.restarts.fetch_add(1, Ordering::SeqCst);
+                self.publish(engine);
+            }
+        } else if engine.crash(now, out) {
+            self.crashed.store(true, Ordering::SeqCst);
+        }
+        self.ring_loop(&mut core);
+    }
+
+    /// Handles one frame: applies what it releases and records the
+    /// applies. Returns how many there were.
+    fn receive(&self, src: ReplicaId, frame: Frame) -> usize {
+        let mut core = self.core.lock();
+        let Core { engine, out } = &mut *core;
+        if engine.is_crashed() {
+            // A crashed node's NIC is dark: frames vanish. Bare frames
+            // (no session) are permanent losses and must be accounted so
+            // `settle` can still converge; session frames will be
+            // retransmitted until after the restart.
+            if let SessionFrame::Bare(b) = &frame {
+                self.counters
+                    .lost
+                    .fetch_add(b.updates.len(), Ordering::SeqCst);
+            }
+            return 0;
+        }
+        let applied = engine.on_frame(src, frame, self.now(), out, |_| {});
+        self.send(out);
         if !applied.is_empty() {
             let nanos = self.epoch.elapsed().as_nanos() as u64;
             self.shard.lock().extend(applied.iter().map(|a| {
@@ -1212,224 +1185,56 @@ fn roll(ctr: &AtomicUsize, last: &mut usize, now: usize) {
     *last = now;
 }
 
-/// Publishes the engine's current state as one immutable
-/// [`ReplicaView`]: store, per-register provenance, and the applied
-/// frontier, captured together so readers never see a store newer than
-/// its frontier.
-fn publish_view(snapshot: &SnapshotCell, engine: &Engine, mode: StoreMode) {
-    snapshot.publish(ReplicaView::capture(
-        engine.replica(),
-        mode,
-        engine.frontier().to_vec(),
-    ));
-}
-
-/// A [`Cmd::WriteMany`] reply channel plus the per-write statuses owed
-/// to it once the burst's publish lands.
-type ManyReply = (Sender<(u64, WriteStatus)>, Vec<(u64, WriteStatus)>);
-
-/// Write completions held back until the burst's single publish. The
-/// COW publish invariant (DESIGN §14): a completion token never escapes
-/// to a client before its write is snapshot-visible, so read-your-
-/// writes needs no replica lock — releasing always publishes first
-/// when any write is pending.
-#[derive(Default)]
-struct DeferredReplies {
-    wrote: bool,
-    many: Vec<ManyReply>,
-}
-
-impl DeferredReplies {
-    /// Publishes once (iff any write is pending) and releases every
-    /// held completion token — the one-publish-per-drain-burst path.
-    fn release(&mut self, snapshot: &SnapshotCell, engine: &Engine, mode: StoreMode) {
-        if self.wrote {
-            publish_view(snapshot, engine, mode);
-            self.wrote = false;
-        }
-        for (reply, statuses) in self.many.drain(..) {
-            for s in statuses {
-                let _ = reply.send(s);
-            }
-        }
-    }
-}
-
-/// Crashes the engine (`restart == false`) or restarts it from its
-/// durable log — the one path for [`Cmd::CrashOrRestart`] and the
-/// scripted timeline. The crash must observe every completion
-/// already promised, so the burst publishes and releases first; the
-/// engine ships the burst's open batches before it goes down. A restart
-/// republishes from recovered state, so durable writes become
-/// snapshot-visible again at once.
-fn crash_or_restart<T: Transport<Msg = SessionFrame<BatchMsg>>>(
-    restart: bool,
-    engine: &mut Engine,
-    tx: &mut TxPath<'_, T>,
-    shared: &Shared,
-    deferred: &mut DeferredReplies,
-    mode: StoreMode,
-) {
-    deferred.release(&shared.snapshot, engine, mode);
-    let now = tx.now();
-    if restart {
-        if engine.restart(now, &mut tx.out) {
-            tx.send();
-            shared.crashed.store(false, Ordering::SeqCst);
-            tx.counters.restarts.fetch_add(1, Ordering::SeqCst);
-            publish_view(&shared.snapshot, engine, mode);
-        }
-    } else if engine.crash(now, &mut tx.out) {
-        tx.send();
-        shared.crashed.store(true, Ordering::SeqCst);
-    }
-}
-
 /// How long a replica loop parks when no session timer is armed.
 /// Nothing depends on the loop passing at this period — every
-/// input wakes the park — it only bounds what a wake-up lost to a
-/// bug could cost. Public so the lost-wake-up regression test can name
-/// the cliff it looks for.
+/// input pulls the park's timer in — it only bounds what a wake-up lost
+/// to a bug could cost. Public so the lost-wake-up regression test can
+/// name the cliff it looks for.
 pub const IDLE_PARK: Duration = Duration::from_millis(50);
 
 /// The replica loop — the one loop every configuration runs (batched or
 /// not, durable or not, `ThreadNet` or TCP, crash-bearing or not). It
-/// drives one [`Engine`] (codec, batches, session, WAL, crash/restart)
-/// and owns what the engine does not: commands, scripted crashes, the
-/// doorbell park, the trace shard, snapshot publishing and the cluster
-/// counters. Every engine input is followed by sending the frames it
-/// emitted.
+/// owns what the write calls do not: frames from the network, the
+/// session timers, scripted crashes and the park.
 ///
-/// Each pass fires the scripted crashes and restarts that are due,
-/// drains a burst of commands, publishes once and releases their
-/// completion tokens, ships the batches that burst opened, drains a
-/// burst of frames, publishes once, and ticks the engine (due session
-/// timers). It then parks through the transport
+/// Each pass stops if asked, fires the scripted crashes and restarts
+/// that are due, takes a burst of frames (each under the engine lock, so
+/// a write waits for one frame at most), publishes once, and ticks the
+/// engine (due session timers). It then parks through the transport
 /// ([`Transport::wait_until`]) until the engine's next session timer or
-/// scripted event, whichever is first, and is woken early only by an
-/// arrival: a command ([`CmdTx`] rings the transport's [`Doorbell`]) or
-/// a frame falling due (the substrate wakes the park by its due
-/// instant). The park token is sticky, so an arrival between the last
-/// queue check and the park is never slept through.
-fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) {
-    let ReplicaCtx {
-        replica,
-        engine: config,
-        store: mode,
-        epoch,
-        mut script,
-        net,
-        cmds,
-        shared,
-        counters,
-    } = ctx;
-    net.doorbell().bind();
-    let mut engine = Engine::new(replica, config);
-    let mut tx = TxPath {
-        net: &net,
-        out: Vec::new(),
-        shard: &shared.shard,
-        epoch,
-        counters: &counters,
-    };
+/// scripted event, whichever is first. The park ends early only when
+/// its doorbell's timer is pulled in: by a frame's due instant
+/// (`ThreadNet`), a delivery (TCP), a write's session timer, or `stop`.
+/// A ring that lands before the park is folded into it, so none is
+/// slept through.
+fn replica_main(shared: &Shared, mut script: VecDeque<(Instant, bool)>) {
+    let counters = &*shared.counters;
     let (mut local_pending, mut last_retx, mut last_demotions) = (0, 0, 0);
-    // Completion tokens held for the burst's single publish.
-    let mut deferred = DeferredReplies::default();
     loop {
         shared.passes.fetch_add(1, Ordering::Relaxed);
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
         while let Some(&(_, restart)) = script.front().filter(|&&(at, _)| at <= Instant::now()) {
             script.pop_front();
-            crash_or_restart(restart, &mut engine, &mut tx, &shared, &mut deferred, mode);
+            shared.crash_or_restart(restart);
         }
-        // Set when a burst budget ran out with its queue possibly
-        // non-empty: that input rang the bell before this pass took it,
-        // so only an explicit next pass (not a park) is sure to see it.
-        let mut more = false;
-        // Drain a burst of client commands (writes from concurrent
-        // drivers coalesce into the same pending batches and share one
-        // snapshot publish).
-        let mut budget = 64;
-        while budget > 0 {
-            let cmd = match cmds.try_recv() {
-                Ok(c) => c,
-                Err(TryRecvError::Empty) => break,
-                // Every command sender is gone without a `Shutdown`:
-                // nothing can ask this replica for anything again.
-                Err(TryRecvError::Disconnected) => Cmd::Shutdown,
-            };
-            budget -= 1;
-            match cmd {
-                Cmd::WriteMany { ops, reply } => {
-                    if engine.is_crashed() {
-                        // Typed per-op rejection: the caller re-routes
-                        // or reports ClusterError::Crashed.
-                        for (token, _, _) in ops {
-                            let _ = reply.send((token, WriteStatus::Crashed));
-                        }
-                        continue;
-                    }
-                    // Defer the completions: the burst publishes once,
-                    // and no token escapes before that publish
-                    // (read-own-writes).
-                    let done: Vec<_> = ops
-                        .into_iter()
-                        .map(|(token, register, value)| {
-                            (
-                                token,
-                                WriteStatus::Done(tx.issue(&mut engine, register, value)),
-                            )
-                        })
-                        .collect();
-                    deferred.wrote |= !done.is_empty();
-                    deferred.many.push((reply, done));
-                }
-                Cmd::CrashOrRestart { restart, done } => {
-                    crash_or_restart(restart, &mut engine, &mut tx, &shared, &mut deferred, mode);
-                    let _ = done.send(());
-                }
-                Cmd::Shutdown => {
-                    deferred.release(&shared.snapshot, &engine, mode);
-                    engine.flush(tx.now(), &mut tx.out);
-                    tx.send();
-                    return;
-                }
-            }
-        }
-        more |= budget == 0;
-        // One publish for the whole burst, then every held completion
-        // token — never a token before its write is snapshot-visible.
-        deferred.release(&shared.snapshot, &engine, mode);
-        // The burst was the batch: ship what it left open.
-        if engine.has_open_batch() {
-            engine.flush(tx.now(), &mut tx.out);
-            tx.send();
-        }
-        // Then a burst of network input.
+        // A burst of network input. When the budget runs out with the
+        // inbox possibly non-empty, the next pass starts at once.
         let mut applied = 0;
         let mut budget = 256;
         while budget > 0 {
-            let Some(env) = net.try_recv() else {
+            let Some(env) = shared.net.try_recv() else {
                 break;
             };
             budget -= 1;
-            if engine.is_crashed() {
-                // A crashed node's NIC is dark: frames vanish. Bare
-                // frames (no session) are permanent losses and must be
-                // accounted so `settle` can still converge; session
-                // frames will be retransmitted until after the restart.
-                if let SessionFrame::Bare(b) = &env.msg {
-                    counters.lost.fetch_add(b.updates.len(), Ordering::SeqCst);
-                }
-                continue;
-            }
-            let got = engine.on_frame(env.src, env.msg, tx.now(), &mut tx.out, |_| {});
-            tx.send();
-            applied += tx.applied(&got);
+            applied += shared.receive(env.src, env.msg);
         }
-        more |= budget == 0;
+        let mut core = shared.core.lock();
+        let Core { engine, out } = &mut *core;
         if applied > 0 {
             counters.applied.fetch_add(applied, Ordering::SeqCst);
-            publish_view(&shared.snapshot, &engine, mode);
+            shared.publish(engine);
         }
         let mut wake = script.front().map(|&(at, _)| at);
         if !engine.is_crashed() {
@@ -1437,10 +1242,10 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) 
             roll(&counters.pending, &mut local_pending, pending);
             // Fire the session timers that are due and learn when the
             // next one is.
-            engine.tick(tx.now(), &mut tx.out);
-            tx.send();
+            engine.tick(shared.now(), out);
+            shared.send(out);
             if let Some(us) = engine.next_deadline() {
-                let timer = epoch + Duration::from_micros(us);
+                let timer = shared.epoch + Duration::from_micros(us);
                 wake = Some(wake.map_or(timer, |at| at.min(timer)));
             }
         }
@@ -1451,8 +1256,11 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(ctx: ReplicaCtx<T>) 
             &mut last_demotions,
             engine.codec_stats().demotions,
         );
-        if !more {
-            net.wait_until(wake.unwrap_or_else(|| Instant::now() + IDLE_PARK));
+        drop(core);
+        if budget > 0 {
+            shared
+                .net
+                .wait_until(wake.unwrap_or_else(|| Instant::now() + IDLE_PARK));
         }
     }
 }

@@ -28,22 +28,23 @@
 //!   state change. A read is served from the first candidate whose
 //!   frontier *covers* both components of the session's dependency on
 //!   that register — read-your-writes and monotonic reads hold by the
-//!   covering argument below, and the read never enqueues into a
-//!   replica thread.
-//! * **Write-ingress coalescing.** Worker handles buffer writes per
-//!   target replica and ship them as one [`WriteMany`] command — one
-//!   channel round trip and one snapshot publish per
-//!   [`ServingConfig::write_batch`] client writes, feeding the
-//!   cluster's sender-side batch pipeline.
+//!   covering argument below, and the read never takes a replica's
+//!   engine lock.
+//! * **A write completes in the call.** [`ServingWorker::write`] routes
+//!   the op and issues it with [`ThreadedCluster::try_write`] on the
+//!   worker's own thread: the write is issued, snapshot-visible at its
+//!   replica and shipped when the call returns, and the session's
+//!   dependency on it is recorded before the session's next op routes.
+//!   No buffer, completion channel or park sits between a client write
+//!   and its acknowledgement.
 //! * **Fault tolerance.** When a session's target replica is inside a
 //!   crash window the op fails over to another live holder — reads via
 //!   [`route_live`] candidate skipping, writes via bounded re-route
-//!   retries of per-op crash rejections — and the session's
-//!   portable dependency state makes the guarantees hold across the
-//!   move. Ops that cannot be served degrade to typed [`ServingError`]s
-//!   (never a panic): blocked past [`ServingConfig::op_timeout`],
-//!   every holder down, or shed by admission control at
-//!   [`ServingConfig::max_in_flight`] outstanding writes.
+//!   retries of crash rejections — and the session's portable
+//!   dependency state makes the guarantees hold across the move. Ops
+//!   that cannot be served degrade to typed [`ServingError`]s (never a
+//!   panic): a read blocked past [`ServingConfig::op_timeout`], or every
+//!   holder down.
 //!
 //! # Why covering is sound
 //!
@@ -57,13 +58,10 @@
 //! neither read-your-writes nor monotonic reads. The verdict is checked
 //! from the trace, not trusted: drive the tier, then hand its recorded
 //! [`SessionEvent`]s to [`check_sessions`](prcc_checker::check_sessions).
-//!
-//! [`WriteMany`]: ThreadedCluster::write
 
-use crate::runtime::{ReplicaView, ThreadedCluster, WriteStatus};
+use crate::runtime::{ReplicaView, ThreadedCluster};
 use crate::stats::LatencyStats;
 use crate::value::Value;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use prcc_checker::{SessionEvent, UpdateId};
 use prcc_sharegraph::{ClientId, RegisterId, ReplicaId, ShareGraph};
@@ -78,8 +76,8 @@ use std::time::{Duration, Instant};
 /// sets never contend regardless).
 const TABLE_SHARDS: usize = 64;
 
-/// Re-route attempts for a write rejected by a crashed replica before
-/// the (never-acked) write is abandoned.
+/// Re-route attempts for a write rejected by a crashed (or shut-down)
+/// replica before the (never-acked) write is abandoned.
 const MAX_RETRIES: u32 = 3;
 
 /// First step of the deterministic exponential backoff used while an op
@@ -92,48 +90,24 @@ pub struct ServingConfig {
     /// Replicas per session attach set `R_c` (clamped to the cluster
     /// size).
     pub attach_span: usize,
-    /// Client writes coalesced per [`Cmd::WriteMany`] shipment. Larger
-    /// batches amortize the command channel; smaller ones tighten write
-    /// latency.
-    ///
-    /// [`Cmd::WriteMany`]: ThreadedCluster
-    pub write_batch: usize,
     /// Soft cap on per-session dependency entries. Above it, entries
     /// every holder already covers are evicted (they can never block a
     /// future read). Uncovered entries are *never* dropped — the cap
     /// bounds memory without weakening guarantees.
     pub dep_cap: usize,
-    /// How long an op may block — a read on an uncovered dependency, a
-    /// session draining its in-flight write — before it degrades to
-    /// [`ServingError::Timeout`] instead of wedging the worker.
+    /// How long a read may block on a dependency no live candidate
+    /// covers yet, counted from the call, before it degrades to
+    /// [`ServingError::Timeout`] (or [`ServingError::ReplicaCrashed`]
+    /// when every candidate is down) instead of wedging the worker.
     pub op_timeout: Duration,
-    /// Admission-control watermark: a write arriving while this many
-    /// writes are outstanding on the worker is shed with
-    /// [`ServingError::Overloaded`] instead of queued. Kept below the
-    /// completion channel's capacity so completions can never block a
-    /// replica thread.
-    pub max_in_flight: usize,
-    /// The most a worker parks on its completion channel after flushing
-    /// writes, waiting until every write it has shipped is answered.
-    /// Parking — rather than submitting and racing on — bounds the
-    /// in-flight window to one flushed batch and, on hosts with few
-    /// cores, hands the CPU straight to the replica threads: an
-    /// open-loop driver that never blocks can otherwise burn a full
-    /// scheduler quantum (milliseconds) on snapshot reads while
-    /// acked-but-unobserved completions age in the channel. Zero
-    /// disables the wait.
-    pub completion_wait: Duration,
 }
 
 impl Default for ServingConfig {
     fn default() -> Self {
         ServingConfig {
             attach_span: 2,
-            write_batch: 32,
             dep_cap: 64,
             op_timeout: Duration::from_secs(30),
-            max_in_flight: 1 << 15,
-            completion_wait: Duration::from_micros(150),
         }
     }
 }
@@ -143,23 +117,17 @@ impl Default for ServingConfig {
 /// client request, or fail it upward; the tier stays live either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServingError {
-    /// The op stayed blocked past [`ServingConfig::op_timeout`]: a read
-    /// dependency never became covered, or a write completion never
-    /// arrived.
+    /// A read stayed blocked past [`ServingConfig::op_timeout`]: its
+    /// dependency never became covered.
     Timeout {
         /// The register the op targeted.
         register: RegisterId,
     },
-    /// Every replica that could serve the op is inside a crash window.
+    /// Every replica that could serve the op is inside a crash window
+    /// (or, for a write, stayed down through its re-routes).
     ReplicaCrashed {
         /// The op's preferred (fault-free) target.
         replica: ReplicaId,
-    },
-    /// Admission control shed the op at the
-    /// [`ServingConfig::max_in_flight`] watermark.
-    Overloaded {
-        /// Writes outstanding at the moment of rejection.
-        in_flight: usize,
     },
 }
 
@@ -171,9 +139,6 @@ impl fmt::Display for ServingError {
             }
             ServingError::ReplicaCrashed { replica } => {
                 write!(f, "every holder reachable from {replica} is crashed")
-            }
-            ServingError::Overloaded { in_flight } => {
-                write!(f, "shed at {in_flight} writes in flight")
             }
         }
     }
@@ -216,7 +181,6 @@ struct TierCounters {
     mr_blocks: AtomicU64,
     dep_evictions: AtomicU64,
     failovers: AtomicU64,
-    ops_shed: AtomicU64,
     op_timeouts: AtomicU64,
     writes_abandoned: AtomicU64,
 }
@@ -241,15 +205,15 @@ pub struct ServingStats {
     /// Ops re-routed away from a crashed replica to another live holder
     /// in (or beyond) the session's attach window.
     pub failovers: u64,
-    /// Writes shed by admission control at the
-    /// [`ServingConfig::max_in_flight`] watermark.
+    /// Always 0: a write completes inside its call, so the tier has no
+    /// queue to shed from. Kept for readers of the counter set.
     pub ops_shed: u64,
-    /// Ops that degraded to [`ServingError::Timeout`] (or were still
-    /// outstanding when the worker finished).
+    /// Reads that degraded to a typed error at
+    /// [`ServingConfig::op_timeout`].
     pub op_timeouts: u64,
     /// Writes abandoned after three re-routes of crash rejections, or
-    /// with no live holder left — never acked, so no guarantee covers
-    /// them.
+    /// with no live holder left after a rejection — never acked, so no
+    /// guarantee covers them.
     pub writes_abandoned: u64,
 }
 
@@ -262,8 +226,8 @@ pub struct Collected {
     pub events: Vec<SessionEvent>,
     /// Client-visible read latency (nanoseconds).
     pub read_lat: LatencyStats,
-    /// Client-visible write latency (nanoseconds; completion-to-visible,
-    /// includes coalescing residency).
+    /// Client-visible write latency (nanoseconds; call to
+    /// snapshot-visible at the serving replica).
     pub write_lat: LatencyStats,
     /// Client-visible latency of ops that failed over to a non-preferred
     /// replica (nanoseconds) — the cost of riding out a crash window.
@@ -396,7 +360,7 @@ impl<'c> ServingTier<'c> {
             mr_blocks: self.counters.mr_blocks.load(Ordering::Relaxed),
             dep_evictions: self.counters.dep_evictions.load(Ordering::Relaxed),
             failovers: self.counters.failovers.load(Ordering::Relaxed),
-            ops_shed: self.counters.ops_shed.load(Ordering::Relaxed),
+            ops_shed: 0,
             op_timeouts: self.counters.op_timeouts.load(Ordering::Relaxed),
             writes_abandoned: self.counters.writes_abandoned.load(Ordering::Relaxed),
         }
@@ -406,15 +370,8 @@ impl<'c> ServingTier<'c> {
     /// must be driven by a single worker at a time (its ops need a
     /// service order).
     pub fn worker(&self) -> ServingWorker<'c, '_> {
-        let (reply_tx, reply_rx) = bounded(1 << 16);
         ServingWorker {
             tier: self,
-            bufs: vec![Vec::new(); self.cluster.graph().num_replicas()],
-            tokens: HashMap::new(),
-            next_token: 0,
-            in_flight: HashMap::new(),
-            reply_tx,
-            reply_rx,
             out: Collected::default(),
         }
     }
@@ -454,66 +411,36 @@ impl<'c> ServingTier<'c> {
     }
 }
 
-/// A write shipped but not yet completed: which session issued it, on
-/// which register and value (kept for crash re-routes), when it entered
-/// the tier, and how its failover budget stands.
-#[derive(Debug)]
-struct PendingWrite {
-    sid: u64,
-    register: RegisterId,
-    value: Value,
-    start: Instant,
-    attempts: u32,
-    failed_over: bool,
-}
-
-/// One driver thread's handle onto the tier: per-replica write buffers,
-/// the completion channel, and thread-local event/latency collection.
-/// Created by [`ServingTier::worker`]; call [`finish`](Self::finish)
-/// when done to flush and collect.
+/// One driver thread's handle onto the tier: thread-local event and
+/// latency collection. Created by [`ServingTier::worker`]; call
+/// [`finish`](Self::finish) when done to collect.
 #[derive(Debug)]
 pub struct ServingWorker<'c, 't> {
     tier: &'t ServingTier<'c>,
-    /// Per-target-replica coalescing buffers of (token, register, value).
-    bufs: Vec<Vec<(u64, RegisterId, Value)>>,
-    /// token → pending-write bookkeeping.
-    tokens: HashMap<u64, PendingWrite>,
-    next_token: u64,
-    /// Sessions with an outstanding write → its token. At most one per
-    /// session: the session's next op drains it first, so the write's
-    /// `UpdateId` is always known before a dependent read routes.
-    in_flight: HashMap<u64, u64>,
-    reply_tx: Sender<(u64, WriteStatus)>,
-    reply_rx: Receiver<(u64, WriteStatus)>,
     out: Collected,
 }
 
 impl ServingWorker<'_, '_> {
     /// Serves a write for session `sid`: routes it (failing over past a
-    /// crashed preferred target), coalesces it into the target replica's
-    /// buffer, and returns. Completion (and the session's dependency
-    /// update) happens asynchronously via [`poll`](Self::poll) / the
-    /// session's next op. Degrades instead of queueing unboundedly:
-    /// [`ServingError::Overloaded`] past the admission watermark,
-    /// [`ServingError::ReplicaCrashed`] when no holder is up.
+    /// crashed preferred target), issues it at the target on this
+    /// thread, and records the session's dependency on it, its event and
+    /// its latency before returning. A write the target rejects because
+    /// it crashed (or shut down) after routing is re-routed to a live
+    /// holder after a short backoff, at most `MAX_RETRIES` times.
+    /// [`ServingError::ReplicaCrashed`] when no holder is up, or the
+    /// write was abandoned.
     pub fn write(&mut self, sid: u64, x: RegisterId, v: Value) -> Result<(), ServingError> {
-        self.poll();
-        self.drain_session(sid)?;
+        let started = Instant::now();
         let tier = self.tier;
-        if self.tokens.len() >= tier.cfg.max_in_flight {
-            tier.counters.ops_shed.fetch_add(1, Ordering::Relaxed);
-            return Err(ServingError::Overloaded {
-                in_flight: self.tokens.len(),
-            });
-        }
-        let graph = tier.cluster.graph();
-        let (preferred, mut local) = route(graph, sid, tier.cfg.attach_span, x);
+        let cluster = tier.cluster;
+        let graph = cluster.graph();
+        let span = tier.cfg.attach_span;
+        let (preferred, mut local) = route(graph, sid, span, x);
         let mut target = preferred;
         let mut failed_over = false;
-        if tier.cluster.is_crashed(preferred) {
-            let Some((alt, alt_local)) = route_live(graph, sid, tier.cfg.attach_span, x, |r| {
-                tier.cluster.is_crashed(r)
-            }) else {
+        if cluster.is_crashed(preferred) {
+            let Some((alt, alt_local)) = route_live(graph, sid, span, x, |r| cluster.is_crashed(r))
+            else {
                 return Err(ServingError::ReplicaCrashed { replica: preferred });
             };
             tier.counters.failovers.fetch_add(1, Ordering::Relaxed);
@@ -525,25 +452,49 @@ impl ServingWorker<'_, '_> {
             &tier.counters.ops_forwarded
         };
         ctr.fetch_add(1, Ordering::Relaxed);
-        let token = self.next_token;
-        self.next_token += 1;
-        self.tokens.insert(
-            token,
-            PendingWrite {
-                sid,
-                register: x,
-                value: v.clone(),
-                start: Instant::now(),
-                attempts: 0,
-                failed_over,
-            },
-        );
-        self.in_flight.insert(sid, token);
-        self.bufs[target.index()].push((token, x, v));
-        if self.bufs[target.index()].len() >= tier.cfg.write_batch {
-            self.flush_replica(target);
-            self.await_completions();
+        let mut attempts = 0;
+        let uid = loop {
+            // `Crashed` and `Disconnected` both mean "not issued here".
+            if let Ok(uid) = cluster.try_write(target, x, v.clone()) {
+                break uid;
+            }
+            attempts += 1;
+            failed_over = true;
+            let rerouted = (attempts <= MAX_RETRIES)
+                .then(|| route_live(graph, sid, span, x, |r| cluster.is_crashed(r)))
+                .flatten();
+            let Some((alt, _)) = rerouted else {
+                tier.counters
+                    .writes_abandoned
+                    .fetch_add(1, Ordering::Relaxed);
+                self.out.failed += 1;
+                return Err(ServingError::ReplicaCrashed { replica: preferred });
+            };
+            tier.counters.failovers.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(backoff(attempts));
+            target = alt;
+        };
+        tier.with_session(sid, |s| {
+            let d = s.deps.entry(x).or_default();
+            // The session's own write is also its latest observation
+            // (mirrors the checker's semantics).
+            d.wrote = Some(uid);
+            d.read = Some(uid);
+            if s.deps.len() > tier.cfg.dep_cap {
+                tier.evict_covered(s);
+            }
+        });
+        self.out.events.push(SessionEvent::Write {
+            client: ClientId::new(sid as u32),
+            update: uid,
+            register: x,
+        });
+        let elapsed = started.elapsed().as_nanos() as u64;
+        self.out.write_lat.record(elapsed);
+        if failed_over {
+            self.out.failover_lat.record(elapsed);
         }
+        self.out.ops += 1;
         Ok(())
     }
 
@@ -556,20 +507,18 @@ impl ServingWorker<'_, '_> {
     /// stripe: candidates' published [`ReplicaView`]s are checked for
     /// dependency covering; the first covering view serves. Crashed
     /// candidates are skipped — the failover path — and if no live view
-    /// covers (a just-shipped dependency still in flight), the read
-    /// backs off exponentially — never enqueues — until one does, up to
-    /// [`ServingConfig::op_timeout`].
+    /// covers (an observed update still in flight to this candidate),
+    /// the read backs off exponentially — never enqueues — until one
+    /// does, up to [`ServingConfig::op_timeout`] after the call.
     pub fn read(
         &mut self,
         sid: u64,
         x: RegisterId,
         roam: u64,
     ) -> Result<(Option<Value>, ReplicaId), ServingError> {
-        // Client-visible: the clock runs from the call, through waiting
-        // out the session's in-flight write.
+        // Client-visible: latency and the timeout both run from the call.
         let started = Instant::now();
-        self.poll();
-        self.drain_session(sid)?;
+        let deadline = started + self.tier.cfg.op_timeout;
         let tier = self.tier;
         let graph = tier.cluster.graph();
         let p = graph.placement();
@@ -592,7 +541,6 @@ impl ServingWorker<'_, '_> {
             }
         }
         let dep = tier.with_session(sid, |s| s.deps.get(&x).copied().unwrap_or_default());
-        let deadline = Instant::now() + tier.cfg.op_timeout;
         let mut blocked = false;
         let mut attempt = 0u32;
         let failed_over;
@@ -678,227 +626,18 @@ impl ServingWorker<'_, '_> {
         Ok((value, server))
     }
 
-    /// Ships every non-empty write buffer now (end of a driver quantum)
-    /// and briefly parks for the flushed batch's acks.
-    pub fn flush(&mut self) {
-        let mut flushed = false;
-        for i in 0..self.bufs.len() {
-            if !self.bufs[i].is_empty() {
-                self.flush_replica(ReplicaId::new(i as u32));
-                flushed = true;
-            }
-        }
-        if flushed {
-            self.await_completions();
-        }
-    }
+    /// A no-op, kept for drivers that mark the end of a quantum: every
+    /// write completes inside [`write`](Self::write), so nothing waits
+    /// to be shipped.
+    pub fn flush(&mut self) {}
 
-    /// Processes any write completions that have arrived, without
-    /// blocking: updates session dependencies, records write events and
-    /// latency, releases the sessions' in-flight slots, and re-routes
-    /// writes a crashed replica rejected.
-    pub fn poll(&mut self) {
-        while let Ok((token, st)) = self.reply_rx.try_recv() {
-            self.handle_completion(token, st);
-        }
-    }
+    /// A no-op, kept for drivers that poll between ops: a write's
+    /// completion is recorded before [`write`](Self::write) returns.
+    pub fn poll(&mut self) {}
 
-    /// Flushes remaining buffers, waits for every outstanding write to
-    /// complete (bounded by [`ServingConfig::op_timeout`] — leftovers
-    /// are abandoned and counted, never panicked over), and returns
-    /// everything collected.
-    pub fn finish(mut self) -> Collected {
-        self.flush();
-        let deadline = Instant::now() + self.tier.cfg.op_timeout;
-        while !self.tokens.is_empty() {
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                break;
-            };
-            match self.reply_rx.recv_timeout(remaining) {
-                Ok((token, st)) => self.handle_completion(token, st),
-                Err(_) => break,
-            }
-        }
-        let leftovers = self.tokens.len() as u64;
-        if leftovers > 0 {
-            self.tier
-                .counters
-                .op_timeouts
-                .fetch_add(leftovers, Ordering::Relaxed);
-            self.out.failed += leftovers;
-        }
+    /// Returns everything this worker collected.
+    pub fn finish(self) -> Collected {
         self.out
-    }
-
-    fn flush_replica(&mut self, r: ReplicaId) {
-        let ops = std::mem::take(&mut self.bufs[r.index()]);
-        if ops.is_empty() {
-            return;
-        }
-        if let Err(returned) = self
-            .tier
-            .cluster
-            .send_write_many(r, ops, self.reply_tx.clone())
-        {
-            // The replica thread is gone entirely (cluster shutting
-            // down mid-run): treat each op like a crash rejection.
-            for (token, _, _) in returned {
-                self.retry_write(token);
-            }
-        }
-    }
-
-    /// Parks on the completion channel until every write this worker
-    /// has shipped is answered, or [`ServingConfig::completion_wait`]
-    /// elapses in total —
-    /// see that knob for why submitting-and-racing-on is worse than
-    /// waiting. A flush fans out to several replicas, each answering in
-    /// its own drain burst; waiting for all of them hands the CPU to the
-    /// replica threads for the whole batch instead of re-parking per ack.
-    fn await_completions(&mut self) {
-        let wait = self.tier.cfg.completion_wait;
-        if wait.is_zero() {
-            return;
-        }
-        let deadline = Instant::now() + wait;
-        while self.shipped() > 0 {
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                return;
-            };
-            match self.reply_rx.recv_timeout(left) {
-                Ok((t, st)) => self.handle_completion(t, st),
-                Err(_) => return,
-            }
-        }
-    }
-
-    /// Writes shipped to a replica and not yet answered: every live token
-    /// not still sitting in a buffer.
-    fn shipped(&self) -> usize {
-        self.tokens.len() - self.bufs.iter().map(Vec::len).sum::<usize>()
-    }
-
-    /// Blocks until session `sid` has no write in flight. Flushes first:
-    /// a buffered write would otherwise never complete. On timeout the
-    /// wedged (never-acked) write is abandoned so the session can keep
-    /// being served.
-    fn drain_session(&mut self, sid: u64) -> Result<(), ServingError> {
-        if !self.in_flight.contains_key(&sid) {
-            return Ok(());
-        }
-        self.flush();
-        let deadline = Instant::now() + self.tier.cfg.op_timeout;
-        while let Some(&token) = self.in_flight.get(&sid) {
-            let expired = deadline.checked_duration_since(Instant::now());
-            let Some(remaining) = expired else {
-                return Err(self.give_up(sid, token));
-            };
-            match self.reply_rx.recv_timeout(remaining) {
-                Ok((t, st)) => self.handle_completion(t, st),
-                Err(_) => return Err(self.give_up(sid, token)),
-            }
-        }
-        Ok(())
-    }
-
-    /// Abandons session `sid`'s wedged in-flight write and produces the
-    /// timeout error for it. The write was never acked (no event
-    /// recorded), so no guarantee covers it; a completion arriving late
-    /// is dropped by [`complete`](Self::complete).
-    fn give_up(&mut self, sid: u64, token: u64) -> ServingError {
-        self.tier
-            .counters
-            .op_timeouts
-            .fetch_add(1, Ordering::Relaxed);
-        let register = self
-            .tokens
-            .remove(&token)
-            .map(|pw| pw.register)
-            .unwrap_or_default();
-        self.in_flight.remove(&sid);
-        self.out.failed += 1;
-        ServingError::Timeout { register }
-    }
-
-    fn handle_completion(&mut self, token: u64, st: WriteStatus) {
-        match st {
-            WriteStatus::Done(uid) => self.complete(token, uid),
-            WriteStatus::Crashed => self.retry_write(token),
-        }
-    }
-
-    /// Re-routes a write whose target rejected it from inside a crash
-    /// window (or whose target thread is gone): deterministic
-    /// exponential backoff, then an immediate re-ship to a live holder —
-    /// the op is already late, so it skips the coalescing quantum. Past
-    /// `MAX_RETRIES`, or with no live holder left, the
-    /// never-acked write is abandoned and counted.
-    fn retry_write(&mut self, token: u64) {
-        let tier = self.tier;
-        let Some(pw) = self.tokens.get_mut(&token) else {
-            return; // already completed or abandoned
-        };
-        pw.attempts += 1;
-        pw.failed_over = true;
-        let (sid, x, v, attempts) = (pw.sid, pw.register, pw.value.clone(), pw.attempts);
-        let rerouted = (attempts <= MAX_RETRIES)
-            .then(|| {
-                route_live(tier.cluster.graph(), sid, tier.cfg.attach_span, x, |r| {
-                    tier.cluster.is_crashed(r)
-                })
-            })
-            .flatten();
-        match rerouted {
-            Some((target, _)) => {
-                tier.counters.failovers.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(backoff(attempts));
-                self.bufs[target.index()].push((token, x, v));
-                self.flush_replica(target);
-            }
-            None => {
-                self.tokens.remove(&token);
-                if self.in_flight.get(&sid) == Some(&token) {
-                    self.in_flight.remove(&sid);
-                }
-                tier.counters
-                    .writes_abandoned
-                    .fetch_add(1, Ordering::Relaxed);
-                self.out.failed += 1;
-            }
-        }
-    }
-
-    fn complete(&mut self, token: u64, uid: UpdateId) {
-        // A write abandoned at timeout may still complete late; it was
-        // never acked, so the completion is dropped.
-        let Some(pw) = self.tokens.remove(&token) else {
-            return;
-        };
-        if self.in_flight.get(&pw.sid) == Some(&token) {
-            self.in_flight.remove(&pw.sid);
-        }
-        let tier = self.tier;
-        tier.with_session(pw.sid, |s| {
-            let d = s.deps.entry(pw.register).or_default();
-            // The session's own write is also its latest observation
-            // (mirrors the checker's semantics).
-            d.wrote = Some(uid);
-            d.read = Some(uid);
-            if s.deps.len() > tier.cfg.dep_cap {
-                tier.evict_covered(s);
-            }
-        });
-        self.out.events.push(SessionEvent::Write {
-            client: ClientId::new(pw.sid as u32),
-            update: uid,
-            register: pw.register,
-        });
-        let elapsed = pw.start.elapsed().as_nanos() as u64;
-        self.out.write_lat.record(elapsed);
-        if pw.failed_over {
-            self.out.failover_lat.record(elapsed);
-        }
-        self.out.ops += 1;
     }
 }
 
@@ -1011,8 +750,6 @@ mod tests {
         for k in 0..cap as u32 {
             w.write(0, x(k), Value::from(u64::from(k))).unwrap();
         }
-        w.drain_session(0).unwrap();
-        w.drain_session(1).unwrap();
         assert_eq!(tier.with_session(0, |s| s.deps.len()), cap);
         assert_eq!(tier.stats().dep_evictions, 0);
         cluster.settle();
@@ -1109,95 +846,65 @@ mod tests {
     }
 
     #[test]
-    fn flush_returns_with_the_whole_batch_answered() {
+    fn a_write_is_acked_and_visible_when_the_call_returns() {
         // ring(4): a session attached to {0, 1} writes register 1 at
-        // replica 1, one attached to {3, 0} writes register 0 at replica
-        // 0. Replica 1 gets a long burst, replica 0 a single write, so
-        // the first answer comes long before the last.
+        // replica 1. Each write's event, dependency and snapshot
+        // visibility are in place before the call returns.
         let cluster = ThreadedCluster::new(topology::ring(4), DelayModel::Fixed(1), 8);
-        let cfg = ServingConfig {
-            completion_wait: Duration::from_secs(1),
-            write_batch: 4096,
-            ..ServingConfig::default()
-        };
-        let tier = ServingTier::new(&cluster, cfg);
+        let tier = ServingTier::new(&cluster, ServingConfig::default());
         let mut w = tier.worker();
-        w.write(3, x(0), Value::from(0u64)).unwrap();
-        for k in 0..2000u64 {
-            w.write(4 * k, x(1), Value::from(k)).unwrap();
+        for k in 0..200u64 {
+            w.write(0, x(1), Value::from(k)).unwrap();
+            let Some(&SessionEvent::Write { update, .. }) = w.out.events.last() else {
+                panic!("write {k} returned without its event");
+            };
+            assert!(cluster.store_snapshot(ReplicaId::new(1)).covers(update));
+            let dep = tier.with_session(0, |s| s.deps[&x(1)]);
+            assert_eq!(dep.wrote, Some(update));
         }
-        let lens: Vec<usize> = w.bufs.iter().map(Vec::len).collect();
-        assert_eq!(lens, [1, 2000, 0, 0]);
-        w.flush();
-        assert!(
-            w.tokens.is_empty(),
-            "flush returned with {} of 2001 writes unanswered",
-            w.tokens.len()
-        );
-        assert_eq!(w.finish().ops, 2001);
+        assert_eq!(w.finish().ops, 200);
     }
 
     #[test]
-    fn a_read_that_waits_for_its_sessions_write_records_the_wait() {
-        // The session's write sits in the worker's buffer; a helper ships
-        // it only BLOCKED after the read has started, so the read waits
-        // at least that long for the dependency it must cover.
-        const BLOCKED: Duration = Duration::from_millis(20);
-        let cluster = ThreadedCluster::new(topology::clique_full(3, 2), DelayModel::Fixed(1), 2);
+    fn a_read_blocks_one_op_timeout_from_its_call() {
+        // ring(4): register 1 is held by replicas {1, 2} only. With both
+        // down, a read waits out exactly one `op_timeout`, counted from
+        // the call (two timeouts back to back were the old worst case).
+        const TIMEOUT: Duration = Duration::from_millis(100);
+        let cluster = ThreadedCluster::with_config(
+            topology::ring(4),
+            DelayModel::Fixed(1),
+            6,
+            crate::runtime::ClusterConfig {
+                durability: Some(8),
+                ..crate::runtime::ClusterConfig::default()
+            },
+        );
         let cfg = ServingConfig {
-            write_batch: 1024,
+            op_timeout: TIMEOUT,
             ..ServingConfig::default()
         };
         let tier = ServingTier::new(&cluster, cfg);
         let mut w = tier.worker();
-        w.write(0, x(0), Value::from(1u64)).unwrap();
-        let (target, _) = route(cluster.graph(), 0, tier.cfg.attach_span, x(0));
-        let ops = std::mem::take(&mut w.bufs[target.index()]);
-        assert_eq!(ops.len(), 1);
-        // A one-slot reply channel: the helper's second stray reply goes
-        // through only once the read's first `poll` has taken the first.
-        let (reply_tx, reply_rx) = bounded(1);
-        (w.reply_tx, w.reply_rx) = (reply_tx.clone(), reply_rx);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for _ in 0..2 {
-                    reply_tx.send((u64::MAX, WriteStatus::Crashed)).unwrap();
-                }
-                std::thread::sleep(BLOCKED);
-                cluster.send_write_many(target, ops, reply_tx).unwrap();
-            });
-            let (v, _) = w.read(0, x(0), 0).unwrap();
-            assert_eq!(v, Some(Value::from(1u64)));
-        });
-        let collected = w.finish();
-        assert_eq!(collected.ops, 2);
-        let read = Duration::from_nanos(collected.read_lat.max());
-        assert!(
-            read >= BLOCKED,
-            "a read blocked {BLOCKED:?} recorded {read:?}"
+        w.write(1, x(1), Value::from(1u64)).unwrap();
+        cluster.crash(ReplicaId::new(1));
+        cluster.crash(ReplicaId::new(2));
+        let t = Instant::now();
+        let err = w.read(1, x(1), 0).unwrap_err();
+        let blocked = t.elapsed();
+        assert_eq!(
+            err,
+            ServingError::ReplicaCrashed {
+                replica: ReplicaId::new(1)
+            }
         );
-    }
-
-    #[test]
-    fn overload_sheds_writes_at_the_watermark() {
-        let cluster = ThreadedCluster::new(topology::clique_full(3, 2), DelayModel::Fixed(1), 4);
-        let cfg = ServingConfig {
-            max_in_flight: 2,
-            // Keep writes coalescing (never shipped) so tokens pile up.
-            write_batch: 1024,
-            ..ServingConfig::default()
-        };
-        let tier = ServingTier::new(&cluster, cfg);
-        let mut w = tier.worker();
-        // Distinct sessions: draining one's in-flight write must not
-        // release another's admission slot.
-        w.write(0, x(0), Value::from(0u64)).unwrap();
-        w.write(1, x(0), Value::from(1u64)).unwrap();
-        let err = w.write(2, x(0), Value::from(2u64)).unwrap_err();
-        assert_eq!(err, ServingError::Overloaded { in_flight: 2 });
-        assert_eq!(tier.stats().ops_shed, 1);
-        let collected = w.finish();
-        assert_eq!(collected.ops, 2, "shed write must not be acked");
+        assert!(
+            blocked >= TIMEOUT && blocked < 2 * TIMEOUT,
+            "a read with a {TIMEOUT:?} timeout blocked {blocked:?}"
+        );
+        assert_eq!(tier.stats().op_timeouts, 1);
+        cluster.restart(ReplicaId::new(1));
+        cluster.restart(ReplicaId::new(2));
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! The replica loop's wait discipline, pinned from outside.
 //!
-//! The loop has one blocking point: it parks until its next session
-//! timer and is woken early only by an arrival; no timer holds a batch
-//! open, since each pass ships the batches its command burst filled.
-//! Three things can go wrong with that and none of them fails a
-//! functional test, so each gets a regression test here:
+//! The loop has one blocking point: it parks until its next frame or
+//! session timer and is woken early only when a producer pulls its timer
+//! in; writes run on the caller's thread and ship their own batches, so
+//! no timer holds a batch open. Four things can go wrong with that and
+//! none of them fails a functional test, so each gets a regression test
+//! here:
 //!
 //! * **spinning** — a pass without work (the loop once stayed hot for a
 //!   whole coalescing window and polled every 200 µs when idle). Pinned
 //!   by the per-replica pass counter;
+//! * **a write that wakes its own replica** — a write is an engine call
+//!   on the caller's thread; a write routed through the loop would cost
+//!   the replica one pass per write;
 //! * **a lost wake-up** — an arrival that does not ring the doorbell is
 //!   only noticed when the idle park runs out, so it shows as a round
 //!   trip that took [`IDLE_PARK`] instead of well under a millisecond;
@@ -36,12 +40,34 @@ fn one_write_costs_a_handful_of_passes_not_a_spin() {
         cluster.read(r(1), RegisterId::new(0)),
         Some(Value::from(1u64))
     );
-    // The command (whose pass ships the batch) and a few idle parks
-    // while `settle` waits out its 50 ms grace period.
+    // A few idle parks while `settle` waits out its 50 ms grace period;
+    // the write itself ran on this thread.
     let passes = cluster.loop_passes(r(0)) - before;
     assert!(
         passes <= 20,
         "writer made {passes} passes for one write — it is spinning"
+    );
+}
+
+#[test]
+fn a_write_wakes_no_thread_at_its_own_replica() {
+    // path(2) without a session: a write at r0 ships to r1 and arms no
+    // timer, so r0's loop passes only when its idle park runs out.
+    let cluster = ThreadedCluster::new(topology::path(2), DelayModel::Fixed(1), 5);
+    std::thread::sleep(Duration::from_millis(20));
+    let before = cluster.loop_passes(r(0));
+    let t = Instant::now();
+    for k in 0..1_000u64 {
+        cluster.write(r(0), RegisterId::new(0), Value::from(k));
+    }
+    let elapsed = t.elapsed();
+    let passes = cluster.loop_passes(r(0)) - before;
+    let idle = (elapsed.as_secs_f64() / IDLE_PARK.as_secs_f64()) as u64;
+    assert!(
+        passes <= 3 + idle,
+        "1 000 writes over {elapsed:?} cost their replica {passes} loop passes \
+         (at most {} for its idle parks)",
+        3 + idle
     );
 }
 

@@ -11,40 +11,29 @@
 //! sends it, rolls the fault plan and the delay from its own seeded
 //! stream, and pushes the message straight into the receiver's inbox,
 //! due `delay` after that stamp. An inbox is a due-ordered heap: a
-//! receive returns only messages that are due. A receiver parks through
-//! [`Transport::wait_until`](crate::Transport::wait_until), which folds
-//! the heap's next due instant into the park and publishes when the park
-//! ends.
+//! receive returns only messages that are due.
 //!
-//! A receiver parked past a new message's due instant must be woken by
-//! then. A node's own event loop (the thread bound to its
-//! [`doorbell`](NodeHandle::doorbell)) does not wake it at send time: it
-//! promises the ring, folds the due instant into its own next park, and
-//! rings at the due instant unless the receiver has woken since (a loop
-//! busy at that instant rings at its next receive or park, so a promise
-//! is late by at most the rest of one pass). Every other sending thread
-//! rings at once. A send-time ring would wake the
-//! receiver early only to park it again until the message is due, and on
-//! a busy host those wakes land while the senders' clients still wait
-//! for their write acknowledgements.
-//!
-//! Every hop therefore ends with a park timed to a due instant, and a
-//! promised one with two. A thread's first park here sets its own timer
-//! slack to 10 µs (see [`crate::transport`]): at the kernel's 50 µs
-//! default a 200 µs hop took ~265 µs at p50.
+//! A push ends with [`Doorbell::ring_at`] on the receiver's bell at the
+//! message's due instant, from whatever thread sent it: a receiver
+//! parked past that instant has its timer pulled in to it, and one that
+//! is not parked folds it into its next park. A receiver parks through
+//! [`Transport::wait_until`](crate::Transport::wait_until), which reads
+//! the heap's next due instant and then arms the timer (see
+//! [`Doorbell`] for why no push is slept through). So every hop wakes
+//! its receiver once, at the due instant, and never early.
 
 use crate::delay::DelayModel;
 use crate::faults::{FaultAction, FaultPlan, FaultSchedule};
+use crate::os::MakeTimer;
 use crate::sim_net::Envelope;
-use crate::transport::Doorbell;
+use crate::transport::{lock, Doorbell};
 use prcc_sharegraph::ReplicaId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::Thread;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One simulated-delay tick in wall-clock time. Public so harnesses can
@@ -78,33 +67,18 @@ impl<M> Ord for Pending<M> {
     }
 }
 
-/// A node's inbox: the messages in flight to it, and who waits for them.
+/// A node's inbox: the messages in flight to it.
 struct Inbox<M> {
     /// Ordered by due instant, then by arrival. A sender's stamps never
     /// go backwards, so a fixed-delay link stays FIFO.
     heap: BinaryHeap<Reverse<Pending<M>>>,
     seq: u64,
-    /// The thread parked on this inbox and the instant it will be awake
-    /// by (its park deadline, or an earlier promised ring); `None` while
-    /// nobody is parked, or once the park has been rung.
-    parked: Option<(Thread, Instant)>,
 }
 
-/// One node's share of the net.
+/// One node's share of the net: its inbox and its consumer's bell.
 struct Node<M> {
     inbox: Mutex<Inbox<M>>,
-    /// Rings this node's loop has promised: (due instant, receiver).
-    owed: Mutex<Vec<(Instant, usize)>>,
-}
-
-/// What a push did with the message.
-enum Admit {
-    /// The inbox was full.
-    Shed,
-    Queued,
-    /// Queued, and the receiver is owed a ring at the message's due
-    /// instant.
-    Owed,
+    bell: Doorbell,
 }
 
 /// What every handle shares: the nodes and the rules of the links.
@@ -117,72 +91,23 @@ struct Links<M> {
     epoch: Instant,
 }
 
-/// Locks `m`. Every critical section here leaves its data valid at each
-/// step, so a lock poisoned by a panicking holder is still sound to use.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 impl<M> Links<M> {
-    /// Admits `env` into node `dst`'s inbox, due at `due`, unless
-    /// `capacity` messages are already in flight to it. A receiver parked
-    /// past `due` is rung now or — with `promise` — owed a ring at `due`.
-    fn push(&self, dst: usize, due: Instant, env: Envelope<M>, promise: bool) -> Admit {
-        let wake = {
-            let mut inbox = lock(&self.nodes[dst].inbox);
+    /// Admits `env` into node `dst`'s inbox, due at `due`, and has its
+    /// consumer awake by then; `false` (shed) if `capacity` messages are
+    /// already in flight to it.
+    fn push(&self, dst: usize, due: Instant, env: Envelope<M>) -> bool {
+        let node = &self.nodes[dst];
+        {
+            let mut inbox = lock(&node.inbox);
             if inbox.heap.len() >= self.capacity {
-                return Admit::Shed;
+                return false;
             }
             let seq = inbox.seq;
             inbox.seq += 1;
             inbox.heap.push(Reverse(Pending { due, seq, env }));
-            match &mut inbox.parked {
-                Some((_, awake_by)) if due < *awake_by => {
-                    if promise {
-                        *awake_by = due;
-                        return Admit::Owed;
-                    }
-                    inbox.parked.take()
-                }
-                _ => None,
-            }
-        };
-        if let Some((thread, _)) = wake {
-            thread.unpark();
         }
-        Admit::Queued
-    }
-
-    /// Rings node `me`'s promises that are due (all of them with
-    /// `every`); returns when the next one is.
-    fn ring_owed(&self, me: usize, every: bool) -> Option<Instant> {
-        let mut owed = lock(&self.nodes[me].owed);
-        if owed.is_empty() {
-            return None;
-        }
-        let now = Instant::now();
-        owed.retain(|&(due, dst)| {
-            let keep = due > now && !every;
-            if !keep {
-                self.ring_if_parked_past(dst, due);
-            }
-            keep
-        });
-        owed.iter().map(|&(due, _)| due).min()
-    }
-
-    /// Wakes node `dst` if it is still parked for the message due at `due`.
-    fn ring_if_parked_past(&self, dst: usize, due: Instant) {
-        let wake = {
-            let mut inbox = lock(&self.nodes[dst].inbox);
-            match inbox.parked {
-                Some((_, awake_by)) if awake_by >= due => inbox.parked.take(),
-                _ => None,
-            }
-        };
-        if let Some((thread, _)) = wake {
-            thread.unpark();
-        }
+        node.bell.ring_at(due);
+        true
     }
 
     /// Pops node `me`'s earliest message if it is due.
@@ -199,23 +124,10 @@ impl<M> Links<M> {
     /// message's due instant, or a ring — whichever comes first. May
     /// return early; callers re-check their inputs after every return.
     fn park(&self, me: usize, deadline: Instant) {
-        let wait = {
-            let mut inbox = lock(&self.nodes[me].inbox);
-            let until = inbox
-                .heap
-                .peek()
-                .map_or(deadline, |Reverse(p)| p.due.min(deadline));
-            let wait = until.saturating_duration_since(Instant::now());
-            if wait.is_zero() {
-                return;
-            }
-            inbox.parked = Some((std::thread::current(), until));
-            wait
-        };
-        crate::transport::park_timeout(wait);
-        // Woken by the deadline or by another input: later pushes need
-        // not ring a thread that is no longer parked here.
-        lock(&self.nodes[me].inbox).parked = None;
+        let node = &self.nodes[me];
+        node.bell.park(deadline, || {
+            lock(&node.inbox).heap.peek().map(|Reverse(p)| p.due)
+        });
     }
 }
 
@@ -227,8 +139,6 @@ pub struct NodeHandle<M> {
     /// This node's fault and delay draws: one seeded stream per sender,
     /// so what one node's sends draw does not depend on other threads.
     draws: Arc<Mutex<StdRng>>,
-    /// Rung by the node's other input sources; see [`Self::doorbell`].
-    bell: Doorbell,
 }
 
 impl<M> Clone for NodeHandle<M> {
@@ -237,15 +147,7 @@ impl<M> Clone for NodeHandle<M> {
             id: self.id,
             links: Arc::clone(&self.links),
             draws: Arc::clone(&self.draws),
-            bell: self.bell.clone(),
         }
-    }
-}
-
-impl<M> Drop for NodeHandle<M> {
-    fn drop(&mut self) {
-        // A loop that exits keeps its promises early rather than never.
-        self.links.ring_owed(self.id.index(), true);
     }
 }
 
@@ -262,9 +164,7 @@ impl<M> NodeHandle<M> {
     }
 
     /// Non-blocking receive: the earliest message that is due, if any.
-    /// Also keeps this node's promised rings that have fallen due.
     pub fn try_recv(&self) -> Option<Envelope<M>> {
-        self.links.ring_owed(self.id.index(), false);
         self.links.pop_due(self.id.index())
     }
 
@@ -284,24 +184,18 @@ impl<M> NodeHandle<M> {
     }
 
     /// Parks the calling thread until `deadline`, until the next message
-    /// to this node falls due, or until a ring, and keeps this node's
-    /// promised rings on the way — the
+    /// to this node falls due, or until a ring — the
     /// [`Transport::wait_until`](crate::Transport::wait_until) of this
     /// substrate.
     pub fn wait_until(&self, deadline: Instant) {
-        let me = self.id.index();
-        let owed = self.links.ring_owed(me, false);
-        self.links
-            .park(me, owed.map_or(deadline, |due| due.min(deadline)));
-        self.links.ring_owed(me, false);
+        self.links.park(self.id.index(), deadline);
     }
 
-    /// The bell a node's event loop binds and its other input sources
-    /// ring. Deliveries do not ring it: a message wakes the thread parked
-    /// in [`wait_until`](Self::wait_until) directly, and only when that
-    /// park would otherwise outlast the message's due instant.
+    /// The bell this node's consumer parks on. Every send to this node
+    /// rings it at the message's due instant; the node's other input
+    /// sources ring it too.
     pub fn doorbell(&self) -> &Doorbell {
-        &self.bell
+        &self.links.nodes[self.id.index()].bell
     }
 }
 
@@ -310,12 +204,6 @@ impl<M: Clone> NodeHandle<M> {
     /// from now. Returns `false` if `dst`'s inbox is full (the message
     /// is shed) or `dst` is not a node of this net; a message the fault
     /// plan drops still counts as sent.
-    ///
-    /// Called from the thread bound to this node's
-    /// [`doorbell`](Self::doorbell), it may promise a receiver a ring
-    /// instead of ringing it; that thread must then keep parking through
-    /// [`wait_until`](Self::wait_until) or receiving through
-    /// [`try_recv`](Self::try_recv), which keep the promises.
     pub fn send(&self, dst: ReplicaId, msg: M) -> bool {
         let sent = Instant::now();
         let links = &*self.links;
@@ -344,21 +232,13 @@ impl<M: Clone> NodeHandle<M> {
             let first = due();
             (first, (copies == 2).then(due))
         };
-        let promise = self.bell.is_bound_here();
         let admit = |due, msg| {
             let env = Envelope {
                 src: self.id,
                 dst,
                 msg,
             };
-            match links.push(dst.index(), due, env, promise) {
-                Admit::Shed => false,
-                Admit::Queued => true,
-                Admit::Owed => {
-                    lock(&links.nodes[self.id.index()].owed).push((due, dst.index()));
-                    true
-                }
-            }
+            links.push(dst.index(), due, env)
         };
         if let Some(due) = second {
             if !admit(due, msg.clone()) {
@@ -437,15 +317,27 @@ impl<M> ThreadNet<M> {
         schedule: FaultSchedule,
         capacity: usize,
     ) -> Self {
+        Self::with_timers(n, delay, seed, schedule, capacity, crate::os::os_timer)
+    }
+
+    /// [`with_schedule`](Self::with_schedule), with every node's bell on
+    /// a timer from `timer`.
+    fn with_timers(
+        n: usize,
+        delay: DelayModel,
+        seed: u64,
+        schedule: FaultSchedule,
+        capacity: usize,
+        timer: MakeTimer,
+    ) -> Self {
         let links = Arc::new(Links {
             nodes: (0..n)
                 .map(|_| Node {
                     inbox: Mutex::new(Inbox {
                         heap: BinaryHeap::new(),
                         seq: 0,
-                        parked: None,
                     }),
-                    owed: Mutex::new(Vec::new()),
+                    bell: Doorbell::with_timer(timer()),
                 })
                 .collect(),
             capacity: capacity.max(1),
@@ -461,7 +353,6 @@ impl<M> ThreadNet<M> {
                 draws: Arc::new(Mutex::new(StdRng::seed_from_u64(
                     seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 ))),
-                bell: Doorbell::new(),
             })
             .collect();
         ThreadNet { handles }
@@ -608,34 +499,33 @@ mod tests {
     /// loop does.
     const IDLE_PARK: Duration = Duration::from_millis(50);
 
-    /// Times 40 pings from node 0 to node 1 while node 1 parks through
-    /// `Transport::wait_until` for a full idle period whenever its inbox
-    /// is empty: only a ring gets a ping through sooner. With `from_loop`
-    /// node 0's own event loop sends them, promises its rings and parks
-    /// through `wait_until` too; otherwise a plain thread sends them and
-    /// rings at once.
+    /// Receives from `node` as a replica loop does: `try_recv`, and park
+    /// through `Transport::wait_until` for a full idle period whenever
+    /// nothing is due — only a ring gets a message through sooner.
+    fn recv_as_a_loop<M: Clone + Send + 'static>(node: &NodeHandle<M>) -> Envelope<M> {
+        loop {
+            match node.try_recv() {
+                Some(env) => return env,
+                None => Transport::wait_until(node, Instant::now() + IDLE_PARK),
+            }
+        }
+    }
+
+    /// Times 40 pings from node 0 to node 1, each echoed back over an
+    /// in-process channel, while node 1 receives as a loop does. With
+    /// `from_loop` node 0 parks on its own node between pings too.
     fn ping_times(from_loop: bool) -> Vec<(u32, Duration)> {
         let net: ThreadNet<u32> = ThreadNet::new(2, DelayModel::Fixed(1), 0);
         let (a, b) = (net.handle(r(0)), net.handle(r(1)));
         let a_bell = a.doorbell().clone();
         let (got_tx, got) = std::sync::mpsc::channel();
         let receiver = std::thread::spawn(move || {
-            b.doorbell().bind();
             for _ in 0..40 {
-                let env = loop {
-                    match b.try_recv() {
-                        Some(env) => break env,
-                        None => Transport::wait_until(&b, Instant::now() + IDLE_PARK),
-                    }
-                };
-                got_tx.send(env.msg).unwrap();
+                got_tx.send(recv_as_a_loop(&b).msg).unwrap();
                 a_bell.ring();
             }
         });
         let sender = std::thread::spawn(move || {
-            if from_loop {
-                a.doorbell().bind();
-            }
             let mut times = Vec::new();
             for i in 0..40 {
                 // Let the receiver take the last ping and park idle.
@@ -680,6 +570,53 @@ mod tests {
     #[test]
     fn a_ping_from_a_loop_to_a_parked_receiver_arrives_well_under_its_idle_park() {
         assert_no_ping_waits_out_the_idle_park(ping_times(true));
+    }
+
+    #[test]
+    fn pushes_racing_a_parking_receiver_are_never_slept_through() {
+        // Rounds of one frame from each of four senders over 1-5 tick
+        // links; a round starts once the receiver has taken the last, so
+        // every round's pushes race the receiver's next park. A push
+        // whose ring the park loses waits out the idle park.
+        const ROUNDS: usize = 500;
+        let delay = DelayModel::Uniform { min: 1, max: 5 };
+        let latest_due = TICK * delay.max_delay() as u32;
+        for (name, timer) in crate::os::tests::timers() {
+            let net: ThreadNet<Instant> =
+                ThreadNet::with_timers(5, delay.clone(), 3, FaultSchedule::none(), 64, timer);
+            let sink = net.handle(r(4));
+            let taken = std::sync::atomic::AtomicUsize::new(0);
+            let late = std::thread::scope(|s| {
+                for i in 0..4 {
+                    let (h, taken) = (net.handle(r(i)), &taken);
+                    s.spawn(move || {
+                        for round in 0..ROUNDS {
+                            while taken.load(std::sync::atomic::Ordering::SeqCst) < 4 * round {
+                                std::thread::sleep(Duration::from_micros(20));
+                            }
+                            assert!(h.send(r(4), Instant::now()));
+                        }
+                    });
+                }
+                let mut late = Vec::new();
+                for k in 0..4 * ROUNDS {
+                    let flight = recv_as_a_loop(&sink).msg.elapsed();
+                    if flight > latest_due + IDLE_PARK / 2 {
+                        late.push((k, flight));
+                    }
+                    taken.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                }
+                late
+            });
+            assert!(
+                late.len() <= 2,
+                "{name}: {} of {} frames arrived over {:?} past their latest due instant: {:?}",
+                late.len(),
+                4 * ROUNDS,
+                IDLE_PARK / 2,
+                &late[..late.len().min(8)]
+            );
+        }
     }
 
     #[test]
@@ -778,7 +715,6 @@ mod tests {
                 })
             })
             .collect();
-        sink.doorbell().bind();
         let start = Instant::now();
         let mut got = 0;
         while got < 4 * PER_SENDER {
@@ -801,64 +737,6 @@ mod tests {
         for s in senders {
             s.join().unwrap();
         }
-    }
-
-    /// A slack no park sets: the threads [`slack_around`] starts inherit it.
-    #[cfg(target_os = "linux")]
-    const INHERITED_SLACK: u64 = 123_457;
-
-    /// Runs `park` on a fresh thread beside a sibling that never parks,
-    /// both inheriting [`INHERITED_SLACK`]. Returns the slack the parker
-    /// started with, its slack after `park`, and the sibling's slack read
-    /// after that.
-    #[cfg(target_os = "linux")]
-    fn slack_around(park: impl FnOnce() + Send + 'static) -> (u64, u64, u64) {
-        std::thread::spawn(move || {
-            crate::os::set_timer_slack(INHERITED_SLACK);
-            let (parked_tx, parked) = std::sync::mpsc::channel::<()>();
-            let sibling = std::thread::spawn(move || {
-                parked.recv().unwrap();
-                crate::os::timer_slack()
-            });
-            let parker = std::thread::spawn(move || {
-                let before = crate::os::timer_slack();
-                park();
-                (before, crate::os::timer_slack())
-            });
-            let (before, after) = parker.join().unwrap();
-            parked_tx.send(()).unwrap();
-            (before, after, sibling.join().unwrap())
-        })
-        .join()
-        .unwrap()
-    }
-
-    #[cfg(target_os = "linux")]
-    fn assert_only_the_parker_tightened((before, after, sibling): (u64, u64, u64)) {
-        use crate::transport::PARK_SLACK_NS;
-        assert_eq!(before, INHERITED_SLACK);
-        assert_eq!(after, PARK_SLACK_NS, "the first park left the slack alone");
-        assert_eq!(sibling, before, "a thread that never parked changed");
-    }
-
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn a_threads_first_receive_park_sets_its_timer_slack_and_no_one_elses() {
-        let net: ThreadNet<u32> = ThreadNet::new(1, DelayModel::Fixed(1), 0);
-        let node = net.handle(r(0));
-        assert_only_the_parker_tightened(slack_around(move || {
-            assert!(node.recv_timeout(Duration::from_millis(1)).is_none());
-        }));
-    }
-
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn a_threads_first_doorbell_park_sets_its_timer_slack_and_no_one_elses() {
-        assert_only_the_parker_tightened(slack_around(|| {
-            let bell = Doorbell::new();
-            bell.bind();
-            bell.wait_until(Instant::now() + Duration::from_millis(1));
-        }));
     }
 
     #[test]

@@ -8,94 +8,147 @@
 //! probes). [`Transport`] names that seam so the same loop runs unchanged
 //! over [`ThreadNet`](crate::ThreadNet) handles (in-process, seeded
 //! delays and faults) and [`TcpEndpoint`](crate::TcpEndpoint) handles
-//! (real kernel sockets, one process per replica).
+//! (real kernel sockets, one process per replica). Implementations are
+//! `Sync`: the runtime sends from whichever thread issues a client write.
 //!
-//! A thread's first park through this crate sets its own timer slack to
-//! 10 µs. The kernel's default lets a timed park end up to 50 µs past
-//! its deadline, and every update's delivery waits out a park that ends
-//! on a due instant — two, when the sender promised the ring — so the
-//! default slack would add up to 100 µs to each hop.
+//! A consumer sleeps on its doorbell's timer, and every producer moves
+//! that timer: [`Doorbell::ring`] to now, [`Doorbell::ring_at`] to the
+//! instant the consumer must be awake by. So a delivery due in 200 µs
+//! wakes its receiver once, at the due instant, whatever thread sent it.
+//! On Linux the timer is a `timerfd`, an exact kernel timer that the
+//! parked thread's timer slack does not delay.
 
+use crate::os::Timer;
 use crate::sim_net::Envelope;
 use crate::thread_net::NodeHandle;
 use prcc_sharegraph::ReplicaId;
-use std::cell::Cell;
-use std::sync::{Arc, OnceLock};
-use std::thread::Thread;
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// The timer slack, in nanoseconds, that a thread sets on its first park
-/// through this crate: how late past its deadline the kernel may end a
-/// timed park. Not 1 ns: a wake at the exact due instant of a frame finds
-/// fewer frames due than one that lands a little later, so loops pass
-/// more often for the same work (DESIGN §14 has the sweep).
-pub(crate) const PARK_SLACK_NS: u64 = 10_000;
-
-/// `std::thread::park_timeout`, after setting the calling thread's timer
-/// slack to [`PARK_SLACK_NS`] on its first park here. The slack is per
-/// thread, so no thread that never parks through this crate is touched.
-pub(crate) fn park_timeout(wait: Duration) {
-    thread_local!(static SLACK_SET: Cell<bool> = const { Cell::new(false) });
-    if !SLACK_SET.replace(true) {
-        crate::os::set_timer_slack(PARK_SLACK_NS);
-    }
-    std::thread::park_timeout(wait);
+/// Locks `m`. Every critical section in this crate leaves its data valid
+/// at each step, so a lock poisoned by a panicking holder is still sound
+/// to use.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Wake-on-arrival for the one thread that consumes a node's input.
+/// Wake-on-time for the one thread that consumes a node's input.
 ///
-/// The consumer [`bind`](Doorbell::bind)s the bell to itself, drains its
-/// queues, and [`wait_until`](Doorbell::wait_until)s its next deadline;
-/// every producer enqueues first and [`ring`](Doorbell::ring)s second.
-/// Built on `std::thread::park_timeout` / `Thread::unpark`, whose token is
-/// sticky: a ring that lands between the consumer's last queue check and
-/// its park makes that park return at once, so no arrival is ever slept
-/// through, and ringing a thread that is not parked costs one atomic swap
-/// and no syscall.
-#[derive(Clone, Debug, Default)]
-pub struct Doorbell(Arc<OnceLock<Thread>>);
+/// The consumer drains its queues and [`park`](Doorbell::park)s until its
+/// next deadline; every producer enqueues first and rings second —
+/// [`ring`](Doorbell::ring) to wake the consumer now,
+/// [`ring_at`](Doorbell::ring_at) to have it awake by an instant. The
+/// consumer sleeps on a one-shot timer that a ring re-arms, so a ring
+/// wakes it at most once and never before it asked for.
+///
+/// **No ring is lost.** A ring records its instant under the bell's lock
+/// (the earliest one wins) whether or not the consumer is parked. A park
+/// reads its queues' next due instant first, then, in one critical
+/// section, folds the recorded instant into its deadline and arms the
+/// timer. A ring that takes the lock before that section is folded in;
+/// one that takes it after finds the timer armed and pulls it earlier if
+/// it must. The recorded instant is dropped only once it has passed with
+/// the consumer awake, so a ring that lands during a pass makes the next
+/// park return at once.
+#[derive(Clone)]
+pub struct Doorbell(Arc<Bell>);
+
+struct Bell {
+    timer: Box<dyn Timer>,
+    state: Mutex<BellState>,
+}
+
+#[derive(Default)]
+struct BellState {
+    /// What the timer is armed for while the consumer parks on it.
+    armed: Option<Instant>,
+    /// The earliest instant a ring asked the consumer to be awake by.
+    due: Option<Instant>,
+}
+
+impl BellState {
+    /// Forgets the recorded ring once it has passed: the consumer, awake
+    /// now, re-checks its inputs before it parks again.
+    fn awake(&mut self, now: Instant) {
+        if self.due.is_some_and(|d| d <= now) {
+            self.due = None;
+        }
+    }
+}
+
+impl fmt::Debug for Doorbell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = lock(&self.0.state);
+        f.debug_struct("Doorbell")
+            .field("armed", &s.armed)
+            .field("due", &s.due)
+            .finish()
+    }
+}
+
+impl Default for Doorbell {
+    fn default() -> Self {
+        Self::with_timer(crate::os::os_timer())
+    }
+}
 
 impl Doorbell {
-    /// An unbound bell: rings are no-ops until a consumer binds.
+    /// A bell on this platform's timer.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Binds the bell to the calling thread (the first bind wins).
-    /// Deliveries rung before this are not lost: they are already queued,
-    /// and a consumer drains its queues before its first wait.
-    pub fn bind(&self) {
-        let _ = self.0.set(std::thread::current());
+    pub(crate) fn with_timer(timer: Box<dyn Timer>) -> Self {
+        Doorbell(Arc::new(Bell {
+            timer,
+            state: Mutex::new(BellState::default()),
+        }))
     }
 
-    /// Wakes the bound thread if it is parked, or makes its next park
-    /// return immediately if it is not.
+    /// Wakes the consumer now if it is parked, or makes its next park
+    /// return at once if it is not.
     pub fn ring(&self) {
-        if let Some(t) = self.0.get() {
-            t.unpark();
+        self.ring_at(Instant::now());
+    }
+
+    /// Makes sure the consumer is awake by `due`: a parked consumer's
+    /// timer is pulled in to `due` if it would fire later, and a consumer
+    /// that is not parked yet folds `due` into its next park.
+    pub fn ring_at(&self, due: Instant) {
+        let mut s = lock(&self.0.state);
+        s.due = Some(s.due.map_or(due, |d| d.min(due)));
+        if s.armed.is_some_and(|at| due < at) {
+            s.armed = Some(due);
+            self.0.timer.arm(due);
         }
     }
 
-    /// True if the calling thread is the one bound to this bell.
-    pub(crate) fn is_bound_here(&self) -> bool {
-        self.0
-            .get()
-            .is_some_and(|t| t.id() == std::thread::current().id())
-    }
-
-    /// Parks the calling thread — which must be the bound one — until the
-    /// bell rings or `deadline` passes. May also return spuriously;
-    /// callers re-check their queues after every return. The thread's
-    /// first park sets its timer slack (see the [module docs](self)).
-    pub fn wait_until(&self, deadline: Instant) {
-        debug_assert!(
-            self.is_bound_here(),
-            "Doorbell::wait_until from a thread the bell is not bound to"
-        );
-        let wait = deadline.saturating_duration_since(Instant::now());
-        if !wait.is_zero() {
-            park_timeout(wait);
+    /// Parks the calling thread — the one consumer of this bell — until
+    /// `deadline`, the instant `next_due` returns (the consumer's own
+    /// queues, read before the park arms its timer), or the earliest
+    /// ring, whichever comes first. May return early; callers re-check
+    /// their inputs after every return.
+    pub fn park(&self, deadline: Instant, next_due: impl FnOnce() -> Option<Instant>) {
+        let queued = next_due();
+        {
+            let mut s = lock(&self.0.state);
+            let until = [queued, s.due]
+                .into_iter()
+                .flatten()
+                .fold(deadline, Instant::min);
+            let now = Instant::now();
+            if until <= now {
+                s.awake(now);
+                return;
+            }
+            s.armed = Some(until);
+            self.0.timer.arm(until);
         }
+        self.0.timer.wait();
+        let mut s = lock(&self.0.state);
+        s.armed = None;
+        s.awake(Instant::now());
     }
 }
 
@@ -105,7 +158,8 @@ impl Doorbell {
 /// Semantics required of implementations:
 ///
 /// * `send` never blocks the caller — a backed-up or disconnected peer
-///   surfaces as `false` (loss), which the session layer repairs;
+///   surfaces as `false` (loss), which the session layer repairs — and
+///   any thread may call it while the consumer parks;
 /// * delivery may reorder, duplicate, or drop messages — the protocol
 ///   stack above assumes nothing stronger;
 /// * `try_recv`/`recv_timeout` return messages addressed to this node,
@@ -114,7 +168,7 @@ impl Doorbell {
 ///   [`wait_until`](Transport::wait_until) wakes by the time it can be
 ///   received — a substrate that misses one leaves a parked loop asleep
 ///   until its next deadline.
-pub trait Transport: Send + 'static {
+pub trait Transport: Send + Sync + 'static {
     /// The message type carried.
     type Msg;
 
@@ -132,22 +186,16 @@ pub trait Transport: Send + 'static {
     /// Blocking receive with timeout.
     fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<Self::Msg>>;
 
-    /// The bell of this node's consumer. An event loop binds it, and its
-    /// other input sources ring it after every enqueue.
+    /// The bell of this node's consumer: its other input sources ring
+    /// it after every enqueue.
     fn doorbell(&self) -> &Doorbell;
 
-    /// Parks the consumer — the thread bound to
-    /// [`doorbell`](Transport::doorbell) — until `deadline`, a ring, or
-    /// a delivery, whichever comes first. May return early; callers
-    /// re-check their inputs after every return. The default parks on
-    /// the doorbell, for substrates that ring it on every delivery.
-    ///
-    /// A thread's first park sets its timer slack to 10 µs, from the
-    /// kernel's 50 µs default, so a park ends close to `deadline`: every
-    /// delivery waits out a park that ends on the frame's due instant,
-    /// and session retransmit timers end on one too.
+    /// Parks the consumer until `deadline`, a ring, or a delivery,
+    /// whichever comes first. May return early; callers re-check their
+    /// inputs after every return. The default parks on the doorbell, for
+    /// substrates that ring it on every delivery.
     fn wait_until(&self, deadline: Instant) {
-        self.doorbell().wait_until(deadline);
+        self.doorbell().park(deadline, || None);
     }
 }
 
@@ -182,52 +230,147 @@ impl<M: Clone + Send + 'static> Transport for NodeHandle<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::os::tests::timers;
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    #[test]
-    fn ring_before_wait_is_not_slept_through() {
-        let bell = Doorbell::new();
-        bell.bind();
-        bell.ring();
-        let t = Instant::now();
-        bell.wait_until(t + Duration::from_secs(5));
-        assert!(t.elapsed() < Duration::from_secs(1), "sticky ring was lost");
+    /// A bell of every timer implementation this platform can build.
+    fn bells() -> Vec<(&'static str, Doorbell)> {
+        timers()
+            .into_iter()
+            .map(|(name, make)| (name, Doorbell::with_timer(make())))
+            .collect()
     }
 
     #[test]
-    fn ring_wakes_a_parked_consumer_and_unbound_ring_is_a_no_op() {
-        let bell = Doorbell::new();
-        bell.ring(); // nobody bound yet
-        let rung = Arc::new(AtomicBool::new(false));
+    fn a_ring_before_the_park_is_sticky() {
+        for (name, bell) in bells() {
+            bell.ring();
+            let t = Instant::now();
+            bell.park(t + Duration::from_secs(5), || None);
+            assert!(t.elapsed() < Duration::from_secs(1), "{name}: ring lost");
+            // Consumed: the next park waits for its deadline.
+            let t = Instant::now();
+            while t.elapsed() < Duration::from_millis(5) {
+                bell.park(t + Duration::from_millis(5), || None);
+            }
+        }
+    }
+
+    #[test]
+    fn a_ring_at_before_the_park_is_honoured() {
+        for (name, bell) in bells() {
+            let t = Instant::now();
+            bell.ring_at(t + Duration::from_millis(5));
+            while t.elapsed() < Duration::from_millis(5) {
+                bell.park(t + Duration::from_secs(5), || None);
+            }
+            assert!(t.elapsed() < Duration::from_secs(1), "{name}: ring_at lost");
+        }
+    }
+
+    /// Parks a consumer with a 5 s deadline, then rings it from this
+    /// thread with `ring`; returns how long after the ring it woke.
+    fn woken_after(bell: &Doorbell, ring: impl FnOnce(&Doorbell)) -> Duration {
+        let parked = Instant::now();
         let consumer = std::thread::spawn({
-            let (bell, rung) = (bell.clone(), rung.clone());
+            let bell = bell.clone();
             move || {
-                bell.bind();
-                let t = Instant::now();
-                while !rung.load(Ordering::SeqCst) {
-                    bell.wait_until(t + Duration::from_secs(5));
-                }
-                t.elapsed()
+                bell.park(parked + Duration::from_secs(5), || None);
+                Instant::now()
             }
         });
         std::thread::sleep(Duration::from_millis(20));
-        rung.store(true, Ordering::SeqCst);
-        bell.ring();
-        let waited = consumer.join().unwrap();
-        assert!(
-            waited < Duration::from_secs(1),
-            "ring did not wake the park"
-        );
+        let rung = Instant::now();
+        ring(bell);
+        consumer.join().unwrap().saturating_duration_since(rung)
     }
 
     #[test]
-    fn wait_until_returns_at_the_deadline() {
-        let bell = Doorbell::new();
-        bell.bind();
-        let t = Instant::now();
-        while t.elapsed() < Duration::from_millis(5) {
-            bell.wait_until(t + Duration::from_millis(5));
+    fn ring_at_wakes_a_parked_consumer_at_its_due_instant() {
+        for (name, bell) in bells() {
+            let woke = woken_after(&bell, |b| {
+                b.ring_at(Instant::now() + Duration::from_millis(5))
+            });
+            assert!(
+                woke >= Duration::from_millis(5) && woke < Duration::from_secs(1),
+                "{name}: a ring_at 5 ms out woke the park after {woke:?}"
+            );
         }
-        assert!(t.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn ring_wakes_a_parked_consumer() {
+        for (name, bell) in bells() {
+            let woke = woken_after(&bell, Doorbell::ring);
+            assert!(woke < Duration::from_secs(1), "{name}: woke after {woke:?}");
+        }
+    }
+
+    #[test]
+    fn a_park_ends_at_its_deadline_or_its_next_due() {
+        for (name, bell) in bells() {
+            let t = Instant::now();
+            while t.elapsed() < Duration::from_millis(5) {
+                bell.park(t + Duration::from_millis(5), || None);
+            }
+            assert!(t.elapsed() < Duration::from_secs(1), "{name}");
+            let t = Instant::now();
+            let next = t + Duration::from_millis(5);
+            while t.elapsed() < Duration::from_millis(5) {
+                bell.park(t + Duration::from_secs(5), || Some(next));
+            }
+            assert!(
+                t.elapsed() < Duration::from_secs(1),
+                "{name}: next_due ignored"
+            );
+        }
+    }
+
+    #[test]
+    fn a_ring_between_the_queue_read_and_the_arm_is_folded_in() {
+        // The narrowest race: a producer enqueues after the park read the
+        // consumer's queues, and rings before the park armed its timer.
+        for (name, bell) in bells() {
+            let t = Instant::now();
+            bell.park(t + Duration::from_secs(5), || {
+                bell.ring();
+                None
+            });
+            assert!(t.elapsed() < Duration::from_secs(1), "{name}: ring lost");
+            let t = Instant::now();
+            let due = t + Duration::from_millis(5);
+            while t.elapsed() < Duration::from_millis(5) {
+                bell.park(t + Duration::from_secs(5), || {
+                    bell.ring_at(due);
+                    None
+                });
+            }
+            assert!(t.elapsed() < Duration::from_secs(1), "{name}: ring_at lost");
+        }
+    }
+
+    #[test]
+    fn a_ring_from_a_thread_that_saw_the_flag_is_never_slept_through() {
+        // The consumer checks a flag, then parks; the producer sets the
+        // flag, then rings. Whichever lands first, the park ends soon.
+        for (name, bell) in bells() {
+            for _ in 0..200 {
+                let flag = Arc::new(AtomicBool::new(false));
+                let consumer = std::thread::spawn({
+                    let (bell, flag) = (bell.clone(), Arc::clone(&flag));
+                    move || {
+                        let t = Instant::now();
+                        while !flag.load(Ordering::SeqCst) {
+                            bell.park(t + Duration::from_secs(5), || None);
+                        }
+                        t.elapsed()
+                    }
+                });
+                flag.store(true, Ordering::SeqCst);
+                bell.ring();
+                let waited = consumer.join().unwrap();
+                assert!(waited < Duration::from_secs(1), "{name}: waited {waited:?}");
+            }
+        }
     }
 }

@@ -157,7 +157,8 @@ pub struct RunReport {
     /// Client ops re-routed around a crashed replica by the serving
     /// tier.
     pub failovers: u64,
-    /// Client writes shed by serving-tier admission control.
+    /// Client writes shed by the serving tier: always 0, since a write
+    /// completes inside its call.
     pub ops_shed: u64,
     /// Client ops that degraded to a timeout in the serving tier.
     pub op_timeouts: u64,

@@ -38,9 +38,6 @@ pub struct ServingScenarioConfig {
     pub workers: usize,
     /// Workload / cluster seed.
     pub seed: u64,
-    /// Ops between forced write-buffer flushes per worker — bounds the
-    /// coalescing residency of a buffered write.
-    pub flush_quantum: usize,
     /// Tier tuning.
     pub serving: ServingConfig,
     /// Scripted faults driven against the live cluster: drops and
@@ -69,7 +66,6 @@ impl Default for ServingScenarioConfig {
             zipf_theta: 1.0,
             workers: 4,
             seed: 0,
-            flush_quantum: 256,
             serving: ServingConfig::default(),
             faults: FaultSchedule::default(),
             session: None,
@@ -123,7 +119,7 @@ pub struct ServingRunReport {
     pub sessions: usize,
     /// Total client ops served.
     pub ops: u64,
-    /// Total client ops attempted (served + shed + rejected + timed
+    /// Total client ops attempted (served + rejected + timed
     /// out). Equals `ops` on a fault-free run.
     pub attempted: u64,
     /// Attempted ops that were not acked.
@@ -131,8 +127,8 @@ pub struct ServingRunReport {
     /// `ops / attempted` — the serving tier's availability under the
     /// scripted fault storm.
     pub availability: f64,
-    /// Wall-clock driving time in seconds (submission through the last
-    /// write completion).
+    /// Wall-clock driving time in seconds (first op through the last
+    /// one's acknowledgement).
     pub elapsed_secs: f64,
     /// Aggregate client ops per second.
     pub ops_per_sec: f64,
@@ -251,7 +247,6 @@ pub fn run_serving_scenario(graph: &ShareGraph, cfg: &ServingScenarioConfig) -> 
                     .name(format!("serve-{w}"))
                     .spawn_scoped(s, move || {
                         let mut worker = tier.worker();
-                        let mut since_flush = 0usize;
                         let mut attempted = 0u64;
                         // Round-major on purpose: op k of every owned session
                         // before op k+1 of any, so sessions interleave.
@@ -260,8 +255,8 @@ pub fn run_serving_scenario(graph: &ShareGraph, cfg: &ServingScenarioConfig) -> 
                             let mut sid = w;
                             while sid < cfg.sessions {
                                 attempted += 1;
-                                // A typed failure (shed, crashed, timed out)
-                                // fails that op only; the session keeps going.
+                                // A typed failure (crashed, timed out) fails
+                                // that op only; the session keeps going.
                                 match &ops[sid][k] {
                                     SessionOp::Write(x, v) => {
                                         let _ = worker.write(sid as u64, *x, v.clone());
@@ -269,12 +264,6 @@ pub fn run_serving_scenario(graph: &ShareGraph, cfg: &ServingScenarioConfig) -> 
                                     SessionOp::Read(x) => {
                                         let _ = worker.read(sid as u64, *x, k as u64);
                                     }
-                                }
-                                since_flush += 1;
-                                if since_flush >= cfg.flush_quantum.max(1) {
-                                    worker.flush();
-                                    worker.poll();
-                                    since_flush = 0;
                                 }
                                 sid += workers;
                             }

@@ -104,7 +104,7 @@ fn ring_drop_and_flap_storm_loses_nothing() {
 
 #[test]
 fn write_heavy_storm_with_aggressive_compaction_double_applies_nothing() {
-    // Satellite: restart in the middle of an in-flight `WriteMany` storm
+    // Restart in the middle of a write storm
     // with the recovery log compacting every couple of updates. The same
     // replica crashes twice, so recovery runs from a freshly compacted
     // snapshot both times. A double-applied replayed write breaks the
@@ -122,7 +122,6 @@ fn write_heavy_storm_with_aggressive_compaction_double_applies_nothing() {
             write_ratio: 0.8,
             zipf_theta: 1.0,
             seed: 71,
-            flush_quantum: 8,
             faults,
             durability: Some(2),
             ..Default::default()

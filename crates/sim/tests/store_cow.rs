@@ -256,8 +256,8 @@ fn clone_mode_views_do_not_alias() {
     cluster.shutdown();
 }
 
-/// Read-your-writes across the burst-publish path: a completion token
-/// must never escape before the publish that makes the write visible.
+/// Read-your-writes across the burst-publish path: a write call must
+/// never return before the publish that makes the write visible.
 /// Every `write` and every id of a `write_burst` must be covered by the
 /// very next snapshot taken — under both store modes, with concurrent
 /// writers hammering the same replicas.

@@ -47,8 +47,7 @@ const USAGE: &str = "usage: prcc <command> [args]\n\
                                          + session-guarantee stats; composes with\n\
                                          --crash/--drop/--partition (the schedule runs\n\
                                          live under the serving workload: sessions\n\
-                                         fail over, overload sheds, availability is\n\
-                                         reported)";
+                                         fail over, availability is reported)";
 
 fn usage() -> ! {
     eprintln!("{USAGE}");
