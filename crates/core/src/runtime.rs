@@ -1,5 +1,6 @@
-//! A threaded deployment: one OS thread per replica over a
-//! [`ThreadNet`] transport or kernel TCP sockets.
+//! A threaded deployment: the replicas' engines on a pool of worker
+//! threads, one per core, over a [`ThreadNet`] transport or kernel TCP
+//! sockets.
 //!
 //! [`ThreadedCluster`] runs the replicas of one cluster that live in this
 //! process — all of them, or (under `prcc-node`) those whose listeners it
@@ -20,15 +21,19 @@
 //!   caller's thread: issue every write, publish once, ship the batches
 //!   the call opened, and return — the paper's local write step, with no
 //!   thread hop and no queue in between.
-//! * **One event-driven loop per replica.** A replica thread handles
-//!   what arrives from the network and the session timers. It has
-//!   exactly one blocking point: it parks on its doorbell's timer until
-//!   the next frame falls due or the next session timer, and every
-//!   producer pulls that timer in — a delivery to its due instant, a
-//!   write to the session timer it armed (see `replica_main`). No pass
-//!   without work, no fixed-period poll, and the same loop in every
-//!   configuration (batched, durable, TCP, crash-bearing).
-//! * **Per-thread trace shards.** Each replica appends protocol events
+//! * **Engines on a worker pool.** A replica is a sequential event
+//!   handler, not a thread: its engines run on `min(cores, local
+//!   replicas)` worker threads, the `k`-th local replica on worker
+//!   `k mod W`. Every transport of a worker's replicas rings the
+//!   worker's one doorbell. A worker pass services each owned replica
+//!   that has a frame, a session timer or a scripted crash due, taking
+//!   its engine lock blocking, one frame at a time; then the worker parks
+//!   once until the earliest due instant of them all, so a write's
+//!   fan-out frames that fall due together cost one wake per worker, not
+//!   one per replica (see `worker_main`). No pass without work, no
+//!   fixed-period poll, and the same loop in every configuration
+//!   (batched, durable, TCP, crash-bearing).
+//! * **Per-replica trace shards.** Each replica appends protocol events
 //!   to its own shard (a private `Mutex<Vec<_>>`) in its own order. The
 //!   shards are merged into one global [`Trace`] by [`merge_node_events`]
 //!   only when [`check`](ThreadedCluster::check) or
@@ -57,7 +62,7 @@ use crate::value::Value;
 use parking_lot::{Mutex, RwLock};
 use prcc_checker::{check, CheckReport, Trace, UpdateId};
 use prcc_net::{
-    BoundListener, DelayModel, FaultSchedule, SessionConfig, SessionFrame, TcpEndpoint,
+    BoundListener, DelayModel, Doorbell, FaultSchedule, SessionConfig, SessionFrame, TcpEndpoint,
     TcpNetConfig, TcpStatsSnapshot, ThreadNet, Transport, TICK,
 };
 use prcc_sharegraph::{LoopConfig, RegisterId, ReplicaId, ShareGraph};
@@ -78,7 +83,7 @@ pub struct ClusterConfig {
     pub wire: WireMode,
     /// Scripted fault schedule: every `ThreadNet` send rolls its embedded
     /// plan (drops / duplicates) and honours its link outages (ticks of
-    /// 200 µs from cluster construction); each replica loop fires its own
+    /// 200 µs from cluster construction); each replica's worker fires its
     /// crash/restart entries of [`FaultSchedule::crash_timeline`] when
     /// their tick falls due, like a [`ThreadedCluster::crash`] or
     /// [`restart`](ThreadedCluster::restart) call. Without a
@@ -114,7 +119,7 @@ const INGRESS_DEPTH: usize = 4096;
 /// Why a cluster operation could not complete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterError {
-    /// The cluster has shut down: the replica's loop has exited.
+    /// The cluster has shut down: the replica's worker has exited.
     Disconnected {
         /// The unreachable replica.
         replica: ReplicaId,
@@ -293,8 +298,8 @@ impl SnapshotCell {
     }
 }
 
-/// The replicas of one cluster that this process runs, one thread each:
-/// every replica ([`with_config`](Self::with_config),
+/// The replicas of one cluster that this process runs, on one worker
+/// thread per core (at most one per replica): every replica ([`with_config`](Self::with_config),
 /// [`with_tcp`](Self::with_tcp)) or those whose listeners it was given
 /// ([`with_listeners`](Self::with_listeners)). A call for a replica this
 /// process does not run panics, naming the replica;
@@ -321,14 +326,17 @@ impl SnapshotCell {
 /// ```
 pub struct ThreadedCluster {
     graph: Arc<ShareGraph>,
-    /// The replica threads this process runs, indexed by replica id;
-    /// `None` for a replica another process runs.
-    replicas: Vec<Option<ReplicaThread>>,
+    /// The replicas this process runs, indexed by replica id; `None` for
+    /// a replica another process runs.
+    replicas: Vec<Option<Arc<Shared>>>,
+    /// The pool's workers, and the threads that run them.
+    workers: Vec<Arc<Worker>>,
+    threads: Vec<JoinHandle<()>>,
     counters: Arc<Counters>,
     /// Whether recovery logs are armed (required by [`crash`](Self::crash)).
     durable: bool,
     /// One endpoint per local replica over TCP, in replica order; empty
-    /// over `ThreadNet`, whose handles the replica threads own.
+    /// over `ThreadNet`, whose handles the replicas own.
     tcp: Vec<TcpEndpoint<Frame>>,
 }
 
@@ -342,9 +350,9 @@ impl fmt::Debug for ThreadedCluster {
 }
 
 impl ThreadedCluster {
-    /// Spawns one thread per replica of `graph`, all using the exact
-    /// edge-indexed tracker and the default configuration (compressed
-    /// wire, batching on, no faults, no session).
+    /// Runs every replica of `graph` on the worker pool, all using the
+    /// exact edge-indexed tracker and the default configuration
+    /// (compressed wire, batching on, no faults, no session).
     pub fn new(graph: ShareGraph, delay: DelayModel, seed: u64) -> Self {
         Self::with_config(graph, delay, seed, ClusterConfig::default())
     }
@@ -356,16 +364,41 @@ impl ThreadedCluster {
         seed: u64,
         config: ClusterConfig,
     ) -> Self {
+        let workers = pool_size(graph.num_replicas());
+        Self::with_workers(graph, delay, seed, config, workers)
+    }
+
+    /// [`with_config`](Self::with_config) on `workers` worker threads
+    /// (at least one, at most one per replica).
+    pub(crate) fn with_workers(
+        graph: ShareGraph,
+        delay: DelayModel,
+        seed: u64,
+        config: ClusterConfig,
+        workers: usize,
+    ) -> Self {
         let (registry, replicas) = build_replicas(&graph);
-        let net: ThreadNet<Frame> = ThreadNet::with_schedule(
-            graph.num_replicas(),
+        let n = graph.num_replicas();
+        let bells = pool_bells(workers);
+        let net: ThreadNet<Frame> = ThreadNet::with_bells(
             delay,
             seed,
             config.schedule.clone(),
             INGRESS_DEPTH,
+            (0..n)
+                .map(|k| bells[worker_of(k, bells.len())].clone())
+                .collect(),
         );
         let handles: Vec<_> = graph.replicas().map(|i| net.handle(i)).collect();
-        Self::spawn(graph, registry, replicas, config, handles, Vec::new())
+        Self::spawn(
+            graph,
+            registry,
+            replicas,
+            config,
+            handles,
+            Vec::new(),
+            bells,
+        )
     }
 
     /// A cluster over **real kernel sockets**: binds every replica on
@@ -375,7 +408,7 @@ impl ThreadedCluster {
     /// Link-level fault injection (the [`FaultSchedule`]'s plan and
     /// outages) is a `ThreadNet` feature and does not apply
     /// here — the kernel's loopback does not drop frames. Scripted
-    /// crash/restart events still work (each replica loop fires its own).
+    /// crash/restart events still work (each replica's worker fires them).
     /// A [`SessionConfig`] is still worth arming: the transport sheds
     /// frames on a backed-up or not-yet-connected peer, and only session
     /// retransmission repairs those.
@@ -396,8 +429,8 @@ impl ThreadedCluster {
     }
 
     /// The replicas this process runs over TCP: one [`TcpEndpoint`] (with
-    /// the [`cluster_codec`] link framing) and one replica thread per
-    /// listener, connecting out to `addrs[i]`, replica `i`'s listen
+    /// the [`cluster_codec`] link framing) per listener, its replica on
+    /// the worker pool, connecting out to `addrs[i]`, replica `i`'s listen
     /// address. The replicas without a listener run in other processes;
     /// this one waits with [`wait_quiescent`](Self::wait_quiescent) and
     /// exports each local replica's [`events`](Self::events).
@@ -427,30 +460,34 @@ impl ThreadedCluster {
             ));
         }
         let (registry, replicas) = build_replicas(&graph);
+        let bells = pool_bells(pool_size(listeners.len()));
         let mut endpoints = Vec::with_capacity(listeners.len());
-        for bound in listeners {
+        for (k, bound) in listeners.into_iter().enumerate() {
             let me = bound.id();
             let peers: HashMap<ReplicaId, SocketAddr> = graph
                 .replicas()
                 .filter(|&r| r != me)
                 .map(|r| (r, addrs[r.index()]))
                 .collect();
-            endpoints.push(TcpEndpoint::start(
+            endpoints.push(TcpEndpoint::start_with_bell(
                 bound,
                 peers,
                 tcp.clone(),
                 cluster_codec(me, registry.clone()),
+                bells[worker_of(k, bells.len())].clone(),
             )?);
         }
         let handles = endpoints.iter().map(TcpEndpoint::handle).collect();
         Ok(Self::spawn(
-            graph, registry, replicas, config, handles, endpoints,
+            graph, registry, replicas, config, handles, endpoints, bells,
         ))
     }
 
-    /// Spawns a replica thread per transport handle (`handles` in replica
-    /// order, each naming its replica by its id) — the
-    /// substrate-independent half of every constructor.
+    /// Starts a worker per bell of `bells` and gives the `k`-th transport
+    /// handle's replica to worker [`worker_of`]`(k)` (`handles` in
+    /// replica order, each naming its replica by its id, each ringing its
+    /// worker's bell) — the substrate-independent half of every
+    /// constructor.
     fn spawn<T: Transport<Msg = Frame>>(
         graph: ShareGraph,
         registry: Arc<TsRegistry>,
@@ -458,43 +495,72 @@ impl ThreadedCluster {
         config: ClusterConfig,
         handles: Vec<T>,
         tcp: Vec<TcpEndpoint<Frame>>,
+        bells: Vec<Doorbell>,
     ) -> Self {
         let graph = Arc::new(graph);
         let engine = engine_config(&graph, registry, &config);
         let counters = Arc::new(Counters::default());
         let epoch = Instant::now();
         let mut handles = handles.into_iter().peekable();
-        let replicas = replicas
+        let replicas: Vec<Option<Arc<Shared>>> = replicas
             .into_iter()
             .map(|replica| {
                 let handle = handles.next_if(|h| h.id() == replica.id())?;
-                Some(spawn_replica(
+                Some(Arc::new(Shared::new(
                     replica,
                     &engine,
                     &config,
                     epoch,
                     Box::new(handle),
                     &counters,
-                ))
+                )))
             })
             .collect();
+        let local: Vec<&Arc<Shared>> = replicas.iter().flatten().collect();
+        let pool = bells.len();
+        let (workers, threads) = bells
+            .into_iter()
+            .enumerate()
+            .map(|(w, bell)| {
+                let slots = local
+                    .iter()
+                    .enumerate()
+                    .filter(|&(k, _)| worker_of(k, pool) == w)
+                    .map(|(_, &shared)| Slot::new(Arc::clone(shared), &config.schedule))
+                    .collect();
+                let worker = Arc::new(Worker {
+                    bell,
+                    wakes: AtomicU64::new(0),
+                });
+                let thread = std::thread::Builder::new()
+                    .name(format!("apply-{w}"))
+                    .spawn({
+                        let worker = Arc::clone(&worker);
+                        move || worker_main(&worker, slots)
+                    })
+                    .expect("spawn worker thread");
+                (worker, thread)
+            })
+            .unzip();
         ThreadedCluster {
             graph,
             replicas,
+            workers,
+            threads,
             counters,
             durable: engine.snapshot_every.is_some(),
             tcp,
         }
     }
 
-    /// The replica threads this process runs, in replica order.
-    fn local(&self) -> impl Iterator<Item = &ReplicaThread> {
-        self.replicas.iter().flatten()
+    /// The replicas this process runs, in replica order.
+    fn local(&self) -> impl Iterator<Item = &Shared> {
+        self.replicas.iter().flatten().map(|r| &**r)
     }
 
-    /// Replica `r`'s thread: an O(1) lookup by id.
+    /// Replica `r`: an O(1) lookup by id.
     #[track_caller]
-    fn replica(&self, r: ReplicaId) -> &ReplicaThread {
+    fn replica(&self, r: ReplicaId) -> &Shared {
         match self.replicas.get(r.index()) {
             Some(Some(t)) => t,
             _ => panic!("replica {r} is not run by this process"),
@@ -528,14 +594,14 @@ impl ThreadedCluster {
         let mut issued: HashMap<UpdateId, u64> = HashMap::new();
         let mut out = Vec::new();
         for r in self.local() {
-            for &(nanos, ev) in r.shared.shard.lock().iter() {
+            for &(nanos, ev) in r.shard.lock().iter() {
                 if let NodeEvent::Issue { id, .. } = ev {
                     issued.insert(id, nanos);
                 }
             }
         }
         for r in self.local() {
-            for &(nanos, ev) in r.shared.shard.lock().iter() {
+            for &(nanos, ev) in r.shard.lock().iter() {
                 if let NodeEvent::Apply { id } = ev {
                     out.extend(issued.get(&id).map(|&t0| nanos.saturating_sub(t0)));
                 }
@@ -591,7 +657,7 @@ impl ThreadedCluster {
                 "write({r}, {x}): {r} does not store {x}"
             );
         }
-        self.replica(r).shared.write(writes)
+        self.replica(r).write(writes)
     }
 
     /// Pipelined writes: the whole burst is one call, so the replica
@@ -618,7 +684,7 @@ impl ThreadedCluster {
     /// The full immutable [`ReplicaView`] currently published by `r`
     /// (store, provenance, and applied frontier, captured atomically).
     pub fn store_snapshot(&self, r: ReplicaId) -> Arc<ReplicaView> {
-        self.replica(r).shared.snapshot.load()
+        self.replica(r).snapshot.load()
     }
 
     /// The share graph the cluster runs over.
@@ -629,7 +695,7 @@ impl ThreadedCluster {
     /// True if `r` is currently inside a crash window (lock-free flag —
     /// the serving tier's failover signal).
     pub fn is_crashed(&self, r: ReplicaId) -> bool {
-        self.replica(r).shared.crashed.load(Ordering::SeqCst)
+        self.replica(r).crashed.load(Ordering::SeqCst)
     }
 
     /// Crashes replica `r` now, on the calling thread. The replica's
@@ -647,7 +713,7 @@ impl ThreadedCluster {
             self.durable,
             "crash({r}) requires ClusterConfig::durability (recovery logs are not armed)"
         );
-        self.replica(r).shared.crash_or_restart(false);
+        self.replica(r).crash_or_restart(false);
     }
 
     /// Restarts a crashed replica `r` from its durable log, on the
@@ -655,22 +721,23 @@ impl ThreadedCluster {
     /// probes are done when it returns. A no-op on a replica that is not
     /// crashed.
     pub fn restart(&self, r: ReplicaId) {
-        self.replica(r).shared.crash_or_restart(true);
+        self.replica(r).crash_or_restart(true);
     }
 
-    /// How many passes replica `r`'s loop has made so far — a diagnostic
-    /// for the loop's wait discipline: a pass happens only on a frame
-    /// falling due, a due session timer, a ring, or the idle park running
-    /// out, so an idle cluster's count barely moves, and a write wakes no
-    /// thread at its own replica.
+    /// How many worker passes have serviced replica `r` so far — a
+    /// diagnostic for the pool's wait discipline: a pass services `r`
+    /// only when one of its frames, its session timer or a scripted crash
+    /// of it is due (or the cluster stops), so an idle cluster's count
+    /// barely moves, and a write wakes no thread at its own replica —
+    /// however many replicas share a worker.
     pub fn loop_passes(&self, r: ReplicaId) -> u64 {
-        self.replica(r).shared.passes.load(Ordering::Relaxed)
+        self.replica(r).passes.load(Ordering::Relaxed)
     }
 
     /// The snapshot publication counter of `r` (monotonically
     /// increasing; one bump per published state change).
     pub fn snapshot_version(&self, r: ReplicaId) -> u64 {
-        self.replica(r).shared.snapshot.version()
+        self.replica(r).snapshot.version()
     }
 
     /// Blocks until the cluster is quiescent: every sent message that has
@@ -709,7 +776,7 @@ impl ThreadedCluster {
     /// [`merge_node_events`].
     pub fn trace_snapshot(&self) -> Trace {
         self.assert_whole("trace_snapshot");
-        let guards: Vec<_> = self.local().map(|r| r.shared.shard.lock()).collect();
+        let guards: Vec<_> = self.local().map(|r| r.shard.lock()).collect();
         let logs: Vec<Vec<NodeEvent>> = guards.iter().map(|g| unstamped(g)).collect();
         drop(guards);
         merge_node_events(&logs)
@@ -718,7 +785,7 @@ impl ThreadedCluster {
     /// Replica `r`'s protocol events so far, in its own thread order —
     /// what a process exports for [`merge_node_events`].
     pub fn events(&self, r: ReplicaId) -> Vec<NodeEvent> {
-        unstamped(&self.replica(r).shared.shard.lock())
+        unstamped(&self.replica(r).shard.lock())
     }
 
     /// Total remote applies so far.
@@ -754,28 +821,32 @@ impl ThreadedCluster {
         self.counters.lost.load(Ordering::SeqCst)
     }
 
-    /// Shuts the cluster down, joining all replica threads.
+    /// Shuts the cluster down, joining every worker thread.
     pub fn shutdown(mut self) -> Trace {
         self.assert_whole("shutdown");
         self.stop();
         self.trace_snapshot()
     }
 
-    /// Asks every replica thread to stop, then joins them all. A write
-    /// after this returns [`ClusterError::Disconnected`].
+    /// Asks every replica to stop, rings each worker once, and joins
+    /// them all. A write after this returns
+    /// [`ClusterError::Disconnected`].
     fn stop(&mut self) {
         for r in self.local() {
-            r.shared.stop.store(true, Ordering::SeqCst);
-            r.shared.net.doorbell().ring();
+            r.stop.store(true, Ordering::SeqCst);
         }
-        for t in self
-            .replicas
-            .iter_mut()
-            .flatten()
-            .filter_map(|r| r.thread.take())
-        {
+        for w in &self.workers {
+            w.bell.ring();
+        }
+        for t in self.threads.drain(..) {
             let _ = t.join();
         }
+    }
+
+    /// How many times worker `w` has woken from a park.
+    #[cfg(test)]
+    fn worker_wakes(&self, w: usize) -> u64 {
+        self.workers[w].wakes.load(Ordering::Relaxed)
     }
 }
 
@@ -917,13 +988,19 @@ struct Core {
     out: Vec<Outgoing>,
 }
 
-/// One replica as its loop and every calling thread share it: the engine
-/// behind one lock with the transport it sends on, the trace shard, the
-/// read snapshot, the crash flag (the serving tier's failover signal,
-/// read without the lock), the stop flag and the loop-pass counter.
+/// One replica as its worker and every calling thread share it: the
+/// engine behind one lock with the transport it sends on, the engine's
+/// next session timer, the trace shard, the read snapshot, the crash
+/// flag (the serving tier's failover signal, read without the lock), the
+/// stop flag and the pass counter.
 struct Shared {
     core: Mutex<Core>,
     net: Box<dyn Transport<Msg = Frame>>,
+    /// The engine's next session timer in µs on the engine clock
+    /// (`u64::MAX`: none), stored under the engine lock after every
+    /// input, so the worker learns which of its replicas a timer is due
+    /// at without taking their locks.
+    timer: AtomicU64,
     mode: StoreMode,
     /// The engine clock counts µs from here.
     epoch: Instant,
@@ -935,10 +1012,11 @@ struct Shared {
     passes: AtomicU64,
 }
 
-/// What a driver keeps of one spawned replica.
-struct ReplicaThread {
-    thread: Option<JoinHandle<()>>,
-    shared: Arc<Shared>,
+/// One worker of the pool, as its thread and the cluster share it: the
+/// bell every transport of its replicas rings, and how often it woke.
+struct Worker {
+    bell: Doorbell,
+    wakes: AtomicU64,
 }
 
 /// Every replica of `graph` over the exact edge-indexed tracker, plus
@@ -987,52 +1065,51 @@ fn engine_config(
     })
 }
 
-/// Spawns `replica`'s loop thread (`apply-N`) over transport `net`.
-fn spawn_replica(
-    replica: Replica,
-    engine: &Arc<EngineConfig>,
-    config: &ClusterConfig,
-    epoch: Instant,
-    net: Box<dyn Transport<Msg = Frame>>,
-    counters: &Arc<Counters>,
-) -> ReplicaThread {
-    let id = replica.id();
-    let shared = Arc::new(Shared {
-        core: Mutex::new(Core {
-            engine: Engine::new(replica, Arc::clone(engine)),
-            out: Vec::new(),
-        }),
-        net,
-        mode: config.store,
-        epoch,
-        counters: Arc::clone(counters),
-        shard: Mutex::new(Vec::new()),
-        snapshot: SnapshotCell::new(engine.graph.num_replicas()),
-        crashed: AtomicBool::new(false),
-        stop: AtomicBool::new(false),
-        passes: AtomicU64::new(0),
-    });
-    let script = config
-        .schedule
-        .crash_timeline()
-        .into_iter()
-        .filter(|&(_, r, _)| r == id)
-        .map(|(tick, _, restart)| (epoch + TICK * tick.min(u32::MAX as u64) as u32, restart))
-        .collect();
-    let thread = std::thread::Builder::new()
-        .name(format!("apply-{}", id.raw()))
-        .spawn({
-            let shared = Arc::clone(&shared);
-            move || replica_main(&shared, script)
-        })
-        .expect("spawn replica thread");
-    ReplicaThread {
-        thread: Some(thread),
-        shared,
-    }
+/// How many workers run `local` replicas: one per core this process may
+/// run on, at most one per replica, and at least one.
+fn pool_size(local: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    cores.min(local).max(1)
 }
 
+/// One bell per worker of a pool of `workers`.
+fn pool_bells(workers: usize) -> Vec<Doorbell> {
+    (0..workers).map(|_| Doorbell::new()).collect()
+}
+
+/// The worker of a pool of `workers` that runs the `k`-th local replica
+/// (in replica order) — the one place the partition is decided.
+fn worker_of(k: usize, workers: usize) -> usize {
+    k % workers
+}
 impl Shared {
+    /// `replica`'s engine over transport `net`.
+    fn new(
+        replica: Replica,
+        engine: &Arc<EngineConfig>,
+        config: &ClusterConfig,
+        epoch: Instant,
+        net: Box<dyn Transport<Msg = Frame>>,
+        counters: &Arc<Counters>,
+    ) -> Self {
+        Shared {
+            core: Mutex::new(Core {
+                engine: Engine::new(replica, Arc::clone(engine)),
+                out: Vec::new(),
+            }),
+            net,
+            timer: AtomicU64::new(u64::MAX),
+            mode: config.store,
+            epoch,
+            counters: Arc::clone(counters),
+            shard: Mutex::new(Vec::new()),
+            snapshot: SnapshotCell::new(engine.graph.num_replicas()),
+            crashed: AtomicBool::new(false),
+            stop: AtomicBool::new(false),
+            passes: AtomicU64::new(0),
+        }
+    }
+
     /// The engine clock: µs since the cluster epoch.
     fn now(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
@@ -1057,11 +1134,26 @@ impl Shared {
         ));
     }
 
-    /// Ends an input from outside the loop: sends what it emitted, and
-    /// has the loop awake by the session timer it may have armed.
+    /// Records the engine's next session timer for the worker; called
+    /// under the engine lock after every input.
+    fn note_timer(&self, engine: &Engine) -> Option<u64> {
+        let us = engine.next_deadline();
+        self.timer.store(us.unwrap_or(u64::MAX), Ordering::SeqCst);
+        us
+    }
+
+    /// When the engine's next session timer is due, as the worker last
+    /// saw it stored.
+    fn timer_at(&self) -> Option<Instant> {
+        let us = self.timer.load(Ordering::SeqCst);
+        (us != u64::MAX).then(|| self.epoch + Duration::from_micros(us))
+    }
+
+    /// Ends an input from outside the worker: sends what it emitted, and
+    /// has the worker awake by the session timer it may have armed.
     fn ring_loop(&self, core: &mut Core) {
         self.send(&mut core.out);
-        if let Some(us) = core.engine.next_deadline() {
+        if let Some(us) = self.note_timer(&core.engine) {
             self.net
                 .doorbell()
                 .ring_at(self.epoch + Duration::from_micros(us));
@@ -1174,8 +1266,8 @@ impl Shared {
     }
 }
 
-/// Moves a per-thread running total's change since `last` into the
-/// cluster counter `ctr`, which every replica thread adds to.
+/// Moves a per-replica running total's change since `last` into the
+/// cluster counter `ctr`, which every replica adds to.
 fn roll(ctr: &AtomicUsize, last: &mut usize, now: usize) {
     if now > *last {
         ctr.fetch_add(now - *last, Ordering::SeqCst);
@@ -1185,83 +1277,143 @@ fn roll(ctr: &AtomicUsize, last: &mut usize, now: usize) {
     *last = now;
 }
 
-/// How long a replica loop parks when no session timer is armed.
-/// Nothing depends on the loop passing at this period — every
-/// input pulls the park's timer in — it only bounds what a wake-up lost
-/// to a bug could cost. Public so the lost-wake-up regression test can
-/// name the cliff it looks for.
+/// How long a worker parks when none of its replicas has a session
+/// timer or a scripted crash ahead. Nothing depends on the worker
+/// passing at this period — every input pulls the park's timer in — it
+/// only bounds what a wake-up lost to a bug could cost. Public so the
+/// lost-wake-up regression test can name the cliff it looks for.
 pub const IDLE_PARK: Duration = Duration::from_millis(50);
 
-/// The replica loop — the one loop every configuration runs (batched or
-/// not, durable or not, `ThreadNet` or TCP, crash-bearing or not). It
-/// owns what the write calls do not: frames from the network, the
-/// session timers, scripted crashes and the park.
-///
-/// Each pass stops if asked, fires the scripted crashes and restarts
-/// that are due, takes a burst of frames (each under the engine lock, so
-/// a write waits for one frame at most), publishes once, and ticks the
-/// engine (due session timers). It then parks through the transport
-/// ([`Transport::wait_until`]) until the engine's next session timer or
-/// scripted event, whichever is first. The park ends early only when
-/// its doorbell's timer is pulled in: by a frame's due instant
-/// (`ThreadNet`), a delivery (TCP), a write's session timer, or `stop`.
-/// A ring that lands before the park is folded into it, so none is
-/// slept through.
-fn replica_main(shared: &Shared, mut script: VecDeque<(Instant, bool)>) {
-    let counters = &*shared.counters;
-    let (mut local_pending, mut last_retx, mut last_demotions) = (0, 0, 0);
-    loop {
-        shared.passes.fetch_add(1, Ordering::Relaxed);
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
+/// Frames a pass takes from one replica before it moves on; a replica
+/// with more left is serviced again in the next pass, before any park.
+const PASS_BUDGET: usize = 256;
+
+/// One replica as its worker drives it: what the worker alone keeps of
+/// it besides [`Shared`] — its scripted crashes and restarts still to
+/// come, and its last contributions to the cluster's running counters.
+struct Slot {
+    shared: Arc<Shared>,
+    script: VecDeque<(Instant, bool)>,
+    pending: usize,
+    retransmits: usize,
+    demotions: usize,
+}
+
+impl Slot {
+    fn new(shared: Arc<Shared>, schedule: &FaultSchedule) -> Self {
+        let (epoch, id) = (shared.epoch, shared.net.id());
+        let script = schedule
+            .crash_timeline()
+            .into_iter()
+            .filter(|&(_, r, _)| r == id)
+            .map(|(tick, _, restart)| (epoch + TICK * tick.min(u32::MAX as u64) as u32, restart))
+            .collect();
+        Slot {
+            shared,
+            script,
+            pending: 0,
+            retransmits: 0,
+            demotions: 0,
         }
-        while let Some(&(_, restart)) = script.front().filter(|&&(at, _)| at <= Instant::now()) {
-            script.pop_front();
+    }
+
+    /// The earliest instant this replica needs its worker by, besides its
+    /// frames: its next session timer or scripted crash.
+    fn wake(&self) -> Option<Instant> {
+        let script = self.script.front().map(|&(at, _)| at);
+        script.into_iter().chain(self.shared.timer_at()).min()
+    }
+
+    /// One pass over this replica: `false` without touching its engine
+    /// unless a frame, its session timer or a scripted crash is due.
+    /// Otherwise it fires the due crashes and restarts, takes up to
+    /// [`PASS_BUDGET`] frames (each under the engine lock, so a write
+    /// waits for one frame at most), publishes once, ticks the engine
+    /// (due session timers), records its next timer, and returns `true`.
+    fn service(&mut self) -> bool {
+        let shared = &*self.shared;
+        if shared.stop.load(Ordering::SeqCst) {
+            return false;
+        }
+        let now = Instant::now();
+        let script_due = self.script.front().is_some_and(|&(at, _)| at <= now);
+        let timer_due = shared.timer.load(Ordering::SeqCst) <= shared.now();
+        let first = shared.net.try_recv();
+        if !script_due && !timer_due && first.is_none() {
+            return false;
+        }
+        shared.passes.fetch_add(1, Ordering::Relaxed);
+        while let Some(&(_, restart)) = self.script.front().filter(|&&(at, _)| at <= now) {
+            self.script.pop_front();
             shared.crash_or_restart(restart);
         }
-        // A burst of network input. When the budget runs out with the
-        // inbox possibly non-empty, the next pass starts at once.
-        let mut applied = 0;
-        let mut budget = 256;
-        while budget > 0 {
-            let Some(env) = shared.net.try_recv() else {
-                break;
-            };
-            budget -= 1;
-            applied += shared.receive(env.src, env.msg);
-        }
+        let applied: usize = first
+            .into_iter()
+            .chain(std::iter::from_fn(|| shared.net.try_recv()))
+            .take(PASS_BUDGET)
+            .map(|env| shared.receive(env.src, env.msg))
+            .sum();
+        let counters = &*shared.counters;
         let mut core = shared.core.lock();
         let Core { engine, out } = &mut *core;
         if applied > 0 {
             counters.applied.fetch_add(applied, Ordering::SeqCst);
             shared.publish(engine);
         }
-        let mut wake = script.front().map(|&(at, _)| at);
         if !engine.is_crashed() {
             let pending = engine.replica().pending_count();
-            roll(&counters.pending, &mut local_pending, pending);
-            // Fire the session timers that are due and learn when the
-            // next one is.
+            roll(&counters.pending, &mut self.pending, pending);
             engine.tick(shared.now(), out);
             shared.send(out);
-            if let Some(us) = engine.next_deadline() {
-                let timer = shared.epoch + Duration::from_micros(us);
-                wake = Some(wake.map_or(timer, |at| at.min(timer)));
-            }
         }
+        shared.note_timer(engine);
         let retx = engine.session_stats().map_or(0, |s| s.retransmits);
-        roll(&counters.retransmits, &mut last_retx, retx);
-        roll(
-            &counters.demotions,
-            &mut last_demotions,
-            engine.codec_stats().demotions,
-        );
-        drop(core);
-        if budget > 0 {
-            shared
-                .net
-                .wait_until(wake.unwrap_or_else(|| Instant::now() + IDLE_PARK));
+        roll(&counters.retransmits, &mut self.retransmits, retx);
+        let demotions = engine.codec_stats().demotions;
+        roll(&counters.demotions, &mut self.demotions, demotions);
+        true
+    }
+}
+
+/// A worker of the pool — the one loop every configuration runs (batched
+/// or not, durable or not, `ThreadNet` or TCP, crash-bearing or not). It
+/// owns what the write calls do not: its replicas' frames from the
+/// network, their session timers, their scripted crashes and the park.
+///
+/// Each pass [services](Slot::service) every owned replica that has
+/// something due, in replica order. A pass that serviced none parks the
+/// worker on its bell until the earliest of its replicas' next frames
+/// (read from their transports' [`next_due`](Transport::next_due)),
+/// session timers and scripted crashes — one wake per due instant, how
+/// many replicas' frames fall due at it. The park ends early only when
+/// the bell's timer is pulled in: by a frame's due instant (`ThreadNet`),
+/// a delivery (TCP), a write's session timer, or `stop`. A ring that
+/// lands before the park is folded into it, so none is slept through.
+/// The worker exits once every replica it owns is stopped.
+fn worker_main(worker: &Worker, mut slots: Vec<Slot>) {
+    loop {
+        let mut worked = false;
+        for slot in &mut slots {
+            worked |= slot.service();
         }
+        if slots.iter().all(|s| s.shared.stop.load(Ordering::SeqCst)) {
+            for s in &slots {
+                s.shared.passes.fetch_add(1, Ordering::Relaxed);
+            }
+            return;
+        }
+        if worked {
+            continue;
+        }
+        let deadline = slots
+            .iter()
+            .filter_map(Slot::wake)
+            .min()
+            .unwrap_or_else(|| Instant::now() + IDLE_PARK);
+        worker.bell.park(deadline, || {
+            slots.iter().filter_map(|s| s.shared.net.next_due()).min()
+        });
+        worker.wakes.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -1611,5 +1763,145 @@ mod tests {
         assert!(rep.is_consistent(), "{:?}", rep.violations);
         assert_eq!(cluster.total_applied(), 4 * 10);
         assert_eq!(cluster.read(r(1), x(0)), Some(Value::from(9u64)));
+    }
+
+    /// The pool sizes every host runs: every replica on one worker (a
+    /// single core) and one worker per replica.
+    fn pool_sizes(g: &ShareGraph) -> [usize; 2] {
+        [1, g.num_replicas()]
+    }
+
+    #[test]
+    fn no_round_trip_waits_out_the_idle_park_on_any_pool_size() {
+        let g = topology::ring(4);
+        for workers in pool_sizes(&g) {
+            let cluster = ThreadedCluster::with_workers(
+                g.clone(),
+                DelayModel::Fixed(1),
+                3,
+                ClusterConfig::default(),
+                workers,
+            );
+            let mut slow = Vec::new();
+            for k in 0..400u64 {
+                let writer = r((k % 4) as u32);
+                let t = Instant::now();
+                let uid = cluster.write(writer, x(writer.raw()), Value::from(k));
+                for &h in g.placement().holders(x(writer.raw())) {
+                    while !cluster.store_snapshot(h).covers(uid) {
+                        assert!(t.elapsed() < Duration::from_secs(30), "{uid} lost");
+                        std::thread::sleep(Duration::from_micros(50));
+                    }
+                }
+                if t.elapsed() > IDLE_PARK / 2 {
+                    slow.push((k, t.elapsed()));
+                }
+            }
+            assert!(
+                slow.len() <= 2,
+                "{workers} workers: round trips waited out the idle park: {slow:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_scripted_crash_heals_with_a_session_on_any_pool_size() {
+        let g = topology::ring(3);
+        for workers in pool_sizes(&g) {
+            let cluster = ThreadedCluster::with_workers(
+                g.clone(),
+                DelayModel::Fixed(1),
+                5,
+                ClusterConfig {
+                    schedule: FaultSchedule::none().crash(r(1), 25, 500),
+                    session: fast_session(),
+                    ..ClusterConfig::default()
+                },
+                workers,
+            );
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(cluster.is_crashed(r(1)), "{workers} workers: no crash");
+            for k in 0..5u64 {
+                cluster.write(r(0), x(0), Value::from(k));
+            }
+            std::thread::sleep(Duration::from_millis(120));
+            assert!(!cluster.is_crashed(r(1)), "{workers} workers: no restart");
+            cluster.settle();
+            assert_eq!(cluster.read(r(1), x(0)), Some(Value::from(4u64)));
+            assert_eq!(cluster.total_restarts(), 1);
+            let rep = cluster.check();
+            assert!(
+                rep.is_consistent(),
+                "{workers} workers: {:?}",
+                rep.violations
+            );
+        }
+    }
+
+    #[test]
+    fn concurrent_writers_stay_consistent_on_any_pool_size() {
+        let g = topology::ring(5);
+        for workers in pool_sizes(&g) {
+            let cluster = ThreadedCluster::with_workers(
+                g.clone(),
+                DelayModel::Uniform { min: 0, max: 5 },
+                7,
+                ClusterConfig::default(),
+                workers,
+            );
+            std::thread::scope(|s| {
+                for i in 0..5u32 {
+                    let c = &cluster;
+                    s.spawn(move || {
+                        for round in 0..40u64 {
+                            c.write(r(i), x(i), Value::from(round));
+                        }
+                    });
+                }
+            });
+            cluster.settle();
+            let rep = cluster.check();
+            assert!(
+                rep.is_consistent(),
+                "{workers} workers: {:?}",
+                rep.violations
+            );
+            assert_eq!(cluster.total_applied(), 5 * 40);
+            assert_eq!(cluster.read(r(1), x(0)), Some(Value::from(39u64)));
+        }
+    }
+
+    #[test]
+    fn frames_that_fall_due_together_cost_one_wake() {
+        // clique_full(4, 1): every replica stores x0, so a write at r0
+        // ships a frame to each of r1..r3, and the three fall due
+        // together. On one worker they cost it one wake, not three. Each
+        // write waits for the last one's frames, so no two writes share
+        // a wake.
+        let cluster = ThreadedCluster::with_workers(
+            topology::clique_full(4, 1),
+            DelayModel::Fixed(1),
+            1,
+            ClusterConfig::default(),
+            1,
+        );
+        std::thread::sleep(Duration::from_millis(20));
+        let before = cluster.worker_wakes(0);
+        let t = Instant::now();
+        for k in 0..200u64 {
+            cluster.write(r(0), x(0), Value::from(k));
+            while cluster.total_applied() < 3 * (k as usize + 1) {
+                assert!(t.elapsed() < Duration::from_secs(30), "frames lost");
+                std::thread::sleep(Duration::from_micros(20));
+            }
+        }
+        let elapsed = t.elapsed();
+        let wakes = cluster.worker_wakes(0) - before;
+        let bound = 200 + 3 + (elapsed.as_secs_f64() / IDLE_PARK.as_secs_f64()) as u64;
+        assert!(
+            wakes <= bound,
+            "200 writes of 3 frames each woke the worker {wakes} times over \
+             {elapsed:?} (at most {bound})"
+        );
     }
 }

@@ -1,9 +1,12 @@
-//! The replica loop's wait discipline, pinned from outside.
+//! The worker pool's wait discipline, pinned from outside.
 //!
-//! The loop has one blocking point: it parks until its next frame or
-//! session timer and is woken early only when a producer pulls its timer
-//! in; writes run on the caller's thread and ship their own batches, so
-//! no timer holds a batch open. Four things can go wrong with that and
+//! A worker has one blocking point: it parks until the next frame or
+//! session timer of any of its replicas and is woken early only when a
+//! producer pulls its timer in; writes run on the caller's thread and
+//! ship their own batches, so no timer holds a batch open. The pass
+//! counter counts the passes that serviced a replica, so these budgets
+//! hold on any core count (CI also runs this file under `taskset -c 0`,
+//! where every replica shares one worker). Four things can go wrong with that and
 //! none of them fails a functional test, so each gets a regression test
 //! here:
 //!

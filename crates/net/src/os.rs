@@ -21,9 +21,6 @@ pub(crate) trait Timer: Send + Sync {
     fn wait(&self);
 }
 
-/// Builds a timer.
-pub(crate) type MakeTimer = fn() -> Box<dyn Timer>;
-
 /// The timer of this platform.
 pub(crate) fn os_timer() -> Box<dyn Timer> {
     #[cfg(target_os = "linux")]
@@ -175,6 +172,9 @@ impl Timer for CondvarTimer {
 pub(crate) mod tests {
     use super::*;
     use std::time::Duration;
+
+    /// Builds a timer.
+    pub(crate) type MakeTimer = fn() -> Box<dyn Timer>;
 
     /// Every timer implementation this platform can build.
     pub(crate) fn timers() -> Vec<(&'static str, MakeTimer)> {

@@ -16,15 +16,16 @@
 //! A push ends with [`Doorbell::ring_at`] on the receiver's bell at the
 //! message's due instant, from whatever thread sent it: a receiver
 //! parked past that instant has its timer pulled in to it, and one that
-//! is not parked folds it into its next park. A receiver parks through
-//! [`Transport::wait_until`](crate::Transport::wait_until), which reads
-//! the heap's next due instant and then arms the timer (see
+//! is not parked folds it into its next park. A receiver parks on its
+//! bell with [`NodeHandle::next_due`] — the heap's next due instant — as
+//! the park's `next_due`, which is read before the timer is armed (see
 //! [`Doorbell`] for why no push is slept through). So every hop wakes
-//! its receiver once, at the due instant, and never early.
+//! its receiver once, at the due instant, and never early. Nodes built
+//! by [`ThreadNet::with_bells`] may share a bell: one thread consuming
+//! several nodes parks once until the earliest of their due instants.
 
 use crate::delay::DelayModel;
 use crate::faults::{FaultAction, FaultPlan, FaultSchedule};
-use crate::os::MakeTimer;
 use crate::sim_net::Envelope;
 use crate::transport::{lock, Doorbell};
 use prcc_sharegraph::ReplicaId;
@@ -120,14 +121,12 @@ impl<M> Links<M> {
         due.then(|| inbox.heap.pop().expect("peeked").0.env)
     }
 
-    /// Parks the calling thread on node `me` until `deadline`, the next
-    /// message's due instant, or a ring — whichever comes first. May
-    /// return early; callers re-check their inputs after every return.
-    fn park(&self, me: usize, deadline: Instant) {
-        let node = &self.nodes[me];
-        node.bell.park(deadline, || {
-            lock(&node.inbox).heap.peek().map(|Reverse(p)| p.due)
-        });
+    /// When node `me`'s earliest message falls due.
+    fn next_due(&self, me: usize) -> Option<Instant> {
+        lock(&self.nodes[me].inbox)
+            .heap
+            .peek()
+            .map(|Reverse(p)| p.due)
     }
 }
 
@@ -169,7 +168,7 @@ impl<M> NodeHandle<M> {
     }
 
     /// Blocking receive with timeout. Any thread may call it, but only
-    /// one thread at a time should wait on a node.
+    /// one thread at a time should wait on a node's bell.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
         let deadline = Instant::now() + timeout;
         loop {
@@ -179,16 +178,15 @@ impl<M> NodeHandle<M> {
             if Instant::now() >= deadline {
                 return None;
             }
-            self.wait_until(deadline);
+            self.doorbell().park(deadline, || self.next_due());
         }
     }
 
-    /// Parks the calling thread until `deadline`, until the next message
-    /// to this node falls due, or until a ring — the
-    /// [`Transport::wait_until`](crate::Transport::wait_until) of this
+    /// When the earliest message in flight to this node falls due — the
+    /// [`Transport::next_due`](crate::Transport::next_due) of this
     /// substrate.
-    pub fn wait_until(&self, deadline: Instant) {
-        self.links.park(self.id.index(), deadline);
+    pub fn next_due(&self) -> Option<Instant> {
+        self.links.next_due(self.id.index())
     }
 
     /// The bell this node's consumer parks on. Every send to this node
@@ -298,46 +296,48 @@ impl<M> ThreadNet<M> {
         faults: FaultPlan,
         capacity: usize,
     ) -> Self {
-        Self::with_schedule(n, delay, seed, FaultSchedule::from_plan(faults), capacity)
+        let bells = (0..n).map(|_| Doorbell::new()).collect();
+        Self::with_bells(
+            delay,
+            seed,
+            FaultSchedule::from_plan(faults),
+            capacity,
+            bells,
+        )
     }
 
-    /// Like [`ThreadNet::with_config`], but sends also honour the
-    /// schedule's scripted link outages. Outage windows are expressed in
-    /// simulated ticks and mapped onto wall-clock time from the moment of
-    /// construction (one tick = 200 µs); the check uses the *send* stamp,
-    /// matching [`FaultSchedule::link_down`]'s documented semantics — a
-    /// message already in flight when the outage starts still arrives.
-    /// Crash windows are *not* enforced here: a crashed replica's inbox
-    /// keeps filling and the runtime harness discards the frames, which
-    /// keeps crash semantics (and the loss accounting) in one place.
-    pub fn with_schedule(
-        n: usize,
+    /// Like [`ThreadNet::with_config`], with one node per bell of
+    /// `bells` (every send to node `i` rings `bells[i]`), and sends also
+    /// honour the schedule's scripted link outages.
+    ///
+    /// Nodes may share a bell, so that one thread consumes them all and
+    /// parks once until the earliest of their next due instants.
+    ///
+    /// Outage windows are expressed in simulated ticks and mapped onto
+    /// wall-clock time from the moment of construction (one tick =
+    /// 200 µs); the check uses the *send* stamp, matching
+    /// [`FaultSchedule::link_down`]'s documented semantics — a message
+    /// already in flight when the outage starts still arrives. Crash
+    /// windows are *not* enforced here: a crashed replica's inbox keeps
+    /// filling and the runtime harness discards the frames, which keeps
+    /// crash semantics (and the loss accounting) in one place.
+    pub fn with_bells(
         delay: DelayModel,
         seed: u64,
         schedule: FaultSchedule,
         capacity: usize,
+        bells: Vec<Doorbell>,
     ) -> Self {
-        Self::with_timers(n, delay, seed, schedule, capacity, crate::os::os_timer)
-    }
-
-    /// [`with_schedule`](Self::with_schedule), with every node's bell on
-    /// a timer from `timer`.
-    fn with_timers(
-        n: usize,
-        delay: DelayModel,
-        seed: u64,
-        schedule: FaultSchedule,
-        capacity: usize,
-        timer: MakeTimer,
-    ) -> Self {
+        let n = bells.len();
         let links = Arc::new(Links {
-            nodes: (0..n)
-                .map(|_| Node {
+            nodes: bells
+                .into_iter()
+                .map(|bell| Node {
                     inbox: Mutex::new(Inbox {
                         heap: BinaryHeap::new(),
                         seq: 0,
                     }),
-                    bell: Doorbell::with_timer(timer()),
+                    bell,
                 })
                 .collect(),
             capacity: capacity.max(1),
@@ -480,8 +480,9 @@ mod tests {
         // clock): an immediate send vanishes, a send after the heal
         // instant arrives.
         let schedule = FaultSchedule::none().outage(r(0), r(1), 0, 250);
+        let bells = vec![Doorbell::new(), Doorbell::new()];
         let net: ThreadNet<u32> =
-            ThreadNet::with_schedule(2, DelayModel::Fixed(0), 0, schedule, 64);
+            ThreadNet::with_bells(DelayModel::Fixed(0), 0, schedule, 64, bells);
         let a = net.handle(r(0));
         let b = net.handle(r(1));
         a.send(r(1), 1);
@@ -499,14 +500,21 @@ mod tests {
     /// loop does.
     const IDLE_PARK: Duration = Duration::from_millis(50);
 
-    /// Receives from `node` as a replica loop does: `try_recv`, and park
-    /// through `Transport::wait_until` for a full idle period whenever
-    /// nothing is due — only a ring gets a message through sooner.
+    /// Parks on `node`'s bell for a full idle period or until its next
+    /// frame falls due, as a replica worker does.
+    fn park_idle<M: Clone + Send + 'static>(node: &NodeHandle<M>) {
+        node.doorbell()
+            .park(Instant::now() + IDLE_PARK, || Transport::next_due(node));
+    }
+
+    /// Receives from `node` as a replica worker does: `try_recv`, and
+    /// park for a full idle period whenever nothing is due — only a ring
+    /// or the frame's due instant gets a message through sooner.
     fn recv_as_a_loop<M: Clone + Send + 'static>(node: &NodeHandle<M>) -> Envelope<M> {
         loop {
             match node.try_recv() {
                 Some(env) => return env,
-                None => Transport::wait_until(node, Instant::now() + IDLE_PARK),
+                None => park_idle(node),
             }
         }
     }
@@ -536,7 +544,7 @@ mod tests {
                     loop {
                         match got.try_recv() {
                             Ok(m) => break m,
-                            Err(_) => Transport::wait_until(&a, Instant::now() + IDLE_PARK),
+                            Err(_) => park_idle(&a),
                         }
                     }
                 } else {
@@ -582,8 +590,9 @@ mod tests {
         let delay = DelayModel::Uniform { min: 1, max: 5 };
         let latest_due = TICK * delay.max_delay() as u32;
         for (name, timer) in crate::os::tests::timers() {
+            let bells = (0..5).map(|_| Doorbell::with_timer(timer())).collect();
             let net: ThreadNet<Instant> =
-                ThreadNet::with_timers(5, delay.clone(), 3, FaultSchedule::none(), 64, timer);
+                ThreadNet::with_bells(delay.clone(), 3, FaultSchedule::none(), 64, bells);
             let sink = net.handle(r(4));
             let taken = std::sync::atomic::AtomicUsize::new(0);
             let late = std::thread::scope(|s| {
@@ -730,7 +739,7 @@ mod tests {
                 }
                 None => {
                     assert!(start.elapsed() < Duration::from_secs(30), "lost frames");
-                    Transport::wait_until(&sink, Instant::now() + IDLE_PARK);
+                    park_idle(&sink);
                 }
             }
         }

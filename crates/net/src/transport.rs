@@ -1,20 +1,22 @@
 //! The transport seam between a replica runtime and a message substrate.
 //!
-//! `prcc-core`'s threaded runtime drives its per-replica event loop
-//! through five operations — identity, fire-and-forget send,
-//! non-blocking receive, the [`Doorbell`] its other input sources ring,
-//! and the park that waits for the next input (a bounded blocking
-//! receive serves callers that have no loop of their own: tests and
-//! probes). [`Transport`] names that seam so the same loop runs unchanged
-//! over [`ThreadNet`](crate::ThreadNet) handles (in-process, seeded
-//! delays and faults) and [`TcpEndpoint`](crate::TcpEndpoint) handles
-//! (real kernel sockets, one process per replica). Implementations are
-//! `Sync`: the runtime sends from whichever thread issues a client write.
+//! `prcc-core`'s threaded runtime drives its replica engines through five
+//! operations — identity, fire-and-forget send, non-blocking receive,
+//! the [`Doorbell`] its input sources ring, and the instant the next
+//! queued message falls due (a bounded blocking receive serves callers
+//! that have no loop of their own: tests and probes). [`Transport`]
+//! names that seam so the same worker loop runs unchanged over
+//! [`ThreadNet`](crate::ThreadNet) handles (in-process, seeded delays and
+//! faults) and [`TcpEndpoint`](crate::TcpEndpoint) handles (real kernel
+//! sockets). Implementations are `Sync`: the runtime sends from whichever
+//! thread issues a client write.
 //!
 //! A consumer sleeps on its doorbell's timer, and every producer moves
 //! that timer: [`Doorbell::ring`] to now, [`Doorbell::ring_at`] to the
 //! instant the consumer must be awake by. So a delivery due in 200 µs
 //! wakes its receiver once, at the due instant, whatever thread sent it.
+//! Several nodes may share one bell — the runtime gives every replica of
+//! one worker thread the same bell — as long as one thread consumes it.
 //! On Linux the timer is a `timerfd`, an exact kernel timer that the
 //! parked thread's timer slack does not delay.
 
@@ -33,7 +35,8 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Wake-on-time for the one thread that consumes a node's input.
+/// Wake-on-time for the one thread that consumes the input of one or
+/// more nodes.
 ///
 /// The consumer drains its queues and [`park`](Doorbell::park)s until its
 /// next deadline; every producer enqueues first and rings second —
@@ -152,7 +155,7 @@ impl Doorbell {
     }
 }
 
-/// A per-node message endpoint: everything the replica event loop needs
+/// A per-node message endpoint: everything the replica runtime needs
 /// from a network.
 ///
 /// Semantics required of implementations:
@@ -164,10 +167,11 @@ impl Doorbell {
 ///   stack above assumes nothing stronger;
 /// * `try_recv`/`recv_timeout` return messages addressed to this node,
 ///   each tagged with its true source;
-/// * a message is delivered by its due instant: a consumer parked in
-///   [`wait_until`](Transport::wait_until) wakes by the time it can be
-///   received — a substrate that misses one leaves a parked loop asleep
-///   until its next deadline.
+/// * a message is receivable by the time the [`doorbell`](Transport::doorbell)
+///   is rung for it, or by [`next_due`](Transport::next_due): a consumer
+///   that parks on the bell until the earliest `next_due` of its nodes
+///   wakes by the time each message can be received — a substrate that
+///   misses one leaves a parked consumer asleep until its next deadline.
 pub trait Transport: Send + Sync + 'static {
     /// The message type carried.
     type Msg;
@@ -186,16 +190,16 @@ pub trait Transport: Send + Sync + 'static {
     /// Blocking receive with timeout.
     fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<Self::Msg>>;
 
-    /// The bell of this node's consumer: its other input sources ring
-    /// it after every enqueue.
+    /// The bell of this node's consumer: its input sources ring it after
+    /// every enqueue.
     fn doorbell(&self) -> &Doorbell;
 
-    /// Parks the consumer until `deadline`, a ring, or a delivery,
-    /// whichever comes first. May return early; callers re-check their
-    /// inputs after every return. The default parks on the doorbell, for
-    /// substrates that ring it on every delivery.
-    fn wait_until(&self, deadline: Instant) {
-        self.doorbell().park(deadline, || None);
+    /// When the earliest message queued for this node falls due, if it
+    /// is held back until then — what a consumer reads in
+    /// [`Doorbell::park`]'s `next_due`. The default is `None`, for
+    /// substrates that ring the bell on every delivery.
+    fn next_due(&self) -> Option<Instant> {
+        None
     }
 }
 
@@ -222,8 +226,8 @@ impl<M: Clone + Send + 'static> Transport for NodeHandle<M> {
         NodeHandle::doorbell(self)
     }
 
-    fn wait_until(&self, deadline: Instant) {
-        NodeHandle::wait_until(self, deadline);
+    fn next_due(&self) -> Option<Instant> {
+        NodeHandle::next_due(self)
     }
 }
 
