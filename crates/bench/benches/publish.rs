@@ -1,8 +1,8 @@
 //! Bench: snapshot publishing — the sharded copy-on-write store versus
-//! the clone-the-world oracle, as the register space grows 64 → 16384.
+//! cloning the whole store, as the register space grows 64 → 16384.
 //!
-//! `StoreMode::Clone` materialises every publish as a full copy of the
-//! register map: O(store). `StoreMode::Cow` republishes `Arc`s for
+//! The baseline clones the reference model's `BTreeMap` store: O(store)
+//! per publish. A copy-on-write capture republishes `Arc`s for
 //! untouched shards and rebuilds only what changed since the last
 //! publish: O(Δ). The steady-state case measured here is the replica
 //! loop's — one write dirties one shard, then the view is captured —
@@ -13,6 +13,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use prcc_core::runtime::ReplicaView;
 use prcc_core::{CausalityTracker, EdgeTracker, Replica, StoreMode, Value};
 use prcc_sharegraph::{topology, LoopConfig, RegisterId, ReplicaId, TimestampGraphs};
+use prcc_spec::{EdgeClock, Spec};
 use prcc_timestamp::TsRegistry;
 use std::sync::Arc;
 
@@ -38,22 +39,28 @@ fn setup(k: usize) -> Replica {
     replica
 }
 
+/// [`setup`] in the reference model, whose store is a `BTreeMap`.
+fn reference_setup(k: usize) -> Spec<EdgeClock> {
+    let graph = topology::clique_full(2, k);
+    let graphs = TimestampGraphs::build(&graph, LoopConfig::EXHAUSTIVE);
+    let mut spec = Spec::new(&graph, EdgeClock::all(&graph, &graphs));
+    for i in 0..k {
+        spec.write(ReplicaId::new(0), RegisterId::new(i as u32), i as u64);
+    }
+    spec
+}
+
 fn bench_publish(c: &mut Criterion) {
     let mut group = c.benchmark_group("publish");
     for k in [64usize, 1024, 16384] {
         let mut replica = setup(k);
         let frontier = vec![k as u64, 0];
 
-        // Clone-the-world: every capture copies all k registers (plus
+        // Clone-the-world: every publish copies all k registers (plus
         // provenance).
+        let spec = reference_setup(k);
         group.bench_with_input(BenchmarkId::new("clone", k), &k, |b, _| {
-            b.iter(|| {
-                black_box(ReplicaView::capture(
-                    &replica,
-                    StoreMode::Clone,
-                    frontier.clone(),
-                ))
-            })
+            b.iter(|| black_box(spec.store(ReplicaId::new(0)).clone()))
         });
 
         // Steady-state COW: a previous publish holds every shard (so

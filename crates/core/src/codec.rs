@@ -7,8 +7,7 @@
 //! `(sender, receiver)`:
 //!
 //! * [`WireMode::Raw`] — ship the full timestamp, fixed 8 bytes per
-//!   counter. The differential-testing oracle, mirroring
-//!   [`PendingMode::Scan`](crate::PendingMode).
+//!   counter. The differential-testing oracle for the compressed mode.
 //! * [`WireMode::Compressed`] (default) — project to the common-edge
 //!   slice `E_i ∩ E_k` the receiver's `merge`/`J` read, drop the linearly
 //!   derived counters of the sender's own outgoing edges (Section 5), and

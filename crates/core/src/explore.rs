@@ -15,7 +15,7 @@
 //! structural fingerprint.
 
 use crate::message::UpdateMsg;
-use crate::replica::{PendingMode, Replica};
+use crate::replica::Replica;
 use crate::system::TrackerKind;
 use crate::value::Value;
 use prcc_checker::{check, Trace, UpdateId};
@@ -233,12 +233,10 @@ impl<'a> Explorer<'a> {
     fn initial_state(&self) -> State {
         let g = &self.scenario.graph;
         let n = g.num_replicas();
-        let (_, replicas) = self.scenario.tracker.build_replicas(
-            g,
-            g.placement(),
-            &self.scenario.dropped_edges,
-            PendingMode::default(),
-        );
+        let (_, replicas) =
+            self.scenario
+                .tracker
+                .build_replicas(g, g.placement(), &self.scenario.dropped_edges);
         State {
             replicas,
             in_flight: Vec::new(),

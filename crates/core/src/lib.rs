@@ -61,7 +61,7 @@ pub use explore_cs::{CsOp, CsScenario};
 pub use message::{BatchMsg, DepEntry, Metadata, TransitInfo, UpdateMsg};
 pub use netframe::{cluster_codec, ClusterCodec};
 pub use recovery::{RecoveryLog, WalEntry};
-pub use replica::{Applied, PendingMode, Replica, ReplicaError, WriteOutput};
+pub use replica::{Applied, Replica, ReplicaError, WriteOutput};
 pub use routed_general::{RoutedError, RoutedSystem};
 pub use runtime::{
     merge_node_events, ClusterConfig, ClusterError, NodeEvent, ReplicaView, ThreadedCluster,

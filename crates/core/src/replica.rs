@@ -8,22 +8,20 @@
 //!
 //! # Pending-delivery scheduling
 //!
-//! Both scheduling modes implement the same specification — *repeatedly
-//! apply the earliest-arrived pending update whose predicate `J` holds* —
-//! so they produce identical apply orders:
+//! The specification is *repeatedly apply the earliest-arrived pending
+//! update whose predicate `J` holds*. The obvious implementation
+//! re-evaluates `J` over the whole buffer after every apply — quadratic
+//! on a reversed burst; it lives on as the reference model in the
+//! `prcc-spec` crate, which the differential tests compare against.
+//! The replica instead evaluates `J` once on arrival and, if the update
+//! is blocked, parks it under the first unsatisfied `(counter slot,
+//! needed value)` requirement its tracker reports. A parked update is
+//! woken — re-evaluated — iff one of its blocking counters advanced
+//! during a merge, so a reversed burst of `n` updates costs `O(n)`
+//! predicate evaluations instead of `O(n²)`.
 //!
-//! * [`PendingMode::Scan`] re-evaluates `J` over the whole buffer, in
-//!   arrival order, after every apply (the obvious implementation;
-//!   quadratic predicate evaluations on a reversed burst);
-//! * [`PendingMode::Wakeup`] (default) evaluates `J` once on arrival and,
-//!   if the update is blocked, parks it under the first unsatisfied
-//!   `(counter slot, needed value)` requirement its tracker reports. A
-//!   parked update is woken — re-evaluated — iff one of its blocking
-//!   counters advanced during a merge, so a reversed burst of `n` updates
-//!   costs `O(n)` predicate evaluations instead of `O(n²)`.
-//!
-//! [`Replica::predicate_evals`] counts evaluations in both modes; the
-//! `pending_drain` bench in `prcc-bench` measures the gap.
+//! [`Replica::predicate_evals`] counts evaluations; the `pending` bench
+//! in `prcc-bench` measures the gap to the reference's scan.
 
 use crate::message::UpdateMsg;
 use crate::store_cow::CowStore;
@@ -76,16 +74,6 @@ pub struct Applied {
     pub msg: UpdateMsg,
 }
 
-/// How a [`Replica`] schedules its pending buffer (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PendingMode {
-    /// Re-scan the whole buffer after every apply (ablation oracle).
-    Scan,
-    /// Dependency-counting wakeup index (default).
-    #[default]
-    Wakeup,
-}
-
 /// One buffered update plus its arrival order.
 #[derive(Debug, Clone)]
 struct Parked {
@@ -101,7 +89,7 @@ struct Parked {
 /// place: `waiting[slot]` (tracker reported `BlockedOn{slot, ..}`),
 /// `unknown` (tracker cannot localize the block; re-woken after every
 /// apply), or `dead` (never deliverable; kept only for accounting, like
-/// the scan mode's perpetually-unready messages).
+/// the perpetually-unready messages of a scanned buffer).
 #[derive(Debug, Clone, Default)]
 struct WakeupIndex {
     msgs: HashMap<u64, Parked>,
@@ -148,14 +136,11 @@ pub struct Replica {
     /// (the provenance is what the serving tier's session-guarantee
     /// fast path reads from published snapshots).
     store: CowStore,
-    mode: PendingMode,
-    /// Scan mode: buffered updates in arrival order.
-    pending: Vec<Parked>,
-    /// Wakeup mode: the dependency-counting index.
+    /// The dependency-counting index over parked updates.
     wakeup: WakeupIndex,
-    /// Monotone arrival stamp shared by both modes.
+    /// Monotone arrival stamp.
     next_arrival: u64,
-    /// Predicate-`J` evaluations performed so far (both modes).
+    /// Predicate-`J` evaluations performed so far.
     predicate_evals: u64,
     next_seq: u64,
     applied_count: u64,
@@ -167,7 +152,6 @@ impl fmt::Debug for Replica {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Replica")
             .field("id", &self.id)
-            .field("mode", &self.mode)
             .field("pending", &self.pending_count())
             .field("applied", &self.applied_count)
             .field("tracker", &self.tracker)
@@ -177,31 +161,17 @@ impl fmt::Debug for Replica {
 
 impl Replica {
     /// Creates a replica storing `stores`, tracking causality with
-    /// `tracker`, scheduling pending delivery with the default
-    /// [`PendingMode::Wakeup`] index.
+    /// `tracker`.
     pub fn new(
         id: ReplicaId,
         stores: prcc_sharegraph::RegSet,
         tracker: Box<dyn CausalityTracker>,
-    ) -> Self {
-        Self::new_with_mode(id, stores, tracker, PendingMode::default())
-    }
-
-    /// [`Replica::new`] with an explicit [`PendingMode`] — `Scan` is the
-    /// differential-testing oracle and ablation baseline.
-    pub fn new_with_mode(
-        id: ReplicaId,
-        stores: prcc_sharegraph::RegSet,
-        tracker: Box<dyn CausalityTracker>,
-        mode: PendingMode,
     ) -> Self {
         Replica {
             id,
             store: CowStore::new(stores.len()),
             stores,
             tracker,
-            mode,
-            pending: Vec::new(),
             wakeup: WakeupIndex::default(),
             next_arrival: 0,
             predicate_evals: 0,
@@ -219,22 +189,6 @@ impl Replica {
     /// Step 1: serve a local read.
     pub fn read(&self, x: RegisterId) -> Option<&Value> {
         self.store.get(x)
-    }
-
-    /// A full clone of the local store. The threaded runtime's
-    /// [`StoreMode::Clone`](crate::StoreMode) oracle publishes this as
-    /// an immutable read snapshot after every state change; the default
-    /// COW path shares shards via [`Replica::store_cow`] instead.
-    pub fn store_snapshot(&self) -> HashMap<RegisterId, Value> {
-        self.store.flat_store()
-    }
-
-    /// Per-register provenance: the update whose value each stored
-    /// register currently holds. Registers written through the routed
-    /// protocol's payload path (`Replica::store_local`) have no entry —
-    /// their producing update is not known to this replica.
-    pub fn store_src(&self) -> HashMap<RegisterId, UpdateId> {
-        self.store.flat_src()
     }
 
     /// The sharded copy-on-write store itself — the threaded runtime
@@ -309,106 +263,22 @@ impl Replica {
 
     /// Steps 3–4: ingest one update message, then drain the pending buffer
     /// until the predicate admits nothing further. Returns all updates
-    /// applied by this call, in application order.
-    ///
-    /// Both modes apply the same deterministic order: the earliest-arrived
+    /// applied by this call, in application order: the earliest-arrived
     /// ready update first, re-deciding after every apply.
-    pub fn receive(&mut self, msg: UpdateMsg) -> Vec<Applied> {
-        let arrival = self.next_arrival;
-        self.next_arrival += 1;
-        let parked = Parked { arrival, msg };
-        match self.mode {
-            PendingMode::Scan => self.drain_scan(parked),
-            PendingMode::Wakeup => self.drain_wakeup(parked),
-        }
-    }
-
-    /// Batched steps 3–4: ingest a run of consecutive updates from one
-    /// issuer (one pair stream, send order) as a unit.
     ///
-    /// **Fast path** — taken when nothing parked could still become
-    /// deliverable (no `waiting`/`unknown` entries; dead-parked
-    /// duplicates don't count) *and* the tracker's batched predicate
-    /// ([`CausalityTracker::batch_ready`]) admits the whole run: every
-    /// update's store write is applied in order, the frontier is merged
-    /// **once** (the last update's metadata — equal to `k` sequential
-    /// merges because sender stamps are pointwise monotone along the
-    /// stream), and no wakeup pass runs at all (nothing is parked that an
-    /// advance could wake). The resulting replica state and apply order
-    /// are byte-identical to calling [`Replica::receive`] per message;
-    /// only `predicate_evals` differs (one batched evaluation).
-    ///
-    /// **Fallback** — any other situation (blocked batch, live parked
-    /// updates, trackers without batch evaluation): per-message
-    /// [`Replica::receive`], i.e. exactly the unbatched oracle.
-    pub fn receive_batch(&mut self, msgs: Vec<UpdateMsg>) -> Vec<Applied> {
-        let nothing_live_parked = match self.mode {
-            PendingMode::Wakeup => {
-                self.wakeup.unknown.is_empty() && self.wakeup.waiting.values().all(Vec::is_empty)
-            }
-            // Scan keeps dead messages in the same buffer as blocked
-            // ones, so any parked message disables the fast path.
-            PendingMode::Scan => self.pending.is_empty(),
-        };
-        if msgs.len() > 1 && nothing_live_parked && self.tracker.batch_ready(&msgs) == Some(true) {
-            self.predicate_evals += 1;
-            self.batch_fast_applies += msgs.len() as u64;
-            let last = msgs.len() - 1;
-            let mut applied = Vec::with_capacity(msgs.len());
-            for (i, m) in msgs.into_iter().enumerate() {
-                self.next_arrival += 1;
-                self.apply_store(&m);
-                if i == last {
-                    self.tracker.on_apply(&m);
-                }
-                self.applied_count += 1;
-                applied.push(Applied { msg: m });
-            }
-            applied
-        } else {
-            let mut applied = Vec::new();
-            for m in msgs {
-                applied.extend(self.receive(m));
-            }
-            applied
-        }
-    }
-
-    /// Scan mode: after every apply, re-evaluate `J` over the whole buffer
-    /// from the front (arrival order) and apply the first ready update.
-    fn drain_scan(&mut self, parked: Parked) -> Vec<Applied> {
-        self.pending.push(parked);
-        let mut applied = Vec::new();
-        loop {
-            let mut found = None;
-            for (pos, p) in self.pending.iter().enumerate() {
-                self.predicate_evals += 1;
-                if self.tracker.ready(&p.msg) {
-                    found = Some(pos);
-                    break;
-                }
-            }
-            let Some(pos) = found else { break };
-            // Stable removal keeps the remaining buffer in arrival order.
-            let p = self.pending.remove(pos);
-            self.apply(&p.msg);
-            applied.push(Applied { msg: p.msg });
-        }
-        applied
-    }
-
-    /// Wakeup mode: evaluate `J` once per wake, parking blocked updates
+    /// `J` is evaluated once per wake, and blocked updates are parked
     /// under their first unsatisfied counter requirement. An apply's merge
     /// reports which counters advanced; only their waiters (plus the
     /// non-localizable `unknown` bucket) are woken. Woken candidates are
     /// processed in arrival order via a min-heap, which reproduces the
     /// scan order exactly: every ready update is always in the heap, so
     /// the earliest-arrived ready update is applied first.
-    fn drain_wakeup(&mut self, parked: Parked) -> Vec<Applied> {
+    pub fn receive(&mut self, msg: UpdateMsg) -> Vec<Applied> {
+        let arrival = self.next_arrival;
+        self.next_arrival += 1;
         let mut candidates: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
-        candidates.push(Reverse(parked.arrival));
-        self.wakeup.msgs.insert(parked.arrival, parked);
-
+        candidates.push(Reverse(arrival));
+        self.wakeup.msgs.insert(arrival, Parked { arrival, msg });
         let mut applied = Vec::new();
         let mut advanced: Vec<(usize, u64)> = Vec::new();
         while let Some(Reverse(arrival)) = candidates.pop() {
@@ -452,10 +322,49 @@ impl Replica {
         applied
     }
 
-    fn apply(&mut self, m: &UpdateMsg) {
-        self.apply_store(m);
-        self.tracker.on_apply(m);
-        self.applied_count += 1;
+    /// Batched steps 3–4: ingest a run of consecutive updates from one
+    /// issuer (one pair stream, send order) as a unit.
+    ///
+    /// **Fast path** — taken when nothing parked could still become
+    /// deliverable (no `waiting`/`unknown` entries; dead-parked
+    /// duplicates don't count) *and* the tracker's batched predicate
+    /// ([`CausalityTracker::batch_ready`]) admits the whole run: every
+    /// update's store write is applied in order, the frontier is merged
+    /// **once** (the last update's metadata — equal to `k` sequential
+    /// merges because sender stamps are pointwise monotone along the
+    /// stream), and no wakeup pass runs at all (nothing is parked that an
+    /// advance could wake). The resulting replica state and apply order
+    /// are byte-identical to calling [`Replica::receive`] per message;
+    /// only `predicate_evals` differs (one batched evaluation).
+    ///
+    /// **Fallback** — any other situation (blocked batch, live parked
+    /// updates, trackers without batch evaluation): per-message
+    /// [`Replica::receive`], i.e. exactly the unbatched oracle.
+    pub fn receive_batch(&mut self, msgs: Vec<UpdateMsg>) -> Vec<Applied> {
+        let nothing_live_parked =
+            self.wakeup.unknown.is_empty() && self.wakeup.waiting.values().all(Vec::is_empty);
+        if msgs.len() > 1 && nothing_live_parked && self.tracker.batch_ready(&msgs) == Some(true) {
+            self.predicate_evals += 1;
+            self.batch_fast_applies += msgs.len() as u64;
+            let last = msgs.len() - 1;
+            let mut applied = Vec::with_capacity(msgs.len());
+            for (i, m) in msgs.into_iter().enumerate() {
+                self.next_arrival += 1;
+                self.apply_store(&m);
+                if i == last {
+                    self.tracker.on_apply(&m);
+                }
+                self.applied_count += 1;
+                applied.push(Applied { msg: m });
+            }
+            applied
+        } else {
+            let mut applied = Vec::new();
+            for m in msgs {
+                applied.extend(self.receive(m));
+            }
+            applied
+        }
     }
 
     fn apply_report(&mut self, m: &UpdateMsg, advanced: &mut Vec<(usize, u64)>) {
@@ -493,8 +402,8 @@ impl Replica {
         self.applied_count
     }
 
-    /// Number of predicate-`J` evaluations performed so far (both modes
-    /// count; the `pending_drain` bench reports the scan/wakeup ratio).
+    /// Number of predicate-`J` evaluations performed so far (the
+    /// `pending_drain` bench compares it with the reference's scan).
     pub fn predicate_evals(&self) -> u64 {
         self.predicate_evals
     }
@@ -505,25 +414,14 @@ impl Replica {
         self.batch_fast_applies
     }
 
-    /// The scheduling mode in use.
-    pub fn pending_mode(&self) -> PendingMode {
-        self.mode
-    }
-
     /// Updates currently buffered (predicate not yet satisfied).
     pub fn pending_count(&self) -> usize {
-        match self.mode {
-            PendingMode::Scan => self.pending.len(),
-            PendingMode::Wakeup => self.wakeup.msgs.len(),
-        }
+        self.wakeup.msgs.len()
     }
 
     /// The pending messages in arrival order (for diagnostics).
     pub fn pending(&self) -> Vec<&UpdateMsg> {
-        let mut parked: Vec<&Parked> = match self.mode {
-            PendingMode::Scan => self.pending.iter().collect(),
-            PendingMode::Wakeup => self.wakeup.msgs.values().collect(),
-        };
+        let mut parked: Vec<&Parked> = self.wakeup.msgs.values().collect();
         parked.sort_by_key(|p| p.arrival);
         parked.into_iter().map(|p| &p.msg).collect()
     }
@@ -664,9 +562,8 @@ mod tests {
         assert!(s.contains("Replica"));
     }
 
-    /// Builds replicas over one register shared by all 5 replicas, in the
-    /// given pending mode.
-    fn all_shared_five(mode: PendingMode) -> Vec<Replica> {
+    /// Builds replicas over one register shared by all 5 replicas.
+    fn all_shared_five() -> Vec<Replica> {
         let g = prcc_sharegraph::ShareGraph::new(
             prcc_sharegraph::Placement::builder(5)
                 .share(0, [0, 1, 2, 3, 4])
@@ -679,11 +576,10 @@ mod tests {
         (0..5u32)
             .map(|i| {
                 let id = ReplicaId::new(i);
-                Replica::new_with_mode(
+                Replica::new(
                     id,
                     g.placement().registers_of(id).clone(),
                     Box::new(EdgeTracker::new(reg.clone(), id)) as Box<dyn CausalityTracker>,
-                    mode,
                 )
             })
             .collect()
@@ -691,81 +587,58 @@ mod tests {
 
     /// Three updates `p`, `a`, `b` from distinct senders, all blocked on
     /// one update `y`, delivered before `y`: the drain must apply them in
-    /// arrival order (`y`, `p`, `a`, `b`), in BOTH modes. (The former
-    /// `swap_remove`-based scan applied `b` before `a` here.)
+    /// arrival order (`y`, `p`, `a`, `b`). (A `swap_remove`-based scan
+    /// once applied `b` before `a` here.)
     #[test]
-    fn apply_order_is_earliest_arrival_first_in_both_modes() {
+    fn apply_order_is_earliest_arrival_first() {
         let x0 = RegisterId::new(0);
-        let mut orders = Vec::new();
-        for mode in [PendingMode::Scan, PendingMode::Wakeup] {
-            let mut rs = all_shared_five(mode);
-            let (y, _) = rs[0].write(x0, Value::from(0u64), vec![]).unwrap();
-            let mut deps = Vec::new();
-            for (i, r) in rs.iter_mut().enumerate().take(4).skip(1) {
-                assert_eq!(r.receive(y.clone()).len(), 1);
-                let (m, _) = r.write(x0, Value::from(i as u64), vec![]).unwrap();
-                deps.push(m);
-            }
-            // Receiver 4: the three dependents first, then y.
-            for m in &deps {
-                assert!(rs[4].receive(m.clone()).is_empty());
-            }
-            assert_eq!(rs[4].pending_count(), 3);
-            let applied = rs[4].receive(y.clone());
-            let order: Vec<ReplicaId> = applied.iter().map(|a| a.msg.issuer).collect();
-            assert_eq!(
-                order,
-                vec![
-                    ReplicaId::new(0),
-                    ReplicaId::new(1),
-                    ReplicaId::new(2),
-                    ReplicaId::new(3)
-                ],
-                "{mode:?} must apply in arrival order"
-            );
-            assert_eq!(rs[4].pending_count(), 0);
-            orders.push(applied);
+        let mut rs = all_shared_five();
+        let (y, _) = rs[0].write(x0, Value::from(0u64), vec![]).unwrap();
+        let mut deps = Vec::new();
+        for (i, r) in rs.iter_mut().enumerate().take(4).skip(1) {
+            assert_eq!(r.receive(y.clone()).len(), 1);
+            let (m, _) = r.write(x0, Value::from(i as u64), vec![]).unwrap();
+            deps.push(m);
         }
-        assert_eq!(orders[0], orders[1], "scan and wakeup orders must agree");
+        // Receiver 4: the three dependents first, then y.
+        for m in &deps {
+            assert!(rs[4].receive(m.clone()).is_empty());
+        }
+        assert_eq!(rs[4].pending_count(), 3);
+        let applied = rs[4].receive(y);
+        let order: Vec<ReplicaId> = applied.iter().map(|a| a.msg.issuer).collect();
+        assert_eq!(order, (0..4).map(ReplicaId::new).collect::<Vec<_>>());
+        assert_eq!(rs[4].pending_count(), 0);
     }
 
-    /// A reversed FIFO burst of n updates: scan re-evaluates the whole
-    /// buffer after every apply (Θ(n²) predicate evaluations) while the
-    /// wakeup index evaluates each message O(1) times amortized.
+    /// A reversed FIFO burst of n updates: the reference model's scan
+    /// re-evaluates the whole buffer after every apply (Θ(n²) predicate
+    /// evaluations) while the wakeup index evaluates each message O(1)
+    /// times amortized.
     #[test]
     fn wakeup_slashes_predicate_evaluations_on_reversed_burst() {
         let n = 64u64;
-        let (mut w, _) = pair();
+        let g = topology::path(2);
+        let (r0, r1, x0) = (ReplicaId::new(0), ReplicaId::new(1), RegisterId::new(0));
+        let (mut w, mut b) = pair();
+        let graphs = TimestampGraphs::build(&g, LoopConfig::EXHAUSTIVE);
+        let mut spec = prcc_spec::Spec::new(&g, prcc_spec::EdgeClock::all(&g, &graphs));
         let mut msgs = Vec::new();
         for i in 0..n {
-            let (m, _) = w.write(RegisterId::new(0), Value::from(i), vec![]).unwrap();
-            msgs.push(m);
+            let (m, _) = w.write(x0, Value::from(i), vec![]).unwrap();
+            msgs.push((m, spec.write(r0, x0, i).0));
         }
-        let mut evals = Vec::new();
-        for mode in [PendingMode::Scan, PendingMode::Wakeup] {
-            let g = topology::path(2);
-            let reg = Arc::new(TsRegistry::new(
-                &g,
-                TimestampGraphs::build(&g, LoopConfig::EXHAUSTIVE),
-            ));
-            let id = ReplicaId::new(1);
-            let mut b = Replica::new_with_mode(
-                id,
-                g.placement().registers_of(id).clone(),
-                Box::new(EdgeTracker::new(reg, id)) as Box<dyn CausalityTracker>,
-                mode,
-            );
-            let mut applied = Vec::new();
-            for m in msgs.iter().rev() {
-                applied.extend(b.receive(m.clone()));
-            }
-            assert_eq!(applied.len(), n as usize);
-            // FIFO order restored regardless of mode.
-            assert!(applied.windows(2).all(|w| w[0].msg.seq + 1 == w[1].msg.seq));
-            assert_eq!(b.pending_count(), 0);
-            evals.push(b.predicate_evals());
+        let mut applied = Vec::new();
+        for (m, id) in msgs.into_iter().rev() {
+            let got = b.receive(m);
+            assert_eq!(got.len(), spec.deliver(r1, id).len());
+            applied.extend(got);
         }
-        let (scan, wakeup) = (evals[0], evals[1]);
+        assert_eq!(applied.len(), n as usize);
+        // FIFO order restored.
+        assert!(applied.windows(2).all(|w| w[0].msg.seq + 1 == w[1].msg.seq));
+        assert_eq!((b.pending_count(), spec.pending_count(r1)), (0, 0));
+        let (scan, wakeup) = (spec.evals(r1), b.predicate_evals());
         assert!(
             wakeup * 5 <= scan,
             "expected ≥5× fewer evaluations (scan={scan}, wakeup={wakeup})"
@@ -845,7 +718,7 @@ mod tests {
     #[test]
     fn receive_batch_defers_to_oracle_when_parked_updates_are_live() {
         let x0 = RegisterId::new(0);
-        let mut rs = all_shared_five(PendingMode::Wakeup);
+        let mut rs = all_shared_five();
         let (y, _) = rs[0].write(x0, Value::from(100u64), vec![]).unwrap();
         // Replica 1 applies y, then issues two updates depending on it.
         assert_eq!(rs[1].receive(y.clone()).len(), 1);
@@ -870,39 +743,23 @@ mod tests {
     }
 
     /// Messages that can never become deliverable (duplicates) stay
-    /// parked in both modes and never block fresh traffic.
+    /// parked and never block fresh traffic.
     #[test]
-    fn duplicates_stay_pending_in_both_modes() {
-        for mode in [PendingMode::Scan, PendingMode::Wakeup] {
-            let g = topology::path(2);
-            let reg = Arc::new(TsRegistry::new(
-                &g,
-                TimestampGraphs::build(&g, LoopConfig::EXHAUSTIVE),
-            ));
-            let mk = |i: u32| {
-                let id = ReplicaId::new(i);
-                Replica::new_with_mode(
-                    id,
-                    g.placement().registers_of(id).clone(),
-                    Box::new(EdgeTracker::new(reg.clone(), id)) as Box<dyn CausalityTracker>,
-                    mode,
-                )
-            };
-            let (mut a, mut b) = (mk(0), mk(1));
-            let (m1, _) = a
-                .write(RegisterId::new(0), Value::from(1u64), vec![])
-                .unwrap();
-            let (m2, _) = a
-                .write(RegisterId::new(0), Value::from(2u64), vec![])
-                .unwrap();
-            assert_eq!(b.receive(m1.clone()).len(), 1);
-            // Duplicate of m1: parked forever.
-            assert!(b.receive(m1.clone()).is_empty());
-            assert_eq!(b.pending_count(), 1);
-            // Fresh traffic still flows.
-            assert_eq!(b.receive(m2).len(), 1);
-            assert_eq!(b.pending_count(), 1, "{mode:?}");
-            assert_eq!(b.read(RegisterId::new(0)), Some(&Value::from(2u64)));
-        }
+    fn duplicates_stay_pending() {
+        let (mut a, mut b) = pair();
+        let (m1, _) = a
+            .write(RegisterId::new(0), Value::from(1u64), vec![])
+            .unwrap();
+        let (m2, _) = a
+            .write(RegisterId::new(0), Value::from(2u64), vec![])
+            .unwrap();
+        assert_eq!(b.receive(m1.clone()).len(), 1);
+        // Duplicate of m1: parked forever.
+        assert!(b.receive(m1).is_empty());
+        assert_eq!(b.pending_count(), 1);
+        // Fresh traffic still flows.
+        assert_eq!(b.receive(m2).len(), 1);
+        assert_eq!(b.pending_count(), 1);
+        assert_eq!(b.read(RegisterId::new(0)), Some(&Value::from(2u64)));
     }
 }

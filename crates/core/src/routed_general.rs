@@ -21,7 +21,7 @@
 //! (experiment E7).
 
 use crate::message::{TransitInfo, UpdateMsg};
-use crate::replica::{PendingMode, Replica};
+use crate::replica::Replica;
 use crate::system::{SystemMetrics, TrackerKind};
 use crate::value::Value;
 use prcc_checker::{check, CheckReport, Trace, UpdateId};
@@ -168,7 +168,6 @@ impl RoutedSystem {
             &effective,
             effective.placement(),
             &[],
-            PendingMode::default(),
         );
 
         Ok(RoutedSystem {

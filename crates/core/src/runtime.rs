@@ -8,8 +8,8 @@
 //! [`System`](crate::System) — replica, wire codec, batching, session and
 //! WAL, wired once in `crate::engine` (DESIGN §15) — but under genuine
 //! concurrency and wall-clock time (the engine clock is µs since the
-//! cluster epoch), with real threads + crossbeam channels in place of an
-//! async runtime.
+//! cluster epoch), with a pool of OS threads parked on doorbells in place
+//! of an async runtime.
 //!
 //! # The hot path
 //!
@@ -55,8 +55,8 @@ use crate::codec::WireMode;
 use crate::engine::{BatchPolicy, Engine, EngineConfig, Outgoing};
 use crate::message::BatchMsg;
 use crate::netframe::cluster_codec;
-use crate::replica::{PendingMode, Replica};
-use crate::store_cow::{SharedShards, StoreMode};
+use crate::replica::Replica;
+use crate::store_cow::{CowStore, SharedShards, StoreMode};
 use crate::system::TrackerKind;
 use crate::value::Value;
 use parking_lot::{Mutex, RwLock};
@@ -105,10 +105,6 @@ pub struct ClusterConfig {
     /// write calls and ships any open batch first, so every acked write
     /// is in the WAL and every batch it rode in is in the outbox.
     pub durability: Option<usize>,
-    /// How publishes materialise snapshots: sharded copy-on-write
-    /// (O(Δ) per publish, the default) or the original clone-the-world
-    /// oracle ([`StoreMode::Clone`], O(store) per publish).
-    pub store: StoreMode,
 }
 
 /// Per-node network ingress bound of the in-process `ThreadNet`: frames
@@ -165,87 +161,51 @@ type TraceShard = Mutex<Vec<(u64, NodeEvent)>>;
 /// update `u` on `x` can never still hold (or later revert to) a value
 /// of `x` causally older than `u` — so `covers` is a sufficient
 /// read-your-writes / monotonic-reads test that needs no replica lock.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ReplicaView {
-    repr: ViewRepr,
+    /// The store's shards, shared with the live [`CowStore`] until a
+    /// write touches them.
+    shards: SharedShards,
     frontier: Vec<u64>,
 }
 
-/// How a published view holds its store. `Flat` is the
-/// [`StoreMode::Clone`] oracle (deep-cloned maps, O(store) to build);
-/// `Shards` is the default O(Δ) path sharing shard `Arc`s with the live
-/// [`CowStore`]. Readers can't tell them apart — same `get` /
-/// `source_of` / `covers` answers, same torn-read impossibility (both
-/// reprs are immutable once published).
-#[derive(Debug, Clone)]
-enum ViewRepr {
-    Flat {
-        store: HashMap<RegisterId, Value>,
-        src: HashMap<RegisterId, UpdateId>,
-    },
-    Shards(SharedShards),
-}
-
-impl Default for ViewRepr {
-    fn default() -> Self {
-        ViewRepr::Flat {
-            store: HashMap::new(),
-            src: HashMap::new(),
-        }
-    }
-}
-
 impl ReplicaView {
-    /// Captures `replica`'s store per `mode`, paired with the applied
-    /// frontier that vouches for it. This is the single publish
-    /// constructor: the threaded runtime, the lockstep oracle, and the
-    /// publish microbench all build views through it.
-    pub fn capture(replica: &Replica, mode: StoreMode, frontier: Vec<u64>) -> Self {
-        let repr = match mode {
-            StoreMode::Cow => ViewRepr::Shards(replica.store_cow().share()),
-            StoreMode::Clone => ViewRepr::Flat {
-                store: replica.store_snapshot(),
-                src: replica.store_src(),
-            },
-        };
-        ReplicaView { repr, frontier }
+    /// Captures `replica`'s store, paired with the applied frontier that
+    /// vouches for it. This is the single publish constructor: the
+    /// threaded runtime and the publish microbench build views through
+    /// it. `StoreMode` has one value.
+    pub fn capture(replica: &Replica, _: StoreMode, frontier: Vec<u64>) -> Self {
+        ReplicaView {
+            shards: replica.store_cow().share(),
+            frontier,
+        }
     }
 
     /// The published value of `x`, if any.
     pub fn get(&self, x: &RegisterId) -> Option<&Value> {
-        match &self.repr {
-            ViewRepr::Flat { store, .. } => store.get(x),
-            ViewRepr::Shards(s) => s.get(*x),
-        }
+        self.shards.get(*x)
     }
 
     /// The full published store, collected into a flat map.
     pub fn store(&self) -> HashMap<RegisterId, Value> {
-        match &self.repr {
-            ViewRepr::Flat { store, .. } => store.clone(),
-            ViewRepr::Shards(s) => s.iter().map(|(x, e)| (*x, e.value.clone())).collect(),
-        }
+        self.shards
+            .iter()
+            .map(|(x, e)| (*x, e.value.clone()))
+            .collect()
     }
 
     /// The update that produced the published value of `x` (absent for
     /// unwritten registers and routed-payload writes, whose producing
     /// update is unknown).
     pub fn source_of(&self, x: RegisterId) -> Option<UpdateId> {
-        match &self.repr {
-            ViewRepr::Flat { src, .. } => src.get(&x).copied(),
-            ViewRepr::Shards(s) => s.src_of(x),
-        }
+        self.shards.src_of(x)
     }
 
     /// `(aliased, total)` physically shared store shards between two
-    /// COW-published views; `None` unless both views were published by
-    /// the [`StoreMode::Cow`] path. The shard-aliasing non-vacuity test
-    /// uses this to prove consecutive publishes skip untouched shards.
+    /// views; always `Some`. The shard-aliasing non-vacuity test uses
+    /// this to prove consecutive publishes skip untouched shards.
     pub fn shards_shared_with(&self, other: &ReplicaView) -> Option<(usize, usize)> {
-        match (&self.repr, &other.repr) {
-            (ViewRepr::Shards(a), ViewRepr::Shards(b)) => Some(a.shards_shared_with(b)),
-            _ => None,
-        }
+        Some(self.shards.shards_shared_with(&other.shards))
     }
 
     /// True if this view's issuer frontier includes update `u` — the
@@ -277,7 +237,7 @@ impl SnapshotCell {
     fn new(num_replicas: usize) -> Self {
         SnapshotCell {
             view: RwLock::new(Arc::new(ReplicaView {
-                repr: ViewRepr::default(),
+                shards: CowStore::new(0).share(),
                 frontier: vec![0; num_replicas],
             })),
             version: AtomicU64::new(0),
@@ -509,7 +469,6 @@ impl ThreadedCluster {
                 Some(Arc::new(Shared::new(
                     replica,
                     &engine,
-                    &config,
                     epoch,
                     Box::new(handle),
                     &counters,
@@ -1001,7 +960,6 @@ struct Shared {
     /// input, so the worker learns which of its replicas a timer is due
     /// at without taking their locks.
     timer: AtomicU64,
-    mode: StoreMode,
     /// The engine clock counts µs from here.
     epoch: Instant,
     counters: Arc<Counters>,
@@ -1027,7 +985,6 @@ fn build_replicas(graph: &ShareGraph) -> (Arc<TsRegistry>, Vec<Replica>) {
         graph,
         graph.placement(),
         &[],
-        PendingMode::default(),
     );
     (
         registry.expect("edge-indexed trackers share a registry"),
@@ -1087,7 +1044,6 @@ impl Shared {
     fn new(
         replica: Replica,
         engine: &Arc<EngineConfig>,
-        config: &ClusterConfig,
         epoch: Instant,
         net: Box<dyn Transport<Msg = Frame>>,
         counters: &Arc<Counters>,
@@ -1099,7 +1055,6 @@ impl Shared {
             }),
             net,
             timer: AtomicU64::new(u64::MAX),
-            mode: config.store,
             epoch,
             counters: Arc::clone(counters),
             shard: Mutex::new(Vec::new()),
@@ -1129,7 +1084,7 @@ impl Shared {
     fn publish(&self, engine: &Engine) {
         self.snapshot.publish(ReplicaView::capture(
             engine.replica(),
-            self.mode,
+            StoreMode::default(),
             engine.frontier().to_vec(),
         ));
     }

@@ -25,9 +25,10 @@
 //! arrival burst, and at 1024 shards a flat pointer array made every
 //! one of those publishes 1024 refcount bumps and as many drops.
 //!
-//! The old clone-the-world behaviour stays available as the
-//! differential oracle via [`StoreMode::Clone`] (flat deep-cloned
-//! views), per this repo's every-layer-has-an-off-switch convention.
+//! The differential tests check it against the reference model of the
+//! `prcc-spec` crate, whose store is a plain `BTreeMap`: the final
+//! stores must agree, and published views must not alias a shard a
+//! later write changes (the unit tests below).
 //!
 //! [`ReplicaView`]: crate::runtime::ReplicaView
 
@@ -37,18 +38,15 @@ use prcc_sharegraph::RegisterId;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// How the threaded runtime materialises published snapshots.
+/// How the threaded runtime materialises published snapshots. It has
+/// one value; the type stays only because the repository's benchmark
+/// names it, until ROADMAP item 17 moves that benchmark's call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreMode {
     /// Sharded copy-on-write publishes: O(registers changed since the
     /// last publish) per publish.
     #[default]
     Cow,
-    /// The original clone-the-world publish — O(store) per publish.
-    /// Kept as the differential oracle: a [`StoreMode::Clone`] run must
-    /// be byte-identical to a [`StoreMode::Cow`] run on the same seeded
-    /// workload.
-    Clone,
 }
 
 /// One stored register: its current value and the update that produced
@@ -169,21 +167,6 @@ impl CowStore {
         shards(&self.chunks).flat_map(|s| s.iter())
     }
 
-    /// Deep-clones the store into a flat value map — the
-    /// [`StoreMode::Clone`] publish path, and compatibility surface for
-    /// callers that want a plain `HashMap`.
-    pub fn flat_store(&self) -> HashMap<RegisterId, Value> {
-        self.iter().map(|(x, e)| (*x, e.value.clone())).collect()
-    }
-
-    /// Deep-clones the provenance side into a flat map (registers with
-    /// unknown provenance absent, matching the old `store_src` map).
-    pub fn flat_src(&self) -> HashMap<RegisterId, UpdateId> {
-        self.iter()
-            .filter_map(|(x, e)| e.src.map(|u| (*x, u)))
-            .collect()
-    }
-
     /// The O(Δ) publish: an immutable view sharing every shard with the
     /// live store. Costs one refcount bump per chunk; the next write to a
     /// shared shard pays its chunk's pointer copy and that shard's clone
@@ -283,8 +266,7 @@ mod tests {
         assert_eq!(s.get(x(40)), Some(&Value::from(8u64)));
         assert_eq!(s.src_of(x(40)), None, "payload-path write has no src");
         assert_eq!(s.len(), 2);
-        assert_eq!(s.flat_store().len(), 2);
-        assert_eq!(s.flat_src().len(), 1);
+        assert_eq!(s.iter().filter(|(_, e)| e.src.is_some()).count(), 1);
     }
 
     #[test]
@@ -372,19 +354,17 @@ mod tests {
     }
 
     #[test]
-    fn share_matches_flat_views() {
+    fn share_matches_the_store() {
         let mut s = CowStore::new(256);
         for i in 0..200 {
             let src = (i % 3 != 0).then(|| uid(i % 5, u64::from(i)));
             s.insert(x(i * 7 % 256), Value::from(u64::from(i)), src);
         }
         let snap = s.share();
-        let flat = s.flat_store();
-        let srcs = s.flat_src();
-        assert_eq!(flat.len(), s.len());
+        assert_eq!(snap.iter().count(), s.len());
         for (reg, e) in snap.iter() {
-            assert_eq!(flat.get(reg), Some(&e.value));
-            assert_eq!(srcs.get(reg).copied(), e.src);
+            assert_eq!(s.get(*reg), Some(&e.value));
+            assert_eq!(s.src_of(*reg), e.src);
             assert_eq!(snap.get(*reg), Some(&e.value));
             assert_eq!(snap.src_of(*reg), e.src);
         }

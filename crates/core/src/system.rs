@@ -24,7 +24,7 @@ use crate::codec::{CodecStats, WireMode};
 pub use crate::engine::BatchPolicy;
 use crate::engine::{add_codec_stats, Engine, EngineConfig, Outgoing};
 use crate::message::{BatchMsg, UpdateMsg};
-use crate::replica::{Applied, PendingMode, Replica};
+use crate::replica::{Applied, Replica};
 use crate::stats::LatencyStats;
 use crate::tracker::{CausalityTracker, EdgeTracker, FullDepsTracker, VcTracker};
 use crate::value::Value;
@@ -67,7 +67,6 @@ impl TrackerKind {
         graph: &ShareGraph,
         data: &Placement,
         dropped: &[(ReplicaId, EdgeId)],
-        mode: PendingMode,
     ) -> (Option<Arc<TsRegistry>>, Vec<Replica>) {
         let registry = match self {
             TrackerKind::EdgeIndexed(loops) => {
@@ -98,7 +97,7 @@ impl TrackerKind {
                     }
                     (None, _) => Box::new(VcTracker::new(i, n)),
                 };
-                Replica::new_with_mode(i, stores, tracker, mode)
+                Replica::new(i, stores, tracker)
             })
             .collect();
         (registry, replicas)
@@ -178,7 +177,6 @@ const SNAPSHOT_EVERY: usize = 64;
 pub struct SystemBuilder {
     graph: ShareGraph,
     tracker: TrackerKind,
-    pending_mode: PendingMode,
     dummies: Vec<(ReplicaId, RegisterId)>,
     delay: DelayModel,
     seed: u64,
@@ -195,7 +193,6 @@ impl SystemBuilder {
         SystemBuilder {
             graph,
             tracker: TrackerKind::EdgeIndexed(LoopConfig::EXHAUSTIVE),
-            pending_mode: PendingMode::default(),
             dummies: Vec::new(),
             delay: DelayModel::default(),
             seed: 0,
@@ -210,14 +207,6 @@ impl SystemBuilder {
     /// Selects the tracker (default: exact edge-indexed).
     pub fn tracker(mut self, kind: TrackerKind) -> Self {
         self.tracker = kind;
-        self
-    }
-
-    /// Selects how replicas schedule their pending buffers (default:
-    /// [`PendingMode::Wakeup`]; `Scan` is the differential-testing
-    /// oracle).
-    pub fn pending_mode(mut self, mode: PendingMode) -> Self {
-        self.pending_mode = mode;
         self
     }
 
@@ -316,12 +305,9 @@ impl SystemBuilder {
             ShareGraph::new(Placement::from_sets(sets))
         };
         let n = effective_graph.num_replicas();
-        let (codec_registry, replicas) = self.tracker.build_replicas(
-            &effective_graph,
-            &data_placement,
-            &self.dropped_edges,
-            self.pending_mode,
-        );
+        let (codec_registry, replicas) =
+            self.tracker
+                .build_replicas(&effective_graph, &data_placement, &self.dropped_edges);
 
         let mut net = SimNetwork::new(self.delay, self.seed);
         let crashes = !self.schedule.crashes.is_empty();

@@ -1,11 +1,15 @@
-//! Differential testing of the pending-delivery schedulers and the wire
+//! Differential testing of the pending-delivery scheduler and the wire
 //! codec.
 //!
-//! [`PendingMode::Scan`] (the obvious re-scan implementation) is the
-//! oracle; [`PendingMode::Wakeup`] (the dependency-counting index) must be
-//! observationally identical on every seeded execution: same applied
-//! event sequence, same final stores, same checker verdict, same stuck
-//! count — while evaluating the predicate at most as often.
+//! The reference model of the `prcc-spec` crate (a flat pending list
+//! re-scanned with `J` after every arrival and every apply) is the
+//! oracle for the replicas' dependency-counting wakeup index: a
+//! [`System`] and the reference, fed the same writes and the same
+//! arrival sequence at every replica, must record the same applied
+//! event sequence, end with the same stores and pending counts and the
+//! same checker verdict — while the replicas evaluate their predicate
+//! at most as often as the reference evaluates `J` (see
+//! `reference/mod.rs`).
 //!
 //! Analogously, [`WireMode::Raw`] (full timestamps on the wire) is the
 //! oracle for [`WireMode::Compressed`]: the per-pair projected,
@@ -17,7 +21,9 @@
 //! (`PROPTEST_CASES` overrides) over ring / binary-tree / clique share
 //! graphs with adversarial `Uniform{1,200}` delivery delays.
 
-use prcc_core::{PendingMode, System, TrackerKind, Value, WireMode};
+mod reference;
+
+use prcc_core::{System, TrackerKind, Value, WireMode};
 use prcc_net::DelayModel;
 use prcc_sharegraph::{topology, RegisterId, ReplicaId, ShareGraph};
 use proptest::prelude::*;
@@ -33,22 +39,9 @@ fn build_topology(sel: usize, n: usize) -> ShareGraph {
 }
 
 /// One deterministic run: a seeded write/step interleaving over `g`.
-/// Returns (system, total predicate evaluations).
-fn run(g: &ShareGraph, tracker: TrackerKind, mode: PendingMode, seed: u64) -> (System, u64) {
-    run_wire(g, tracker, mode, WireMode::default(), seed)
-}
-
-/// [`run`] with an explicit wire mode.
-fn run_wire(
-    g: &ShareGraph,
-    tracker: TrackerKind,
-    mode: PendingMode,
-    wire: WireMode,
-    seed: u64,
-) -> (System, u64) {
+fn run_wire(g: &ShareGraph, tracker: TrackerKind, wire: WireMode, seed: u64) -> System {
     let mut sys = System::builder(g.clone())
         .tracker(tracker)
-        .pending_mode(mode)
         .wire_mode(wire)
         .delay(DelayModel::Uniform { min: 1, max: 200 })
         .seed(seed)
@@ -69,62 +62,14 @@ fn run_wire(
         }
     }
     sys.run_to_quiescence();
-    let evals = (0..n)
-        .map(|i| sys.replica(ReplicaId::new(i as u32)).predicate_evals())
-        .sum();
-    (sys, evals)
-}
-
-/// Asserts the two modes are observationally identical on one execution.
-fn assert_equivalent(g: &ShareGraph, tracker: TrackerKind, seed: u64) {
-    let (scan, scan_evals) = run(g, tracker, PendingMode::Scan, seed);
-    let (wake, wake_evals) = run(g, tracker, PendingMode::Wakeup, seed);
-
-    // Identical event (issue + apply) sequences.
-    prop_assert_eq!(scan.trace().events(), wake.trace().events());
-
-    // Identical stores at every replica.
-    for i in g.replicas() {
-        for x in g.placement().registers_of(i).iter() {
-            prop_assert_eq!(
-                scan.read(i, x),
-                wake.read(i, x),
-                "store mismatch at {:?} register {:?}",
-                i,
-                x
-            );
-        }
-        prop_assert_eq!(
-            scan.replica(i).pending_count(),
-            wake.replica(i).pending_count()
-        );
-    }
-
-    // Identical checker verdicts (violation lists included).
-    let (sr, wr) = (scan.check(), wake.check());
-    prop_assert_eq!(sr.violations, wr.violations);
-    prop_assert_eq!(scan.stuck_pending(), wake.stuck_pending());
-
-    // The index never evaluates the predicate more often than the scan.
-    prop_assert!(
-        wake_evals <= scan_evals,
-        "wakeup did more predicate work: {} > {}",
-        wake_evals,
-        scan_evals
-    );
+    sys
 }
 
 /// Asserts that the compressed wire mode yields the same observable
 /// execution as the raw oracle, and that its wire bytes never exceed raw's.
 fn assert_wire_equivalent(g: &ShareGraph, tracker: TrackerKind, seed: u64) {
-    let (raw, _) = run_wire(g, tracker, PendingMode::default(), WireMode::Raw, seed);
-    let (comp, _) = run_wire(
-        g,
-        tracker,
-        PendingMode::default(),
-        WireMode::Compressed,
-        seed,
-    );
+    let raw = run_wire(g, tracker, WireMode::Raw, seed);
+    let comp = run_wire(g, tracker, WireMode::Compressed, seed);
 
     // Identical event (issue + apply) sequences.
     prop_assert_eq!(raw.trace().events(), comp.trace().events());
@@ -168,7 +113,8 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let g = build_topology(topo, n);
-        assert_equivalent(&g, TrackerKind::EdgeIndexed(prcc_sharegraph::LoopConfig::EXHAUSTIVE), seed);
+        let tracker = TrackerKind::EdgeIndexed(prcc_sharegraph::LoopConfig::EXHAUSTIVE);
+        reference::replay(&g, tracker, WireMode::default(), seed);
     }
 
     /// The trait-default (BlockedUnknown) path: vector-clock tracker.
@@ -179,7 +125,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let g = build_topology(topo, n);
-        assert_equivalent(&g, TrackerKind::VectorClock, seed);
+        reference::replay(&g, TrackerKind::VectorClock, WireMode::default(), seed);
     }
 
     /// The trait-default path with growing metadata: full dependency lists.
@@ -190,7 +136,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let g = build_topology(topo, n);
-        assert_equivalent(&g, TrackerKind::FullDeps, seed);
+        reference::replay(&g, TrackerKind::FullDeps, WireMode::default(), seed);
     }
 
     /// Wire-codec differential, edge-indexed tracker: raw vs compressed
@@ -221,7 +167,8 @@ proptest! {
     }
 
     /// Both axes at once: the wakeup pending index must stay equivalent to
-    /// the scan oracle when messages carry compressed frames.
+    /// the reference when messages carry compressed frames — and when
+    /// they carry raw timestamps.
     #[test]
     fn scan_and_wakeup_agree_under_compression(
         topo in 0usize..3,
@@ -230,12 +177,7 @@ proptest! {
     ) {
         let g = build_topology(topo, n);
         let tracker = TrackerKind::EdgeIndexed(prcc_sharegraph::LoopConfig::EXHAUSTIVE);
-        let (scan, scan_evals) = run_wire(&g, tracker, PendingMode::Scan, WireMode::Compressed, seed);
-        let (wake, wake_evals) = run_wire(&g, tracker, PendingMode::Wakeup, WireMode::Compressed, seed);
-        prop_assert_eq!(scan.trace().events(), wake.trace().events());
-        let (sr, wr) = (scan.check(), wake.check());
-        prop_assert_eq!(sr.violations, wr.violations);
-        prop_assert_eq!(scan.stuck_pending(), wake.stuck_pending());
-        prop_assert!(wake_evals <= scan_evals);
+        reference::replay(&g, tracker, WireMode::Compressed, seed);
+        reference::replay(&g, tracker, WireMode::Raw, seed);
     }
 }

@@ -8,8 +8,8 @@
 //! drawn policy (counts down to 1, byte caps) and pass shape (writes
 //! issued in bursts of 1, 3 or 8 between steps — the writes of one burst
 //! share the batches the next step ships), across ring/tree/clique
-//! topologies, all three trackers, both wire modes, both pending
-//! schedulers, and generated fault schedules with the session layer
+//! topologies, all three trackers, both wire modes, and generated
+//! fault schedules with the session layer
 //! healing them. Equivalence means:
 //!
 //! * the same multiset of issue/apply events;
@@ -23,7 +23,7 @@
 //! would only ever exercise the per-message fallback.
 
 use prcc_checker::Event;
-use prcc_core::{BatchPolicy, PendingMode, System, TrackerKind, Value, WireMode};
+use prcc_core::{BatchPolicy, System, TrackerKind, Value, WireMode};
 use prcc_net::{DelayModel, FaultPlan, FaultSchedule, SessionConfig};
 use prcc_sharegraph::{topology, RegisterId, ReplicaId, ShareGraph};
 use proptest::prelude::*;
@@ -81,7 +81,6 @@ fn make_schedule(
 fn run_one(
     g: &ShareGraph,
     tracker: TrackerKind,
-    mode: PendingMode,
     wire: WireMode,
     policy: BatchPolicy,
     burst: u64,
@@ -91,7 +90,6 @@ fn run_one(
 ) -> System {
     let mut b = System::builder(g.clone())
         .tracker(tracker)
-        .pending_mode(mode)
         .wire_mode(wire)
         .batch_policy(policy)
         .delay(DelayModel::Uniform { min: 1, max: 200 })
@@ -158,7 +156,6 @@ fn sorted_events(sys: &System) -> Vec<(u8, u32, u64, u32)> {
 fn assert_equivalent(
     g: &ShareGraph,
     tracker: TrackerKind,
-    mode: PendingMode,
     wire: WireMode,
     policy: BatchPolicy,
     burst: u64,
@@ -169,7 +166,6 @@ fn assert_equivalent(
     let oracle = run_one(
         g,
         tracker,
-        mode,
         wire,
         BatchPolicy::unbatched(),
         burst,
@@ -177,9 +173,7 @@ fn assert_equivalent(
         session,
         seed,
     );
-    let subject = run_one(
-        g, tracker, mode, wire, policy, burst, schedule, session, seed,
-    );
+    let subject = run_one(g, tracker, wire, policy, burst, schedule, session, seed);
 
     prop_assert!(subject.is_settled(), "batched run failed to quiesce");
     prop_assert_eq!(
@@ -228,13 +222,12 @@ const BURSTS: [u64; 3] = [1, 3, 8];
 
 proptest! {
     /// Fault-free, sessionless: batching alone must not change any
-    /// observable, for every tracker × wire mode × pending scheduler.
+    /// observable, for every tracker × wire mode.
     #[test]
     fn batched_matches_unbatched_fault_free(
         topo in 0usize..3,
         n in 3usize..7,
         tracker_sel in 0usize..3,
-        pm in 0usize..2,
         wire in 0usize..2,
         count_i in 0usize..5,
         bytes_i in 0usize..3,
@@ -253,9 +246,8 @@ proptest! {
             TrackerKind::EdgeIndexed(_) => [WireMode::Raw, WireMode::Compressed][wire],
             _ => WireMode::Raw,
         };
-        let mode = if pm == 0 { PendingMode::Scan } else { PendingMode::Wakeup };
         let policy = draw_policy(count_i, bytes_i);
-        assert_equivalent(&g, tracker, mode, wire, policy, BURSTS[burst_i], None, false, seed);
+        assert_equivalent(&g, tracker, wire, policy, BURSTS[burst_i], None, false, seed);
     }
 
     /// Under fault schedules healed by the session layer: batching and
@@ -283,7 +275,7 @@ proptest! {
         let policy = draw_policy(count_i, bytes_i);
         let burst = BURSTS[burst_i];
         assert_equivalent(
-            &g, tracker, PendingMode::default(), wire, policy, burst, Some(&s), true, seed,
+            &g, tracker, wire, policy, burst, Some(&s), true, seed,
         );
     }
 }
@@ -339,7 +331,6 @@ fn a_crash_ships_its_open_batches_and_stays_equivalent() {
                 run_one(
                     &g,
                     tracker,
-                    PendingMode::default(),
                     WireMode::default(),
                     policy,
                     3,

@@ -25,7 +25,7 @@
 //! schedules *without* it demonstrably lose updates or liveness.
 
 use prcc_checker::Event;
-use prcc_core::{PendingMode, System, TrackerKind, Value, WireMode};
+use prcc_core::{System, TrackerKind, Value, WireMode};
 use prcc_net::{DelayModel, FaultPlan, FaultSchedule, SessionConfig};
 use prcc_sharegraph::{topology, RegisterId, ReplicaId, ShareGraph};
 use proptest::prelude::*;
@@ -87,7 +87,6 @@ fn make_schedule(
 fn run_one(
     g: &ShareGraph,
     tracker: TrackerKind,
-    mode: PendingMode,
     wire: WireMode,
     schedule: Option<&FaultSchedule>,
     session: bool,
@@ -95,7 +94,6 @@ fn run_one(
 ) -> System {
     let mut b = System::builder(g.clone())
         .tracker(tracker)
-        .pending_mode(mode)
         .wire_mode(wire)
         .delay(DelayModel::Uniform { min: 1, max: 200 })
         .seed(seed);
@@ -158,13 +156,12 @@ fn sorted_events(sys: &System) -> Vec<(u8, u32, u64, u32)> {
 fn assert_heals(
     g: &ShareGraph,
     tracker: TrackerKind,
-    mode: PendingMode,
     wire: WireMode,
     schedule: &FaultSchedule,
     seed: u64,
 ) {
-    let oracle = run_one(g, tracker, mode, wire, None, false, seed);
-    let subject = run_one(g, tracker, mode, wire, Some(schedule), true, seed);
+    let oracle = run_one(g, tracker, wire, None, false, seed);
+    let subject = run_one(g, tracker, wire, Some(schedule), true, seed);
 
     prop_assert!(subject.is_settled(), "faulty run failed to quiesce");
     prop_assert_eq!(
@@ -192,13 +189,12 @@ fn assert_heals(
 }
 
 proptest! {
-    /// Edge-indexed tracker, both pending schedulers, under generated
-    /// drop/dup/partition/crash schedules.
+    /// Edge-indexed tracker under generated drop/dup/partition/crash
+    /// schedules.
     #[test]
     fn faulty_session_matches_fault_free_edge_indexed(
         topo in 0usize..3,
         n in 3usize..7,
-        pm in 0usize..2,
         drop_i in 0usize..4,
         crashes in 0usize..3,
         partition in 0usize..2,
@@ -207,9 +203,8 @@ proptest! {
         let g = build_topology(topo, n);
         let drop_prob = [0.0, 0.15, 0.3, 0.5][drop_i];
         let s = make_schedule(n, drop_prob, 0.2, crashes, partition == 1, seed);
-        let mode = if pm == 0 { PendingMode::Scan } else { PendingMode::Wakeup };
         let tracker = TrackerKind::EdgeIndexed(prcc_sharegraph::LoopConfig::EXHAUSTIVE);
-        assert_heals(&g, tracker, mode, WireMode::default(), &s, seed);
+        assert_heals(&g, tracker, WireMode::default(), &s, seed);
     }
 
     /// The baselines (vector clocks, full dependency lists) heal too.
@@ -226,7 +221,7 @@ proptest! {
         let drop_prob = [0.0, 0.2, 0.4][drop_i];
         let s = make_schedule(n, drop_prob, 0.1, crashes, true, seed);
         let tracker = if vc == 0 { TrackerKind::VectorClock } else { TrackerKind::FullDeps };
-        assert_heals(&g, tracker, PendingMode::default(), WireMode::default(), &s, seed);
+        assert_heals(&g, tracker, WireMode::default(), &s, seed);
     }
 
     /// The wire codec's FIFO delta framing must survive retransmission
@@ -246,7 +241,7 @@ proptest! {
         let s = make_schedule(n, drop_prob, 0.2, crashes, true, seed);
         let wire = [WireMode::Raw, WireMode::Compressed][wire];
         let tracker = TrackerKind::EdgeIndexed(prcc_sharegraph::LoopConfig::EXHAUSTIVE);
-        assert_heals(&g, tracker, PendingMode::default(), wire, &s, seed);
+        assert_heals(&g, tracker, wire, &s, seed);
     }
 }
 
@@ -263,7 +258,6 @@ fn drops_without_session_lose_liveness() {
         let healthy = run_one(
             &g,
             TrackerKind::EdgeIndexed(prcc_sharegraph::LoopConfig::EXHAUSTIVE),
-            PendingMode::default(),
             WireMode::default(),
             None,
             false,
@@ -272,7 +266,6 @@ fn drops_without_session_lose_liveness() {
         let faulty = run_one(
             &g,
             TrackerKind::EdgeIndexed(prcc_sharegraph::LoopConfig::EXHAUSTIVE),
-            PendingMode::default(),
             WireMode::default(),
             Some(&s),
             false,
@@ -302,7 +295,6 @@ fn crash_without_session_loses_updates() {
         let healthy = run_one(
             &g,
             TrackerKind::EdgeIndexed(prcc_sharegraph::LoopConfig::EXHAUSTIVE),
-            PendingMode::default(),
             WireMode::default(),
             None,
             false,
@@ -311,7 +303,6 @@ fn crash_without_session_loses_updates() {
         let faulty = run_one(
             &g,
             TrackerKind::EdgeIndexed(prcc_sharegraph::LoopConfig::EXHAUSTIVE),
-            PendingMode::default(),
             WireMode::default(),
             Some(&s),
             false,
@@ -344,15 +335,7 @@ fn session_machinery_engages_under_storm() {
     .partition([ReplicaId::new(0)], [ReplicaId::new(2)], 100, 500)
     .crash(ReplicaId::new(3), 150, 700);
     let tracker = TrackerKind::EdgeIndexed(prcc_sharegraph::LoopConfig::EXHAUSTIVE);
-    let sys = run_one(
-        &g,
-        tracker,
-        PendingMode::default(),
-        WireMode::default(),
-        Some(&s),
-        true,
-        7,
-    );
+    let sys = run_one(&g, tracker, WireMode::default(), Some(&s), true, 7);
     assert!(sys.is_settled());
     assert!(sys.check().is_consistent());
     assert_eq!(sys.stuck_pending(), 0);

@@ -11,7 +11,7 @@
 use prcc_checker::HbGraph;
 use prcc_core::client_server::ClientServerSystem;
 use prcc_core::serving::{route, Collected, ServingConfig, ServingTier};
-use prcc_core::{ClusterConfig, StoreMode, ThreadedCluster, Value};
+use prcc_core::{ClusterConfig, ThreadedCluster, Value};
 use prcc_net::{DelayModel, FaultSchedule, SessionConfig, TICK};
 use prcc_sharegraph::{AugmentedShareGraph, ClientAssignment, ClientId, RegisterId, ShareGraph};
 use rand::rngs::StdRng;
@@ -52,9 +52,6 @@ pub struct ServingScenarioConfig {
     /// Arms per-replica durable recovery logs with this compaction
     /// interval — required when `faults` scripts crashes.
     pub durability: Option<usize>,
-    /// Snapshot publish mode: sharded copy-on-write (default) or the
-    /// clone-the-world differential oracle.
-    pub store: StoreMode,
 }
 
 impl Default for ServingScenarioConfig {
@@ -70,7 +67,6 @@ impl Default for ServingScenarioConfig {
             faults: FaultSchedule::default(),
             session: None,
             durability: None,
-            store: StoreMode::default(),
         }
     }
 }
@@ -230,7 +226,6 @@ pub fn run_serving_scenario(graph: &ShareGraph, cfg: &ServingScenarioConfig) -> 
             schedule: cfg.faults.clone(),
             session,
             durability: cfg.durability,
-            store: cfg.store,
             ..ClusterConfig::default()
         },
     );

@@ -1,14 +1,15 @@
 //! Differential test: the sharded copy-on-write snapshot store against
-//! the clone-the-world oracle (`StoreMode::Clone`).
+//! the reference model of the `prcc-spec` crate, whose store is a plain
+//! `BTreeMap`.
 //!
 //! The COW store is a pure representation change — publishes rebuild
 //! only the shards touched since the last publish instead of cloning
-//! the whole register map. Nothing observable may move: the same
-//! single-writer workload driven through both modes must end in
-//! byte-identical canonical stores on every replica, identical applied frontiers,
-//! identical `covers()` verdicts over a grid of update ids, and the same
-//! clean causal-consistency verdict. The serving tier re-runs its own
-//! session-guarantee checker under both modes.
+//! the whole register map. Nothing observable may move: a single-writer
+//! workload driven through a threaded cluster must end in the
+//! reference's stores (value and provenance) on every replica, its
+//! applied frontiers, its `covers()` verdicts over a grid of update ids,
+//! and its clean causal-consistency verdict. The serving tier re-runs
+//! its own session-guarantee checker.
 //!
 //! A separate non-vacuity test pins the mechanism itself: consecutive
 //! published views of a many-register store must share the `Arc`s of
@@ -16,27 +17,16 @@
 //! degrades to cloning everything, the O(Δ) claim is silently gone and
 //! this test, not a benchmark, catches it.
 
-use prcc_checker::UpdateId;
-use prcc_core::{ClusterConfig, StoreMode, ThreadedCluster, Value};
+#[path = "../../core/tests/reference/mod.rs"]
+mod reference;
+
+use prcc_core::{ClusterConfig, ThreadedCluster, Value};
 use prcc_net::{DelayModel, FaultPlan, FaultSchedule, SessionConfig};
 use prcc_sharegraph::{topology, RegisterId, ReplicaId, ShareGraph};
-use prcc_sim::netrun::{store_lines, NetWorkload};
+use prcc_sim::netrun::NetWorkload;
 use prcc_sim::serving::{run_serving_scenario, ServingScenarioConfig};
 use proptest::prelude::*;
-
-/// Everything observable about a finished run, canonicalised for
-/// cross-mode comparison.
-#[derive(Debug, PartialEq, Eq)]
-struct Observed {
-    /// Per-replica canonical store lines (value + provenance, sorted).
-    stores: Vec<Vec<String>>,
-    /// Per-replica applied frontiers.
-    frontiers: Vec<Vec<u64>>,
-    /// Per-replica `covers()` verdicts over a fixed grid of update ids.
-    covers: Vec<Vec<bool>>,
-    /// Causal-consistency verdict of the merged trace.
-    consistent: bool,
-}
+use reference::Observed;
 
 /// Fast session config for `DelayModel::Fixed(1)` runs: round trips are
 /// a few 200 µs ticks, so retransmission can be aggressive without
@@ -50,23 +40,22 @@ fn quick_session() -> SessionConfig {
     }
 }
 
-/// One deterministic single-writer run; the workload (and therefore the
-/// final store on every replica) is a pure function of `g` and
-/// `rounds`, independent of mode, timing, and healed faults.
+/// One deterministic single-writer run through a threaded cluster and
+/// through the reference; the workload (and therefore the final store
+/// on every replica) is a pure function of `g` and `rounds`,
+/// independent of timing and healed faults. Returns both observations.
 fn run_one(
     g: &ShareGraph,
     rounds: u64,
     seed: u64,
-    store: StoreMode,
     schedule: FaultSchedule,
     session: Option<SessionConfig>,
-) -> Observed {
+) -> (Observed, Observed) {
     let cluster = ThreadedCluster::with_config(
         g.clone(),
         DelayModel::Fixed(1),
         seed,
         ClusterConfig {
-            store,
             schedule,
             session,
             ..Default::default()
@@ -75,41 +64,14 @@ fn run_one(
     let wl = NetWorkload::new(g, rounds);
     wl.drive(&cluster);
     cluster.settle();
-
-    // Grid of update ids for covers(): every issuer crossed with every
-    // seq up to one past the largest any workload issuer can reach.
-    let max_seq = g
-        .replicas()
-        .map(|r| wl.registers_of(r).len() as u64 * rounds)
-        .max()
-        .unwrap_or(0);
-    let mut stores = Vec::new();
-    let mut frontiers = Vec::new();
-    let mut covers = Vec::new();
-    for r in g.replicas() {
-        let view = cluster.store_snapshot(r);
-        stores.push(store_lines(&view));
-        frontiers.push(view.frontier().to_vec());
-        let mut verdicts = Vec::new();
-        for issuer in g.replicas() {
-            for seq in 0..=max_seq + 1 {
-                verdicts.push(view.covers(UpdateId { issuer, seq }));
-            }
-        }
-        covers.push(verdicts);
-    }
-    let consistent = cluster.check().is_consistent();
+    let (spec, max_seq) = reference::single_writer_reference(g, wl.writes());
+    let subject = Observed::of_cluster(&cluster, g, max_seq);
     cluster.shutdown();
-    Observed {
-        stores,
-        frontiers,
-        covers,
-        consistent,
-    }
+    (subject, Observed::of_spec(&spec, g, max_seq))
 }
 
-/// Runs the same workload through Clone and COW and asserts both
-/// observations are identical and consistent.
+/// Runs the workload through a COW cluster and asserts it observes
+/// exactly the reference's clean final state.
 fn assert_modes_agree(
     g: &ShareGraph,
     rounds: u64,
@@ -117,10 +79,9 @@ fn assert_modes_agree(
     schedule: &FaultSchedule,
     session: Option<SessionConfig>,
 ) {
-    let oracle = run_one(g, rounds, seed, StoreMode::Clone, schedule.clone(), session);
-    assert!(oracle.consistent, "clone-mode oracle trace inconsistent");
-    let subject = run_one(g, rounds, seed, StoreMode::Cow, schedule.clone(), session);
-    assert_eq!(subject, oracle, "Cow diverged from the clone oracle");
+    let (subject, oracle) = run_one(g, rounds, seed, schedule.clone(), session);
+    assert!(oracle.consistent, "reference trace inconsistent");
+    assert_eq!(subject, oracle, "Cow diverged from the reference");
 }
 
 #[test]
@@ -153,7 +114,7 @@ fn clique_with_outage_and_session_modes_agree() {
 
 proptest! {
     /// Benign runs across graph shapes, sizes, rounds and seeds: the
-    /// COW store observes the same world as the clone oracle.
+    /// COW store observes the same world as the reference.
     #[test]
     fn modes_agree_across_workloads(
         ring in 0usize..2,
@@ -167,40 +128,35 @@ proptest! {
         } else {
             topology::clique_full(n, registers)
         };
-        let oracle = run_one(&g, rounds, seed, StoreMode::Clone, FaultSchedule::none(), None);
-        prop_assert!(oracle.consistent, "clone-mode oracle trace inconsistent");
-        let subject = run_one(&g, rounds, seed, StoreMode::Cow, FaultSchedule::none(), None);
-        prop_assert_eq!(subject, oracle, "Cow diverged from the clone oracle");
+        let (subject, oracle) = run_one(&g, rounds, seed, FaultSchedule::none(), None);
+        prop_assert!(oracle.consistent, "reference trace inconsistent");
+        prop_assert_eq!(subject, oracle, "Cow diverged from the reference");
     }
 }
 
-/// The serving tier's own differential: identical scenario, both store
-/// modes, judged by the causal-consistency check *and* the session
-/// guarantee checker. COW must not open a window where a completed
-/// write is invisible to its own session (the checker counts that as a
-/// read-your-writes violation).
+/// The serving tier's own check, judged by the causal-consistency
+/// check *and* the session guarantee checker: COW must not open a
+/// window where a completed write is invisible to its own session (the
+/// checker counts that as a read-your-writes violation).
 #[test]
-fn serving_session_guarantees_hold_in_both_modes() {
-    for store in [StoreMode::Clone, StoreMode::Cow] {
-        let report = run_serving_scenario(
-            &topology::clique_full(4, 8),
-            &ServingScenarioConfig {
-                sessions: 16,
-                ops_per_session: 25,
-                workers: 4,
-                write_ratio: 0.4,
-                zipf_theta: 0.9,
-                seed: 17,
-                store,
-                ..Default::default()
-            },
-        );
-        assert!(report.consistent, "{store:?}: trace inconsistent: {report}");
-        assert_eq!(
-            report.session_violations, 0,
-            "{store:?}: session guarantees violated: {report}"
-        );
-    }
+fn serving_session_guarantees_hold() {
+    let report = run_serving_scenario(
+        &topology::clique_full(4, 8),
+        &ServingScenarioConfig {
+            sessions: 16,
+            ops_per_session: 25,
+            workers: 4,
+            write_ratio: 0.4,
+            zipf_theta: 0.9,
+            seed: 17,
+            ..Default::default()
+        },
+    );
+    assert!(report.consistent, "trace inconsistent: {report}");
+    assert_eq!(
+        report.session_violations, 0,
+        "session guarantees violated: {report}"
+    );
 }
 
 /// Non-vacuity: consecutive publishes of a many-register store must
@@ -221,7 +177,7 @@ fn consecutive_publishes_alias_unchanged_shards() {
     let after = cluster.store_snapshot(r0);
     let (aliased, total) = after
         .shards_shared_with(&before)
-        .expect("default mode publishes sharded views");
+        .expect("views are sharded");
     assert!(total >= 64, "2048 registers must spread over many shards");
     assert!(
         aliased >= total - 1,
@@ -231,77 +187,39 @@ fn consecutive_publishes_alias_unchanged_shards() {
     cluster.shutdown();
 }
 
-/// Clone-mode views are flat maps — the aliasing probe reports `None`
-/// rather than a vacuously passing (0, 0).
-#[test]
-fn clone_mode_views_do_not_alias() {
-    let g = topology::clique_full(2, 64);
-    let cluster = ThreadedCluster::with_config(
-        g,
-        DelayModel::Fixed(1),
-        4,
-        ClusterConfig {
-            store: StoreMode::Clone,
-            ..Default::default()
-        },
-    );
-    let r0 = ReplicaId::new(0);
-    cluster.write(r0, RegisterId::new(0), Value::from(9u64));
-    cluster.settle();
-    let a = cluster.store_snapshot(r0);
-    cluster.write(r0, RegisterId::new(1), Value::from(10u64));
-    cluster.settle();
-    let b = cluster.store_snapshot(r0);
-    assert_eq!(b.shards_shared_with(&a), None);
-    cluster.shutdown();
-}
-
 /// Read-your-writes across the burst-publish path: a write call must
 /// never return before the publish that makes the write visible.
 /// Every `write` and every id of a `write_burst` must be covered by the
-/// very next snapshot taken — under both store modes, with concurrent
-/// writers hammering the same replicas.
+/// very next snapshot taken, with concurrent writers hammering the same
+/// replicas.
 #[test]
 fn completed_writes_are_immediately_visible() {
-    for store in [StoreMode::Cow, StoreMode::Clone] {
-        let g = topology::clique_full(3, 16);
-        let cluster = ThreadedCluster::with_config(
-            g.clone(),
-            DelayModel::Fixed(1),
-            5,
-            ClusterConfig {
-                store,
-                ..Default::default()
-            },
-        );
-        std::thread::scope(|scope| {
-            for r in g.replicas() {
-                let cluster = &cluster;
-                scope.spawn(move || {
-                    for i in 0..40u64 {
-                        let x = RegisterId::new((i % 16) as u32);
-                        let uid = cluster.write(r, x, Value::from(i));
-                        assert!(
-                            cluster.store_snapshot(r).covers(uid),
-                            "{store:?}: write token escaped before its publish"
-                        );
-                    }
-                    let burst: Vec<_> = (0..16u32)
-                        .map(|j| (RegisterId::new(j), Value::from(u64::from(j) + 100)))
-                        .collect();
-                    let ids = cluster.write_burst(r, &burst);
-                    let view = cluster.store_snapshot(r);
-                    for uid in ids {
-                        assert!(
-                            view.covers(uid),
-                            "{store:?}: burst token escaped before its publish"
-                        );
-                    }
-                });
-            }
-        });
-        cluster.settle();
-        assert!(cluster.check().is_consistent());
-        cluster.shutdown();
-    }
+    let g = topology::clique_full(3, 16);
+    let cluster = ThreadedCluster::new(g.clone(), DelayModel::Fixed(1), 5);
+    std::thread::scope(|scope| {
+        for r in g.replicas() {
+            let cluster = &cluster;
+            scope.spawn(move || {
+                for i in 0..40u64 {
+                    let x = RegisterId::new((i % 16) as u32);
+                    let uid = cluster.write(r, x, Value::from(i));
+                    assert!(
+                        cluster.store_snapshot(r).covers(uid),
+                        "write token escaped before its publish"
+                    );
+                }
+                let burst: Vec<_> = (0..16u32)
+                    .map(|j| (RegisterId::new(j), Value::from(u64::from(j) + 100)))
+                    .collect();
+                let ids = cluster.write_burst(r, &burst);
+                let view = cluster.store_snapshot(r);
+                for uid in ids {
+                    assert!(view.covers(uid), "burst token escaped before its publish");
+                }
+            });
+        }
+    });
+    cluster.settle();
+    assert!(cluster.check().is_consistent());
+    cluster.shutdown();
 }
