@@ -99,7 +99,7 @@ fn wire_run(g: &ShareGraph, mode: WireMode) -> WireRun {
     sys.run_to_quiescence();
     let run = format!("{} replicas, {mode:?}", g.num_replicas());
     assert!(sys.check().is_consistent(), "{run}");
-    assert_eq!(sys.net_stats().codec_demotions, 0, "{run}");
+    assert_eq!(sys.codec_stats().demotions, 0, "{run}");
     let m = sys.metrics();
     WireRun {
         writes: WIRE_ROUNDS * writers.len(),

@@ -46,7 +46,7 @@
 //! with a corrupted or hand-built layout, since registry layouts are
 //! verified symbolically at construction — demotes the pair to explicit
 //! rows instead of panicking, and the demotion is counted in
-//! [`NetStats::codec_demotions`](prcc_net::NetStats).
+//! [`CodecStats::demotions`].
 
 use crate::message::Metadata;
 use prcc_sharegraph::ReplicaId;

@@ -745,11 +745,9 @@ impl System {
     }
 
     /// Raw network statistics (including fault-plan drop/duplicate
-    /// counts and wire-codec demotions).
+    /// counts).
     pub fn net_stats(&self) -> prcc_net::NetStats {
-        let mut stats = self.net.stats();
-        stats.codec_demotions = self.codec_stats().demotions;
-        stats
+        self.net.stats()
     }
 
     /// Wire-codec counters: frames, encode-once sharing, and demotions.

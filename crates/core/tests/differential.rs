@@ -100,7 +100,7 @@ fn assert_wire_equivalent(g: &ShareGraph, tracker: TrackerKind, seed: u64) {
     prop_assert!(cb <= rb, "compressed {} > raw {}", cb, rb);
     // Registry-built layouts verify at construction: no run may demote.
     for sys in [&raw, &comp] {
-        prop_assert_eq!(sys.net_stats().codec_demotions, 0);
+        prop_assert_eq!(sys.codec_stats().demotions, 0);
     }
 }
 

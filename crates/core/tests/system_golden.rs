@@ -12,11 +12,10 @@
 //! Both cells coalesce: the writes between two steps share a batch,
 //! shipped at the next step, and a crash ships its replica's open
 //! batches before it goes down. So the first of each write's two steps
-//! ships that write's batch; in the two-crash cell the 96 writes span
-//! 387 simulated ticks, the first crash window (200–600) covers a large
-//! share of them, and that sets its visibility percentiles and the
-//! frames that reach a down replica (re-read when crash runs began to
-//! batch; they had shipped eagerly).
+//! ships that write's batch. In the two-crash cell the clock enters the
+//! first crash window (200–600) in the first round, where one write
+//! waits for its replica's restart, and the write loop ends at
+//! simulated tick 642; two frames reach a down replica.
 
 use prcc_core::{System, Value};
 use prcc_net::{FaultPlan, FaultSchedule, SessionConfig, SessionStats};
@@ -90,17 +89,17 @@ fn lossy_ring_without_crashes_matches_golden_values() {
         c.session,
         SessionStats {
             data_sent: 96,
-            retransmits: 33,
-            acks_sent: 104,
-            dup_suppressed: 8,
-            out_of_order: 32,
+            retransmits: 65,
+            acks_sent: 122,
+            dup_suppressed: 26,
+            out_of_order: 40,
             delivered: 96,
             catch_up_sent: 0,
             catch_up_served: 0,
             acks_piggybacked: 0,
         }
     );
-    assert_eq!((c.vis_p50, c.vis_p99), (8, 4310));
+    assert_eq!((c.vis_p50, c.vis_p99), (611, 13929));
     assert_eq!(c.lost_to_crash, 0);
 }
 
@@ -108,23 +107,24 @@ fn lossy_ring_without_crashes_matches_golden_values() {
 fn lossy_ring_with_two_crashes_matches_golden_values() {
     let c = run_cell(2);
     // Two restarts, each announcing its durable cum to both ring
-    // neighbours: four `CatchUp` frames.
+    // neighbours: four `CatchUp` frames. The drop plan loses one; that
+    // peer's retransmission timer re-sends what it would have.
     assert_eq!(
         c.session,
         SessionStats {
-            data_sent: 87,
-            retransmits: 63,
-            acks_sent: 111,
-            dup_suppressed: 19,
-            out_of_order: 38,
-            delivered: 87,
+            data_sent: 96,
+            retransmits: 62,
+            acks_sent: 118,
+            dup_suppressed: 20,
+            out_of_order: 33,
+            delivered: 96,
             catch_up_sent: 4,
-            catch_up_served: 4,
+            catch_up_served: 3,
             acks_piggybacked: 0,
         }
     );
-    assert_eq!((c.vis_p50, c.vis_p99), (467, 9124));
+    assert_eq!((c.vis_p50, c.vis_p99), (603, 9121));
     // Frames that reached a replica inside its crash window; the
     // session layer re-sends every one.
-    assert_eq!(c.lost_to_crash, 10);
+    assert_eq!(c.lost_to_crash, 2);
 }

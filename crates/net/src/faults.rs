@@ -36,7 +36,7 @@ pub struct FaultPlan {
 
 /// What the fault plan decided for one message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
+pub(crate) enum FaultAction {
     /// Deliver normally.
     Deliver,
     /// Deliver two copies.
@@ -87,7 +87,7 @@ impl FaultPlan {
     /// one or both copies. Marginals: a single message survives with
     /// probability `1 − drop_prob`; the `Duplicate` outcome (two copies
     /// delivered) has probability `duplicate_prob · (1 − drop_prob)²`.
-    pub fn decide(&self, rng: &mut StdRng, src: ReplicaId, dst: ReplicaId) -> FaultAction {
+    pub(crate) fn decide(&self, rng: &mut StdRng, src: ReplicaId, dst: ReplicaId) -> FaultAction {
         if self.dead_links.contains(&(src, dst)) {
             return FaultAction::Drop;
         }
@@ -138,11 +138,13 @@ pub struct CrashEvent {
 ///
 /// All events are expressed in simulated ticks, so a schedule replayed
 /// against the same seed produces the identical execution. Link outages
-/// are checked at *send* time (a message that entered the channel before
-/// the outage still arrives — the same semantics as
-/// [`hold`](crate::SimNetwork::hold)); crash windows are enforced by the
-/// system harness, which discards deliveries to a crashed replica and
-/// replays its recovery log at the restart instant.
+/// are checked at *send* time, by the link core under both
+/// [`SimNetwork`](crate::SimNetwork) and [`ThreadNet`](crate::ThreadNet):
+/// a message that entered the channel before the outage still arrives,
+/// as one sent before a [`hold`](crate::SimNetwork::hold) does. Crash
+/// windows are enforced by the system harness, which discards
+/// deliveries to a crashed replica and replays its recovery log at the
+/// restart instant.
 #[derive(Debug, Clone, Default)]
 pub struct FaultSchedule {
     /// Probabilistic per-message faults, applied alongside the script.
@@ -258,7 +260,7 @@ impl FaultSchedule {
     }
 
     /// True if the directed link is inside a scripted outage at `now`.
-    pub fn link_down(&self, src: ReplicaId, dst: ReplicaId, now: u64) -> bool {
+    pub(crate) fn link_down(&self, src: ReplicaId, dst: ReplicaId, now: u64) -> bool {
         self.outages
             .iter()
             .any(|o| o.src == src && o.dst == dst && o.from <= now && now < o.until)

@@ -1,58 +1,14 @@
-//! A deterministic, discrete-event simulated network.
-//!
-//! Models the paper's system assumptions exactly: reliable point-to-point
-//! channels between replicas, asynchronous (arbitrary finite delay), and
-//! **non-FIFO**. Delivery order is controlled by a seeded [`DelayModel`],
-//! so every execution is reproducible from its seed.
-//!
-//! For constructing *specific* adversarial executions (the
-//! indistinguishability arguments of Theorem 8 and Lemma 14), links can be
-//! [held](SimNetwork::hold): messages on a held link are queued and only
-//! scheduled once the link is [released](SimNetwork::release).
+//! The lockstep network: the link core driven by a simulated clock, so
+//! every execution is reproducible from its seed. For the adversarial
+//! executions of Theorem 8 and Lemma 14, links can be
+//! [held](SimNetwork::hold): messages on a held link are parked until it
+//! is [released](SimNetwork::release).
 
 use crate::delay::DelayModel;
-use crate::faults::{FaultAction, FaultPlan, FaultSchedule};
+use crate::faults::{FaultPlan, FaultSchedule};
+use crate::link::{Draws, Envelope, Queue};
 use prcc_sharegraph::ReplicaId;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::fmt;
-
-/// A message in flight.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Envelope<M> {
-    /// Sending replica.
-    pub src: ReplicaId,
-    /// Receiving replica.
-    pub dst: ReplicaId,
-    /// The payload.
-    pub msg: M,
-}
-
-#[derive(Debug)]
-struct Scheduled<M> {
-    deliver_at: u64,
-    seq: u64,
-    env: Envelope<M>,
-}
-
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.deliver_at == other.deliver_at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deliver_at, self.seq).cmp(&(other.deliver_at, other.seq))
-    }
-}
+use std::collections::HashMap;
 
 /// Statistics kept by the network.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -63,56 +19,31 @@ pub struct NetStats {
     pub delivered: usize,
     /// Messages duplicated by the fault plan.
     pub duplicated: usize,
-    /// Messages dropped by the fault plan.
+    /// Messages dropped by the fault plan or a scripted outage.
     pub dropped: usize,
     /// Payload bytes accepted via [`SimNetwork::send_sized`] (callers
     /// that use plain [`SimNetwork::send`] contribute 0 — the network is
     /// generic and cannot size arbitrary messages itself).
     pub bytes: usize,
-    /// Wire-codec pairs demoted from compressed to explicit rows after a
-    /// derived-row verification failure. The network itself never sets
-    /// this; the owning system merges it in from its codec so fault
-    /// reports surface codec health alongside delivery counts.
-    pub codec_demotions: usize,
 }
+
+/// A held link's messages, each with the delay it drew at its send.
+type Parked<M> = Vec<(u64, Envelope<M>)>;
 
 /// The simulated network. Time is logical (`u64` ticks) and advances to
-/// each delivery instant.
-///
-/// # Examples
-///
-/// ```
-/// use prcc_net::{SimNetwork, DelayModel};
-/// use prcc_sharegraph::ReplicaId;
-///
-/// let mut net: SimNetwork<&'static str> = SimNetwork::new(DelayModel::Fixed(3), 42);
-/// net.send(ReplicaId::new(0), ReplicaId::new(1), "hi");
-/// let (t, env) = net.next_delivery().unwrap();
-/// assert_eq!(t, 3);
-/// assert_eq!(env.msg, "hi");
-/// assert!(net.next_delivery().is_none());
-/// ```
+/// each delivery instant; at one instant, messages are delivered in the
+/// order they were sent. The crate docs show it at work.
+#[derive(Debug)]
 pub struct SimNetwork<M> {
     delay: DelayModel,
-    rng: StdRng,
-    now: u64,
-    seq: u64,
-    queue: BinaryHeap<Reverse<Scheduled<M>>>,
-    held_links: HashSet<(ReplicaId, ReplicaId)>,
-    held_msgs: HashMap<(ReplicaId, ReplicaId), Vec<Envelope<M>>>,
     faults: FaultSchedule,
+    seed: u64,
+    /// Sender `i`'s draws at index `i`, opened at its first send.
+    draws: Vec<Draws>,
+    now: u64,
+    queue: Queue<u64, M>,
+    held: HashMap<(ReplicaId, ReplicaId), Parked<M>>,
     stats: NetStats,
-}
-
-impl<M: fmt::Debug> fmt::Debug for SimNetwork<M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SimNetwork")
-            .field("now", &self.now)
-            .field("in_flight", &self.queue.len())
-            .field("held_links", &self.held_links)
-            .field("stats", &self.stats)
-            .finish()
-    }
 }
 
 impl<M> SimNetwork<M> {
@@ -120,13 +51,12 @@ impl<M> SimNetwork<M> {
     pub fn new(delay: DelayModel, seed: u64) -> Self {
         SimNetwork {
             delay,
-            rng: StdRng::seed_from_u64(seed),
-            now: 0,
-            seq: 0,
-            queue: BinaryHeap::new(),
-            held_links: HashSet::new(),
-            held_msgs: HashMap::new(),
             faults: FaultSchedule::none(),
+            seed,
+            draws: Vec::new(),
+            now: 0,
+            queue: Queue::new(),
+            held: HashMap::new(),
             stats: NetStats::default(),
         }
     }
@@ -147,11 +77,6 @@ impl<M> SimNetwork<M> {
         self.faults = schedule;
     }
 
-    /// The installed fault schedule.
-    pub fn fault_schedule(&self) -> &FaultSchedule {
-        &self.faults
-    }
-
     /// Current logical time (the delivery instant of the last message
     /// handed out, or 0).
     pub fn now(&self) -> u64 {
@@ -163,60 +88,37 @@ impl<M> SimNetwork<M> {
         self.stats
     }
 
-    /// Number of messages currently in flight (scheduled, not held).
-    pub fn in_flight(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Number of messages parked on held links.
-    fn held_count(&self) -> usize {
-        self.held_msgs.values().map(Vec::len).sum()
-    }
-
     /// True if no message is in flight or held.
     pub fn is_quiescent(&self) -> bool {
-        self.queue.is_empty() && self.held_count() == 0
+        self.queue.len() == 0 && self.held.values().all(Vec::is_empty)
     }
 
-    /// Sends `msg` from `src` to `dst`. If the link is held, the message
-    /// is parked; otherwise it is scheduled `delay` ticks from now. A
-    /// non-benign fault plan may drop the message or schedule a second
-    /// copy.
+    /// Sends `msg` from `src` to `dst`. A non-benign fault plan may drop
+    /// the message or send a second copy, each copy with its own delay.
+    /// On a held link the copies are parked; otherwise each is
+    /// scheduled its delay from now.
     pub fn send(&mut self, src: ReplicaId, dst: ReplicaId, msg: M)
     where
         M: Clone,
     {
         self.stats.sent += 1;
-        if self.faults.link_down(src, dst, self.now) {
+        let seed = self.seed;
+        for i in self.draws.len()..=src.index() {
+            self.draws.push(Draws::new(seed, i));
+        }
+        let now = self.now;
+        let Some((delay, second)) =
+            self.draws[src.index()].roll(&self.delay, &self.faults, src, dst, || now)
+        else {
             self.stats.dropped += 1;
             return;
-        }
-        match self.faults.plan.decide(&mut self.rng, src, dst) {
-            FaultAction::Drop => {
-                self.stats.dropped += 1;
-                return;
-            }
-            FaultAction::Duplicate => {
-                self.stats.duplicated += 1;
-                let copy = Envelope {
-                    src,
-                    dst,
-                    msg: msg.clone(),
-                };
-                if self.held_links.contains(&(src, dst)) {
-                    self.held_msgs.entry((src, dst)).or_default().push(copy);
-                } else {
-                    self.schedule(copy);
-                }
-            }
-            FaultAction::Deliver => {}
-        }
+        };
         let env = Envelope { src, dst, msg };
-        if self.held_links.contains(&(src, dst)) {
-            self.held_msgs.entry((src, dst)).or_default().push(env);
-            return;
+        if let Some(d) = second {
+            self.stats.duplicated += 1;
+            self.schedule(d, env.clone());
         }
-        self.schedule(env);
+        self.schedule(delay, env);
     }
 
     /// [`send`](Self::send) that also charges `bytes` to
@@ -232,32 +134,28 @@ impl<M> SimNetwork<M> {
         self.send(src, dst, msg);
     }
 
-    fn schedule(&mut self, env: Envelope<M>) {
-        let d = self.delay.sample(&mut self.rng, env.src, env.dst);
-        let s = Scheduled {
-            deliver_at: self.now + d,
-            seq: self.seq,
-            env,
-        };
-        self.seq += 1;
-        self.queue.push(Reverse(s));
+    fn schedule(&mut self, delay: u64, env: Envelope<M>) {
+        match self.held.get_mut(&(env.src, env.dst)) {
+            Some(parked) => parked.push((delay, env)),
+            None => self.queue.push(self.now + delay, env),
+        }
     }
 
     /// Pops the next delivery, advancing logical time to its instant.
     /// Returns `None` when nothing is scheduled (held messages don't
     /// count — release their links first).
     pub fn next_delivery(&mut self) -> Option<(u64, Envelope<M>)> {
-        let Reverse(s) = self.queue.pop()?;
-        self.now = self.now.max(s.deliver_at);
+        let (t, env) = self.queue.pop()?;
+        self.now = self.now.max(t);
         self.stats.delivered += 1;
-        Some((s.deliver_at, s.env))
+        Some((t, env))
     }
 
     /// Delivery instant of the earliest scheduled message, without
     /// popping it. Lets an event loop interleave network deliveries with
     /// other timed events (retransmission deadlines, scripted restarts).
     pub fn peek_delivery_time(&self) -> Option<u64> {
-        self.queue.peek().map(|Reverse(s)| s.deliver_at)
+        self.queue.peek()
     }
 
     /// Advances the logical clock to `t` (no-op if time is already
@@ -271,17 +169,14 @@ impl<M> SimNetwork<M> {
     /// until [`release`](Self::release). Messages already scheduled are
     /// unaffected (they were already "in the channel").
     pub fn hold(&mut self, src: ReplicaId, dst: ReplicaId) {
-        self.held_links.insert((src, dst));
+        self.held.entry((src, dst)).or_default();
     }
 
-    /// Releases a held link, scheduling all parked messages with fresh
-    /// delays from the current time.
+    /// Releases a held link, scheduling each parked message the delay
+    /// it drew at its send, counted from now.
     pub fn release(&mut self, src: ReplicaId, dst: ReplicaId) {
-        self.held_links.remove(&(src, dst));
-        if let Some(msgs) = self.held_msgs.remove(&(src, dst)) {
-            for env in msgs {
-                self.schedule(env);
-            }
+        for (delay, env) in self.held.remove(&(src, dst)).unwrap_or_default() {
+            self.queue.push(self.now + delay, env);
         }
     }
 }
@@ -304,6 +199,18 @@ mod tests {
         assert_eq!((t1, e1.msg), (2, 1));
         assert_eq!((t2, e2.msg), (2, 2)); // ties broken by send order
         assert!(net.is_quiescent());
+    }
+
+    #[test]
+    fn equal_instants_deliver_in_global_send_order() {
+        // Ties are broken by send order across senders, not per link.
+        let mut net: SimNetwork<u32> = SimNetwork::new(DelayModel::Fixed(1), 0);
+        for (i, (s, d)) in [(2, 0), (0, 1), (1, 2), (0, 2)].into_iter().enumerate() {
+            net.send(r(s), r(d), i as u32);
+        }
+        let got: Vec<u32> =
+            std::iter::from_fn(|| net.next_delivery().map(|(_, e)| e.msg)).collect();
+        assert_eq!(got, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -349,16 +256,16 @@ mod tests {
         net.hold(r(0), r(1));
         net.send(r(0), r(1), 7);
         net.send(r(0), r(2), 8); // other link unaffected
-        assert_eq!(net.held_count(), 1);
         assert!(!net.is_quiescent());
 
         let (_, e) = net.next_delivery().unwrap();
         assert_eq!(e.msg, 8);
         assert!(net.next_delivery().is_none()); // held msg invisible
 
+        net.advance_to(10);
         net.release(r(0), r(1));
-        let (_, e) = net.next_delivery().unwrap();
-        assert_eq!(e.msg, 7);
+        // Its delay counts from the release.
+        assert_eq!(net.next_delivery().map(|(t, e)| (t, e.msg)), Some((11, 7)));
         assert!(net.is_quiescent());
     }
 
@@ -401,7 +308,6 @@ mod tests {
 
     #[test]
     fn scripted_outage_drops_at_send_time_only() {
-        use crate::faults::FaultSchedule;
         let mut net: SimNetwork<u32> = SimNetwork::new(DelayModel::Fixed(10), 0);
         net.set_schedule(FaultSchedule::none().outage(r(0), r(1), 5, 20));
         net.send(r(0), r(1), 1); // now=0: link still up, arrives at 10

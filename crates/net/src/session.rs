@@ -16,11 +16,11 @@
 //!
 //! The endpoint is a pure state machine — no I/O, no clock, no RNG.
 //! Callers feed it the current time (`now`, in whatever unit the caller's
-//! clock uses: simulated ticks for `SimNetwork`, elapsed real ticks for
-//! the threaded runtime) and ship the frames it emits. All timing
-//! decisions are deterministic: retransmission backoff is exponential
-//! with a *hash-derived* jitter (no randomness), so a simulated run is
-//! reproducible from its seed alone.
+//! clock uses: simulated ticks for [`SimNetwork`](crate::SimNetwork),
+//! elapsed [`TICK`](crate::TICK)s for the threaded runtime) and ship the
+//! frames it emits. All timing decisions are deterministic:
+//! retransmission backoff is exponential with a *hash-derived* jitter (no
+//! randomness), so a simulated run is reproducible from its seed alone.
 //!
 //! * Sender side: each payload gets the next sequence number on the
 //!   `(local, dst)` stream and is retained until cumulatively acked.

@@ -33,7 +33,7 @@
 //!   per segment; the transform is exactly invertible, so the canonical
 //!   wire-codec bytes are reconstructed before decode.
 
-use crate::sim_net::Envelope;
+use crate::link::Envelope;
 use crate::transport::{Doorbell, Transport};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use prcc_sharegraph::ReplicaId;

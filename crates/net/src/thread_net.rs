@@ -1,8 +1,10 @@
 //! A real-threads transport with randomized delivery delays.
 //!
 //! [`ThreadNet`] gives each node a handle onto a shared set of inboxes:
-//! the same seeded, non-FIFO semantics as [`SimNetwork`](crate::SimNetwork),
-//! but with actual concurrency. The threaded runtime in `prcc-core` uses
+//! the link core under [`SimNetwork`](crate::SimNetwork) — the same
+//! per-sender streams, so one seed draws the same fault actions and
+//! delays on every link — but over wall-clock time and with actual
+//! concurrency. The threaded runtime in `prcc-core` uses
 //! it to exercise the protocol under real interleavings (the "tokio async
 //! nodes" role of the reproduction, built on std threads since the
 //! offline crate set has no async runtime).
@@ -25,14 +27,10 @@
 //! several nodes parks once until the earliest of their due instants.
 
 use crate::delay::DelayModel;
-use crate::faults::{FaultAction, FaultPlan, FaultSchedule};
-use crate::sim_net::Envelope;
+use crate::faults::{FaultPlan, FaultSchedule};
+use crate::link::{Draws, Envelope, Queue};
 use crate::transport::{lock, Doorbell};
 use prcc_sharegraph::ReplicaId;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -45,40 +43,11 @@ pub const TICK: Duration = Duration::from_micros(200);
 /// Per-node ingress bound of [`ThreadNet::new`].
 const DEFAULT_CAPACITY: usize = 4096;
 
-struct Pending<M> {
-    due: Instant,
-    seq: u64,
-    env: Envelope<M>,
-}
-
-impl<M> PartialEq for Pending<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl<M> Eq for Pending<M> {}
-impl<M> PartialOrd for Pending<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Pending<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.seq).cmp(&(other.due, other.seq))
-    }
-}
-
-/// A node's inbox: the messages in flight to it.
-struct Inbox<M> {
-    /// Ordered by due instant, then by arrival. A sender's stamps never
-    /// go backwards, so a fixed-delay link stays FIFO.
-    heap: BinaryHeap<Reverse<Pending<M>>>,
-    seq: u64,
-}
-
 /// One node's share of the net: its inbox and its consumer's bell.
 struct Node<M> {
-    inbox: Mutex<Inbox<M>>,
+    /// In due order, then by arrival. A sender's stamps never go
+    /// backwards, so a fixed-delay link stays FIFO.
+    inbox: Mutex<Queue<Instant, M>>,
     bell: Doorbell,
 }
 
@@ -100,33 +69,13 @@ impl<M> Links<M> {
         let node = &self.nodes[dst];
         {
             let mut inbox = lock(&node.inbox);
-            if inbox.heap.len() >= self.capacity {
+            if inbox.len() >= self.capacity {
                 return false;
             }
-            let seq = inbox.seq;
-            inbox.seq += 1;
-            inbox.heap.push(Reverse(Pending { due, seq, env }));
+            inbox.push(due, env);
         }
         node.bell.ring_at(due);
         true
-    }
-
-    /// Pops node `me`'s earliest message if it is due.
-    fn pop_due(&self, me: usize) -> Option<Envelope<M>> {
-        let mut inbox = lock(&self.nodes[me].inbox);
-        let due = inbox
-            .heap
-            .peek()
-            .is_some_and(|Reverse(p)| p.due <= Instant::now());
-        due.then(|| inbox.heap.pop().expect("peeked").0.env)
-    }
-
-    /// When node `me`'s earliest message falls due.
-    fn next_due(&self, me: usize) -> Option<Instant> {
-        lock(&self.nodes[me].inbox)
-            .heap
-            .peek()
-            .map(|Reverse(p)| p.due)
     }
 }
 
@@ -137,7 +86,7 @@ pub struct NodeHandle<M> {
     links: Arc<Links<M>>,
     /// This node's fault and delay draws: one seeded stream per sender,
     /// so what one node's sends draw does not depend on other threads.
-    draws: Arc<Mutex<StdRng>>,
+    draws: Arc<Mutex<Draws>>,
 }
 
 impl<M> Clone for NodeHandle<M> {
@@ -164,7 +113,9 @@ impl<M> NodeHandle<M> {
 
     /// Non-blocking receive: the earliest message that is due, if any.
     pub fn try_recv(&self) -> Option<Envelope<M>> {
-        self.links.pop_due(self.id.index())
+        let mut inbox = lock(&self.links.nodes[self.id.index()].inbox);
+        let due = inbox.peek().is_some_and(|due| due <= Instant::now());
+        due.then(|| inbox.pop().expect("peeked").1)
     }
 
     /// Blocking receive with timeout. Any thread may call it, but only
@@ -186,7 +137,7 @@ impl<M> NodeHandle<M> {
     /// [`Transport::next_due`](crate::Transport::next_due) of this
     /// substrate.
     pub fn next_due(&self) -> Option<Instant> {
-        self.links.next_due(self.id.index())
+        lock(&self.links.nodes[self.id.index()].inbox).peek()
     }
 
     /// The bell this node's consumer parks on. Every send to this node
@@ -208,42 +159,24 @@ impl<M: Clone> NodeHandle<M> {
         if dst.index() >= links.nodes.len() {
             return false;
         }
-        let scripted_down = !links.schedule.outages.is_empty() && {
-            let since = sent.saturating_duration_since(links.epoch);
-            let ticks = (since.as_micros() / TICK.as_micros()) as u64;
-            links.schedule.link_down(self.id, dst, ticks)
-        };
-        if scripted_down {
+        let tick =
+            || (sent.saturating_duration_since(links.epoch).as_micros() / TICK.as_micros()) as u64;
+        let rolled = lock(&self.draws).roll(&links.delay, &links.schedule, self.id, dst, tick);
+        let Some((first, second)) = rolled else {
             return true;
-        }
-        let (first, second) = {
-            let mut rng = lock(&self.draws);
-            let copies = match links.schedule.plan.decide(&mut rng, self.id, dst) {
-                FaultAction::Drop => return true,
-                FaultAction::Deliver => 1,
-                FaultAction::Duplicate => 2,
-            };
-            let mut due = || {
-                let ticks = links.delay.sample(&mut rng, self.id, dst);
-                sent + TICK * ticks.min(u32::MAX as u64) as u32
-            };
-            let first = due();
-            (first, (copies == 2).then(due))
         };
-        let admit = |due, msg| {
-            let env = Envelope {
-                src: self.id,
-                dst,
-                msg,
-            };
-            links.push(dst.index(), due, env)
+        let due = |ticks: u64| sent + TICK * ticks.min(u32::MAX as u64) as u32;
+        let env = Envelope {
+            src: self.id,
+            dst,
+            msg,
         };
-        if let Some(due) = second {
-            if !admit(due, msg.clone()) {
+        if let Some(ticks) = second {
+            if !links.push(dst.index(), due(ticks), env.clone()) {
                 return false;
             }
         }
-        admit(first, msg)
+        links.push(dst.index(), due(first), env)
     }
 }
 
@@ -315,9 +248,9 @@ impl<M> ThreadNet<M> {
     ///
     /// Outage windows are expressed in simulated ticks and mapped onto
     /// wall-clock time from the moment of construction (one tick =
-    /// 200 µs); the check uses the *send* stamp, matching
-    /// [`FaultSchedule::link_down`]'s documented semantics — a message
-    /// already in flight when the outage starts still arrives. Crash
+    /// 200 µs); the check uses the *send* stamp, as [`FaultSchedule`]
+    /// documents — a message already in flight when the outage starts
+    /// still arrives. Crash
     /// windows are *not* enforced here: a crashed replica's inbox keeps
     /// filling and the runtime harness discards the frames, which keeps
     /// crash semantics (and the loss accounting) in one place.
@@ -333,10 +266,7 @@ impl<M> ThreadNet<M> {
             nodes: bells
                 .into_iter()
                 .map(|bell| Node {
-                    inbox: Mutex::new(Inbox {
-                        heap: BinaryHeap::new(),
-                        seq: 0,
-                    }),
+                    inbox: Mutex::new(Queue::new()),
                     bell,
                 })
                 .collect(),
@@ -349,10 +279,7 @@ impl<M> ThreadNet<M> {
             .map(|i| NodeHandle {
                 id: ReplicaId::new(i as u32),
                 links: Arc::clone(&links),
-                // A distinct stream per sender, fixed by `seed` and the id.
-                draws: Arc::new(Mutex::new(StdRng::seed_from_u64(
-                    seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                ))),
+                draws: Arc::new(Mutex::new(Draws::new(seed, i))),
             })
             .collect();
         ThreadNet { handles }

@@ -20,8 +20,8 @@
 //! On Linux the timer is a `timerfd`, an exact kernel timer that the
 //! parked thread's timer slack does not delay.
 
+use crate::link::Envelope;
 use crate::os::Timer;
-use crate::sim_net::Envelope;
 use crate::thread_net::NodeHandle;
 use prcc_sharegraph::ReplicaId;
 use std::fmt;

@@ -326,7 +326,7 @@ pub fn run_scenario(g: &ShareGraph, cfg: &ScenarioConfig) -> RunReport {
         catch_up_p50: catch_up.p50(),
         catch_up_max: catch_up.max(),
         lost_to_crash: sys.lost_to_crash(),
-        codec_demotions: sys.net_stats().codec_demotions,
+        codec_demotions: sys.codec_stats().demotions,
         client_ops: serving.as_ref().map_or(0, |s| s.ops),
         ops_routed_local: serving_stats.ops_routed_local,
         ops_forwarded: serving_stats.ops_forwarded,
