@@ -78,6 +78,24 @@ impl BatchPolicy {
 /// One frame the engine asks its driver to transmit.
 pub(crate) type Outgoing = (ReplicaId, SessionFrame<BatchMsg>);
 
+/// The recipients of a write of `register` at `from`: the register's
+/// other holders in `graph`, or every other replica under `broadcast`
+/// (the vector-clock baseline). The callers ship the value only to those
+/// that store `register`; the rest get metadata only.
+pub(crate) fn recipients(
+    graph: &ShareGraph,
+    broadcast: bool,
+    from: ReplicaId,
+    register: RegisterId,
+) -> Vec<ReplicaId> {
+    if broadcast {
+        graph.replicas().filter(|&h| h != from).collect()
+    } else {
+        let holders = graph.placement().holders(register);
+        holders.iter().copied().filter(|&h| h != from).collect()
+    }
+}
+
 /// What every engine of one deployment shares. Times are in the
 /// driver's clock unit.
 pub(crate) struct EngineConfig {
@@ -192,12 +210,7 @@ impl Engine {
         if self.crashed {
             return Err(ReplicaError::Crashed { replica: id });
         }
-        let recipients: Vec<ReplicaId> = if self.config.broadcast {
-            self.config.graph.replicas().filter(|&h| h != id).collect()
-        } else {
-            let holders = self.config.graph.placement().holders(register);
-            holders.iter().copied().filter(|&h| h != id).collect()
-        };
+        let recipients = recipients(&self.config.graph, self.config.broadcast, id, register);
         let (msg, recipients) = self.replica.write(register, value, recipients)?;
         self.frontier[id.index()] = msg.seq + 1;
         if let Some(log) = &mut self.log {

@@ -14,6 +14,7 @@
 //! only from delivery choices; visited states are deduplicated by a
 //! structural fingerprint.
 
+use crate::engine::recipients;
 use crate::message::UpdateMsg;
 use crate::replica::Replica;
 use crate::system::TrackerKind;
@@ -278,23 +279,8 @@ impl<'a> Explorer<'a> {
                 if !ok {
                     continue;
                 }
-                let recipients: Vec<ReplicaId> = match self.scenario.tracker {
-                    TrackerKind::EdgeIndexed(_) | TrackerKind::FullDeps => g
-                        .placement()
-                        .holders(w.register)
-                        .iter()
-                        .copied()
-                        .filter(|&h| h != w.replica)
-                        .collect(),
-                    TrackerKind::VectorClock => g.replicas().filter(|&h| h != w.replica).collect(),
-                };
-                let data_holders: Vec<ReplicaId> = g
-                    .placement()
-                    .holders(w.register)
-                    .iter()
-                    .copied()
-                    .filter(|&h| h != w.replica)
-                    .collect();
+                let broadcast = self.scenario.tracker == TrackerKind::VectorClock;
+                let recipients = recipients(g, broadcast, w.replica, w.register);
                 let (msg, recipients) = st.replicas[w.replica.index()]
                     .write(w.register, Value::from(idx as u64), recipients)
                     .expect("scripted write valid");
@@ -307,7 +293,7 @@ impl<'a> Explorer<'a> {
                 st.applied[w.replica.index()][idx] = true;
                 for dst in recipients {
                     let mut m = msg.clone();
-                    if !data_holders.contains(&dst) {
+                    if !g.placement().stores(dst, w.register) {
                         m.value = None;
                     }
                     st.in_flight.push((dst, m));

@@ -268,14 +268,12 @@ pub fn attach_set(sid: u64, num_replicas: usize, span: usize) -> Vec<ReplicaId> 
 /// Routes one op of session `sid` on register `x`: the first attach
 /// replica storing `x`, else an arbitrary holder (`local == false` — the
 /// forwarded detour). Public for oracle reuse.
+///
+/// # Panics
+///
+/// Panics if no replica holds `x`.
 pub fn route(graph: &ShareGraph, sid: u64, span: usize, x: RegisterId) -> (ReplicaId, bool) {
-    let p = graph.placement();
-    for r in attach_set(sid, graph.num_replicas(), span) {
-        if p.stores(r, x) {
-            return (r, true);
-        }
-    }
-    (p.holders(x)[0], false)
+    route_live(graph, sid, span, x, |_| false).expect("register has a holder")
 }
 
 /// Routes like [`route`] but skips replicas `is_down` reports dead —

@@ -493,12 +493,10 @@ impl System {
         id
     }
 
-    /// Puts every frame the last engine input emitted on the network,
-    /// charging its true wire size (payload + session framing).
+    /// Puts every frame the last engine input emitted on the network.
     fn send_out(&mut self, src: ReplicaId) {
         for (dst, frame) in self.out.drain(..) {
-            let bytes = frame.payload().map_or(0, BatchMsg::size_bytes) + frame.overhead_bytes();
-            self.net.send_sized(src, dst, frame, bytes);
+            self.net.send(src, dst, frame);
         }
     }
 

@@ -13,7 +13,7 @@
 
 use crate::message::{Metadata, UpdateMsg};
 use prcc_sharegraph::{RegisterId, ReplicaId};
-use prcc_timestamp::{JVerdict, TsRegistry, VectorClock};
+use prcc_timestamp::{JVerdict, Stamp, TsRegistry, VectorClock};
 use std::fmt;
 use std::sync::Arc;
 
@@ -134,6 +134,16 @@ impl fmt::Debug for EdgeTracker {
     }
 }
 
+/// The incoming timestamp `msg` carries, in the form the wire delivered
+/// it; `None` for metadata of another tracker.
+fn stamp(msg: &UpdateMsg) -> Option<Stamp<'_>> {
+    match &*msg.meta {
+        Metadata::Edge(t) => Some(Stamp::Full(t)),
+        Metadata::Projected { values, .. } => Some(Stamp::Projected(values)),
+        _ => None,
+    }
+}
+
 impl CausalityTracker for EdgeTracker {
     fn on_local_write(&mut self, x: RegisterId) -> Metadata {
         self.registry.advance(&mut self.ts, x);
@@ -141,28 +151,15 @@ impl CausalityTracker for EdgeTracker {
     }
 
     fn ready(&self, msg: &UpdateMsg) -> bool {
-        match &*msg.meta {
-            Metadata::Edge(t) => self.registry.ready(&self.ts, msg.issuer, t),
-            Metadata::Projected { values, .. } => {
-                self.registry.ready_projected(&self.ts, msg.issuer, values)
-            }
-            _ => false,
-        }
+        self.ready_check(msg) == ReadyCheck::Ready
     }
 
     fn ready_check(&self, msg: &UpdateMsg) -> ReadyCheck {
-        let verdict = match &*msg.meta {
-            Metadata::Edge(t) => self.registry.ready_check(&self.ts, msg.issuer, t),
-            Metadata::Projected { values, .. } => self
-                .registry
-                .ready_check_projected(&self.ts, msg.issuer, values),
-            // Foreign metadata can never become deliverable here.
-            _ => return ReadyCheck::Dead,
-        };
-        match verdict {
-            JVerdict::Ready => ReadyCheck::Ready,
-            JVerdict::Blocked { slot, needs } => ReadyCheck::BlockedOn { slot, needs },
-            JVerdict::Dead => ReadyCheck::Dead,
+        // Foreign metadata can never become deliverable here.
+        match stamp(msg).map(|s| self.registry.ready_check(&self.ts, msg.issuer, s)) {
+            Some(JVerdict::Ready) => ReadyCheck::Ready,
+            Some(JVerdict::Blocked { slot, needs }) => ReadyCheck::BlockedOn { slot, needs },
+            Some(JVerdict::Dead) | None => ReadyCheck::Dead,
         }
     }
 
@@ -171,55 +168,20 @@ impl CausalityTracker for EdgeTracker {
         if rest.iter().any(|m| m.issuer != first.issuer) {
             return Some(false);
         }
-        match &*first.meta {
-            Metadata::Edge(_) => {
-                let mut stamps = Vec::with_capacity(msgs.len());
-                for m in msgs {
-                    match &*m.meta {
-                        Metadata::Edge(t) => stamps.push(t),
-                        _ => return Some(false),
-                    }
-                }
-                Some(self.registry.batch_ready(&self.ts, first.issuer, &stamps))
-            }
-            Metadata::Projected { .. } => {
-                let mut slices = Vec::with_capacity(msgs.len());
-                for m in msgs {
-                    match &*m.meta {
-                        Metadata::Projected { values, .. } => slices.push(values.as_slice()),
-                        _ => return Some(false),
-                    }
-                }
-                Some(
-                    self.registry
-                        .batch_ready_projected(&self.ts, first.issuer, &slices),
-                )
-            }
-            _ => Some(false),
-        }
+        let stamps: Option<Vec<Stamp<'_>>> = msgs.iter().map(stamp).collect();
+        Some(stamps.is_some_and(|s| self.registry.batch_ready(&self.ts, first.issuer, &s)))
     }
 
     fn on_apply(&mut self, msg: &UpdateMsg) {
-        match &*msg.meta {
-            Metadata::Edge(t) => self.registry.merge(&mut self.ts, msg.issuer, t),
-            Metadata::Projected { values, .. } => {
-                self.registry
-                    .merge_projected(&mut self.ts, msg.issuer, values)
-            }
-            _ => {}
+        if let Some(s) = stamp(msg) {
+            self.registry.merge(&mut self.ts, msg.issuer, s);
         }
     }
 
     fn on_apply_report(&mut self, msg: &UpdateMsg, advanced: &mut Vec<(usize, u64)>) {
-        match &*msg.meta {
-            Metadata::Edge(t) => self
-                .registry
-                .merge_report(&mut self.ts, msg.issuer, t, advanced),
-            Metadata::Projected { values, .. } => {
-                self.registry
-                    .merge_projected_report(&mut self.ts, msg.issuer, values, advanced)
-            }
-            _ => {}
+        if let Some(s) = stamp(msg) {
+            self.registry
+                .merge_report(&mut self.ts, msg.issuer, s, advanced);
         }
     }
 
@@ -240,7 +202,7 @@ impl CausalityTracker for EdgeTracker {
 /// metadata of every update (full replication, or partial replication with
 /// dummy registers everywhere — Appendix D), which is exactly how the
 /// [`System`](crate::System) wires it.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct VcTracker {
     me: ReplicaId,
     vc: VectorClock,
@@ -258,15 +220,6 @@ impl VcTracker {
     /// The current clock (for inspection / tests).
     pub fn clock(&self) -> &VectorClock {
         &self.vc
-    }
-}
-
-impl fmt::Debug for VcTracker {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("VcTracker")
-            .field("me", &self.me)
-            .field("vc", &self.vc)
-            .finish()
     }
 }
 
@@ -309,6 +262,7 @@ impl CausalityTracker for VcTracker {
 /// gates only on dependencies whose register it stores (the full closure
 /// is present, so transitivity never leaks); hopeless in metadata cost,
 /// which is exactly the point the paper's fixed-size timestamps make.
+#[derive(Clone)]
 pub struct FullDepsTracker {
     me: ReplicaId,
     stores: prcc_sharegraph::RegSet,
@@ -330,6 +284,14 @@ impl FullDepsTracker {
             applied: std::collections::HashSet::new(),
         }
     }
+
+    /// Records the identity of an applied update (called by the replica
+    /// layer, which knows the update's id and register — `on_apply` only
+    /// sees the metadata).
+    pub fn note_applied(&mut self, entry: crate::message::DepEntry) {
+        self.past.insert(entry);
+        self.applied.insert((entry.issuer, entry.seq));
+    }
 }
 
 impl fmt::Debug for FullDepsTracker {
@@ -338,18 +300,6 @@ impl fmt::Debug for FullDepsTracker {
             .field("me", &self.me)
             .field("past", &self.past.len())
             .finish()
-    }
-}
-
-impl Clone for FullDepsTracker {
-    fn clone(&self) -> Self {
-        FullDepsTracker {
-            me: self.me,
-            stores: self.stores.clone(),
-            next_seq: self.next_seq,
-            past: self.past.clone(),
-            applied: self.applied.clone(),
-        }
     }
 }
 
@@ -364,8 +314,7 @@ impl CausalityTracker for FullDepsTracker {
             register: x,
         };
         self.next_seq += 1;
-        self.past.insert(entry);
-        self.applied.insert((entry.issuer, entry.seq));
+        self.note_applied(entry);
         Metadata::Deps(deps)
     }
 
@@ -401,16 +350,6 @@ impl CausalityTracker for FullDepsTracker {
 
     fn clone_box(&self) -> Box<dyn CausalityTracker> {
         Box::new(self.clone())
-    }
-}
-
-impl FullDepsTracker {
-    /// Records the identity of an applied update (called by the replica
-    /// layer, which knows the update's id and register — `on_apply` only
-    /// sees the metadata).
-    pub fn note_applied(&mut self, entry: crate::message::DepEntry) {
-        self.past.insert(entry);
-        self.applied.insert((entry.issuer, entry.seq));
     }
 }
 

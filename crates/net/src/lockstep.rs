@@ -21,10 +21,6 @@ pub struct NetStats {
     pub duplicated: usize,
     /// Messages dropped by the fault plan or a scripted outage.
     pub dropped: usize,
-    /// Payload bytes accepted via [`SimNetwork::send_sized`] (callers
-    /// that use plain [`SimNetwork::send`] contribute 0 — the network is
-    /// generic and cannot size arbitrary messages itself).
-    pub bytes: usize,
 }
 
 /// A held link's messages, each with the delay it drew at its send.
@@ -119,19 +115,6 @@ impl<M> SimNetwork<M> {
             self.schedule(d, env.clone());
         }
         self.schedule(delay, env);
-    }
-
-    /// [`send`](Self::send) that also charges `bytes` to
-    /// [`NetStats::bytes`] — the caller-measured wire size of `msg`
-    /// (e.g. a codec's frame length). Fault handling is identical;
-    /// dropped messages are still charged, since the sender put them on
-    /// the wire.
-    pub fn send_sized(&mut self, src: ReplicaId, dst: ReplicaId, msg: M, bytes: usize)
-    where
-        M: Clone,
-    {
-        self.stats.bytes += bytes;
-        self.send(src, dst, msg);
     }
 
     fn schedule(&mut self, delay: u64, env: Envelope<M>) {
@@ -283,13 +266,11 @@ mod tests {
         net.send(r(0), r(1), 1);
         net.send(r(1), r(0), 2);
         assert_eq!(net.stats().sent, 2);
-        assert_eq!(net.stats().bytes, 0); // plain send: unsized
         net.next_delivery();
         assert_eq!(net.stats().delivered, 1);
-        net.send_sized(r(0), r(1), 3, 40);
-        net.send_sized(r(0), r(1), 4, 2);
+        net.send(r(0), r(1), 3);
+        net.send(r(0), r(1), 4);
         assert_eq!(net.stats().sent, 4);
-        assert_eq!(net.stats().bytes, 42);
     }
 
     #[test]

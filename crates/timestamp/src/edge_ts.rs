@@ -10,9 +10,10 @@
 //!   `τ_i[e_ki] = T[e_ki] − 1` and `τ_i[e_ji] ≥ T[e_ji]` for every other
 //!   common incoming edge `e_ji ∈ E_i ∩ E_k`.
 //!
-//! A [`TsRegistry`] precomputes, per ordered replica pair, the index maps
-//! these operations need, so each operation is a linear scan over short
-//! arrays.
+//! `merge` and `J` read `T` only on `E_i ∩ E_k`, so one body each serves
+//! both forms of [`Stamp`]. A [`TsRegistry`] precomputes, per ordered
+//! replica pair, the common edges they walk, so each operation is a
+//! linear scan over a short array.
 
 use crate::wire::PairLayout;
 use prcc_sharegraph::{EdgeId, RegSet, RegisterId, ReplicaId, ShareGraph, TimestampGraphs};
@@ -47,7 +48,7 @@ pub enum JVerdict {
 
 /// The edge-indexed timestamp of one replica: counters aligned with the
 /// sorted edge list of that replica's timestamp graph.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdgeTimestamp {
     replica: ReplicaId,
     values: Vec<u64>,
@@ -98,13 +99,77 @@ impl EdgeTimestamp {
     }
 }
 
-impl fmt::Debug for EdgeTimestamp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EdgeTimestamp")
-            .field("replica", &self.replica)
-            .field("values", &self.values)
-            .finish()
+/// An incoming timestamp `T` from sender `k`, as receiver `i` holds it.
+#[derive(Debug, Clone, Copy)]
+pub enum Stamp<'a> {
+    /// The sender's full timestamp (`WireMode::Raw`, Appendix E, the
+    /// explorers).
+    Full(&'a EdgeTimestamp),
+    /// The projection onto `E_i ∩ E_k`: `values[j]` is the counter of the
+    /// pair's `j`-th common edge — what
+    /// [`crate::wire::WireDecoder::decode`] reconstructs.
+    Projected(&'a [u64]),
+}
+
+impl<'a> From<&'a EdgeTimestamp> for Stamp<'a> {
+    fn from(t: &'a EdgeTimestamp) -> Self {
+        Stamp::Full(t)
     }
+}
+
+/// One edge of `E_i ∩ E_k`: its index `j` into the common slice and its
+/// positions in the receiver's `E_i` and the sender's `E_k`.
+#[derive(Debug, Clone, Copy)]
+struct CommonEdge {
+    j: u32,
+    mine: u32,
+    theirs: u32,
+}
+
+/// The one accessor through which `J`, `merge` and batched `J` read an
+/// incoming [`Stamp`], chosen once per call so each body is
+/// monomorphised per form.
+trait Counters {
+    /// `T`'s counter on common edge `e`.
+    fn at(&self, e: CommonEdge) -> u64;
+    /// The stamp's counters, if it has this form.
+    fn of(stamp: Stamp<'_>) -> Option<&Self>;
+}
+
+impl Counters for EdgeTimestamp {
+    fn at(&self, e: CommonEdge) -> u64 {
+        self.values[e.theirs as usize]
+    }
+
+    fn of(stamp: Stamp<'_>) -> Option<&Self> {
+        match stamp {
+            Stamp::Full(t) => Some(t),
+            Stamp::Projected(_) => None,
+        }
+    }
+}
+
+impl Counters for [u64] {
+    fn at(&self, e: CommonEdge) -> u64 {
+        self[e.j as usize]
+    }
+
+    fn of(stamp: Stamp<'_>) -> Option<&Self> {
+        match stamp {
+            Stamp::Projected(values) => Some(values),
+            Stamp::Full(_) => None,
+        }
+    }
+}
+
+/// Runs `$body` with `$c` bound to `$stamp`'s counters.
+macro_rules! with_counters {
+    ($stamp:expr, |$c:ident| $body:expr) => {
+        match $stamp {
+            Stamp::Full($c) => $body,
+            Stamp::Projected($c) => $body,
+        }
+    };
 }
 
 /// Per-replica index: outgoing edges with their register sets (for
@@ -119,16 +184,13 @@ struct ReplicaOps {
 /// Precomputed maps for the ordered pair `(receiver i, sender k)`.
 #[derive(Debug)]
 struct PairOps {
-    /// Positions `(in E_i, in E_k)` of every common edge `E_i ∩ E_k`.
-    common: Vec<(usize, usize)>,
-    /// Positions of `e_ki` in both graphs, if common.
-    e_ki: Option<(usize, usize)>,
-    /// Positions of common incoming edges `e_ji` with `j ≠ k`.
-    incoming_other: Vec<(usize, usize)>,
-    /// Index of `e_ki` into the common slice (wire projection order).
-    e_ki_slice: Option<usize>,
-    /// Indices of the `incoming_other` edges into the common slice.
-    incoming_other_slice: Vec<usize>,
+    /// `E_i ∩ E_k`, each edge once: `e_ki` first if it is common, then
+    /// the other incoming edges `e_ji`, then the rest, each group in
+    /// slice order.
+    common: Vec<CommonEdge>,
+    /// `common[..incoming]` are `e_ki` and the other incoming edges; 0
+    /// if `e_ki` is not common.
+    incoming: usize,
 }
 
 /// Factory and operation table for edge-indexed timestamps over a fixed
@@ -188,7 +250,7 @@ impl TsRegistry {
     /// Pair maps are precomputed for **every** ordered pair of replicas
     /// (DESIGN §6's "predicate `J` indexing"): each [`TsRegistry::ready`]
     /// / [`TsRegistry::merge`] call walks a fixed precomputed slice of
-    /// counter positions. The tests check these against the literal
+    /// common edges. The tests check these against the literal
     /// counter-map transcription in the `prcc-spec` crate.
     pub fn new(g: &ShareGraph, graphs: TimestampGraphs) -> Self {
         let graphs = Arc::new(graphs);
@@ -219,8 +281,8 @@ impl TsRegistry {
                     wire_layouts.push(None);
                 } else {
                     let (ri, rk) = (ReplicaId::new(i as u32), ReplicaId::new(k as u32));
-                    pair_ops.push(Some(Self::build_pair(&graphs, ri, rk)));
-                    let layout = Self::build_layout(g, &graphs, ri, rk);
+                    let (ops, layout) = Self::build_pair(g, &graphs, ri, rk);
+                    pair_ops.push(Some(ops));
                     let shared = canon
                         .entry(layout)
                         .or_insert_with_key(|l| Arc::new(l.clone()));
@@ -237,68 +299,73 @@ impl TsRegistry {
         }
     }
 
-    /// Negotiates the wire layout for `(receiver i, sender k)`: common
-    /// slice in the same order as [`Self::build_pair`]'s `common`, with
-    /// the sender's own outgoing rows offered for derived-row
-    /// compression.
-    fn build_layout(
+    /// The maps and the negotiated wire layout of `(receiver i, sender
+    /// k)`, from one pass over `E_i ∩ E_k` in slice order. The layout
+    /// projects the sender's counters in that order and is offered the
+    /// sender's own outgoing rows for derived-row compression.
+    fn build_pair(
         g: &ShareGraph,
         graphs: &TimestampGraphs,
         i: ReplicaId,
         k: ReplicaId,
-    ) -> PairLayout {
+    ) -> (PairOps, PairLayout) {
         let gi = graphs.of(i);
         let gk = graphs.of(k);
+        let (mut e_ki, mut others, mut rest) = (Vec::new(), Vec::new(), Vec::new());
         let mut sender_positions = Vec::new();
         let mut own_rows = Vec::new();
-        for e in gi.intersection(gk) {
-            let slice_idx = sender_positions.len();
-            sender_positions.push(gk.position(e).unwrap());
+        for (j, e) in gi.intersection(gk).into_iter().enumerate() {
+            let theirs = gk.position(e).unwrap();
+            let edge = CommonEdge {
+                j: j as u32,
+                mine: gi.position(e).unwrap() as u32,
+                theirs: theirs as u32,
+            };
+            sender_positions.push(theirs);
             if e.from == k {
-                own_rows.push((slice_idx, g.edge_registers(e).clone()));
+                own_rows.push((j, g.edge_registers(e).clone()));
+            }
+            if e == EdgeId::new(k, i) {
+                e_ki.push(edge);
+            } else if e.to == i {
+                others.push(edge);
+            } else {
+                rest.push(edge);
             }
         }
-        PairLayout::build(sender_positions, &own_rows)
+        // `J` reads no incoming edge unless e_ki is common.
+        let incoming = if e_ki.is_empty() { 0 } else { 1 + others.len() };
+        let common = [e_ki, others, rest].concat();
+        let layout = PairLayout::build(sender_positions, &own_rows);
+        (PairOps { common, incoming }, layout)
     }
 
-    /// The precomputed maps for `(receiver, sender)`.
+    /// The precomputed maps for `(receiver, sender)`, once `incoming`
+    /// is checked to fit them.
     ///
     /// # Panics
     ///
-    /// Panics if `receiver == sender` or either id is out of range.
-    fn pair(&self, receiver: ReplicaId, sender: ReplicaId) -> &PairOps {
-        self.pair_ops[receiver.index() * self.num_replicas + sender.index()]
+    /// Panics if `receiver == sender`, either id is out of range, or
+    /// `incoming` is not `sender`'s timestamp or a slice of the pair's
+    /// common length.
+    fn pair(&self, receiver: ReplicaId, sender: ReplicaId, incoming: Stamp<'_>) -> &PairOps {
+        let pair = self.pair_ops[receiver.index() * self.num_replicas + sender.index()]
             .as_ref()
-            .expect("sender must differ from receiver")
+            .expect("sender must differ from receiver");
+        self.assert_fits(pair, sender, incoming);
+        pair
     }
 
-    fn build_pair(graphs: &TimestampGraphs, i: ReplicaId, k: ReplicaId) -> PairOps {
-        let gi = graphs.of(i);
-        let gk = graphs.of(k);
-        let mut common = Vec::new();
-        let mut e_ki = None;
-        let mut e_ki_slice = None;
-        let mut incoming_other = Vec::new();
-        let mut incoming_other_slice = Vec::new();
-        for e in gi.intersection(gk) {
-            let pi = gi.position(e).unwrap();
-            let pk = gk.position(e).unwrap();
-            let slice_idx = common.len();
-            common.push((pi, pk));
-            if e == EdgeId::new(k, i) {
-                e_ki = Some((pi, pk));
-                e_ki_slice = Some(slice_idx);
-            } else if e.to == i {
-                incoming_other.push((pi, pk));
-                incoming_other_slice.push(slice_idx);
+    /// Panics unless `incoming` is `sender`'s timestamp or a slice of
+    /// `pair`'s common length.
+    fn assert_fits(&self, pair: &PairOps, sender: ReplicaId, incoming: Stamp<'_>) {
+        match incoming {
+            Stamp::Full(t) => {
+                assert_eq!(t.replica, sender, "timestamp/sender mismatch");
+                let len = self.graphs.of(sender).len();
+                assert_eq!(t.values.len(), len, "timestamp shape mismatch");
             }
-        }
-        PairOps {
-            common,
-            e_ki,
-            incoming_other,
-            e_ki_slice,
-            incoming_other_slice,
+            Stamp::Projected(v) => assert_eq!(v.len(), pair.common.len(), "projected slice shape"),
         }
     }
 
@@ -334,10 +401,14 @@ impl TsRegistry {
     ///
     /// # Panics
     ///
-    /// Panics if `incoming` does not belong to `sender`'s graph shape.
-    pub fn merge(&self, ts: &mut EdgeTimestamp, sender: ReplicaId, incoming: &EdgeTimestamp) {
-        let mut advanced = Vec::new();
-        self.merge_report(ts, sender, incoming, &mut advanced);
+    /// Panics if `incoming` does not fit `sender` (see [`Stamp`]).
+    pub fn merge<'a>(
+        &self,
+        ts: &mut EdgeTimestamp,
+        sender: ReplicaId,
+        incoming: impl Into<Stamp<'a>>,
+    ) {
+        self.merge_with(ts, sender, incoming.into(), |_, _| {});
     }
 
     /// `merge` that additionally reports which local counters advanced:
@@ -348,33 +419,46 @@ impl TsRegistry {
     ///
     /// # Panics
     ///
-    /// Panics if `incoming` does not belong to `sender`'s graph shape.
-    pub fn merge_report(
+    /// Panics if `incoming` does not fit `sender` (see [`Stamp`]).
+    pub fn merge_report<'a>(
         &self,
         ts: &mut EdgeTimestamp,
         sender: ReplicaId,
-        incoming: &EdgeTimestamp,
+        incoming: impl Into<Stamp<'a>>,
         advanced: &mut Vec<(usize, u64)>,
     ) {
-        assert_eq!(incoming.replica, sender, "timestamp/sender mismatch");
-        assert_eq!(
-            incoming.values.len(),
-            self.graphs.of(sender).len(),
-            "timestamp shape mismatch"
-        );
-        for &(pi, pk) in &self.pair(ts.replica, sender).common {
-            let new = incoming.values[pk];
-            if new > ts.values[pi] {
-                ts.values[pi] = new;
-                advanced.push((pi, new));
+        self.merge_with(ts, sender, incoming.into(), |slot, v| {
+            advanced.push((slot, v))
+        });
+    }
+
+    fn merge_with(
+        &self,
+        ts: &mut EdgeTimestamp,
+        sender: ReplicaId,
+        incoming: Stamp<'_>,
+        mut on_advance: impl FnMut(usize, u64),
+    ) {
+        let pair = self.pair(ts.replica, sender, incoming);
+        with_counters!(incoming, |c| for &e in &pair.common {
+            let new = c.at(e);
+            let mine = &mut ts.values[e.mine as usize];
+            if new > *mine {
+                *mine = new;
+                on_advance(e.mine as usize, new);
             }
-        }
+        })
     }
 
     /// Predicate `J(i, τ_i, k, T)` (Section 3.3): `true` iff the update
     /// carrying `incoming` (sent by `sender`) may be applied at `ts`'s
     /// replica now.
-    pub fn ready(&self, ts: &EdgeTimestamp, sender: ReplicaId, incoming: &EdgeTimestamp) -> bool {
+    pub fn ready<'a>(
+        &self,
+        ts: &EdgeTimestamp,
+        sender: ReplicaId,
+        incoming: impl Into<Stamp<'a>>,
+    ) -> bool {
         self.ready_check(ts, sender, incoming) == JVerdict::Ready
     }
 
@@ -383,48 +467,49 @@ impl TsRegistry {
     /// *first* unsatisfied requirement as the local counter slot and the
     /// value it must reach (or [`JVerdict::Dead`] when no future merge
     /// can satisfy the predicate).
-    pub fn ready_check(
+    pub fn ready_check<'a>(
         &self,
         ts: &EdgeTimestamp,
         sender: ReplicaId,
-        incoming: &EdgeTimestamp,
+        incoming: impl Into<Stamp<'a>>,
     ) -> JVerdict {
-        let pair = self.pair(ts.replica, sender);
+        let incoming = incoming.into();
+        let pair = self.pair(ts.replica, sender, incoming);
+        with_counters!(incoming, |c| Self::j(ts, pair, c))
+    }
+
+    fn j<C: Counters + ?Sized>(ts: &EdgeTimestamp, pair: &PairOps, incoming: &C) -> JVerdict {
+        // e_ki not tracked in common: sender shares no register with us —
+        // the peer-to-peer protocol never sends such updates; be
+        // conservative.
+        let Some((&e_ki, others)) = pair.common[..pair.incoming].split_first() else {
+            return JVerdict::Dead;
+        };
         // τ_i[e_ki] = T[e_ki] − 1 …
-        match pair.e_ki {
-            Some((pi, pk)) => {
-                if incoming.values[pk] == 0 {
-                    // A zero-count stamp on e_ki can never satisfy the
-                    // exactness condition (τ_i counters never go negative).
-                    return JVerdict::Dead;
-                }
-                let needed = incoming.values[pk] - 1;
-                if ts.values[pi] < needed {
-                    return JVerdict::Blocked {
-                        slot: pi,
-                        needs: needed,
-                    };
-                }
-                if ts.values[pi] > needed {
-                    // Already past the update's slot: a duplicate of an
-                    // applied update can never satisfy the exactness
-                    // condition again.
-                    return JVerdict::Dead;
-                }
-            }
-            None => {
-                // e_ki not tracked in common: sender shares no register
-                // with us — the peer-to-peer protocol never sends such
-                // updates; be conservative.
-                return JVerdict::Dead;
-            }
+        let (slot, sent) = (e_ki.mine as usize, incoming.at(e_ki));
+        let Some(needed) = sent.checked_sub(1) else {
+            // A zero-count stamp on e_ki can never satisfy the exactness
+            // condition (τ_i counters never go negative).
+            return JVerdict::Dead;
+        };
+        if ts.values[slot] < needed {
+            return JVerdict::Blocked {
+                slot,
+                needs: needed,
+            };
+        }
+        if ts.values[slot] > needed {
+            // Already past the update's slot: a duplicate of an applied
+            // update can never satisfy the exactness condition again.
+            return JVerdict::Dead;
         }
         // … and τ_i[e_ji] ≥ T[e_ji] for each common e_ji, j ≠ k.
-        for &(pi, pk) in &pair.incoming_other {
-            if ts.values[pi] < incoming.values[pk] {
+        for &e in others {
+            let needs = incoming.at(e);
+            if ts.values[e.mine as usize] < needs {
                 return JVerdict::Blocked {
-                    slot: pi,
-                    needs: incoming.values[pk],
+                    slot: e.mine as usize,
+                    needs,
                 };
             }
         }
@@ -464,101 +549,7 @@ impl TsRegistry {
         sender: ReplicaId,
     ) -> PairLayout {
         assert_ne!(receiver, sender, "sender must differ from receiver");
-        Self::build_layout(g, &self.graphs, receiver, sender)
-    }
-
-    /// [`TsRegistry::merge_report`] over a **projected** incoming slice:
-    /// `values[j]` is the counter of the `j`-th common edge of
-    /// `(receiver, sender)` in pair-slice order — exactly what
-    /// [`crate::wire::WireDecoder::decode`] reconstructs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` does not have the pair's common-slice length.
-    pub fn merge_projected_report(
-        &self,
-        ts: &mut EdgeTimestamp,
-        sender: ReplicaId,
-        values: &[u64],
-        advanced: &mut Vec<(usize, u64)>,
-    ) {
-        let pair = self.pair(ts.replica, sender);
-        assert_eq!(values.len(), pair.common.len(), "projected slice shape");
-        for (j, &(pi, _)) in pair.common.iter().enumerate() {
-            let new = values[j];
-            if new > ts.values[pi] {
-                ts.values[pi] = new;
-                advanced.push((pi, new));
-            }
-        }
-    }
-
-    /// [`TsRegistry::merge`] over a projected incoming slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` does not have the pair's common-slice length.
-    pub fn merge_projected(&self, ts: &mut EdgeTimestamp, sender: ReplicaId, values: &[u64]) {
-        let mut advanced = Vec::new();
-        self.merge_projected_report(ts, sender, values, &mut advanced);
-    }
-
-    /// [`TsRegistry::ready_check`] over a projected incoming slice: the
-    /// predicate `J` only ever reads common-edge counters, so the
-    /// projection is lossless for it by construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` does not have the pair's common-slice length.
-    pub fn ready_check_projected(
-        &self,
-        ts: &EdgeTimestamp,
-        sender: ReplicaId,
-        values: &[u64],
-    ) -> JVerdict {
-        let pair = self.pair(ts.replica, sender);
-        assert_eq!(values.len(), pair.common.len(), "projected slice shape");
-        match pair.e_ki_slice {
-            Some(j) => {
-                let pi = pair.e_ki.expect("slice index implies positions").0;
-                if values[j] == 0 {
-                    return JVerdict::Dead;
-                }
-                let needed = values[j] - 1;
-                if ts.values[pi] < needed {
-                    return JVerdict::Blocked {
-                        slot: pi,
-                        needs: needed,
-                    };
-                }
-                if ts.values[pi] > needed {
-                    return JVerdict::Dead;
-                }
-            }
-            None => return JVerdict::Dead,
-        }
-        for (&j, &(pi, _)) in pair
-            .incoming_other_slice
-            .iter()
-            .zip(pair.incoming_other.iter())
-        {
-            if ts.values[pi] < values[j] {
-                return JVerdict::Blocked {
-                    slot: pi,
-                    needs: values[j],
-                };
-            }
-        }
-        JVerdict::Ready
-    }
-
-    /// Boolean form of [`TsRegistry::ready_check_projected`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` does not have the pair's common-slice length.
-    pub fn ready_projected(&self, ts: &EdgeTimestamp, sender: ReplicaId, values: &[u64]) -> bool {
-        self.ready_check_projected(ts, sender, values) == JVerdict::Ready
+        Self::build_pair(g, &self.graphs, receiver, sender).1
     }
 
     /// Batched predicate `J`: `true` iff **all** of `stamps` — the
@@ -579,81 +570,47 @@ impl TsRegistry {
     ///
     /// `false` means the batch is not deliverable *as a unit* (callers
     /// fall back to per-message evaluation); it makes no claim about
-    /// individual members.
-    pub fn batch_ready(
-        &self,
-        ts: &EdgeTimestamp,
-        sender: ReplicaId,
-        stamps: &[&EdgeTimestamp],
-    ) -> bool {
-        let pair = self.pair(ts.replica, sender);
-        let Some((&first, rest)) = stamps.split_first() else {
-            return false;
-        };
-        let Some((pi, pk)) = pair.e_ki else {
-            return false;
-        };
-        debug_assert!(
-            stamps.windows(2).all(|w| pair
-                .common
-                .iter()
-                .all(|&(_, c)| w[0].values[c] <= w[1].values[c])),
-            "batch stamps must be monotone along the pair stream"
-        );
-        if ts.values[pi] + 1 != first.values[pk] {
-            return false;
+    /// individual members. Stamps of mixed forms are never a unit.
+    pub fn batch_ready(&self, ts: &EdgeTimestamp, sender: ReplicaId, stamps: &[Stamp<'_>]) -> bool {
+        match stamps.first() {
+            None => false,
+            Some(Stamp::Full(_)) => self.batch::<EdgeTimestamp>(ts, sender, stamps),
+            Some(Stamp::Projected(_)) => self.batch::<[u64]>(ts, sender, stamps),
         }
-        let mut prev = first.values[pk];
-        for s in rest {
-            if s.values[pk] != prev + 1 {
-                return false;
-            }
-            prev = s.values[pk];
-        }
-        let last = stamps[stamps.len() - 1];
-        pair.incoming_other
-            .iter()
-            .all(|&(pi2, pk2)| ts.values[pi2] >= last.values[pk2])
     }
 
-    /// [`TsRegistry::batch_ready`] over projected incoming slices (see
-    /// [`TsRegistry::ready_check_projected`] for the slice convention).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice does not have the pair's common-slice length.
-    pub fn batch_ready_projected(
+    /// [`TsRegistry::batch_ready`] over non-empty `stamps` of `C`'s form.
+    fn batch<C: Counters + ?Sized>(
         &self,
         ts: &EdgeTimestamp,
         sender: ReplicaId,
-        slices: &[&[u64]],
+        stamps: &[Stamp<'_>],
     ) -> bool {
-        let pair = self.pair(ts.replica, sender);
-        let Some((&first, rest)) = slices.split_first() else {
+        let pair = self.pair(ts.replica, sender, stamps[0]);
+        let Some((&e_ki, others)) = pair.common[..pair.incoming].split_first() else {
             return false;
         };
-        let Some(j) = pair.e_ki_slice else {
-            return false;
-        };
-        for s in slices {
-            assert_eq!(s.len(), pair.common.len(), "projected slice shape");
-        }
-        let pi = pair.e_ki.expect("slice index implies positions").0;
-        if ts.values[pi] + 1 != first[j] {
-            return false;
-        }
-        let mut prev = first[j];
-        for s in rest {
-            if s[j] != prev + 1 {
+        let mut last: Option<&C> = None;
+        // Exactness for the first stamp, contiguity for the rest.
+        for (next, &s) in (ts.values[e_ki.mine as usize] + 1..).zip(stamps) {
+            let Some(c) = C::of(s) else {
+                return false;
+            };
+            self.assert_fits(pair, sender, s);
+            debug_assert!(
+                last.is_none_or(|p| pair.common.iter().all(|&e| p.at(e) <= c.at(e))),
+                "batch stamps must be monotone along the pair stream"
+            );
+            if c.at(e_ki) != next {
                 return false;
             }
-            prev = s[j];
+            last = Some(c);
         }
-        let last = slices[slices.len() - 1];
-        pair.incoming_other_slice
-            .iter()
-            .zip(pair.incoming_other.iter())
-            .all(|(&sj, &(pi2, _))| ts.values[pi2] >= last[sj])
+        last.is_some_and(|last| {
+            others
+                .iter()
+                .all(|&e| ts.values[e.mine as usize] >= last.at(e))
+        })
     }
 }
 
@@ -775,7 +732,7 @@ mod tests {
                 t0.clone()
             })
             .collect();
-        let refs: Vec<&EdgeTimestamp> = stamps.iter().collect();
+        let refs: Vec<Stamp> = stamps.iter().map(Stamp::from).collect();
         let t1 = reg.new_timestamp(r1);
         // The whole run is deliverable from zero…
         assert!(reg.batch_ready(&t1, r0, &refs));
@@ -785,7 +742,7 @@ mod tests {
         let mut batched = t1.clone();
         reg.merge(&mut batched, r0, refs[3]);
         let mut seq = t1.clone();
-        for s in &refs {
+        for &s in &refs {
             assert!(reg.ready(&seq, r0, s));
             reg.merge(&mut seq, r0, s);
         }
@@ -807,7 +764,7 @@ mod tests {
         }
         let t1 = reg.new_timestamp(r1);
         // A gap in the middle breaks the run.
-        assert!(!reg.batch_ready(&t1, r0, &[&stamps[0], &stamps[2]]));
+        assert!(!reg.batch_ready(&t1, r0, &[Stamp::Full(&stamps[0]), Stamp::Full(&stamps[2])]));
     }
 
     #[test]
@@ -831,35 +788,51 @@ mod tests {
         let u2b = t1.clone();
         let t2 = reg.new_timestamp(r2);
         // Blocked until r2 merges u1; then the whole batch is ready.
-        assert!(!reg.batch_ready(&t2, r1, &[&u2a, &u2b]));
+        assert!(!reg.batch_ready(&t2, r1, &[Stamp::Full(&u2a), Stamp::Full(&u2b)]));
         let mut t2m = t2.clone();
         reg.merge(&mut t2m, r0, &u1);
-        assert!(reg.batch_ready(&t2m, r1, &[&u2a, &u2b]));
+        assert!(reg.batch_ready(&t2m, r1, &[Stamp::Full(&u2a), Stamp::Full(&u2b)]));
+    }
+
+    /// The topologies the stamp-form tests run over: ring(5) and star(4)
+    /// have no derived wire rows, every clique(4, 2) pair has some, and
+    /// Figure 5 mixes both (2 of its 12 pairs).
+    fn stamp_form_graphs() -> [ShareGraph; 4] {
+        [
+            topology::ring(5),
+            topology::clique_full(4, 2),
+            topology::star(4),
+            prcc_sharegraph::paper_examples::figure5(),
+        ]
     }
 
     #[test]
-    fn batch_ready_projected_agrees_with_full() {
-        let g = topology::ring(4);
-        let reg = registry(&g);
-        let (r0, r1) = (ReplicaId::new(0), ReplicaId::new(1));
-        let layout = reg.wire_layout(r1, r0);
-        let mut t0 = reg.new_timestamp(r0);
-        let mut stamps = Vec::new();
-        for _ in 0..3 {
-            reg.advance(&mut t0, RegisterId::new(0));
-            stamps.push(t0.clone());
+    fn batch_ready_reads_full_and_projected_stamps_alike() {
+        for g in stamp_form_graphs() {
+            let reg = registry(&g);
+            for &e in g.edges() {
+                let (r0, r1) = (e.from, e.to);
+                let x = g.edge_registers(e).first().unwrap();
+                let layout = reg.wire_layout(r1, r0);
+                let mut t0 = reg.new_timestamp(r0);
+                let mut stamps = Vec::new();
+                for _ in 0..3 {
+                    reg.advance(&mut t0, x);
+                    stamps.push(t0.clone());
+                }
+                let slices: Vec<Vec<u64>> =
+                    stamps.iter().map(|s| layout.project(s.values())).collect();
+                let t1 = reg.new_timestamp(r1);
+                let full: Vec<Stamp> = stamps.iter().map(Stamp::from).collect();
+                let proj: Vec<Stamp> = slices.iter().map(|s| Stamp::Projected(s)).collect();
+                assert!(reg.batch_ready(&t1, r0, &full), "{r0:?}->{r1:?}");
+                assert!(reg.batch_ready(&t1, r0, &proj), "{r0:?}->{r1:?}");
+                assert!(!reg.batch_ready(&t1, r0, &proj[1..]));
+                assert!(!reg.batch_ready(&t1, r0, &[]));
+                // Forms never mix within one run.
+                assert!(!reg.batch_ready(&t1, r0, &[full[0], proj[1]]));
+            }
         }
-        let slices: Vec<Vec<u64>> = stamps.iter().map(|s| layout.project(s.values())).collect();
-        let t1 = reg.new_timestamp(r1);
-        let full_refs: Vec<&EdgeTimestamp> = stamps.iter().collect();
-        let slice_refs: Vec<&[u64]> = slices.iter().map(Vec::as_slice).collect();
-        assert_eq!(
-            reg.batch_ready(&t1, r0, &full_refs),
-            reg.batch_ready_projected(&t1, r0, &slice_refs)
-        );
-        assert!(reg.batch_ready_projected(&t1, r0, &slice_refs));
-        assert!(!reg.batch_ready_projected(&t1, r0, &slice_refs[1..]));
-        assert!(!reg.batch_ready_projected(&t1, r0, &[]));
     }
 
     #[test]
@@ -955,14 +928,10 @@ mod tests {
     }
 
     #[test]
-    fn projected_ops_match_full_ops() {
+    fn ready_and_merge_read_full_and_projected_stamps_alike() {
         // Every (ready_check, merge) over the full incoming timestamp must
         // agree with the projected slice — the wire invariant.
-        for g in [
-            topology::ring(5),
-            topology::clique_full(4, 2),
-            topology::star(4),
-        ] {
+        for g in stamp_form_graphs() {
             let reg = registry(&g);
             let n = g.num_replicas();
             let mut stamps: Vec<EdgeTimestamp> = (0..n)
@@ -988,17 +957,17 @@ mod tests {
                                 let slice = layout.project(local.values());
                                 assert_eq!(
                                     reg.ready_check(&stamps[i], sender, &local),
-                                    reg.ready_check_projected(&stamps[i], sender, &slice),
+                                    reg.ready_check(&stamps[i], sender, Stamp::Projected(&slice)),
                                     "verdict mismatch {sender:?}->{ri:?}"
                                 );
                                 let mut full_merged = stamps[i].clone();
                                 let mut proj_merged = stamps[i].clone();
                                 let (mut a1, mut a2) = (Vec::new(), Vec::new());
                                 reg.merge_report(&mut full_merged, sender, &local, &mut a1);
-                                reg.merge_projected_report(
+                                reg.merge_report(
                                     &mut proj_merged,
                                     sender,
-                                    &slice,
+                                    Stamp::Projected(&slice),
                                     &mut a2,
                                 );
                                 assert_eq!(full_merged, proj_merged);
