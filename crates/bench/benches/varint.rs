@@ -83,7 +83,7 @@ fn bench_decode(c: &mut Criterion) {
             // One steady-state frame, decoded repeatedly against the
             // same prev (decode never mutates prev, so this is sound).
             let prev = vec![7u64; width];
-            let full = slices(width, 1, dense)
+            let slice = slices(width, 1, dense)
                 .pop()
                 .unwrap()
                 .iter()
@@ -91,7 +91,7 @@ fn bench_decode(c: &mut Criterion) {
                 .collect::<Vec<_>>();
             let mut frame = Vec::new();
             let mut next = Vec::new();
-            lay.encode_frame(&prev, &full, &mut frame, &mut next);
+            lay.encode_frame(&prev, &slice, &mut frame, &mut next);
             let id = format!("{shape}/{width}");
             group.bench_with_input(BenchmarkId::new("chunked", &id), &frame, |b, frame| {
                 let mut next = Vec::new();

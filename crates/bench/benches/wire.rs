@@ -6,7 +6,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use prcc_core::{Metadata, WireCodec, WireMode};
 use prcc_sharegraph::{topology, LoopConfig, RegisterId, ReplicaId, TimestampGraphs};
-use prcc_timestamp::{TsRegistry, WireEncoder};
+use prcc_timestamp::{DeltaStream, TsRegistry};
 use std::sync::Arc;
 
 fn registry(g: &prcc_sharegraph::ShareGraph) -> Arc<TsRegistry> {
@@ -91,11 +91,13 @@ fn bench_frame_primitive(c: &mut Criterion) {
         reg.advance(&mut ts, RegisterId::new(k % 2));
     }
     let full = ts.values().to_vec();
+    let slice = layout.project(&full);
     group.bench_function("encode_frame/clique24", |b| {
-        let mut enc = WireEncoder::new(&layout);
+        let mut enc = DeltaStream::new(&layout);
         let mut buf = Vec::new();
         b.iter(|| {
-            enc.encode(&layout, black_box(&full), &mut buf);
+            buf.clear();
+            enc.encode(&layout, black_box(&slice), &mut buf);
             black_box(buf.len())
         });
     });

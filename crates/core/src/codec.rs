@@ -223,7 +223,6 @@ impl WireCodec {
             return recipients.iter().map(|_| Arc::clone(meta)).collect();
         };
         let registry = Arc::clone(registry);
-        let full = ts.values();
         let mut out = Vec::with_capacity(recipients.len());
         // Fan-out-local memo of group leaders, one entry per distinct
         // (layout, state) seen. Tiny in practice: one entry on cliques,
@@ -250,7 +249,7 @@ impl WireCodec {
                 out.push(Arc::clone(&g.meta));
                 continue;
             }
-            let values = stream.layout.project(full);
+            let values = stream.layout.project(ts.values());
             if stream.layout.verify_derived(&values).is_err() {
                 // A derived row lies about the values it claims to
                 // reconstruct: a receiver would decode garbage. Demote the
@@ -265,7 +264,7 @@ impl WireCodec {
             let mut next = Vec::new();
             let len = stream
                 .layout
-                .encode_frame(&stream.state, full, &mut self.buf, &mut next);
+                .encode_frame(&stream.state, &values, &mut self.buf, &mut next);
             #[cfg(debug_assertions)]
             {
                 // The frame a real receiver would decode must reproduce

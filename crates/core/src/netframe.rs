@@ -4,14 +4,14 @@
 //! The in-process [`ThreadNet`](prcc_net::ThreadNet) moves Rust values
 //! between threads; real sockets move bytes between address spaces.
 //! [`ClusterCodec`] is the bridge: a [`LinkCodec`] that serializes every
-//! session frame the threaded runtime produces, carrying **exactly the
-//! wire codec's bytes** for compressed metadata — a
-//! [`Metadata::Projected`] slice travels as the same zig-zag varint
-//! delta frame [`PairLayout::decode_frame`] consumes in-process, plus a
-//! reversible zero-run packing (dense graphs produce long runs of
-//! zero deltas: 529 of clique-24's 530 explicit counters are unchanged
-//! between two consecutive updates from one writer, and each still
-//! costs one explicit `0x00` in the dense delta format — packing
+//! session frame the threaded runtime produces. A
+//! [`Metadata::Projected`] slice issued by the sending replica travels
+//! as the pair's delta frame — [`DeltaStream::encode`] over the common
+//! slice, the same [`PairLayout::encode_frame`] the engine's fan-out
+//! runs — plus a reversible zero-run packing (dense graphs produce long
+//! runs of zero deltas: 529 of clique-24's 530 explicit counters are
+//! unchanged between two consecutive updates from one writer, and each
+//! still costs one explicit `0x00` in the dense delta format — packing
 //! collapses the run to two bytes without changing what the decoder
 //! sees).
 //!
@@ -21,16 +21,27 @@
 //! frame sequence exactly once, in order. The session layer *above*
 //! retransmits and reorders payloads, so it cannot provide that — but
 //! one TCP connection *below* can: a connection delivers its bytes
-//! exactly once, in order, or dies. `ClusterCodec` therefore scopes its
-//! delta state to the connection (the transport builds a fresh codec per
-//! connect on both ends, see [`CodecFactory`]), and a retransmitted
-//! session payload is simply re-encoded against the current link state —
-//! the payload values decode identically, only the framing bytes differ.
+//! exactly once, in order, or dies. `ClusterCodec` therefore holds one
+//! [`DeltaStream`] per direction of the connection (the transport builds
+//! a fresh codec per connect on both ends, see [`CodecFactory`]), and a
+//! retransmitted session payload is simply re-encoded against the
+//! current link state — the payload values decode identically, only the
+//! framing bytes differ.
 //!
 //! A frame that cannot be delta-framed safely (a relayed update whose
 //! issuer is not this link's sender, a slice of unexpected length, or
 //! values failing the layout's derived-row verification) falls back to
 //! absolute varints — lossless, just larger.
+//!
+//! # Decoded updates fit the receiver
+//!
+//! The receiving replica indexes its pair tables by issuer and trusts a
+//! stamp's shape, so the decoder checks both before an update leaves
+//! it: the issuer is another replica of the registry, only the peer
+//! issues delta frames, an absolute slice has the `(me, issuer)` pair's
+//! common length, an `Edge` stamp names its issuer and carries
+//! `|E_issuer|` counters, and a vector clock has one entry per replica.
+//! Anything else is a [`FrameError`].
 
 use crate::message::{BatchMsg, DepEntry, Metadata, TransitInfo, UpdateMsg};
 use crate::value::Value;
@@ -39,7 +50,7 @@ use prcc_net::{
 };
 use prcc_sharegraph::{RegisterId, ReplicaId};
 use prcc_timestamp::wire::{read_varint, write_varint};
-use prcc_timestamp::{EdgeTimestamp, PairLayout, TsRegistry, VectorClock};
+use prcc_timestamp::{DeltaStream, EdgeTimestamp, PairLayout, TsRegistry, VectorClock};
 use std::sync::Arc;
 
 /// Frame tags for [`SessionFrame`] variants.
@@ -134,26 +145,6 @@ fn rd_value_tagged(tag: u8, buf: &[u8], pos: &mut usize) -> Result<Value, FrameE
     }
 }
 
-/// One direction of a per-pair delta stream: the layout plus the
-/// previous frame's explicit values (zeros before the first frame, like
-/// [`prcc_timestamp::WireEncoder`]).
-struct PairStream {
-    layout: Arc<PairLayout>,
-    prev: Vec<u64>,
-    next: Vec<u64>,
-}
-
-impl PairStream {
-    fn new(layout: Arc<PairLayout>) -> Self {
-        let n = layout.num_explicit();
-        PairStream {
-            layout,
-            prev: vec![0; n],
-            next: Vec::with_capacity(n),
-        }
-    }
-}
-
 /// [`LinkCodec`] for [`SessionFrame`]`<`[`BatchMsg`]`>` — the threaded
 /// runtime's complete wire unit, serialized with varints throughout.
 ///
@@ -163,18 +154,27 @@ impl PairStream {
 pub struct ClusterCodec {
     /// This endpoint's replica id.
     me: ReplicaId,
-    /// Outgoing delta stream: `(receiver = peer, sender = me)`.
-    enc: PairStream,
-    /// Incoming delta stream: `(receiver = me, sender = peer)`.
-    dec: PairStream,
-    /// Scratch for zero-run packing / canonical-byte reconstruction.
-    scratch: Vec<u8>,
+    /// The replica at the other end of the connection.
+    peer: ReplicaId,
+    /// The stamp shapes a decoded update must fit.
+    registry: Arc<TsRegistry>,
+    /// Outgoing pair `(receiver = peer, sender = me)` and its stream.
+    out_layout: Arc<PairLayout>,
+    out: DeltaStream,
+    /// Incoming pair `(receiver = me, sender = peer)` and its stream.
+    in_layout: Arc<PairLayout>,
+    inc: DeltaStream,
+    /// One delta frame, unpacked.
+    frame: Vec<u8>,
+    /// One delta frame, zero-run packed.
+    packed: Vec<u8>,
 }
 
 impl std::fmt::Debug for ClusterCodec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterCodec")
             .field("me", &self.me)
+            .field("peer", &self.peer)
             .finish()
     }
 }
@@ -187,11 +187,18 @@ pub fn cluster_codec(
     registry: Arc<TsRegistry>,
 ) -> CodecFactory<SessionFrame<BatchMsg>> {
     Arc::new(move |peer: ReplicaId| {
+        let out_layout = registry.wire_layout(peer, me);
+        let in_layout = registry.wire_layout(me, peer);
         Box::new(ClusterCodec {
             me,
-            enc: PairStream::new(registry.wire_layout(peer, me)),
-            dec: PairStream::new(registry.wire_layout(me, peer)),
-            scratch: Vec::new(),
+            peer,
+            registry: Arc::clone(&registry),
+            out: DeltaStream::new(&out_layout),
+            out_layout,
+            inc: DeltaStream::new(&in_layout),
+            in_layout,
+            frame: Vec::new(),
+            packed: Vec::new(),
         }) as Box<dyn LinkCodec<Msg = SessionFrame<BatchMsg>>>
     })
 }
@@ -233,43 +240,17 @@ impl ClusterCodec {
                 // explicit entries. Anything else ships absolute.
                 let deltable = msg.transit.is_none()
                     && msg.issuer == self.me
-                    && values.len() == self.enc.layout.common_len()
-                    && self.enc.layout.verify_derived(values).is_ok();
+                    && values.len() == self.out_layout.common_len()
+                    && self.out_layout.verify_derived(values).is_ok();
                 if deltable {
                     buf.push(META_PROJECTED_DELTA);
                     write_varint(buf, *encoded_len as u64);
-                    // Canonical wire-codec bytes: the explicit entries as
-                    // zig-zag deltas against the previous frame on this
-                    // connection — byte-identical to what
-                    // `PairLayout::encode_frame` emits for this slice.
-                    self.scratch.clear();
-                    self.enc.next.clear();
-                    for (j, &idx) in self.enc.layout.explicit_indices().iter().enumerate() {
-                        let v = values[idx];
-                        write_varint(
-                            &mut self.scratch,
-                            prcc_timestamp::wire::encode_delta(self.enc.prev[j], v),
-                        );
-                        self.enc.next.push(v);
-                    }
-                    std::mem::swap(&mut self.enc.prev, &mut self.enc.next);
-                    let packed_at = buf.len();
-                    write_varint(buf, 0); // patched below if short enough
-                    let before = buf.len();
-                    pack_zero_runs(&self.scratch, buf);
-                    let packed = buf.len() - before;
-                    // Patch the single-byte length placeholder; a packed
-                    // segment ≥ 128 bytes needs a longer varint, so
-                    // rewrite the tail instead (rare — dense steady state
-                    // packs hundreds of deltas into a handful of bytes).
-                    if packed < 0x80 {
-                        buf[packed_at] = packed as u8;
-                    } else {
-                        let tail: Vec<u8> = buf.split_off(before);
-                        buf.truncate(packed_at);
-                        write_varint(buf, packed as u64);
-                        buf.extend_from_slice(&tail);
-                    }
+                    self.frame.clear();
+                    self.out.encode(&self.out_layout, values, &mut self.frame);
+                    self.packed.clear();
+                    pack_zero_runs(&self.frame, &mut self.packed);
+                    write_varint(buf, self.packed.len() as u64);
+                    buf.extend_from_slice(&self.packed);
                 } else {
                     buf.push(META_PROJECTED_ABS);
                     write_varint(buf, *encoded_len as u64);
@@ -282,13 +263,26 @@ impl ClusterCodec {
         }
     }
 
-    fn decode_meta(&mut self, buf: &[u8], pos: &mut usize) -> Result<Metadata, FrameError> {
+    /// Decodes the metadata of an update from `issuer`, which the caller
+    /// has checked is another replica of the registry.
+    fn decode_meta(
+        &mut self,
+        issuer: ReplicaId,
+        buf: &[u8],
+        pos: &mut usize,
+    ) -> Result<Metadata, FrameError> {
         match rd_u8(buf, pos)? {
             META_EDGE => {
                 let replica = ReplicaId::new(
                     u32::try_from(rd(buf, pos)?).map_err(|_| err("edge replica id overflow"))?,
                 );
+                if replica != issuer {
+                    return Err(err("edge stamp of another replica"));
+                }
                 let n = rd_len(buf, pos, 1 << 24, "edge counter count")?;
+                if n != self.registry.graphs().of(issuer).len() {
+                    return Err(err("edge stamp of the wrong shape"));
+                }
                 let mut values = Vec::with_capacity(n);
                 for _ in 0..n {
                     values.push(rd(buf, pos)?);
@@ -297,6 +291,9 @@ impl ClusterCodec {
             }
             META_VECTOR => {
                 let n = rd_len(buf, pos, 1 << 24, "vector counter count")?;
+                if n != self.registry.graphs().len() {
+                    return Err(err("vector clock of the wrong length"));
+                }
                 let mut values = Vec::with_capacity(n);
                 for _ in 0..n {
                     values.push(rd(buf, pos)?);
@@ -325,6 +322,9 @@ impl ClusterCodec {
             META_PROJECTED_ABS => {
                 let encoded_len = rd(buf, pos)? as usize;
                 let n = rd_len(buf, pos, 1 << 24, "projected counter count")?;
+                if n != self.registry.wire_layout(self.me, issuer).common_len() {
+                    return Err(err("projected slice of the wrong length"));
+                }
                 let mut values = Vec::with_capacity(n);
                 for _ in 0..n {
                     values.push(rd(buf, pos)?);
@@ -335,30 +335,22 @@ impl ClusterCodec {
                 })
             }
             META_PROJECTED_DELTA => {
+                if issuer != self.peer {
+                    return Err(err("delta frame of a relayed issuer"));
+                }
                 let encoded_len = rd(buf, pos)? as usize;
                 let packed = rd_bytes(buf, pos)?;
-                // Reconstruct the canonical wire-codec bytes, then let
-                // the layout's own decoder (explicit deltas + derived-row
-                // reconstruction + verification) do the real work.
-                self.scratch.clear();
+                self.frame.clear();
                 // A zig-zag delta varint is ≤ 10 bytes; anything longer
                 // than the worst case is hostile.
-                let cap = self.dec.layout.num_explicit() * 10;
-                unpack_zero_runs(packed, &mut self.scratch, cap)?;
-                let mut fpos = 0;
-                let slice = self
-                    .dec
-                    .layout
-                    .decode_frame(&self.dec.prev, &self.scratch, &mut fpos, &mut self.dec.next)
+                let cap = self.in_layout.num_explicit() * 10;
+                unpack_zero_runs(packed, &mut self.frame, cap)?;
+                let values = self
+                    .inc
+                    .decode(&self.in_layout, &self.frame)
                     .map_err(|e| FrameError::Codec(e.to_string()))?;
-                if fpos != self.scratch.len() {
-                    return Err(err("trailing bytes in delta frame"));
-                }
-                // Commit stream state only on success (transactional; on
-                // error the caller tears the connection down anyway).
-                std::mem::swap(&mut self.dec.prev, &mut self.dec.next);
                 Ok(Metadata::Projected {
-                    values: slice,
+                    values,
                     encoded_len,
                 })
             }
@@ -391,6 +383,9 @@ impl ClusterCodec {
     fn decode_update(&mut self, buf: &[u8], pos: &mut usize) -> Result<UpdateMsg, FrameError> {
         let issuer =
             ReplicaId::new(u32::try_from(rd(buf, pos)?).map_err(|_| err("issuer id overflow"))?);
+        if issuer == self.me || issuer.index() >= self.registry.graphs().len() {
+            return Err(err("issuer is not another replica"));
+        }
         let seq = rd(buf, pos)?;
         let register =
             RegisterId::new(u32::try_from(rd(buf, pos)?).map_err(|_| err("register overflow"))?);
@@ -398,7 +393,7 @@ impl ClusterCodec {
             0 => None,
             tag => Some(rd_value_tagged(tag, buf, pos)?),
         };
-        let meta = Arc::new(self.decode_meta(buf, pos)?);
+        let meta = Arc::new(self.decode_meta(issuer, buf, pos)?);
         let transit = match rd_u8(buf, pos)? {
             0 => None,
             1 => {
@@ -524,6 +519,7 @@ impl LinkCodec for ClusterCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EdgeTracker, Replica};
     use prcc_sharegraph::{topology, LoopConfig, TimestampGraphs};
 
     fn r(i: u32) -> ReplicaId {
@@ -696,6 +692,236 @@ mod tests {
             },
         )));
         assert_eq!(roundtrip(enc.as_mut(), dec.as_mut(), &frame), frame);
+    }
+
+    /// The TCP bytes of one 0 → 1 connection on `clique_full(4, 2)`,
+    /// pinned: a three-update own-projected batch (delta frames, one
+    /// two-byte varint, zero runs), a relayed issuer's absolute slice,
+    /// a full `Edge` stamp and an `Ack`. Any change to these bytes is a
+    /// change of the TCP format.
+    #[test]
+    fn cluster_codec_bytes_are_pinned() {
+        let g = topology::clique_full(4, 2);
+        let reg = registry(&g);
+        let (mut enc, mut dec) = link(&g);
+        let own = reg.wire_layout(r(1), r(0));
+        let mut ts = reg.new_timestamp(r(0));
+        let mut updates = Vec::new();
+        for (seq, writes) in [(0u64, 70), (1, 1), (2, 0)] {
+            for _ in 0..writes {
+                reg.advance(&mut ts, x(seq as u32 % 2));
+            }
+            let values = own.project(ts.values());
+            updates.push(msg(
+                0,
+                seq,
+                Metadata::Projected {
+                    values,
+                    encoded_len: 5,
+                },
+            ));
+        }
+        let mut relayed = reg.new_timestamp(r(2));
+        reg.advance(&mut relayed, x(1));
+        let values = reg.wire_layout(r(1), r(2)).project(relayed.values());
+        let foreign = msg(
+            2,
+            0,
+            Metadata::Projected {
+                values,
+                encoded_len: 3,
+            },
+        );
+        let frames = [
+            SessionFrame::Data {
+                seq: 1,
+                payload: BatchMsg { updates },
+                ack: None,
+            },
+            SessionFrame::Bare(BatchMsg::singleton(foreign)),
+            SessionFrame::Data {
+                seq: 2,
+                payload: BatchMsg::singleton(msg(0, 3, Metadata::Edge(ts))),
+                ack: Some(4),
+            },
+            SessionFrame::Ack {
+                cum: 3,
+                sacks: vec![5, 7],
+            },
+        ];
+        let golden: [&[u8]; 4] = [
+            &[
+                1, 1, 0, 3, 0, 0, 0, 1, 0, 4, 5, 4, 140, 1, 0, 8, 0, 0, 1, 0, 1, 10, 4, 5, 3, 2, 0,
+                8, 0, 0, 2, 0, 1, 20, 4, 5, 2, 0, 9, 0,
+            ],
+            &[
+                0, 1, 2, 0, 0, 1, 0, 3, 3, 12, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0,
+            ],
+            &[
+                1, 2, 1, 4, 1, 0, 3, 0, 1, 30, 0, 0, 12, 71, 71, 71, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            ],
+            &[2, 3, 2, 5, 7],
+        ];
+        for (frame, want) in frames.iter().zip(golden) {
+            let mut buf = Vec::new();
+            enc.encode(frame, &mut buf);
+            assert_eq!(buf, want, "TCP bytes of {frame:?}");
+            assert_eq!(dec.decode(&buf).as_ref(), Ok(frame));
+        }
+    }
+
+    /// A delta frame whose packed bytes need a two-byte length varint
+    /// (≥ 128 bytes), pinned by length, prefix and FNV-1a hash.
+    #[test]
+    fn long_packed_delta_frame_is_pinned() {
+        let g = topology::clique_full(5, 2);
+        let layout = registry(&g).wire_layout(r(1), r(0));
+        let mut values = vec![0u64; layout.common_len()];
+        for &j in layout.explicit_indices() {
+            values[j] = (1 << 60) + 977 * j as u64;
+        }
+        for d in layout.derived_rows() {
+            let sum: i128 = d
+                .terms
+                .iter()
+                .map(|&(j, c)| c * i128::from(values[j]))
+                .sum();
+            values[d.index] = (sum / d.den) as u64;
+        }
+        assert_eq!(layout.verify_derived(&values), Ok(()));
+        let frame = SessionFrame::Bare(BatchMsg::singleton(msg(
+            0,
+            0,
+            Metadata::Projected {
+                values,
+                encoded_len: 9,
+            },
+        )));
+        let (mut enc, mut dec) = link(&g);
+        let mut buf = Vec::new();
+        enc.encode(&frame, &mut buf);
+        let fnv = buf.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(buf.len(), 165);
+        // Bare, one update, issuer/seq/register 0, value 0, the delta
+        // tag, `encoded_len` 9, then the packed length 153 as two bytes.
+        assert_eq!(&buf[..11], &[0, 1, 0, 0, 0, 1, 0, 4, 9, 153, 1]);
+        assert_eq!(fnv, 0x559d_e6b4_bf9d_8409);
+        assert_eq!(dec.decode(&buf).as_ref(), Ok(&frame));
+    }
+
+    /// Replica 0 of `g` with the edge tracker, and the decoder of its
+    /// end of the 1 → 0 link.
+    fn receiver(g: &prcc_sharegraph::ShareGraph, reg: &Arc<TsRegistry>) -> (Replica, BoxedCodec) {
+        let me = r(0);
+        let tracker = Box::new(EdgeTracker::new(Arc::clone(reg), me));
+        let replica = Replica::new(me, g.placement().registers_of(me).clone(), tracker);
+        (replica, cluster_codec(me, Arc::clone(reg))(r(1)))
+    }
+
+    /// A bare frame of one value-less update from `issuer` whose
+    /// metadata is an absolute projected slice of `len` zeros.
+    fn absolute_slice_frame(issuer: u8, len: u8) -> Vec<u8> {
+        let mut body = vec![TAG_BARE, 1, issuer, 0, 0, 0, META_PROJECTED_ABS, 0, len];
+        body.resize(body.len() + usize::from(len), 0);
+        body.push(0); // no transit
+        body
+    }
+
+    /// Decodes `body` at replica 0 of `clique_full(3, 2)` and, if it
+    /// decodes, hands the batch to the replica.
+    fn decode_and_receive(body: &[u8]) -> Result<(), FrameError> {
+        let g = topology::clique_full(3, 2);
+        let (mut replica, mut dec) = receiver(&g, &registry(&g));
+        match dec.decode(body)? {
+            SessionFrame::Bare(batch) => {
+                replica.receive_batch(batch.updates);
+                Ok(())
+            }
+            other => panic!("decoded {other:?} from a bare frame"),
+        }
+    }
+
+    #[test]
+    fn a_slice_of_the_wrong_length_is_rejected() {
+        let body = absolute_slice_frame(1, 1);
+        assert_eq!(body.len(), 11);
+        assert!(decode_and_receive(&body).is_err());
+    }
+
+    #[test]
+    fn an_update_issued_by_the_receiver_is_rejected() {
+        assert!(decode_and_receive(&absolute_slice_frame(0, 1)).is_err());
+    }
+
+    #[test]
+    fn an_out_of_range_issuer_is_rejected() {
+        assert!(decode_and_receive(&absolute_slice_frame(9, 1)).is_err());
+    }
+
+    /// Every issuer (the receiver, its peers, two past the last replica)
+    /// against every slice length up to two past the pair's common
+    /// length: exactly the peers' common-length slices decode, and no
+    /// decoded update panics the receiver.
+    #[test]
+    fn no_issuer_or_slice_length_panics_the_receiver() {
+        let g = topology::clique_full(3, 2);
+        let common = registry(&g).wire_layout(r(0), r(1)).common_len() as u8;
+        for issuer in 0..g.num_replicas() as u8 + 2 {
+            for len in 0..common + 2 {
+                let fits = (1..3).contains(&issuer) && len == common;
+                let got = decode_and_receive(&absolute_slice_frame(issuer, len));
+                assert_eq!(got.is_ok(), fits, "issuer {issuer}, {len} counters");
+            }
+        }
+    }
+
+    /// A delta frame must come from the link's own stream, an `Edge`
+    /// stamp must be its issuer's full timestamp, and a vector clock must
+    /// have one entry per replica.
+    #[test]
+    fn relayed_deltas_and_misshapen_stamps_are_rejected() {
+        let g = topology::clique_full(3, 2);
+        let reg = registry(&g);
+        let (_, mut dec) = receiver(&g, &reg);
+        let mut ts = reg.new_timestamp(r(2));
+        reg.advance(&mut ts, x(0));
+        // Replica 2's delta frame toward 0, replayed on the 1 → 0 link.
+        let mut relayed = cluster_codec(r(2), reg.clone())(r(0));
+        let values = reg.wire_layout(r(0), r(2)).project(ts.values());
+        let delta = msg(
+            2,
+            0,
+            Metadata::Projected {
+                values,
+                encoded_len: 1,
+            },
+        );
+        let mut bodies = vec![Vec::new()];
+        relayed.encode(
+            &SessionFrame::Bare(BatchMsg::singleton(delta)),
+            &mut bodies[0],
+        );
+        assert_eq!(bodies[0][7], META_PROJECTED_DELTA);
+        // Replica 2's stamp claimed by 1, a stamp of one counter, and a
+        // vector clock of two entries.
+        let mut enc = cluster_codec(r(1), reg)(r(0));
+        for meta in [
+            Metadata::Edge(ts),
+            Metadata::Edge(EdgeTimestamp::from_parts(r(1), vec![0])),
+            Metadata::Vector(VectorClock::from_values(vec![0, 1])),
+        ] {
+            let mut body = Vec::new();
+            enc.encode(
+                &SessionFrame::Bare(BatchMsg::singleton(msg(1, 0, meta))),
+                &mut body,
+            );
+            bodies.push(body);
+        }
+        for body in bodies {
+            assert!(dec.decode(&body).is_err(), "body {body:?} must be rejected");
+        }
     }
 
     #[test]

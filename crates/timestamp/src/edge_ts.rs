@@ -106,8 +106,8 @@ pub enum Stamp<'a> {
     /// explorers).
     Full(&'a EdgeTimestamp),
     /// The projection onto `E_i ∩ E_k`: `values[j]` is the counter of the
-    /// pair's `j`-th common edge — what
-    /// [`crate::wire::WireDecoder::decode`] reconstructs.
+    /// pair's `j`-th common edge — what [`crate::PairLayout::project`]
+    /// returns and [`crate::DeltaStream::decode`] reconstructs.
     Projected(&'a [u64]),
 }
 

@@ -45,4 +45,4 @@ pub use client_ts::{ClientTimestamp, ClientTsRegistry};
 pub use compress::{compress_replica, CompressionReport};
 pub use edge_ts::{EdgeTimestamp, JVerdict, Stamp, TsRegistry};
 pub use vector_clock::VectorClock;
-pub use wire::{DecodeError, DerivedRow, PairLayout, WireDecoder, WireEncoder};
+pub use wire::{DecodeError, DeltaStream, DerivedRow, PairLayout};

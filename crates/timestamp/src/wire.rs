@@ -21,11 +21,15 @@
 //!
 //! The transmitted entries are framed as zig-zag varints of the
 //! wrapping difference against the previous frame on the same pair
-//! stream ([`WireEncoder`] / [`WireDecoder`]), modelling a per-pair FIFO
-//! byte stream (TCP-like framing) underneath the protocol's non-FIFO
-//! delivery. Every derived coefficient vector is verified symbolically at
-//! construction; a row that cannot be proven derived stays explicit, so
-//! decoding is exact by construction.
+//! stream ([`PairLayout::encode_frame`] over the common slice), modelling
+//! a per-pair FIFO byte stream underneath the protocol's non-FIFO
+//! delivery. A [`DeltaStream`] holds one end's copy of that previous
+//! frame: `ClusterCodec` keeps one per direction of a TCP connection.
+//! The engine's encode-once fan-out calls `encode_frame` itself, on
+//! state it shares between pairs that have seen the same frames. Every
+//! derived coefficient vector is verified symbolically at construction;
+//! a row that cannot be proven derived stays explicit, so decoding is
+//! exact by construction.
 
 use prcc_sharegraph::RegSet;
 use std::fmt;
@@ -47,12 +51,6 @@ pub enum DecodeError {
         /// The frame's actual length.
         len: usize,
     },
-    /// A batch frame's count varint exceeds what the frame could
-    /// physically hold.
-    ImplausibleCount {
-        /// The claimed update count.
-        count: u64,
-    },
     /// A derived row's linear relation did not reproduce an exact,
     /// in-range counter from the explicit entries — the layout and the
     /// values disagree, so the decode would be corrupt.
@@ -70,9 +68,6 @@ impl fmt::Display for DecodeError {
             }
             DecodeError::TrailingBytes { consumed, len } => {
                 write!(f, "{} trailing bytes after frame payload", len - consumed)
-            }
-            DecodeError::ImplausibleCount { count } => {
-                write!(f, "batch count {count} exceeds frame capacity")
             }
             DecodeError::InexactDerivedRow { index } => {
                 write!(f, "derived row {index} does not reconstruct exactly")
@@ -117,11 +112,6 @@ pub fn read_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
             return None;
         }
     }
-}
-
-/// Number of bytes [`write_varint`] uses for `v`.
-pub fn varint_len(v: u64) -> usize {
-    (64 - v.leading_zeros()).div_ceil(7).max(1) as usize
 }
 
 /// Zig-zag maps signed deltas to small unsigned varints.
@@ -225,10 +215,6 @@ pub struct PairLayout {
     sender_positions: Vec<usize>,
     /// Slice indices transmitted on the wire, in slice order.
     explicit: Vec<usize>,
-    /// For each explicit entry (wire order): its position in the sender's
-    /// full counter vector. Fuses the `sender_positions[explicit[j]]`
-    /// double indirection out of the encode inner loop.
-    explicit_positions: Vec<usize>,
     /// Slice indices reconstructed by the decoder.
     derived: Vec<DerivedRow>,
 }
@@ -349,11 +335,9 @@ impl PairLayout {
             explicit.iter().all(|&j| j < len) && derived.iter().all(|d| d.index < len),
             "slice index out of range"
         );
-        let explicit_positions = explicit.iter().map(|&j| sender_positions[j]).collect();
         PairLayout {
             sender_positions,
             explicit,
-            explicit_positions,
             derived,
         }
     }
@@ -442,41 +426,42 @@ impl PairLayout {
         Ok(())
     }
 
-    /// Encodes one delta frame: the explicit projections of `full`,
-    /// framed against the previous frame's explicit values `prev`,
-    /// appended to `buf`. The new explicit values are written to `next`
-    /// (cleared first) so the caller commits stream state explicitly —
-    /// this is the stateless primitive under [`WireEncoder`] and the
-    /// encode-once fan-out. Returns the bytes appended.
+    /// Encodes one delta frame: the explicit entries of the common
+    /// `slice` (as [`PairLayout::project`] returns it), framed against
+    /// the previous frame's explicit values `prev`, appended to `buf`.
+    /// The new explicit values are written to `next` (cleared first) so
+    /// the caller commits stream state explicitly — this is the stateless
+    /// primitive under [`DeltaStream::encode`] and the encode-once
+    /// fan-out. Returns the bytes appended.
     ///
     /// # Panics
     ///
-    /// Panics if `prev` is shorter than the explicit count or `full` does
-    /// not cover the layout's projected positions.
+    /// Panics if `prev` is shorter than the explicit count or `slice` is
+    /// shorter than the common slice.
     pub fn encode_frame(
         &self,
         prev: &[u64],
-        full: &[u64],
+        slice: &[u64],
         buf: &mut Vec<u8>,
         next: &mut Vec<u64>,
     ) -> usize {
         let start = buf.len();
-        let ep = &self.explicit_positions;
+        let explicit = &self.explicit;
         // Steady-state deltas are overwhelmingly one byte; reserve for
         // that case so the loop almost never grows the buffer.
-        buf.reserve(ep.len() + 8);
+        buf.reserve(explicit.len() + 8);
         next.clear();
-        next.reserve(ep.len());
+        next.reserve(explicit.len());
         // Chunks of 8: when every zig-zag delta in the chunk fits one
         // LEB128 byte (the steady state), the whole chunk lands with a
         // single 8-byte extend — branch-free per element, and the
         // all-small test is one OR-reduction the compiler vectorizes.
         let mut j = 0;
-        while j + 8 <= ep.len() {
+        while j + 8 <= explicit.len() {
             let mut z = [0u64; 8];
             let mut all = 0u64;
             for (k, zk) in z.iter_mut().enumerate() {
-                let v = full[ep[j + k]];
+                let v = slice[explicit[j + k]];
                 *zk = encode_delta(prev[j + k], v);
                 all |= *zk;
                 next.push(v);
@@ -491,8 +476,8 @@ impl PairLayout {
             }
             j += 8;
         }
-        while j < ep.len() {
-            let v = full[ep[j]];
+        while j < explicit.len() {
+            let v = slice[explicit[j]];
             write_varint(buf, encode_delta(prev[j], v));
             next.push(v);
             j += 1;
@@ -507,16 +492,16 @@ impl PairLayout {
     pub fn encode_frame_scalar(
         &self,
         prev: &[u64],
-        full: &[u64],
+        slice: &[u64],
         buf: &mut Vec<u8>,
         next: &mut Vec<u64>,
     ) -> usize {
         let start = buf.len();
-        buf.reserve(self.explicit_positions.len() + 8);
+        buf.reserve(self.explicit.len() + 8);
         next.clear();
-        next.reserve(self.explicit_positions.len());
-        for (j, &pos) in self.explicit_positions.iter().enumerate() {
-            let v = full[pos];
+        next.reserve(self.explicit.len());
+        for (j, &idx) in self.explicit.iter().enumerate() {
+            let v = slice[idx];
             let z = encode_delta(prev[j], v);
             if z < 0x80 {
                 buf.push(z as u8);
@@ -685,198 +670,67 @@ fn finish_derived(
     })
 }
 
-/// Sending half of one per-pair wire stream: frames the explicit slice
-/// entries as zig-zag varint deltas against the previous frame.
-#[derive(Clone)]
-pub struct WireEncoder {
-    last: Vec<u64>,
-    /// Spare buffer rotated with `last` so a frame never allocates.
-    scratch: Vec<u64>,
+/// One end of one per-pair wire stream: the previous frame's explicit
+/// values, all zero before the first frame. The sender and the receiver
+/// each hold one and advance them frame by frame, so every frame is a
+/// delta against the same reference on both ends.
+#[derive(Debug, Clone)]
+pub struct DeltaStream {
+    prev: Vec<u64>,
+    /// Spare buffer rotated with `prev` so a frame never allocates.
+    next: Vec<u64>,
 }
 
-impl PartialEq for WireEncoder {
+/// Two ends are equal when they frame the next frame alike.
+impl PartialEq for DeltaStream {
     fn eq(&self, other: &Self) -> bool {
-        self.last == other.last
+        self.prev == other.prev
     }
 }
-impl Eq for WireEncoder {}
+impl Eq for DeltaStream {}
 
-impl fmt::Debug for WireEncoder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WireEncoder")
-            .field("counters", &self.last.len())
-            .finish()
-    }
-}
-
-impl WireEncoder {
-    /// A fresh stream for `layout` (all-zero reference frame, matching
-    /// the receiver's zero-initialized decoder).
-    pub fn new(layout: &PairLayout) -> WireEncoder {
-        WireEncoder {
-            last: vec![0; layout.explicit.len()],
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Encodes the sender's **full** counter vector into `buf` (cleared
-    /// first) and returns the frame length in bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `full` does not cover the layout's projected positions.
-    pub fn encode(&mut self, layout: &PairLayout, full: &[u64], buf: &mut Vec<u8>) -> usize {
-        buf.clear();
-        let mut next = std::mem::take(&mut self.scratch);
-        layout.encode_frame(&self.last, full, buf, &mut next);
-        self.scratch = std::mem::replace(&mut self.last, next);
-        buf.len()
-    }
-
-    /// Encodes `k` consecutive full counter vectors into one batch frame:
-    /// a count varint followed by `k` ordinary delta frames, each framed
-    /// against its *predecessor in the batch* (the first against the
-    /// stream state). Consecutive updates on one pair differ by a handful
-    /// of small increments, so intra-batch deltas are the cheapest
-    /// reference available. Returns the frame length in bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any vector does not cover the layout's projected
-    /// positions.
-    pub fn encode_batch(
-        &mut self,
-        layout: &PairLayout,
-        fulls: &[&[u64]],
-        buf: &mut Vec<u8>,
-    ) -> usize {
-        buf.clear();
-        write_varint(buf, fulls.len() as u64);
-        let mut next = std::mem::take(&mut self.scratch);
-        for full in fulls {
-            layout.encode_frame(&self.last, full, buf, &mut next);
-            std::mem::swap(&mut self.last, &mut next);
-        }
-        self.scratch = next;
-        buf.len()
-    }
-}
-
-/// Receiving half of one per-pair wire stream.
-#[derive(Clone)]
-pub struct WireDecoder {
-    last: Vec<u64>,
-    /// Spare buffer rotated with `last` so a frame never clones state.
-    scratch: Vec<u64>,
-}
-
-impl PartialEq for WireDecoder {
-    fn eq(&self, other: &Self) -> bool {
-        self.last == other.last
-    }
-}
-impl Eq for WireDecoder {}
-
-impl fmt::Debug for WireDecoder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WireDecoder")
-            .field("counters", &self.last.len())
-            .finish()
-    }
-}
-
-impl WireDecoder {
+impl DeltaStream {
     /// A fresh stream for `layout`.
-    pub fn new(layout: &PairLayout) -> WireDecoder {
-        WireDecoder {
-            last: vec![0; layout.explicit.len()],
-            scratch: Vec::new(),
+    pub fn new(layout: &PairLayout) -> DeltaStream {
+        DeltaStream {
+            prev: vec![0; layout.num_explicit()],
+            next: Vec::with_capacity(layout.num_explicit()),
         }
     }
 
-    /// Decodes one frame into the full common slice (explicit entries
-    /// from the wire, derived entries reconstructed). Rejection is
-    /// transactional: a malformed frame (truncated, over-long, trailing
-    /// bytes, or an inexact derived row) leaves the stream state
-    /// untouched, so a subsequent well-formed frame still decodes
-    /// correctly.
+    /// Appends the frame of the common `slice` to `buf`, advances the
+    /// stream, and returns the frame length in bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layout` is not the stream's layout or `slice` is
+    /// shorter than its common slice.
+    pub fn encode(&mut self, layout: &PairLayout, slice: &[u64], buf: &mut Vec<u8>) -> usize {
+        let len = layout.encode_frame(&self.prev, slice, buf, &mut self.next);
+        std::mem::swap(&mut self.prev, &mut self.next);
+        len
+    }
+
+    /// Decodes one whole frame into the common slice (explicit entries
+    /// from the wire, derived entries reconstructed) and advances the
+    /// stream. Rejection is transactional: a malformed frame (truncated,
+    /// over-long, trailing bytes, or an inexact derived row) leaves the
+    /// stream untouched, so a later well-formed frame still decodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layout` is not the stream's layout.
     pub fn decode(&mut self, layout: &PairLayout, frame: &[u8]) -> Result<Vec<u64>, DecodeError> {
         let mut pos = 0;
-        let mut next = std::mem::take(&mut self.scratch);
-        let res = layout.decode_frame(&self.last, frame, &mut pos, &mut next);
-        match res {
-            Ok(_) if pos != frame.len() => {
-                self.scratch = next;
-                Err(DecodeError::TrailingBytes {
-                    consumed: pos,
-                    len: frame.len(),
-                })
-            }
-            Ok(slice) => {
-                self.scratch = std::mem::replace(&mut self.last, next);
-                Ok(slice)
-            }
-            Err(e) => {
-                self.scratch = next;
-                Err(e)
-            }
-        }
-    }
-
-    /// Decodes one batch frame (see [`WireEncoder::encode_batch`]) into
-    /// the per-update common slices, in batch order. The decode is
-    /// **transactional across the whole batch**: a malformed frame
-    /// (truncated, over-long, trailing bytes, an implausible count, or an
-    /// inexact derived row) is rejected with the stream state untouched.
-    pub fn decode_batch(
-        &mut self,
-        layout: &PairLayout,
-        frame: &[u8],
-    ) -> Result<Vec<Vec<u64>>, DecodeError> {
-        let mut pos = 0;
-        let count = read_varint(frame, &mut pos).ok_or(DecodeError::BadVarint { offset: 0 })?;
-        // Each update contributes at least one byte per explicit counter,
-        // so any count the frame cannot physically hold is malformed
-        // (guards the allocation below against garbage counts). Layouts
-        // with no explicit counters carry nothing per update; bound the
-        // count there too so a corrupt frame cannot force a huge alloc.
-        let plausible = if layout.explicit.is_empty() {
-            count <= 1 << 20
-        } else {
-            count <= (frame.len() / layout.explicit.len()) as u64
-        };
-        if !plausible {
-            return Err(DecodeError::ImplausibleCount { count });
-        }
-        // `prev` evolves through the batch (each update frames against
-        // its predecessor); `last` stays untouched until the whole batch
-        // parses, which makes rejection transactional.
-        let mut prev = std::mem::take(&mut self.scratch);
-        prev.clear();
-        prev.extend_from_slice(&self.last);
-        let mut next = Vec::with_capacity(layout.explicit.len());
-        let mut slices = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            match layout.decode_frame(&prev, frame, &mut pos, &mut next) {
-                Ok(slice) => {
-                    slices.push(slice);
-                    std::mem::swap(&mut prev, &mut next);
-                }
-                Err(e) => {
-                    self.scratch = prev;
-                    return Err(e);
-                }
-            }
-        }
+        let slice = layout.decode_frame(&self.prev, frame, &mut pos, &mut self.next)?;
         if pos != frame.len() {
-            self.scratch = prev;
             return Err(DecodeError::TrailingBytes {
                 consumed: pos,
                 len: frame.len(),
             });
         }
-        self.scratch = std::mem::replace(&mut self.last, prev);
-        Ok(slices)
+        std::mem::swap(&mut self.prev, &mut self.next);
+        Ok(slice)
     }
 }
 
@@ -893,7 +747,8 @@ mod tests {
         for v in [0u64, 1, 127, 128, 16383, 16384, u64::MAX - 1, u64::MAX] {
             let mut buf = Vec::new();
             write_varint(&mut buf, v);
-            assert_eq!(buf.len(), varint_len(v), "len of {v}");
+            let bits = 64 - v.leading_zeros();
+            assert_eq!(buf.len(), bits.div_ceil(7).max(1) as usize, "len of {v}");
             let mut pos = 0;
             assert_eq!(read_varint(&buf, &mut pos), Some(v));
             assert_eq!(pos, buf.len());
@@ -927,7 +782,7 @@ mod tests {
     #[test]
     fn small_forward_deltas_are_one_byte() {
         for d in 0..64u64 {
-            assert_eq!(varint_len(encode_delta(100, 100 + d)), 1);
+            assert!(encode_delta(100, 100 + d) < 0x80);
         }
     }
 
@@ -940,8 +795,8 @@ mod tests {
         assert_eq!(layout.num_derived(), 1);
         // Counters from atom counts (3 writes to x, 5 to y).
         let full = [3u64, 5, 8];
-        let mut enc = WireEncoder::new(&layout);
-        let mut dec = WireDecoder::new(&layout);
+        let mut enc = DeltaStream::new(&layout);
+        let mut dec = DeltaStream::new(&layout);
         let mut buf = Vec::new();
         enc.encode(&layout, &full, &mut buf);
         assert_eq!(dec.decode(&layout, &buf), Ok(vec![3, 5, 8]));
@@ -964,8 +819,8 @@ mod tests {
         assert_eq!(layout.num_explicit(), 1);
         assert_eq!(layout.num_derived(), 3);
         let full = [7u64, 7, 7, 7];
-        let mut enc = WireEncoder::new(&layout);
-        let mut dec = WireDecoder::new(&layout);
+        let mut enc = DeltaStream::new(&layout);
+        let mut dec = DeltaStream::new(&layout);
         let mut buf = Vec::new();
         let bytes = enc.encode(&layout, &full, &mut buf);
         assert_eq!(bytes, 1); // one varint delta
@@ -983,13 +838,14 @@ mod tests {
     fn stream_deltas_shrink_repeat_frames() {
         let own = vec![(0usize, rs(&[0]))];
         let layout = PairLayout::build(vec![0, 1], &own);
-        let mut enc = WireEncoder::new(&layout);
-        let mut dec = WireDecoder::new(&layout);
+        let mut enc = DeltaStream::new(&layout);
+        let mut dec = DeltaStream::new(&layout);
         let mut buf = Vec::new();
         // First frame pays for the absolute values; later frames are
         // one byte per counter for small increments.
         enc.encode(&layout, &[1000, 2000], &mut buf);
         assert_eq!(dec.decode(&layout, &buf).unwrap(), vec![1000, 2000]);
+        buf.clear();
         let bytes = enc.encode(&layout, &[1001, 2001], &mut buf);
         assert_eq!(bytes, 2);
         assert_eq!(dec.decode(&layout, &buf).unwrap(), vec![1001, 2001]);
@@ -998,12 +854,12 @@ mod tests {
     #[test]
     fn decoder_rejects_malformed_frames() {
         let layout = PairLayout::identity(vec![0, 1]);
-        let mut dec = WireDecoder::new(&layout);
+        let mut dec = DeltaStream::new(&layout);
         assert_eq!(
             dec.decode(&layout, &[0x00]),
             Err(DecodeError::BadVarint { offset: 1 })
         );
-        let mut dec = WireDecoder::new(&layout);
+        let mut dec = DeltaStream::new(&layout);
         assert_eq!(
             dec.decode(&layout, &[0x00, 0x00, 0x00]),
             Err(DecodeError::TrailingBytes {
@@ -1028,8 +884,8 @@ mod tests {
                 den: 2,
             }],
         );
-        let mut enc = WireEncoder::new(&bad);
-        let mut dec = WireDecoder::new(&bad);
+        let mut enc = DeltaStream::new(&bad);
+        let mut dec = DeltaStream::new(&bad);
         let mut buf = Vec::new();
         // Odd explicit value: 3 / 2 is inexact.
         enc.encode(&bad, &[3, 0], &mut buf);
@@ -1041,20 +897,10 @@ mod tests {
         assert_eq!(dec, snapshot, "rejection must not advance stream state");
         // An exact frame on the same stream still decodes — against the
         // *original* state, proving the rejection was transactional.
-        let mut enc = WireEncoder::new(&bad);
+        let mut enc = DeltaStream::new(&bad);
+        buf.clear();
         enc.encode(&bad, &[4, 2], &mut buf);
         assert_eq!(dec.decode(&bad, &buf), Ok(vec![4, 2]));
-        // The batch path takes the same checked route.
-        let mut enc = WireEncoder::new(&bad);
-        let mut dec = WireDecoder::new(&bad);
-        let fulls: [&[u64]; 2] = [&[2, 1], &[3, 1]];
-        enc.encode_batch(&bad, &fulls, &mut buf);
-        let snapshot = dec.clone();
-        assert_eq!(
-            dec.decode_batch(&bad, &buf),
-            Err(DecodeError::InexactDerivedRow { index: 1 })
-        );
-        assert_eq!(dec, snapshot);
     }
 
     #[test]
@@ -1086,27 +932,32 @@ mod tests {
     #[test]
     fn frame_primitives_match_stateful_streams() {
         // encode_frame/decode_frame with caller-managed state must agree
-        // byte-for-byte with the WireEncoder/WireDecoder wrappers.
+        // byte-for-byte with the DeltaStream wrapper, and both must
+        // reproduce the slice. The derived row sits before the last
+        // explicit entry, so the wire order is not the slice order.
         let own = vec![(0usize, rs(&[0])), (1, rs(&[1])), (2, rs(&[0, 1]))];
         let layout = PairLayout::build(vec![0, 1, 2, 3], &own);
-        let frames: [&[u64]; 3] = [&[3, 5, 8, 100], &[4, 5, 9, 100], &[4, 6, 10, 107]];
-        let mut enc = WireEncoder::new(&layout);
-        let mut dec = WireDecoder::new(&layout);
+        assert_eq!(layout.explicit_indices(), &[0, 1, 3]);
+        let slices: [&[u64]; 3] = [&[3, 5, 8, 100], &[4, 5, 9, 100], &[4, 6, 10, 107]];
+        let mut enc = DeltaStream::new(&layout);
+        let mut dec = DeltaStream::new(&layout);
         let mut state = vec![0u64; layout.num_explicit()];
         let (mut oracle_buf, mut buf) = (Vec::new(), Vec::new());
         let mut next = Vec::new();
-        for full in frames {
-            enc.encode(&layout, full, &mut oracle_buf);
+        for slice in slices {
+            oracle_buf.clear();
+            enc.encode(&layout, slice, &mut oracle_buf);
             buf.clear();
-            let len = layout.encode_frame(&state, full, &mut buf, &mut next);
+            let len = layout.encode_frame(&state, slice, &mut buf, &mut next);
             assert_eq!(buf, oracle_buf);
             assert_eq!(len, buf.len());
             let mut pos = 0;
-            let slice = layout
+            let decoded = layout
                 .decode_frame(&state, &buf, &mut pos, &mut next)
                 .unwrap();
             assert_eq!(pos, buf.len());
-            assert_eq!(slice, dec.decode(&layout, &oracle_buf).unwrap());
+            assert_eq!(decoded, slice);
+            assert_eq!(dec.decode(&layout, &oracle_buf).unwrap(), slice);
             state.clear();
             state.extend_from_slice(&next);
         }
@@ -1122,100 +973,11 @@ mod tests {
     fn empty_layout_round_trips() {
         let layout = PairLayout::build(vec![], &[]);
         assert_eq!(layout.common_len(), 0);
-        let mut enc = WireEncoder::new(&layout);
-        let mut dec = WireDecoder::new(&layout);
+        let mut enc = DeltaStream::new(&layout);
+        let mut dec = DeltaStream::new(&layout);
         let mut buf = Vec::new();
         assert_eq!(enc.encode(&layout, &[], &mut buf), 0);
         assert_eq!(dec.decode(&layout, &buf), Ok(vec![]));
-    }
-
-    #[test]
-    fn batch_round_trip_matches_singletons() {
-        let own = vec![(0usize, rs(&[0])), (1, rs(&[1])), (2, rs(&[0, 1]))];
-        let layout = PairLayout::build(vec![0, 1, 2], &own);
-        let frames: Vec<Vec<u64>> = vec![vec![3, 5, 8], vec![4, 5, 9], vec![4, 6, 10]];
-        // Singleton oracle stream.
-        let mut enc1 = WireEncoder::new(&layout);
-        let mut dec1 = WireDecoder::new(&layout);
-        let mut singles = Vec::new();
-        let mut buf = Vec::new();
-        for f in &frames {
-            enc1.encode(&layout, f, &mut buf);
-            singles.push(dec1.decode(&layout, &buf).unwrap());
-        }
-        // Batched stream over the same updates.
-        let mut enc = WireEncoder::new(&layout);
-        let mut dec = WireDecoder::new(&layout);
-        let refs: Vec<&[u64]> = frames.iter().map(Vec::as_slice).collect();
-        let bytes = enc.encode_batch(&layout, &refs, &mut buf);
-        assert_eq!(bytes, buf.len());
-        assert_eq!(dec.decode_batch(&layout, &buf).unwrap(), singles);
-        // Encoder state matches: a follow-up singleton frame agrees.
-        enc1.encode(&layout, &[5, 6, 11], &mut buf);
-        let follow_single = dec1.decode(&layout, &buf).unwrap();
-        enc.encode(&layout, &[5, 6, 11], &mut buf);
-        assert_eq!(dec.decode(&layout, &buf).unwrap(), follow_single);
-    }
-
-    #[test]
-    fn batch_intra_deltas_are_small() {
-        // Consecutive updates on one pair bump one counter by 1 each:
-        // after the first frame, every later update costs 1 byte/counter.
-        let layout = PairLayout::identity(vec![0]);
-        let mut enc = WireEncoder::new(&layout);
-        let mut buf = Vec::new();
-        let frames: Vec<Vec<u64>> = (0..8u64).map(|i| vec![1000 + i]).collect();
-        let refs: Vec<&[u64]> = frames.iter().map(Vec::as_slice).collect();
-        let bytes = enc.encode_batch(&layout, &refs, &mut buf);
-        // count(1) + first delta (1000 → 2 bytes) + 7 × 1-byte deltas.
-        assert_eq!(bytes, 1 + 2 + 7);
-    }
-
-    #[test]
-    fn batch_decode_is_transactional() {
-        let layout = PairLayout::identity(vec![0, 1]);
-        let mut enc = WireEncoder::new(&layout);
-        let mut dec = WireDecoder::new(&layout);
-        let mut buf = Vec::new();
-        let frames: Vec<Vec<u64>> = vec![vec![1, 2], vec![2, 3]];
-        let refs: Vec<&[u64]> = frames.iter().map(Vec::as_slice).collect();
-        enc.encode_batch(&layout, &refs, &mut buf);
-        // Truncated: reject, stream state untouched.
-        let snapshot = dec.clone();
-        assert!(dec.decode_batch(&layout, &buf[..buf.len() - 1]).is_err());
-        assert_eq!(dec, snapshot);
-        // Trailing garbage: reject.
-        let mut padded = buf.clone();
-        padded.push(0);
-        assert!(matches!(
-            dec.decode_batch(&layout, &padded),
-            Err(DecodeError::TrailingBytes { .. })
-        ));
-        assert_eq!(dec, snapshot);
-        // Implausible count: reject without allocating.
-        assert!(matches!(
-            dec.decode_batch(&layout, &[0xff, 0xff, 0x7f]),
-            Err(DecodeError::ImplausibleCount { .. })
-        ));
-        // The intact frame still decodes afterwards.
-        assert_eq!(dec.decode_batch(&layout, &buf).unwrap(), frames);
-    }
-
-    #[test]
-    fn empty_batch_and_empty_layout() {
-        let layout = PairLayout::identity(vec![0]);
-        let mut enc = WireEncoder::new(&layout);
-        let mut dec = WireDecoder::new(&layout);
-        let mut buf = Vec::new();
-        assert_eq!(enc.encode_batch(&layout, &[], &mut buf), 1);
-        assert_eq!(dec.decode_batch(&layout, &buf), Ok(vec![]));
-        // A layout with no explicit counters still frames the count.
-        let empty = PairLayout::build(vec![], &[]);
-        let mut enc = WireEncoder::new(&empty);
-        let mut dec = WireDecoder::new(&empty);
-        let fulls: [&[u64]; 2] = [&[], &[]];
-        enc.encode_batch(&empty, &fulls, &mut buf);
-        assert_eq!(dec.decode_batch(&empty, &buf), Ok(vec![vec![], vec![]]));
     }
 
     #[test]
@@ -1230,8 +992,8 @@ mod tests {
         let layout = PairLayout::build(vec![0, 1, 2, 3], &own);
         assert_eq!(layout.num_explicit(), 3);
         let full = [2u64, 3, 4, 9];
-        let mut enc = WireEncoder::new(&layout);
-        let mut dec = WireDecoder::new(&layout);
+        let mut enc = DeltaStream::new(&layout);
+        let mut dec = DeltaStream::new(&layout);
         let mut buf = Vec::new();
         enc.encode(&layout, &full, &mut buf);
         assert_eq!(dec.decode(&layout, &buf), Ok(full.to_vec()));

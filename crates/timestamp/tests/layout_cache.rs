@@ -5,7 +5,7 @@
 //! frame sequences under real `advance` workloads.
 
 use prcc_sharegraph::{topology, LoopConfig, RegisterId, ReplicaId, ShareGraph, TimestampGraphs};
-use prcc_timestamp::{TsRegistry, WireDecoder, WireEncoder};
+use prcc_timestamp::{DeltaStream, TsRegistry};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,17 +49,17 @@ fn assert_cache_invariant(g: &ShareGraph, seed: u64) {
             assert_eq!(*cached, fresh);
 
             // Byte-identical frame streams and identical decodes.
-            let mut enc_c = WireEncoder::new(&cached);
-            let mut enc_f = WireEncoder::new(&fresh);
-            let mut dec = WireDecoder::new(&fresh);
-            let (mut buf_c, mut buf_f) = (Vec::new(), Vec::new());
+            let mut enc_c = DeltaStream::new(&cached);
+            let mut enc_f = DeltaStream::new(&fresh);
+            let mut dec = DeltaStream::new(&fresh);
             for full in &frames {
-                enc_c.encode(&cached, full, &mut buf_c);
-                enc_f.encode(&fresh, full, &mut buf_f);
+                let (mut buf_c, mut buf_f) = (Vec::new(), Vec::new());
+                enc_c.encode(&cached, &cached.project(full), &mut buf_c);
+                enc_f.encode(&fresh, &fresh.project(full), &mut buf_f);
                 assert_eq!(buf_c, buf_f, "frame bytes differ for {sender}->{receiver}");
                 assert_eq!(
                     dec.decode(&fresh, &buf_c),
-                    Ok(cached.project(full)),
+                    Ok(fresh.project(full)),
                     "cached frame must decode to the fresh layout's projection"
                 );
             }
