@@ -17,7 +17,7 @@ use prcc_net::{
 use prcc_sharegraph::{topology, LoopConfig, RegisterId, ReplicaId, ShareGraph, TimestampGraphs};
 use prcc_sim::netrun::{write_value, NetWorkload};
 use prcc_sim::serving::{run_serving_scenario, ServingRunReport, ServingScenarioConfig};
-use prcc_timestamp::{TsRegistry, VectorClock};
+use prcc_timestamp::TsRegistry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -344,7 +344,7 @@ fn pump(frames: u64) -> (f64, f64) {
     let e0 = TcpEndpoint::start(b0, HashMap::from([(dst, a1)]), cfg.clone(), codec(src)).unwrap();
     let e1 = TcpEndpoint::start(b1, HashMap::from([(src, a0)]), cfg, codec(dst)).unwrap();
     let (h0, h1) = (e0.handle(), e1.handle());
-    let meta = Arc::new(Metadata::Vector(VectorClock::from_values(vec![1, 0])));
+    let meta = Arc::new(Metadata::Edge(registry.new_timestamp(src)));
     let frame = |seq: u64| {
         SessionFrame::Bare(BatchMsg {
             updates: vec![UpdateMsg {

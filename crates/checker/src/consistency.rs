@@ -13,7 +13,7 @@
 
 use crate::hb::HbGraph;
 use crate::trace::{Event, Trace, UpdateId};
-use prcc_sharegraph::{Placement, ReplicaId};
+use prcc_sharegraph::{Placement, RegisterId, ReplicaId};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -109,65 +109,83 @@ pub fn check(trace: &Trace, placement: &Placement) -> CheckReport {
 
 /// Like [`check`] but reuses a prebuilt happened-before graph.
 pub fn check_with_hb(trace: &Trace, placement: &Placement, hb: &HbGraph) -> CheckReport {
+    let n = placement.num_replicas();
     let mut report = CheckReport::default();
-    // Per replica: applied set.
-    let mut applied: Vec<HashSet<UpdateId>> = vec![HashSet::new(); placement.num_replicas()];
+    // Per replica: which updates (by issue-order index) are applied.
+    let mut applied = vec![vec![false; hb.updates().len()]; n];
+    // Per issuer: its updates so far, in its issue order, and their registers.
+    let mut issued: Vec<Vec<(usize, RegisterId)>> = vec![Vec::new(); n];
+    // Per (replica, issuer): how many of the issuer's updates, from the
+    // first, are applied at the replica or not stored there.
+    let mut covered = vec![vec![0; n]; n];
 
     for ev in trace.events() {
         match *ev {
-            Event::Issue { update, .. } => {
-                applied[update.issuer.index()].insert(update);
+            Event::Issue { update, register } => {
+                let i = hb.index[&update];
+                issued[update.issuer.index()].push((i, register));
+                applied[update.issuer.index()][i] = true;
             }
             Event::Apply { update, at } => {
                 report.applies_checked += 1;
-                // Safety: all hb-predecessors writing registers of X_at
-                // must already be there.
-                for pred in hb.predecessors(update) {
-                    let reg = trace
-                        .register_of(pred)
-                        .expect("trace metadata for predecessor");
-                    if placement.stores(at, reg) && !applied[at.index()].contains(&pred) {
-                        report.violations.push(Violation::Safety {
-                            update,
-                            at,
-                            missing: pred,
-                        });
+                let i = hb.index[&update];
+                applied[at.index()][i] = true;
+                // Safety: the update's past is a prefix of each issuer's
+                // updates, and `at` must cover the part it stores. Only
+                // a prefix that falls short lists what is missing.
+                let done = &applied[at.index()];
+                let missed = |&(k, x): &(usize, RegisterId)| !done[k] && placement.stores(at, x);
+                let mut missing = Vec::new();
+                for ((c, mine), &p) in covered[at.index()].iter_mut().zip(&issued).zip(hb.past(i)) {
+                    while mine.get(*c).is_some_and(|e| !missed(e)) {
+                        *c += 1;
                     }
+                    let short = &mine[(*c).min(p as usize)..p as usize];
+                    missing.extend(short.iter().filter(|e| missed(e)).map(|e| e.0));
                 }
-                applied[at.index()].insert(update);
+                missing.sort_unstable();
+                let safety = |k: usize| Violation::Safety {
+                    update,
+                    at,
+                    missing: hb.updates()[k],
+                };
+                report.violations.extend(missing.into_iter().map(safety));
             }
         }
     }
 
     // Liveness: every update reached every holder of its register.
-    for u in trace.updates() {
-        let reg = trace.register_of(u).expect("register metadata");
-        for &holder in placement.holders(reg) {
-            if !applied[holder.index()].contains(&u) {
-                report.violations.push(Violation::Liveness {
-                    update: u,
-                    at: holder,
-                });
-            }
-        }
+    for (i, &update) in hb.updates().iter().enumerate() {
+        let reg = trace.register_of(update).expect("register metadata");
+        let unreached = placement
+            .holders(reg)
+            .iter()
+            .filter(|h| !applied[h.index()][i]);
+        report
+            .violations
+            .extend(unreached.map(|&at| Violation::Liveness { update, at }));
     }
     report
 }
 
 /// The causal past of `replica` at the end of the trace (Definition 6's
-/// vertex set `S`): all updates applied there plus their hb-predecessors.
+/// vertex set `S`): all updates applied there plus their hb-predecessors,
+/// read off the replica's vector in `hb`, which `trace` built.
 pub fn causal_past(trace: &Trace, replica: ReplicaId, hb: &HbGraph) -> HashSet<UpdateId> {
-    let mut past = HashSet::new();
-    for ev in trace.events() {
-        let u = match *ev {
-            Event::Issue { update, .. } if update.issuer == replica => update,
-            Event::Apply { update, at } if at == replica => update,
-            _ => continue,
-        };
-        past.insert(u);
-        past.extend(hb.predecessors(u));
-    }
-    past
+    debug_assert_eq!(trace.num_updates(), hb.updates().len());
+    let Some(reached) = hb.reached.get(&replica) else {
+        return HashSet::new();
+    };
+    let within = |(i, u): &(usize, &UpdateId)| {
+        let j = u.issuer.index();
+        hb.past(*i)[j] <= reached[j]
+    };
+    hb.updates()
+        .iter()
+        .enumerate()
+        .filter(within)
+        .map(|(_, &u)| u)
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,77 +1,17 @@
 //! The happened-before relation `↪` between updates (Definition 1).
 //!
 //! `u1 ↪ u2` iff `u1` was applied at some replica before that replica
-//! issued `u2`, or transitively so. The relation is computed exactly from
-//! a [`Trace`]: when replica `r` issues `u2`, every update currently
-//! applied at `r` — together with *its* happened-before set, which is
-//! already final — precedes `u2`.
+//! issued `u2`, or transitively so. An issue applies locally, so issuer
+//! order is part of `↪`, and every causal past is prefix-closed per
+//! issuer: a vector of one prefix length per issuer.
 //!
-//! Sets are bitsets indexed by issue order, so queries are O(1) after an
-//! O(events · updates / 64) build.
+//! [`HbGraph::build`] keeps that vector per replica in one pass: an
+//! issue extends the issuer's own prefix and records its vector for the
+//! update; an apply joins the update's vector into the replica's.
 
 use crate::trace::{Event, Trace, UpdateId};
+use prcc_sharegraph::ReplicaId;
 use std::collections::HashMap;
-
-/// A bitset over updates (indexed by issue order).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct UpdateSet {
-    words: Vec<u64>,
-}
-
-impl UpdateSet {
-    fn with_capacity(n: usize) -> Self {
-        UpdateSet {
-            words: vec![0; n.div_ceil(64)],
-        }
-    }
-
-    fn insert(&mut self, idx: usize) {
-        if idx / 64 >= self.words.len() {
-            self.words.resize(idx / 64 + 1, 0);
-        }
-        self.words[idx / 64] |= 1 << (idx % 64);
-    }
-
-    fn contains(&self, idx: usize) -> bool {
-        self.words
-            .get(idx / 64)
-            .is_some_and(|w| w & (1 << (idx % 64)) != 0)
-    }
-
-    fn union_with(&mut self, other: &UpdateSet) {
-        if self.words.len() < other.words.len() {
-            self.words.resize(other.words.len(), 0);
-        }
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// Number of updates in the set.
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    fn iter_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    None
-                } else {
-                    let tz = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    Some(wi * 64 + tz)
-                }
-            })
-        })
-    }
-}
 
 /// The happened-before relation of a trace.
 ///
@@ -93,91 +33,78 @@ impl UpdateSet {
 #[derive(Debug, Clone)]
 pub struct HbGraph {
     /// Issue-order index of each update.
-    index: HashMap<UpdateId, usize>,
+    pub(crate) index: HashMap<UpdateId, usize>,
     /// Update of each index.
     updates: Vec<UpdateId>,
-    /// `preds[i]` = set of updates that happened before update `i`
-    /// (transitively closed).
-    preds: Vec<UpdateSet>,
+    /// Issuers are `r0 .. r{width - 1}`.
+    width: usize,
+    /// `past[i * width + j]`: how many of `rj`'s updates are in update
+    /// `i`'s causal past, `i` itself included.
+    past: Vec<u32>,
+    /// Per replica, the causal past of its state.
+    pub(crate) reached: HashMap<ReplicaId, Vec<u32>>,
 }
 
 impl HbGraph {
-    /// Builds the relation from a trace.
+    /// Builds the relation from a trace. It keeps one prefix length per
+    /// update and issuer index, so replica ids are expected dense, as a
+    /// placement's `0..R` are.
     ///
     /// # Panics
     ///
     /// Panics if the trace applies an update that was never issued.
     pub fn build(trace: &Trace) -> Self {
-        let n = trace.num_updates();
-        let mut index: HashMap<UpdateId, usize> = HashMap::with_capacity(n);
-        let mut updates = Vec::with_capacity(n);
-        let mut preds: Vec<UpdateSet> = Vec::with_capacity(n);
-        // Per replica, the hb-*closure* of its state: all updates applied
-        // there plus everything that happened before them. An update's hb
-        // set is final by the time anyone applies it, so the closure can be
-        // maintained incrementally — O(n/64) per event.
-        let mut closure: HashMap<prcc_sharegraph::ReplicaId, UpdateSet> = HashMap::new();
-
+        let (n, width) = (trace.num_updates(), trace.issuers());
+        let mut hb = HbGraph {
+            index: HashMap::with_capacity(n),
+            updates: Vec::with_capacity(n),
+            width,
+            past: Vec::with_capacity(n * width),
+            reached: HashMap::new(),
+        };
+        let fresh = || vec![0; width];
         for ev in trace.events() {
             match *ev {
                 Event::Issue { update, .. } => {
-                    let idx = updates.len();
-                    index.insert(update, idx);
-                    updates.push(update);
-                    let c = closure.entry(update.issuer).or_default();
-                    // hb(update) = the issuer's current closure.
-                    let mut hb = UpdateSet::with_capacity(n);
-                    hb.union_with(c);
-                    preds.push(hb);
-                    // Issuing applies locally.
-                    c.insert(idx);
+                    hb.index.insert(update, hb.updates.len());
+                    hb.updates.push(update);
+                    let v = hb.reached.entry(update.issuer).or_insert_with(fresh);
+                    v[update.issuer.index()] += 1;
+                    hb.past.extend_from_slice(v);
                 }
                 Event::Apply { update, at } => {
-                    let idx = *index
+                    let i = *hb
+                        .index
                         .get(&update)
                         .unwrap_or_else(|| panic!("{update} applied before issue"));
-                    let hb = preds[idx].clone();
-                    let c = closure.entry(at).or_default();
-                    c.union_with(&hb);
-                    c.insert(idx);
+                    let v = hb.reached.entry(at).or_insert_with(fresh);
+                    for (mine, &theirs) in v.iter_mut().zip(&hb.past[i * width..(i + 1) * width]) {
+                        *mine = (*mine).max(theirs);
+                    }
                 }
             }
         }
-        HbGraph {
-            index,
-            updates,
-            preds,
-        }
+        hb
     }
 
     /// True iff `u1 ↪ u2`.
     pub fn happened_before(&self, u1: UpdateId, u2: UpdateId) -> bool {
+        let j = u1.issuer.index();
         match (self.index.get(&u1), self.index.get(&u2)) {
-            (Some(&i1), Some(&i2)) => self.preds[i2].contains(i1),
+            (Some(&i1), Some(&i2)) => i1 != i2 && self.past(i1)[j] <= self.past(i2)[j],
             _ => false,
-        }
-    }
-
-    /// True iff the updates are concurrent (neither precedes the other,
-    /// and they are distinct).
-    pub fn concurrent(&self, u1: UpdateId, u2: UpdateId) -> bool {
-        u1 != u2 && !self.happened_before(u1, u2) && !self.happened_before(u2, u1)
-    }
-
-    /// The updates that happened before `u`, in issue order.
-    pub fn predecessors(&self, u: UpdateId) -> Vec<UpdateId> {
-        match self.index.get(&u) {
-            Some(&i) => self.preds[i]
-                .iter_indices()
-                .map(|p| self.updates[p])
-                .collect(),
-            None => Vec::new(),
         }
     }
 
     /// All updates in issue order.
     pub fn updates(&self) -> &[UpdateId] {
         &self.updates
+    }
+
+    /// Update `i`'s causal past, itself included: one prefix length per
+    /// issuer.
+    pub(crate) fn past(&self, i: usize) -> &[u32] {
+        &self.past[i * self.width..(i + 1) * self.width]
     }
 }
 
@@ -221,8 +148,10 @@ mod tests {
         t2.record_apply(v2, r(1));
         let v4 = t2.record_issue(r(2), x(3)); // r3 issues before seeing anything
         let hb2 = HbGraph::build(&t2);
-        assert!(hb2.concurrent(v1, v4));
-        assert!(hb2.concurrent(v2, v4));
+        for v in [v1, v2] {
+            assert!(!hb2.happened_before(v, v4));
+            assert!(!hb2.happened_before(v4, v));
+        }
     }
 
     #[test]
@@ -236,7 +165,8 @@ mod tests {
         assert!(hb.happened_before(b, c));
         assert!(hb.happened_before(a, c));
         assert!(!hb.happened_before(c, a));
-        assert_eq!(hb.predecessors(c), vec![a, b]);
+        assert!(!hb.happened_before(c, c));
+        assert_eq!(hb.past(2), &[3]);
     }
 
     #[test]
@@ -249,7 +179,8 @@ mod tests {
         t.record_apply(a, r(1));
         t.record_apply(b, r(0));
         let hb = HbGraph::build(&t);
-        assert!(hb.concurrent(a, b));
+        assert!(!hb.happened_before(a, b));
+        assert!(!hb.happened_before(b, a));
     }
 
     #[test]
@@ -282,7 +213,7 @@ mod tests {
             seq: 9,
         };
         assert!(!hb.happened_before(ghost, ghost));
-        assert!(hb.predecessors(ghost).is_empty());
+        assert!(!hb.reached.contains_key(&ghost.issuer));
     }
 
     #[test]
@@ -299,15 +230,24 @@ mod tests {
         let _ = HbGraph::build(&t);
     }
 
+    /// An apply joins the update's past and the update itself into the
+    /// replica's vector; the replica's next issue inherits the join.
     #[test]
-    fn update_set_basics() {
-        let mut s = UpdateSet::default();
-        assert!(s.is_empty());
-        s.insert(70);
-        s.insert(3);
-        assert_eq!(s.len(), 2);
-        assert!(s.contains(70));
-        assert!(!s.contains(71));
-        assert_eq!(s.iter_indices().collect::<Vec<_>>(), vec![3, 70]);
+    fn apply_joins_the_update_and_its_past() {
+        let mut t = Trace::new();
+        let a0 = t.record_issue(r(0), x(0));
+        let a1 = t.record_issue(r(0), x(0));
+        t.record_apply(a1, r(1));
+        let b0 = t.record_issue(r(1), x(1));
+        t.record_apply(b0, r(2));
+        t.record_apply(a0, r(2));
+        let c0 = t.record_issue(r(2), x(2));
+        let hb = HbGraph::build(&t);
+        assert_eq!(hb.past(2), &[2, 1, 0]);
+        assert_eq!(hb.past(3), &[2, 1, 1]);
+        assert_eq!(hb.reached[&r(2)], [2, 1, 1]);
+        for u in [a0, a1, b0] {
+            assert!(hb.happened_before(u, c0), "{u}");
+        }
     }
 }

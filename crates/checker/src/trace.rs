@@ -132,6 +132,11 @@ impl Trace {
     pub fn num_updates(&self) -> usize {
         self.registers.len()
     }
+
+    /// One past the highest issuer index: every issuer is below it.
+    pub(crate) fn issuers(&self) -> usize {
+        self.next_seq.keys().fold(0, |w, r| w.max(r.index() + 1))
+    }
 }
 
 #[cfg(test)]

@@ -39,18 +39,21 @@
 //! stamp's shape, so the decoder checks both before an update leaves
 //! it: the issuer is another replica of the registry, only the peer
 //! issues delta frames, an absolute slice has the `(me, issuer)` pair's
-//! common length, an `Edge` stamp names its issuer and carries
-//! `|E_issuer|` counters, and a vector clock has one entry per replica.
-//! Anything else is a [`FrameError`].
+//! common length, and an `Edge` stamp names its issuer and carries
+//! `|E_issuer|` counters. A cluster's replicas all run the edge tracker,
+//! so those are the only stamps on the wire: a vector clock or a
+//! dependency list would park at the receiver as `ReadyCheck::Dead` and
+//! hold its pending count above zero for good. Anything else is a
+//! [`FrameError`].
 
-use crate::message::{BatchMsg, DepEntry, Metadata, TransitInfo, UpdateMsg};
+use crate::message::{BatchMsg, Metadata, TransitInfo, UpdateMsg};
 use crate::value::Value;
 use prcc_net::{
     pack_zero_runs, unpack_zero_runs, CodecFactory, FrameError, LinkCodec, SessionFrame,
 };
 use prcc_sharegraph::{RegisterId, ReplicaId};
 use prcc_timestamp::wire::{read_varint, write_varint};
-use prcc_timestamp::{DeltaStream, EdgeTimestamp, PairLayout, TsRegistry, VectorClock};
+use prcc_timestamp::{DeltaStream, EdgeTimestamp, PairLayout, TsRegistry};
 use std::sync::Arc;
 
 /// Frame tags for [`SessionFrame`] variants.
@@ -59,10 +62,10 @@ const TAG_DATA: u8 = 1;
 const TAG_ACK: u8 = 2;
 const TAG_CATCH_UP: u8 = 3;
 
-/// Metadata tags.
+/// Metadata tags. Tags 1 and 2 are unused: no cluster sends a
+/// vector-clock or dependency-list stamp (its replicas all run the edge
+/// tracker), so the decoder rejects them as unknown.
 const META_EDGE: u8 = 0;
-const META_VECTOR: u8 = 1;
-const META_DEPS: u8 = 2;
 /// Projected slice as absolute varints — the always-correct fallback.
 const META_PROJECTED_ABS: u8 = 3;
 /// Projected slice as a zero-run-packed delta frame against this
@@ -214,21 +217,10 @@ impl ClusterCodec {
                     write_varint(buf, v);
                 }
             }
-            Metadata::Vector(vc) => {
-                buf.push(META_VECTOR);
-                write_varint(buf, vc.len() as u64);
-                for &v in vc.values() {
-                    write_varint(buf, v);
-                }
-            }
-            Metadata::Deps(deps) => {
-                buf.push(META_DEPS);
-                write_varint(buf, deps.len() as u64);
-                for d in deps {
-                    write_varint(buf, u64::from(d.issuer.raw()));
-                    write_varint(buf, d.seq);
-                    write_varint(buf, u64::from(d.register.raw()));
-                }
+            Metadata::Vector(_) | Metadata::Deps(_) => {
+                unreachable!(
+                    "a cluster's replicas run the edge tracker, whose stamps are Edge or Projected"
+                )
             }
             Metadata::Projected {
                 values,
@@ -288,36 +280,6 @@ impl ClusterCodec {
                     values.push(rd(buf, pos)?);
                 }
                 Ok(Metadata::Edge(EdgeTimestamp::from_parts(replica, values)))
-            }
-            META_VECTOR => {
-                let n = rd_len(buf, pos, 1 << 24, "vector counter count")?;
-                if n != self.registry.graphs().len() {
-                    return Err(err("vector clock of the wrong length"));
-                }
-                let mut values = Vec::with_capacity(n);
-                for _ in 0..n {
-                    values.push(rd(buf, pos)?);
-                }
-                Ok(Metadata::Vector(VectorClock::from_values(values)))
-            }
-            META_DEPS => {
-                let n = rd_len(buf, pos, 1 << 24, "dep entry count")?;
-                let mut deps = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let issuer = ReplicaId::new(
-                        u32::try_from(rd(buf, pos)?).map_err(|_| err("dep issuer overflow"))?,
-                    );
-                    let seq = rd(buf, pos)?;
-                    let register = RegisterId::new(
-                        u32::try_from(rd(buf, pos)?).map_err(|_| err("dep register overflow"))?,
-                    );
-                    deps.push(DepEntry {
-                        issuer,
-                        seq,
-                        register,
-                    });
-                }
-                Ok(Metadata::Deps(deps))
             }
             META_PROJECTED_ABS => {
                 let encoded_len = rd(buf, pos)? as usize;
@@ -521,6 +483,7 @@ mod tests {
     use super::*;
     use crate::{EdgeTracker, Replica};
     use prcc_sharegraph::{topology, LoopConfig, TimestampGraphs};
+    use proptest::prelude::*;
 
     fn r(i: u32) -> ReplicaId {
         ReplicaId::new(i)
@@ -583,6 +546,9 @@ mod tests {
         }
     }
 
+    /// Both stamp forms a cluster sends: a full `Edge` stamp and a
+    /// projected slice, as the link's own delta stream and as a relayed
+    /// issuer's absolute slice.
     #[test]
     fn all_metadata_kinds_roundtrip() {
         let g = topology::ring(4);
@@ -590,17 +556,31 @@ mod tests {
         let (mut enc, mut dec) = link(&g);
         let mut ts = reg.new_timestamp(r(0));
         reg.advance(&mut ts, x(0));
-        let metas = vec![
-            Metadata::Edge(ts),
-            Metadata::Vector(VectorClock::from_values(vec![4, 0, 9, 2])),
-            Metadata::Deps(vec![DepEntry {
-                issuer: r(2),
-                seq: 5,
-                register: x(1),
-            }]),
+        let own = reg.wire_layout(r(1), r(0)).project(ts.values());
+        let mut relayed = reg.new_timestamp(r(2));
+        reg.advance(&mut relayed, x(1));
+        let relayed = reg.wire_layout(r(1), r(2)).project(relayed.values());
+        let updates = [
+            msg(0, 0, Metadata::Edge(ts)),
+            msg(
+                0,
+                1,
+                Metadata::Projected {
+                    values: own,
+                    encoded_len: 2,
+                },
+            ),
+            msg(
+                2,
+                0,
+                Metadata::Projected {
+                    values: relayed,
+                    encoded_len: 2,
+                },
+            ),
         ];
-        for (i, meta) in metas.into_iter().enumerate() {
-            let frame = SessionFrame::Bare(BatchMsg::singleton(msg(0, i as u64, meta)));
+        for m in updates {
+            let frame = SessionFrame::Bare(BatchMsg::singleton(m));
             assert_eq!(roundtrip(enc.as_mut(), dec.as_mut(), &frame), frame);
         }
     }
@@ -608,8 +588,9 @@ mod tests {
     #[test]
     fn values_and_transit_roundtrip() {
         let g = topology::ring(4);
+        let reg = registry(&g);
         let (mut enc, mut dec) = link(&g);
-        let mut m = msg(0, 0, Metadata::Vector(VectorClock::from_values(vec![1; 4])));
+        let mut m = msg(0, 0, Metadata::Edge(reg.new_timestamp(r(0))));
         m.value = Some(Value::Str("héllo".into()));
         m.transit = Some(TransitInfo {
             origin: (r(3), 42),
@@ -623,9 +604,11 @@ mod tests {
             ack: Some(8),
         };
         assert_eq!(roundtrip(enc.as_mut(), dec.as_mut(), &frame), frame);
+        let mut ts = reg.new_timestamp(r(0));
+        reg.advance(&mut ts, x(0));
         let meta_only = UpdateMsg {
             value: None,
-            ..msg(0, 1, Metadata::Vector(VectorClock::from_values(vec![2; 4])))
+            ..msg(0, 1, Metadata::Edge(ts))
         };
         let frame = SessionFrame::Bare(BatchMsg::singleton(meta_only));
         assert_eq!(roundtrip(enc.as_mut(), dec.as_mut(), &frame), frame);
@@ -811,13 +794,17 @@ mod tests {
         assert_eq!(dec.decode(&buf).as_ref(), Ok(&frame));
     }
 
-    /// Replica 0 of `g` with the edge tracker, and the decoder of its
-    /// end of the 1 → 0 link.
-    fn receiver(g: &prcc_sharegraph::ShareGraph, reg: &Arc<TsRegistry>) -> (Replica, BoxedCodec) {
-        let me = r(0);
+    /// Replica `me` of `g` with the edge tracker, and the decoder of its
+    /// end of the link from `peer`.
+    fn receiver(
+        g: &prcc_sharegraph::ShareGraph,
+        reg: &Arc<TsRegistry>,
+        me: ReplicaId,
+        peer: ReplicaId,
+    ) -> (Replica, BoxedCodec) {
         let tracker = Box::new(EdgeTracker::new(Arc::clone(reg), me));
         let replica = Replica::new(me, g.placement().registers_of(me).clone(), tracker);
-        (replica, cluster_codec(me, Arc::clone(reg))(r(1)))
+        (replica, cluster_codec(me, Arc::clone(reg))(peer))
     }
 
     /// A bare frame of one value-less update from `issuer` whose
@@ -833,7 +820,7 @@ mod tests {
     /// decodes, hands the batch to the replica.
     fn decode_and_receive(body: &[u8]) -> Result<(), FrameError> {
         let g = topology::clique_full(3, 2);
-        let (mut replica, mut dec) = receiver(&g, &registry(&g));
+        let (mut replica, mut dec) = receiver(&g, &registry(&g), r(0), r(1));
         match dec.decode(body)? {
             SessionFrame::Bare(batch) => {
                 replica.receive_batch(batch.updates);
@@ -860,6 +847,34 @@ mod tests {
         assert!(decode_and_receive(&absolute_slice_frame(9, 1)).is_err());
     }
 
+    /// A bare frame of one value-less update from replica 1 whose
+    /// metadata bytes (tag and body) are `meta`.
+    fn stamp_frame(meta: &[u8]) -> Vec<u8> {
+        let mut body = vec![TAG_BARE, 1, 1, 0, 0, 0];
+        body.extend_from_slice(meta);
+        body.push(0); // no transit
+        body
+    }
+
+    /// A vector clock of one entry per replica under tag 1. No cluster
+    /// sends one; the edge tracker would park it for good.
+    #[test]
+    fn a_vector_clock_stamp_is_rejected() {
+        assert_eq!(
+            decode_and_receive(&stamp_frame(&[1, 3, 0, 1, 0])),
+            Err(err("unknown metadata tag"))
+        );
+    }
+
+    /// A one-entry dependency list under tag 2, rejected like tag 1.
+    #[test]
+    fn a_dependency_list_stamp_is_rejected() {
+        assert_eq!(
+            decode_and_receive(&stamp_frame(&[2, 1, 2, 0, 0])),
+            Err(err("unknown metadata tag"))
+        );
+    }
+
     /// Every issuer (the receiver, its peers, two past the last replica)
     /// against every slice length up to two past the pair's common
     /// length: exactly the peers' common-length slices decode, and no
@@ -877,14 +892,13 @@ mod tests {
         }
     }
 
-    /// A delta frame must come from the link's own stream, an `Edge`
-    /// stamp must be its issuer's full timestamp, and a vector clock must
-    /// have one entry per replica.
+    /// A delta frame must come from the link's own stream, and an `Edge`
+    /// stamp must be its issuer's full timestamp.
     #[test]
     fn relayed_deltas_and_misshapen_stamps_are_rejected() {
         let g = topology::clique_full(3, 2);
         let reg = registry(&g);
-        let (_, mut dec) = receiver(&g, &reg);
+        let (_, mut dec) = receiver(&g, &reg, r(0), r(1));
         let mut ts = reg.new_timestamp(r(2));
         reg.advance(&mut ts, x(0));
         // Replica 2's delta frame toward 0, replayed on the 1 → 0 link.
@@ -904,13 +918,11 @@ mod tests {
             &mut bodies[0],
         );
         assert_eq!(bodies[0][7], META_PROJECTED_DELTA);
-        // Replica 2's stamp claimed by 1, a stamp of one counter, and a
-        // vector clock of two entries.
+        // Replica 2's stamp claimed by 1, and a stamp of one counter.
         let mut enc = cluster_codec(r(1), reg)(r(0));
         for meta in [
             Metadata::Edge(ts),
             Metadata::Edge(EdgeTimestamp::from_parts(r(1), vec![0])),
-            Metadata::Vector(VectorClock::from_values(vec![0, 1])),
         ] {
             let mut body = Vec::new();
             enc.encode(
@@ -937,6 +949,65 @@ mod tests {
             &[TAG_CATCH_UP, 1, 7][..],          // trailing bytes
         ] {
             assert!(dec.decode(body).is_err(), "body {body:?} must be rejected");
+        }
+    }
+
+    /// The four frames `cluster_codec_bytes_are_pinned` pins, in order,
+    /// on the 0 → 1 link of `clique_full(4, 2)`.
+    const PINNED: [&[u8]; 4] = [
+        &[
+            1, 1, 0, 3, 0, 0, 0, 1, 0, 4, 5, 4, 140, 1, 0, 8, 0, 0, 1, 0, 1, 10, 4, 5, 3, 2, 0, 8,
+            0, 0, 2, 0, 1, 20, 4, 5, 2, 0, 9, 0,
+        ],
+        &[
+            0, 1, 2, 0, 0, 1, 0, 3, 3, 12, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0,
+        ],
+        &[
+            1, 2, 1, 4, 1, 0, 3, 0, 1, 30, 0, 0, 12, 71, 71, 71, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        ],
+        &[2, 3, 2, 5, 7],
+    ];
+
+    proptest! {
+        /// Arbitrary bytes, and bit-flipped or truncated copies of each
+        /// pinned frame (after the pinned frames before it), decode to an
+        /// error or to frames whose updates replica 1 of
+        /// `clique_full(4, 2)` receives without panicking.
+        #[test]
+        fn hostile_bytes_never_panic_the_receiver(
+            noise in proptest::collection::vec(0u32..256, 0..48),
+            flips in proptest::collection::vec(0usize..1 << 16, 0..4),
+            cut in 0usize..1 << 16,
+        ) {
+            let g = topology::clique_full(4, 2);
+            let reg = registry(&g);
+            let noise: Vec<u8> = noise.iter().map(|&b| b as u8).collect();
+            for pick in 0..=PINNED.len() {
+                let (mut replica, mut dec) = receiver(&g, &reg, r(1), r(0));
+                let mut receive = |body: &[u8]| match dec.decode(body) {
+                    Ok(SessionFrame::Bare(batch) | SessionFrame::Data { payload: batch, .. }) => {
+                        replica.receive_batch(batch.updates);
+                    }
+                    Ok(SessionFrame::Ack { .. } | SessionFrame::CatchUp { .. }) | Err(_) => {}
+                };
+                let mut body = match PINNED.get(pick) {
+                    Some(frame) => {
+                        PINNED[..pick].iter().for_each(|before| receive(before));
+                        frame.to_vec()
+                    }
+                    None => noise.clone(),
+                };
+                if !body.is_empty() {
+                    for &f in &flips {
+                        let at = (f >> 3) % body.len();
+                        body[at] ^= 1 << (f & 7);
+                    }
+                    if cut % 3 == 0 {
+                        body.truncate(cut / 3 % (body.len() + 1));
+                    }
+                }
+                receive(&body);
+            }
         }
     }
 }

@@ -19,6 +19,10 @@
 //! predicate — so a baseline's own tracker can run the same scan loop;
 //! [`EdgeClock`] is the paper's.
 //!
+//! [`hb`] is the reference for the checker itself: happened-before as a
+//! closed predecessor set per update, and a check that walks each
+//! apply's predecessors.
+//!
 //! ```
 //! use prcc_sharegraph::{topology, LoopConfig, RegisterId, ReplicaId, TimestampGraphs};
 //! use prcc_spec::{EdgeClock, Spec};
@@ -36,6 +40,8 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+
+pub mod hb;
 
 use prcc_checker::{check, CheckReport, Trace, UpdateId};
 use prcc_sharegraph::{EdgeId, RegisterId, ReplicaId, ShareGraph, TimestampGraphs};
