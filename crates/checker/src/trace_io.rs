@@ -78,8 +78,11 @@ pub fn from_text(text: &str) -> Result<Trace, ParseTraceError> {
         if nums.len() != 3 {
             return Err(err(format!("expected 3 fields, got {}", nums.len())));
         }
+        let id = |field: &str, n: u64| {
+            u32::try_from(n).map_err(|_| err(format!("{field} id {n} exceeds u32::MAX")))
+        };
         let update = UpdateId {
-            issuer: ReplicaId::new(nums[0] as u32),
+            issuer: ReplicaId::new(id("replica", nums[0])?),
             seq: nums[1],
         };
         match kind {
@@ -87,13 +90,13 @@ pub fn from_text(text: &str) -> Result<Trace, ParseTraceError> {
                 if trace.register_of(update).is_some() {
                     return Err(err(format!("duplicate issue of {update}")));
                 }
-                trace.record_issue_with_id(update, RegisterId::new(nums[2] as u32));
+                trace.record_issue_with_id(update, RegisterId::new(id("register", nums[2])?));
             }
             "A" => {
                 if trace.register_of(update).is_none() {
                     return Err(err(format!("{update} applied before issue")));
                 }
-                trace.record_apply(update, ReplicaId::new(nums[2] as u32));
+                trace.record_apply(update, ReplicaId::new(id("replica", nums[2])?));
             }
             other => return Err(err(format!("unknown event kind '{other}'"))),
         }
@@ -146,6 +149,22 @@ mod tests {
         let e = from_text("I 1 2").unwrap_err();
         assert_eq!(e.line, 1);
         assert!(e.to_string().contains("line 1"));
+    }
+
+    #[test]
+    fn ids_above_u32_rejected() {
+        let big = u64::from(u32::MAX) + 2;
+        let e = from_text(&format!("I 0 0 1\nI {big} 0 0")).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("replica id"), "{e}");
+        let e = from_text(&format!("I 0 0 {big}")).unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("register id"), "{e}");
+        let e = from_text(&format!("I 0 0 1\nA 0 0 {big}")).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("replica id"), "{e}");
+        let max = u32::MAX;
+        assert!(from_text(&format!("I {max} 0 {max}\nA {max} 0 {max}")).is_ok());
     }
 
     #[test]

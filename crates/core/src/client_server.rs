@@ -8,19 +8,26 @@
 //! server updates use the peer predicate `J₃` over the **augmented**
 //! timestamp graphs.
 //!
-//! One server's transitions are written once, in `AppEServer`; the
-//! lockstep [`ClientServerSystem`] and the client-server explorer
-//! ([`CsScenario`](crate::CsScenario)) both run them.
+//! An App E server is a [`Replica`] over an [`EdgeTracker`] on the
+//! augmented registry ([`ClientTsRegistry::peer`]): `J₃` and `merge₃` are
+//! [`Replica::receive`], values and their producing updates live in the
+//! replica's store, and a served write folds `μ` into `τ`
+//! ([`ClientTsRegistry::fold_client`]) and then calls [`Replica::write`].
+//! This module adds the client half — admission and replies — once, for
+//! the lockstep [`ClientServerSystem`] and the client-server explorer
+//! ([`CsScenario`](crate::CsScenario)) alike.
 
-use crate::message::{Metadata, UpdateMsg};
+use crate::engine::recipients;
+use crate::message::UpdateMsg;
+use crate::replica::Replica;
+use crate::tracker::EdgeTracker;
 use crate::value::Value;
 use prcc_checker::{check, CheckReport, Trace, UpdateId};
 use prcc_net::{DelayModel, SimNetwork};
-use prcc_sharegraph::{AugmentedShareGraph, ClientId, RegisterId, ReplicaId, ShareGraph};
+use prcc_sharegraph::{AugmentedShareGraph, ClientId, RegisterId, ReplicaId};
 use prcc_timestamp::{ClientTimestamp, ClientTsRegistry, EdgeTimestamp};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Identifier of a client request, in submission order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -59,96 +66,67 @@ impl Request {
     }
 }
 
-/// One App E server's protocol state: its timestamp `τ_i`, the
-/// server-to-server updates buffered until `J₃` admits them, and its
-/// next update sequence number.
-#[derive(Clone)]
-pub(crate) struct AppEServer {
-    tau: EdgeTimestamp,
-    pending: Vec<UpdateMsg>,
-    next_seq: u64,
+/// The initial deployment: one App E server per replica — a [`Replica`]
+/// over an [`EdgeTracker`] on the augmented registry — and each client's
+/// zero `μ_c`.
+pub(crate) fn start(
+    aug: &AugmentedShareGraph,
+    reg: &ClientTsRegistry,
+) -> (Vec<Replica>, HashMap<ClientId, ClientTimestamp>) {
+    let p = aug.base().placement();
+    let servers = p.replicas().map(|i| {
+        let tracker = EdgeTracker::new(reg.peer().clone(), i);
+        Replica::new(i, p.registers_of(i).clone(), Box::new(tracker))
+    });
+    let clients = aug.clients().clients().iter();
+    (
+        servers.collect(),
+        clients
+            .map(|(c, _)| (*c, reg.new_client_timestamp(*c)))
+            .collect(),
+    )
 }
 
-impl AppEServer {
-    pub(crate) fn new(reg: &ClientTsRegistry, id: ReplicaId) -> Self {
-        AppEServer {
-            tau: reg.peer().new_timestamp(id),
-            pending: Vec::new(),
-            next_seq: 0,
-        }
-    }
+/// The server's timestamp `τ_i`.
+fn tau(server: &mut Replica) -> &mut EdgeTimestamp {
+    server
+        .edge_timestamp()
+        .expect("an App E server runs an EdgeTracker")
+}
 
-    /// Predicates `J₁`/`J₂`: may a request carrying the client view `mu`
-    /// be served now?
-    pub(crate) fn admits(&self, reg: &ClientTsRegistry, mu: &ClientTimestamp) -> bool {
-        reg.request_ready(&self.tau, mu)
-    }
+/// Predicates `J₁`/`J₂`: may `server` serve a request carrying the client
+/// view `mu` now?
+pub(crate) fn admits(reg: &ClientTsRegistry, server: &mut Replica, mu: &ClientTimestamp) -> bool {
+    reg.request_ready(tau(server), mu)
+}
 
-    /// Serves an admitted write of `value` to `register`:
-    /// `advance(i, τ, c, μ, x, v)` under the request's view `mu`, then the
-    /// reply into the client's current `mu_c`. Returns the update and the
-    /// other holders it fans out to.
-    pub(crate) fn issue(
-        &mut self,
-        reg: &ClientTsRegistry,
-        g: &ShareGraph,
-        mu: &ClientTimestamp,
-        mu_c: &mut ClientTimestamp,
-        register: RegisterId,
-        value: Value,
-    ) -> (UpdateMsg, Vec<ReplicaId>) {
-        reg.advance_for_client(&mut self.tau, mu, register, g);
-        let issuer = self.tau.replica();
-        let msg = UpdateMsg {
-            issuer,
-            seq: self.next_seq,
-            register,
-            value: Some(value),
-            meta: Arc::new(Metadata::Edge(self.tau.clone())),
-            transit: None,
-        };
-        self.next_seq += 1;
-        self.reply(reg, mu_c);
-        let fanout = g
-            .placement()
-            .holders(register)
-            .iter()
-            .copied()
-            .filter(|&h| h != issuer)
-            .collect();
-        (msg, fanout)
-    }
+/// The reply to a served request: `merge₁`/`merge₂` of `τ_i` into the
+/// client's `μ_c`.
+pub(crate) fn reply(reg: &ClientTsRegistry, server: &mut Replica, mu_c: &mut ClientTimestamp) {
+    reg.merge_into_client(mu_c, tau(server));
+}
 
-    /// The reply to a served request: `merge₁`/`merge₂` of `τ_i` into the
-    /// client's `μ_c`.
-    pub(crate) fn reply(&self, reg: &ClientTsRegistry, mu_c: &mut ClientTimestamp) {
-        reg.merge_into_client(mu_c, &self.tau);
-    }
-
-    /// Buffers a server-to-server update, then applies every buffered
-    /// update `J₃` admits (`merge₃` into `τ_i`) until none is ready.
-    /// Returns the applied updates in apply order.
-    pub(crate) fn deliver(&mut self, reg: &ClientTsRegistry, msg: UpdateMsg) -> Vec<UpdateMsg> {
-        self.pending.push(msg);
-        let mut applied = Vec::new();
-        while let Some(pos) = self.pending.iter().position(|m| match &*m.meta {
-            Metadata::Edge(t) => reg.peer().ready(&self.tau, m.issuer, t),
-            _ => false,
-        }) {
-            let m = self.pending.remove(pos);
-            if let Metadata::Edge(t) = &*m.meta {
-                reg.peer().merge(&mut self.tau, m.issuer, t);
-            }
-            applied.push(m);
-        }
-        applied
-    }
-
-    /// Updates issued and updates still buffered — the server state a
-    /// fingerprint needs besides its apply order.
-    pub(crate) fn counts(&self) -> (u64, usize) {
-        (self.next_seq, self.pending.len())
-    }
+/// Serves an admitted write of `value` to `register` under the request's
+/// view `mu`: `advance(i, τ, c, μ, x, v)` is the fold of `mu` into `τ_i`
+/// followed by [`Replica::write`]; then the reply into the client's
+/// current `mu_c`. Returns the update and the other holders it fans out
+/// to.
+pub(crate) fn serve_write(
+    aug: &AugmentedShareGraph,
+    reg: &ClientTsRegistry,
+    server: &mut Replica,
+    mu: &ClientTimestamp,
+    mu_c: &mut ClientTimestamp,
+    register: RegisterId,
+    value: Value,
+) -> (UpdateMsg, Vec<ReplicaId>) {
+    reg.fold_client(tau(server), mu);
+    let to = recipients(aug.base(), false, server.id(), register);
+    let out = server
+        .write(register, value, to)
+        .expect("validated op: the register is stored here");
+    reply(reg, server, mu_c);
+    out
 }
 
 /// Panics unless client `c` may send an op on register `x` to replica
@@ -192,9 +170,7 @@ pub use prcc_checker::SessionEvent;
 pub struct ClientServerSystem {
     aug: AugmentedShareGraph,
     reg: ClientTsRegistry,
-    servers: Vec<AppEServer>,
-    /// Per server: each register's value and the update that wrote it.
-    stores: Vec<HashMap<RegisterId, (Value, UpdateId)>>,
+    servers: Vec<Replica>,
     clients: HashMap<ClientId, ClientTimestamp>,
     requests: Vec<Request>,
     net: SimNetwork<UpdateMsg>,
@@ -219,19 +195,8 @@ impl ClientServerSystem {
     /// Creates the system over an augmented share graph.
     pub fn new(aug: AugmentedShareGraph, delay: DelayModel, seed: u64) -> Self {
         let reg = ClientTsRegistry::new(&aug);
-        let servers = aug
-            .base()
-            .replicas()
-            .map(|i| AppEServer::new(&reg, i))
-            .collect();
-        let clients = aug
-            .clients()
-            .clients()
-            .iter()
-            .map(|(c, _)| (*c, reg.new_client_timestamp(*c)))
-            .collect();
+        let (servers, clients) = start(&aug, &reg);
         ClientServerSystem {
-            stores: vec![HashMap::new(); aug.base().num_replicas()],
             aug,
             reg,
             servers,
@@ -297,28 +262,27 @@ impl ClientServerSystem {
 
     /// Serves every currently admissible request (predicates `J₁`/`J₂`).
     fn pump(&mut self) {
-        while let Some(pos) = self
-            .requests
-            .iter()
-            .position(|rq| self.servers[rq.replica().index()].admits(&self.reg, rq.mu()))
-        {
-            match self.requests.remove(pos) {
+        while let Some(pos) = (0..self.requests.len()).find(|&k| {
+            let rq = &self.requests[k];
+            admits(&self.reg, &mut self.servers[rq.replica().index()], rq.mu())
+        }) {
+            let rq = self.requests.remove(pos);
+            let server = &mut self.servers[rq.replica().index()];
+            match rq {
                 Request::Read {
                     id,
                     client,
-                    replica,
                     register,
                     ..
                 } => {
-                    let entry = self.stores[replica.index()].get(&register);
-                    self.read_results.insert(id, entry.map(|(v, _)| v.clone()));
+                    self.read_results.insert(id, server.read(register).cloned());
                     self.sessions.push(SessionEvent::Read {
                         client,
                         register,
-                        observed: entry.map(|&(_, u)| u),
+                        observed: server.store_cow().src_of(register),
                     });
                     let mu_c = self.clients.get_mut(&client).expect("known client");
-                    self.servers[replica.index()].reply(&self.reg, mu_c);
+                    reply(&self.reg, server, mu_c);
                 }
                 Request::Write {
                     id,
@@ -329,19 +293,12 @@ impl ClientServerSystem {
                     mu,
                 } => {
                     let mu_c = self.clients.get_mut(&client).expect("known client");
-                    let (msg, fanout) = self.servers[replica.index()].issue(
-                        &self.reg,
-                        self.aug.base(),
-                        &mu,
-                        mu_c,
-                        register,
-                        value.clone(),
-                    );
+                    let (msg, fanout) =
+                        serve_write(&self.aug, &self.reg, server, &mu, mu_c, register, value);
                     let uid = UpdateId {
                         issuer: replica,
                         seq: msg.seq,
                     };
-                    self.stores[replica.index()].insert(register, (value, uid));
                     self.sessions.push(SessionEvent::Write {
                         client,
                         update: uid,
@@ -364,14 +321,11 @@ impl ClientServerSystem {
             return false;
         };
         let dst = env.dst;
-        for m in self.servers[dst.index()].deliver(&self.reg, env.msg) {
+        for a in self.servers[dst.index()].receive(env.msg) {
             let uid = UpdateId {
-                issuer: m.issuer,
-                seq: m.seq,
+                issuer: a.msg.issuer,
+                seq: a.msg.seq,
             };
-            if let Some(v) = m.value {
-                self.stores[dst.index()].insert(m.register, (v, uid));
-            }
             self.trace.record_apply(uid, dst);
         }
         self.pump();
@@ -502,8 +456,8 @@ mod tests {
         // write after the x0 write (safety) — checker verifies.
         let rep = sys.check();
         assert!(rep.is_consistent(), "{:?}", rep.violations);
-        assert_eq!(sys.stores[1][&x(0)].0, Value::from(1u64));
-        assert_eq!(sys.stores[1][&x(1)].0, Value::from(2u64));
+        assert_eq!(sys.servers[1].read(x(0)), Some(&Value::from(1u64)));
+        assert_eq!(sys.servers[1].read(x(1)), Some(&Value::from(2u64)));
     }
 
     #[test]

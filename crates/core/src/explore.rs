@@ -13,6 +13,11 @@
 //! preconditions (updates applied at the issuer) hold, so branching comes
 //! only from delivery choices; visited states are deduplicated by a
 //! structural fingerprint.
+//!
+//! The search itself is `search`, written once over a `Model`: a
+//! state, its moves and its terminal check. [`Scenario`] is the
+//! peer-to-peer model; the client-server explorer
+//! ([`CsScenario`](crate::CsScenario)) is the other.
 
 use crate::engine::recipients;
 use crate::message::UpdateMsg;
@@ -113,7 +118,9 @@ impl Scenario {
 
     /// Explores every interleaving.
     pub fn explore(&self) -> ExplorationResult {
-        Explorer::new(self).run()
+        let mut init = self.initial_state();
+        self.fire_enabled_writes(&mut init);
+        search(self, init, self.max_states)
     }
 }
 
@@ -160,10 +167,70 @@ impl fmt::Display for ExplorationResult {
     }
 }
 
+/// One state space for [`search`]: its states, each state's moves, and
+/// the verdict on a terminal state.
+pub(crate) trait Model {
+    /// A snapshot of the whole explored system.
+    type State: Clone;
+
+    /// Structural fingerprint for visited-state deduplication.
+    fn fingerprint(&self, st: &Self::State) -> u64;
+
+    /// Calls `visit` with every successor of `st`, in a fixed order. A
+    /// state with no successor is terminal.
+    fn moves(&self, st: &mut Self::State, visit: &mut dyn FnMut(Self::State));
+
+    /// Judges a terminal state: what went wrong, if its run violates.
+    fn violation(&self, st: &Self::State) -> Option<String>;
+}
+
+/// Depth-first search of `model` from `init` over at most `max_states`
+/// distinct states, deduplicated by fingerprint, judging every terminal
+/// state it reaches.
+pub(crate) fn search<M: Model>(model: &M, init: M::State, max_states: usize) -> ExplorationResult {
+    fn dfs<M: Model>(
+        model: &M,
+        mut st: M::State,
+        max_states: usize,
+        visited: &mut HashSet<u64>,
+        res: &mut ExplorationResult,
+    ) {
+        if res.states >= max_states {
+            res.truncated = true;
+            return;
+        }
+        if !visited.insert(model.fingerprint(&st)) {
+            return;
+        }
+        res.states += 1;
+        let mut moved = false;
+        model.moves(&mut st, &mut |next| {
+            moved = true;
+            dfs(model, next, max_states, visited, res);
+        });
+        if !moved {
+            res.executions += 1;
+            if let Some(v) = model.violation(&st) {
+                res.violations += 1;
+                res.counterexample.get_or_insert(v);
+            }
+        }
+    }
+    let mut res = ExplorationResult {
+        states: 0,
+        executions: 0,
+        violations: 0,
+        counterexample: None,
+        truncated: false,
+    };
+    dfs(model, init, max_states, &mut HashSet::new(), &mut res);
+    res
+}
+
 /// A snapshot of the whole system: replicas + in-flight messages +
 /// script progress.
 #[derive(Clone)]
-struct State {
+pub(crate) struct State {
     replicas: Vec<Replica>,
     /// In-flight `(dst, msg)` pairs, order-independent (channels are
     /// non-FIFO, so the set fully determines reachable behaviour).
@@ -179,85 +246,20 @@ struct State {
     trace: Trace,
 }
 
-impl State {
-    /// Structural fingerprint for visited-state deduplication.
-    fn fingerprint(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        for (i, r) in self.replicas.iter().enumerate() {
-            (i, r.applied_count(), r.pending_count()).hash(&mut h);
-        }
-        let mut fl: Vec<(u32, u32, u64)> = self
-            .in_flight
-            .iter()
-            .map(|(d, m)| (d.raw(), m.issuer.raw(), m.seq))
-            .collect();
-        fl.sort_unstable();
-        fl.hash(&mut h);
-        for f in &self.fired {
-            f.is_some().hash(&mut h);
-        }
-        for order in &self.apply_order {
-            for u in order {
-                (u.issuer.raw(), u.seq).hash(&mut h);
-            }
-            u64::MAX.hash(&mut h); // per-replica separator
-        }
-        h.finish()
-    }
-}
-
-struct Explorer<'a> {
-    scenario: &'a Scenario,
-    visited: HashSet<u64>,
-    states: usize,
-    executions: usize,
-    violations: usize,
-    counterexample: Option<String>,
-    truncated: bool,
-}
-
-impl<'a> Explorer<'a> {
-    fn new(scenario: &'a Scenario) -> Self {
-        Explorer {
-            scenario,
-            visited: HashSet::new(),
-            states: 0,
-            executions: 0,
-            violations: 0,
-            counterexample: None,
-            truncated: false,
-        }
-    }
-
+impl Scenario {
     fn initial_state(&self) -> State {
-        let g = &self.scenario.graph;
+        let g = &self.graph;
         let n = g.num_replicas();
-        let (_, replicas) =
-            self.scenario
-                .tracker
-                .build_replicas(g, g.placement(), &self.scenario.dropped_edges);
+        let (_, replicas) = self
+            .tracker
+            .build_replicas(g, g.placement(), &self.dropped_edges);
         State {
             replicas,
             in_flight: Vec::new(),
-            fired: vec![None; self.scenario.writes.len()],
-            applied: vec![vec![false; self.scenario.writes.len()]; n],
+            fired: vec![None; self.writes.len()],
+            applied: vec![vec![false; self.writes.len()]; n],
             apply_order: vec![Vec::new(); n],
             trace: Trace::new(),
-        }
-    }
-
-    fn run(mut self) -> ExplorationResult {
-        let mut init = self.initial_state();
-        self.fire_enabled_writes(&mut init);
-        self.dfs(init);
-        ExplorationResult {
-            states: self.states,
-            executions: self.executions,
-            violations: self.violations,
-            counterexample: self.counterexample.take(),
-            truncated: self.truncated,
         }
     }
 
@@ -265,10 +267,10 @@ impl<'a> Explorer<'a> {
     /// repeating until a fixpoint (a write may enable another on the same
     /// replica).
     fn fire_enabled_writes(&self, st: &mut State) {
-        let g = &self.scenario.graph;
+        let g = &self.graph;
         loop {
             let mut fired_any = false;
-            for (idx, w) in self.scenario.writes.iter().enumerate() {
+            for (idx, w) in self.writes.iter().enumerate() {
                 if st.fired[idx].is_some() {
                     continue;
                 }
@@ -279,7 +281,7 @@ impl<'a> Explorer<'a> {
                 if !ok {
                     continue;
                 }
-                let broadcast = self.scenario.tracker == TrackerKind::VectorClock;
+                let broadcast = self.tracker == TrackerKind::VectorClock;
                 let recipients = recipients(g, broadcast, w.replica, w.register);
                 let (msg, recipients) = st.replicas[w.replica.index()]
                     .write(w.register, Value::from(idx as u64), recipients)
@@ -305,36 +307,40 @@ impl<'a> Explorer<'a> {
             }
         }
     }
+}
 
-    fn dfs(&mut self, st: State) {
-        if self.states >= self.scenario.max_states {
-            self.truncated = true;
-            return;
+impl Model for Scenario {
+    type State = State;
+
+    fn fingerprint(&self, st: &State) -> u64 {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let mut h = DefaultHasher::new();
+        for (i, r) in st.replicas.iter().enumerate() {
+            (i, r.applied_count(), r.pending_count()).hash(&mut h);
         }
-        let fp = st.fingerprint();
-        if !self.visited.insert(fp) {
-            return;
+        let mut fl: Vec<(u32, u32, u64)> = st
+            .in_flight
+            .iter()
+            .map(|(d, m)| (d.raw(), m.issuer.raw(), m.seq))
+            .collect();
+        fl.sort_unstable();
+        fl.hash(&mut h);
+        for f in &st.fired {
+            f.is_some().hash(&mut h);
         }
-        self.states += 1;
-        if st.in_flight.is_empty() {
-            self.executions += 1;
-            // Terminal: check the trace. (Liveness: stuck pending shows up
-            // as missing applies.)
-            let rep = check(&st.trace, self.scenario.graph.placement());
-            let unfired = st.fired.iter().any(Option::is_none);
-            if !rep.is_consistent() || unfired {
-                self.violations += 1;
-                if self.counterexample.is_none() {
-                    self.counterexample = Some(if unfired {
-                        "some scripted writes never became enabled".to_owned()
-                    } else {
-                        rep.violations[0].to_string()
-                    });
-                }
+        for order in &st.apply_order {
+            for u in order {
+                (u.issuer.raw(), u.seq).hash(&mut h);
             }
-            return;
+            u64::MAX.hash(&mut h); // per-replica separator
         }
-        // Branch over every deliverable message.
+        h.finish()
+    }
+
+    /// Delivers each in-flight message in turn, then fires what that
+    /// enables. A run ends when nothing is in flight.
+    fn moves(&self, st: &mut State, visit: &mut dyn FnMut(State)) {
         for k in 0..st.in_flight.len() {
             let mut next = st.clone();
             let (dst, msg) = next.in_flight.swap_remove(k);
@@ -352,8 +358,18 @@ impl<'a> Explorer<'a> {
                 }
             }
             self.fire_enabled_writes(&mut next);
-            self.dfs(next);
+            visit(next);
         }
+    }
+
+    /// Checks the trace (liveness: stuck pending shows up as missing
+    /// applies) and that every scripted write fired.
+    fn violation(&self, st: &State) -> Option<String> {
+        if st.fired.iter().any(Option::is_none) {
+            return Some("some scripted writes never became enabled".to_owned());
+        }
+        let rep = check(&st.trace, self.graph.placement());
+        rep.violations.first().map(ToString::to_string)
     }
 }
 

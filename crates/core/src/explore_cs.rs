@@ -7,17 +7,20 @@
 //! order blocked client requests are served relative to those deliveries.
 //! The explorer branches over both. Each client is sequential (its ops
 //! fire in script order); cross-client causality can be scripted with
-//! explicit preconditions. Servers run the same admit / issue / deliver
-//! transitions as the lockstep
-//! [`ClientServerSystem`](crate::ClientServerSystem).
+//! explicit preconditions. Servers are the same [`Replica`]s, admitted and
+//! written through the same client half, as in the lockstep
+//! [`ClientServerSystem`](crate::ClientServerSystem); the search is the
+//! peer-to-peer explorer's `search`.
 
-use crate::client_server::{validate_op, AppEServer};
+use crate::client_server::{admits, serve_write, start, validate_op};
+use crate::explore::{search, ExplorationResult, Model};
 use crate::message::UpdateMsg;
+use crate::replica::Replica;
 use crate::value::Value;
 use prcc_checker::{check, Trace, UpdateId};
 use prcc_sharegraph::{AugmentedShareGraph, ClientId, RegisterId, ReplicaId};
 use prcc_timestamp::{ClientTimestamp, ClientTsRegistry};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 /// One scripted client operation (a write; reads don't alter server state
@@ -102,99 +105,24 @@ impl CsScenario {
     }
 
     /// Explores all interleavings of deliveries and request service.
-    pub fn explore(&self) -> crate::explore::ExplorationResult {
-        let mut ex = CsExplorer {
-            scenario: self,
-            visited: HashSet::new(),
-            states: 0,
-            executions: 0,
-            violations: 0,
-            counterexample: None,
-            truncated: false,
-        };
-        let init = ex.initial_state();
-        ex.dfs(init);
-        crate::explore::ExplorationResult {
-            states: ex.states,
-            executions: ex.executions,
-            violations: ex.violations,
-            counterexample: ex.counterexample,
-            truncated: ex.truncated,
-        }
-    }
-}
-
-#[derive(Clone)]
-struct CsState {
-    servers: Vec<AppEServer>,
-    /// Per server: the updates it applied, in order.
-    apply_order: Vec<Vec<UpdateId>>,
-    clients: HashMap<ClientId, ClientTimestamp>,
-    in_flight: Vec<(ReplicaId, UpdateMsg)>,
-    served: Vec<bool>,
-    serve_order: Vec<usize>,
-    trace: Trace,
-}
-
-impl CsState {
-    fn fingerprint(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        for (s, order) in self.servers.iter().zip(&self.apply_order) {
-            s.counts().hash(&mut h);
-            for u in order {
-                (u.issuer.raw(), u.seq).hash(&mut h);
-            }
-            u64::MAX.hash(&mut h);
-        }
-        let mut fl: Vec<(u32, u32, u64)> = self
-            .in_flight
-            .iter()
-            .map(|(d, m)| (d.raw(), m.issuer.raw(), m.seq))
-            .collect();
-        fl.sort_unstable();
-        fl.hash(&mut h);
-        self.serve_order.hash(&mut h);
-        h.finish()
-    }
-}
-
-struct CsExplorer<'a> {
-    scenario: &'a CsScenario,
-    visited: HashSet<u64>,
-    states: usize,
-    executions: usize,
-    violations: usize,
-    counterexample: Option<String>,
-    truncated: bool,
-}
-
-impl CsExplorer<'_> {
-    fn initial_state(&self) -> CsState {
-        let sc = self.scenario;
-        let g = sc.aug.base();
-        CsState {
-            servers: g.replicas().map(|i| AppEServer::new(&sc.reg, i)).collect(),
-            apply_order: vec![Vec::new(); g.num_replicas()],
-            clients: sc
-                .aug
-                .clients()
-                .clients()
-                .iter()
-                .map(|(c, _)| (*c, sc.reg.new_client_timestamp(*c)))
-                .collect(),
+    pub fn explore(&self) -> ExplorationResult {
+        let (servers, clients) = start(&self.aug, &self.reg);
+        let init = CsState {
+            apply_order: vec![Vec::new(); servers.len()],
+            servers,
+            clients,
             in_flight: Vec::new(),
-            served: vec![false; sc.ops.len()],
+            served: vec![false; self.ops.len()],
             serve_order: Vec::new(),
             trace: Trace::new(),
-        }
+        };
+        search(self, init, self.max_states)
     }
 
     /// Op `k` is enabled when its client-session predecessor and explicit
     /// preconditions are served AND predicate `J₂` admits it now.
-    fn enabled_ops(&self, st: &CsState) -> Vec<usize> {
-        let ops = &self.scenario.ops;
+    fn enabled_ops(&self, st: &mut CsState) -> Vec<usize> {
+        let ops = &self.ops;
         (0..ops.len())
             .filter(|&k| {
                 if st.served[k] {
@@ -210,54 +138,62 @@ impl CsExplorer<'_> {
                 if !op.after_served.iter().all(|&p| st.served[p]) {
                     return false;
                 }
-                st.servers[op.replica.index()].admits(&self.scenario.reg, &st.clients[&op.client])
+                let mu = &st.clients[&op.client];
+                admits(&self.reg, &mut st.servers[op.replica.index()], mu)
             })
             .collect()
     }
+}
 
-    fn dfs(&mut self, st: CsState) {
-        if self.states >= self.scenario.max_states {
-            self.truncated = true;
-            return;
-        }
-        let fp = st.fingerprint();
-        if !self.visited.insert(fp) {
-            return;
-        }
-        self.states += 1;
+#[derive(Clone)]
+pub(crate) struct CsState {
+    servers: Vec<Replica>,
+    /// Per server: the updates it applied, in order.
+    apply_order: Vec<Vec<UpdateId>>,
+    clients: HashMap<ClientId, ClientTimestamp>,
+    in_flight: Vec<(ReplicaId, UpdateMsg)>,
+    served: Vec<bool>,
+    serve_order: Vec<usize>,
+    trace: Trace,
+}
 
-        let enabled = self.enabled_ops(&st);
-        if enabled.is_empty() && st.in_flight.is_empty() {
-            self.executions += 1;
-            let all_served = st.served.iter().all(|&s| s);
-            let rep = check(&st.trace, self.scenario.aug.base().placement());
-            if !rep.is_consistent() || !all_served {
-                self.violations += 1;
-                if self.counterexample.is_none() {
-                    self.counterexample = Some(if !all_served {
-                        "some client requests starve".to_owned()
-                    } else {
-                        rep.violations[0].to_string()
-                    });
-                }
+impl Model for CsScenario {
+    type State = CsState;
+
+    fn fingerprint(&self, st: &CsState) -> u64 {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let mut h = DefaultHasher::new();
+        // Each server's issued count follows from `serve_order`.
+        for (s, order) in st.servers.iter().zip(&st.apply_order) {
+            s.pending_count().hash(&mut h);
+            for u in order {
+                (u.issuer.raw(), u.seq).hash(&mut h);
             }
-            return;
+            u64::MAX.hash(&mut h);
         }
-        let sc = self.scenario;
-        // Serve an admitted request…
-        for k in enabled {
-            let op = &sc.ops[k];
+        let mut fl: Vec<(u32, u32, u64)> = st
+            .in_flight
+            .iter()
+            .map(|(d, m)| (d.raw(), m.issuer.raw(), m.seq))
+            .collect();
+        fl.sort_unstable();
+        fl.hash(&mut h);
+        st.serve_order.hash(&mut h);
+        h.finish()
+    }
+
+    /// Serves each admitted request, or delivers each in-flight update.
+    fn moves(&self, st: &mut CsState, visit: &mut dyn FnMut(CsState)) {
+        for k in self.enabled_ops(st) {
+            let op = &self.ops[k];
             let mut next = st.clone();
             let mu = next.clients[&op.client].clone();
             let mu_c = next.clients.get_mut(&op.client).expect("known client");
-            let (msg, fanout) = next.servers[op.replica.index()].issue(
-                &sc.reg,
-                sc.aug.base(),
-                &mu,
-                mu_c,
-                op.register,
-                Value::from(k as u64),
-            );
+            let server = &mut next.servers[op.replica.index()];
+            let value = Value::from(k as u64);
+            let (msg, fanout) =
+                serve_write(&self.aug, &self.reg, server, &mu, mu_c, op.register, value);
             let uid = UpdateId {
                 issuer: op.replica,
                 seq: msg.seq,
@@ -267,22 +203,30 @@ impl CsExplorer<'_> {
                 .extend(fanout.into_iter().map(|h| (h, msg.clone())));
             next.served[k] = true;
             next.serve_order.push(k);
-            self.dfs(next);
+            visit(next);
         }
-        // …or deliver an in-flight update.
         for idx in 0..st.in_flight.len() {
             let mut next = st.clone();
             let (dst, msg) = next.in_flight.swap_remove(idx);
-            for m in next.servers[dst.index()].deliver(&sc.reg, msg) {
+            for a in next.servers[dst.index()].receive(msg) {
                 let uid = UpdateId {
-                    issuer: m.issuer,
-                    seq: m.seq,
+                    issuer: a.msg.issuer,
+                    seq: a.msg.seq,
                 };
                 next.trace.record_apply(uid, dst);
                 next.apply_order[dst.index()].push(uid);
             }
-            self.dfs(next);
+            visit(next);
         }
+    }
+
+    /// Every request must be served, and the trace consistent.
+    fn violation(&self, st: &CsState) -> Option<String> {
+        if !st.served.iter().all(|&s| s) {
+            return Some("some client requests starve".to_owned());
+        }
+        let rep = check(&st.trace, self.aug.base().placement());
+        rep.violations.first().map(ToString::to_string)
     }
 }
 

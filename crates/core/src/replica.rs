@@ -431,6 +431,12 @@ impl Replica {
         self.tracker.as_ref()
     }
 
+    /// The edge timestamp `τ_i`, if the tracker keeps one (see
+    /// [`CausalityTracker::edge_timestamp`]).
+    pub(crate) fn edge_timestamp(&mut self) -> Option<&mut prcc_timestamp::EdgeTimestamp> {
+        self.tracker.edge_timestamp()
+    }
+
     /// Current metadata of this replica as attached to a hypothetical next
     /// message (without advancing) — unavailable generically; use
     /// [`Self::tracker`] sizes instead. Provided for symmetry in tests.

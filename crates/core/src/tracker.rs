@@ -13,7 +13,7 @@
 
 use crate::message::{Metadata, UpdateMsg};
 use prcc_sharegraph::{RegisterId, ReplicaId};
-use prcc_timestamp::{JVerdict, Stamp, TsRegistry, VectorClock};
+use prcc_timestamp::{EdgeTimestamp, JVerdict, Stamp, TsRegistry, VectorClock};
 use std::fmt;
 use std::sync::Arc;
 
@@ -89,6 +89,13 @@ pub trait CausalityTracker: Send + fmt::Debug {
     fn on_apply_report(&mut self, msg: &UpdateMsg, advanced: &mut Vec<(usize, u64)>) {
         let _ = &*advanced;
         self.on_apply(msg);
+    }
+
+    /// The edge timestamp `τ_i`, for a tracker that keeps one — the hook
+    /// through which an App E server reads `τ_i` for `J₁`/`J₂` and folds a
+    /// client's `μ` into it before a write.
+    fn edge_timestamp(&mut self) -> Option<&mut EdgeTimestamp> {
+        None
     }
 
     /// Current size of the local timestamp in bytes.
@@ -183,6 +190,10 @@ impl CausalityTracker for EdgeTracker {
             self.registry
                 .merge_report(&mut self.ts, msg.issuer, s, advanced);
         }
+    }
+
+    fn edge_timestamp(&mut self) -> Option<&mut EdgeTimestamp> {
+        Some(&mut self.ts)
     }
 
     fn timestamp_bytes(&self) -> usize {

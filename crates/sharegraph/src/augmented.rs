@@ -7,10 +7,14 @@
 //! graph `Ĝ` adds an edge between every pair of replicas co-accessed by
 //! some client; the loop conditions then accept either a register witness
 //! or client co-access for the right-path hops.
+//!
+//! This module holds the client assignment and `Ĝ`'s adjacency only. The
+//! augmented loop search is [`find_loop`] given the assignment, and `Ĝ_i`
+//! is [`TimestampGraph`]'s construction over it.
 
 use crate::graph::ShareGraph;
 use crate::ids::{ClientId, EdgeId, ReplicaId};
-use crate::regset::RegSet;
+use crate::loops::{find_loop, LoopConfig};
 use crate::tsgraph::{TimestampGraph, TimestampGraphs};
 use std::collections::BTreeSet;
 
@@ -43,29 +47,51 @@ impl ClientAssignment {
         }
     }
 
-    /// Registers that client `c` accesses the given replicas (`R_c`).
+    /// Registers that client `c` accesses the given replicas (`R_c`). A
+    /// repeat call for the same client extends its `R_c`; the set keeps
+    /// each replica once, in first-seen order.
     ///
     /// # Panics
     ///
     /// Panics if any replica id is out of range.
     pub fn assign<I: IntoIterator<Item = ReplicaId>>(&mut self, c: ClientId, replicas: I) {
-        let set: Vec<ReplicaId> = replicas.into_iter().collect();
-        for &r in &set {
+        let added: Vec<ReplicaId> = replicas.into_iter().collect();
+        for &r in &added {
             assert!(r.index() < self.num_replicas, "replica out of range");
         }
-        for &a in &set {
-            for &b in &set {
+        let pos = match self.clients.iter().position(|(id, _)| *id == c) {
+            Some(pos) => pos,
+            None => {
+                self.clients.push((c, Vec::new()));
+                self.clients.len() - 1
+            }
+        };
+        let set = &mut self.clients[pos].1;
+        for r in added {
+            if !set.contains(&r) {
+                set.push(r);
+            }
+        }
+        for &a in set.iter() {
+            for &b in set.iter() {
                 if a != b {
                     self.co_access[a.index() * self.num_replicas + b.index()] = true;
                 }
             }
         }
-        self.clients.push((c, set));
     }
 
     /// True if some client accesses both `a` and `b`.
     pub fn co_accessed(&self, a: ReplicaId, b: ReplicaId) -> bool {
         a != b && self.co_access[a.index() * self.num_replicas + b.index()]
+    }
+
+    /// The replicas some client co-accesses with `a`, in id order.
+    pub(crate) fn partners(&self, a: ReplicaId) -> impl Iterator<Item = ReplicaId> + '_ {
+        let row = &self.co_access[a.index() * self.num_replicas..][..self.num_replicas];
+        (0..self.num_replicas as u32)
+            .map(ReplicaId::new)
+            .filter(move |b| row[b.index()])
     }
 
     /// The clients and their replica sets, in assignment order.
@@ -110,11 +136,7 @@ impl AugmentedShareGraph {
             adj[e.from.index()].insert(e.to);
         }
         for (a, row) in adj.iter_mut().enumerate() {
-            for b in 0..n {
-                if a != b && clients.co_access[a * n + b] {
-                    row.insert(ReplicaId::new(b as u32));
-                }
-            }
+            row.extend(clients.partners(ReplicaId::new(a as u32)));
         }
         AugmentedShareGraph {
             base,
@@ -145,137 +167,21 @@ impl AugmentedShareGraph {
 
     /// True if an *augmented* `(i, e_jk)`-loop exists (Definition 27).
     pub fn exists_augmented_loop(&self, i: ReplicaId, e: EdgeId) -> bool {
-        let (j, k) = (e.from, e.to);
-        if i == j || i == k || j == k || !self.has_edge(e) {
-            return false;
-        }
-        let mut on_left = vec![false; self.base.num_replicas()];
-        on_left[i.index()] = true;
-        self.aug_left_dfs(i, i, e, &RegSet::new(), &mut on_left)
-    }
-
-    fn aug_left_dfs(
-        &self,
-        anchor: ReplicaId,
-        v: ReplicaId,
-        e: EdgeId,
-        interior_union: &RegSet,
-        on_left: &mut Vec<bool>,
-    ) -> bool {
-        let (j, k) = (e.from, e.to);
-        // Close the left path by stepping to k.
-        if v != k && !on_left[k.index()] && self.adjacent(v, k) {
-            // Condition (i): X_jk − interior ≠ ∅ (register witness only).
-            if self
-                .base
-                .edge_registers(e)
-                .has_element_outside(interior_union)
-            {
-                on_left[k.index()] = true;
-                let mut b_full = interior_union.clone();
-                b_full.union_with(self.base.placement().registers_of(k));
-                let found = self.aug_right_search(anchor, e, interior_union, &b_full, on_left);
-                on_left[k.index()] = false;
-                if found {
-                    return true;
-                }
-            }
-        }
-        for &w in &self.adj[v.index()].clone() {
-            if w == j || w == k || on_left[w.index()] {
-                continue;
-            }
-            let mut next = interior_union.clone();
-            next.union_with(self.base.placement().registers_of(w));
-            // Monotone prune on condition (i): the interior union only
-            // grows, so a failed register witness never recovers. (The
-            // client-edge alternatives apply to conditions (ii)/(iii)
-            // only, so this prune stays sound in the augmented setting.)
-            if !self.base.edge_registers(e).has_element_outside(&next) {
-                continue;
-            }
-            on_left[w.index()] = true;
-            let found = self.aug_left_dfs(anchor, w, e, &next, on_left);
-            on_left[w.index()] = false;
-            if found {
-                return true;
-            }
-        }
-        false
-    }
-
-    fn adjacent(&self, a: ReplicaId, b: ReplicaId) -> bool {
-        self.has_edge(EdgeId::new(a, b))
-    }
-
-    /// A right-path hop `v -> w` is allowed if the shared registers minus
-    /// `sub` are non-empty **or** some client co-accesses `v` and `w`
-    /// (conditions (ii)/(iii) of Definition 27).
-    fn hop_allowed(&self, v: ReplicaId, w: ReplicaId, sub: &RegSet) -> bool {
-        self.clients.co_accessed(v, w)
-            || self
-                .base
-                .edge_registers(EdgeId::new(v, w))
-                .has_element_outside(sub)
-    }
-
-    fn aug_right_search(
-        &self,
-        anchor: ReplicaId,
-        e: EdgeId,
-        b: &RegSet,
-        b_full: &RegSet,
-        on_left: &[bool],
-    ) -> bool {
-        let j = e.from;
-        let mut on_right = vec![false; self.base.num_replicas()];
-        on_right[j.index()] = true;
-        self.aug_right_dfs(anchor, j, true, b, b_full, on_left, &mut on_right)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn aug_right_dfs(
-        &self,
-        anchor: ReplicaId,
-        v: ReplicaId,
-        first_hop: bool,
-        b: &RegSet,
-        b_full: &RegSet,
-        on_left: &[bool],
-        on_right: &mut Vec<bool>,
-    ) -> bool {
-        let sub = if first_hop { b } else { b_full };
-        if self.adjacent(v, anchor) && self.hop_allowed(v, anchor, sub) {
-            return true;
-        }
-        for &w in &self.adj[v.index()] {
-            if w == anchor || on_right[w.index()] || on_left[w.index()] {
-                continue;
-            }
-            if !self.hop_allowed(v, w, sub) {
-                continue;
-            }
-            on_right[w.index()] = true;
-            if self.aug_right_dfs(anchor, w, false, b, b_full, on_left, on_right) {
-                on_right[w.index()] = false;
-                return true;
-            }
-            on_right[w.index()] = false;
-        }
-        false
+        find_loop(
+            &self.base,
+            i,
+            e,
+            LoopConfig::EXHAUSTIVE,
+            Some(&self.clients),
+        )
+        .is_some()
     }
 
     /// Builds the augmented timestamp graph `Ĝ_i` (Definition 28): incident
     /// edges of `Ĝ` plus augmented-loop edges, **intersected with `E`**
     /// (only real share edges are tracked).
     pub fn augmented_timestamp_graph(&self, i: ReplicaId) -> TimestampGraph {
-        let mut edges = BTreeSet::new();
-        for &e in self.base.edges() {
-            if e.touches(i) || self.exists_augmented_loop(i, e) {
-                edges.insert(e);
-            }
-        }
-        TimestampGraph::from_edges(i, edges.into_iter().collect())
+        TimestampGraph::build_over(&self.base, i, LoopConfig::EXHAUSTIVE, Some(&self.clients))
     }
 
     /// Augmented timestamp graphs for all replicas.
@@ -411,6 +317,21 @@ mod tests {
             a.replicas_of(ClientId::new(0)),
             Some(&[ReplicaId::new(0), ReplicaId::new(1)][..])
         );
+    }
+
+    #[test]
+    fn repeat_assignment_extends_the_replica_set() {
+        let mut a = ClientAssignment::new(4);
+        a.assign(ClientId::new(0), [ReplicaId::new(0), ReplicaId::new(1)]);
+        a.assign(ClientId::new(0), [ReplicaId::new(3), ReplicaId::new(1)]);
+        assert_eq!(a.clients().len(), 1);
+        assert_eq!(
+            a.replicas_of(ClientId::new(0)),
+            Some(&[ReplicaId::new(0), ReplicaId::new(1), ReplicaId::new(3)][..])
+        );
+        assert!(a.co_accessed(ReplicaId::new(0), ReplicaId::new(3)));
+        let partners: Vec<_> = a.partners(ReplicaId::new(3)).collect();
+        assert_eq!(partners, [ReplicaId::new(0), ReplicaId::new(1)]);
     }
 
     #[test]

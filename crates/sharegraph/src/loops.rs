@@ -1,4 +1,5 @@
-//! `(i, e_jk)`-loop detection — Definition 4 of the paper.
+//! `(i, e_jk)`-loop detection — Definition 4 of the paper, and the
+//! augmented loops of Definition 27 (Appendix E).
 //!
 //! Given replica `i` and a directed share-graph edge `e_jk` with
 //! `j ≠ i ≠ k`, an `(i, e_jk)`-loop is a simple loop
@@ -13,11 +14,18 @@
 //! edge `e_jk` in its timestamp (Theorem 8), and the edge set it induces is
 //! also sufficient (Section 3.3).
 //!
+//! An *augmented* loop (Definition 27) is the same loop in the augmented
+//! share graph `Ĝ`: a pair of replicas co-accessed by some client is
+//! adjacent, and such a pair satisfies conditions (ii) and (iii) on its
+//! own. [`find_loop`] searches for either kind; the client assignment
+//! selects which.
+//!
 //! Detection enumerates simple paths with pruning. This is exponential in
 //! the worst case (the problem inherently quantifies over simple loops);
 //! [`LoopConfig::max_loop_edges`] bounds the search for large graphs and
 //! doubles as the paper's "sacrificing causality" truncation (Appendix D).
 
+use crate::augmented::ClientAssignment;
 use crate::graph::ShareGraph;
 use crate::ids::{EdgeId, ReplicaId};
 use crate::regset::RegSet;
@@ -154,19 +162,25 @@ impl LoopWitness {
 /// assert!(!loops::exists_loop(&g, r1, edge(2, 3), LoopConfig::EXHAUSTIVE));
 /// ```
 pub fn exists_loop(g: &ShareGraph, i: ReplicaId, e: EdgeId, config: LoopConfig) -> bool {
-    find_loop(g, i, e, config).is_some()
+    find_loop(g, i, e, config, None).is_some()
 }
 
-/// Finds an `(i, e_jk)`-loop if one exists, returning a verified witness.
+/// Finds an `(i, e_jk)`-loop if one exists, returning a witness.
 ///
-/// The search enumerates left paths `i → k` (avoiding `j`) in increasing
-/// length and, for each, right paths `j → i` disjoint from the left path,
-/// checking Definition 4's conditions incrementally.
+/// Without `clients` the loop is Definition 4's and the witness passes
+/// [`LoopWitness::verify`]. With `clients` it is an augmented loop
+/// (Definition 27): a co-accessed pair is adjacent and satisfies a
+/// right-path hop, so the witness may use client edges.
+///
+/// The search extends left paths `i → k` (avoiding `j`) depth-first and,
+/// for each, right paths `j → i` disjoint from the left path, checking
+/// the conditions incrementally.
 pub fn find_loop(
     g: &ShareGraph,
     i: ReplicaId,
     e: EdgeId,
     config: LoopConfig,
+    clients: Option<&ClientAssignment>,
 ) -> Option<LoopWitness> {
     let (j, k) = (e.from, e.to);
     if i == j || i == k || j == k || !g.has_edge(e) {
@@ -184,6 +198,7 @@ pub fn find_loop(
     let mut left_path = Vec::new();
     let mut search = Search {
         g,
+        clients,
         i,
         j,
         k,
@@ -197,6 +212,7 @@ pub fn find_loop(
 
 struct Search<'a> {
     g: &'a ShareGraph,
+    clients: Option<&'a ClientAssignment>,
     i: ReplicaId,
     j: ReplicaId,
     k: ReplicaId,
@@ -209,17 +225,40 @@ struct Search<'a> {
 }
 
 impl Search<'_> {
-    /// Extends the left path from `v`; `interior_union` is
-    /// `∪ X_{l_p}` over the current `l_1..l_{s-1}` *excluding* the last
-    /// vertex only when that vertex is `k` (we maintain: union over all
-    /// pushed vertices except a trailing `k` is handled at closure time).
-    ///
-    /// Concretely: `interior_union` here is the union over all vertices
-    /// currently in `left_path` — when we close the path by stepping to
-    /// `k`, the union over `l_1..l_{s-1}` is exactly `interior_union`.
+    fn co_accessed(&self, a: ReplicaId, b: ReplicaId) -> bool {
+        self.clients.is_some_and(|c| c.co_accessed(a, b))
+    }
+
+    /// The sorted neighbors of `v` in `G`, or in `Ĝ` with clients.
+    fn neighbors(&self, v: ReplicaId) -> Vec<ReplicaId> {
+        let mut out = self.g.neighbors(v).to_vec();
+        if let Some(c) = self.clients {
+            out.extend(
+                c.partners(v)
+                    .filter(|&w| !self.g.has_edge(EdgeId::new(v, w))),
+            );
+            out.sort();
+        }
+        out
+    }
+
+    /// A right-path hop `v → w` (conditions (ii) and (iii)): a register of
+    /// `X_vw` outside `sub`, or a client that co-accesses `v` and `w`.
+    fn hop(&self, v: ReplicaId, w: ReplicaId, sub: &RegSet) -> bool {
+        self.co_accessed(v, w)
+            || self
+                .g
+                .edge_registers(EdgeId::new(v, w))
+                .has_element_outside(sub)
+    }
+
+    /// Extends the left path from `v`. `interior_union` is the union of
+    /// `X_l` over the vertices now on `left_path`: when the path closes by
+    /// stepping to `k`, that is `∪_{p<s} X_{l_p}`.
     fn left_dfs(&mut self, v: ReplicaId, interior_union: &RegSet) -> Option<LoopWitness> {
         // Try closing: step v -> k (if adjacent and k not already used).
-        if v != self.k && self.g.has_edge(EdgeId::new(v, self.k)) && !self.on_left[self.k.index()] {
+        let k_adjacent = self.g.has_edge(EdgeId::new(v, self.k)) || self.co_accessed(v, self.k);
+        if v != self.k && k_adjacent && !self.on_left[self.k.index()] {
             // Condition (i): X_jk − interior_union ≠ ∅.
             if self
                 .g
@@ -230,37 +269,30 @@ impl Search<'_> {
                 self.on_left[self.k.index()] = true;
                 let mut b_full = interior_union.clone();
                 b_full.union_with(self.g.placement().registers_of(self.k));
-                if let Some(w) = self.right_search(interior_union, &b_full) {
-                    self.on_left[self.k.index()] = false;
-                    self.left_path.pop();
-                    return Some(w);
-                }
+                let found = self.right_search(interior_union, &b_full);
                 self.on_left[self.k.index()] = false;
                 self.left_path.pop();
+                if found.is_some() {
+                    return found;
+                }
             }
         }
-        // Extend with another interior vertex. Left uses 1 + |left_path| + 1
-        // vertices so far (i, interior, plus k when closing); right needs at
-        // least 1 more (j). Budget check: vertices used if we add one more
-        // interior then close = 2 + left_path.len() + 2 (+1 for j) ...
-        // simplest exact bound: total vertices = 1 + s + t ≤ max_edges with
-        // t ≥ 1, so s ≤ max_edges − 2.
+        // Extend with another interior vertex. A loop has 1 + s + t ≤
+        // max_edges vertices with t ≥ 1, and one more interior vertex
+        // makes s = left_path.len() + 2 (it and k).
         if self.left_path.len() + 1 > self.max_edges - 3 {
-            // After adding one more interior vertex, s = left_path.len() + 2
-            // (interior + k); need s ≤ max_edges − 2.
             return None;
         }
-        let neighbors = self.g.neighbors(v).to_vec();
-        for w in neighbors {
+        for w in self.neighbors(v) {
             if w == self.j || w == self.k || self.on_left[w.index()] {
                 continue;
             }
             let mut next_union = interior_union.clone();
             next_union.union_with(self.g.placement().registers_of(w));
-            // Monotone prunes: the interior union only grows along the
-            // path, so once condition (i) — or condition (ii) for every
-            // possible r_2 (over-approximated by X_j ⊇ X_{j r_2}) — fails,
-            // it can never recover.
+            // Monotone prune: the interior union only grows along the
+            // path, so once condition (i) fails it can never recover. A
+            // prune on X_j, which bounds condition (ii)'s register witness,
+            // would cut nothing more: X_jk ⊆ X_j.
             if !self
                 .g
                 .edge_registers(self.e)
@@ -268,23 +300,14 @@ impl Search<'_> {
             {
                 continue;
             }
-            if !self
-                .g
-                .placement()
-                .registers_of(self.j)
-                .has_element_outside(&next_union)
-            {
-                continue;
-            }
             self.on_left[w.index()] = true;
             self.left_path.push(w);
-            if let Some(found) = self.left_dfs(w, &next_union) {
-                self.left_path.pop();
-                self.on_left[w.index()] = false;
-                return Some(found);
-            }
+            let found = self.left_dfs(w, &next_union);
             self.left_path.pop();
             self.on_left[w.index()] = false;
+            if found.is_some() {
+                return found;
+            }
         }
         None
     }
@@ -328,12 +351,7 @@ impl Search<'_> {
         // (condition (iii)).
         let sub = if first_hop { b } else { b_full };
         // Close: v -> i.
-        if self.g.has_edge(EdgeId::new(v, self.i))
-            && self
-                .g
-                .edge_registers(EdgeId::new(v, self.i))
-                .has_element_outside(sub)
-        {
+        if self.hop(v, self.i, sub) {
             return Some(LoopWitness {
                 anchor: self.i,
                 edge: self.e,
@@ -344,28 +362,19 @@ impl Search<'_> {
         if right_path.len() >= t_budget {
             return None;
         }
-        let neighbors = self.g.neighbors(v).to_vec();
-        for w in neighbors {
-            if w == self.i || on_right[w.index()] || self.on_left[w.index()] {
-                continue;
-            }
-            if !self
-                .g
-                .edge_registers(EdgeId::new(v, w))
-                .has_element_outside(sub)
+        for w in self.neighbors(v) {
+            if w == self.i || on_right[w.index()] || self.on_left[w.index()] || !self.hop(v, w, sub)
             {
                 continue;
             }
             on_right[w.index()] = true;
             right_path.push(w);
-            if let Some(found) = self.right_dfs(w, false, b, b_full, t_budget, on_right, right_path)
-            {
-                right_path.pop();
-                on_right[w.index()] = false;
-                return Some(found);
-            }
+            let found = self.right_dfs(w, false, b, b_full, t_budget, on_right, right_path);
             right_path.pop();
             on_right[w.index()] = false;
+            if found.is_some() {
+                return found;
+            }
         }
         None
     }
@@ -394,7 +403,7 @@ mod tests {
         for i in 0..3u32 {
             let (j, k) = ((i + 1) % 3, (i + 2) % 3);
             for e in [edge(j, k), edge(k, j)] {
-                let w = find_loop(&g, ReplicaId::new(i), e, LoopConfig::EXHAUSTIVE)
+                let w = find_loop(&g, ReplicaId::new(i), e, LoopConfig::EXHAUSTIVE, None)
                     .unwrap_or_else(|| panic!("no ({i}, {e})-loop"));
                 assert!(w.verify(&g), "witness failed verification: {w:?}");
                 assert_eq!(w.num_edges(), 3);
@@ -413,7 +422,7 @@ mod tests {
             if e.touches(i) {
                 continue;
             }
-            let w = find_loop(&g, i, e, LoopConfig::EXHAUSTIVE)
+            let w = find_loop(&g, i, e, LoopConfig::EXHAUSTIVE, None)
                 .unwrap_or_else(|| panic!("no (0, {e})-loop in ring"));
             assert!(w.verify(&g));
         }
@@ -510,7 +519,7 @@ mod tests {
         let g = ring(4);
         let i = ReplicaId::new(0);
         let e = edge(2, 3); // j=2, k=3? left path from 0 to 3, right 2->...->0
-        let mut w = find_loop(&g, i, e, LoopConfig::EXHAUSTIVE).expect("loop");
+        let mut w = find_loop(&g, i, e, LoopConfig::EXHAUSTIVE, None).expect("loop");
         assert!(w.verify(&g));
         w.right.push(ReplicaId::new(3)); // duplicate vertex
         assert!(!w.verify(&g));

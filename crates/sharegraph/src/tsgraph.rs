@@ -9,10 +9,10 @@
 //! `E_i` is exactly the set of edges replica `i` must keep a counter for
 //! (necessary by Theorem 8, sufficient by the Section 3.3 algorithm).
 
+use crate::augmented::ClientAssignment;
 use crate::graph::ShareGraph;
 use crate::ids::{EdgeId, ReplicaId};
-use crate::loops::{exists_loop, LoopConfig};
-use std::collections::BTreeSet;
+use crate::loops::{find_loop, LoopConfig};
 
 /// The timestamp graph of a single replica: the sorted edge set `E_i`.
 ///
@@ -39,16 +39,25 @@ impl TimestampGraph {
     /// ("sacrificing causality"); incident edges are always included
     /// regardless of the bound.
     pub fn build(g: &ShareGraph, i: ReplicaId, config: LoopConfig) -> Self {
-        let mut edges = BTreeSet::new();
-        for &e in g.edges() {
-            if e.touches(i) || exists_loop(g, i, e, config) {
-                edges.insert(e);
-            }
-        }
-        TimestampGraph {
-            replica: i,
-            edges: edges.into_iter().collect(),
-        }
+        Self::build_over(g, i, config, None)
+    }
+
+    /// [`build`](Self::build) over the augmented share graph when
+    /// `clients` is given: the far edges are those with an augmented loop
+    /// (Definition 28), and only share edges are ever tracked.
+    pub(crate) fn build_over(
+        g: &ShareGraph,
+        i: ReplicaId,
+        config: LoopConfig,
+        clients: Option<&ClientAssignment>,
+    ) -> Self {
+        let edges = g
+            .edges()
+            .iter()
+            .copied()
+            .filter(|&e| e.touches(i) || find_loop(g, i, e, config, clients).is_some())
+            .collect();
+        TimestampGraph { replica: i, edges }
     }
 
     /// Creates a timestamp graph from an explicit edge list (used by the

@@ -27,7 +27,7 @@ proptest! {
                 if e.touches(i) {
                     continue;
                 }
-                let found = find_loop(&g, i, e, LoopConfig::EXHAUSTIVE);
+                let found = find_loop(&g, i, e, LoopConfig::EXHAUSTIVE, None);
                 prop_assert_eq!(
                     found.is_some(),
                     exists_loop(&g, i, e, LoopConfig::EXHAUSTIVE)

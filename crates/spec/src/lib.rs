@@ -23,6 +23,9 @@
 //! closed predecessor set per update, and a check that walks each
 //! apply's predecessors.
 //!
+//! [`loops`] is the reference for the loop search: Definitions 4 and 27
+//! checked literally on every simple cycle.
+//!
 //! ```
 //! use prcc_sharegraph::{topology, LoopConfig, RegisterId, ReplicaId, TimestampGraphs};
 //! use prcc_spec::{EdgeClock, Spec};
@@ -42,6 +45,7 @@
 #![forbid(unsafe_code)]
 
 pub mod hb;
+pub mod loops;
 
 use prcc_checker::{check, CheckReport, Trace, UpdateId};
 use prcc_sharegraph::{EdgeId, RegisterId, ReplicaId, ShareGraph, TimestampGraphs};

@@ -9,20 +9,22 @@
 //! * predicate `J₁ = J₂`: a read/write request from `c` is served by
 //!   replica `i` once `τ_i[e_ji] ≥ μ_c[e_ji]` for every incoming edge
 //!   `e_ji ∈ Ê_i`;
-//! * `advance(i, τ, c, μ, x)`: increment own outgoing `x`-edges, take
-//!   `max(τ, μ)` elsewhere;
+//! * the `max(τ, μ)` half of `advance(i, τ, c, μ, x)`
+//!   ([`ClientTsRegistry::fold_client`]); the other half, incrementing
+//!   `i`'s outgoing `x`-edges, is the peer-to-peer
+//!   [`TsRegistry::advance`];
 //! * `merge₁ = merge₂`: client folds the replica's `τ` into `μ` over `Ê_i`.
 //!
-//! Replica-to-replica update delivery (`J₃`, `merge₃`) reuses the
-//! peer-to-peer [`TsRegistry`] operations over the
-//! augmented graphs.
+//! Everything else a server does is the peer-to-peer algorithm over the
+//! augmented graphs: [`ClientTsRegistry::peer`] is the [`TsRegistry`]
+//! whose `J` and `merge` are `J₃` and `merge₃`, shared behind an `Arc` so
+//! each server can run a replica over it.
 
 use crate::edge_ts::{EdgeTimestamp, TsRegistry};
-use prcc_sharegraph::{
-    AugmentedShareGraph, ClientId, EdgeId, RegisterId, ReplicaId, TimestampGraphs,
-};
+use prcc_sharegraph::{AugmentedShareGraph, ClientId, EdgeId, ReplicaId, TimestampGraphs};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// The timestamp `μ_c` of one client.
 #[derive(Clone, PartialEq, Eq)]
@@ -79,7 +81,7 @@ struct ReplicaView {
 
 /// Operation table for client timestamps over an augmented share graph.
 pub struct ClientTsRegistry {
-    peer: TsRegistry,
+    peer: Arc<TsRegistry>,
     clients: HashMap<ClientId, ClientIndex>,
 }
 
@@ -116,7 +118,7 @@ impl ClientTsRegistry {
             clients.insert(*c, ClientIndex { edges, per_replica });
         }
         ClientTsRegistry {
-            peer: TsRegistry::new(aug.base(), graphs),
+            peer: Arc::new(TsRegistry::new(aug.base(), graphs)),
             clients,
         }
     }
@@ -124,7 +126,7 @@ impl ClientTsRegistry {
     /// The peer-to-peer operation table over the **augmented** timestamp
     /// graphs — used for replica↔replica update delivery (`J₃`, `merge₃`)
     /// and for creating replica timestamps.
-    pub fn peer(&self) -> &TsRegistry {
+    pub fn peer(&self) -> &Arc<TsRegistry> {
         &self.peer
     }
 
@@ -155,36 +157,28 @@ impl ClientTsRegistry {
             .all(|&(pc, pr)| tau.values()[pr] >= mu.values[pc])
     }
 
-    /// `advance(i, τ, c, μ, x, v)` (Appendix E.5): folds `μ` into `τ` and
-    /// increments `i`'s outgoing `x`-edges. Mutates `tau` in place.
-    pub fn advance_for_client(
-        &self,
-        tau: &mut EdgeTimestamp,
-        mu: &ClientTimestamp,
-        x: RegisterId,
-        g: &prcc_sharegraph::ShareGraph,
-    ) {
+    /// The `max(τ, μ)` half of `advance(i, τ, c, μ, x, v)` (Appendix
+    /// E.5): folds the client's view into replica `i`'s `τ` over `Ê_i`.
+    /// The increment half is the peer [`TsRegistry::advance`].
+    ///
+    /// The fold raises no counter of an edge at `i`: admission (`J₁`/`J₂`)
+    /// has made `τ ≥ μ` on every incoming edge, and only `i` increments
+    /// its outgoing ones. So no update parked on `J₃` needs re-checking.
+    pub fn fold_client(&self, tau: &mut EdgeTimestamp, mu: &ClientTimestamp) {
         let idx = &self.clients[&mu.client];
         let i = tau.replica();
         if let Some(view) = idx.per_replica.get(&i) {
             let gi = self.peer.graphs().of(i);
-            // First the `max` branch for every edge except the ones to be
-            // incremented; then the increments (which per the paper ignore μ).
-            let mut bump = Vec::new();
             for &(pc, pr) in &view.common {
-                let e = gi.edges()[pr];
-                if e.from == i && g.edge_registers(e).contains(x) {
-                    bump.push(pr);
-                } else {
-                    let m = mu.values[pc];
-                    if m > tau.values()[pr] {
-                        set_value(tau, pr, m);
-                    }
+                let m = mu.values[pc];
+                if m > tau.values()[pr] {
+                    debug_assert!(
+                        !gi.edges()[pr].touches(i),
+                        "client view above τ_{i} on {}",
+                        gi.edges()[pr]
+                    );
+                    tau.set_value_internal(pr, m);
                 }
-            }
-            for pr in bump {
-                let v = tau.values()[pr] + 1;
-                set_value(tau, pr, v);
             }
         }
     }
@@ -206,17 +200,10 @@ impl ClientTsRegistry {
     }
 }
 
-/// Internal: poke a single counter. `EdgeTimestamp` deliberately hides
-/// mutable access; the client-server advance needs it, so we go through a
-/// crate-private accessor.
-fn set_value(ts: &mut EdgeTimestamp, pos: usize, value: u64) {
-    ts.set_value_internal(pos, value);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prcc_sharegraph::{topology, ClientAssignment};
+    use prcc_sharegraph::{topology, ClientAssignment, RegisterId};
 
     /// Path 0 — 1 — 2 (registers 0, 1); one client spans replicas 0 and 2.
     fn setup() -> (AugmentedShareGraph, ClientTsRegistry) {
@@ -254,8 +241,7 @@ mod tests {
         // μ records the counter on e_01; replica 2 only gates on its *own*
         // incoming edges, so the request is served — and the advance folds
         // the client's knowledge into replica 2's τ.
-        let (aug, reg) = setup();
-        let g = aug.base();
+        let (_aug, reg) = setup();
         let c = ClientId::new(0);
         let (r0, r2) = (ReplicaId::new(0), ReplicaId::new(2));
 
@@ -263,7 +249,8 @@ mod tests {
         let mut tau0 = reg.peer().new_timestamp(r0);
 
         assert!(reg.request_ready(&tau0, &mu));
-        reg.advance_for_client(&mut tau0, &mu, RegisterId::new(0), g);
+        reg.fold_client(&mut tau0, &mu);
+        reg.peer().advance(&mut tau0, RegisterId::new(0));
         reg.merge_into_client(&mut mu, &tau0);
 
         // μ now holds e_01's counter = 1.
@@ -278,7 +265,8 @@ mod tests {
         // inherits the client's e_01 knowledge if Ê_2 tracks it.
         let mut tau2 = reg.peer().new_timestamp(r2);
         assert!(reg.request_ready(&tau2, &mu));
-        reg.advance_for_client(&mut tau2, &mu, RegisterId::new(1), g);
+        reg.fold_client(&mut tau2, &mu);
+        reg.peer().advance(&mut tau2, RegisterId::new(1));
         let g2 = reg.peer().graphs().of(r2);
         if let Some(p) = g2.position(e01) {
             assert_eq!(tau2.values()[p], 1, "τ_2 must inherit e_01");
@@ -308,6 +296,32 @@ mod tests {
         // Replica 1 is not in R_c.
         let tau1 = reg.peer().new_timestamp(ReplicaId::new(1));
         assert!(!reg.request_ready(&tau1, &mu));
+    }
+
+    #[test]
+    fn repeat_assignment_indexes_the_union() {
+        // A second `assign` of c0 extends R_c0 to {r0, r1, r3}; μ_c0 then
+        // indexes Ê_0 ∪ Ê_1 ∪ Ê_3.
+        let c = ClientId::new(0);
+        let r = ReplicaId::new;
+        let mut clients = ClientAssignment::new(4);
+        clients.assign(c, [r(0), r(1)]);
+        clients.assign(c, [r(3)]);
+        let aug = AugmentedShareGraph::new(topology::path(4), clients);
+        let reg = ClientTsRegistry::new(&aug);
+        let graphs = aug.augmented_timestamp_graphs();
+        let mut union: Vec<EdgeId> = [0, 1, 3]
+            .into_iter()
+            .flat_map(|i| graphs.of(r(i)).edges().to_vec())
+            .collect();
+        union.sort();
+        union.dedup();
+        assert_eq!(reg.client_edges(c), &union[..]);
+        let mu = reg.new_client_timestamp(c);
+        assert_eq!(mu.num_counters(), union.len());
+        for i in [0, 1, 3] {
+            assert!(reg.request_ready(&reg.peer().new_timestamp(r(i)), &mu));
+        }
     }
 
     #[test]
